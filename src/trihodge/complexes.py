@@ -1,29 +1,28 @@
 """Chain complexes attached to a diagram and their integral (co)homology.
 
-Three independent routes to the same manifold invariants live here:
+Two complexes of free groups carry the computation:
 
-* a five-term complex of free groups built from the Lagrangians, whose
-  homology in degrees 0..4 is the integral homology of the 4-manifold;
-* Cech complexes of the three coefficient presheaves over the standard
-  three-set cover, arranged into a 3x3 Hodge-style diamond whose antidiagonals
-  assemble the cohomology;
+* a five-term complex built from the Lagrangians, whose homology in degrees
+  0..4 is the integral homology of the 4-manifold;
 * a dual complex through handlebody and sector-boundary H1 quotients, whose
   middle homology gives a second, independently computed copy of H2.
 
-Keeping all three honest (they are compared in the tests, never silently
-merged) is the package's main self-check.
+The 3x3 Hodge-style diamond comes from Cech complexes of three coefficient
+presheaves over the standard three-sector cover; its antidiagonals assemble
+the cohomology. Its middle column reuses the differentials of the five-term
+complex, so it is a reading of that complex, not a separate route to H2.
+The tests compare the two complexes with each other and with the duality
+laws for H2, which need only H1 and the Euler characteristic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .diagram import TrisectionDiagram, ensure_valid
+from .diagram import TrisectionDiagram, ensure_valid, memoized
 from .lattice import (
-    Subgroup,
     _snf_with_inverses,
     intmat,
     invariant_factors,
@@ -48,10 +47,6 @@ class HomologyGroup:
     def __post_init__(self):
         if self.rank < 0 or any(t < 2 for t in self.torsion):
             raise ValueError("rank must be >= 0 and invariant factors >= 2")
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
 
     def direct_sum(self, other: "HomologyGroup") -> "HomologyGroup":
         merged = self.torsion + other.torsion
@@ -79,7 +74,8 @@ class FreeChainComplex:
     Position i maps to position i+1 via ``diffs[i]``; consecutive composites
     must vanish. ``degrees`` carries the semantic degree label of each
     position (descending for the homology complex, ascending Cech degrees for
-    the cochain complexes).
+    the cochain complexes). The differentials are made read-only, since one
+    complex is shared by every query on its diagram.
     """
 
     term_names: tuple[str, ...]
@@ -97,6 +93,7 @@ class FreeChainComplex:
                     f"differential {i} has shape {mat.shape}, expected "
                     f"({self.ranks[i + 1]}, {self.ranks[i]})"
                 )
+            mat.setflags(write=False)
         for i in range(len(self.diffs) - 1):
             if np.any(self.diffs[i + 1] @ self.diffs[i]):
                 raise ValueError(f"differentials {i} and {i + 1} do not compose to zero")
@@ -185,7 +182,7 @@ def _pair_difference_matrix(d: TrisectionDiagram) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
+@memoized
 def homology_complex(d: TrisectionDiagram) -> FreeChainComplex:
     """The five-term complex whose homology is H_*(X; Z).
 
@@ -216,23 +213,24 @@ def homology_complex(d: TrisectionDiagram) -> FreeChainComplex:
     )
 
 
+@memoized
 def homology_groups(d: TrisectionDiagram) -> tuple[HomologyGroup, ...]:
     """H_0 .. H_4 of the 4-manifold."""
     c = homology_complex(d)
     return tuple(homology(c, k) for k in range(5))
 
 
-@lru_cache(maxsize=None)
 def cech_complex(d: TrisectionDiagram, sheaf_degree: int) -> FreeChainComplex:
     """Cech complex of one coefficient presheaf over the three-sector cover.
 
     sheaf_degree 0: constant coefficients, cohomology (Z, 0, 0).
-    sheaf_degree 1: degree-one coefficients, realized on the Lagrangian data;
-    this is the middle of the homology complex read as a cochain complex.
+    sheaf_degree 1: degree-one coefficients, realized on the Lagrangian data.
+    This is the middle of the homology complex read as a cochain complex: its
+    terms and differentials are taken from ``homology_complex(d)`` as they
+    are, so its middle cohomology is H2 of that complex, not a new route.
     sheaf_degree 2: top coefficients vanish except over the central surface.
     """
     ensure_valid(d)
-    g = d.genus
     if sheaf_degree == 0:
         delta0 = intmat([[1, -1, 0], [0, 1, -1], [-1, 0, 1]])
         delta1 = intmat([[1, 1, 1]])
@@ -243,12 +241,12 @@ def cech_complex(d: TrisectionDiagram, sheaf_degree: int) -> FreeChainComplex:
             diffs=(delta0, delta1),
         )
     if sheaf_degree == 1:
-        k_total = sum(d.pair_intersection(lam).rank for lam in (1, 2, 3))
+        c = homology_complex(d)
         return FreeChainComplex(
             term_names=("sector classes", "handlebody classes", "surface classes"),
-            ranks=(k_total, 3 * g, 2 * g),
+            ranks=c.ranks[1:4],
             degrees=(0, 1, 2),
-            diffs=(_pair_difference_matrix(d), _lagrangian_block_matrix(d)),
+            diffs=c.diffs[1:3],
         )
     if sheaf_degree == 2:
         return FreeChainComplex(
@@ -260,7 +258,7 @@ def cech_complex(d: TrisectionDiagram, sheaf_degree: int) -> FreeChainComplex:
     raise ValueError("sheaf degree must be 0, 1 or 2")
 
 
-@lru_cache(maxsize=None)
+@memoized
 def dual_complex(d: TrisectionDiagram) -> FreeChainComplex:
     """Quotient-side complex whose middle homology is H_2(X; Z).
 
@@ -301,6 +299,7 @@ def dual_complex(d: TrisectionDiagram) -> FreeChainComplex:
     )
 
 
+@memoized
 def dual_middle_homology(d: TrisectionDiagram) -> HomologyGroup:
     c = dual_complex(d)
     return c.homology_at(1)
@@ -330,9 +329,8 @@ class HodgeDiamond:
         return total
 
 
-@lru_cache(maxsize=None)
+@memoized
 def hodge_diamond(d: TrisectionDiagram) -> HodgeDiamond:
-    ensure_valid(d)
     columns = []
     for j in range(3):
         c = cech_complex(d, j)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Sequence
 
 from .lattice import (
@@ -163,6 +163,22 @@ class ValidationReport:
     @property
     def failures(self) -> tuple[str, ...]:
         return tuple(name for name, ok in self.checks if not ok)
+
+
+def memoized(fn):
+    """Store ``fn(d)`` in the diagram's own ``__dict__``, as cached_property does.
+
+    Each result is computed once per diagram object and freed with it.
+    """
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def cached(d: TrisectionDiagram):
+        if key not in d.__dict__:
+            d.__dict__[key] = fn(d)
+        return d.__dict__[key]
+
+    return cached
 
 
 def _system_index(lam: int) -> int:

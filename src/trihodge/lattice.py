@@ -74,12 +74,6 @@ def matrix_columns(m: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(m[:, j]) for j in range(m.shape[1])]
 
 
-class SNFResult(NamedTuple):
-    U: np.ndarray
-    D: np.ndarray
-    V: np.ndarray
-
-
 class _SNFFull(NamedTuple):
     U: np.ndarray
     D: np.ndarray
@@ -88,14 +82,14 @@ class _SNFFull(NamedTuple):
     Vinv: np.ndarray
 
 
-def smith_normal_form(m: np.ndarray) -> SNFResult:
+def smith_normal_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Smith normal form of an integer matrix.
 
     Returns unimodular U, V and diagonal D with ``U @ m @ V == D``, entries
     nonnegative and each dividing the next.
     """
     full = _snf_with_inverses(m)
-    return SNFResult(full.U, full.D, full.V)
+    return full.U, full.D, full.V
 
 
 def _snf_with_inverses(m: np.ndarray) -> _SNFFull:
@@ -414,11 +408,6 @@ def kernel_basis(m: np.ndarray) -> Subgroup:
     return Subgroup.from_columns(ncols, matrix_columns(full.V[:, s:]))
 
 
-def image_subgroup(m: np.ndarray) -> Subgroup:
-    """Column span of m as a canonical Subgroup of Z^rows."""
-    return Subgroup.from_columns(m.shape[0], matrix_columns(m))
-
-
 @dataclass(frozen=True, eq=False)
 class QuotientPresentation:
     """Z^n modulo a subgroup, with explicit coordinates.
@@ -441,10 +430,6 @@ class QuotientPresentation:
     def coordinate_count(self) -> int:
         return len(self.torsion) + self.free_rank
 
-    @property
-    def is_free(self) -> bool:
-        return not self.torsion
-
     def project(self, v: Sequence[int]) -> tuple[int, ...]:
         vec = column_vector(as_int_vector(v, self.ambient_rank))
         y = self._U @ vec
@@ -462,15 +447,6 @@ class QuotientPresentation:
 
     def is_zero(self, v: Sequence[int]) -> bool:
         return not any(self.project(v))
-
-    def coords_sub(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        """Coordinate-wise difference, respecting the torsion moduli."""
-        a = as_int_vector(a, self.coordinate_count)
-        b = as_int_vector(b, self.coordinate_count)
-        nt = len(self.torsion)
-        tor = [(x - y) % d for x, y, d in zip(a[:nt], b[:nt], self.torsion)]
-        free = [x - y for x, y in zip(a[nt:], b[nt:])]
-        return tuple(tor + free)
 
     @property
     def free_part_matrix(self) -> np.ndarray:

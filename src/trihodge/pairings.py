@@ -14,23 +14,19 @@ as bookkeeping for an exact congruence diagonalization.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .complexes import homology_complex
-from .diagram import TrisectionDiagram, ensure_valid
+from .complexes import dual_complex, homology_complex
+from .diagram import TrisectionDiagram, ensure_valid, memoized
 from .lattice import (
     Subgroup,
     as_int_vector,
-    column_vector,
     det,
     integer_solve,
     intmat,
-    kernel_basis,
     subgroup_intersection,
     zeros,
 )
@@ -189,10 +185,6 @@ class H2DualRep:
     def is_zero(self) -> bool:
         return not any(any(c) for c in self.coords)
 
-    def coordinate_vector(self) -> tuple[int, ...]:
-        """All three coordinate blocks concatenated (length 3g)."""
-        return self.coords[0] + self.coords[1] + self.coords[2]
-
     def __add__(self, other: "H2DualRep") -> "H2DualRep":
         if self.diagram != other.diagram:
             raise ValueError("dual reps belong to different diagrams")
@@ -220,7 +212,7 @@ def _normalized_sign(vec: tuple[int, ...]) -> int:
     return 1
 
 
-@lru_cache(maxsize=None)
+@memoized
 def h2_basis_cocycles(d: TrisectionDiagram) -> tuple[OneOneCocycle, ...]:
     """Cocycle representatives for a basis of the free part of H^2.
 
@@ -228,7 +220,6 @@ def h2_basis_cocycles(d: TrisectionDiagram) -> tuple[OneOneCocycle, ...]:
     complex, read off in the canonical Lagrangian bases; each generator is
     normalized so its first nonzero coordinate is positive.
     """
-    ensure_valid(d)
     c = homology_complex(d)
     _, gens = c.homology_with_generators(c.position_of_degree(2))
     out = []
@@ -311,7 +302,7 @@ def _signature_of_symmetric(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int
     return pos, neg
 
 
-@lru_cache(maxsize=None)
+@memoized
 def intersection_form(d: TrisectionDiagram) -> IntersectionForm:
     """Gram matrix, signature, parity and unimodularity of the form on H^2.
 
@@ -332,7 +323,7 @@ def intersection_form(d: TrisectionDiagram) -> IntersectionForm:
     return IntersectionForm(gram, signature, parity, unimodular)
 
 
-@lru_cache(maxsize=None)
+@memoized
 def triple_intersection(d: TrisectionDiagram) -> Subgroup:
     """L1 n L2 n L3: representatives of the free degree-one cohomology."""
     ensure_valid(d)
@@ -395,16 +386,13 @@ def evaluate_on_surface_class(d: TrisectionDiagram, x: OneOneCocycle, rep: H2Dua
     )
 
 
-@lru_cache(maxsize=None)
+@memoized
 def dual_rep_basis(d: TrisectionDiagram) -> tuple[H2DualRep, ...]:
     """Dual reps generating the free part of degree-two homology.
 
     Free generators of the middle homology of the quotient-side complex,
     sign-normalized like the cocycle basis.
     """
-    from .complexes import dual_complex
-
-    ensure_valid(d)
     g = d.genus
     c = dual_complex(d)
     _, gens = c.homology_with_generators(1)
@@ -464,38 +452,3 @@ def cocycle_from_dual_rep(d: TrisectionDiagram, rep: H2DualRep) -> OneOneCocycle
             total = total + b.scale(cf)
     return total
 
-
-def random_cocycle(d: TrisectionDiagram, rng: random.Random, span: int = 4) -> OneOneCocycle:
-    """Random element of the cocycle group (kernel of the total-sum map)."""
-    c = homology_complex(d)
-    cycles = kernel_basis(c.diffs[2])
-    if cycles.rank == 0:
-        return OneOneCocycle.zero(d)
-    combo = column_vector([rng.randint(-span, span) for _ in range(cycles.rank)])
-    coords = tuple(int(e) for e in (cycles.basis @ combo)[:, 0])
-    return OneOneCocycle.from_lagrangian_coordinates(d, coords)
-
-
-def random_coboundary(d: TrisectionDiagram, rng: random.Random, span: int = 4) -> OneOneCocycle:
-    """Random image of the pairwise-intersection difference map."""
-    c = homology_complex(d)
-    zeta = c.diffs[1]
-    if zeta.shape[1] == 0:
-        return OneOneCocycle.zero(d)
-    combo = column_vector([rng.randint(-span, span) for _ in range(zeta.shape[1])])
-    coords = tuple(int(e) for e in (zeta @ combo)[:, 0])
-    return OneOneCocycle.from_lagrangian_coordinates(d, coords)
-
-
-def random_cycle_rep(d: TrisectionDiagram, rng: random.Random, span: int = 4) -> H2DualRep:
-    """Random triple of handlebody classes satisfying the matching conditions."""
-    from .complexes import dual_complex
-
-    g = d.genus
-    c = dual_complex(d)
-    cycles = kernel_basis(c.diffs[1])
-    if cycles.rank == 0:
-        return H2DualRep.zero(d)
-    combo = column_vector([rng.randint(-span, span) for _ in range(cycles.rank)])
-    vec = tuple(int(e) for e in (cycles.basis @ combo)[:, 0])
-    return H2DualRep.from_coords(d, (vec[:g], vec[g : 2 * g], vec[2 * g :]))

@@ -11,9 +11,8 @@ instead of silently truncating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .diagram import SYSTEM_NAMES, CutSystem, TrisectionDiagram, ensure_valid
+from .diagram import SYSTEM_NAMES, CutSystem, TrisectionDiagram, ensure_valid, memoized
 from .lattice import as_int_vector
 
 DEFAULT_GENUS_BOUND = 8
@@ -64,7 +63,6 @@ def all_enhancements(genus: int) -> "tuple[QuadraticEnhancement, ...]":
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def enumerate_spin(
     d: TrisectionDiagram, genus_bound: int = DEFAULT_GENUS_BOUND
 ) -> "tuple[QuadraticEnhancement, ...]":
@@ -79,6 +77,11 @@ def enumerate_spin(
             f"genus {d.genus} exceeds the enumeration bound {genus_bound}; "
             "raise the bound explicitly to force the 4^genus search"
         )
+    return _spin_structures(d)
+
+
+@memoized
+def _spin_structures(d: TrisectionDiagram) -> "tuple[QuadraticEnhancement, ...]":
     systems = tuple(getattr(d, name) for name in SYSTEM_NAMES)
     return tuple(
         q for q in all_enhancements(d.genus) if all(q.vanishes_on(cs) for cs in systems)

@@ -49,16 +49,6 @@ class SymplecticLattice:
             total += x[2 * i] * y[2 * i + 1] - x[2 * i + 1] * y[2 * i]
         return total
 
-    def pi_dual(self, x: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates of the functional <., x> in the dual basis.
-
-        The assignment x -> <., x> identifies the lattice with its dual because
-        the form is unimodular; concretely the coordinate vector is J @ x.
-        """
-        x = column_vector(as_int_vector(x, self.rank))
-        out = self.form_matrix @ x
-        return tuple(int(e) for e in out[:, 0])
-
     def is_isotropic(self, sub: Subgroup) -> bool:
         """Whether the form vanishes identically on the subgroup."""
         if sub.ambient_rank != self.rank:
@@ -66,23 +56,7 @@ class SymplecticLattice:
         B = sub.basis
         return not np.any(B.T @ self.form_matrix @ B)
 
-    def is_lagrangian(self, sub: Subgroup) -> bool:
-        return sub.rank == self.genus and self.is_isotropic(sub)
-
-    def m_subgroup(self, lagrangian: Subgroup) -> Subgroup:
-        """Image of a Lagrangian under the duality map x -> <., x>."""
-        if not self.is_lagrangian(lagrangian):
-            raise ValueError("m_subgroup needs a Lagrangian subgroup")
-        return Subgroup.from_columns(
-            self.rank, [self.pi_dual(col) for col in lagrangian.columns()]
-        )
-
     def transvection_matrix(self, v: Sequence[int]) -> np.ndarray:
         """Matrix of x -> x + <x, v> v, an integral symplectomorphism."""
         v = column_vector(as_int_vector(v, self.rank))
         return identity(self.rank) + v @ (self.form_matrix @ v).T
-
-    def standard_basis_vector(self, index: int) -> tuple[int, ...]:
-        vec = [0] * self.rank
-        vec[index] = 1
-        return tuple(vec)

@@ -47,9 +47,6 @@ from trihodge.pairings import (
     intersection_form,
     intersection_pairing,
     pairing_h3_h1,
-    random_coboundary,
-    random_cocycle,
-    random_cycle_rep,
 )
 from trihodge.spin import spin_count
 from trihodge.spinc import (
@@ -60,6 +57,8 @@ from trihodge.spinc import (
     is_admissible,
     lutz_shift,
 )
+
+from helpers import random_coboundary, random_cocycle, random_cycle_rep
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -127,13 +126,18 @@ def test_criterion_03_rank_symmetry():
         assert serre_duality_holds(hodge_diamond(d)), d.label
 
 
-@criterion(4, "three independent H2 routes agree")
+@criterion(4, "H2 agrees across both complexes and the duality laws")
 def test_criterion_04_three_way_h2():
     saw_torsion = False
     for d in SUITE:
         fm = homology(homology_complex(d), 2)
         assert fm == dual_middle_homology(d), d.label
         assert fm == cech_complex(d, 1).homology_at(1), d.label
+        # third route, free of the complex's middle: tors H2 = tors H1 and
+        # rank H2 = chi - 2 + 2 b1, with H1 the lattice mod L1 + L2 + L3
+        h1 = d.triple_quotient
+        assert fm.torsion == h1.torsion, d.label
+        assert fm.rank == euler_characteristic(d) - 2 + 2 * h1.free_rank, d.label
         saw_torsion = saw_torsion or bool(fm.torsion)
     assert saw_torsion  # the suite must exercise the torsion comparison
 

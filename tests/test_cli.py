@@ -199,3 +199,33 @@ def test_torsion_rendering_uses_slash_tokens():
     from trihodge.complexes import HomologyGroup
 
     assert str(HomologyGroup(2, (2, 6))) == "Z^2 + Z/2 + Z/6"
+
+
+class TestBooleanEntries:
+    """JSON true/false parse to Python bools, which are ints; both must be refused."""
+
+    def test_boolean_genus_rejected(self, tmp_path):
+        path = tmp_path / "bool_genus.json"
+        path.write_text(
+            json.dumps({"genus": True, "alpha": [[1, 0]], "beta": [[0, 1]], "gamma": [[1, 1]]})
+        )
+        code, out, err = run_cli(["validate", str(path)])
+        assert code == EXIT_PARSE
+        assert "field 'genus' must be an integer" in err
+        assert out == ""
+
+    def test_boolean_curve_entry_rejected(self, tmp_path):
+        path = tmp_path / "bool_curve.json"
+        path.write_text(
+            json.dumps({"genus": 1, "alpha": [[True, 0]], "beta": [[0, 1]], "gamma": [[1, 1]]})
+        )
+        code, _, err = run_cli(["homology", str(path)])
+        assert code == EXIT_PARSE
+        assert "field 'alpha'" in err
+
+    def test_boolean_rep_entry_rejected(self, tmp_path):
+        rep = tmp_path / "bool_rep.json"
+        rep.write_text(json.dumps({"a1": [True, 1], "a2": [0, 0], "a3": [0, 0]}))
+        code, _, err = run_cli(["spinc", "--builtin", "CP2", "--act", str(rep)])
+        assert code == EXIT_PARSE
+        assert "field 'a1' must be an integer vector" in err

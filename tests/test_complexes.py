@@ -117,12 +117,23 @@ def test_homology_torsion_builtins():
 
 
 def test_three_routes_agree_on_torsion():
-    for name in ("QS4_Z2", "QS4_Z3"):
+    for name in ("QS4_Z2", "QS4_Z3", "QS4_Z2#QS4_Z3", "S1xS3#QS4_Z2", "CP2#QS4_Z3"):
         d = builtin(name)
         fm = homology(homology_complex(d), 2)
         assert fm.torsion != ()
         assert fm == dual_middle_homology(d)
         assert fm == cech_complex(d, 1).homology_at(1)
+        # duality laws from H1 = lattice / (L1 + L2 + L3) and chi alone
+        h1 = d.triple_quotient
+        assert fm.torsion == h1.torsion
+        assert fm.rank == euler_characteristic(d) - 2 + 2 * h1.free_rank
+
+
+def test_cech_middle_column_reuses_the_homology_complex():
+    d = builtin("S2xS2#QS4_Z3")
+    c, fm = cech_complex(d, 1), homology_complex(d)
+    assert c.ranks == fm.ranks[1:4]
+    assert all(a is b for a, b in zip(c.diffs, fm.diffs[1:3]))
 
 
 def test_universal_coefficients_with_torsion():

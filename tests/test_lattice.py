@@ -19,7 +19,6 @@ from trihodge.lattice import (
     as_int_vector,
     det,
     identity,
-    image_subgroup,
     integer_solve,
     intmat,
     invariant_factors,
@@ -32,6 +31,8 @@ from trihodge.lattice import (
     subgroup_sum,
     zeros,
 )
+
+from helpers import image_subgroup
 
 
 def sympy_of(m):

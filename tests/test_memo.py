@@ -1,0 +1,82 @@
+"""Per-diagram memo: results live on the diagram object and die with it."""
+
+import gc
+import weakref
+
+import pytest
+
+from trihodge.complexes import (
+    cech_complex,
+    dual_complex,
+    dual_middle_homology,
+    hodge_diamond,
+    homology_complex,
+    homology_groups,
+)
+from trihodge.diagram import InvalidDiagramError, builtin, diagram_from_curves
+from trihodge.pairings import (
+    dual_rep_basis,
+    h2_basis_cocycles,
+    intersection_form,
+    triple_intersection,
+)
+from trihodge.spin import enumerate_spin
+
+MEMOIZED = (
+    homology_complex,
+    dual_complex,
+    homology_groups,
+    dual_middle_homology,
+    hodge_diamond,
+    h2_basis_cocycles,
+    intersection_form,
+    triple_intersection,
+    dual_rep_basis,
+    enumerate_spin,
+)
+
+
+def test_repeated_queries_return_the_cached_object():
+    d = builtin("S2xS2#QS4_Z3")
+    for fn in MEMOIZED:
+        assert fn(d) is fn(d), fn.__name__
+
+
+def test_shared_differentials_are_read_only():
+    d = builtin("CP2")
+    with pytest.raises(ValueError):
+        homology_complex(d).diffs[2][0, 0] = 7
+    assert cech_complex(d, 1).homology_at(1) == homology_groups(d)[2]
+
+
+def test_results_are_freed_with_their_diagram():
+    d = builtin("S2xS2#QS4_Z3")
+    for fn in MEMOIZED:
+        fn(d)
+    ref = weakref.ref(d)
+    del d
+    # cached cocycles and dual reps point back at d, so only the cycle
+    # collector can free the diagram together with its results
+    gc.collect()
+    assert ref() is None
+
+
+def test_equal_diagrams_keep_separate_results():
+    first, second = builtin("CP2"), builtin("CP2")
+    assert first == second and first is not second
+    assert h2_basis_cocycles(first)[0].diagram is first
+    assert h2_basis_cocycles(second)[0].diagram is second
+
+
+def test_failures_are_not_cached():
+    twisted = diagram_from_curves(1, [(1, 0)], [(0, 1)], [(2, 1)])
+    for _ in range(2):
+        with pytest.raises(InvalidDiagramError):
+            homology_groups(twisted)
+
+
+def test_spin_genus_bound_is_checked_on_every_call():
+    d = builtin("S2xS2#S1xS3")
+    assert len(enumerate_spin(d)) == 2
+    with pytest.raises(ValueError, match="enumeration bound"):
+        enumerate_spin(d, genus_bound=2)

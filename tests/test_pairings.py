@@ -23,11 +23,10 @@ from trihodge.pairings import (
     intersection_pairing,
     pairing_h3_h1,
     poincare_dual_rep,
-    random_coboundary,
-    random_cocycle,
-    random_cycle_rep,
     triple_intersection,
 )
+
+from helpers import random_coboundary, random_cocycle, random_cycle_rep
 
 CP2 = builtin("CP2")
 S1XS3 = builtin("S1xS3")

@@ -16,7 +16,6 @@ from trihodge.pairings import (
     cocycle_from_dual_rep,
     dual_rep_basis,
     h2_basis_cocycles,
-    random_cycle_rep,
 )
 from trihodge.spinc import (
     SpinCLedger,
@@ -28,6 +27,8 @@ from trihodge.spinc import (
     is_admissible,
     lutz_shift,
 )
+
+from helpers import random_cycle_rep
 
 CP2 = builtin("CP2")
 S1XS3 = builtin("S1xS3")

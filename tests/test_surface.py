@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from trihodge.lattice import Subgroup, det
 from trihodge.surface import SymplecticLattice
 
+from helpers import m_subgroup, pi_dual, standard_basis_vector
+
 
 def vectors(rank):
     return st.lists(
@@ -58,12 +60,12 @@ class TestPiDual:
         lat = SymplecticLattice(2)
         x = (1, 2, 3, 4)
         y = (-2, 0, 5, 1)
-        cov = lat.pi_dual(x)
+        cov = pi_dual(lat, x)
         assert sum(c * yi for c, yi in zip(cov, y)) == lat.intersection_number(y, x)
 
     def test_injective_on_basis(self):
         lat = SymplecticLattice(3)
-        images = {lat.pi_dual(lat.standard_basis_vector(i)) for i in range(6)}
+        images = {pi_dual(lat, standard_basis_vector(lat, i)) for i in range(6)}
         assert len(images) == 6
         assert all(any(images_vec) for images_vec in images)
 
@@ -72,21 +74,21 @@ class TestMSubgroup:
     def test_cp2_alpha_system(self):
         lat = SymplecticLattice(1)
         L = Subgroup.from_columns(2, [(1, 0)])
-        assert lat.m_subgroup(L) == Subgroup.from_columns(2, [(0, 1)])
+        assert m_subgroup(lat, L) == Subgroup.from_columns(2, [(0, 1)])
 
     def test_rejects_non_lagrangian(self):
         lat = SymplecticLattice(1)
         with pytest.raises(ValueError):
-            lat.m_subgroup(Subgroup.full(2))
+            m_subgroup(lat, Subgroup.full(2))
         lat2 = SymplecticLattice(2)
         with pytest.raises(ValueError):
             # rank 2 but not isotropic
-            lat2.m_subgroup(Subgroup.from_columns(4, [(1, 0, 0, 0), (0, 1, 0, 0)]))
+            m_subgroup(lat2, Subgroup.from_columns(4, [(1, 0, 0, 0), (0, 1, 0, 0)]))
 
     def test_rank_preserved(self):
         lat = SymplecticLattice(2)
         L = Subgroup.from_columns(4, [(1, 0, 0, 0), (0, 0, 1, 0)])
-        assert lat.m_subgroup(L).rank == 2
+        assert m_subgroup(lat, L).rank == 2
 
 
 class TestTransvection:
