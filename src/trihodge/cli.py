@@ -5,8 +5,9 @@ name, or the seeded random generator. Output is byte-deterministic: fixed
 line order, plain decimal integers, torsion rendered as Z/d tokens. The
 --json flag switches to a machine format with the same values.
 
-Exit codes: 0 success (and diagram valid), 1 invalid diagram or refused
-computation, 2 unreadable or malformed input.
+Exit codes: 0 success (and diagram valid), 1 invalid diagram or rep, or a
+refused computation (a spin listing over spin.MAX_LISTED structures),
+2 unreadable or malformed input.
 """
 
 from __future__ import annotations

@@ -235,10 +235,6 @@ def det(m: np.ndarray) -> int:
     return sign * int(M[n - 1, n - 1])
 
 
-def is_unimodular(m: np.ndarray) -> bool:
-    return m.shape[0] == m.shape[1] and abs(det(m)) == 1
-
-
 def integer_solve(m: np.ndarray, rhs: Sequence[int]) -> tuple[int, ...]:
     """One integer solution x of ``m @ x == rhs``.
 

@@ -1,21 +1,18 @@
-"""Spin structures counted through quadratic enhancements.
+"""Spin structures: quadratic enhancements vanishing on all three cut systems.
 
-A quadratic enhancement is a function q on the mod-2 surface lattice
-satisfying q(x + y) = q(x) + q(y) + <x, y> mod 2. It is determined by its
-values on the standard basis, and a diagram's spin structures correspond to
-the enhancements vanishing on all three cut systems. Enumeration is a filter
-over all 2^(2g) candidates, so it refuses genus beyond a configurable bound
-instead of silently truncating.
+An enhancement q satisfies q(x + y) = q(x) + q(y) + <x, y> mod 2 on the mod-2
+surface lattice and is fixed by its basis values, so the spin structures are
+the solutions of one affine system over F_2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import SYSTEM_NAMES, CutSystem, TrisectionDiagram, ensure_valid, memoized
+from .diagram import SYSTEM_NAMES, TrisectionDiagram, ensure_valid, memoized
 from .lattice import as_int_vector
 
-DEFAULT_GENUS_BOUND = 8
+MAX_LISTED = 2**16
 
 
 @dataclass(frozen=True)
@@ -43,50 +40,56 @@ class QuadraticEnhancement:
         total += sum(x[2 * t] * x[2 * t + 1] for t in range(self.genus))
         return total % 2
 
-    def vanishes_on(self, cs: CutSystem) -> bool:
-        """True when q is zero on every curve of the cut system.
-
-        Within one system the curves span a Lagrangian, so the defining
-        relation is additive there and vanishing on the curves already gives
-        vanishing on the whole subgroup.
-        """
-        return all(self.evaluate(curve) == 0 for curve in cs.curves)
-
-
-def all_enhancements(genus: int) -> "tuple[QuadraticEnhancement, ...]":
-    """Every enhancement for the given genus, in lexicographic bit order."""
-    width = 2 * genus
-    out = []
-    for mask in range(1 << width):
-        bits = tuple((mask >> (width - 1 - i)) & 1 for i in range(width))
-        out.append(QuadraticEnhancement(genus, bits))
-    return tuple(out)
-
-
-def enumerate_spin(
-    d: TrisectionDiagram, genus_bound: int = DEFAULT_GENUS_BOUND
-) -> "tuple[QuadraticEnhancement, ...]":
-    """Enhancements vanishing on all three cut systems, lexicographically.
-
-    Raises ValueError beyond the genus bound: the search space is 4^genus
-    and partial output would be wrong, not just slow.
-    """
-    ensure_valid(d)
-    if d.genus > genus_bound:
-        raise ValueError(
-            f"genus {d.genus} exceeds the enumeration bound {genus_bound}; "
-            "raise the bound explicitly to force the 4^genus search"
-        )
-    return _spin_structures(d)
-
 
 @memoized
-def _spin_structures(d: TrisectionDiagram) -> "tuple[QuadraticEnhancement, ...]":
-    systems = tuple(getattr(d, name) for name in SYSTEM_NAMES)
-    return tuple(
-        q for q in all_enhancements(d.genus) if all(q.vanishes_on(cs) for cs in systems)
+def _solution_space(d: TrisectionDiagram) -> "tuple[int, tuple[int, ...]] | None":
+    """Solutions as a particular mask and a kernel basis, or None if there are none.
+
+    q(c) = 0 reads sum c_i q_i = sum_t c_a c_b (mod 2). A mask holds q_i at bit
+    2g-1-i, so mask order is lexicographic; an equation holds it one bit higher,
+    above its constant. A pivot bit is set in its own equation only.
+    """
+    ensure_valid(d)
+    pivots: dict[int, int] = {}
+    for curve in (c for name in SYSTEM_NAMES for c in getattr(d, name).curves):
+        eq = sum(curve[2 * t] * curve[2 * t + 1] for t in range(d.genus)) % 2
+        eq |= sum(1 << (2 * d.genus - i) for i, e in enumerate(curve) if e % 2)
+        for bit, p in pivots.items():
+            if eq >> bit & 1:
+                eq ^= p
+        if eq == 1:
+            return None
+        if eq:
+            lead = eq.bit_length() - 1
+            pivots = {bit: p ^ eq if p >> lead & 1 else p for bit, p in pivots.items()}
+            pivots[lead] = eq
+    particular = sum(1 << bit for bit, p in pivots.items() if p & 1) >> 1
+    return particular, tuple(
+        ((1 << free) | sum(1 << bit for bit, p in pivots.items() if p >> free & 1)) >> 1
+        for free in range(1, 2 * d.genus + 1) if free not in pivots
     )
 
 
-def spin_count(d: TrisectionDiagram, genus_bound: int = DEFAULT_GENUS_BOUND) -> int:
-    return len(enumerate_spin(d, genus_bound))
+def spin_count(d: TrisectionDiagram) -> int:
+    space = _solution_space(d)
+    return 0 if space is None else 2 ** len(space[1])
+
+
+@memoized
+def enumerate_spin(d: TrisectionDiagram) -> "tuple[QuadraticEnhancement, ...]":
+    """Enhancements vanishing on all three cut systems, lexicographically.
+
+    Raises ValueError beyond MAX_LISTED structures; spin_count has no bound.
+    """
+    count = spin_count(d)
+    if count > MAX_LISTED:
+        raise ValueError(f"{count} spin structures exceed the listing bound {MAX_LISTED}")
+    if not count:
+        return ()
+    masks = [_solution_space(d)[0]]
+    for k in _solution_space(d)[1]:
+        masks += [m ^ k for m in masks]
+    bits = range(2 * d.genus - 1, -1, -1)
+    return tuple(
+        QuadraticEnhancement(d.genus, tuple(m >> i & 1 for i in bits)) for m in sorted(masks)
+    )

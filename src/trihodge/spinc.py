@@ -18,12 +18,7 @@ from dataclasses import dataclass, replace
 
 from .diagram import TrisectionDiagram, ensure_valid
 from .lattice import as_int_vector
-from .pairings import (
-    CycleConditionError,
-    H2DualRep,
-    OneOneCocycle,
-    cocycle_from_dual_rep,
-)
+from .pairings import H2DualRep, OneOneCocycle, cocycle_from_dual_rep
 
 EulerTriple = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 

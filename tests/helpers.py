@@ -1,4 +1,5 @@
-"""Test-only constructions: random (co)cycles, duality maps, column spans.
+"""Test-only constructions: random (co)cycles, duality maps, column spans,
+and the brute-force spin oracle.
 
 The suites use these to generate inputs and to state laws; the package
 itself never needs them.
@@ -12,16 +13,24 @@ from typing import Sequence
 import numpy as np
 
 from trihodge.complexes import dual_complex, homology_complex
-from trihodge.diagram import TrisectionDiagram
+from trihodge.diagram import SYSTEM_NAMES, CutSystem, TrisectionDiagram, diagram_from_curves
 from trihodge.lattice import (
     Subgroup,
     as_int_vector,
     column_vector,
+    det,
     kernel_basis,
     matrix_columns,
 )
 from trihodge.pairings import H2DualRep, OneOneCocycle
+from trihodge.spin import QuadraticEnhancement
 from trihodge.surface import SymplecticLattice
+
+ORACLE_MAX_GENUS = 6
+
+
+def is_unimodular(m: np.ndarray) -> bool:
+    return m.shape[0] == m.shape[1] and abs(det(m)) == 1
 
 
 def image_subgroup(m: np.ndarray) -> Subgroup:
@@ -89,3 +98,47 @@ def random_cycle_rep(d: TrisectionDiagram, rng: random.Random, span: int = 4) ->
         return H2DualRep.zero(d)
     vec = _random_combination(cycles.basis, rng, span)
     return H2DualRep.from_coords(d, (vec[:g], vec[g : 2 * g], vec[2 * g :]))
+
+
+def scrambled(d: TrisectionDiagram, seed: int) -> TrisectionDiagram:
+    """d in a new surface basis: every curve moved by one seeded word of six
+    transvections x -> x + <x, v> v, each v with one to three entries of +-1."""
+    rng = random.Random(seed)
+    systems = [list(cs.curves) for cs in d.systems]
+    for _ in range(6):
+        v = [0] * (2 * d.genus)
+        for idx in rng.sample(range(2 * d.genus), min(rng.randint(1, 3), 2 * d.genus)):
+            v[idx] = rng.choice((-1, 1))
+        T = d.lattice.transvection_matrix(v)
+        systems = [[tuple(int(e) for e in (T @ column_vector(c))[:, 0]) for c in cs] for cs in systems]
+    return diagram_from_curves(d.genus, *systems, label=d.label)
+
+
+def all_enhancements(genus: int) -> tuple[QuadraticEnhancement, ...]:
+    """Every enhancement for the given genus, in lexicographic bit order."""
+    if genus > ORACLE_MAX_GENUS:
+        raise ValueError(f"the 4^genus oracle is kept to genus {ORACLE_MAX_GENUS}")
+    width = 2 * genus
+    out = []
+    for mask in range(1 << width):
+        bits = tuple((mask >> (width - 1 - i)) & 1 for i in range(width))
+        out.append(QuadraticEnhancement(genus, bits))
+    return tuple(out)
+
+
+def vanishes_on(q: QuadraticEnhancement, cs: CutSystem) -> bool:
+    """True when q is zero on every curve of the cut system.
+
+    Within one system the curves span a Lagrangian, so the defining relation
+    is additive there and vanishing on the curves already gives vanishing on
+    the whole subgroup.
+    """
+    return all(q.evaluate(curve) == 0 for curve in cs.curves)
+
+
+def brute_force_spin(d: TrisectionDiagram) -> tuple[QuadraticEnhancement, ...]:
+    """Spin structures by filtering all 4^genus enhancements."""
+    systems = tuple(getattr(d, name) for name in SYSTEM_NAMES)
+    return tuple(
+        q for q in all_enhancements(d.genus) if all(vanishes_on(q, cs) for cs in systems)
+    )

@@ -132,10 +132,13 @@ class TestExitCodes:
         code, _, err = run_cli(["homology", str(path)])
         assert code == EXIT_INVALID
 
-    def test_spin_genus_bound_refusal(self):
-        code, _, err = run_cli(["spin", "--genus", "9", "--seed", "0"])
+    def test_spin_listing_bound_refusal(self):
+        code, _, err = run_cli(["spin", "--builtin", "#".join(["S1xS3"] * 17)])
         assert code == EXIT_INVALID
-        assert "enumeration bound" in err
+        assert "listing bound" in err
+        code, out, _ = run_cli(["spin", "--genus", "9", "--seed", "0"])
+        assert code == EXIT_OK
+        assert "spin structures: 0" in out
 
 
 class TestSpinCInput:

@@ -21,7 +21,7 @@ from trihodge.complexes import (
     serre_duality_holds,
 )
 from trihodge.diagram import builtin, euler_characteristic, random_diagram
-from trihodge.lattice import intmat, kernel_basis, zeros
+from trihodge.lattice import intmat, kernel_basis
 
 Z = HomologyGroup(1)
 ZERO = HomologyGroup(0)

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from trihodge.lattice import (
-    QuotientPresentation,
     Subgroup,
     as_int_vector,
     det,
@@ -22,7 +21,6 @@ from trihodge.lattice import (
     integer_solve,
     intmat,
     invariant_factors,
-    is_unimodular,
     kernel_basis,
     matrix_columns,
     quotient,
@@ -32,7 +30,7 @@ from trihodge.lattice import (
     zeros,
 )
 
-from helpers import image_subgroup
+from helpers import image_subgroup, is_unimodular
 
 
 def sympy_of(m):

@@ -20,7 +20,7 @@ from trihodge.pairings import (
     intersection_form,
     triple_intersection,
 )
-from trihodge.spin import enumerate_spin
+from trihodge.spin import enumerate_spin, spin_count
 
 MEMOIZED = (
     homology_complex,
@@ -75,8 +75,9 @@ def test_failures_are_not_cached():
             homology_groups(twisted)
 
 
-def test_spin_genus_bound_is_checked_on_every_call():
-    d = builtin("S2xS2#S1xS3")
-    assert len(enumerate_spin(d)) == 2
-    with pytest.raises(ValueError, match="enumeration bound"):
-        enumerate_spin(d, genus_bound=2)
+def test_spin_listing_bound_is_checked_on_every_call():
+    d = builtin("#".join(["S1xS3"] * 17))
+    assert spin_count(d) == 2**17
+    for _ in range(2):
+        with pytest.raises(ValueError, match="listing bound"):
+            enumerate_spin(d)

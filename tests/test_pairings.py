@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trihodge.diagram import builtin, random_diagram
-from trihodge.lattice import det, intmat
+from trihodge.lattice import det
 from trihodge.pairings import (
     CycleConditionError,
     H2DualRep,

@@ -1,21 +1,25 @@
 """Quadratic enhancements and spin enumeration."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trihodge.complexes import homology_groups
-from trihodge.diagram import SYSTEM_NAMES, builtin, handleslide_diagram, random_diagram
-from trihodge.pairings import intersection_form
-from trihodge.spin import (
-    QuadraticEnhancement,
-    all_enhancements,
-    enumerate_spin,
-    spin_count,
+from trihodge.diagram import (
+    SYSTEM_NAMES,
+    builtin,
+    builtin_names,
+    handleslide_diagram,
+    random_diagram,
 )
+from trihodge.pairings import intersection_form
+from trihodge.spin import MAX_LISTED, QuadraticEnhancement, enumerate_spin, spin_count
 from trihodge.surface import SymplecticLattice
+
+from helpers import all_enhancements, brute_force_spin, scrambled
 
 
 class TestEvaluate:
@@ -97,10 +101,39 @@ class TestEnumeration:
                     ]
                     assert q.evaluate(combo) == 0
 
-    def test_genus_bound_refusal(self):
-        d = builtin("S2xS2")
-        with pytest.raises(ValueError, match="enumeration bound"):
-            enumerate_spin(d, genus_bound=1)
+    def test_listing_bound_refusal(self):
+        at_bound = builtin("#".join(["S1xS3"] * 16))
+        assert len(enumerate_spin(at_bound)) == MAX_LISTED
+        beyond = builtin("#".join(["S1xS3"] * 17))
+        assert spin_count(beyond) == 2 * MAX_LISTED
+        with pytest.raises(ValueError, match="listing bound"):
+            enumerate_spin(beyond)
+
+    def test_count_without_listing_at_large_genus(self):
+        assert spin_count(builtin("#".join(["S1xS3"] * 40))) == 2**40
+        assert spin_count(random_diagram(40, 0)) == 0
+
+
+ORACLE_CASES = builtin_names() + ("S2xS2#S1xS3", "QS4_Z2#S1xS3", "QS4_Z3#QS4_Z2")
+
+
+def moved(d):
+    """d, slides of its first and last curves over each other, and d in three
+    scrambled surface bases, whose dense curves exercise back-substitution."""
+    yield d
+    last = d.genus - 1
+    if last > 0:
+        for system in SYSTEM_NAMES:
+            yield handleslide_diagram(d, system, 0, last, 1)
+            yield handleslide_diagram(d, system, last, 0, -1)
+    for seed in range(3):
+        yield scrambled(d, seed)
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_enumeration_matches_brute_force(name):
+    for d in moved(builtin(name)):
+        assert enumerate_spin(d) == brute_force_spin(d), d.describe()
 
 
 def expected_spin_count_when_nonempty(d):
@@ -114,6 +147,29 @@ def expected_spin_count_when_nonempty(d):
 def test_count_law_on_random_diagrams(genus, seed):
     d = random_diagram(genus, seed)
     count = spin_count(d)
+    assert count in (0, expected_spin_count_when_nonempty(d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    names=st.lists(st.sampled_from(builtin_names()), min_size=1, max_size=3),
+    slides=st.lists(
+        st.tuples(
+            st.sampled_from(SYSTEM_NAMES),
+            st.integers(0, 8),
+            st.integers(0, 8),
+            st.sampled_from([1, -1]),
+        ),
+        max_size=4,
+    ),
+)
+def test_count_law_on_handleslid_sums(names, slides):
+    d = builtin("#".join(names))
+    for system, i, j, sign in slides:
+        if d.genus and i % d.genus != j % d.genus:
+            d = handleslide_diagram(d, system, i % d.genus, j % d.genus, sign)
+    count = spin_count(d)
+    assert count == math.prod(spin_count(builtin(name)) for name in names)
     assert count in (0, expected_spin_count_when_nonempty(d))
 
 
