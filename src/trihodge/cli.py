@@ -7,7 +7,9 @@ line order, plain decimal integers, torsion rendered as Z/d tokens. The
 
 Exit codes: 0 success (and diagram valid), 1 invalid diagram or rep, or a
 refused computation (a spin listing over spin.MAX_LISTED structures),
-2 unreadable or malformed input.
+2 unreadable or malformed input, 3 internal error (a bug, such as a broken
+internal invariant; reported as one ``error: internal:`` line on stderr,
+never as a traceback).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .spinc import act, base_ledger, c1_difference, is_admissible
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_PARSE = 2
+EXIT_INTERNAL = 3
 
 
 class CliInputError(Exception):
@@ -364,6 +367,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:
+        print(f"error: internal: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
     print(report.render_json() if args.json else report.render_text())
     return report.exit_code
 

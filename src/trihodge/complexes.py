@@ -7,12 +7,17 @@ Two complexes of free groups carry the computation:
 * a dual complex through handlebody and sector-boundary H1 quotients, whose
   middle homology gives a second, independently computed copy of H2.
 
-The 3x3 Hodge-style diamond comes from Cech complexes of three coefficient
-presheaves over the standard three-sector cover; its antidiagonals assemble
-the cohomology. Its middle column reuses the differentials of the five-term
-complex, so it is a reading of that complex, not a separate route to H2.
-The tests compare the two complexes with each other and with the duality
-laws for H2, which need only H1 and the Euler characteristic.
+Each homology group is one Smith form, computed once per complex position
+and shared by every query that needs the group or its generators.
+
+The 3x3 Hodge-style diamond is ``homology_groups`` arranged with two constant
+outer columns; its antidiagonals assemble the cohomology. The Cech complexes
+of three coefficient presheaves over the three-sector cover, from which the
+notes build the diamond, are kept in the tests as its oracle: the outer ones
+do not depend on the diagram, and the middle one is the middle of the
+five-term complex. The tests compare the two complexes with each other and
+with the duality laws for H2, which need only H1 and the Euler
+characteristic.
 """
 
 from __future__ import annotations
@@ -115,18 +120,22 @@ class FreeChainComplex:
     def homology_at(self, pos: int) -> HomologyGroup:
         return self.homology_with_generators(pos)[0]
 
-    def homology_with_generators(self, pos: int) -> tuple[HomologyGroup, list[tuple[int, ...]]]:
+    @memoized
+    def homology_with_generators(
+        self, pos: int
+    ) -> tuple[HomologyGroup, tuple[tuple[int, ...], ...]]:
         """Homology at a position plus lifts of free-part generators.
 
         The generators are cycle vectors in the coordinates of term ``pos``
         whose classes form a basis of the free part of the homology group.
+        The result is stored on the complex, so every query shares it.
         """
         if not (0 <= pos < len(self.ranks)):
             raise ValueError("position out of range")
         cycles = kernel_basis(self._outgoing(pos))
         boundary = self._incoming(pos)
         if cycles.rank == 0:
-            return HomologyGroup(0), []
+            return HomologyGroup(0), ()
         # boundary columns land in the cycle subgroup (d o d = 0, saturated basis)
         coords = [cycles.coordinates_of(col) for col in matrix_columns(boundary)]
         X = (
@@ -143,7 +152,7 @@ class FreeChainComplex:
             combo = full.Uinv[:, [i]]
             vec = cycles.basis @ combo
             gens.append(tuple(int(e) for e in vec[:, 0]))
-        return HomologyGroup(cycles.rank - s, torsion), gens
+        return HomologyGroup(cycles.rank - s, torsion), tuple(gens)
 
 
 def homology(complex_: FreeChainComplex, degree: int) -> HomologyGroup:
@@ -220,44 +229,6 @@ def homology_groups(d: TrisectionDiagram) -> tuple[HomologyGroup, ...]:
     return tuple(homology(c, k) for k in range(5))
 
 
-def cech_complex(d: TrisectionDiagram, sheaf_degree: int) -> FreeChainComplex:
-    """Cech complex of one coefficient presheaf over the three-sector cover.
-
-    sheaf_degree 0: constant coefficients, cohomology (Z, 0, 0).
-    sheaf_degree 1: degree-one coefficients, realized on the Lagrangian data.
-    This is the middle of the homology complex read as a cochain complex: its
-    terms and differentials are taken from ``homology_complex(d)`` as they
-    are, so its middle cohomology is H2 of that complex, not a new route.
-    sheaf_degree 2: top coefficients vanish except over the central surface.
-    """
-    ensure_valid(d)
-    if sheaf_degree == 0:
-        delta0 = intmat([[1, -1, 0], [0, 1, -1], [-1, 0, 1]])
-        delta1 = intmat([[1, 1, 1]])
-        return FreeChainComplex(
-            term_names=("sector constants", "pair constants", "central constant"),
-            ranks=(3, 3, 1),
-            degrees=(0, 1, 2),
-            diffs=(delta0, delta1),
-        )
-    if sheaf_degree == 1:
-        c = homology_complex(d)
-        return FreeChainComplex(
-            term_names=("sector classes", "handlebody classes", "surface classes"),
-            ranks=c.ranks[1:4],
-            degrees=(0, 1, 2),
-            diffs=c.diffs[1:3],
-        )
-    if sheaf_degree == 2:
-        return FreeChainComplex(
-            term_names=("zero", "zero", "central constant"),
-            ranks=(0, 0, 1),
-            degrees=(0, 1, 2),
-            diffs=(zeros(0, 0), zeros(1, 0)),
-        )
-    raise ValueError("sheaf degree must be 0, 1 or 2")
-
-
 @memoized
 def dual_complex(d: TrisectionDiagram) -> FreeChainComplex:
     """Quotient-side complex whose middle homology is H_2(X; Z).
@@ -331,12 +302,16 @@ class HodgeDiamond:
 
 @memoized
 def hodge_diamond(d: TrisectionDiagram) -> HodgeDiamond:
-    columns = []
-    for j in range(3):
-        c = cech_complex(d, j)
-        columns.append(tuple(homology(c, i) for i in range(3)))
-    grid = tuple(tuple(columns[j][i] for j in range(3)) for i in range(3))
-    return HodgeDiamond(grid=grid)
+    """The diamond of Cech groups, read off ``homology_groups``.
+
+    Column 0 (constant coefficients) is Z, 0, 0 and column 2 (top
+    coefficients) is 0, 0, Z on every diagram. Column 1 is the middle of the
+    five-term complex read as a cochain complex, so Cech degrees 0, 1, 2
+    hold H3, H2, H1.
+    """
+    h = homology_groups(d)
+    Z, ZERO = HomologyGroup(1), HomologyGroup(0)
+    return HodgeDiamond(grid=((Z, h[3], ZERO), (ZERO, h[2], ZERO), (ZERO, h[1], Z)))
 
 
 def cohomology_groups(d: TrisectionDiagram) -> tuple[HomologyGroup, ...]:

@@ -18,8 +18,6 @@ from .lattice import (
     QuotientPresentation,
     Subgroup,
     as_int_vector,
-    column_vector,
-    invariant_factors,
     quotient,
     subgroup_intersection,
     subgroup_sum,
@@ -166,17 +164,20 @@ class ValidationReport:
 
 
 def memoized(fn):
-    """Store ``fn(d)`` in the diagram's own ``__dict__``, as cached_property does.
+    """Store ``fn(obj, *args)`` in the object's own ``__dict__``, as cached_property does.
 
-    Each result is computed once per diagram object and freed with it.
+    The object is a diagram, or a complex built for one. Each result is
+    computed once per object and positional arguments, and freed with the
+    object.
     """
-    key = f"{fn.__module__}.{fn.__qualname__}"
+    name = f"{fn.__module__}.{fn.__qualname__}"
 
     @wraps(fn)
-    def cached(d: TrisectionDiagram):
-        if key not in d.__dict__:
-            d.__dict__[key] = fn(d)
-        return d.__dict__[key]
+    def cached(obj, *args):
+        key = f"{name}{args}" if args else name
+        if key not in obj.__dict__:
+            obj.__dict__[key] = fn(obj, *args)
+        return obj.__dict__[key]
 
     return cached
 
@@ -191,16 +192,12 @@ def validate(d: TrisectionDiagram) -> ValidationReport:
     """Run every validity check; never raises, failures land in the report."""
     lat = d.lattice
     checks: list[tuple[str, bool]] = []
-    for name, L in zip(SYSTEM_NAMES, d._lagrangians):
+    # the quotients are the Smith forms dual_complex reads later
+    for name, L, q in zip(SYSTEM_NAMES, d._lagrangians, d._handlebody_quotients):
         checks.append((f"{name} isotropic", lat.is_isotropic(L)))
-        primitive = (
-            L.rank == d.genus
-            and all(f == 1 for f in invariant_factors(L.basis))
-        )
-        checks.append((f"{name} primitive", primitive))
+        checks.append((f"{name} primitive", L.rank == d.genus and q.torsion == ()))
     pair_names = ("alpha+beta", "beta+gamma", "gamma+alpha")
-    for name, idx in zip(pair_names, range(3)):
-        q = quotient(lat.rank, d._pair_sums[idx])
+    for name, q in zip(pair_names, d._pair_quotients):
         checks.append((f"{name} torsion-free", q.torsion == ()))
     report_checks = tuple(checks)
     k = None
@@ -390,11 +387,12 @@ def random_diagram(genus: int, seed: int) -> TrisectionDiagram:
         support = rng.sample(range(rank), rng.randint(1, min(2, rank)))
         for idx in support:
             v[idx] = rng.choice((-1, 1))
-        T = lat.transvection_matrix(v)
+        # the transvection x -> x + <x, v> v, applied curve by curve
         for curves in systems:
             for c_idx, curve in enumerate(curves):
-                out = T @ column_vector(curve)
-                curves[c_idx] = tuple(int(e) for e in out[:, 0])
+                t = lat.intersection_number(curve, v)
+                if t:
+                    curves[c_idx] = tuple(x + t * y for x, y in zip(curve, v))
 
     return diagram_from_curves(
         genus, systems[0], systems[1], systems[2], label=f"random(g={genus}, seed={seed})"

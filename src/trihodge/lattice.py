@@ -79,7 +79,6 @@ class _SNFFull(NamedTuple):
     D: np.ndarray
     V: np.ndarray
     Uinv: np.ndarray
-    Vinv: np.ndarray
 
 
 def smith_normal_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -93,7 +92,7 @@ def smith_normal_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def _snf_with_inverses(m: np.ndarray) -> _SNFFull:
-    """Smith normal form together with the inverses of both transforms.
+    """Smith normal form together with the inverse of the row transform.
 
     Standard gcd-pivot reduction: pick the smallest nonzero entry of the
     remaining block, clear its row and column by Euclidean steps, then force the
@@ -102,7 +101,7 @@ def _snf_with_inverses(m: np.ndarray) -> _SNFFull:
     D = _clone(m)
     nrows, ncols = D.shape
     U, Uinv = identity(nrows), identity(nrows)
-    V, Vinv = identity(ncols), identity(ncols)
+    V = identity(ncols)
 
     def row_add(i, j, q):
         # row_i += q * row_j
@@ -124,12 +123,10 @@ def _snf_with_inverses(m: np.ndarray) -> _SNFFull:
         # col_j += q * col_k
         D[:, j] += q * D[:, k]
         V[:, j] += q * V[:, k]
-        Vinv[k, :] -= q * Vinv[j, :]
 
     def col_swap(j, k):
         D[:, [j, k]] = D[:, [k, j]]
         V[:, [j, k]] = V[:, [k, j]]
-        Vinv[[j, k], :] = Vinv[[k, j], :]
 
     t = 0
     while t < min(nrows, ncols):
@@ -165,7 +162,7 @@ def _snf_with_inverses(m: np.ndarray) -> _SNFFull:
             row_negate(t)
         t += 1
 
-    return _SNFFull(U, D, V, Uinv, Vinv)
+    return _SNFFull(U, D, V, Uinv)
 
 
 def _clone(m: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import Subgroup, as_int_vector, column_vector, identity, zeros
+from .lattice import Subgroup, as_int_vector, zeros
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,3 @@ class SymplecticLattice:
             raise ValueError("subgroup lives in a different ambient rank")
         B = sub.basis
         return not np.any(B.T @ self.form_matrix @ B)
-
-    def transvection_matrix(self, v: Sequence[int]) -> np.ndarray:
-        """Matrix of x -> x + <x, v> v, an integral symplectomorphism."""
-        v = column_vector(as_int_vector(v, self.rank))
-        return identity(self.rank) + v @ (self.form_matrix @ v).T

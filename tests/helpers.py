@@ -1,5 +1,6 @@
 """Test-only constructions: random (co)cycles, duality maps, column spans,
-and the brute-force spin oracle.
+transvections, and two oracles: the Cech complexes behind the diamond and
+the brute-force spin filter.
 
 The suites use these to generate inputs and to state laws; the package
 itself never needs them.
@@ -12,15 +13,24 @@ from typing import Sequence
 
 import numpy as np
 
-from trihodge.complexes import dual_complex, homology_complex
-from trihodge.diagram import SYSTEM_NAMES, CutSystem, TrisectionDiagram, diagram_from_curves
+from trihodge.complexes import FreeChainComplex, dual_complex, homology_complex
+from trihodge.diagram import (
+    SYSTEM_NAMES,
+    CutSystem,
+    TrisectionDiagram,
+    diagram_from_curves,
+    ensure_valid,
+)
 from trihodge.lattice import (
     Subgroup,
     as_int_vector,
     column_vector,
     det,
+    identity,
+    intmat,
     kernel_basis,
     matrix_columns,
+    zeros,
 )
 from trihodge.pairings import H2DualRep, OneOneCocycle
 from trihodge.spin import QuadraticEnhancement
@@ -54,6 +64,12 @@ def pi_dual(lat: SymplecticLattice, x: Sequence[int]) -> tuple[int, ...]:
     return tuple(int(e) for e in out[:, 0])
 
 
+def transvection_matrix(lat: SymplecticLattice, v: Sequence[int]) -> np.ndarray:
+    """Matrix of x -> x + <x, v> v, an integral symplectomorphism."""
+    v = column_vector(as_int_vector(v, lat.rank))
+    return identity(lat.rank) + v @ (lat.form_matrix @ v).T
+
+
 def is_lagrangian(lat: SymplecticLattice, sub: Subgroup) -> bool:
     return sub.rank == lat.genus and lat.is_isotropic(sub)
 
@@ -65,6 +81,47 @@ def m_subgroup(lat: SymplecticLattice, lagrangian: Subgroup) -> Subgroup:
     return Subgroup.from_columns(
         lat.rank, [pi_dual(lat, col) for col in lagrangian.columns()]
     )
+
+
+def cech_complex(d: TrisectionDiagram, sheaf_degree: int) -> FreeChainComplex:
+    """Cech complex of one coefficient presheaf over the three-sector cover.
+
+    The oracle for ``hodge_diamond``: column j of the diamond is the
+    cohomology of ``cech_complex(d, j)`` in Cech degrees 0, 1, 2.
+
+    sheaf_degree 0: constant coefficients, cohomology (Z, 0, 0).
+    sheaf_degree 1: degree-one coefficients, realized on the Lagrangian data.
+    This is the middle of the homology complex read as a cochain complex: its
+    terms and differentials are taken from ``homology_complex(d)`` as they
+    are, so its middle cohomology is H2 of that complex, not a new route.
+    sheaf_degree 2: top coefficients vanish except over the central surface.
+    """
+    ensure_valid(d)
+    if sheaf_degree == 0:
+        delta0 = intmat([[1, -1, 0], [0, 1, -1], [-1, 0, 1]])
+        delta1 = intmat([[1, 1, 1]])
+        return FreeChainComplex(
+            term_names=("sector constants", "pair constants", "central constant"),
+            ranks=(3, 3, 1),
+            degrees=(0, 1, 2),
+            diffs=(delta0, delta1),
+        )
+    if sheaf_degree == 1:
+        c = homology_complex(d)
+        return FreeChainComplex(
+            term_names=("sector classes", "handlebody classes", "surface classes"),
+            ranks=c.ranks[1:4],
+            degrees=(0, 1, 2),
+            diffs=c.diffs[1:3],
+        )
+    if sheaf_degree == 2:
+        return FreeChainComplex(
+            term_names=("zero", "zero", "central constant"),
+            ranks=(0, 0, 1),
+            degrees=(0, 1, 2),
+            diffs=(zeros(0, 0), zeros(1, 0)),
+        )
+    raise ValueError("sheaf degree must be 0, 1 or 2")
 
 
 def _random_combination(basis: np.ndarray, rng: random.Random, span: int) -> tuple[int, ...]:
@@ -109,7 +166,7 @@ def scrambled(d: TrisectionDiagram, seed: int) -> TrisectionDiagram:
         v = [0] * (2 * d.genus)
         for idx in rng.sample(range(2 * d.genus), min(rng.randint(1, 3), 2 * d.genus)):
             v[idx] = rng.choice((-1, 1))
-        T = d.lattice.transvection_matrix(v)
+        T = transvection_matrix(d.lattice, v)
         systems = [[tuple(int(e) for e in (T @ column_vector(c))[:, 0]) for c in cs] for cs in systems]
     return diagram_from_curves(d.genus, *systems, label=d.label)
 

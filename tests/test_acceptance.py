@@ -19,7 +19,6 @@ from trihodge.cli import EXIT_INVALID, EXIT_OK, EXIT_PARSE, main
 from trihodge.complexes import (
     HomologyGroup,
     betti_numbers,
-    cech_complex,
     dual_middle_homology,
     hodge_diamond,
     homology,
@@ -58,7 +57,7 @@ from trihodge.spinc import (
     lutz_shift,
 )
 
-from helpers import random_coboundary, random_cocycle, random_cycle_rep
+from helpers import cech_complex, random_coboundary, random_cocycle, random_cycle_rep
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -107,11 +106,20 @@ def test_criterion_01_builtin_homology():
         assert homology_groups(builtin(name)) == groups, name
 
 
-@criterion(2, "diamond outer columns and antidiagonal assembly")
+@criterion(2, "diamond against its Cech oracle, outer columns and antidiagonal assembly")
 def test_criterion_02_diamond_structure():
     assert len(RANDOM_SUITE) >= 100
-    for d in SUITE:
+    sums = tuple(builtin(n) for n in ("QS4_Z2#QS4_Z3", "S1xS3#QS4_Z2", "CP2#QS4_Z3"))
+    slid = tuple(
+        handleslide_diagram(d, system, 0, d.genus - 1)
+        for d in BUILTIN_SUITE + sums
+        if d.genus > 1
+        for system in SYSTEM_NAMES
+    )
+    for d in SUITE + sums + slid:
         dm = hodge_diamond(d)
+        oracle = tuple(tuple(homology(cech_complex(d, j), i) for j in range(3)) for i in range(3))
+        assert dm.grid == oracle, d.describe()
         assert tuple(dm.entry(i, 0) for i in range(3)) == (Z, ZERO, ZERO), d.label
         assert tuple(dm.entry(i, 2) for i in range(3)) == (ZERO, ZERO, Z), d.label
         hom = homology_groups(d)

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from trihodge.cli import EXIT_INVALID, EXIT_OK, EXIT_PARSE, main
+from trihodge import cli
+from trihodge.cli import EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_PARSE, main
 
 GOLDEN = Path(__file__).parent / "golden"
 REP_FILE = str(GOLDEN / "rep_cp2.json")
@@ -139,6 +140,17 @@ class TestExitCodes:
         code, out, _ = run_cli(["spin", "--genus", "9", "--seed", "0"])
         assert code == EXIT_OK
         assert "spin structures: 0" in out
+
+    def test_internal_error_has_its_own_code(self, monkeypatch):
+        def broken(d, args):
+            raise RuntimeError("broken\ninvariant")
+
+        monkeypatch.setitem(cli._HANDLERS, "homology", broken)
+        code, out, err = run_cli(["homology", "--builtin", "CP2"])
+        assert EXIT_INTERNAL not in (EXIT_OK, EXIT_INVALID, EXIT_PARSE)
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err == "error: internal: RuntimeError('broken\\ninvariant')\n"
 
 
 class TestSpinCInput:

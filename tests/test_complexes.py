@@ -10,7 +10,6 @@ from trihodge.complexes import (
     HodgeDiamond,
     HomologyGroup,
     betti_numbers,
-    cech_complex,
     cohomology_groups,
     dual_complex,
     dual_middle_homology,
@@ -22,6 +21,8 @@ from trihodge.complexes import (
 )
 from trihodge.diagram import builtin, euler_characteristic, random_diagram
 from trihodge.lattice import intmat, kernel_basis
+
+from helpers import cech_complex
 
 Z = HomologyGroup(1)
 ZERO = HomologyGroup(0)

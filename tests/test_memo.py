@@ -5,15 +5,15 @@ import weakref
 
 import pytest
 
+from trihodge import complexes, lattice
 from trihodge.complexes import (
-    cech_complex,
     dual_complex,
     dual_middle_homology,
     hodge_diamond,
     homology_complex,
     homology_groups,
 )
-from trihodge.diagram import InvalidDiagramError, builtin, diagram_from_curves
+from trihodge.diagram import InvalidDiagramError, builtin, diagram_from_curves, ensure_valid
 from trihodge.pairings import (
     dual_rep_basis,
     h2_basis_cocycles,
@@ -21,6 +21,8 @@ from trihodge.pairings import (
     triple_intersection,
 )
 from trihodge.spin import enumerate_spin, spin_count
+
+from helpers import cech_complex
 
 MEMOIZED = (
     homology_complex,
@@ -53,12 +55,55 @@ def test_results_are_freed_with_their_diagram():
     d = builtin("S2xS2#QS4_Z3")
     for fn in MEMOIZED:
         fn(d)
-    ref = weakref.ref(d)
-    del d
+    refs = [weakref.ref(d)]
+    for c in (homology_complex(d), dual_complex(d)):
+        refs.append(weakref.ref(c))
+        refs += [weakref.ref(c.homology_with_generators(pos)[0]) for pos in range(len(c.ranks))]
+    del d, c
     # cached cocycles and dual reps point back at d, so only the cycle
     # collector can free the diagram together with its results
     gc.collect()
-    assert ref() is None
+    assert all(ref() is None for ref in refs)
+
+
+def test_groups_and_generators_share_one_result_per_position():
+    d = builtin("S2xS2#QS4_Z3")
+    assert homology_groups(d)[2] is homology_complex(d).homology_with_generators(2)[0]
+    assert dual_middle_homology(d) is dual_complex(d).homology_with_generators(1)[0]
+
+
+@pytest.fixture
+def smith_forms(monkeypatch):
+    """A running count of Smith normal forms computed since the fixture started."""
+    calls = [0]
+    inner = lattice._snf_with_inverses
+
+    def counted(m):
+        calls[0] += 1
+        return inner(m)
+
+    # complexes imports the function by name, so patch both modules
+    monkeypatch.setattr(lattice, "_snf_with_inverses", counted)
+    monkeypatch.setattr(complexes, "_snf_with_inverses", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["CP2#CP2bar", "S2xS2#QS4_Z3", "S1xS3#QS4_Z2"])
+def test_no_smith_form_is_computed_twice(name, smith_forms):
+    d = builtin(name)
+    homology_groups(d)
+    dual_middle_homology(d)
+    before = smith_forms[0]
+    h2_basis_cocycles(d)
+    dual_rep_basis(d)
+    hodge_diamond(d)
+    assert smith_forms[0] == before
+
+    fresh = builtin(name)
+    ensure_valid(fresh)
+    before = smith_forms[0]
+    dual_complex(fresh)
+    assert smith_forms[0] == before
 
 
 def test_equal_diagrams_keep_separate_results():

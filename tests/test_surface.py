@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from trihodge.lattice import Subgroup, det
 from trihodge.surface import SymplecticLattice
 
-from helpers import m_subgroup, pi_dual, standard_basis_vector
+from helpers import m_subgroup, pi_dual, standard_basis_vector, transvection_matrix
 
 
 def vectors(rank):
@@ -96,18 +96,18 @@ class TestTransvection:
     @given(vectors(4), vectors(4), vectors(4))
     def test_preserves_the_form(self, v, x, y):
         lat = SymplecticLattice(2)
-        T = lat.transvection_matrix(v)
+        T = transvection_matrix(lat, v)
         Tx = tuple(int(e) for e in (T @ np.array(x, dtype=object).reshape(-1, 1))[:, 0])
         Ty = tuple(int(e) for e in (T @ np.array(y, dtype=object).reshape(-1, 1))[:, 0])
         assert lat.intersection_number(Tx, Ty) == lat.intersection_number(x, y)
 
     def test_is_unimodular(self):
         lat = SymplecticLattice(2)
-        assert abs(det(lat.transvection_matrix((1, 2, -1, 3)))) == 1
+        assert abs(det(transvection_matrix(lat, (1, 2, -1, 3)))) == 1
 
     def test_formula(self):
         lat = SymplecticLattice(1)
-        T = lat.transvection_matrix((1, 0))
+        T = transvection_matrix(lat, (1, 0))
         x = np.array([(3,), (4,)], dtype=object)
         out = tuple(int(e) for e in (T @ x)[:, 0])
         # x + <x, v> v with v = a1: <(3,4),(1,0)> = -4
