@@ -7,9 +7,10 @@ line order, plain decimal integers, torsion rendered as Z/d tokens. The
 
 Exit codes: 0 success (and diagram valid), 1 invalid diagram or rep, or a
 refused computation (a spin listing over spin.MAX_LISTED structures),
-2 unreadable or malformed input, 3 internal error (a bug, such as a broken
-internal invariant; reported as one ``error: internal:`` line on stderr,
-never as a traceback).
+2 unreadable or malformed input (including a --genus or JSON genus above
+MAX_GENUS = 100, refused before any diagram is built), 3 internal error (a
+bug, such as a broken internal invariant; reported as one ``error:
+internal:`` line on stderr, never as a traceback).
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_INTERNAL = 3
+
+MAX_GENUS = 100
 
 
 class CliInputError(Exception):
@@ -110,6 +113,8 @@ def _diagram_from_file(path: str) -> TrisectionDiagram:
         raise CliInputError(f"{path}: missing fields {', '.join(missing)}")
     if not _is_int(data["genus"]):
         raise CliInputError(f"{path}: field 'genus' must be an integer")
+    if data["genus"] > MAX_GENUS:
+        raise CliInputError(f"{path}: field 'genus' must be at most {MAX_GENUS}")
     label = data.get("label")
     if label is not None and not isinstance(label, str):
         raise CliInputError(f"{path}: field 'label' must be a string")
@@ -142,8 +147,8 @@ def _load_diagram(args) -> TrisectionDiagram:
             raise CliInputError(exc.args[0]) from exc
     if args.genus is None or args.seed is None:
         raise CliInputError("random diagrams need both --genus and --seed")
-    if args.genus < 0:
-        raise CliInputError("--genus must be nonnegative")
+    if not 0 <= args.genus <= MAX_GENUS:
+        raise CliInputError(f"--genus must be between 0 and {MAX_GENUS}")
     return random_diagram(args.genus, args.seed)
 
 

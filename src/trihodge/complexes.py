@@ -28,12 +28,11 @@ import numpy as np
 
 from .diagram import TrisectionDiagram, ensure_valid, memoized
 from .lattice import (
-    _snf_with_inverses,
+    _cokernel,
     intmat,
     invariant_factors,
     kernel_basis,
     matrix_columns,
-    snf_diagonal,
     zeros,
 )
 
@@ -143,16 +142,9 @@ class FreeChainComplex:
             if coords
             else zeros(cycles.rank, 0)
         )
-        full = _snf_with_inverses(X)
-        diag = snf_diagonal(full.D)
-        s = len(diag)
-        torsion = tuple(d for d in diag if d >= 2)
-        gens = []
-        for i in range(s, cycles.rank):
-            combo = full.Uinv[:, [i]]
-            vec = cycles.basis @ combo
-            gens.append(tuple(int(e) for e in vec[:, 0]))
-        return HomologyGroup(cycles.rank - s, torsion), tuple(gens)
+        q = _cokernel(X)
+        gens = matrix_columns(cycles.basis @ q.free_lift_matrix)
+        return HomologyGroup(q.free_rank, q.torsion), tuple(gens)
 
 
 def homology(complex_: FreeChainComplex, degree: int) -> HomologyGroup:

@@ -1,9 +1,13 @@
 """Exact linear algebra over the integers.
 
 Everything in this package reduces to finitely generated abelian groups, so this
-module is the computational core: Smith normal form with unimodular transforms,
-canonical echelon bases for subgroups of Z^n, and quotient presentations with
+module is the computational core: canonical echelon bases for subgroups of Z^n,
+Smith normal form with unimodular transforms, and quotient presentations with
 explicit project/lift maps.
+
+Kernels and intersections come from the echelon routine that canonicalizes
+every subgroup. Smith forms serve only what needs invariant factors or
+transforms: quotients, homology presentations and integer solves.
 
 Matrices are numpy arrays with ``dtype=object`` holding Python ints, which keeps
 all arithmetic exact at any magnitude. No code path here (or anywhere else in
@@ -13,6 +17,7 @@ the package) touches floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -207,31 +212,6 @@ def invariant_factors(m: np.ndarray) -> tuple[int, ...]:
     return snf_diagonal(_snf_with_inverses(m).D)
 
 
-def det(m: np.ndarray) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    nrows, ncols = m.shape
-    if nrows != ncols:
-        raise ValueError("determinant of a non-square matrix")
-    n = nrows
-    if n == 0:
-        return 1
-    M = _clone(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k, k] == 0:
-            swap = next((i for i in range(k + 1, n) if M[i, k] != 0), None)
-            if swap is None:
-                return 0
-            M[[k, swap], :] = M[[swap, k], :]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i, j] = (M[i, j] * M[k, k] - M[i, k] * M[k, j]) // prev
-        prev = M[k, k]
-    return sign * int(M[n - 1, n - 1])
-
-
 def integer_solve(m: np.ndarray, rhs: Sequence[int]) -> tuple[int, ...]:
     """One integer solution x of ``m @ x == rhs``.
 
@@ -295,13 +275,14 @@ class Subgroup:
     def columns(self) -> tuple[tuple[int, ...], ...]:
         return tuple(matrix_columns(self.basis))
 
-    def _pivots(self) -> list[tuple[int, int]]:
+    @cached_property
+    def _pivots(self) -> tuple[tuple[int, int], ...]:
         """(row, value) of each column's pivot."""
         out = []
         for j in range(self.rank):
             row = next(i for i in range(self.ambient_rank) if self.basis[i, j] != 0)
             out.append((row, int(self.basis[row, j])))
-        return out
+        return tuple(out)
 
     def coordinates_of(self, v: Sequence[int]) -> tuple[int, ...]:
         """Integer coordinates of v in the canonical basis.
@@ -311,7 +292,7 @@ class Subgroup:
         """
         rem = list(as_int_vector(v, self.ambient_rank))
         coords = []
-        for j, (prow, pval) in enumerate(self._pivots()):
+        for j, (prow, pval) in enumerate(self._pivots):
             q, r = divmod(rem[prow], pval)
             if r:
                 raise ValueError("vector is not in the subgroup")
@@ -392,13 +373,17 @@ def _row_echelon_lattice(rows: list[list[int]], width: int) -> list[list[int]]:
 def kernel_basis(m: np.ndarray) -> Subgroup:
     """Canonical basis of the integer kernel of m.
 
-    The kernel of a matrix is always a saturated subgroup of the domain, and
-    the basis returned here spans it exactly (no finite-index sublattice).
+    Echelons the rows of [m^T | I]. The row operations are unimodular, so the
+    identity parts of the rows whose m^T part vanishes span the kernel
+    exactly (no finite-index sublattice).
     """
-    full = _snf_with_inverses(m)
-    s = len(snf_diagonal(full.D))
-    ncols = m.shape[1]
-    return Subgroup.from_columns(ncols, matrix_columns(full.V[:, s:]))
+    nrows, ncols = m.shape
+    rows = [
+        [_as_int(m[i, j]) for i in range(nrows)] + [int(k == j) for k in range(ncols)]
+        for j in range(ncols)
+    ]
+    echelon = _row_echelon_lattice(rows, nrows + ncols)
+    return Subgroup.from_columns(ncols, [r[nrows:] for r in echelon if not any(r[:nrows])])
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,11 +447,16 @@ def quotient(ambient_rank: int, relations: Subgroup) -> QuotientPresentation:
     """Present Z^ambient_rank modulo the given subgroup of relations."""
     if relations.ambient_rank != ambient_rank:
         raise ValueError("relations live in a different ambient rank")
-    full = _snf_with_inverses(relations.basis)
+    return _cokernel(relations.basis)
+
+
+def _cokernel(m: np.ndarray) -> QuotientPresentation:
+    """Present Z^rows modulo the column span of m, through one Smith form."""
+    ambient_rank = m.shape[0]
+    full = _snf_with_inverses(m)
     diag = snf_diagonal(full.D)
     s = len(diag)
     torsion_indices = tuple(i for i in range(s) if diag[i] >= 2)
-    free_indices = tuple(range(s, ambient_rank))
     return QuotientPresentation(
         ambient_rank=ambient_rank,
         free_rank=ambient_rank - s,
@@ -474,7 +464,7 @@ def quotient(ambient_rank: int, relations: Subgroup) -> QuotientPresentation:
         _U=full.U,
         _Uinv=full.Uinv,
         _torsion_indices=torsion_indices,
-        _free_indices=free_indices,
+        _free_indices=tuple(range(s, ambient_rank)),
     )
 
 

@@ -8,8 +8,9 @@ of handlebody H1 classes satisfying the cyclic matching conditions. The two
 sides meet in an integer evaluation pairing, and an exact linear solve
 converts one representation into the other.
 
-Everything here is integer arithmetic; signatures use Fraction pivots only
-as bookkeeping for an exact congruence diagonalization.
+Everything here is integer arithmetic; the signature and the determinant of
+the form use Fraction pivots only as bookkeeping for an exact congruence
+diagonalization.
 """
 
 from __future__ import annotations
@@ -19,14 +20,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import dual_complex, homology_complex
+from .complexes import InvalidStateError, dual_complex, homology_complex
 from .diagram import TrisectionDiagram, ensure_valid, memoized
 from .lattice import (
     Subgroup,
     as_int_vector,
-    det,
+    column_vector,
     integer_solve,
     intmat,
+    smith_normal_form,
     subgroup_intersection,
     zeros,
 )
@@ -260,16 +262,21 @@ class IntersectionForm:
         return len(self.gram)
 
 
-def _signature_of_symmetric(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
-    """Exact (positive, negative) inertia of a symmetric integer matrix.
+def _signature_of_symmetric(
+    gram: tuple[tuple[int, ...], ...],
+) -> tuple[tuple[int, int], int]:
+    """Exact (positive, negative) inertia and determinant of a symmetric integer matrix.
 
     Congruence diagonalization over the rationals: clear with a nonzero
     diagonal pivot when one exists, otherwise make one by adding a row and
-    column (which turns an off-diagonal entry 2m into a diagonal one).
+    column (which turns an off-diagonal entry 2m into a diagonal one). Every
+    step is a congruence by a determinant-one matrix, so the determinant is
+    the product of the pivots, or 0 when rows are left over.
     """
     n = len(gram)
     M = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
     pos = neg = 0
+    det = Fraction(1)
     active = list(range(n))
     while active:
         pivot_row = next((i for i in active if M[i][i]), None)
@@ -279,6 +286,7 @@ def _signature_of_symmetric(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int
                 None,
             )
             if off is None:
+                det = Fraction(0)
                 break
             i, j = off
             for k in range(n):
@@ -287,6 +295,7 @@ def _signature_of_symmetric(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int
                 M[k][i] += M[k][j]
             pivot_row = i
         p = M[pivot_row][pivot_row]
+        det *= p
         if p > 0:
             pos += 1
         else:
@@ -299,7 +308,7 @@ def _signature_of_symmetric(gram: tuple[tuple[int, ...], ...]) -> tuple[int, int
                     M[r][k] -= f * M[pivot_row][k]
                 for k in range(n):
                     M[k][r] -= f * M[k][pivot_row]
-    return pos, neg
+    return (pos, neg), int(det)
 
 
 @memoized
@@ -316,11 +325,9 @@ def intersection_form(d: TrisectionDiagram) -> IntersectionForm:
         tuple(intersection_pairing(d, basis[i], basis[j]) for j in range(n))
         for i in range(n)
     )
-    signature = _signature_of_symmetric(gram)
+    signature, det = _signature_of_symmetric(gram)
     parity = "even" if all(gram[i][i] % 2 == 0 for i in range(n)) else "odd"
-    gram_matrix = intmat([list(row) for row in gram], cols=n) if n else zeros(0, 0)
-    unimodular = abs(det(gram_matrix)) == 1
-    return IntersectionForm(gram, signature, parity, unimodular)
+    return IntersectionForm(gram, signature, parity, abs(det) == 1)
 
 
 @memoized
@@ -431,6 +438,16 @@ def poincare_dual_rep(d: TrisectionDiagram, x: OneOneCocycle) -> H2DualRep:
     return total
 
 
+@memoized
+def _inverse_gram(d: TrisectionDiagram) -> np.ndarray:
+    """Integer inverse of the Gram matrix: V @ U from its Smith form U G V = I."""
+    form = intersection_form(d)
+    if not form.unimodular:
+        raise InvalidStateError("the intersection form of a valid diagram is unimodular")
+    U, _, V = smith_normal_form(intmat([list(row) for row in form.gram], cols=form.rank))
+    return V @ U
+
+
 def cocycle_from_dual_rep(d: TrisectionDiagram, rep: H2DualRep) -> OneOneCocycle:
     """Inverse direction of the duality solve, modulo torsion.
 
@@ -440,12 +457,10 @@ def cocycle_from_dual_rep(d: TrisectionDiagram, rep: H2DualRep) -> OneOneCocycle
     if rep.diagram != d:
         raise ValueError("dual rep belongs to a different diagram")
     basis = h2_basis_cocycles(d)
-    n = len(basis)
-    if n == 0:
+    if not basis:
         return OneOneCocycle.zero(d)
-    gram = intmat([list(row) for row in intersection_form(d).gram])
-    rhs = [evaluate_on_surface_class(d, b, rep) for b in basis]
-    coeffs = integer_solve(gram, rhs)
+    rhs = column_vector([evaluate_on_surface_class(d, b, rep) for b in basis])
+    coeffs = (_inverse_gram(d) @ rhs)[:, 0]
     total = OneOneCocycle.zero(d)
     for cf, b in zip(coeffs, basis):
         if cf:

@@ -1,6 +1,6 @@
 """Test-only constructions: random (co)cycles, duality maps, column spans,
-transvections, and two oracles: the Cech complexes behind the diamond and
-the brute-force spin filter.
+transvections, and four oracles: the Bareiss determinant, the Smith-form
+kernel, the Cech complexes behind the diamond and the brute-force spin filter.
 
 The suites use these to generate inputs and to state laws; the package
 itself never needs them.
@@ -25,11 +25,12 @@ from trihodge.lattice import (
     Subgroup,
     as_int_vector,
     column_vector,
-    det,
     identity,
     intmat,
     kernel_basis,
     matrix_columns,
+    smith_normal_form,
+    snf_diagonal,
     zeros,
 )
 from trihodge.pairings import H2DualRep, OneOneCocycle
@@ -39,8 +40,46 @@ from trihodge.surface import SymplecticLattice
 ORACLE_MAX_GENUS = 6
 
 
+def det(m: np.ndarray) -> int:
+    """Exact determinant via fraction-free (Bareiss) elimination.
+
+    The oracle for the determinant that ``pairings.intersection_form`` reads
+    off its congruence pivots.
+    """
+    nrows, ncols = m.shape
+    if nrows != ncols:
+        raise ValueError("determinant of a non-square matrix")
+    n = nrows
+    if n == 0:
+        return 1
+    M = intmat(m.tolist())
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k, k] == 0:
+            swap = next((i for i in range(k + 1, n) if M[i, k] != 0), None)
+            if swap is None:
+                return 0
+            M[[k, swap], :] = M[[swap, k], :]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i, j] = (M[i, j] * M[k, k] - M[i, k] * M[k, j]) // prev
+        prev = M[k, k]
+    return sign * int(M[n - 1, n - 1])
+
+
 def is_unimodular(m: np.ndarray) -> bool:
     return m.shape[0] == m.shape[1] and abs(det(m)) == 1
+
+
+def smith_kernel_basis(m: np.ndarray) -> Subgroup:
+    """Kernel of m through its Smith form U m V = D: the columns of V past rank D.
+
+    The oracle for ``lattice.kernel_basis``, which echelons [m^T | I] instead.
+    """
+    _, D, V = smith_normal_form(m)
+    return Subgroup.from_columns(m.shape[1], matrix_columns(V[:, len(snf_diagonal(D)) :]))
 
 
 def image_subgroup(m: np.ndarray) -> Subgroup:

@@ -35,7 +35,6 @@ from trihodge.diagram import (
     k_values,
     random_diagram,
 )
-from trihodge.lattice import det
 from trihodge.pairings import (
     CycleConditionError,
     H2DualRep,
@@ -57,7 +56,7 @@ from trihodge.spinc import (
     lutz_shift,
 )
 
-from helpers import cech_complex, random_coboundary, random_cocycle, random_cycle_rep
+from helpers import cech_complex, det, random_coboundary, random_cocycle, random_cycle_rep
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -141,6 +141,38 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert "spin structures: 0" in out
 
+    def test_genus_above_bound_refused_before_any_diagram(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "random_diagram", lambda *a: built.append(a))
+        monkeypatch.setattr(cli, "diagram_from_curves", lambda *a, **k: built.append(a))
+        big = cli.MAX_GENUS + 1
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"genus": big, "alpha": [], "beta": [], "gamma": []}))
+        for argv in (["homology", "--genus", str(big), "--seed", "0"], ["homology", str(path)]):
+            code, out, err = run_cli(argv)
+            assert code == EXIT_PARSE
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert str(cli.MAX_GENUS) in err
+        assert built == []
+
+    def test_genus_at_bound_is_accepted(self, tmp_path, monkeypatch):
+        built = []
+
+        def record(*args, **kwargs):
+            built.append(args[0])
+            raise ValueError("stop here")
+
+        monkeypatch.setattr(cli, "random_diagram", record)
+        monkeypatch.setattr(cli, "diagram_from_curves", record)
+        path = tmp_path / "edge.json"
+        path.write_text(
+            json.dumps({"genus": cli.MAX_GENUS, "alpha": [], "beta": [], "gamma": []})
+        )
+        run_cli(["homology", "--genus", str(cli.MAX_GENUS), "--seed", "0"])
+        run_cli(["homology", str(path)])
+        assert built == [cli.MAX_GENUS, cli.MAX_GENUS]
+
     def test_internal_error_has_its_own_code(self, monkeypatch):
         def broken(d, args):
             raise RuntimeError("broken\ninvariant")

@@ -16,7 +16,6 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from trihodge.lattice import (
     Subgroup,
     as_int_vector,
-    det,
     identity,
     integer_solve,
     intmat,
@@ -30,7 +29,7 @@ from trihodge.lattice import (
     zeros,
 )
 
-from helpers import image_subgroup, is_unimodular
+from helpers import det, image_subgroup, is_unimodular, smith_kernel_basis
 
 
 def sympy_of(m):
@@ -41,9 +40,9 @@ small_entries = st.integers(min_value=-9, max_value=9)
 
 
 @st.composite
-def int_matrices(draw, max_dim=5):
-    nrows = draw(st.integers(min_value=1, max_value=max_dim))
-    ncols = draw(st.integers(min_value=1, max_value=max_dim))
+def int_matrices(draw, max_dim=5, min_dim=1):
+    nrows = draw(st.integers(min_value=min_dim, max_value=max_dim))
+    ncols = draw(st.integers(min_value=min_dim, max_value=max_dim))
     rows = draw(
         st.lists(
             st.lists(small_entries, min_size=ncols, max_size=ncols),
@@ -51,7 +50,10 @@ def int_matrices(draw, max_dim=5):
             max_size=nrows,
         )
     )
-    return intmat(rows)
+    return intmat(rows, cols=ncols)
+
+
+zero_matrices = st.builds(zeros, st.integers(0, 5), st.integers(0, 5))
 
 
 class TestSmithNormalForm:
@@ -147,9 +149,10 @@ class TestKernel:
         assert kernel_basis(zeros(0, 2)) == Subgroup.full(2)
 
     @settings(max_examples=150, deadline=None)
-    @given(int_matrices())
+    @given(st.one_of(int_matrices(min_dim=0), zero_matrices))
     def test_kernel_is_annihilated_and_saturated(self, m):
         ker = kernel_basis(m)
+        assert ker == smith_kernel_basis(m)
         if ker.rank:
             assert not np.any(m @ ker.basis)
         assert ker.rank == m.shape[1] - sympy_of(m).rank()

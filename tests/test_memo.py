@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from trihodge import complexes, lattice
+from trihodge import lattice
 from trihodge.complexes import (
     dual_complex,
     dual_middle_homology,
@@ -16,11 +16,14 @@ from trihodge.complexes import (
 from trihodge.diagram import InvalidDiagramError, builtin, diagram_from_curves, ensure_valid
 from trihodge.pairings import (
     dual_rep_basis,
+    evaluate_on_surface_class,
     h2_basis_cocycles,
     intersection_form,
+    intersection_pairing,
     triple_intersection,
 )
 from trihodge.spin import enumerate_spin, spin_count
+from trihodge.spinc import act, base_ledger, c1_difference
 
 from helpers import cech_complex
 
@@ -82,9 +85,7 @@ def smith_forms(monkeypatch):
         calls[0] += 1
         return inner(m)
 
-    # complexes imports the function by name, so patch both modules
     monkeypatch.setattr(lattice, "_snf_with_inverses", counted)
-    monkeypatch.setattr(complexes, "_snf_with_inverses", counted)
     return calls
 
 
@@ -104,6 +105,29 @@ def test_no_smith_form_is_computed_twice(name, smith_forms):
     before = smith_forms[0]
     dual_complex(fresh)
     assert smith_forms[0] == before
+
+
+def test_kernels_and_intersections_need_no_smith_form(smith_forms):
+    m = lattice.intmat([[2, 4, -6, 1], [0, 3, 9, 0], [2, 7, 3, 1]])
+    assert lattice.kernel_basis(m).rank == 2
+    assert lattice.kernel_basis(lattice.zeros(2, 3)).rank == 3
+    d = builtin("S2xS2#QS4_Z3")
+    assert [P.rank for P in d._pair_intersections] == [1, 1, 1]
+    assert smith_forms[0] == 0
+
+
+def test_repeated_c1_difference_needs_no_smith_form(smith_forms):
+    d = builtin("CP2#CP2bar")
+    s = base_ledger(d)
+    A, B = dual_rep_basis(d)
+    rep = A.scale(2) - B
+    first, second = act(s, A), act(s, rep)
+    c1_difference(first, s)
+    before = smith_forms[0]
+    diff = c1_difference(second, s)
+    assert smith_forms[0] == before
+    for b in h2_basis_cocycles(d):
+        assert intersection_pairing(d, b, diff) == 2 * evaluate_on_surface_class(d, b, rep)
 
 
 def test_equal_diagrams_keep_separate_results():

@@ -3,15 +3,16 @@
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trihodge.diagram import builtin, random_diagram
-from trihodge.lattice import det
 from trihodge.pairings import (
     CycleConditionError,
     H2DualRep,
     OneOneCocycle,
+    _signature_of_symmetric,
     cocycle_from_dual_rep,
     dual_rep_basis,
     evaluate_on_surface_class,
@@ -26,7 +27,7 @@ from trihodge.pairings import (
     triple_intersection,
 )
 
-from helpers import random_coboundary, random_cocycle, random_cycle_rep
+from helpers import det, random_coboundary, random_cocycle, random_cycle_rep
 
 CP2 = builtin("CP2")
 S1XS3 = builtin("S1xS3")
@@ -140,6 +141,29 @@ class TestIntersectionForm:
     def test_three_expressions_on_generator(self):
         x = h2_basis_cocycles(CP2)[0]
         assert pairing_all_ways(CP2, x, x) == (1, 1, 1)
+
+
+@st.composite
+def symmetric_matrices(draw, max_dim=6):
+    """Symmetric integer matrices, some singular and some with zero diagonal."""
+    n = draw(st.integers(min_value=0, max_value=max_dim))
+    hollow = draw(st.booleans())
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if not (hollow and i == j):
+                rows[i][j] = rows[j][i] = draw(st.integers(min_value=-3, max_value=3))
+    return tuple(tuple(r) for r in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_matrices())
+def test_pivot_determinant_matches_sympy(gram):
+    (pos, neg), d = _signature_of_symmetric(gram)
+    n = len(gram)
+    M = sympy.Matrix(n, n, lambda i, j: gram[i][j])
+    assert d == M.det()
+    assert pos + neg == M.rank()
 
 
 @settings(max_examples=50, deadline=None)

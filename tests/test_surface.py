@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trihodge.lattice import Subgroup, det
+from trihodge.lattice import Subgroup
 from trihodge.surface import SymplecticLattice
 
-from helpers import m_subgroup, pi_dual, standard_basis_vector, transvection_matrix
+from helpers import det, m_subgroup, pi_dual, standard_basis_vector, transvection_matrix
 
 
 def vectors(rank):
