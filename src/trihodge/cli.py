@@ -7,8 +7,9 @@ line order, plain decimal integers, torsion rendered as Z/d tokens. The
 
 Exit codes: 0 success (and diagram valid), 1 invalid diagram or rep, or a
 refused computation (a spin listing over spin.MAX_LISTED structures),
-2 unreadable or malformed input (including a --genus or JSON genus above
-MAX_GENUS = 100, refused before any diagram is built), 3 internal error (a
+2 unreadable or malformed input (including a --genus, a JSON genus or a
+--builtin connected sum of genus above MAX_GENUS = 100, refused before any
+diagram is built), 3 internal error (a
 bug, such as a broken internal invariant; reported as one ``error:
 internal:`` line on stderr, never as a traceback).
 """
@@ -32,6 +33,7 @@ from .diagram import (
     InvalidDiagramError,
     TrisectionDiagram,
     builtin,
+    builtin_genus,
     diagram_from_curves,
     ensure_valid,
     euler_characteristic,
@@ -142,9 +144,12 @@ def _load_diagram(args) -> TrisectionDiagram:
         return _diagram_from_file(args.path)
     if have_builtin:
         try:
-            return builtin(args.builtin)
+            genus = builtin_genus(args.builtin)
         except KeyError as exc:
             raise CliInputError(exc.args[0]) from exc
+        if genus > MAX_GENUS:
+            raise CliInputError(f"--builtin has genus {genus}, above the bound {MAX_GENUS}")
+        return builtin(args.builtin)
     if args.genus is None or args.seed is None:
         raise CliInputError("random diagrams need both --genus and --seed")
     if not 0 <= args.genus <= MAX_GENUS:

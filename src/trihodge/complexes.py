@@ -28,11 +28,13 @@ import numpy as np
 
 from .diagram import TrisectionDiagram, ensure_valid, memoized
 from .lattice import (
+    _checked_rows,
     _cokernel,
+    _combination,
+    _dot,
+    _kernel,
+    _transpose,
     intmat,
-    invariant_factors,
-    kernel_basis,
-    matrix_columns,
     zeros,
 )
 
@@ -55,11 +57,9 @@ class HomologyGroup:
     def direct_sum(self, other: "HomologyGroup") -> "HomologyGroup":
         merged = self.torsion + other.torsion
         if merged:
-            diag = zeros(len(merged), len(merged))
-            for i, t in enumerate(merged):
-                diag[i, i] = t
-            merged = tuple(f for f in invariant_factors(diag) if f >= 2)
-        return HomologyGroup(self.rank + other.rank, tuple(merged))
+            diag = [[t if i == j else 0 for j in range(len(merged))] for i, t in enumerate(merged)]
+            merged = _cokernel(diag, len(merged)).torsion
+        return HomologyGroup(self.rank + other.rank, merged)
 
     def __str__(self) -> str:
         parts = []
@@ -79,7 +79,8 @@ class FreeChainComplex:
     must vanish. ``degrees`` carries the semantic degree label of each
     position (descending for the homology complex, ascending Cech degrees for
     the cochain complexes). The differentials are made read-only, since one
-    complex is shared by every query on its diagram.
+    complex is shared by every query on its diagram, and their columns are
+    kept as tuples for the kernels.
     """
 
     term_names: tuple[str, ...]
@@ -98,9 +99,11 @@ class FreeChainComplex:
                     f"({self.ranks[i + 1]}, {self.ranks[i]})"
                 )
             mat.setflags(write=False)
-        for i in range(len(self.diffs) - 1):
-            if np.any(self.diffs[i + 1] @ self.diffs[i]):
+        columns = tuple(tuple(map(tuple, _checked_rows(mat.T)[0])) for mat in self.diffs)
+        for i in range(len(columns) - 1):
+            if any(any(_combination(columns[i + 1], col, self.ranks[i + 2])) for col in columns[i]):
                 raise ValueError(f"differentials {i} and {i + 1} do not compose to zero")
+        object.__setattr__(self, "_columns", columns)
 
     def position_of_degree(self, degree: int) -> int:
         try:
@@ -109,12 +112,6 @@ class FreeChainComplex:
             raise ValueError(
                 f"degree {degree} not in this complex (degrees: {self.degrees})"
             ) from None
-
-    def _outgoing(self, pos: int) -> np.ndarray:
-        return self.diffs[pos] if pos < len(self.diffs) else zeros(0, self.ranks[pos])
-
-    def _incoming(self, pos: int) -> np.ndarray:
-        return self.diffs[pos - 1] if pos > 0 else zeros(self.ranks[pos], 0)
 
     def homology_at(self, pos: int) -> HomologyGroup:
         return self.homology_with_generators(pos)[0]
@@ -131,20 +128,17 @@ class FreeChainComplex:
         """
         if not (0 <= pos < len(self.ranks)):
             raise ValueError("position out of range")
-        cycles = kernel_basis(self._outgoing(pos))
-        boundary = self._incoming(pos)
+        outgoing = self._columns[pos] if pos < len(self.diffs) else ((),) * self.ranks[pos]
+        out_rank = self.ranks[pos + 1] if pos < len(self.diffs) else 0
+        cycles = _kernel(outgoing, out_rank)
         if cycles.rank == 0:
             return HomologyGroup(0), ()
         # boundary columns land in the cycle subgroup (d o d = 0, saturated basis)
-        coords = [cycles.coordinates_of(col) for col in matrix_columns(boundary)]
-        X = (
-            intmat([list(c) for c in zip(*coords)], cols=len(coords))
-            if coords
-            else zeros(cycles.rank, 0)
-        )
-        q = _cokernel(X)
-        gens = matrix_columns(cycles.basis @ q.free_lift_matrix)
-        return HomologyGroup(q.free_rank, q.torsion), tuple(gens)
+        coords = [cycles.coordinates_of(col) for col in (self._columns[pos - 1] if pos else ())]
+        q = _cokernel(_transpose(coords, cycles.rank), len(coords))
+        cols = cycles.columns()
+        gens = tuple(_combination(cols, lift, self.ranks[pos]) for lift in q._free_lifts)
+        return HomologyGroup(q.free_rank, q.torsion), gens
 
 
 def homology(complex_: FreeChainComplex, degree: int) -> HomologyGroup:
@@ -154,8 +148,8 @@ def homology(complex_: FreeChainComplex, degree: int) -> HomologyGroup:
 
 def _lagrangian_block_matrix(d: TrisectionDiagram) -> np.ndarray:
     """Columns: canonical bases of L1, L2, L3 side by side (the total-sum map)."""
-    blocks = [d.lagrangian_subgroup(lam).basis for lam in (1, 2, 3)]
-    return np.hstack(blocks) if d.genus else zeros(0, 0)
+    columns = [col for lam in (1, 2, 3) for col in d.lagrangian_subgroup(lam).columns()]
+    return intmat(_transpose(columns, 2 * d.genus), cols=len(columns))
 
 
 def _pair_difference_matrix(d: TrisectionDiagram) -> np.ndarray:
@@ -169,18 +163,18 @@ def _pair_difference_matrix(d: TrisectionDiagram) -> np.ndarray:
     lag = [d.lagrangian_subgroup(lam) for lam in (1, 2, 3)]
     pair = [d.pair_intersection(lam) for lam in (1, 2, 3)]
     k_total = sum(p.rank for p in pair)
-    out = zeros(3 * g, k_total)
+    out = [[0] * k_total for _ in range(3 * g)]
     col = 0
     for p_idx in range(3):
         for w in pair[p_idx].columns():
             minus = lag[p_idx].coordinates_of(w)
             plus = lag[(p_idx + 1) % 3].coordinates_of(w)
             for r, val in enumerate(minus):
-                out[p_idx * g + r, col] = -val
+                out[p_idx * g + r][col] = -val
             for r, val in enumerate(plus):
-                out[((p_idx + 1) % 3) * g + r, col] += val
+                out[((p_idx + 1) % 3) * g + r][col] += val
             col += 1
-    return out
+    return intmat(out, cols=k_total)
 
 
 @memoized
@@ -239,26 +233,24 @@ def dual_complex(d: TrisectionDiagram) -> FreeChainComplex:
     if any(q.torsion for q in hb + pq):
         raise InvalidStateError("free quotients expected for a valid diagram")
 
-    diag_map = np.vstack([q.free_part_matrix for q in hb]) if g else zeros(0, 0)
+    diag_map = [row for q in hb for row in q._free_rows]
 
     k_ranks = [q.free_rank for q in pq]
-    diff_map = zeros(sum(k_ranks), 3 * g)
-    row = 0
+    diff_map = []
     for lam_idx in range(3):
-        R = pq[lam_idx].free_part_matrix
-        if k_ranks[lam_idx]:
-            left = R @ hb[lam_idx].free_lift_matrix
-            right = R @ hb[(lam_idx + 1) % 3].free_lift_matrix
-            diff_map[row : row + k_ranks[lam_idx], lam_idx * g : (lam_idx + 1) * g] = left
-            nxt = (lam_idx + 1) % 3
-            diff_map[row : row + k_ranks[lam_idx], nxt * g : (nxt + 1) * g] -= right
-        row += k_ranks[lam_idx]
+        nxt = (lam_idx + 1) % 3
+        left, right = hb[lam_idx]._free_lifts, hb[nxt]._free_lifts
+        for r in pq[lam_idx]._free_rows:
+            row = [0] * (3 * g)
+            row[lam_idx * g : (lam_idx + 1) * g] = [_dot(r, lift) for lift in left]
+            row[nxt * g : (nxt + 1) * g] = [-_dot(r, lift) for lift in right]
+            diff_map.append(row)
 
     return FreeChainComplex(
         term_names=("surface classes", "handlebody quotients", "sector boundary quotients"),
         ranks=(rank2g, 3 * g, sum(k_ranks)),
         degrees=(0, 1, 2),
-        diffs=(diag_map, diff_map),
+        diffs=(intmat(diag_map, cols=rank2g), intmat(diff_map, cols=3 * g)),
     )
 
 

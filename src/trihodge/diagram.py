@@ -17,6 +17,7 @@ from typing import Sequence
 from .lattice import (
     QuotientPresentation,
     Subgroup,
+    _span,
     as_int_vector,
     quotient,
     subgroup_intersection,
@@ -55,7 +56,7 @@ class CutSystem:
         return len(self.curves)
 
     def subgroup(self) -> Subgroup:
-        return Subgroup.from_columns(2 * self.genus, self.curves)
+        return _span(2 * self.genus, self.curves)
 
 
 @dataclass(frozen=True)
@@ -281,17 +282,28 @@ def builtin_names() -> tuple[str, ...]:
     return tuple(sorted(_BASE_BUILTINS))
 
 
-def builtin(name: str) -> TrisectionDiagram:
-    """Catalog diagram by name; 'A#B' builds the connected sum of catalog entries."""
-    parts = name.split("#")
-    diagrams = []
-    for part in parts:
+def _builtin_parts(name: str) -> list[tuple[str, tuple[int, list, list, list]]]:
+    """Catalog entries of the '#'-separated parts of a name; KeyError on an unknown part."""
+    parts = []
+    for part in name.split("#"):
         if part not in _BASE_BUILTINS:
             raise KeyError(
                 f"unknown builtin diagram {part!r}; available: {', '.join(builtin_names())}"
             )
-        g, alpha, beta, gamma = _BASE_BUILTINS[part]
-        diagrams.append(diagram_from_curves(g, alpha, beta, gamma, label=part))
+        parts.append((part, _BASE_BUILTINS[part]))
+    return parts
+
+
+def builtin_genus(name: str) -> int:
+    """Genus of ``builtin(name)``, read from the catalog without building a diagram."""
+    return sum(entry[0] for _, entry in _builtin_parts(name))
+
+
+def builtin(name: str) -> TrisectionDiagram:
+    """Catalog diagram by name; 'A#B' builds the connected sum of catalog entries."""
+    diagrams = [
+        diagram_from_curves(*entry, label=part) for part, entry in _builtin_parts(name)
+    ]
     result = diagrams[0]
     for other in diagrams[1:]:
         result = connected_sum(result, other)

@@ -9,15 +9,22 @@ Kernels and intersections come from the echelon routine that canonicalizes
 every subgroup. Smith forms serve only what needs invariant factors or
 transforms: quotients, homology presentations and integer solves.
 
-Matrices are numpy arrays with ``dtype=object`` holding Python ints, which keeps
-all arithmetic exact at any magnitude. No code path here (or anywhere else in
-the package) touches floating point.
+Inside the package a matrix is a list of rows of Python ints, and a subgroup
+keeps its canonical columns as tuples, so all arithmetic is exact at any
+magnitude. Entries are checked once, where they enter from outside (``intmat``,
+``as_int_vector`` and the public functions taking a matrix); the kernels trust
+rows the package built itself. Matrices handed back to callers (a subgroup's
+``basis``, a complex's ``diffs``, the result of ``smith_normal_form``, the
+quotient's free part and lift matrices) are numpy arrays with ``dtype=object``
+holding Python ints. No code path here (or anywhere else in the package)
+touches floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -33,17 +40,13 @@ def intmat(rows: Sequence[Sequence[int]], *, cols: int | None = None) -> np.ndar
     if not rows:
         if cols is None:
             raise ValueError("matrix with zero rows needs an explicit column count")
-        return np.zeros((0, cols), dtype=object)
+        return zeros(0, cols)
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError("ragged rows in matrix input")
     if cols is not None and cols != width:
         raise ValueError(f"expected {cols} columns, got {width}")
-    out = np.empty((len(rows), width), dtype=object)
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            out[i, j] = _as_int(entry)
-    return out
+    return _array([[_as_int(x) for x in r] for r in rows], width)
 
 
 def zeros(nrows: int, ncols: int) -> np.ndarray:
@@ -51,13 +54,12 @@ def zeros(nrows: int, ncols: int) -> np.ndarray:
 
 
 def identity(n: int) -> np.ndarray:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i, i] = 1
-    return out
+    return _array(_identity_rows(n), n)
 
 
 def _as_int(x) -> int:
+    if type(x) is int:
+        return x
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise ValueError(f"integer entry expected, got {x!r}")
     return int(x)
@@ -65,25 +67,60 @@ def _as_int(x) -> int:
 
 def as_int_vector(v: Iterable[int], length: int | None = None) -> tuple[int, ...]:
     """Normalize a vector to a tuple of Python ints, checking its length."""
-    vec = tuple(_as_int(x) for x in v)
+    vec = tuple(v)
+    for x in vec:
+        if type(x) is not int:
+            vec = tuple(map(_as_int, vec))
+            break
     if length is not None and len(vec) != length:
         raise ValueError(f"vector of length {length} expected, got {len(vec)}")
     return vec
 
 
-def column_vector(v: Sequence[int]) -> np.ndarray:
-    return intmat([[x] for x in v], cols=1)
+def _array(rows: Sequence[Sequence[int]], ncols: int) -> np.ndarray:
+    """Object array of trusted rows; the column count fixes the shape of an empty one."""
+    return np.array(rows, dtype=object).reshape(len(rows), ncols)
 
 
-def matrix_columns(m: np.ndarray) -> list[tuple[int, ...]]:
-    return [tuple(m[:, j]) for j in range(m.shape[1])]
+def _checked_rows(m: np.ndarray) -> tuple[list[list[int]], int]:
+    """Rows and width of a matrix from outside the package, every entry checked."""
+    rows = np.asarray(m, dtype=object).tolist()
+    return [[_as_int(x) for x in row] for row in rows], m.shape[1]
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
+
+
+def _transpose(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
+    """Columns of a matrix as rows; ``ncols`` fixes the count when there are no rows."""
+    return [list(c) for c in zip(*rows)] if rows else [[] for _ in range(ncols)]
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
+
+
+def _combination(
+    vectors: Sequence[Sequence[int]], coeffs: Sequence[int], length: int
+) -> tuple[int, ...]:
+    """sum_j coeffs[j] * vectors[j], a vector of the given length."""
+    out = [0] * length
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            for i, x in enumerate(vec):
+                out[i] += c * x
+    return tuple(out)
 
 
 class _SNFFull(NamedTuple):
-    U: np.ndarray
-    D: np.ndarray
-    V: np.ndarray
-    Uinv: np.ndarray
+    U: list[list[int]]
+    D: list[list[int]]
+    V: list[list[int]]
+    Uinv: list[list[int]]
 
 
 def smith_normal_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -92,124 +129,122 @@ def smith_normal_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     Returns unimodular U, V and diagonal D with ``U @ m @ V == D``, entries
     nonnegative and each dividing the next.
     """
-    full = _snf_with_inverses(m)
-    return full.U, full.D, full.V
+    rows, ncols = _checked_rows(m)
+    full = _snf_with_inverses(rows, ncols)
+    return _array(full.U, len(rows)), _array(full.D, ncols), _array(full.V, ncols)
 
 
-def _snf_with_inverses(m: np.ndarray) -> _SNFFull:
+def _snf_with_inverses(rows: list[list[int]], ncols: int) -> _SNFFull:
     """Smith normal form together with the inverse of the row transform.
 
     Standard gcd-pivot reduction: pick the smallest nonzero entry of the
     remaining block, clear its row and column by Euclidean steps, then force the
     divisibility chain by folding any non-divisible entry into the pivot row.
+
+    Takes trusted rows of Python ints and returns U, D, V and U^{-1} as rows.
+    At step t every entry of D outside the block of rows and columns >= t is
+    already zero, so the updates of D stay inside that block. V and U^{-1}
+    change by columns; they are kept transposed, so each update is one row.
     """
-    D = _clone(m)
-    nrows, ncols = D.shape
-    U, Uinv = identity(nrows), identity(nrows)
-    V = identity(ncols)
+    D = [list(r) for r in rows]
+    nrows = len(D)
+    U, UinvT, VT = _identity_rows(nrows), _identity_rows(nrows), _identity_rows(ncols)
 
-    def row_add(i, j, q):
+    def row_add(i, j, q, t):
         # row_i += q * row_j
-        D[i, :] += q * D[j, :]
-        U[i, :] += q * U[j, :]
-        Uinv[:, j] -= q * Uinv[:, i]
+        Di, Dj = D[i], D[j]
+        for k in range(t, ncols):
+            Di[k] += q * Dj[k]
+        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
+        UinvT[j] = [a - q * b for a, b in zip(UinvT[j], UinvT[i])]
 
-    def row_swap(i, j):
-        D[[i, j], :] = D[[j, i], :]
-        U[[i, j], :] = U[[j, i], :]
-        Uinv[:, [i, j]] = Uinv[:, [j, i]]
-
-    def row_negate(i):
-        D[i, :] = -D[i, :]
-        U[i, :] = -U[i, :]
-        Uinv[:, i] = -Uinv[:, i]
-
-    def col_add(j, k, q):
+    def col_add(j, k, q, t):
         # col_j += q * col_k
-        D[:, j] += q * D[:, k]
-        V[:, j] += q * V[:, k]
-
-    def col_swap(j, k):
-        D[:, [j, k]] = D[:, [k, j]]
-        V[:, [j, k]] = V[:, [k, j]]
+        for r in range(t, nrows):
+            Dr = D[r]
+            Dr[j] += q * Dr[k]
+        VT[j] = [a + q * b for a, b in zip(VT[j], VT[k])]
 
     t = 0
     while t < min(nrows, ncols):
-        pos = _smallest_nonzero(D, t)
+        pos = _smallest_nonzero(D, t, ncols)
         if pos is None:
             break
         i, j = pos
         if i != t:
-            row_swap(i, t)
+            D[i], D[t] = D[t], D[i]
+            U[i], U[t] = U[t], U[i]
+            UinvT[i], UinvT[t] = UinvT[t], UinvT[i]
         if j != t:
-            col_swap(j, t)
+            for r in range(t, nrows):
+                Dr = D[r]
+                Dr[j], Dr[t] = Dr[t], Dr[j]
+            VT[j], VT[t] = VT[t], VT[j]
 
+        pivot = D[t][t]
         dirty = False
         for i in range(t + 1, nrows):
-            if D[i, t] != 0:
-                q = D[i, t] // D[t, t]
-                row_add(i, t, -q)
-                dirty = dirty or D[i, t] != 0
+            if D[i][t] != 0:
+                row_add(i, t, -(D[i][t] // pivot), t)
+                dirty = dirty or D[i][t] != 0
+        Dt = D[t]
         for j in range(t + 1, ncols):
-            if D[t, j] != 0:
-                q = D[t, j] // D[t, t]
-                col_add(j, t, -q)
-                dirty = dirty or D[t, j] != 0
+            if Dt[j] != 0:
+                col_add(j, t, -(Dt[j] // pivot), t)
+                dirty = dirty or Dt[j] != 0
         if dirty:
             continue
 
-        bad = _non_divisible(D, t)
+        bad = _non_divisible(D, t, ncols)
         if bad is not None:
-            row_add(t, bad, 1)
+            row_add(t, bad, 1, t)
             continue
 
-        if D[t, t] < 0:
-            row_negate(t)
+        if pivot < 0:
+            D[t] = [-x for x in D[t]]
+            U[t] = [-x for x in U[t]]
+            UinvT[t] = [-x for x in UinvT[t]]
         t += 1
 
-    return _SNFFull(U, D, V, Uinv)
+    return _SNFFull(U, D, _transpose(VT, ncols), _transpose(UinvT, nrows))
 
 
-def _clone(m: np.ndarray) -> np.ndarray:
-    out = np.empty(m.shape, dtype=object)
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            out[i, j] = _as_int(m[i, j])
-    return out
-
-
-def _smallest_nonzero(D, t):
+def _smallest_nonzero(D, t, ncols):
+    """First entry of least absolute value in the block from (t, t), row by row."""
     best = None
     best_abs = None
-    for i in range(t, D.shape[0]):
-        for j in range(t, D.shape[1]):
-            if D[i, j] != 0 and (best is None or abs(D[i, j]) < best_abs):
-                best, best_abs = (i, j), abs(D[i, j])
+    for i in range(t, len(D)):
+        row = D[i]
+        for j in range(t, ncols):
+            x = row[j]
+            if x != 0 and (best is None or abs(x) < best_abs):
+                best, best_abs = (i, j), abs(x)
+                if best_abs == 1:
+                    return best
     return best
 
 
-def _non_divisible(D, t):
-    """Row index holding an entry the pivot D[t,t] does not divide, or None."""
-    d = D[t, t]
-    for i in range(t + 1, D.shape[0]):
-        for j in range(t + 1, D.shape[1]):
-            if D[i, j] % d != 0:
+def _non_divisible(D, t, ncols):
+    """Row index holding an entry the pivot D[t][t] does not divide, or None."""
+    d = D[t][t]
+    if d == 1 or d == -1:
+        return None
+    for i in range(t + 1, len(D)):
+        row = D[i]
+        for j in range(t + 1, ncols):
+            if row[j] % d != 0:
                 return i
     return None
 
 
-def snf_diagonal(D: np.ndarray) -> tuple[int, ...]:
-    """Nonzero diagonal entries of a Smith form, in order."""
-    out = []
-    for i in range(min(D.shape)):
-        if D[i, i] != 0:
-            out.append(int(D[i, i]))
-    return tuple(out)
+def snf_diagonal(D: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Nonzero diagonal entries of a Smith form, in order (rows or an array)."""
+    return tuple(int(row[i]) for i, row in enumerate(D) if i < len(row) and row[i] != 0)
 
 
 def invariant_factors(m: np.ndarray) -> tuple[int, ...]:
     """Nonzero invariant factors of the subgroup spanned by the columns of m."""
-    return snf_diagonal(_snf_with_inverses(m).D)
+    return snf_diagonal(_snf_with_inverses(*_checked_rows(m)).D)
 
 
 def integer_solve(m: np.ndarray, rhs: Sequence[int]) -> tuple[int, ...]:
@@ -220,69 +255,78 @@ def integer_solve(m: np.ndarray, rhs: Sequence[int]) -> tuple[int, ...]:
     exists; when the system is underdetermined an arbitrary solution is
     returned (free coordinates set to zero).
     """
-    nrows, ncols = m.shape
-    full = _snf_with_inverses(m)
-    y = full.U @ column_vector(as_int_vector(rhs, nrows))
+    rows, ncols = _checked_rows(m)
+    return _solve(rows, ncols, as_int_vector(rhs, len(rows)))
+
+
+def _solve(rows: list[list[int]], ncols: int, rhs: tuple[int, ...]) -> tuple[int, ...]:
+    """``integer_solve`` on trusted rows and right-hand side."""
+    full = _snf_with_inverses(rows, ncols)
     diag = snf_diagonal(full.D)
     s = len(diag)
-    z = zeros(ncols, 1)
-    for i in range(nrows):
-        val = int(y[i, 0])
+    z = [0] * ncols
+    for i, row in enumerate(full.U):
+        val = _dot(row, rhs)
         if i < s:
             if val % diag[i]:
                 raise ValueError("no integer solution: divisibility fails")
-            z[i, 0] = val // diag[i]
+            z[i] = val // diag[i]
         elif val:
             raise ValueError("no integer solution: inconsistent system")
-    x = full.V @ z
-    return tuple(int(e) for e in x[:, 0])
+    return tuple(_dot(row, z) for row in full.V)
+
+
+def _unimodular_inverse(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """Inverse of a unimodular matrix: V U from its Smith form U m V = I."""
+    full = _snf_with_inverses(rows, len(rows))
+    u_cols = list(zip(*full.U))
+    return tuple(tuple(_dot(v_row, u_col) for u_col in u_cols) for v_row in full.V)
 
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
     """A subgroup of Z^n held in a canonical column echelon basis.
 
-    The basis matrix has one column per generator; pivot rows strictly increase
-    left to right, pivots are positive, and within a pivot row every entry to
-    the left of the pivot is reduced into [0, pivot). Two subgroups are equal
-    as sets of vectors exactly when their stored bases are identical, so
-    ``__eq__`` is plain matrix equality.
+    The basis has one column per generator; pivot rows strictly increase left
+    to right, pivots are positive, and within a pivot row every entry to the
+    left of the pivot is reduced into [0, pivot). Two subgroups are equal as
+    sets of vectors exactly when their stored columns are identical, so
+    ``__eq__`` is plain equality of the column tuples.
     """
 
     ambient_rank: int
-    basis: np.ndarray
+    _columns: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_columns(cls, ambient_rank: int, vectors: Iterable[Sequence[int]]) -> "Subgroup":
-        vecs = [as_int_vector(v, ambient_rank) for v in vectors]
-        echelon_rows = _row_echelon_lattice([list(v) for v in vecs], ambient_rank)
-        basis = intmat(echelon_rows, cols=ambient_rank).T.copy() if echelon_rows else zeros(ambient_rank, 0)
-        basis.setflags(write=False)
-        return cls(ambient_rank, basis)
+        return _span(ambient_rank, [as_int_vector(v, ambient_rank) for v in vectors])
 
     @classmethod
     def trivial(cls, ambient_rank: int) -> "Subgroup":
-        return cls.from_columns(ambient_rank, [])
+        return cls(ambient_rank, ())
 
     @classmethod
     def full(cls, ambient_rank: int) -> "Subgroup":
-        return cls.from_columns(ambient_rank, identity(ambient_rank).T)
+        return cls(ambient_rank, tuple(map(tuple, _identity_rows(ambient_rank))))
 
     @property
     def rank(self) -> int:
-        return self.basis.shape[1]
+        return len(self._columns)
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(matrix_columns(self.basis))
+        return self._columns
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The canonical columns as a read-only ambient_rank x rank matrix."""
+        out = _array(_transpose(self._columns, self.ambient_rank), self.rank)
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def _pivots(self) -> tuple[tuple[int, int], ...]:
         """(row, value) of each column's pivot."""
-        out = []
-        for j in range(self.rank):
-            row = next(i for i in range(self.ambient_rank) if self.basis[i, j] != 0)
-            out.append((row, int(self.basis[row, j])))
-        return tuple(out)
+        return tuple(next((i, x) for i, x in enumerate(col) if x) for col in self._columns)
 
     def coordinates_of(self, v: Sequence[int]) -> tuple[int, ...]:
         """Integer coordinates of v in the canonical basis.
@@ -292,14 +336,14 @@ class Subgroup:
         """
         rem = list(as_int_vector(v, self.ambient_rank))
         coords = []
-        for j, (prow, pval) in enumerate(self._pivots):
+        for col, (prow, pval) in zip(self._columns, self._pivots):
             q, r = divmod(rem[prow], pval)
             if r:
                 raise ValueError("vector is not in the subgroup")
             coords.append(q)
             if q:
-                for i in range(self.ambient_rank):
-                    rem[i] -= q * int(self.basis[i, j])
+                for i in range(prow, self.ambient_rank):
+                    rem[i] -= q * col[i]
         if any(rem):
             raise ValueError("vector is not in the subgroup")
         return tuple(coords)
@@ -313,77 +357,89 @@ class Subgroup:
 
     def member_from_coordinates(self, coords: Sequence[int]) -> tuple[int, ...]:
         coords = as_int_vector(coords, self.rank)
-        if self.rank == 0:
-            return (0,) * self.ambient_rank
-        vec = self.basis @ column_vector(coords)
-        return tuple(int(x) for x in vec[:, 0])
+        return _combination(self._columns, coords, self.ambient_rank)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return self.ambient_rank == other.ambient_rank and np.array_equal(self.basis, other.basis)
+        return self.ambient_rank == other.ambient_rank and self._columns == other._columns
 
     def __hash__(self) -> int:
-        return hash((self.ambient_rank, tuple(map(tuple, self.basis))))
+        return hash((self.ambient_rank, self._columns))
 
     def __repr__(self) -> str:
-        return f"Subgroup(ambient_rank={self.ambient_rank}, columns={list(self.columns())})"
+        return f"Subgroup(ambient_rank={self.ambient_rank}, columns={list(self._columns)})"
 
 
-def _row_echelon_lattice(rows: list[list[int]], width: int) -> list[list[int]]:
+def _span(ambient_rank: int, vectors: Sequence[Sequence[int]]) -> Subgroup:
+    """Canonical subgroup spanned by trusted vectors of Python ints."""
+    return Subgroup(ambient_rank, tuple(map(tuple, _row_echelon_lattice(vectors, ambient_rank))))
+
+
+def _row_echelon_lattice(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
     """Canonical row echelon form of the lattice spanned by the given rows.
 
     Integer row operations only, so the row span is preserved exactly. Pivots
     are positive, entries above each pivot are reduced into [0, pivot), zero
-    rows are dropped.
+    rows are dropped. Every row left of the current pivot column is already
+    zero there, so each update starts at that column.
     """
     work = [list(r) for r in rows if any(r)]
+    n = len(work)
     pivot_row = 0
     for col in range(width):
-        if pivot_row >= len(work):
+        if pivot_row >= n:
             break
         while True:
-            live = [i for i in range(pivot_row, len(work)) if work[i][col] != 0]
+            live = [i for i in range(pivot_row, n) if work[i][col] != 0]
             if not live:
                 break
             i_min = min(live, key=lambda i: abs(work[i][col]))
             work[pivot_row], work[i_min] = work[i_min], work[pivot_row]
+            p = work[pivot_row]
             finished = True
-            for i in range(pivot_row + 1, len(work)):
-                if work[i][col] != 0:
-                    q = work[i][col] // work[pivot_row][col]
-                    for k in range(width):
-                        work[i][k] -= q * work[pivot_row][k]
-                    finished = finished and work[i][col] == 0
+            for i in range(pivot_row + 1, n):
+                w = work[i]
+                if w[col] != 0:
+                    q = w[col] // p[col]
+                    for k in range(col, width):
+                        w[k] -= q * p[k]
+                    finished = finished and w[col] == 0
             if finished:
                 break
-        if pivot_row < len(work) and work[pivot_row][col] != 0:
+        if pivot_row < n and work[pivot_row][col] != 0:
             if work[pivot_row][col] < 0:
                 work[pivot_row] = [-x for x in work[pivot_row]]
-            pval = work[pivot_row][col]
+            p = work[pivot_row]
+            pval = p[col]
             for i in range(pivot_row):
-                q = work[i][col] // pval
+                w = work[i]
+                q = w[col] // pval
                 if q:
-                    for k in range(width):
-                        work[i][k] -= q * work[pivot_row][k]
+                    for k in range(col, width):
+                        w[k] -= q * p[k]
             pivot_row += 1
-    return [r for r in work[:pivot_row]] + [r for r in work[pivot_row:] if any(r)]
+    return work[:pivot_row]
 
 
 def kernel_basis(m: np.ndarray) -> Subgroup:
-    """Canonical basis of the integer kernel of m.
+    """Canonical basis of the integer kernel of m."""
+    rows, ncols = _checked_rows(m)
+    return _kernel(_transpose(rows, ncols), len(rows))
+
+
+def _kernel(columns: Sequence[Sequence[int]], nrows: int) -> Subgroup:
+    """Kernel of the matrix with the given trusted columns, each of length nrows.
 
     Echelons the rows of [m^T | I]. The row operations are unimodular, so the
     identity parts of the rows whose m^T part vanishes span the kernel
-    exactly (no finite-index sublattice).
+    exactly (no finite-index sublattice). Those rows come last, and their
+    identity parts are already the canonical echelon basis of the kernel.
     """
-    nrows, ncols = m.shape
-    rows = [
-        [_as_int(m[i, j]) for i in range(nrows)] + [int(k == j) for k in range(ncols)]
-        for j in range(ncols)
-    ]
+    ncols = len(columns)
+    rows = [list(col) + unit for col, unit in zip(columns, _identity_rows(ncols))]
     echelon = _row_echelon_lattice(rows, nrows + ncols)
-    return Subgroup.from_columns(ncols, [r[nrows:] for r in echelon if not any(r[:nrows])])
+    return Subgroup(ncols, tuple(tuple(r[nrows:]) for r in echelon if not any(r[:nrows])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,14 +449,15 @@ class QuotientPresentation:
     Coordinates come in two blocks: one residue per invariant factor >= 2
     (torsion block, in divisibility order) followed by ``free_rank`` integer
     coordinates. ``project`` and ``lift`` translate between ambient vectors and
-    these coordinates; ``project(lift(c)) == c`` always holds.
+    these coordinates; ``project(lift(c)) == c`` always holds. The rows of the
+    Smith transform U and of its inverse are kept to do so.
     """
 
     ambient_rank: int
     free_rank: int
     torsion: tuple[int, ...]
-    _U: np.ndarray
-    _Uinv: np.ndarray
+    _U: list[list[int]]
+    _Uinv: list[list[int]]
     _torsion_indices: tuple[int, ...]
     _free_indices: tuple[int, ...]
 
@@ -409,32 +466,38 @@ class QuotientPresentation:
         return len(self.torsion) + self.free_rank
 
     def project(self, v: Sequence[int]) -> tuple[int, ...]:
-        vec = column_vector(as_int_vector(v, self.ambient_rank))
-        y = self._U @ vec
-        tor = [int(y[i, 0]) % d for i, d in zip(self._torsion_indices, self.torsion)]
-        free = [int(y[i, 0]) for i in self._free_indices]
+        vec = as_int_vector(v, self.ambient_rank)
+        tor = [_dot(self._U[i], vec) % d for i, d in zip(self._torsion_indices, self.torsion)]
+        free = [_dot(self._U[i], vec) for i in self._free_indices]
         return tuple(tor + free)
 
     def lift(self, coords: Sequence[int]) -> tuple[int, ...]:
         coords = as_int_vector(coords, self.coordinate_count)
-        y = zeros(self.ambient_rank, 1)
-        for idx, c in zip(self._torsion_indices + self._free_indices, coords):
-            y[idx, 0] = c
-        x = self._Uinv @ y
-        return tuple(int(e) for e in x[:, 0])
+        pairs = [(i, c) for i, c in zip(self._torsion_indices + self._free_indices, coords) if c]
+        return tuple(sum(row[i] * c for i, c in pairs) for row in self._Uinv)
 
     def is_zero(self, v: Sequence[int]) -> bool:
         return not any(self.project(v))
 
     @property
+    def _free_rows(self) -> list[list[int]]:
+        """Rows of the map Z^n -> Z^free_rank onto the free coordinates."""
+        return [self._U[i] for i in self._free_indices]
+
+    @cached_property
+    def _free_lifts(self) -> tuple[tuple[int, ...], ...]:
+        """The ambient vector lifting each free coordinate."""
+        return tuple(tuple(row[i] for row in self._Uinv) for i in self._free_indices)
+
+    @property
     def free_part_matrix(self) -> np.ndarray:
         """Matrix of the map Z^n -> Z^free_rank onto the free coordinates."""
-        return self._U[list(self._free_indices), :].copy() if self._free_indices else zeros(0, self.ambient_rank)
+        return _array(self._free_rows, self.ambient_rank)
 
     @property
     def free_lift_matrix(self) -> np.ndarray:
         """Columns lifting each free coordinate back to Z^n."""
-        return self._Uinv[:, list(self._free_indices)].copy() if self._free_indices else zeros(self.ambient_rank, 0)
+        return _array(_transpose(self._free_lifts, self.ambient_rank), self.free_rank)
 
     def __repr__(self) -> str:
         return (
@@ -447,13 +510,13 @@ def quotient(ambient_rank: int, relations: Subgroup) -> QuotientPresentation:
     """Present Z^ambient_rank modulo the given subgroup of relations."""
     if relations.ambient_rank != ambient_rank:
         raise ValueError("relations live in a different ambient rank")
-    return _cokernel(relations.basis)
+    return _cokernel(_transpose(relations.columns(), ambient_rank), relations.rank)
 
 
-def _cokernel(m: np.ndarray) -> QuotientPresentation:
-    """Present Z^rows modulo the column span of m, through one Smith form."""
-    ambient_rank = m.shape[0]
-    full = _snf_with_inverses(m)
+def _cokernel(rows: list[list[int]], ncols: int) -> QuotientPresentation:
+    """Present Z^rows modulo the column span of trusted rows, through one Smith form."""
+    ambient_rank = len(rows)
+    full = _snf_with_inverses(rows, ncols)
     diag = snf_diagonal(full.D)
     s = len(diag)
     torsion_indices = tuple(i for i in range(s) if diag[i] >= 2)
@@ -474,18 +537,15 @@ def subgroup_intersection(a: Subgroup, b: Subgroup) -> Subgroup:
         raise ValueError("subgroups of different ambient ranks")
     if a.rank == 0 or b.rank == 0:
         return Subgroup.trivial(a.ambient_rank)
-    paired = np.hstack([a.basis, -b.basis])
-    ker = kernel_basis(paired)
-    gens = []
-    for col in ker.columns():
-        left = column_vector(col[: a.rank])
-        vec = a.basis @ left
-        gens.append(tuple(int(x) for x in vec[:, 0]))
-    return Subgroup.from_columns(a.ambient_rank, gens)
+    paired = list(a.columns()) + [tuple(-x for x in col) for col in b.columns()]
+    ker = _kernel(paired, a.ambient_rank)
+    a_cols = a.columns()
+    gens = [_combination(a_cols, col[: a.rank], a.ambient_rank) for col in ker.columns()]
+    return _span(a.ambient_rank, gens)
 
 
 def subgroup_sum(a: Subgroup, b: Subgroup) -> Subgroup:
     """Smallest subgroup containing both arguments."""
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("subgroups of different ambient ranks")
-    return Subgroup.from_columns(a.ambient_rank, list(a.columns()) + list(b.columns()))
+    return _span(a.ambient_rank, a.columns() + b.columns())

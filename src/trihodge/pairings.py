@@ -24,13 +24,12 @@ from .complexes import InvalidStateError, dual_complex, homology_complex
 from .diagram import TrisectionDiagram, ensure_valid, memoized
 from .lattice import (
     Subgroup,
+    _dot,
+    _solve,
+    _unimodular_inverse,
     as_int_vector,
-    column_vector,
-    integer_solve,
     intmat,
-    smith_normal_form,
     subgroup_intersection,
-    zeros,
 )
 
 _CYCLIC = ((1, 2), (2, 3), (3, 1))
@@ -361,11 +360,7 @@ def h1_basis(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
 def h3_representatives(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
     """Ambient lifts of a basis of the degree-three cohomology modulo torsion."""
     ensure_valid(d)
-    q = d.triple_quotient
-    return tuple(
-        tuple(int(e) for e in q.free_lift_matrix[:, j])
-        for j in range(q.free_rank)
-    )
+    return d.triple_quotient._free_lifts
 
 
 def h3_h1_gram(d: TrisectionDiagram) -> np.ndarray:
@@ -374,7 +369,7 @@ def h3_h1_gram(d: TrisectionDiagram) -> np.ndarray:
         [pairing_h3_h1(d, h3, h1) for h1 in h1_basis(d)] for h3 in h3_representatives(d)
     ]
     n = len(h1_basis(d))
-    return intmat(rows, cols=n) if rows else zeros(0, n)
+    return intmat(rows, cols=n)
 
 
 def evaluate_on_surface_class(d: TrisectionDiagram, x: OneOneCocycle, rep: H2DualRep) -> int:
@@ -426,11 +421,9 @@ def poincare_dual_rep(d: TrisectionDiagram, x: OneOneCocycle) -> H2DualRep:
     n = len(basis)
     if n == 0:
         return H2DualRep.zero(d)
-    eval_matrix = intmat(
-        [[evaluate_on_surface_class(d, basis[i], reps[j]) for j in range(n)] for i in range(n)]
-    )
-    rhs = [intersection_pairing(d, basis[i], x) for i in range(n)]
-    coeffs = integer_solve(eval_matrix, rhs)
+    eval_rows = [[evaluate_on_surface_class(d, b, rep) for rep in reps] for b in basis]
+    rhs = tuple(intersection_pairing(d, basis[i], x) for i in range(n))
+    coeffs = _solve(eval_rows, n, rhs)
     total = H2DualRep.zero(d)
     for cf, rep in zip(coeffs, reps):
         if cf:
@@ -439,13 +432,12 @@ def poincare_dual_rep(d: TrisectionDiagram, x: OneOneCocycle) -> H2DualRep:
 
 
 @memoized
-def _inverse_gram(d: TrisectionDiagram) -> np.ndarray:
-    """Integer inverse of the Gram matrix: V @ U from its Smith form U G V = I."""
+def _inverse_gram(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
+    """Integer inverse of the Gram matrix: V U from its Smith form U G V = I."""
     form = intersection_form(d)
     if not form.unimodular:
         raise InvalidStateError("the intersection form of a valid diagram is unimodular")
-    U, _, V = smith_normal_form(intmat([list(row) for row in form.gram], cols=form.rank))
-    return V @ U
+    return _unimodular_inverse([list(row) for row in form.gram])
 
 
 def cocycle_from_dual_rep(d: TrisectionDiagram, rep: H2DualRep) -> OneOneCocycle:
@@ -459,8 +451,8 @@ def cocycle_from_dual_rep(d: TrisectionDiagram, rep: H2DualRep) -> OneOneCocycle
     basis = h2_basis_cocycles(d)
     if not basis:
         return OneOneCocycle.zero(d)
-    rhs = column_vector([evaluate_on_surface_class(d, b, rep) for b in basis])
-    coeffs = (_inverse_gram(d) @ rhs)[:, 0]
+    rhs = [evaluate_on_surface_class(d, b, rep) for b in basis]
+    coeffs = [_dot(row, rhs) for row in _inverse_gram(d)]
     total = OneOneCocycle.zero(d)
     for cf, b in zip(coeffs, basis):
         if cf:

@@ -9,12 +9,9 @@ the package lives in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
-from .lattice import Subgroup, as_int_vector, zeros
+from .lattice import Subgroup, as_int_vector
 
 
 @dataclass(frozen=True)
@@ -31,27 +28,18 @@ class SymplecticLattice:
     def rank(self) -> int:
         return 2 * self.genus
 
-    @cached_property
-    def form_matrix(self) -> np.ndarray:
-        J = zeros(self.rank, self.rank)
-        for i in range(self.genus):
-            J[2 * i, 2 * i + 1] = 1
-            J[2 * i + 1, 2 * i] = -1
-        J.setflags(write=False)
-        return J
-
     def intersection_number(self, x: Sequence[int], y: Sequence[int]) -> int:
         """Algebraic intersection <x, y>; skew-symmetric and unimodular."""
-        x = as_int_vector(x, self.rank)
-        y = as_int_vector(y, self.rank)
-        total = 0
-        for i in range(self.genus):
-            total += x[2 * i] * y[2 * i + 1] - x[2 * i + 1] * y[2 * i]
-        return total
+        return _form(as_int_vector(x, self.rank), as_int_vector(y, self.rank))
 
     def is_isotropic(self, sub: Subgroup) -> bool:
         """Whether the form vanishes identically on the subgroup."""
         if sub.ambient_rank != self.rank:
             raise ValueError("subgroup lives in a different ambient rank")
-        B = sub.basis
-        return not np.any(B.T @ self.form_matrix @ B)
+        cols = sub.columns()
+        return not any(_form(x, y) for i, x in enumerate(cols) for y in cols[i + 1 :])
+
+
+def _form(x: Sequence[int], y: Sequence[int]) -> int:
+    """<x, y> on trusted vectors of equal even length; <x, x> = 0 always."""
+    return sum(x[i] * y[i + 1] - x[i + 1] * y[i] for i in range(0, len(x), 2))

@@ -1,6 +1,7 @@
 """Test-only constructions: random (co)cycles, duality maps, column spans,
-transvections, and four oracles: the Bareiss determinant, the Smith-form
-kernel, the Cech complexes behind the diamond and the brute-force spin filter.
+transvections, and five oracles: the numpy Smith form, the Bareiss
+determinant, the Smith-form kernel, the Cech complexes behind the diamond and
+the brute-force spin filter.
 
 The suites use these to generate inputs and to state laws; the package
 itself never needs them.
@@ -24,11 +25,9 @@ from trihodge.diagram import (
 from trihodge.lattice import (
     Subgroup,
     as_int_vector,
-    column_vector,
     identity,
     intmat,
     kernel_basis,
-    matrix_columns,
     smith_normal_form,
     snf_diagonal,
     zeros,
@@ -38,6 +37,113 @@ from trihodge.spin import QuadraticEnhancement
 from trihodge.surface import SymplecticLattice
 
 ORACLE_MAX_GENUS = 6
+
+
+def column_vector(v: Sequence[int]) -> np.ndarray:
+    return intmat([[x] for x in v], cols=1)
+
+
+def matrix_columns(m: np.ndarray) -> list[tuple[int, ...]]:
+    return [tuple(m[:, j]) for j in range(m.shape[1])]
+
+
+def form_matrix(lat: SymplecticLattice) -> np.ndarray:
+    """Matrix J of the intersection form: <x, y> = x^T J y."""
+    J = zeros(lat.rank, lat.rank)
+    for i in range(lat.genus):
+        J[2 * i, 2 * i + 1] = 1
+        J[2 * i + 1, 2 * i] = -1
+    return J
+
+
+def numpy_snf_with_inverses(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """U, D, V and U^{-1} of the Smith form, by whole-row and whole-column
+    updates of numpy object arrays.
+
+    The oracle for ``lattice._snf_with_inverses``, which makes the same pivot
+    choices and operations on rows of Python ints and must return the
+    identical transforms.
+    """
+    D = intmat(m.tolist(), cols=m.shape[1])
+    nrows, ncols = D.shape
+    U, Uinv = identity(nrows), identity(nrows)
+    V = identity(ncols)
+
+    def row_add(i, j, q):
+        # row_i += q * row_j
+        D[i, :] += q * D[j, :]
+        U[i, :] += q * U[j, :]
+        Uinv[:, j] -= q * Uinv[:, i]
+
+    def row_swap(i, j):
+        D[[i, j], :] = D[[j, i], :]
+        U[[i, j], :] = U[[j, i], :]
+        Uinv[:, [i, j]] = Uinv[:, [j, i]]
+
+    def row_negate(i):
+        D[i, :] = -D[i, :]
+        U[i, :] = -U[i, :]
+        Uinv[:, i] = -Uinv[:, i]
+
+    def col_add(j, k, q):
+        # col_j += q * col_k
+        D[:, j] += q * D[:, k]
+        V[:, j] += q * V[:, k]
+
+    def col_swap(j, k):
+        D[:, [j, k]] = D[:, [k, j]]
+        V[:, [j, k]] = V[:, [k, j]]
+
+    def smallest_nonzero(t):
+        best = best_abs = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if D[i, j] != 0 and (best is None or abs(D[i, j]) < best_abs):
+                    best, best_abs = (i, j), abs(D[i, j])
+        return best
+
+    def non_divisible(t):
+        for i in range(t + 1, nrows):
+            for j in range(t + 1, ncols):
+                if D[i, j] % D[t, t] != 0:
+                    return i
+        return None
+
+    t = 0
+    while t < min(nrows, ncols):
+        pos = smallest_nonzero(t)
+        if pos is None:
+            break
+        i, j = pos
+        if i != t:
+            row_swap(i, t)
+        if j != t:
+            col_swap(j, t)
+
+        dirty = False
+        for i in range(t + 1, nrows):
+            if D[i, t] != 0:
+                q = D[i, t] // D[t, t]
+                row_add(i, t, -q)
+                dirty = dirty or D[i, t] != 0
+        for j in range(t + 1, ncols):
+            if D[t, j] != 0:
+                q = D[t, j] // D[t, t]
+                col_add(j, t, -q)
+                dirty = dirty or D[t, j] != 0
+        if dirty:
+            continue
+
+        bad = non_divisible(t)
+        if bad is not None:
+            row_add(t, bad, 1)
+            continue
+
+        if D[t, t] < 0:
+            row_negate(t)
+        t += 1
+
+    return U, D, V, Uinv
 
 
 def det(m: np.ndarray) -> int:
@@ -99,14 +205,14 @@ def pi_dual(lat: SymplecticLattice, x: Sequence[int]) -> tuple[int, ...]:
     The assignment x -> <., x> identifies the lattice with its dual because
     the form is unimodular; concretely the coordinate vector is J @ x.
     """
-    out = lat.form_matrix @ column_vector(as_int_vector(x, lat.rank))
+    out = form_matrix(lat) @ column_vector(as_int_vector(x, lat.rank))
     return tuple(int(e) for e in out[:, 0])
 
 
 def transvection_matrix(lat: SymplecticLattice, v: Sequence[int]) -> np.ndarray:
     """Matrix of x -> x + <x, v> v, an integral symplectomorphism."""
     v = column_vector(as_int_vector(v, lat.rank))
-    return identity(lat.rank) + v @ (lat.form_matrix @ v).T
+    return identity(lat.rank) + v @ (form_matrix(lat) @ v).T
 
 
 def is_lagrangian(lat: SymplecticLattice, sub: Subgroup) -> bool:

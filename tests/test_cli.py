@@ -173,6 +173,26 @@ class TestExitCodes:
         run_cli(["homology", str(path)])
         assert built == [cli.MAX_GENUS, cli.MAX_GENUS]
 
+    def test_builtin_sum_above_bound_refused_before_any_diagram(self, monkeypatch):
+        built = []
+
+        def record(name):
+            built.append(name.count("#") + 1)
+            raise ValueError("stop here")
+
+        monkeypatch.setattr(cli, "builtin", record)
+        code, out, err = run_cli(["homology", "--builtin", "#".join(["S1xS3"] * 101)])
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(cli.MAX_GENUS) in err
+        assert built == []
+        run_cli(["homology", "--builtin", "#".join(["S1xS3"] * cli.MAX_GENUS)])
+        run_cli(["homology", "--builtin", "#".join(["QS4_Z3"] * 33 + ["CP2"])])
+        assert built == [cli.MAX_GENUS, 34]
+        code, _, err = run_cli(["homology", "--builtin", "#".join(["QS4_Z3"] * 34)])
+        assert code == EXIT_PARSE and "102" in err
+
     def test_internal_error_has_its_own_code(self, monkeypatch):
         def broken(d, args):
             raise RuntimeError("broken\ninvariant")

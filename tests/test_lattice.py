@@ -2,7 +2,8 @@
 
 Expected values in the example tests were worked out by hand; the property
 tests cross-check against sympy, which has an independent Smith normal form
-and exact rank/determinant code.
+and exact rank/determinant code. The Smith transforms are also checked entry
+for entry against the numpy implementation they replaced.
 """
 
 from __future__ import annotations
@@ -13,23 +14,34 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from trihodge.complexes import dual_complex, homology_complex
+from trihodge.diagram import diagram_from_curves
 from trihodge.lattice import (
     Subgroup,
+    _snf_with_inverses,
     as_int_vector,
     identity,
     integer_solve,
     intmat,
     invariant_factors,
     kernel_basis,
-    matrix_columns,
     quotient,
     smith_normal_form,
     subgroup_intersection,
     subgroup_sum,
     zeros,
 )
+from trihodge.surface import SymplecticLattice
 
-from helpers import det, image_subgroup, is_unimodular, smith_kernel_basis
+from helpers import (
+    det,
+    image_subgroup,
+    is_unimodular,
+    matrix_columns,
+    numpy_snf_with_inverses,
+    smith_kernel_basis,
+)
+from test_acceptance import RANDOM_SUITE
 
 
 def sympy_of(m):
@@ -112,6 +124,41 @@ class TestSmithNormalForm:
         ours = sorted(abs(int(D[i, i])) for i in range(min(D.shape)))
         theirs = sorted(abs(int(expected[i, i])) for i in range(min(D.shape)))
         assert ours == theirs
+
+
+big_entries = st.integers(min_value=-(2**70), max_value=2**70)
+
+
+@st.composite
+def snf_inputs(draw):
+    """Shapes 0..6, zero rows and zero columns included, small or 70-bit entries."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entries = draw(st.sampled_from([small_entries, big_entries]))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    return intmat(draw(st.lists(row, min_size=nrows, max_size=nrows)), cols=ncols)
+
+
+def assert_numpy_transforms(m):
+    """The Smith form on rows makes the numpy oracle's every pivot and step."""
+    full = _snf_with_inverses(m.tolist(), m.shape[1])
+    U, D, V, Uinv = numpy_snf_with_inverses(m)
+    assert full.U == U.tolist()
+    assert full.D == D.tolist()
+    assert full.V == V.tolist()
+    assert full.Uinv == Uinv.tolist()
+
+
+class TestTransformsMatchNumpyOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(snf_inputs())
+    def test_random_matrices(self, m):
+        assert_numpy_transforms(m)
+
+    def test_differentials_of_the_random_suite(self):
+        for d in RANDOM_SUITE:
+            for c in (homology_complex(d), dual_complex(d)):
+                for m in c.diffs:
+                    assert_numpy_transforms(m)
 
 
 class TestDeterminant:
@@ -334,21 +381,62 @@ class TestIntegerSolve:
         assert [int(e) for e in back[:, 0]] == rhs
 
 
-class TestHelpers:
-    def test_intmat_validation(self):
-        with pytest.raises(ValueError):
-            intmat([[1, 2], [3]])
-        with pytest.raises(ValueError):
-            intmat([[1.5]])
-        with pytest.raises(ValueError):
-            intmat([], cols=None)
+FREE_LINE = quotient(1, Subgroup.trivial(1))
 
-    def test_as_int_vector(self):
-        assert as_int_vector([1, 2, 3], 3) == (1, 2, 3)
-        with pytest.raises(ValueError):
-            as_int_vector([1, 2], 3)
-        with pytest.raises(ValueError):
-            as_int_vector([0.5], 1)
+# Each public entry point: a call placing one entry x in otherwise valid input
+# and returning what x became, plus calls with malformed shapes or lengths.
+ENTRY_POINTS = {
+    "intmat": (
+        lambda x: intmat([[x]])[0, 0],
+        [lambda: intmat([[1, 2], [3]]), lambda: intmat([], cols=None)],
+    ),
+    "as_int_vector": (
+        lambda x: as_int_vector([1, x, 3], 3)[1],
+        [lambda: as_int_vector([1, 2], 3)],
+    ),
+    "Subgroup.from_columns": (
+        lambda x: Subgroup.from_columns(1, [(x,)]).columns()[0][0],
+        [lambda: Subgroup.from_columns(2, [(1, 2, 3)])],
+    ),
+    "coordinates_of": (
+        lambda x: Subgroup.full(1).coordinates_of((x,))[0],
+        [lambda: Subgroup.full(2).coordinates_of((1,))],
+    ),
+    "QuotientPresentation.project": (
+        lambda x: FREE_LINE.project((x,))[0],
+        [lambda: FREE_LINE.project((1, 2))],
+    ),
+    "QuotientPresentation.lift": (
+        lambda x: FREE_LINE.lift((x,))[0],
+        [lambda: FREE_LINE.lift((1, 2))],
+    ),
+    "integer_solve rhs": (
+        lambda x: integer_solve(identity(1), [x])[0],
+        [lambda: integer_solve(identity(1), [1, 2])],
+    ),
+    "diagram_from_curves": (
+        lambda x: diagram_from_curves(1, [(x, 1)], [(0, 1)], [(1, 1)]).alpha.curves[0][0],
+        [lambda: diagram_from_curves(1, [(1, 0, 0)], [(0, 1)], [(1, 1)])],
+    ),
+    "intersection_number": (
+        lambda x: SymplecticLattice(1).intersection_number((x, 0), (0, 1)),
+        [lambda: SymplecticLattice(1).intersection_number((1, 0, 0), (0, 1))],
+    ),
+}
+
+
+class TestHelpers:
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_entry_point_checks_integers(self, name):
+        enter, malformed = ENTRY_POINTS[name]
+        for bad in (True, 1.0, np.float64(1), "1"):
+            with pytest.raises(ValueError):
+                enter(bad)
+        value = enter(np.int64(3))
+        assert value == 3 and type(value) is int
+        for call in malformed:
+            with pytest.raises(ValueError):
+                call()
 
     def test_invariant_factors(self):
         assert invariant_factors(intmat([[2, 0], [0, 3]])) == (1, 6)

@@ -81,9 +81,9 @@ def smith_forms(monkeypatch):
     calls = [0]
     inner = lattice._snf_with_inverses
 
-    def counted(m):
+    def counted(*args):
         calls[0] += 1
-        return inner(m)
+        return inner(*args)
 
     monkeypatch.setattr(lattice, "_snf_with_inverses", counted)
     return calls

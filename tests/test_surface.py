@@ -9,7 +9,14 @@ from hypothesis import given, settings, strategies as st
 from trihodge.lattice import Subgroup
 from trihodge.surface import SymplecticLattice
 
-from helpers import det, m_subgroup, pi_dual, standard_basis_vector, transvection_matrix
+from helpers import (
+    det,
+    form_matrix,
+    m_subgroup,
+    pi_dual,
+    standard_basis_vector,
+    transvection_matrix,
+)
 
 
 def vectors(rank):
@@ -52,7 +59,7 @@ class TestIntersectionNumber:
 
     def test_form_matrix_is_unimodular(self):
         for g in range(4):
-            assert abs(det(SymplecticLattice(g).form_matrix)) == 1
+            assert abs(det(form_matrix(SymplecticLattice(g)))) == 1
 
 
 class TestPiDual:
