@@ -8,7 +8,9 @@ Two complexes of free groups carry the computation:
   middle homology gives a second, independently computed copy of H2.
 
 Each homology group is one Smith form, computed once per complex position
-and shared by every query that needs the group or its generators.
+and shared by every query that needs the group or its generators. A complex
+keeps its differentials as the columns the kernels read; ``diffs`` builds
+matrices from them only when asked.
 
 The 3x3 Hodge-style diamond is ``homology_groups`` arranged with two constant
 outer columns; its antidiagonals assemble the cohomology. The Cech complexes
@@ -23,20 +25,23 @@ characteristic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
+from operator import is_
+from typing import TYPE_CHECKING
 
 from .diagram import TrisectionDiagram, ensure_valid, memoized
 from .lattice import (
-    _checked_rows,
     _cokernel,
+    _column_matrix,
     _combination,
     _dot,
     _kernel,
     _transpose,
-    intmat,
-    zeros,
+    as_int_vector,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class InvalidStateError(RuntimeError):
@@ -75,35 +80,39 @@ class HomologyGroup:
 class FreeChainComplex:
     """Finite complex of free abelian groups with explicit differentials.
 
-    Position i maps to position i+1 via ``diffs[i]``; consecutive composites
-    must vanish. ``degrees`` carries the semantic degree label of each
-    position (descending for the homology complex, ascending Cech degrees for
-    the cochain complexes). The differentials are made read-only, since one
-    complex is shared by every query on its diagram, and their columns are
-    kept as tuples for the kernels.
+    Position i maps to position i+1 by the differential whose columns are
+    ``columns[i]``: one tuple per basis vector of position i, each of length
+    ``ranks[i + 1]``. Consecutive composites must vanish. ``degrees`` carries
+    the semantic degree label of each position (descending for the homology
+    complex, ascending Cech degrees for the cochain complexes). Columns that
+    already are tuples of Python ints are kept as the same objects.
     """
 
     term_names: tuple[str, ...]
     ranks: tuple[int, ...]
     degrees: tuple[int, ...]
-    diffs: tuple[np.ndarray, ...]
+    columns: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self):
         n = len(self.ranks)
-        if len(self.term_names) != n or len(self.degrees) != n or len(self.diffs) != n - 1:
+        if len(self.term_names) != n or len(self.degrees) != n or len(self.columns) != n - 1:
             raise ValueError("inconsistent complex data")
-        for i, mat in enumerate(self.diffs):
-            if mat.shape != (self.ranks[i + 1], self.ranks[i]):
-                raise ValueError(
-                    f"differential {i} has shape {mat.shape}, expected "
-                    f"({self.ranks[i + 1]}, {self.ranks[i]})"
-                )
-            mat.setflags(write=False)
-        columns = tuple(tuple(map(tuple, _checked_rows(mat.T)[0])) for mat in self.diffs)
-        for i in range(len(columns) - 1):
+        columns = []
+        for i, (cols, nrows) in enumerate(zip(self.columns, self.ranks[1:])):
+            if len(cols) != self.ranks[i] or any(len(c) != nrows for c in cols):
+                raise ValueError(f"differential {i} does not have shape ({nrows}, {self.ranks[i]})")
+            checked = tuple(map(as_int_vector, cols))
+            same = type(cols) is tuple and all(map(is_, checked, cols))
+            columns.append(cols if same else checked)
+        for i in range(n - 2):
             if any(any(_combination(columns[i + 1], col, self.ranks[i + 2])) for col in columns[i]):
                 raise ValueError(f"differentials {i} and {i + 1} do not compose to zero")
-        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "columns", tuple(columns))
+
+    @cached_property
+    def diffs(self) -> tuple[np.ndarray, ...]:
+        """Read-only matrices of the differentials, built on first read."""
+        return tuple(_column_matrix(cols, r) for cols, r in zip(self.columns, self.ranks[1:]))
 
     def position_of_degree(self, degree: int) -> int:
         try:
@@ -128,13 +137,13 @@ class FreeChainComplex:
         """
         if not (0 <= pos < len(self.ranks)):
             raise ValueError("position out of range")
-        outgoing = self._columns[pos] if pos < len(self.diffs) else ((),) * self.ranks[pos]
-        out_rank = self.ranks[pos + 1] if pos < len(self.diffs) else 0
+        outgoing = self.columns[pos] if pos < len(self.columns) else ((),) * self.ranks[pos]
+        out_rank = self.ranks[pos + 1] if pos < len(self.columns) else 0
         cycles = _kernel(outgoing, out_rank)
         if cycles.rank == 0:
             return HomologyGroup(0), ()
         # boundary columns land in the cycle subgroup (d o d = 0, saturated basis)
-        coords = [cycles.coordinates_of(col) for col in (self._columns[pos - 1] if pos else ())]
+        coords = [cycles.coordinates_of(col) for col in (self.columns[pos - 1] if pos else ())]
         q = _cokernel(_transpose(coords, cycles.rank), len(coords))
         cols = cycles.columns()
         gens = tuple(_combination(cols, lift, self.ranks[pos]) for lift in q._free_lifts)
@@ -146,14 +155,13 @@ def homology(complex_: FreeChainComplex, degree: int) -> HomologyGroup:
     return complex_.homology_at(complex_.position_of_degree(degree))
 
 
-def _lagrangian_block_matrix(d: TrisectionDiagram) -> np.ndarray:
+def _lagrangian_block_matrix(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
     """Columns: canonical bases of L1, L2, L3 side by side (the total-sum map)."""
-    columns = [col for lam in (1, 2, 3) for col in d.lagrangian_subgroup(lam).columns()]
-    return intmat(_transpose(columns, 2 * d.genus), cols=len(columns))
+    return tuple(col for lam in (1, 2, 3) for col in d.lagrangian_subgroup(lam).columns())
 
 
-def _pair_difference_matrix(d: TrisectionDiagram) -> np.ndarray:
-    """Map from pairwise-intersection coordinates into Lagrangian coordinates.
+def _pair_difference_matrix(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
+    """Columns of the map from pairwise-intersection into Lagrangian coordinates.
 
     Input blocks run over the cyclic pair subgroups P_lam = L_lam n L_{lam+1};
     a generator w of block lam contributes -w to the L_lam block and +w to the
@@ -161,20 +169,15 @@ def _pair_difference_matrix(d: TrisectionDiagram) -> np.ndarray:
     """
     g = d.genus
     lag = [d.lagrangian_subgroup(lam) for lam in (1, 2, 3)]
-    pair = [d.pair_intersection(lam) for lam in (1, 2, 3)]
-    k_total = sum(p.rank for p in pair)
-    out = [[0] * k_total for _ in range(3 * g)]
-    col = 0
+    out = []
     for p_idx in range(3):
-        for w in pair[p_idx].columns():
-            minus = lag[p_idx].coordinates_of(w)
-            plus = lag[(p_idx + 1) % 3].coordinates_of(w)
-            for r, val in enumerate(minus):
-                out[p_idx * g + r][col] = -val
-            for r, val in enumerate(plus):
-                out[((p_idx + 1) % 3) * g + r][col] += val
-            col += 1
-    return intmat(out, cols=k_total)
+        nxt = (p_idx + 1) % 3
+        for w in d.pair_intersection(p_idx + 1).columns():
+            col = [0] * (3 * g)
+            col[p_idx * g : (p_idx + 1) * g] = [-x for x in lag[p_idx].coordinates_of(w)]
+            col[nxt * g : (nxt + 1) * g] = lag[nxt].coordinates_of(w)
+            out.append(tuple(col))
+    return tuple(out)
 
 
 @memoized
@@ -187,12 +190,11 @@ def homology_complex(d: TrisectionDiagram) -> FreeChainComplex:
     ensure_valid(d)
     g = d.genus
     k_total = sum(d.pair_intersection(lam).rank for lam in (1, 2, 3))
-    ranks = (1, k_total, 3 * g, 2 * g, 1)
-    diffs = (
-        zeros(k_total, 1),
+    columns = (
+        ((0,) * k_total,),
         _pair_difference_matrix(d),
         _lagrangian_block_matrix(d),
-        zeros(1, 2 * g),
+        ((0,),) * (2 * g),
     )
     return FreeChainComplex(
         term_names=(
@@ -202,9 +204,9 @@ def homology_complex(d: TrisectionDiagram) -> FreeChainComplex:
             "surface lattice",
             "Z",
         ),
-        ranks=ranks,
+        ranks=(1, k_total, 3 * g, 2 * g, 1),
         degrees=(4, 3, 2, 1, 0),
-        diffs=diffs,
+        columns=columns,
     )
 
 
@@ -227,15 +229,12 @@ def dual_complex(d: TrisectionDiagram) -> FreeChainComplex:
     """
     ensure_valid(d)
     g = d.genus
-    rank2g = 2 * g
     hb = [d.handlebody_quotient(lam) for lam in (1, 2, 3)]
     pq = [d.pair_quotient(lam) for lam in (1, 2, 3)]
     if any(q.torsion for q in hb + pq):
         raise InvalidStateError("free quotients expected for a valid diagram")
 
     diag_map = [row for q in hb for row in q._free_rows]
-
-    k_ranks = [q.free_rank for q in pq]
     diff_map = []
     for lam_idx in range(3):
         nxt = (lam_idx + 1) % 3
@@ -248,9 +247,9 @@ def dual_complex(d: TrisectionDiagram) -> FreeChainComplex:
 
     return FreeChainComplex(
         term_names=("surface classes", "handlebody quotients", "sector boundary quotients"),
-        ranks=(rank2g, 3 * g, sum(k_ranks)),
+        ranks=(2 * g, 3 * g, len(diff_map)),
         degrees=(0, 1, 2),
-        diffs=(intmat(diag_map, cols=rank2g), intmat(diff_map, cols=3 * g)),
+        columns=(_transpose(diag_map, 2 * g), _transpose(diff_map, 3 * g)),
     )
 
 

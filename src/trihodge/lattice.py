@@ -10,24 +10,25 @@ every subgroup. Smith forms serve only what needs invariant factors or
 transforms: quotients, homology presentations and integer solves.
 
 Inside the package a matrix is a list of rows of Python ints, and a subgroup
-keeps its canonical columns as tuples, so all arithmetic is exact at any
-magnitude. Entries are checked once, where they enter from outside (``intmat``,
-``as_int_vector`` and the public functions taking a matrix); the kernels trust
-rows the package built itself. Matrices handed back to callers (a subgroup's
-``basis``, a complex's ``diffs``, the result of ``smith_normal_form``, the
-quotient's free part and lift matrices) are numpy arrays with ``dtype=object``
-holding Python ints. No code path here (or anywhere else in the package)
-touches floating point.
+or a chain complex keeps its columns as tuples, so all arithmetic is exact at
+any magnitude. Entries are checked once, where they enter from outside
+(``intmat``, ``as_int_vector`` and the public functions taking a matrix); the
+kernels trust rows the package built itself. numpy is a boundary format only:
+matrices handed back to callers (a subgroup's ``basis``, a complex's
+``diffs``, the result of ``smith_normal_form``) are object arrays of Python
+ints, built by ``_array`` when asked for. No code path touches floating point.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from operator import index, mul
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def intmat(rows: Sequence[Sequence[int]], *, cols: int | None = None) -> np.ndarray:
@@ -50,7 +51,7 @@ def intmat(rows: Sequence[Sequence[int]], *, cols: int | None = None) -> np.ndar
 
 
 def zeros(nrows: int, ncols: int) -> np.ndarray:
-    return np.zeros((nrows, ncols), dtype=object)
+    return _array([[0] * ncols for _ in range(nrows)], ncols)
 
 
 def identity(n: int) -> np.ndarray:
@@ -60,9 +61,10 @@ def identity(n: int) -> np.ndarray:
 def _as_int(x) -> int:
     if type(x) is int:
         return x
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise ValueError(f"integer entry expected, got {x!r}")
-    return int(x)
+    if not isinstance(x, bool):
+        with suppress(TypeError):
+            return index(x)
+    raise ValueError(f"integer entry expected, got {x!r}")
 
 
 def as_int_vector(v: Iterable[int], length: int | None = None) -> tuple[int, ...]:
@@ -78,14 +80,25 @@ def as_int_vector(v: Iterable[int], length: int | None = None) -> tuple[int, ...
 
 
 def _array(rows: Sequence[Sequence[int]], ncols: int) -> np.ndarray:
-    """Object array of trusted rows; the column count fixes the shape of an empty one."""
+    """Object array of trusted rows; the column count fixes the shape of an empty one.
+
+    The package's one numpy import, made only when a caller reads a matrix.
+    """
+    import numpy as np
+
     return np.array(rows, dtype=object).reshape(len(rows), ncols)
+
+
+def _column_matrix(columns: Sequence[Sequence[int]], nrows: int) -> np.ndarray:
+    """Read-only nrows x len(columns) matrix with the given trusted columns."""
+    out = _array(_transpose(columns, nrows), len(columns))
+    out.setflags(write=False)
+    return out
 
 
 def _checked_rows(m: np.ndarray) -> tuple[list[list[int]], int]:
     """Rows and width of a matrix from outside the package, every entry checked."""
-    rows = np.asarray(m, dtype=object).tolist()
-    return [[_as_int(x) for x in row] for row in rows], m.shape[1]
+    return [[_as_int(x) for x in row] for row in m.tolist()], m.shape[1]
 
 
 def _identity_rows(n: int) -> list[list[int]]:
@@ -319,9 +332,7 @@ class Subgroup:
     @cached_property
     def basis(self) -> np.ndarray:
         """The canonical columns as a read-only ambient_rank x rank matrix."""
-        out = _array(_transpose(self._columns, self.ambient_rank), self.rank)
-        out.setflags(write=False)
-        return out
+        return _column_matrix(self._columns, self.ambient_rank)
 
     @cached_property
     def _pivots(self) -> tuple[tuple[int, int], ...]:
@@ -488,16 +499,6 @@ class QuotientPresentation:
     def _free_lifts(self) -> tuple[tuple[int, ...], ...]:
         """The ambient vector lifting each free coordinate."""
         return tuple(tuple(row[i] for row in self._Uinv) for i in self._free_indices)
-
-    @property
-    def free_part_matrix(self) -> np.ndarray:
-        """Matrix of the map Z^n -> Z^free_rank onto the free coordinates."""
-        return _array(self._free_rows, self.ambient_rank)
-
-    @property
-    def free_lift_matrix(self) -> np.ndarray:
-        """Columns lifting each free coordinate back to Z^n."""
-        return _array(_transpose(self._free_lifts, self.ambient_rank), self.free_rank)
 
     def __repr__(self) -> str:
         return (

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .complexes import InvalidStateError, dual_complex, homology_complex
 from .diagram import TrisectionDiagram, ensure_valid, memoized
 from .lattice import (
@@ -28,7 +26,6 @@ from .lattice import (
     _solve,
     _unimodular_inverse,
     as_int_vector,
-    intmat,
     subgroup_intersection,
 )
 
@@ -270,7 +267,10 @@ def _signature_of_symmetric(
     diagonal pivot when one exists, otherwise make one by adding a row and
     column (which turns an off-diagonal entry 2m into a diagonal one). Every
     step is a congruence by a determinant-one matrix, so the determinant is
-    the product of the pivots, or 0 when rows are left over.
+    the product of the pivots, or 0 when rows are left over. Clearing the
+    pivot at index t leaves the Schur complement M[r][s] - M[r][t] M[t][s] /
+    M[t][t] on the rows and columns still active; nothing outside that block
+    is read again.
     """
     n = len(gram)
     M = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
@@ -288,9 +288,9 @@ def _signature_of_symmetric(
                 det = Fraction(0)
                 break
             i, j = off
-            for k in range(n):
+            for k in active:
                 M[i][k] += M[j][k]
-            for k in range(n):
+            for k in active:
                 M[k][i] += M[k][j]
             pivot_row = i
         p = M[pivot_row][pivot_row]
@@ -303,10 +303,8 @@ def _signature_of_symmetric(
         for r in active:
             f = M[r][pivot_row] / p
             if f:
-                for k in range(n):
-                    M[r][k] -= f * M[pivot_row][k]
-                for k in range(n):
-                    M[k][r] -= f * M[k][pivot_row]
+                for s in active:
+                    M[r][s] -= f * M[pivot_row][s]
     return (pos, neg), int(det)
 
 
@@ -361,15 +359,6 @@ def h3_representatives(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
     """Ambient lifts of a basis of the degree-three cohomology modulo torsion."""
     ensure_valid(d)
     return d.triple_quotient._free_lifts
-
-
-def h3_h1_gram(d: TrisectionDiagram) -> np.ndarray:
-    """Matrix of the degree-three against degree-one pairing on the bases above."""
-    rows = [
-        [pairing_h3_h1(d, h3, h1) for h1 in h1_basis(d)] for h3 in h3_representatives(d)
-    ]
-    n = len(h1_basis(d))
-    return intmat(rows, cols=n)
 
 
 def evaluate_on_surface_class(d: TrisectionDiagram, x: OneOneCocycle, rep: H2DualRep) -> int:

@@ -1,7 +1,8 @@
 """Test-only constructions: random (co)cycles, duality maps, column spans,
-transvections, and five oracles: the numpy Smith form, the Bareiss
-determinant, the Smith-form kernel, the Cech complexes behind the diamond and
-the brute-force spin filter.
+transvections, the degree-three against degree-one Gram matrix, and six
+oracles: the numpy Smith form, the Bareiss determinant, the full-width
+congruence diagonalization, the Smith-form kernel, the Cech complexes behind
+the diamond and the brute-force spin filter.
 
 The suites use these to generate inputs and to state laws; the package
 itself never needs them.
@@ -10,6 +11,7 @@ itself never needs them.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +34,13 @@ from trihodge.lattice import (
     snf_diagonal,
     zeros,
 )
-from trihodge.pairings import H2DualRep, OneOneCocycle
+from trihodge.pairings import (
+    H2DualRep,
+    OneOneCocycle,
+    h1_basis,
+    h3_representatives,
+    pairing_h3_h1,
+)
 from trihodge.spin import QuadraticEnhancement
 from trihodge.surface import SymplecticLattice
 
@@ -175,6 +183,53 @@ def det(m: np.ndarray) -> int:
     return sign * int(M[n - 1, n - 1])
 
 
+def full_width_signature(
+    gram: tuple[tuple[int, ...], ...],
+) -> tuple[tuple[int, int], int]:
+    """Inertia and determinant by congruence steps that update every column of
+    each active row and then every row of its column.
+
+    The oracle for ``pairings._signature_of_symmetric``, which updates only
+    the active block and must find the same pivots.
+    """
+    n = len(gram)
+    M = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
+    pos = neg = 0
+    det = Fraction(1)
+    active = list(range(n))
+    while active:
+        pivot_row = next((i for i in active if M[i][i]), None)
+        if pivot_row is None:
+            off = next(
+                ((i, j) for i in active for j in active if i != j and M[i][j]),
+                None,
+            )
+            if off is None:
+                det = Fraction(0)
+                break
+            i, j = off
+            for k in range(n):
+                M[i][k] += M[j][k]
+            for k in range(n):
+                M[k][i] += M[k][j]
+            pivot_row = i
+        p = M[pivot_row][pivot_row]
+        det *= p
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        active.remove(pivot_row)
+        for r in active:
+            f = M[r][pivot_row] / p
+            if f:
+                for k in range(n):
+                    M[r][k] -= f * M[pivot_row][k]
+                for k in range(n):
+                    M[k][r] -= f * M[k][pivot_row]
+    return (pos, neg), int(det)
+
+
 def is_unimodular(m: np.ndarray) -> bool:
     return m.shape[0] == m.shape[1] and abs(det(m)) == 1
 
@@ -243,13 +298,11 @@ def cech_complex(d: TrisectionDiagram, sheaf_degree: int) -> FreeChainComplex:
     """
     ensure_valid(d)
     if sheaf_degree == 0:
-        delta0 = intmat([[1, -1, 0], [0, 1, -1], [-1, 0, 1]])
-        delta1 = intmat([[1, 1, 1]])
         return FreeChainComplex(
             term_names=("sector constants", "pair constants", "central constant"),
             ranks=(3, 3, 1),
             degrees=(0, 1, 2),
-            diffs=(delta0, delta1),
+            columns=(((1, 0, -1), (-1, 1, 0), (0, -1, 1)), ((1,), (1,), (1,))),
         )
     if sheaf_degree == 1:
         c = homology_complex(d)
@@ -257,16 +310,25 @@ def cech_complex(d: TrisectionDiagram, sheaf_degree: int) -> FreeChainComplex:
             term_names=("sector classes", "handlebody classes", "surface classes"),
             ranks=c.ranks[1:4],
             degrees=(0, 1, 2),
-            diffs=c.diffs[1:3],
+            columns=c.columns[1:3],
         )
     if sheaf_degree == 2:
         return FreeChainComplex(
             term_names=("zero", "zero", "central constant"),
             ranks=(0, 0, 1),
             degrees=(0, 1, 2),
-            diffs=(zeros(0, 0), zeros(1, 0)),
+            columns=((), ()),
         )
     raise ValueError("sheaf degree must be 0, 1 or 2")
+
+
+def h3_h1_gram(d: TrisectionDiagram) -> np.ndarray:
+    """Matrix of the degree-three against degree-one pairing on the bases of
+    ``h3_representatives`` and ``h1_basis``."""
+    rows = [
+        [pairing_h3_h1(d, h3, h1) for h1 in h1_basis(d)] for h3 in h3_representatives(d)
+    ]
+    return intmat(rows, cols=len(h1_basis(d)))
 
 
 def _random_combination(basis: np.ndarray, rng: random.Random, span: int) -> tuple[int, ...]:

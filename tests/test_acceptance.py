@@ -40,7 +40,6 @@ from trihodge.pairings import (
     H2DualRep,
     cocycle_from_dual_rep,
     h1_basis,
-    h3_h1_gram,
     h3_representatives,
     intersection_form,
     intersection_pairing,
@@ -56,7 +55,14 @@ from trihodge.spinc import (
     lutz_shift,
 )
 
-from helpers import cech_complex, det, random_coboundary, random_cocycle, random_cycle_rep
+from helpers import (
+    cech_complex,
+    det,
+    h3_h1_gram,
+    random_coboundary,
+    random_cocycle,
+    random_cycle_rep,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 

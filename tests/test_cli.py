@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from trihodge import cli
 from trihodge.cli import EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_PARSE, main
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).parent / "golden"
 REP_FILE = str(GOLDEN / "rep_cp2.json")
 
@@ -53,6 +57,44 @@ def test_golden_output(golden_name, argv):
     assert out == (GOLDEN / golden_name).read_text(encoding="utf-8")
     code2, out2, _ = run_cli(argv)
     assert code2 == code and out2 == out
+
+
+# Runs main(argv) in a fresh interpreter (argv empty: import only) and
+# prints its exit code and whether numpy was ever loaded.
+NUMPY_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+from trihodge.cli import main
+argv = sys.argv[1:]
+with redirect_stdout(io.StringIO()):
+    code = main(argv) if argv else 0
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+NUMPY_FREE_CASES = [
+    [],
+    ["validate", "--builtin", "CP2"],
+    ["homology", "--builtin", "QS4_Z3"],
+    ["diamond", "--builtin", "S1xS3"],
+    ["form", "--genus", "3", "--seed", "1"],
+    ["spin", "--builtin", "S2xS2"],
+    ["spinc", "--builtin", "CP2", "--act", REP_FILE],
+]
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_CASES, ids=lambda a: a[0] if a else "import")
+def test_cli_never_loads_numpy(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [EXIT_OK, False]
 
 
 class TestExitCodes:

@@ -20,7 +20,7 @@ from trihodge.complexes import (
     serre_duality_holds,
 )
 from trihodge.diagram import builtin, euler_characteristic, random_diagram
-from trihodge.lattice import intmat, kernel_basis
+from trihodge.lattice import kernel_basis
 
 from helpers import cech_complex
 
@@ -58,7 +58,7 @@ def test_complex_rejects_non_composing_differentials():
             term_names=("a", "b", "c"),
             ranks=(1, 1, 1),
             degrees=(0, 1, 2),
-            diffs=(intmat([[1]]), intmat([[1]])),
+            columns=(((1,),), ((1,),)),
         )
 
 
@@ -68,7 +68,7 @@ def test_complex_rejects_shape_mismatch():
             term_names=("a", "b"),
             ranks=(2, 1),
             degrees=(0, 1),
-            diffs=(intmat([[1, 0], [0, 1]]),),
+            columns=(((1, 0), (0, 1)),),
         )
 
 
@@ -134,7 +134,7 @@ def test_cech_middle_column_reuses_the_homology_complex():
     d = builtin("S2xS2#QS4_Z3")
     c, fm = cech_complex(d, 1), homology_complex(d)
     assert c.ranks == fm.ranks[1:4]
-    assert all(a is b for a, b in zip(c.diffs, fm.diffs[1:3]))
+    assert all(a is b for a, b in zip(c.columns, fm.columns[1:3]))
 
 
 def test_universal_coefficients_with_torsion():

@@ -429,11 +429,12 @@ class TestHelpers:
     @pytest.mark.parametrize("name", ENTRY_POINTS)
     def test_entry_point_checks_integers(self, name):
         enter, malformed = ENTRY_POINTS[name]
-        for bad in (True, 1.0, np.float64(1), "1"):
+        for bad in (True, np.bool_(True), 1.0, np.float64(1), "1"):
             with pytest.raises(ValueError):
                 enter(bad)
-        value = enter(np.int64(3))
-        assert value == 3 and type(value) is int
+        for good in (np.int64(3), np.uint8(3)):
+            value = enter(good)
+            assert value == 3 and type(value) is int
         for call in malformed:
             with pytest.raises(ValueError):
                 call()

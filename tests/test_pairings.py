@@ -18,7 +18,6 @@ from trihodge.pairings import (
     evaluate_on_surface_class,
     h1_basis,
     h2_basis_cocycles,
-    h3_h1_gram,
     h3_representatives,
     intersection_form,
     intersection_pairing,
@@ -27,7 +26,14 @@ from trihodge.pairings import (
     triple_intersection,
 )
 
-from helpers import det, random_coboundary, random_cocycle, random_cycle_rep
+from helpers import (
+    det,
+    full_width_signature,
+    h3_h1_gram,
+    random_coboundary,
+    random_cocycle,
+    random_cycle_rep,
+)
 
 CP2 = builtin("CP2")
 S1XS3 = builtin("S1xS3")
@@ -164,6 +170,12 @@ def test_pivot_determinant_matches_sympy(gram):
     M = sympy.Matrix(n, n, lambda i, j: gram[i][j])
     assert d == M.det()
     assert pos + neg == M.rank()
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices(max_dim=7))
+def test_active_block_signature_matches_full_width_oracle(gram):
+    assert _signature_of_symmetric(gram) == full_width_signature(gram)
 
 
 @settings(max_examples=50, deadline=None)
