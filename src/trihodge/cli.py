@@ -7,11 +7,12 @@ line order, plain decimal integers, torsion rendered as Z/d tokens. The
 
 Exit codes: 0 success (and diagram valid), 1 invalid diagram or rep, or a
 refused computation (a spin listing over spin.MAX_LISTED structures),
-2 unreadable or malformed input (including a --genus, a JSON genus or a
---builtin connected sum of genus above MAX_GENUS = 100, refused before any
-diagram is built), 3 internal error (a
-bug, such as a broken internal invariant; reported as one ``error:
-internal:`` line on stderr, never as a traceback).
+2 unreadable or malformed input (including a file that is not UTF-8, JSON
+with an integer longer than Python's integer-string digit limit or nested
+too deep to parse, and a --genus, a JSON genus or a --builtin connected sum
+of genus above MAX_GENUS = 100, refused before any diagram is built),
+3 internal error (a bug, such as a broken internal invariant; reported as
+one ``error: internal:`` line on stderr, never as a traceback).
 """
 
 from __future__ import annotations
@@ -85,12 +86,18 @@ def _read_json_file(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliInputError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliInputError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # the only other ValueError: the integer digit limit
+        raise CliInputError(f"{path}: invalid JSON: integer has too many digits") from exc
+    except RecursionError as exc:
+        raise CliInputError(f"{path}: invalid JSON: nested too deep") from exc
 
 
 def _is_int(x) -> bool:

@@ -8,6 +8,10 @@ of handlebody H1 classes satisfying the cyclic matching conditions. The two
 sides meet in an integer evaluation pairing, and an exact linear solve
 converts one representation into the other.
 
+A class derived from others (a sum, a multiple, a solved combination of a
+basis) is built in one step: the component vectors are summed first, then
+the class is constructed once, so its checks run once on the result.
+
 Everything here is integer arithmetic; the signature and the determinant of
 the form use Fraction pivots only as bookkeeping for an exact congruence
 diagonalization.
@@ -22,6 +26,7 @@ from .complexes import InvalidStateError, dual_complex, homology_complex
 from .diagram import TrisectionDiagram, ensure_valid, memoized
 from .lattice import (
     Subgroup,
+    _combination,
     _dot,
     _solve,
     _unimodular_inverse,
@@ -29,19 +34,18 @@ from .lattice import (
     subgroup_intersection,
 )
 
-_CYCLIC = ((1, 2), (2, 3), (3, 1))
-
 
 class CycleConditionError(ValueError):
     """A handlebody-class triple fails one of the cyclic matching conditions."""
 
 
-def _vector_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vector_scale(n: int, a: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(n * x for x in a)
+def _matching_failure(d: TrisectionDiagram, lifts) -> str | None:
+    """The first cyclic matching condition three ambient lifts fail, or None."""
+    for lam, nxt in ((1, 2), (2, 3), (3, 1)):
+        diff = _combination((lifts[lam - 1], lifts[nxt - 1]), (1, -1), 2 * d.genus)
+        if not d.pair_quotient(lam).is_zero(diff):
+            return f"a{lam} - a{nxt} is nonzero in the sector boundary quotient {lam}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,7 @@ class OneOneCocycle:
         for lam, b in enumerate(self.blocks, start=1):
             if not self.diagram.lagrangian_subgroup(lam).contains(b):
                 raise ValueError(f"component {lam} does not lie in Lagrangian {lam}")
-        if any(_vector_add(_vector_add(self.b1, self.b2), self.b3)):
+        if any(map(sum, zip(*self.blocks))):
             raise ValueError("components do not sum to zero")
 
     @property
@@ -70,8 +74,7 @@ class OneOneCocycle:
 
     @classmethod
     def zero(cls, d: TrisectionDiagram) -> "OneOneCocycle":
-        z = (0,) * (2 * d.genus)
-        return cls(d, z, z, z)
+        return _cocycle_combination(d, (), ())
 
     @classmethod
     def from_lagrangian_coordinates(
@@ -97,28 +100,26 @@ class OneOneCocycle:
         return not any(self.b1) and not any(self.b2) and not any(self.b3)
 
     def __add__(self, other: "OneOneCocycle") -> "OneOneCocycle":
-        if self.diagram != other.diagram:
-            raise ValueError("cocycles belong to different diagrams")
-        return OneOneCocycle(
-            self.diagram,
-            _vector_add(self.b1, other.b1),
-            _vector_add(self.b2, other.b2),
-            _vector_add(self.b3, other.b3),
-        )
+        return _cocycle_combination(self.diagram, (self, other), (1, 1))
 
     def scale(self, n: int) -> "OneOneCocycle":
-        return OneOneCocycle(
-            self.diagram,
-            _vector_scale(n, self.b1),
-            _vector_scale(n, self.b2),
-            _vector_scale(n, self.b3),
-        )
+        return _cocycle_combination(self.diagram, (self,), (n,))
 
     def __neg__(self) -> "OneOneCocycle":
         return self.scale(-1)
 
     def __sub__(self, other: "OneOneCocycle") -> "OneOneCocycle":
-        return self + (-other)
+        return _cocycle_combination(self.diagram, (self, other), (1, -1))
+
+
+def _cocycle_combination(d: TrisectionDiagram, xs, coeffs) -> OneOneCocycle:
+    """sum_j coeffs[j] * xs[j] over d, one construction; zero when xs is empty."""
+    if any(x.diagram != d for x in xs):
+        raise ValueError("cocycles belong to different diagrams")
+    width = 2 * d.genus
+    return OneOneCocycle(
+        d, *(_combination([x.blocks[i] for x in xs], coeffs, width) for i in range(3))
+    )
 
 
 @dataclass(frozen=True)
@@ -149,12 +150,9 @@ class H2DualRep:
             q = d.handlebody_quotient(lam)
             if q.project(lifts[lam - 1]) != coords[lam - 1]:
                 raise ValueError(f"lift {lam} does not project to its coordinates")
-        for lam, nxt in _CYCLIC:
-            diff = tuple(x - y for x, y in zip(lifts[lam - 1], lifts[nxt - 1]))
-            if not d.pair_quotient(lam).is_zero(diff):
-                raise CycleConditionError(
-                    f"a{lam} - a{nxt} is nonzero in the sector boundary quotient {lam}"
-                )
+        failure = _matching_failure(d, lifts)
+        if failure:
+            raise CycleConditionError(failure)
 
     @classmethod
     def from_lifts(
@@ -176,38 +174,39 @@ class H2DualRep:
 
     @classmethod
     def zero(cls, d: TrisectionDiagram) -> "H2DualRep":
-        g = d.genus
-        return cls(d, ((0,) * g,) * 3, ((0,) * (2 * g),) * 3)
+        return _rep_combination(d, (), ())
 
     @property
     def is_zero(self) -> bool:
         return not any(any(c) for c in self.coords)
 
     def __add__(self, other: "H2DualRep") -> "H2DualRep":
-        if self.diagram != other.diagram:
-            raise ValueError("dual reps belong to different diagrams")
-        coords = tuple(_vector_add(a, b) for a, b in zip(self.coords, other.coords))
-        lifts = tuple(_vector_add(a, b) for a, b in zip(self.lifts, other.lifts))
-        return H2DualRep(self.diagram, coords, lifts)
+        return _rep_combination(self.diagram, (self, other), (1, 1))
 
     def scale(self, n: int) -> "H2DualRep":
-        coords = tuple(_vector_scale(n, c) for c in self.coords)
-        lifts = tuple(_vector_scale(n, v) for v in self.lifts)
-        return H2DualRep(self.diagram, coords, lifts)
+        return _rep_combination(self.diagram, (self,), (n,))
 
     def __neg__(self) -> "H2DualRep":
         return self.scale(-1)
 
     def __sub__(self, other: "H2DualRep") -> "H2DualRep":
-        return self + (-other)
+        return _rep_combination(self.diagram, (self, other), (1, -1))
 
 
-def _normalized_sign(vec: tuple[int, ...]) -> int:
-    """+1 if the first nonzero entry is positive, -1 if negative, +1 for zero."""
-    for e in vec:
-        if e:
-            return 1 if e > 0 else -1
-    return 1
+def _rep_combination(d: TrisectionDiagram, reps, coeffs) -> H2DualRep:
+    """sum_j coeffs[j] * reps[j] over d, one construction; zero when reps is empty."""
+    if any(r.diagram != d for r in reps):
+        raise ValueError("dual reps belong to different diagrams")
+    g = d.genus
+    coords = tuple(_combination([r.coords[i] for r in reps], coeffs, g) for i in range(3))
+    lifts = tuple(_combination([r.lifts[i] for r in reps], coeffs, 2 * g) for i in range(3))
+    return H2DualRep(d, coords, lifts)
+
+
+def _sign_normalized(vec: tuple[int, ...]) -> tuple[int, ...]:
+    """vec or -vec, whichever has a positive first nonzero entry."""
+    sign = next((1 if e > 0 else -1 for e in vec if e), 1)
+    return _combination((vec,), (sign,), len(vec))
 
 
 @memoized
@@ -220,11 +219,9 @@ def h2_basis_cocycles(d: TrisectionDiagram) -> tuple[OneOneCocycle, ...]:
     """
     c = homology_complex(d)
     _, gens = c.homology_with_generators(c.position_of_degree(2))
-    out = []
-    for gen in gens:
-        gen = _vector_scale(_normalized_sign(gen), gen)
-        out.append(OneOneCocycle.from_lagrangian_coordinates(d, gen))
-    return tuple(out)
+    return tuple(
+        OneOneCocycle.from_lagrangian_coordinates(d, _sign_normalized(gen)) for gen in gens
+    )
 
 
 def _check_cocycle(d: TrisectionDiagram, x: OneOneCocycle, name: str) -> None:
@@ -385,14 +382,11 @@ def dual_rep_basis(d: TrisectionDiagram) -> tuple[H2DualRep, ...]:
     sign-normalized like the cocycle basis.
     """
     g = d.genus
-    c = dual_complex(d)
-    _, gens = c.homology_with_generators(1)
-    out = []
-    for gen in gens:
-        gen = _vector_scale(_normalized_sign(gen), gen)
-        coords = (gen[:g], gen[g : 2 * g], gen[2 * g :])
-        out.append(H2DualRep.from_coords(d, coords))
-    return tuple(out)
+    _, gens = dual_complex(d).homology_with_generators(1)
+    return tuple(
+        H2DualRep.from_coords(d, (v[:g], v[g : 2 * g], v[2 * g :]))
+        for v in map(_sign_normalized, gens)
+    )
 
 
 def poincare_dual_rep(d: TrisectionDiagram, x: OneOneCocycle) -> H2DualRep:
@@ -400,24 +394,18 @@ def poincare_dual_rep(d: TrisectionDiagram, x: OneOneCocycle) -> H2DualRep:
 
     Returns a rep K with evaluate_on_surface_class(d, b, K) equal to
     intersection_pairing(d, b, x) for every basis cocycle b. The solve is
-    modulo torsion; unimodularity of the form makes it integral.
+    modulo torsion; unimodularity of the form makes it integral. K is the
+    solved combination of the dual-rep basis, constructed once (the zero rep
+    when b2 = 0).
     """
     _check_cocycle(d, x, "cocycle")
     basis = h2_basis_cocycles(d)
     reps = dual_rep_basis(d)
     if len(basis) != len(reps):
         raise ValueError("cocycle and dual-rep bases have mismatched ranks")
-    n = len(basis)
-    if n == 0:
-        return H2DualRep.zero(d)
     eval_rows = [[evaluate_on_surface_class(d, b, rep) for rep in reps] for b in basis]
-    rhs = tuple(intersection_pairing(d, basis[i], x) for i in range(n))
-    coeffs = _solve(eval_rows, n, rhs)
-    total = H2DualRep.zero(d)
-    for cf, rep in zip(coeffs, reps):
-        if cf:
-            total = total + rep.scale(cf)
-    return total
+    rhs = tuple(intersection_pairing(d, b, x) for b in basis)
+    return _rep_combination(d, reps, _solve(eval_rows, len(reps), rhs))
 
 
 @memoized
@@ -433,18 +421,13 @@ def cocycle_from_dual_rep(d: TrisectionDiagram, rep: H2DualRep) -> OneOneCocycle
     """Inverse direction of the duality solve, modulo torsion.
 
     Returns a cocycle c with intersection_pairing(d, b, c) equal to
-    evaluate_on_surface_class(d, b, rep) for every basis cocycle b.
+    evaluate_on_surface_class(d, b, rep) for every basis cocycle b: the
+    combination of the cocycle basis with coefficients G^-1 times those
+    evaluations, constructed once (the zero cocycle when b2 = 0).
     """
     if rep.diagram != d:
         raise ValueError("dual rep belongs to a different diagram")
     basis = h2_basis_cocycles(d)
-    if not basis:
-        return OneOneCocycle.zero(d)
     rhs = [evaluate_on_surface_class(d, b, rep) for b in basis]
-    coeffs = [_dot(row, rhs) for row in _inverse_gram(d)]
-    total = OneOneCocycle.zero(d)
-    for cf, b in zip(coeffs, basis):
-        if cf:
-            total = total + b.scale(cf)
-    return total
+    return _cocycle_combination(d, basis, [_dot(row, rhs) for row in _inverse_gram(d)])
 

@@ -3,10 +3,12 @@
 A ledger records, per handlebody, the relative Euler class of a plane field
 in the free quotient coordinates of H1 of that handlebody. Lutz twists shift
 one entry by -2 times a curve class; the degree-two homology action applies
-three matched twists at once. First Chern classes are tracked as differences
-against an opaque base structure: the base value itself is geometric input
-the diagram does not determine, so it is either supplied by the user or left
-symbolic.
+three matched twists at once, as one update of all three entries.
+Admissibility is the cyclic matching check of ``pairings`` run on the Euler
+lifts directly, without building a homology rep from them. First Chern
+classes are tracked as differences against an opaque base structure: the
+base value itself is geometric input the diagram does not determine, so it
+is either supplied by the user or left symbolic.
 
 All c1 arithmetic happens modulo torsion (it goes through the intersection
 form solve), which is recorded here as a limitation rather than hidden.
@@ -17,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .diagram import TrisectionDiagram, ensure_valid
-from .lattice import as_int_vector
-from .pairings import H2DualRep, OneOneCocycle, cocycle_from_dual_rep
+from .lattice import _combination, as_int_vector
+from .pairings import H2DualRep, OneOneCocycle, _matching_failure, cocycle_from_dual_rep
 
 EulerTriple = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
@@ -74,30 +76,28 @@ def lutz_shift(ledger: SpinCLedger, lam: int, gamma_coords) -> SpinCLedger:
 
 
 def act(ledger: SpinCLedger, rep: H2DualRep) -> SpinCLedger:
-    """Apply the degree-two homology action: one matched Lutz twist per handlebody."""
+    """Apply the degree-two homology action: one matched Lutz twist per handlebody.
+
+    Every Euler entry drops by twice the matching rep coordinates, and the
+    shifted ledger is built once.
+    """
     if rep.diagram != ledger.diagram:
         raise ValueError("rep belongs to a different diagram")
-    out = ledger
-    for lam in (1, 2, 3):
-        out = lutz_shift(out, lam, rep.coords[lam - 1])
-    return out
+    g = ledger.diagram.genus
+    euler = tuple(_combination((e, c), (1, -2), g) for e, c in zip(ledger.euler, rep.coords))
+    return replace(ledger, euler=euler)
 
 
 def is_admissible(ledger: SpinCLedger) -> bool:
     """Whether the Euler entries satisfy the cyclic matching conditions.
 
     Consecutive entries must agree in the sector boundary quotients, the same
-    conditions a degree-two homology rep satisfies; the base ledger is
-    admissible and ``act`` preserves the property.
+    conditions a degree-two homology rep satisfies, checked by the same
+    function on the three Euler lifts; the base ledger is admissible and
+    ``act`` preserves the property.
     """
-    d = ledger.diagram
-    for lam, nxt in ((1, 2), (2, 3), (3, 1)):
-        diff = tuple(
-            x - y for x, y in zip(ledger.euler_lift(lam), ledger.euler_lift(nxt))
-        )
-        if not d.pair_quotient(lam).is_zero(diff):
-            return False
-    return True
+    lifts = [ledger.euler_lift(lam) for lam in (1, 2, 3)]
+    return _matching_failure(ledger.diagram, lifts) is None
 
 
 def _half_difference_rep(s1: SpinCLedger, s2: SpinCLedger) -> H2DualRep:

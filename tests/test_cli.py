@@ -247,6 +247,28 @@ class TestExitCodes:
         assert err == "error: internal: RuntimeError('broken\\ninvariant')\n"
 
 
+MALFORMED_FILES = {
+    "not_utf8": b'\xff\xfe{"genus": 1}',
+    "integer_over_digit_limit": b'{"genus": ' + b"9" * 5000 + b"}",
+    "nested_too_deep": b"[" * 200_000,
+}
+
+
+@pytest.mark.parametrize("content", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys())
+@pytest.mark.parametrize("role", ["diagram", "act"])
+def test_malformed_file_is_input_error(tmp_path, content, role):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    if role == "diagram":
+        argv = ["homology", str(path)]
+    else:
+        argv = ["spinc", "--builtin", "CP2", "--act", str(path)]
+    code, out, err = run_cli(argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
 class TestSpinCInput:
     def test_non_cycle_rep_rejected_with_named_condition(self, tmp_path):
         rep = tmp_path / "rep.json"

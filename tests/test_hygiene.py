@@ -1,4 +1,4 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, no private name is dead."""
 
 import ast
 from pathlib import Path
@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC_MODULES = sorted((ROOT / "src" / "trihodge").glob("*.py"))
 MODULES = sorted(
     p
     for directory in (ROOT / "src" / "trihodge", ROOT / "tests")
@@ -35,3 +36,67 @@ def test_detector_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Private top-level functions and classes, and private methods of top-level classes."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)) and is_private(node.name):
+            out.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, FUNCTIONS) and is_private(item.name):
+                    out.append((f"{node.name}.{item.name}", item))
+    return out
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Private definitions that no module references outside their own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    refs = [
+        (module, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    unreferenced = []
+    for module, tree in trees.items():
+        for qualname, node in private_definitions(tree):
+            name = qualname.rpartition(".")[2]
+            outside = (
+                m != module or not node.lineno <= line <= node.end_lineno
+                for m, line, n in refs
+                if n == name
+            )
+            if not any(outside):
+                unreferenced.append(f"{module}:{qualname}")
+    return unreferenced
+
+
+def test_private_name_detector():
+    sources = {
+        "a": (
+            "def _used(): pass\n"
+            "def _unused(): pass\n"
+            "def _recursive(): return _recursive()\n"
+            "class _Box:\n"
+            "    def __init__(self): self._touched()\n"
+            "    def _touched(self): pass\n"
+            "    def _idle(self): pass\n"
+        ),
+        "b": "from a import _Box, _used\nprint(_Box, _used)\n",
+    }
+    assert unreferenced_private_names(sources) == ["a:_unused", "a:_recursive", "a:_Box._idle"]
+
+
+def test_every_private_name_is_referenced():
+    sources = {p.stem: p.read_text() for p in SRC_MODULES}
+    assert unreferenced_private_names(sources) == []

@@ -1,6 +1,8 @@
 """Spin^C ledger laws: shifts, the homology action, and c1 differences."""
 
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from trihodge.pairings import (
     cocycle_from_dual_rep,
     dual_rep_basis,
     h2_basis_cocycles,
+    poincare_dual_rep,
 )
 from trihodge.spinc import (
     SpinCLedger,
@@ -227,3 +230,60 @@ def test_orbit_lattice_is_twice_the_cycle_lattice():
             for f in invariant_factors(m):
                 index *= f
             assert index == 2 ** cycles.rank
+
+
+# Builtin sums whose coordinate triples are not all matched (b1 > 0).
+UNMATCHED_SUMS = {name: builtin(name) for name in ("S1xS3#CP2", "S2xS2#S1xS3")}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(sorted(UNMATCHED_SUMS)),
+    # zero-heavy entries, so matched triples are drawn as well as unmatched ones
+    entries=st.lists(st.just(0) | st.integers(-2, 2), min_size=12, max_size=12),
+)
+def test_admissible_exactly_when_euler_entries_form_a_rep(name, entries):
+    d = UNMATCHED_SUMS[name]
+    g = d.genus
+    euler = tuple(tuple(entries[i * g : (i + 1) * g]) for i in range(3))
+    try:
+        H2DualRep.from_coords(d, euler)
+        matched = True
+    except CycleConditionError:
+        matched = False
+    assert is_admissible(replace(base_ledger(d), euler=euler)) == matched
+
+
+SUM3 = builtin("S2xS2#CP2#CP2bar")  # b2 = 4
+X, Y = h2_basis_cocycles(SUM3)[:2]
+R, Q = dual_rep_basis(SUM3)[:2]
+REP = R + Q.scale(3)
+CLASS = X + Y.scale(2)
+LEDGER = base_ledger(SUM3)
+
+ONE_STEP = {
+    "cocycle_from_dual_rep": lambda: cocycle_from_dual_rep(SUM3, REP),
+    "poincare_dual_rep": lambda: poincare_dual_rep(SUM3, CLASS),
+    "act": lambda: act(LEDGER, REP),
+    "cocycle_sum": lambda: X + Y,
+    "cocycle_difference": lambda: X - Y,
+    "cocycle_scale": lambda: X.scale(-3),
+    "rep_sum": lambda: R + Q,
+    "rep_difference": lambda: R - Q,
+    "rep_scale": lambda: R.scale(-3),
+}
+
+
+@pytest.mark.parametrize("derive", ONE_STEP.values(), ids=ONE_STEP.keys())
+def test_derived_class_is_constructed_once(monkeypatch, derive):
+    derive()  # fills the diagram's memoized bases outside the count
+    constructed = Counter()
+    for cls in (OneOneCocycle, H2DualRep, SpinCLedger):
+
+        def counting(self, check=cls.__post_init__):
+            constructed[type(self)] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    result = derive()
+    assert constructed == {type(result): 1}
