@@ -203,7 +203,8 @@ def validate(d: TrisectionDiagram) -> ValidationReport:
     report_checks = tuple(checks)
     k = None
     if all(ok for _, ok in report_checks):
-        k = tuple(P.rank for P in d._pair_intersections)
+        # rank(L + L') + rank(L n L') = 2g, so each k is a pair quotient's free rank
+        k = tuple(q.free_rank for q in d._pair_quotients)
     return ValidationReport(checks=report_checks, k_values=k)
 
 

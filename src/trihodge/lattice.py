@@ -6,8 +6,13 @@ Smith normal form with unimodular transforms, and quotient presentations with
 explicit project/lift maps.
 
 Kernels and intersections come from the echelon routine that canonicalizes
-every subgroup. Smith forms serve only what needs invariant factors or
-transforms: quotients, homology presentations and integer solves.
+every subgroup; a kernel eliminates only downward in the matrix part of
+[m^T | I] and canonicalizes just the kernel rows. Smith forms serve only what
+needs invariant factors or transforms, and each builds only the transforms
+its caller reads: a quotient U and U^{-1}, a homology presentation U^{-1}
+(its free generators), a solve, a unimodular inverse and
+``smith_normal_form`` U and V, ``invariant_factors`` and the torsion of a
+direct sum none.
 
 Inside the package a matrix is a list of rows of Python ints, and a subgroup
 or a chain complex keeps its columns as tuples, so all arithmetic is exact at
@@ -130,10 +135,15 @@ def _combination(
 
 
 class _SNFFull(NamedTuple):
-    U: list[list[int]]
+    """Rows of a Smith form U m V = D; a transform the caller did not ask for is None."""
+
+    U: list[list[int]] | None
     D: list[list[int]]
-    V: list[list[int]]
-    Uinv: list[list[int]]
+    V: list[list[int]] | None
+    Uinv: list[list[int]] | None
+
+
+_ALL_TRANSFORMS = ("U", "V", "Uinv")
 
 
 def smith_normal_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -143,40 +153,56 @@ def smith_normal_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     nonnegative and each dividing the next.
     """
     rows, ncols = _checked_rows(m)
-    full = _snf_with_inverses(rows, ncols)
+    full = _snf_with_inverses(rows, ncols, ("U", "V"))
     return _array(full.U, len(rows)), _array(full.D, ncols), _array(full.V, ncols)
 
 
-def _snf_with_inverses(rows: list[list[int]], ncols: int) -> _SNFFull:
-    """Smith normal form together with the inverse of the row transform.
+def _snf_with_inverses(
+    rows: list[list[int]], ncols: int, builds: Sequence[str] = _ALL_TRANSFORMS
+) -> _SNFFull:
+    """Smith normal form together with the transforms named in ``builds``.
 
     Standard gcd-pivot reduction: pick the smallest nonzero entry of the
     remaining block, clear its row and column by Euclidean steps, then force the
     divisibility chain by folding any non-divisible entry into the pivot row.
 
-    Takes trusted rows of Python ints and returns U, D, V and U^{-1} as rows.
+    Takes trusted rows of Python ints and returns D and those of U, V and
+    U^{-1} that ``builds`` names, as rows; the others are None. Every pivot
+    and step depends on D alone, so a transform is the same whichever others
+    are built. Callers build only what they read: ``quotient`` U and U^{-1};
+    homology presentations U^{-1}; ``_solve``, ``_unimodular_inverse`` and
+    ``smith_normal_form`` U and V; ``invariant_factors`` and
+    ``HomologyGroup.direct_sum`` none.
+
     At step t every entry of D outside the block of rows and columns >= t is
     already zero, so the updates of D stay inside that block. V and U^{-1}
     change by columns; they are kept transposed, so each update is one row.
     """
     D = [list(r) for r in rows]
     nrows = len(D)
-    U, UinvT, VT = _identity_rows(nrows), _identity_rows(nrows), _identity_rows(ncols)
+    U = _identity_rows(nrows) if "U" in builds else None
+    UinvT = _identity_rows(nrows) if "Uinv" in builds else None
+    VT = _identity_rows(ncols) if "V" in builds else None
+    # the matrices whose rows swap and negate with the rows of D
+    row_mats = [M for M in (D, U, UinvT) if M is not None]
 
     def row_add(i, j, q, t):
         # row_i += q * row_j
         Di, Dj = D[i], D[j]
         for k in range(t, ncols):
             Di[k] += q * Dj[k]
-        U[i] = [a + q * b for a, b in zip(U[i], U[j])]
-        UinvT[j] = [a - q * b for a, b in zip(UinvT[j], UinvT[i])]
+        if U is not None:
+            U[i] = [a + q * b for a, b in zip(U[i], U[j])]
+        if UinvT is not None:
+            UinvT[j] = [a - q * b for a, b in zip(UinvT[j], UinvT[i])]
 
     def col_add(j, k, q, t):
         # col_j += q * col_k
         for r in range(t, nrows):
             Dr = D[r]
             Dr[j] += q * Dr[k]
-        VT[j] = [a + q * b for a, b in zip(VT[j], VT[k])]
+        if VT is not None:
+            VT[j] = [a + q * b for a, b in zip(VT[j], VT[k])]
 
     t = 0
     while t < min(nrows, ncols):
@@ -185,14 +211,14 @@ def _snf_with_inverses(rows: list[list[int]], ncols: int) -> _SNFFull:
             break
         i, j = pos
         if i != t:
-            D[i], D[t] = D[t], D[i]
-            U[i], U[t] = U[t], U[i]
-            UinvT[i], UinvT[t] = UinvT[t], UinvT[i]
+            for M in row_mats:
+                M[i], M[t] = M[t], M[i]
         if j != t:
             for r in range(t, nrows):
                 Dr = D[r]
                 Dr[j], Dr[t] = Dr[t], Dr[j]
-            VT[j], VT[t] = VT[t], VT[j]
+            if VT is not None:
+                VT[j], VT[t] = VT[t], VT[j]
 
         pivot = D[t][t]
         dirty = False
@@ -214,12 +240,16 @@ def _snf_with_inverses(rows: list[list[int]], ncols: int) -> _SNFFull:
             continue
 
         if pivot < 0:
-            D[t] = [-x for x in D[t]]
-            U[t] = [-x for x in U[t]]
-            UinvT[t] = [-x for x in UinvT[t]]
+            for M in row_mats:
+                M[t] = [-x for x in M[t]]
         t += 1
 
-    return _SNFFull(U, D, _transpose(VT, ncols), _transpose(UinvT, nrows))
+    return _SNFFull(
+        U,
+        D,
+        None if VT is None else _transpose(VT, ncols),
+        None if UinvT is None else _transpose(UinvT, nrows),
+    )
 
 
 def _smallest_nonzero(D, t, ncols):
@@ -257,7 +287,7 @@ def snf_diagonal(D: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 def invariant_factors(m: np.ndarray) -> tuple[int, ...]:
     """Nonzero invariant factors of the subgroup spanned by the columns of m."""
-    return snf_diagonal(_snf_with_inverses(*_checked_rows(m)).D)
+    return snf_diagonal(_snf_with_inverses(*_checked_rows(m), ()).D)
 
 
 def integer_solve(m: np.ndarray, rhs: Sequence[int]) -> tuple[int, ...]:
@@ -274,7 +304,7 @@ def integer_solve(m: np.ndarray, rhs: Sequence[int]) -> tuple[int, ...]:
 
 def _solve(rows: list[list[int]], ncols: int, rhs: tuple[int, ...]) -> tuple[int, ...]:
     """``integer_solve`` on trusted rows and right-hand side."""
-    full = _snf_with_inverses(rows, ncols)
+    full = _snf_with_inverses(rows, ncols, ("U", "V"))
     diag = snf_diagonal(full.D)
     s = len(diag)
     z = [0] * ncols
@@ -291,7 +321,7 @@ def _solve(rows: list[list[int]], ncols: int, rhs: tuple[int, ...]) -> tuple[int
 
 def _unimodular_inverse(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     """Inverse of a unimodular matrix: V U from its Smith form U m V = I."""
-    full = _snf_with_inverses(rows, len(rows))
+    full = _snf_with_inverses(rows, len(rows), ("U", "V"))
     u_cols = list(zip(*full.U))
     return tuple(tuple(_dot(v_row, u_col) for u_col in u_cols) for v_row in full.V)
 
@@ -335,26 +365,28 @@ class Subgroup:
         return _column_matrix(self._columns, self.ambient_rank)
 
     @cached_property
-    def _pivots(self) -> tuple[tuple[int, int], ...]:
-        """(row, value) of each column's pivot."""
-        return tuple(next((i, x) for i, x in enumerate(col) if x) for col in self._columns)
+    def _entries(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """(row, value) of each nonzero entry of each column, pivot first."""
+        return tuple(tuple((i, x) for i, x in enumerate(col) if x) for col in self._columns)
 
     def coordinates_of(self, v: Sequence[int]) -> tuple[int, ...]:
         """Integer coordinates of v in the canonical basis.
 
         Raises ValueError when v is not a member. Forward substitution down the
-        echelon columns, so this is exact and fast.
+        echelon columns, touching only their nonzero entries, so this is exact
+        and fast.
         """
         rem = list(as_int_vector(v, self.ambient_rank))
         coords = []
-        for col, (prow, pval) in zip(self._columns, self._pivots):
+        for entries in self._entries:
+            prow, pval = entries[0]
             q, r = divmod(rem[prow], pval)
             if r:
                 raise ValueError("vector is not in the subgroup")
             coords.append(q)
             if q:
-                for i in range(prow, self.ambient_rank):
-                    rem[i] -= q * col[i]
+                for i, x in entries:
+                    rem[i] -= q * x
         if any(rem):
             raise ValueError("vector is not in the subgroup")
         return tuple(coords)
@@ -392,13 +424,35 @@ def _row_echelon_lattice(rows: Sequence[Sequence[int]], width: int) -> list[list
 
     Integer row operations only, so the row span is preserved exactly. Pivots
     are positive, entries above each pivot are reduced into [0, pivot), zero
-    rows are dropped. Every row left of the current pivot column is already
-    zero there, so each update starts at that column.
+    rows are dropped.
     """
     work = [list(r) for r in rows if any(r)]
+    pivots = _forward_echelon(work, width, width)
+    for r, col in enumerate(pivots):
+        if work[r][col] < 0:
+            work[r] = [-x for x in work[r]]
+        p = work[r]
+        pval = p[col]
+        for w in work[:r]:
+            q = w[col] // pval
+            if q:
+                for k in range(col, width):
+                    w[k] -= q * p[k]
+    return work[: len(pivots)]
+
+
+def _forward_echelon(work: list[list[int]], stop: int, width: int) -> list[int]:
+    """Eliminate downward in columns 0..stop-1 of rows of the given width, in place.
+
+    Returns the pivot column of each leading row; every later row is zero in
+    columns 0..stop-1. Nothing above a pivot is reduced, and no pivot is made
+    positive. Every row below the current pivot row is already zero left of
+    the current column, so each update starts at that column.
+    """
     n = len(work)
-    pivot_row = 0
-    for col in range(width):
+    pivots: list[int] = []
+    for col in range(stop):
+        pivot_row = len(pivots)
         if pivot_row >= n:
             break
         while True:
@@ -418,19 +472,9 @@ def _row_echelon_lattice(rows: Sequence[Sequence[int]], width: int) -> list[list
                     finished = finished and w[col] == 0
             if finished:
                 break
-        if pivot_row < n and work[pivot_row][col] != 0:
-            if work[pivot_row][col] < 0:
-                work[pivot_row] = [-x for x in work[pivot_row]]
-            p = work[pivot_row]
-            pval = p[col]
-            for i in range(pivot_row):
-                w = work[i]
-                q = w[col] // pval
-                if q:
-                    for k in range(col, width):
-                        w[k] -= q * p[k]
-            pivot_row += 1
-    return work[:pivot_row]
+        if work[pivot_row][col] != 0:
+            pivots.append(col)
+    return pivots
 
 
 def kernel_basis(m: np.ndarray) -> Subgroup:
@@ -442,15 +486,15 @@ def kernel_basis(m: np.ndarray) -> Subgroup:
 def _kernel(columns: Sequence[Sequence[int]], nrows: int) -> Subgroup:
     """Kernel of the matrix with the given trusted columns, each of length nrows.
 
-    Echelons the rows of [m^T | I]. The row operations are unimodular, so the
-    identity parts of the rows whose m^T part vanishes span the kernel
-    exactly (no finite-index sublattice). Those rows come last, and their
-    identity parts are already the canonical echelon basis of the kernel.
+    Eliminates downward in the m^T part of the rows of [m^T | I]. The row
+    operations are unimodular, so the identity parts of the rows whose m^T
+    part vanishes span the kernel exactly (no finite-index sublattice); only
+    those parts are then put in canonical echelon form.
     """
     ncols = len(columns)
-    rows = [list(col) + unit for col, unit in zip(columns, _identity_rows(ncols))]
-    echelon = _row_echelon_lattice(rows, nrows + ncols)
-    return Subgroup(ncols, tuple(tuple(r[nrows:]) for r in echelon if not any(r[:nrows])))
+    work = [list(col) + unit for col, unit in zip(columns, _identity_rows(ncols))]
+    rank = len(_forward_echelon(work, nrows, nrows + ncols))
+    return _span(ncols, [r[nrows:] for r in work[rank:]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,8 +511,8 @@ class QuotientPresentation:
     ambient_rank: int
     free_rank: int
     torsion: tuple[int, ...]
-    _U: list[list[int]]
-    _Uinv: list[list[int]]
+    _U: list[list[int]] | None
+    _Uinv: list[list[int]] | None
     _torsion_indices: tuple[int, ...]
     _free_indices: tuple[int, ...]
 
@@ -514,10 +558,17 @@ def quotient(ambient_rank: int, relations: Subgroup) -> QuotientPresentation:
     return _cokernel(_transpose(relations.columns(), ambient_rank), relations.rank)
 
 
-def _cokernel(rows: list[list[int]], ncols: int) -> QuotientPresentation:
-    """Present Z^rows modulo the column span of trusted rows, through one Smith form."""
+def _cokernel(
+    rows: list[list[int]], ncols: int, builds: Sequence[str] = ("U", "Uinv")
+) -> QuotientPresentation:
+    """Present Z^rows modulo the column span of trusted rows, through one Smith form.
+
+    ``builds`` names the transforms the presentation keeps: ``project`` and
+    ``_free_rows`` read U, ``lift`` and ``_free_lifts`` read U^{-1}. With
+    neither, only the ranks and the torsion are there.
+    """
     ambient_rank = len(rows)
-    full = _snf_with_inverses(rows, ncols)
+    full = _snf_with_inverses(rows, ncols, builds)
     diag = snf_diagonal(full.D)
     s = len(diag)
     torsion_indices = tuple(i for i in range(s) if diag[i] >= 2)

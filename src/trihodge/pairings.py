@@ -89,12 +89,6 @@ class OneOneCocycle:
         ]
         return cls(d, *blocks)
 
-    def lagrangian_coordinates(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for lam, b in enumerate(self.blocks, start=1):
-            out.extend(self.diagram.lagrangian_subgroup(lam).coordinates_of(b))
-        return tuple(out)
-
     @property
     def is_zero(self) -> bool:
         return not any(self.b1) and not any(self.b2) and not any(self.b3)

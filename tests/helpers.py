@@ -1,8 +1,9 @@
-"""Test-only constructions: random (co)cycles, duality maps, column spans,
-transvections, the degree-three against degree-one Gram matrix, and six
-oracles: the numpy Smith form, the Bareiss determinant, the full-width
-congruence diagonalization, the Smith-form kernel, the Cech complexes behind
-the diamond and the brute-force spin filter.
+"""Test-only constructions: random (co)cycles, the Lagrangian coordinates of
+a cocycle, duality maps, column spans, transvections, the degree-three
+against degree-one Gram matrix, and six oracles: the numpy Smith form, the
+Bareiss determinant, the full-width congruence diagonalization, the
+Smith-form kernel, the Cech complexes behind the diamond and the brute-force
+spin filter.
 
 The suites use these to generate inputs and to state laws; the package
 itself never needs them.
@@ -329,6 +330,14 @@ def h3_h1_gram(d: TrisectionDiagram) -> np.ndarray:
         [pairing_h3_h1(d, h3, h1) for h1 in h1_basis(d)] for h3 in h3_representatives(d)
     ]
     return intmat(rows, cols=len(h1_basis(d)))
+
+
+def lagrangian_coordinates(x: OneOneCocycle) -> tuple[int, ...]:
+    """The length-3g vector of x's blocks in the Lagrangian bases; inverse of
+    ``OneOneCocycle.from_lagrangian_coordinates``."""
+    d = x.diagram
+    blocks = enumerate(x.blocks, start=1)
+    return tuple(c for lam, b in blocks for c in d.lagrangian_subgroup(lam).coordinates_of(b))
 
 
 def _random_combination(basis: np.ndarray, rng: random.Random, span: int) -> tuple[int, ...]:

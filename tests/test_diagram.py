@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from trihodge.diagram import (
+    SYSTEM_NAMES,
     CutSystem,
     InvalidDiagramError,
     TrisectionDiagram,
@@ -14,12 +15,15 @@ from trihodge.diagram import (
     diagram_from_curves,
     euler_characteristic,
     handleslide,
+    handleslide_diagram,
     k_values,
     random_diagram,
     standard_triple,
     validate,
 )
 from trihodge.lattice import Subgroup
+
+from test_acceptance import RANDOM_SUITE
 
 
 class TestConstruction:
@@ -131,6 +135,44 @@ class TestConnectedSum:
             builtin("T4")
         with pytest.raises(KeyError):
             builtin("CP2#nope")
+
+
+TORSION_SUMS = ("QS4_Z2#QS4_Z3", "S2xS2#QS4_Z3", "S1xS3#QS4_Z2", "CP2#QS4_Z3#S1xS3")
+INVALID = (
+    diagram_from_curves(1, [(1, 0)], [(0, 1)], [(2, 1)]),  # pair torsion
+    diagram_from_curves(1, [(2, 0)], [(0, 1)], [(1, 1)]),  # not primitive
+    diagram_from_curves(  # not isotropic
+        2,
+        [(1, 0, 0, 0), (0, 1, 0, 0)],
+        [(0, 1, 0, 0), (0, 0, 0, 1)],
+        [(1, 1, 0, 0), (0, 0, 1, 1)],
+    ),
+)
+
+
+def torsion_sums_and_their_slides():
+    for name in TORSION_SUMS:
+        d = builtin(name)
+        yield d
+        for system in SYSTEM_NAMES:
+            for i, j, sign in ((0, 1, 1), (d.genus - 1, 0, -1)):
+                yield handleslide_diagram(d, system, i, j, sign)
+
+
+class TestKValuesFromPairQuotients:
+    def test_validation_builds_no_pair_intersection(self):
+        for d in (builtin("S2xS2#QS4_Z3"), random_diagram(6, 0), builtin("S1xS3#S1xS3")):
+            assert d.validation.is_valid
+            assert "_pair_intersections" not in d.__dict__
+
+    def test_k_values_are_the_pair_intersection_ranks(self):
+        for d in RANDOM_SUITE + tuple(torsion_sums_and_their_slides()):
+            k = d.validation.k_values
+            assert k == tuple(P.rank for P in d._pair_intersections), d.describe()
+
+    def test_invalid_diagrams_report_no_k_values(self):
+        for d in INVALID:
+            assert validate(d).k_values is None
 
 
 class TestHandleslide:

@@ -8,6 +8,8 @@ for entry against the numpy implementation they replaced.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 import sympy
@@ -15,9 +17,11 @@ from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from trihodge.complexes import dual_complex, homology_complex
-from trihodge.diagram import diagram_from_curves
+from trihodge.diagram import diagram_from_curves, random_diagram
 from trihodge.lattice import (
     Subgroup,
+    _column_matrix,
+    _kernel,
     _snf_with_inverses,
     as_int_vector,
     identity,
@@ -161,6 +165,35 @@ class TestTransformsMatchNumpyOracle:
                     assert_numpy_transforms(m)
 
 
+TRANSFORMS = ("U", "V", "Uinv")
+SELECTIONS = [sel for r in range(4) for sel in combinations(TRANSFORMS, r)]
+
+
+def assert_selections_match_full_run(m):
+    """Each selection gives the full run's D and the full run's transforms it names."""
+    rows, ncols = m.tolist(), m.shape[1]
+    full = _snf_with_inverses(rows, ncols)
+    for builds in SELECTIONS:
+        part = _snf_with_inverses(rows, ncols, builds)
+        assert part.D == full.D, builds
+        for name in TRANSFORMS:
+            expected = getattr(full, name) if name in builds else None
+            assert getattr(part, name) == expected, (builds, name)
+
+
+class TestTransformSelection:
+    @settings(max_examples=150, deadline=None)
+    @given(snf_inputs())
+    def test_random_matrices(self, m):
+        assert_selections_match_full_run(m)
+
+    def test_differentials_of_the_random_suite(self):
+        for d in RANDOM_SUITE:
+            for c in (homology_complex(d), dual_complex(d)):
+                for m in c.diffs:
+                    assert_selections_match_full_run(m)
+
+
 class TestDeterminant:
     def test_known_values(self):
         assert det(intmat([[2, 3], [5, 7]])) == -1
@@ -206,6 +239,39 @@ class TestKernel:
         assert quotient(m.shape[1], ker).torsion == ()
 
 
+DENSE_DIAGRAMS = tuple(random_diagram(g, seed) for g in range(8, 13) for seed in (0, 1))
+
+
+def assert_kernel_matches_smith_oracle(columns, nrows):
+    assert _kernel(columns, nrows) == smith_kernel_basis(_column_matrix(columns, nrows))
+
+
+class TestKernelAtDenseSizes:
+    def test_differentials(self):
+        for d in DENSE_DIAGRAMS:
+            for c in (homology_complex(d), dual_complex(d)):
+                for cols, nrows in zip(c.columns, c.ranks[1:]):
+                    assert_kernel_matches_smith_oracle(cols, nrows)
+
+    def test_paired_lagrangian_bases(self):
+        for d in DENSE_DIAGRAMS:
+            for lam in (1, 2, 3):
+                left = d.lagrangian_subgroup(lam).columns()
+                right = d.lagrangian_subgroup(lam % 3 + 1).columns()
+                paired = left + tuple(tuple(-x for x in col) for col in right)
+                assert_kernel_matches_smith_oracle(paired, 2 * d.genus)
+
+
+@st.composite
+def members(draw):
+    """A subgroup with small or 70-bit generators, and coordinates in its basis."""
+    m = draw(snf_inputs())
+    sub = Subgroup.from_columns(m.shape[0], matrix_columns(m))
+    entries = draw(st.sampled_from([small_entries, big_entries]))
+    coords = draw(st.lists(entries, min_size=sub.rank, max_size=sub.rank))
+    return sub, tuple(coords)
+
+
 class TestSubgroup:
     def test_canonical_form_is_representation_independent(self):
         a = Subgroup.from_columns(2, [(2, 0), (0, 1)])
@@ -241,6 +307,20 @@ class TestSubgroup:
             mixed[i] = tuple(x + 3 * y for x, y in zip(mixed[i], mixed[i + 1]))
         mixed.reverse()
         assert Subgroup.from_columns(m.shape[0], mixed) == s
+
+    @settings(max_examples=150, deadline=None)
+    @given(members())
+    def test_coordinates_invert_member_from_coordinates(self, case):
+        sub, coords = case
+        v = sub.member_from_coordinates(coords)
+        assert sub.coordinates_of(v) == coords
+        # a nonzero class of the quotient, lifted, is not a member
+        q = quotient(sub.ambient_rank, sub)
+        for k in range(q.coordinate_count):
+            unit = tuple(int(i == k) for i in range(q.coordinate_count))
+            perturbed = tuple(a + b for a, b in zip(v, q.lift(unit)))
+            with pytest.raises(ValueError, match="not in the subgroup"):
+                sub.coordinates_of(perturbed)
 
     @settings(max_examples=100, deadline=None)
     @given(int_matrices(max_dim=4))

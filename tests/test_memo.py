@@ -75,36 +75,53 @@ def test_groups_and_generators_share_one_result_per_position():
     assert dual_middle_homology(d) is dual_complex(d).homology_with_generators(1)[0]
 
 
+SUMS = ["CP2#CP2bar", "S2xS2#QS4_Z3", "S1xS3#QS4_Z2"]
+
+
 @pytest.fixture
 def smith_forms(monkeypatch):
-    """A running count of Smith normal forms computed since the fixture started."""
-    calls = [0]
+    """The transforms built by each Smith normal form computed since the fixture
+    started, one entry per form. Callers pass the selection positionally."""
+    built = []
     inner = lattice._snf_with_inverses
 
-    def counted(*args):
-        calls[0] += 1
+    def recorded(*args):
+        built.append(tuple(args[2]) if len(args) > 2 else lattice._ALL_TRANSFORMS)
         return inner(*args)
 
-    monkeypatch.setattr(lattice, "_snf_with_inverses", counted)
-    return calls
+    monkeypatch.setattr(lattice, "_snf_with_inverses", recorded)
+    return built
 
 
-@pytest.mark.parametrize("name", ["CP2#CP2bar", "S2xS2#QS4_Z3", "S1xS3#QS4_Z2"])
+@pytest.mark.parametrize("name", SUMS)
 def test_no_smith_form_is_computed_twice(name, smith_forms):
     d = builtin(name)
     homology_groups(d)
     dual_middle_homology(d)
-    before = smith_forms[0]
+    before = len(smith_forms)
     h2_basis_cocycles(d)
     dual_rep_basis(d)
     hodge_diamond(d)
-    assert smith_forms[0] == before
+    assert len(smith_forms) == before
 
     fresh = builtin(name)
     ensure_valid(fresh)
-    before = smith_forms[0]
+    before = len(smith_forms)
     dual_complex(fresh)
-    assert smith_forms[0] == before
+    assert len(smith_forms) == before
+
+
+@pytest.mark.parametrize("name", SUMS)
+def test_smith_forms_build_only_the_transforms_read(name, smith_forms):
+    d = builtin(name)
+    ensure_valid(d)
+    quotients = list(smith_forms)
+    homology_groups(d)
+    dual_middle_homology(d)
+    cokernels = smith_forms[len(quotients) :]
+    assert quotients and cokernels
+    assert all("V" not in builds for builds in smith_forms)
+    assert all("U" not in builds for builds in cokernels)
 
 
 def test_kernels_and_intersections_need_no_smith_form(smith_forms):
@@ -113,7 +130,7 @@ def test_kernels_and_intersections_need_no_smith_form(smith_forms):
     assert lattice.kernel_basis(lattice.zeros(2, 3)).rank == 3
     d = builtin("S2xS2#QS4_Z3")
     assert [P.rank for P in d._pair_intersections] == [1, 1, 1]
-    assert smith_forms[0] == 0
+    assert len(smith_forms) == 0
 
 
 def test_repeated_c1_difference_needs_no_smith_form(smith_forms):
@@ -123,9 +140,9 @@ def test_repeated_c1_difference_needs_no_smith_form(smith_forms):
     rep = A.scale(2) - B
     first, second = act(s, A), act(s, rep)
     c1_difference(first, s)
-    before = smith_forms[0]
+    before = len(smith_forms)
     diff = c1_difference(second, s)
-    assert smith_forms[0] == before
+    assert len(smith_forms) == before
     for b in h2_basis_cocycles(d):
         assert intersection_pairing(d, b, diff) == 2 * evaluate_on_surface_class(d, b, rep)
 

@@ -30,6 +30,7 @@ from helpers import (
     det,
     full_width_signature,
     h3_h1_gram,
+    lagrangian_coordinates,
     random_coboundary,
     random_cocycle,
     random_cycle_rep,
@@ -63,7 +64,7 @@ class TestOneOneCocycle:
 
     def test_coordinate_round_trip(self):
         x = h2_basis_cocycles(CP2)[0]
-        back = OneOneCocycle.from_lagrangian_coordinates(CP2, x.lagrangian_coordinates())
+        back = OneOneCocycle.from_lagrangian_coordinates(CP2, lagrangian_coordinates(x))
         assert back == x
 
     def test_algebra(self):
