@@ -25,6 +25,8 @@ from pathlib import Path
 
 from .complexes import (
     HomologyGroup,
+    betti_numbers,
+    cohomology_groups,
     dual_middle_homology,
     hodge_diamond,
     homology_groups,
@@ -199,7 +201,7 @@ def cmd_homology(d: TrisectionDiagram, args) -> Report:
     agreed = fm_middle == dual_middle == law_middle
     payload = {
         "groups": {f"H_{k}": _group_doc(h) for k, h in enumerate(groups)},
-        "betti": [h.rank for h in groups],
+        "betti": betti_numbers(d),
         "three_way_h2_check": "pass" if agreed else "fail",
     }
     lines = [f"H_{k}: {h}" for k, h in enumerate(groups)]
@@ -217,7 +219,7 @@ def cmd_diamond(d: TrisectionDiagram, args) -> Report:
     ensure_valid(d)
     diamond = hodge_diamond(d)
     serre = serre_duality_holds(diamond)
-    cohomology = [diamond.cohomology(k) for k in range(5)]
+    cohomology = cohomology_groups(d)
     payload = {
         "grid": [[_group_doc(h) for h in row] for row in diamond.grid],
         "cohomology": {f"H^{k}": _group_doc(h) for k, h in enumerate(cohomology)},

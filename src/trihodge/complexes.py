@@ -63,7 +63,7 @@ class HomologyGroup:
         merged = self.torsion + other.torsion
         if merged:
             diag = [[t if i == j else 0 for j in range(len(merged))] for i, t in enumerate(merged)]
-            merged = _cokernel(diag, len(merged), ()).torsion
+            merged = _cokernel(diag, len(merged)).torsion
         return HomologyGroup(self.rank + other.rank, merged)
 
     def __str__(self) -> str:
@@ -144,7 +144,7 @@ class FreeChainComplex:
             return HomologyGroup(0), ()
         # boundary columns land in the cycle subgroup (d o d = 0, saturated basis)
         coords = [cycles.coordinates_of(col) for col in (self.columns[pos - 1] if pos else ())]
-        q = _cokernel(_transpose(coords, cycles.rank), len(coords), ("Uinv",))
+        q = _cokernel(_transpose(coords, cycles.rank), len(coords))
         cols = cycles.columns()
         gens = tuple(_combination(cols, lift, self.ranks[pos]) for lift in q._free_lifts)
         return HomologyGroup(q.free_rank, q.torsion), gens

@@ -8,11 +8,10 @@ explicit project/lift maps.
 Kernels and intersections come from the echelon routine that canonicalizes
 every subgroup; a kernel eliminates only downward in the matrix part of
 [m^T | I] and canonicalizes just the kernel rows. Smith forms serve only what
-needs invariant factors or transforms, and each builds only the transforms
-its caller reads: a quotient U and U^{-1}, a homology presentation U^{-1}
-(its free generators), a solve, a unimodular inverse and
-``smith_normal_form`` U and V, ``invariant_factors`` and the torsion of a
-direct sum none.
+needs invariant factors or transforms. Each computes D and records its row
+and column operations; the transforms U, U^{-1} and V are replayed from the
+record on first read, so a caller that reads only invariant factors or
+ranks builds none of them.
 
 Inside the package a matrix is a list of rows of Python ints, and a subgroup
 or a chain complex keeps its columns as tuples, so all arithmetic is exact at
@@ -30,7 +29,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index, mul
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -134,18 +133,6 @@ def _combination(
     return tuple(out)
 
 
-class _SNFFull(NamedTuple):
-    """Rows of a Smith form U m V = D; a transform the caller did not ask for is None."""
-
-    U: list[list[int]] | None
-    D: list[list[int]]
-    V: list[list[int]] | None
-    Uinv: list[list[int]] | None
-
-
-_ALL_TRANSFORMS = ("U", "V", "Uinv")
-
-
 def smith_normal_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Smith normal form of an integer matrix.
 
@@ -153,103 +140,139 @@ def smith_normal_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     nonnegative and each dividing the next.
     """
     rows, ncols = _checked_rows(m)
-    full = _snf_with_inverses(rows, ncols, ("U", "V"))
-    return _array(full.U, len(rows)), _array(full.D, ncols), _array(full.V, ncols)
+    smith = _Smith(rows, ncols)
+    return _array(smith.U, len(rows)), _array(smith.D, ncols), _array(smith.V, ncols)
 
 
-def _snf_with_inverses(
-    rows: list[list[int]], ncols: int, builds: Sequence[str] = _ALL_TRANSFORMS
-) -> _SNFFull:
-    """Smith normal form together with the transforms named in ``builds``.
+_ADD, _SWAP, _NEGATE = range(3)
+
+
+class _Smith:
+    """Smith normal form U m V = D of trusted rows of Python ints.
 
     Standard gcd-pivot reduction: pick the smallest nonzero entry of the
     remaining block, clear its row and column by Euclidean steps, then force the
     divisibility chain by folding any non-divisible entry into the pivot row.
 
-    Takes trusted rows of Python ints and returns D and those of U, V and
-    U^{-1} that ``builds`` names, as rows; the others are None. Every pivot
-    and step depends on D alone, so a transform is the same whichever others
-    are built. Callers build only what they read: ``quotient`` U and U^{-1};
-    homology presentations U^{-1}; ``_solve``, ``_unimodular_inverse`` and
-    ``smith_normal_form`` U and V; ``invariant_factors`` and
-    ``HomologyGroup.direct_sum`` none.
+    Only D is computed at once. The row operations (add, swap, negate) and the
+    column operations (add, swap) are recorded in order as ``(kind, i, j, q)``,
+    and U, U^{-1} and V are replayed from the record on identity rows the
+    first time each is read. Replay makes the same operations in the same
+    order as the elimination, so each transform is the one building it
+    alongside D would give. The row record is dropped once U and U^{-1} both
+    exist, the column record once V does.
 
     At step t every entry of D outside the block of rows and columns >= t is
     already zero, so the updates of D stay inside that block. V and U^{-1}
-    change by columns; they are kept transposed, so each update is one row.
+    change by columns; they are replayed transposed, so each update is one row.
     """
-    D = [list(r) for r in rows]
-    nrows = len(D)
-    U = _identity_rows(nrows) if "U" in builds else None
-    UinvT = _identity_rows(nrows) if "Uinv" in builds else None
-    VT = _identity_rows(ncols) if "V" in builds else None
-    # the matrices whose rows swap and negate with the rows of D
-    row_mats = [M for M in (D, U, UinvT) if M is not None]
 
-    def row_add(i, j, q, t):
-        # row_i += q * row_j
-        Di, Dj = D[i], D[j]
-        for k in range(t, ncols):
-            Di[k] += q * Dj[k]
-        if U is not None:
-            U[i] = [a + q * b for a, b in zip(U[i], U[j])]
-        if UinvT is not None:
-            UinvT[j] = [a - q * b for a, b in zip(UinvT[j], UinvT[i])]
+    def __init__(self, rows: list[list[int]], ncols: int):
+        D = [list(r) for r in rows]
+        nrows = len(D)
+        row_ops: list[tuple[int, int, int, int]] = []
+        col_ops: list[tuple[int, int, int, int]] = []
 
-    def col_add(j, k, q, t):
-        # col_j += q * col_k
-        for r in range(t, nrows):
-            Dr = D[r]
-            Dr[j] += q * Dr[k]
-        if VT is not None:
-            VT[j] = [a + q * b for a, b in zip(VT[j], VT[k])]
+        def row_add(i, j, q, t):
+            # row_i += q * row_j
+            Di, Dj = D[i], D[j]
+            for k in range(t, ncols):
+                Di[k] += q * Dj[k]
+            row_ops.append((_ADD, i, j, q))
 
-    t = 0
-    while t < min(nrows, ncols):
-        pos = _smallest_nonzero(D, t, ncols)
-        if pos is None:
-            break
-        i, j = pos
-        if i != t:
-            for M in row_mats:
-                M[i], M[t] = M[t], M[i]
-        if j != t:
+        def col_add(j, k, q, t):
+            # col_j += q * col_k
             for r in range(t, nrows):
                 Dr = D[r]
-                Dr[j], Dr[t] = Dr[t], Dr[j]
-            if VT is not None:
-                VT[j], VT[t] = VT[t], VT[j]
+                Dr[j] += q * Dr[k]
+            col_ops.append((_ADD, j, k, q))
 
-        pivot = D[t][t]
-        dirty = False
-        for i in range(t + 1, nrows):
-            if D[i][t] != 0:
-                row_add(i, t, -(D[i][t] // pivot), t)
-                dirty = dirty or D[i][t] != 0
-        Dt = D[t]
-        for j in range(t + 1, ncols):
-            if Dt[j] != 0:
-                col_add(j, t, -(Dt[j] // pivot), t)
-                dirty = dirty or Dt[j] != 0
-        if dirty:
-            continue
+        t = 0
+        while t < min(nrows, ncols):
+            pos = _smallest_nonzero(D, t, ncols)
+            if pos is None:
+                break
+            i, j = pos
+            if i != t:
+                D[i], D[t] = D[t], D[i]
+                row_ops.append((_SWAP, i, t, 0))
+            if j != t:
+                for r in range(t, nrows):
+                    Dr = D[r]
+                    Dr[j], Dr[t] = Dr[t], Dr[j]
+                col_ops.append((_SWAP, j, t, 0))
 
-        bad = _non_divisible(D, t, ncols)
-        if bad is not None:
-            row_add(t, bad, 1, t)
-            continue
+            pivot = D[t][t]
+            dirty = False
+            for i in range(t + 1, nrows):
+                if D[i][t] != 0:
+                    row_add(i, t, -(D[i][t] // pivot), t)
+                    dirty = dirty or D[i][t] != 0
+            Dt = D[t]
+            for j in range(t + 1, ncols):
+                if Dt[j] != 0:
+                    col_add(j, t, -(Dt[j] // pivot), t)
+                    dirty = dirty or Dt[j] != 0
+            if dirty:
+                continue
 
-        if pivot < 0:
-            for M in row_mats:
-                M[t] = [-x for x in M[t]]
-        t += 1
+            bad = _non_divisible(D, t, ncols)
+            if bad is not None:
+                row_add(t, bad, 1, t)
+                continue
 
-    return _SNFFull(
-        U,
-        D,
-        None if VT is None else _transpose(VT, ncols),
-        None if UinvT is None else _transpose(UinvT, nrows),
-    )
+            if pivot < 0:
+                D[t] = [-x for x in D[t]]
+                row_ops.append((_NEGATE, t, t, 0))
+            t += 1
+
+        self.nrows, self.ncols = nrows, ncols
+        self.D: list[list[int]] | None = D
+        self._row_ops: list[tuple[int, int, int, int]] | None = row_ops
+        self._col_ops: list[tuple[int, int, int, int]] | None = col_ops
+
+    @cached_property
+    def U(self) -> list[list[int]]:
+        U = _replay(self._row_ops, self.nrows)
+        if "Uinv" in self.__dict__:
+            self._row_ops = None
+        return U
+
+    @cached_property
+    def Uinv(self) -> list[list[int]]:
+        UinvT = _replay(self._row_ops, self.nrows, inverse_transpose=True)
+        if "U" in self.__dict__:
+            self._row_ops = None
+        return _transpose(UinvT, self.nrows)
+
+    @cached_property
+    def V(self) -> list[list[int]]:
+        # a column operation on D is the same row operation on V^T
+        VT = _replay(self._col_ops, self.ncols)
+        self._col_ops = None
+        return _transpose(VT, self.ncols)
+
+
+def _replay(
+    ops: Sequence[tuple[int, int, int, int]], n: int, inverse_transpose: bool = False
+) -> list[list[int]]:
+    """Rows of the product of recorded row operations, applied in order to I_n.
+
+    With ``inverse_transpose`` each operation E is applied as (E^{-1})^T, which
+    gives the transpose of the inverse product: row_i += q * row_j becomes
+    row_j -= q * row_i, and swaps and negations stay as they are.
+    """
+    M = _identity_rows(n)
+    for kind, i, j, q in ops:
+        if kind == _ADD:
+            if inverse_transpose:
+                i, j, q = j, i, -q
+            M[i] = [a + q * b for a, b in zip(M[i], M[j])]
+        elif kind == _SWAP:
+            M[i], M[j] = M[j], M[i]
+        else:
+            M[i] = [-x for x in M[i]]
+    return M
 
 
 def _smallest_nonzero(D, t, ncols):
@@ -287,7 +310,7 @@ def snf_diagonal(D: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 def invariant_factors(m: np.ndarray) -> tuple[int, ...]:
     """Nonzero invariant factors of the subgroup spanned by the columns of m."""
-    return snf_diagonal(_snf_with_inverses(*_checked_rows(m), ()).D)
+    return snf_diagonal(_Smith(*_checked_rows(m)).D)
 
 
 def integer_solve(m: np.ndarray, rhs: Sequence[int]) -> tuple[int, ...]:
@@ -304,11 +327,11 @@ def integer_solve(m: np.ndarray, rhs: Sequence[int]) -> tuple[int, ...]:
 
 def _solve(rows: list[list[int]], ncols: int, rhs: tuple[int, ...]) -> tuple[int, ...]:
     """``integer_solve`` on trusted rows and right-hand side."""
-    full = _snf_with_inverses(rows, ncols, ("U", "V"))
-    diag = snf_diagonal(full.D)
+    smith = _Smith(rows, ncols)
+    diag = snf_diagonal(smith.D)
     s = len(diag)
     z = [0] * ncols
-    for i, row in enumerate(full.U):
+    for i, row in enumerate(smith.U):
         val = _dot(row, rhs)
         if i < s:
             if val % diag[i]:
@@ -316,14 +339,14 @@ def _solve(rows: list[list[int]], ncols: int, rhs: tuple[int, ...]) -> tuple[int
             z[i] = val // diag[i]
         elif val:
             raise ValueError("no integer solution: inconsistent system")
-    return tuple(_dot(row, z) for row in full.V)
+    return tuple(_dot(row, z) for row in smith.V)
 
 
 def _unimodular_inverse(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     """Inverse of a unimodular matrix: V U from its Smith form U m V = I."""
-    full = _snf_with_inverses(rows, len(rows), ("U", "V"))
-    u_cols = list(zip(*full.U))
-    return tuple(tuple(_dot(v_row, u_col) for u_col in u_cols) for v_row in full.V)
+    smith = _Smith(rows, len(rows))
+    u_cols = list(zip(*smith.U))
+    return tuple(tuple(_dot(v_row, u_col) for u_col in u_cols) for v_row in smith.V)
 
 
 @dataclass(frozen=True, eq=False)
@@ -504,21 +527,29 @@ class QuotientPresentation:
     Coordinates come in two blocks: one residue per invariant factor >= 2
     (torsion block, in divisibility order) followed by ``free_rank`` integer
     coordinates. ``project`` and ``lift`` translate between ambient vectors and
-    these coordinates; ``project(lift(c)) == c`` always holds. The rows of the
-    Smith transform U and of its inverse are kept to do so.
+    these coordinates; ``project(lift(c)) == c`` always holds. ``project``
+    reads the rows of the Smith transform U and ``lift`` those of its inverse;
+    each is replayed from the Smith form's row record on first read.
     """
 
     ambient_rank: int
     free_rank: int
     torsion: tuple[int, ...]
-    _U: list[list[int]] | None
-    _Uinv: list[list[int]] | None
+    _smith: _Smith
     _torsion_indices: tuple[int, ...]
     _free_indices: tuple[int, ...]
 
     @property
     def coordinate_count(self) -> int:
         return len(self.torsion) + self.free_rank
+
+    @property
+    def _U(self) -> list[list[int]]:
+        return self._smith.U
+
+    @property
+    def _Uinv(self) -> list[list[int]]:
+        return self._smith.Uinv
 
     def project(self, v: Sequence[int]) -> tuple[int, ...]:
         vec = as_int_vector(v, self.ambient_rank)
@@ -558,26 +589,25 @@ def quotient(ambient_rank: int, relations: Subgroup) -> QuotientPresentation:
     return _cokernel(_transpose(relations.columns(), ambient_rank), relations.rank)
 
 
-def _cokernel(
-    rows: list[list[int]], ncols: int, builds: Sequence[str] = ("U", "Uinv")
-) -> QuotientPresentation:
+def _cokernel(rows: list[list[int]], ncols: int) -> QuotientPresentation:
     """Present Z^rows modulo the column span of trusted rows, through one Smith form.
 
-    ``builds`` names the transforms the presentation keeps: ``project`` and
-    ``_free_rows`` read U, ``lift`` and ``_free_lifts`` read U^{-1}. With
-    neither, only the ranks and the torsion are there.
+    Only the ranks and the torsion are read at once; U (for ``project`` and
+    ``_free_rows``) and U^{-1} (for ``lift`` and ``_free_lifts``) are replayed
+    from the Smith form's row record on first read. A quotient never reads D
+    again nor V, so both go now.
     """
     ambient_rank = len(rows)
-    full = _snf_with_inverses(rows, ncols, builds)
-    diag = snf_diagonal(full.D)
+    smith = _Smith(rows, ncols)
+    diag = snf_diagonal(smith.D)
+    smith.D = smith._col_ops = None
     s = len(diag)
     torsion_indices = tuple(i for i in range(s) if diag[i] >= 2)
     return QuotientPresentation(
         ambient_rank=ambient_rank,
         free_rank=ambient_rank - s,
         torsion=tuple(diag[i] for i in torsion_indices),
-        _U=full.U,
-        _Uinv=full.Uinv,
+        _smith=smith,
         _torsion_indices=torsion_indices,
         _free_indices=tuple(range(s, ambient_rank)),
     )

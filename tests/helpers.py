@@ -69,9 +69,9 @@ def numpy_snf_with_inverses(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     """U, D, V and U^{-1} of the Smith form, by whole-row and whole-column
     updates of numpy object arrays.
 
-    The oracle for ``lattice._snf_with_inverses``, which makes the same pivot
-    choices and operations on rows of Python ints and must return the
-    identical transforms.
+    The oracle for ``lattice._Smith``, which makes the same pivot choices and
+    operations on rows of Python ints, replays them for each transform it is
+    asked for, and must return the identical transforms.
     """
     D = intmat(m.tolist(), cols=m.shape[1])
     nrows, ncols = D.shape

@@ -8,7 +8,7 @@ for entry against the numpy implementation they replaced.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from trihodge.lattice import (
     Subgroup,
     _column_matrix,
     _kernel,
-    _snf_with_inverses,
+    _Smith,
     as_int_vector,
     identity,
     integer_solve,
@@ -144,7 +144,7 @@ def snf_inputs(draw):
 
 def assert_numpy_transforms(m):
     """The Smith form on rows makes the numpy oracle's every pivot and step."""
-    full = _snf_with_inverses(m.tolist(), m.shape[1])
+    full = _Smith(m.tolist(), m.shape[1])
     U, D, V, Uinv = numpy_snf_with_inverses(m)
     assert full.U == U.tolist()
     assert full.D == D.tolist()
@@ -166,32 +166,35 @@ class TestTransformsMatchNumpyOracle:
 
 
 TRANSFORMS = ("U", "V", "Uinv")
-SELECTIONS = [sel for r in range(4) for sel in combinations(TRANSFORMS, r)]
+READ_ORDERS = [order for r in range(4) for order in permutations(TRANSFORMS, r)]
 
 
-def assert_selections_match_full_run(m):
-    """Each selection gives the full run's D and the full run's transforms it names."""
+def assert_every_read_order_matches_oracle(m):
+    """Whichever transforms are read, in whichever order, on a fresh Smith form,
+    D and each transform are the numpy oracle's."""
     rows, ncols = m.tolist(), m.shape[1]
-    full = _snf_with_inverses(rows, ncols)
-    for builds in SELECTIONS:
-        part = _snf_with_inverses(rows, ncols, builds)
-        assert part.D == full.D, builds
-        for name in TRANSFORMS:
-            expected = getattr(full, name) if name in builds else None
-            assert getattr(part, name) == expected, (builds, name)
+    U, D, V, Uinv = numpy_snf_with_inverses(m)
+    expected = {"U": U.tolist(), "V": V.tolist(), "Uinv": Uinv.tolist()}
+    for order in READ_ORDERS:
+        smith = _Smith(rows, ncols)
+        for name in order:
+            assert getattr(smith, name) == expected[name], (order, name)
+        assert smith.D == D.tolist(), order
+        for name in order:
+            assert getattr(smith, name) == expected[name], (order, name)
 
 
-class TestTransformSelection:
+class TestTransformReplayOrder:
     @settings(max_examples=150, deadline=None)
     @given(snf_inputs())
     def test_random_matrices(self, m):
-        assert_selections_match_full_run(m)
+        assert_every_read_order_matches_oracle(m)
 
     def test_differentials_of_the_random_suite(self):
         for d in RANDOM_SUITE:
             for c in (homology_complex(d), dual_complex(d)):
                 for m in c.diffs:
-                    assert_selections_match_full_run(m)
+                    assert_every_read_order_matches_oracle(m)
 
 
 class TestDeterminant:

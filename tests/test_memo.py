@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +16,7 @@ from trihodge.complexes import (
 )
 from trihodge.diagram import InvalidDiagramError, builtin, diagram_from_curves, ensure_valid
 from trihodge.pairings import (
+    H2DualRep,
     dual_rep_basis,
     evaluate_on_surface_class,
     h2_basis_cocycles,
@@ -26,6 +28,7 @@ from trihodge.spin import enumerate_spin, spin_count
 from trihodge.spinc import act, base_ledger, c1_difference
 
 from helpers import cech_complex
+from test_acceptance import RANDOM_SUITE
 
 MEMOIZED = (
     homology_complex,
@@ -78,19 +81,29 @@ def test_groups_and_generators_share_one_result_per_position():
 SUMS = ["CP2#CP2bar", "S2xS2#QS4_Z3", "S1xS3#QS4_Z2"]
 
 
+TRANSFORMS = ("U", "V", "Uinv")
+
+
+def built(form) -> set[str]:
+    """The transforms a Smith form has materialized so far."""
+    return {name for name in TRANSFORMS if name in vars(form)}
+
+
 @pytest.fixture
 def smith_forms(monkeypatch):
-    """The transforms built by each Smith normal form computed since the fixture
-    started, one entry per form. Callers pass the selection positionally."""
-    built = []
-    inner = lattice._snf_with_inverses
+    """Every Smith normal form computed since the fixture started, in order.
 
-    def recorded(*args):
-        built.append(tuple(args[2]) if len(args) > 2 else lattice._ALL_TRANSFORMS)
-        return inner(*args)
+    The forms themselves are kept, so ``built(form)`` tells which transforms
+    each has materialized by the time the test reads it."""
+    forms = []
 
-    monkeypatch.setattr(lattice, "_snf_with_inverses", recorded)
-    return built
+    class Recorded(lattice._Smith):
+        def __init__(self, *args):
+            super().__init__(*args)
+            forms.append(self)
+
+    monkeypatch.setattr(lattice, "_Smith", Recorded)
+    return forms
 
 
 @pytest.mark.parametrize("name", SUMS)
@@ -120,8 +133,39 @@ def test_smith_forms_build_only_the_transforms_read(name, smith_forms):
     dual_middle_homology(d)
     cokernels = smith_forms[len(quotients) :]
     assert quotients and cokernels
-    assert all("V" not in builds for builds in smith_forms)
-    assert all("U" not in builds for builds in cokernels)
+    assert all("V" not in built(form) for form in smith_forms)
+    assert all("U" not in built(form) for form in cokernels)
+
+
+@pytest.mark.parametrize("name", SUMS)
+def test_validation_and_spin_build_no_transform(name, smith_forms):
+    d = builtin(name)
+    ensure_valid(d)
+    spin_count(d)
+    enumerate_spin(d)
+    assert len(smith_forms) == 6
+    assert all(not built(form) for form in smith_forms)
+
+
+def test_pair_quotients_build_no_inverse_unless_lifted():
+    diagrams = [builtin(name) for name in SUMS] + [replace(d) for d in RANDOM_SUITE]
+    for d in diagrams:
+        ensure_valid(d)
+        homology_groups(d)
+        dual_middle_homology(d)
+        intersection_form(d)
+        reps = dual_rep_basis(d)
+        s = base_ledger(d)
+        c1_difference(act(s, reps[0] if reps else H2DualRep.zero(d)), s)
+        spin_count(d)
+    assert not any("Uinv" in built(q._smith) for d in diagrams for q in d._pair_quotients)
+    for d in diagrams:
+        for lam in (1, 2, 3):
+            q = d.pair_quotient(lam)
+            n = q.coordinate_count
+            for c in [[0] * n, *lattice._identity_rows(n)]:
+                assert q.project(q.lift(c)) == tuple(c)
+            assert "Uinv" in built(q._smith)
 
 
 def test_kernels_and_intersections_need_no_smith_form(smith_forms):
