@@ -3,7 +3,10 @@
 One binary with subcommands; a diagram comes from a JSON file, a builtin
 name, or the seeded random generator. Output is byte-deterministic: fixed
 line order, plain decimal integers, torsion rendered as Z/d tokens. The
---json flag switches to a machine format with the same values.
+--json flag switches to a machine format with the same values. The rep
+coordinates and Euler entries printed by spinc are handlebody coordinates:
+the class of a_lam is given by its pairings <e_i, a_lam> with the canonical
+columns e_i of L_lam.
 
 Exit codes: 0 success (and diagram valid), 1 invalid diagram or rep, or a
 refused computation (a spin listing over spin.MAX_LISTED structures),

@@ -4,8 +4,9 @@ Two complexes of free groups carry the computation:
 
 * a five-term complex built from the Lagrangians, whose homology in degrees
   0..4 is the integral homology of the 4-manifold;
-* a dual complex through handlebody and sector-boundary H1 quotients, whose
-  middle homology gives a second, independently computed copy of H2.
+* a dual complex, Hom of that complex's middle, whose middle homology
+  agrees with H2 by universal coefficients plus Poincare duality. It checks
+  the code but is no independent route; the duality laws are that check.
 
 Each homology group is one Smith form, computed once per complex position
 and shared by every query that needs the group or its generators. A complex
@@ -34,11 +35,11 @@ from .lattice import (
     _cokernel,
     _column_matrix,
     _combination,
-    _dot,
     _kernel,
     _transpose,
     as_int_vector,
 )
+from .surface import _pairing_rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -219,37 +220,25 @@ def homology_groups(d: TrisectionDiagram) -> tuple[HomologyGroup, ...]:
 
 @memoized
 def dual_complex(d: TrisectionDiagram) -> FreeChainComplex:
-    """Quotient-side complex whose middle homology is H_2(X; Z).
+    """Hom of the middle of the homology complex; its middle homology is H_2(X; Z).
 
-    Surface lattice -> sum of handlebody H1 quotients (diagonal map) -> sum of
-    sector-boundary H1 quotients (cyclic differences). For a valid diagram all
-    quotients are free, so this is a complex of free groups. It shares no
-    matrices with the homology complex, which is what makes the H2 comparison
-    a real cross-check.
+    Surface lattice -> sum of Hom(L_lam, Z) -> sum of Hom(L_lam n L_{lam+1}, Z),
+    by the pairing isomorphisms Z^2g / L_lam = Hom(L_lam, Z) and Z^2g /
+    (L_lam + L_{lam+1}) = Hom(L_lam n L_{lam+1}, Z). The first map is
+    x -> (<e, x>) over the Lagrangian columns e, the second the negated
+    transpose of the pair-difference columns.
     """
-    ensure_valid(d)
+    c = homology_complex(d)
     g = d.genus
-    hb = [d.handlebody_quotient(lam) for lam in (1, 2, 3)]
-    pq = [d.pair_quotient(lam) for lam in (1, 2, 3)]
-    if any(q.torsion for q in hb + pq):
-        raise InvalidStateError("free quotients expected for a valid diagram")
-
-    diag_map = [row for q in hb for row in q._free_rows]
-    diff_map = []
-    for lam_idx in range(3):
-        nxt = (lam_idx + 1) % 3
-        left, right = hb[lam_idx]._free_lifts, hb[nxt]._free_lifts
-        for r in pq[lam_idx]._free_rows:
-            row = [0] * (3 * g)
-            row[lam_idx * g : (lam_idx + 1) * g] = [_dot(r, lift) for lift in left]
-            row[nxt * g : (nxt + 1) * g] = [-_dot(r, lift) for lift in right]
-            diff_map.append(row)
-
+    pair_columns = c.columns[1]
     return FreeChainComplex(
         term_names=("surface classes", "handlebody quotients", "sector boundary quotients"),
-        ranks=(2 * g, 3 * g, len(diff_map)),
+        ranks=(2 * g, 3 * g, len(pair_columns)),
         degrees=(0, 1, 2),
-        columns=(_transpose(diag_map, 2 * g), _transpose(diff_map, 3 * g)),
+        columns=(
+            _transpose(_pairing_rows(c.columns[2]), 2 * g),
+            _transpose([[-x for x in col] for col in pair_columns], 3 * g),
+        ),
     )
 
 

@@ -14,16 +14,18 @@ from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from typing import Sequence
 
+from . import lattice as _lattice
 from .lattice import (
     QuotientPresentation,
     Subgroup,
     _span,
     as_int_vector,
     quotient,
+    snf_diagonal,
     subgroup_intersection,
     subgroup_sum,
 )
-from .surface import SymplecticLattice
+from .surface import SymplecticLattice, _pairing_rows
 
 SYSTEM_NAMES = ("alpha", "beta", "gamma")
 
@@ -120,13 +122,11 @@ class TrisectionDiagram:
         """The surface lattice modulo L1 + L2 + L3 (degree-one homology of X)."""
         return quotient(self.lattice.rank, self.triple_sum)
 
-    def handlebody_quotient(self, lam: int) -> QuotientPresentation:
-        """H1 of handlebody lam: the surface lattice modulo L_lam."""
-        return self._handlebody_quotients[_system_index(lam)]
-
     @cached_property
-    def _handlebody_quotients(self) -> tuple[QuotientPresentation, ...]:
-        return tuple(quotient(self.lattice.rank, L) for L in self._lagrangians)
+    def _pairing_forms(self) -> tuple[_lattice._Smith, ...]:
+        """Smith forms of the pairing maps x -> (<e, x>) over each L_lam's columns e."""
+        rank = self.lattice.rank
+        return tuple(_lattice._Smith(_pairing_rows(L.columns()), rank) for L in self._lagrangians)
 
     def pair_quotient(self, lam: int) -> QuotientPresentation:
         """H1 of the boundary 3-manifold of sector lam: lattice mod (L_lam + L_{lam+1})."""
@@ -193,10 +193,11 @@ def validate(d: TrisectionDiagram) -> ValidationReport:
     """Run every validity check; never raises, failures land in the report."""
     lat = d.lattice
     checks: list[tuple[str, bool]] = []
-    # the quotients are the Smith forms dual_complex reads later
-    for name, L, q in zip(SYSTEM_NAMES, d._lagrangians, d._handlebody_quotients):
+    # the form is unimodular: L is primitive when pairing with it maps onto Z^g
+    for name, L, smith in zip(SYSTEM_NAMES, d._lagrangians, d._pairing_forms):
         checks.append((f"{name} isotropic", lat.is_isotropic(L)))
-        checks.append((f"{name} primitive", L.rank == d.genus and q.torsion == ()))
+        ones = snf_diagonal(smith.D) == (1,) * d.genus
+        checks.append((f"{name} primitive", L.rank == d.genus and ones))
     pair_names = ("alpha+beta", "beta+gamma", "gamma+alpha")
     for name, q in zip(pair_names, d._pair_quotients):
         checks.append((f"{name} torsion-free", q.torsion == ()))

@@ -395,23 +395,30 @@ class Subgroup:
     def coordinates_of(self, v: Sequence[int]) -> tuple[int, ...]:
         """Integer coordinates of v in the canonical basis.
 
-        Raises ValueError when v is not a member. Forward substitution down the
-        echelon columns, touching only their nonzero entries, so this is exact
-        and fast.
+        Raises ValueError when v is not a member.
         """
         rem = list(as_int_vector(v, self.ambient_rank))
+        coords = self._substitute(rem)
+        if any(rem):
+            raise ValueError("vector is not in the subgroup")
+        return coords
+
+    def _substitute(self, rem: list[int]) -> tuple[int, ...]:
+        """Floor quotients of trusted rem down the canonical columns; rem keeps the rest.
+
+        Forward substitution down the echelon columns, touching only their
+        nonzero entries. Afterwards each pivot-row entry of rem lies in
+        [0, pivot), which makes rem the unique such representative of its
+        class modulo the subgroup: zero exactly when the input was a member.
+        """
         coords = []
         for entries in self._entries:
             prow, pval = entries[0]
-            q, r = divmod(rem[prow], pval)
-            if r:
-                raise ValueError("vector is not in the subgroup")
+            q = rem[prow] // pval
             coords.append(q)
             if q:
                 for i, x in entries:
                     rem[i] -= q * x
-        if any(rem):
-            raise ValueError("vector is not in the subgroup")
         return tuple(coords)
 
     def contains(self, v: Sequence[int]) -> bool:
@@ -543,37 +550,24 @@ class QuotientPresentation:
     def coordinate_count(self) -> int:
         return len(self.torsion) + self.free_rank
 
-    @property
-    def _U(self) -> list[list[int]]:
-        return self._smith.U
-
-    @property
-    def _Uinv(self) -> list[list[int]]:
-        return self._smith.Uinv
-
     def project(self, v: Sequence[int]) -> tuple[int, ...]:
         vec = as_int_vector(v, self.ambient_rank)
-        tor = [_dot(self._U[i], vec) % d for i, d in zip(self._torsion_indices, self.torsion)]
-        free = [_dot(self._U[i], vec) for i in self._free_indices]
-        return tuple(tor + free)
+        U = self._smith.U
+        tor = [_dot(U[i], vec) % d for i, d in zip(self._torsion_indices, self.torsion)]
+        return tuple(tor + [_dot(U[i], vec) for i in self._free_indices])
 
     def lift(self, coords: Sequence[int]) -> tuple[int, ...]:
         coords = as_int_vector(coords, self.coordinate_count)
         pairs = [(i, c) for i, c in zip(self._torsion_indices + self._free_indices, coords) if c]
-        return tuple(sum(row[i] * c for i, c in pairs) for row in self._Uinv)
+        return tuple(sum(row[i] * c for i, c in pairs) for row in self._smith.Uinv)
 
     def is_zero(self, v: Sequence[int]) -> bool:
         return not any(self.project(v))
 
-    @property
-    def _free_rows(self) -> list[list[int]]:
-        """Rows of the map Z^n -> Z^free_rank onto the free coordinates."""
-        return [self._U[i] for i in self._free_indices]
-
     @cached_property
     def _free_lifts(self) -> tuple[tuple[int, ...], ...]:
         """The ambient vector lifting each free coordinate."""
-        return tuple(tuple(row[i] for row in self._Uinv) for i in self._free_indices)
+        return tuple(tuple(row[i] for row in self._smith.Uinv) for i in self._free_indices)
 
     def __repr__(self) -> str:
         return (
@@ -592,10 +586,10 @@ def quotient(ambient_rank: int, relations: Subgroup) -> QuotientPresentation:
 def _cokernel(rows: list[list[int]], ncols: int) -> QuotientPresentation:
     """Present Z^rows modulo the column span of trusted rows, through one Smith form.
 
-    Only the ranks and the torsion are read at once; U (for ``project`` and
-    ``_free_rows``) and U^{-1} (for ``lift`` and ``_free_lifts``) are replayed
-    from the Smith form's row record on first read. A quotient never reads D
-    again nor V, so both go now.
+    Only the ranks and the torsion are read at once; U (for ``project``) and
+    U^{-1} (for ``lift`` and ``_free_lifts``) are replayed from the Smith
+    form's row record on first read. A quotient never reads D again nor V,
+    so both go now.
     """
     ambient_rank = len(rows)
     smith = _Smith(rows, ncols)

@@ -3,10 +3,10 @@
 Degree-two classes are carried as triples (b1, b2, b3) with b_lam in the
 lam-th Lagrangian and b1 + b2 + b3 = 0; the cup product of two such classes
 evaluates on the fundamental class as a single intersection number on the
-central surface. Degree-two homology classes are carried dually, as triples
-of handlebody H1 classes satisfying the cyclic matching conditions. The two
-sides meet in an integer evaluation pairing, and an exact linear solve
-converts one representation into the other.
+central surface. Degree-two homology classes are carried dually, as cycles
+of the dual complex: matched triples of handlebody H1 classes in pairing
+coordinates. The two sides meet in an integer evaluation pairing, and an
+exact linear solve converts one representation into the other.
 
 A class derived from others (a sum, a multiple, a solved combination of a
 basis) is built in one step: the component vectors are summed first, then
@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import islice
 
 from .complexes import InvalidStateError, dual_complex, homology_complex
 from .diagram import TrisectionDiagram, ensure_valid, memoized
@@ -33,17 +35,22 @@ from .lattice import (
     as_int_vector,
     subgroup_intersection,
 )
+from .surface import _form
 
 
 class CycleConditionError(ValueError):
     """A handlebody-class triple fails one of the cyclic matching conditions."""
 
 
-def _matching_failure(d: TrisectionDiagram, lifts) -> str | None:
-    """The first cyclic matching condition three ambient lifts fail, or None."""
+def _matching_failure(d: TrisectionDiagram, coords) -> str | None:
+    """The first cyclic matching condition handlebody coordinates fail, or None.
+
+    Condition lam: the pair-difference columns of block lam annihilate them.
+    """
+    flat = [c for block in coords for c in block]
+    columns = iter(homology_complex(d).columns[1])
     for lam, nxt in ((1, 2), (2, 3), (3, 1)):
-        diff = _combination((lifts[lam - 1], lifts[nxt - 1]), (1, -1), 2 * d.genus)
-        if not d.pair_quotient(lam).is_zero(diff):
+        if any(_dot(col, flat) for col in islice(columns, d.pair_intersection(lam).rank)):
             return f"a{lam} - a{nxt} is nonzero in the sector boundary quotient {lam}"
     return None
 
@@ -120,31 +127,21 @@ def _cocycle_combination(d: TrisectionDiagram, xs, coeffs) -> OneOneCocycle:
 class H2DualRep:
     """Degree-two homology class as a matched triple of handlebody H1 classes.
 
-    ``coords`` hold the class of each component in the free quotient
-    H1(surface)/L_lam; ``lifts`` are chosen ambient vectors projecting to
-    those coordinates. Construction checks the cyclic matching conditions:
-    the difference of consecutive lifts must vanish in the sector boundary
-    quotient H1(surface)/(L_lam + L_{lam+1}).
+    ``coords[lam - 1][i]`` is <e_i, a_lam> over the canonical columns e_i of
+    L_lam, which fixes the class of a_lam in H1(surface)/L_lam. Construction
+    checks that the concatenated coordinates are a cycle of the dual complex.
     """
 
     diagram: TrisectionDiagram
     coords: tuple[tuple[int, ...], ...]
-    lifts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        d = self.diagram
-        g = d.genus
+        g = self.diagram.genus
         coords = tuple(as_int_vector(c, g) for c in self.coords)
-        lifts = tuple(as_int_vector(v, 2 * g) for v in self.lifts)
-        if len(coords) != 3 or len(lifts) != 3:
+        if len(coords) != 3:
             raise ValueError("expected one component per handlebody")
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "lifts", lifts)
-        for lam in (1, 2, 3):
-            q = d.handlebody_quotient(lam)
-            if q.project(lifts[lam - 1]) != coords[lam - 1]:
-                raise ValueError(f"lift {lam} does not project to its coordinates")
-        failure = _matching_failure(d, lifts)
+        failure = _matching_failure(self.diagram, coords)
         if failure:
             raise CycleConditionError(failure)
 
@@ -152,19 +149,29 @@ class H2DualRep:
     def from_lifts(
         cls, d: TrisectionDiagram, lifts: "tuple[tuple[int, ...], ...]"
     ) -> "H2DualRep":
-        coords = tuple(
-            d.handlebody_quotient(lam).project(lifts[lam - 1]) for lam in (1, 2, 3)
-        )
-        return cls(d, coords, tuple(lifts))
+        """The rep of ambient vectors a_1, a_2, a_3, each paired with its L_lam."""
+        vectors = (as_int_vector(v, 2 * d.genus) for v in lifts)
+        pairs = zip((d.lagrangian_subgroup(lam) for lam in (1, 2, 3)), vectors, strict=True)
+        return cls(d, tuple(tuple(_form(e, a) for e in L.columns()) for L, a in pairs))
 
-    @classmethod
-    def from_coords(
-        cls, d: TrisectionDiagram, coords: "tuple[tuple[int, ...], ...]"
-    ) -> "H2DualRep":
-        lifts = tuple(
-            d.handlebody_quotient(lam).lift(coords[lam - 1]) for lam in (1, 2, 3)
-        )
-        return cls(d, tuple(coords), lifts)
+    @cached_property
+    def lifts(self) -> tuple[tuple[int, ...], ...]:
+        """Ambient vectors with these coordinates, each reduced modulo its L_lam.
+
+        With U N V = [I | 0] the Smith form of L_lam's pairing map, the dual
+        basis V[:, :g] U times the coordinates is reduced along the canonical
+        columns of L_lam, to the one vector of its class whose pivot-row entries
+        lie in [0, pivot).
+        """
+        d = self.diagram
+        g = d.genus
+        out = []
+        for lam, smith, c in zip((1, 2, 3), d._pairing_forms, self.coords):
+            u = [_dot(row, c) for row in smith.U]
+            lift = [_dot(row[:g], u) for row in smith.V]
+            d.lagrangian_subgroup(lam)._substitute(lift)
+            out.append(tuple(lift))
+        return tuple(out)
 
     @classmethod
     def zero(cls, d: TrisectionDiagram) -> "H2DualRep":
@@ -192,9 +199,9 @@ def _rep_combination(d: TrisectionDiagram, reps, coeffs) -> H2DualRep:
     if any(r.diagram != d for r in reps):
         raise ValueError("dual reps belong to different diagrams")
     g = d.genus
-    coords = tuple(_combination([r.coords[i] for r in reps], coeffs, g) for i in range(3))
-    lifts = tuple(_combination([r.lifts[i] for r in reps], coeffs, 2 * g) for i in range(3))
-    return H2DualRep(d, coords, lifts)
+    return H2DualRep(
+        d, tuple(_combination([r.coords[i] for r in reps], coeffs, g) for i in range(3))
+    )
 
 
 def _sign_normalized(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -355,16 +362,16 @@ def h3_representatives(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
 def evaluate_on_surface_class(d: TrisectionDiagram, x: OneOneCocycle, rep: H2DualRep) -> int:
     """Evaluate a degree-two cocycle on a degree-two homology class.
 
-    The sum of the three intersection numbers of matching components. The
-    value does not depend on the choice of ambient lifts (each b_lam kills
-    the L_lam ambiguity) nor on coboundary changes to the cocycle (the
-    matching conditions kill those).
+    The sum over lam of <b_lam, a_lam>, which is coords_lam dotted with the
+    coordinates of b_lam in the canonical columns of L_lam. Coboundary changes
+    to the cocycle do not move it (the matching conditions kill those).
     """
     _check_cocycle(d, x, "cocycle")
     if rep.diagram != d:
         raise ValueError("dual rep belongs to a different diagram")
     return sum(
-        d.lattice.intersection_number(b, lift) for b, lift in zip(x.blocks, rep.lifts)
+        _dot(d.lagrangian_subgroup(lam).coordinates_of(b), c)
+        for lam, b, c in zip((1, 2, 3), x.blocks, rep.coords)
     )
 
 
@@ -372,14 +379,13 @@ def evaluate_on_surface_class(d: TrisectionDiagram, x: OneOneCocycle, rep: H2Dua
 def dual_rep_basis(d: TrisectionDiagram) -> tuple[H2DualRep, ...]:
     """Dual reps generating the free part of degree-two homology.
 
-    Free generators of the middle homology of the quotient-side complex,
+    Free generators of the middle homology of the dual complex,
     sign-normalized like the cocycle basis.
     """
     g = d.genus
     _, gens = dual_complex(d).homology_with_generators(1)
     return tuple(
-        H2DualRep.from_coords(d, (v[:g], v[g : 2 * g], v[2 * g :]))
-        for v in map(_sign_normalized, gens)
+        H2DualRep(d, (v[:g], v[g : 2 * g], v[2 * g :])) for v in map(_sign_normalized, gens)
     )
 
 

@@ -1,11 +1,12 @@
 """Ledger bookkeeping for Spin^C structures.
 
 A ledger records, per handlebody, the relative Euler class of a plane field
-in the free quotient coordinates of H1 of that handlebody. Lutz twists shift
-one entry by -2 times a curve class; the degree-two homology action applies
-three matched twists at once, as one update of all three entries.
+in handlebody coordinates: a class a in H1 of handlebody lam is recorded as
+its pairings <e_i, a> with the canonical columns e_i of L_lam. Lutz twists
+shift one entry by -2 times a curve class; the degree-two homology action
+applies three matched twists at once, as one update of all three entries.
 Admissibility is the cyclic matching check of ``pairings`` run on the Euler
-lifts directly, without building a homology rep from them. First Chern
+coordinates directly, without building a homology rep from them. First Chern
 classes are tracked as differences against an opaque base structure: the
 base value itself is geometric input the diagram does not determine, so it
 is either supplied by the user or left symbolic.
@@ -46,10 +47,6 @@ class SpinCLedger:
         if self.base_c1 is not None and self.base_c1.diagram != self.diagram:
             raise ValueError("base c1 belongs to a different diagram")
 
-    def euler_lift(self, lam: int) -> tuple[int, ...]:
-        """Ambient representative of the Euler entry for handlebody lam."""
-        return self.diagram.handlebody_quotient(lam).lift(self.euler[lam - 1])
-
 
 def base_ledger(
     d: TrisectionDiagram, base_id: str = "base", base_c1: OneOneCocycle | None = None
@@ -63,8 +60,9 @@ def base_ledger(
 def lutz_shift(ledger: SpinCLedger, lam: int, gamma_coords) -> SpinCLedger:
     """Twist along a curve class in handlebody lam: its Euler entry drops by 2*gamma.
 
-    ``gamma_coords`` are quotient coordinates in H1 of that handlebody. A lone
-    shift may leave the admissible locus; matched triples (see ``act``) never do.
+    ``gamma_coords`` are the pairings <e_i, gamma> with L_lam's canonical
+    columns e_i. A lone shift may leave the admissible locus; matched triples
+    (see ``act``) never do.
     """
     if lam not in (1, 2, 3):
         raise ValueError("handlebody index must be 1, 2 or 3")
@@ -93,11 +91,10 @@ def is_admissible(ledger: SpinCLedger) -> bool:
 
     Consecutive entries must agree in the sector boundary quotients, the same
     conditions a degree-two homology rep satisfies, checked by the same
-    function on the three Euler lifts; the base ledger is admissible and
+    function on the Euler coordinates; the base ledger is admissible and
     ``act`` preserves the property.
     """
-    lifts = [ledger.euler_lift(lam) for lam in (1, 2, 3)]
-    return _matching_failure(ledger.diagram, lifts) is None
+    return _matching_failure(ledger.diagram, ledger.euler) is None
 
 
 def _half_difference_rep(s1: SpinCLedger, s2: SpinCLedger) -> H2DualRep:
@@ -108,7 +105,7 @@ def _half_difference_rep(s1: SpinCLedger, s2: SpinCLedger) -> H2DualRep:
         if any(c % 2 for c in diff):
             raise ValueError("Euler entries do not differ by an even class")
         coords.append(tuple(c // 2 for c in diff))
-    return H2DualRep.from_coords(s1.diagram, tuple(coords))
+    return H2DualRep(s1.diagram, tuple(coords))
 
 
 def c1_difference(s1: SpinCLedger, s2: SpinCLedger) -> OneOneCocycle:

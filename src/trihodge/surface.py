@@ -43,3 +43,8 @@ class SymplecticLattice:
 def _form(x: Sequence[int], y: Sequence[int]) -> int:
     """<x, y> on trusted vectors of equal even length; <x, x> = 0 always."""
     return sum(x[i] * y[i + 1] - x[i + 1] * y[i] for i in range(0, len(x), 2))
+
+
+def _pairing_rows(vectors: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Rows of the map x -> (<e, x>) over trusted vectors e: row e dotted with x is <e, x>."""
+    return [[c for i in range(0, len(e), 2) for c in (-e[i + 1], e[i])] for e in vectors]

@@ -65,6 +65,11 @@ def form_matrix(lat: SymplecticLattice) -> np.ndarray:
     return J
 
 
+def plain_form(x: Sequence[int], y: Sequence[int]) -> int:
+    """<x, y> written out from the basis convention a1, b1, a2, b2, ..."""
+    return sum(x[i] * y[i + 1] - x[i + 1] * y[i] for i in range(0, len(x), 2))
+
+
 def numpy_snf_with_inverses(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """U, D, V and U^{-1} of the Smith form, by whole-row and whole-column
     updates of numpy object arrays.
@@ -370,7 +375,29 @@ def random_cycle_rep(d: TrisectionDiagram, rng: random.Random, span: int = 4) ->
     if cycles.rank == 0:
         return H2DualRep.zero(d)
     vec = _random_combination(cycles.basis, rng, span)
-    return H2DualRep.from_coords(d, (vec[:g], vec[g : 2 * g], vec[2 * g :]))
+    return H2DualRep(d, (vec[:g], vec[g : 2 * g], vec[2 * g :]))
+
+
+def random_matched_lifts(
+    d: TrisectionDiagram, rng: random.Random, span: int = 3
+) -> tuple[tuple[int, ...], ...]:
+    """Ambient lifts of a random cycle rep, each moved by its own random vector of
+    its Lagrangian and all three by one random ambient vector, so still matched."""
+    g = d.genus
+    common = [rng.randint(-span, span) for _ in range(2 * g)]
+    return tuple(
+        tuple(
+            a + c + w
+            for a, c, w in zip(
+                lift,
+                common,
+                d.lagrangian_subgroup(lam).member_from_coordinates(
+                    [rng.randint(-span, span) for _ in range(g)]
+                ),
+            )
+        )
+        for lam, lift in zip((1, 2, 3), random_cycle_rep(d, rng).lifts)
+    )
 
 
 def scrambled(d: TrisectionDiagram, seed: int) -> TrisectionDiagram:

@@ -139,7 +139,7 @@ def test_criterion_03_rank_symmetry():
         assert serre_duality_holds(hodge_diamond(d)), d.label
 
 
-@criterion(4, "H2 agrees across both complexes and the duality laws")
+@criterion(4, "H2 agrees with its dual complex and the independent duality laws")
 def test_criterion_04_three_way_h2():
     saw_torsion = False
     for d in SUITE:

@@ -22,7 +22,8 @@ from trihodge.complexes import (
 from trihodge.diagram import builtin, euler_characteristic, random_diagram
 from trihodge.lattice import kernel_basis
 
-from helpers import cech_complex
+from helpers import cech_complex, plain_form
+from test_acceptance import RANDOM_SUITE
 
 Z = HomologyGroup(1)
 ZERO = HomologyGroup(0)
@@ -232,6 +233,22 @@ def test_dual_complex_s1_x_s3():
 
 def test_dual_complex_connected_sum():
     assert dual_middle_homology(builtin("CP2#CP2")) == HomologyGroup(2)
+
+
+TORSION_SUMS = ("QS4_Z2", "QS4_Z3", "QS4_Z2#QS4_Z3", "S1xS3#QS4_Z2", "CP2#QS4_Z3")
+
+
+def test_dual_complex_is_the_transposed_middle_of_the_homology_complex():
+    for d in RANDOM_SUITE + tuple(builtin(name) for name in TORSION_SUMS):
+        fm, dual = homology_complex(d), dual_complex(d)
+        lagrangian_columns, pair_columns = fm.columns[2], fm.columns[1]
+        units = [tuple(int(i == j) for j in range(2 * d.genus)) for i in range(2 * d.genus)]
+        assert dual.columns[0] == tuple(
+            tuple(plain_form(e, u) for e in lagrangian_columns) for u in units
+        ), d.label
+        assert dual.columns[1] == tuple(
+            tuple(-col[j] for col in pair_columns) for j in range(3 * d.genus)
+        ), d.label
 
 
 @settings(max_examples=60, deadline=None)

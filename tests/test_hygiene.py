@@ -100,3 +100,32 @@ def test_private_name_detector():
 def test_every_private_name_is_referenced():
     sources = {p.stem: p.read_text() for p in SRC_MODULES}
     assert unreferenced_private_names(sources) == []
+
+
+def binds_smith(source: str) -> bool:
+    """Whether a module imports ``_Smith`` or names it directly.
+
+    ``tests/test_memo.py`` counts Smith forms by patching ``lattice._Smith``; a
+    module holding its own reference would build forms that go uncounted.
+    """
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any("_Smith" in (alias.name, alias.asname) for alias in node.names):
+                return True
+        elif isinstance(node, ast.Name) and node.id == "_Smith":
+            return True
+    return False
+
+
+def test_smith_binding_detector():
+    assert binds_smith("from .lattice import _Smith, _dot\n")
+    assert binds_smith("from .lattice import _dot as _Smith\n")
+    assert binds_smith("from . import lattice\n_Smith = lattice._Smith\n")
+    assert not binds_smith("from . import lattice\nform = lattice._Smith([], 0)\n")
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SRC_MODULES if p.name != "lattice.py"], ids=lambda p: p.name
+)
+def test_smith_forms_are_built_through_the_lattice_module(path):
+    assert not binds_smith(path.read_text())

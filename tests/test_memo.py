@@ -168,6 +168,35 @@ def test_pair_quotients_build_no_inverse_unless_lifted():
             assert "Uinv" in built(q._smith)
 
 
+def test_census_query_replays_no_pairing_transform_and_no_lift(smith_forms, monkeypatch):
+    reads = []
+    lifts = H2DualRep.lifts.func
+    monkeypatch.setattr(H2DualRep, "lifts", property(lambda rep: reads.append(rep) or lifts(rep)))
+    diagrams = [builtin(name) for name in SUMS] + [replace(d) for d in RANDOM_SUITE[::5]]
+    reps = []
+    for d in diagrams:
+        ensure_valid(d)
+        homology_groups(d)
+        dual_middle_homology(d)
+        hodge_diamond(d)
+        intersection_form(d)
+        basis = dual_rep_basis(d)
+        reps += basis
+        s = base_ledger(d)
+        c1_difference(act(s, basis[0] if basis else H2DualRep.zero(d)), s)
+        spin_count(d)
+    # the pairing forms' U and V serve only lifts; the Gram inverse reads a V of its own
+    pairing_forms = [form for d in diagrams for form in d._pairing_forms]
+    assert reps and not reads
+    assert not any(built(form) for form in pairing_forms)
+    before = len(smith_forms)
+    for rep in reps:
+        assert H2DualRep.from_lifts(rep.diagram, rep.lifts) == rep
+    assert len(reads) == len(reps)
+    assert len(smith_forms) == before
+    assert any(built(form) == {"U", "V"} for form in pairing_forms)
+
+
 def test_kernels_and_intersections_need_no_smith_form(smith_forms):
     m = lattice.intmat([[2, 4, -6, 1], [0, 3, 9, 0], [2, 7, 3, 1]])
     assert lattice.kernel_basis(m).rank == 2

@@ -31,13 +31,18 @@ from helpers import (
     full_width_signature,
     h3_h1_gram,
     lagrangian_coordinates,
+    plain_form,
     random_coboundary,
     random_cocycle,
     random_cycle_rep,
+    random_matched_lifts,
 )
 
 CP2 = builtin("CP2")
 S1XS3 = builtin("S1xS3")
+REP_DIAGRAMS = tuple(
+    builtin(name) for name in ("CP2#CP2bar", "S2xS2#QS4_Z3", "S1xS3#QS4_Z2", "QS4_Z3")
+) + tuple(random_diagram(g, s) for g in (1, 2, 3) for s in range(4))
 
 
 def pairing_all_ways(d, x, y):
@@ -225,7 +230,9 @@ def test_evaluation_invariances_fuzz(genus, seed, draw_seed):
         )
         for lam in (1, 2, 3)
     )
-    other = H2DualRep(d, rep.coords, shifted)
+    other = H2DualRep.from_lifts(d, shifted)
+    assert other.coords == rep.coords
+    assert other.lifts == rep.lifts
     assert evaluate_on_surface_class(d, x, other) == base
 
 
@@ -240,21 +247,66 @@ class TestDualReps:
     def test_from_lifts_round_trip(self):
         rep = H2DualRep.from_lifts(CP2, ((0, 1), (0, 0), (0, 0)))
         assert rep.lifts == ((0, 1), (0, 0), (0, 0))
-        again = H2DualRep.from_coords(CP2, rep.coords)
+        again = H2DualRep(CP2, rep.coords)
         assert again.coords == rep.coords
+        assert H2DualRep.from_lifts(CP2, again.lifts) == rep
 
     def test_cycle_condition_violation_named(self):
         with pytest.raises(CycleConditionError, match="a1 - a2"):
             H2DualRep.from_lifts(S1XS3, ((1, 0), (0, 0), (0, 0)))
 
-    def test_projection_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="does not project"):
-            H2DualRep(CP2, ((5,), (0,), (0,)), ((0, 0), (0, 0), (0, 0)))
-
     def test_evaluation_example(self):
         x = h2_basis_cocycles(CP2)[0]
         rep = H2DualRep.from_lifts(CP2, ((0, 1), (0, 0), (0, 0)))
         assert evaluate_on_surface_class(CP2, x, rep) == 1
+
+    def test_from_lifts_coords_are_pairings_with_canonical_columns(self):
+        rng = random.Random(29)
+        for d in REP_DIAGRAMS:
+            for _ in range(4):
+                lifts = random_matched_lifts(d, rng)
+                columns = [d.lagrangian_subgroup(lam).columns() for lam in (1, 2, 3)]
+                expected = tuple(
+                    tuple(plain_form(e, a) for e in cols) for cols, a in zip(columns, lifts)
+                )
+                assert H2DualRep.from_lifts(d, lifts).coords == expected, d.label
+
+    def test_basis_reps_round_trip_through_reduced_lifts(self):
+        for d in REP_DIAGRAMS:
+            for rep in dual_rep_basis(d):
+                assert H2DualRep.from_lifts(d, rep.lifts) == rep, d.label
+                for lam, lift in zip((1, 2, 3), rep.lifts):
+                    for col in d.lagrangian_subgroup(lam).columns():
+                        pivot = next(i for i, x in enumerate(col) if x)
+                        assert 0 <= lift[pivot] < col[pivot], d.label
+
+    def test_lagrangian_shifts_keep_coords_and_reduced_lifts(self):
+        rng = random.Random(31)
+        for d in REP_DIAGRAMS:
+            rep = random_cycle_rep(d, rng)
+            shifted = tuple(
+                tuple(
+                    a + w
+                    for a, w in zip(
+                        lift,
+                        d.lagrangian_subgroup(lam).member_from_coordinates(
+                            [rng.randint(-5, 5) for _ in range(d.genus)]
+                        ),
+                    )
+                )
+                for lam, lift in zip((1, 2, 3), rep.lifts)
+            )
+            other = H2DualRep.from_lifts(d, shifted)
+            assert other.coords == rep.coords, d.label
+            assert other.lifts == rep.lifts, d.label
+
+    def test_wrong_component_count_rejected(self):
+        with pytest.raises(ValueError, match="one component per handlebody"):
+            H2DualRep(CP2, ((0,), (0,)))
+        with pytest.raises(ValueError):
+            H2DualRep.from_lifts(CP2, ((0, 1), (0, 0), (0, 0), (0, 0)))
+        with pytest.raises(ValueError):
+            H2DualRep.from_lifts(CP2, ((0, 1), (0, 0)))
 
     def test_basis_rank_matches_cocycle_basis(self):
         for name in ("S4", "CP2", "S1xS3", "S2xS2", "CP2#CP2bar"):

@@ -18,6 +18,7 @@ from trihodge.pairings import (
     cocycle_from_dual_rep,
     dual_rep_basis,
     h2_basis_cocycles,
+    intersection_pairing,
     poincare_dual_rep,
 )
 from trihodge.spinc import (
@@ -31,7 +32,7 @@ from trihodge.spinc import (
     lutz_shift,
 )
 
-from helpers import random_cycle_rep
+from helpers import plain_form, random_cycle_rep, random_matched_lifts
 
 CP2 = builtin("CP2")
 S1XS3 = builtin("S1xS3")
@@ -52,16 +53,13 @@ class TestBaseLedger:
         with pytest.raises(ValueError):
             SpinCLedger(CP2, ((0, 0),) * 3, ((0,),) * 3, "base")
 
-    def test_euler_lift_projects_back(self):
-        s = lutz_shift(base_ledger(CP2), 1, (3,))
-        q = CP2.handlebody_quotient(1)
-        assert q.project(s.euler_lift(1)) == s.euler[0]
-
 
 class TestLutzShift:
     def test_drop_by_twice_the_class(self):
         s = base_ledger(CP2)
-        gamma = CP2.handlebody_quotient(1).project((0, 1))
+        gamma = tuple(
+            CP2.lattice.intersection_number(e, (0, 1)) for e in CP2.lagrangian_subgroup(1).columns()
+        )
         assert gamma == (1,)
         shifted = lutz_shift(s, 1, gamma)
         assert shifted.euler == ((-2,), (0,), (0,))
@@ -203,6 +201,20 @@ def test_c1_difference_matches_action_fuzz(genus, seed, draw_seed):
     assert isinstance(diff, OneOneCocycle)
 
 
+def test_c1_difference_is_twice_the_pairing_with_given_lifts():
+    rng = random.Random(37)
+    diagrams = [builtin(n) for n in ("CP2", "S2xS2", "CP2#CP2bar", "S2xS2#QS4_Z3")]
+    diagrams += [random_diagram(g, s) for g in (1, 2, 3) for s in range(4)]
+    for d in diagrams:
+        s = base_ledger(d)
+        for _ in range(3):
+            lifts = random_matched_lifts(d, rng)
+            c1 = c1_difference(act(s, H2DualRep.from_lifts(d, lifts)), s)
+            for b in h2_basis_cocycles(d):
+                paired = sum(plain_form(x, a) for x, a in zip(b.blocks, lifts))
+                assert intersection_pairing(d, b, c1) == 2 * paired, d.label
+
+
 def test_orbit_lattice_is_twice_the_cycle_lattice():
     for name in ("S2xS2", "CP2#CP2bar", "S1xS3"):
         d = builtin(name)
@@ -211,7 +223,7 @@ def test_orbit_lattice_is_twice_the_cycle_lattice():
         s = base_ledger(d)
         shifts = []
         for col in cycles.columns():
-            rep = H2DualRep.from_coords(d, (col[:g], col[g : 2 * g], col[2 * g :]))
+            rep = H2DualRep(d, (col[:g], col[g : 2 * g], col[2 * g :]))
             moved = act(s, rep)
             shift = tuple(
                 b - a
@@ -247,7 +259,7 @@ def test_admissible_exactly_when_euler_entries_form_a_rep(name, entries):
     g = d.genus
     euler = tuple(tuple(entries[i * g : (i + 1) * g]) for i in range(3))
     try:
-        H2DualRep.from_coords(d, euler)
+        H2DualRep(d, euler)
         matched = True
     except CycleConditionError:
         matched = False
