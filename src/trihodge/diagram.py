@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import lattice as _lattice
 from .lattice import (
@@ -61,6 +61,15 @@ class CutSystem:
         return _span(2 * self.genus, self.curves)
 
 
+def _check_curve_counts(genus: int, counts: Iterable[int]) -> None:
+    """Raise unless genus is nonnegative and each system has genus curves."""
+    if genus < 0:
+        raise ValueError("genus must be nonnegative")
+    for name, count in zip(SYSTEM_NAMES, counts):
+        if count != genus:
+            raise ValueError(f"{name} system has {count} curves, expected {genus}")
+
+
 @dataclass(frozen=True)
 class TrisectionDiagram:
     genus: int
@@ -70,13 +79,7 @@ class TrisectionDiagram:
     label: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.genus < 0:
-            raise ValueError("genus must be nonnegative")
-        for name, cs in zip(SYSTEM_NAMES, self.systems):
-            if cs.genus != self.genus:
-                raise ValueError(
-                    f"{name} system has {cs.genus} curves, expected {self.genus}"
-                )
+        _check_curve_counts(self.genus, (cs.genus for cs in self.systems))
 
     @property
     def systems(self) -> tuple[CutSystem, CutSystem, CutSystem]:
@@ -235,13 +238,9 @@ def diagram_from_curves(
     gamma: Sequence[Sequence[int]],
     label: str | None = None,
 ) -> TrisectionDiagram:
-    return TrisectionDiagram(
-        genus=genus,
-        alpha=CutSystem(alpha),
-        beta=CutSystem(beta),
-        gamma=CutSystem(gamma),
-        label=label,
-    )
+    # Counts first, so a short system is named before its curve widths are read.
+    _check_curve_counts(genus, (len(alpha), len(beta), len(gamma)))
+    return TrisectionDiagram(genus, CutSystem(alpha), CutSystem(beta), CutSystem(gamma), label)
 
 
 _BASE_BUILTINS: dict[str, tuple[int, list, list, list]] = {

@@ -322,11 +322,7 @@ def integer_solve(m: np.ndarray, rhs: Sequence[int]) -> tuple[int, ...]:
     returned (free coordinates set to zero).
     """
     rows, ncols = _checked_rows(m)
-    return _solve(rows, ncols, as_int_vector(rhs, len(rows)))
-
-
-def _solve(rows: list[list[int]], ncols: int, rhs: tuple[int, ...]) -> tuple[int, ...]:
-    """``integer_solve`` on trusted rows and right-hand side."""
+    rhs = as_int_vector(rhs, len(rows))
     smith = _Smith(rows, ncols)
     diag = snf_diagonal(smith.D)
     s = len(diag)

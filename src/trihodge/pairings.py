@@ -5,8 +5,10 @@ lam-th Lagrangian and b1 + b2 + b3 = 0; the cup product of two such classes
 evaluates on the fundamental class as a single intersection number on the
 central surface. Degree-two homology classes are carried dually, as cycles
 of the dual complex: matched triples of handlebody H1 classes in pairing
-coordinates. The two sides meet in an integer evaluation pairing, and an
-exact linear solve converts one representation into the other.
+coordinates. The two sides meet in an integer evaluation pairing. Poincare
+duality has a closed form at chain level: the triple (b2, 0, 0) is matched
+and evaluates like cup product with (b1, b2, b3), so no solve is needed in
+that direction.
 
 A class derived from others (a sum, a multiple, a solved combination of a
 basis) is built in one step: the component vectors are summed first, then
@@ -24,13 +26,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 
-from .complexes import InvalidStateError, dual_complex, homology_complex
+from .complexes import InvalidStateError, homology_complex
 from .diagram import TrisectionDiagram, ensure_valid, memoized
 from .lattice import (
     Subgroup,
     _combination,
     _dot,
-    _solve,
     _unimodular_inverse,
     as_int_vector,
     subgroup_intersection,
@@ -375,37 +376,27 @@ def evaluate_on_surface_class(d: TrisectionDiagram, x: OneOneCocycle, rep: H2Dua
     )
 
 
+def poincare_dual_rep(d: TrisectionDiagram, x: OneOneCocycle) -> H2DualRep:
+    """The homology class realizing cup product with x: the rep of (x.b2, 0, 0).
+
+    The triple is matched: a1 - a2 = b2 lies in L2, a2 - a3 = 0, and a3 - a1
+    = b1 + b3 lies in L1 + L3. On every cocycle y it evaluates to <y.b1, x.b2>,
+    which is intersection_pairing(d, y, x). The zero class gives the zero rep.
+    """
+    _check_cocycle(d, x, "cocycle")
+    zero = (0,) * (2 * d.genus)
+    return H2DualRep.from_lifts(d, (x.b2, zero, zero))
+
+
 @memoized
 def dual_rep_basis(d: TrisectionDiagram) -> tuple[H2DualRep, ...]:
     """Dual reps generating the free part of degree-two homology.
 
-    Free generators of the middle homology of the dual complex,
-    sign-normalized like the cocycle basis.
+    The Poincare duals of the cocycle basis, in its order: duality is an
+    isomorphism, so they generate degree-two homology modulo torsion, and
+    evaluating basis cocycle i on rep j gives the Gram entry G[i][j].
     """
-    g = d.genus
-    _, gens = dual_complex(d).homology_with_generators(1)
-    return tuple(
-        H2DualRep(d, (v[:g], v[g : 2 * g], v[2 * g :])) for v in map(_sign_normalized, gens)
-    )
-
-
-def poincare_dual_rep(d: TrisectionDiagram, x: OneOneCocycle) -> H2DualRep:
-    """The homology class realizing cup product with x, by exact linear solve.
-
-    Returns a rep K with evaluate_on_surface_class(d, b, K) equal to
-    intersection_pairing(d, b, x) for every basis cocycle b. The solve is
-    modulo torsion; unimodularity of the form makes it integral. K is the
-    solved combination of the dual-rep basis, constructed once (the zero rep
-    when b2 = 0).
-    """
-    _check_cocycle(d, x, "cocycle")
-    basis = h2_basis_cocycles(d)
-    reps = dual_rep_basis(d)
-    if len(basis) != len(reps):
-        raise ValueError("cocycle and dual-rep bases have mismatched ranks")
-    eval_rows = [[evaluate_on_surface_class(d, b, rep) for rep in reps] for b in basis]
-    rhs = tuple(intersection_pairing(d, b, x) for b in basis)
-    return _rep_combination(d, reps, _solve(eval_rows, len(reps), rhs))
+    return tuple(poincare_dual_rep(d, x) for x in h2_basis_cocycles(d))
 
 
 @memoized
@@ -418,7 +409,7 @@ def _inverse_gram(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
 
 
 def cocycle_from_dual_rep(d: TrisectionDiagram, rep: H2DualRep) -> OneOneCocycle:
-    """Inverse direction of the duality solve, modulo torsion.
+    """Inverse of ``poincare_dual_rep`` on any rep, modulo torsion.
 
     Returns a cocycle c with intersection_pairing(d, b, c) equal to
     evaluate_on_surface_class(d, b, rep) for every basis cocycle b: the

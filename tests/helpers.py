@@ -1,9 +1,9 @@
 """Test-only constructions: random (co)cycles, the Lagrangian coordinates of
 a cocycle, duality maps, column spans, transvections, the degree-three
-against degree-one Gram matrix, and six oracles: the numpy Smith form, the
+against degree-one Gram matrix, and seven oracles: the numpy Smith form, the
 Bareiss determinant, the full-width congruence diagonalization, the
-Smith-form kernel, the Cech complexes behind the diamond and the brute-force
-spin filter.
+Smith-form kernel, the Cech complexes behind the diamond, the solved
+Poincare dual and the brute-force spin filter.
 
 The suites use these to generate inputs and to state laws; the package
 itself never needs them.
@@ -29,6 +29,7 @@ from trihodge.lattice import (
     Subgroup,
     as_int_vector,
     identity,
+    integer_solve,
     intmat,
     kernel_basis,
     smith_normal_form,
@@ -38,8 +39,12 @@ from trihodge.lattice import (
 from trihodge.pairings import (
     H2DualRep,
     OneOneCocycle,
+    _sign_normalized,
+    evaluate_on_surface_class,
     h1_basis,
+    h2_basis_cocycles,
     h3_representatives,
+    intersection_pairing,
     pairing_h3_h1,
 )
 from trihodge.spin import QuadraticEnhancement
@@ -376,6 +381,26 @@ def random_cycle_rep(d: TrisectionDiagram, rng: random.Random, span: int = 4) ->
         return H2DualRep.zero(d)
     vec = _random_combination(cycles.basis, rng, span)
     return H2DualRep(d, (vec[:g], vec[g : 2 * g], vec[2 * g :]))
+
+
+def solved_dual_rep(d: TrisectionDiagram, x: OneOneCocycle) -> H2DualRep:
+    """A rep of x's Poincare dual by exact solve against the dual complex.
+
+    The oracle for ``pairings.poincare_dual_rep``'s closed form: the
+    combination K of the sign-normalized free generators of the dual
+    complex's middle homology with evaluate_on_surface_class(d, b, K) equal
+    to intersection_pairing(d, b, x) for every basis cocycle b. The form is
+    unimodular, so the system has one integral solution.
+    """
+    g = d.genus
+    _, gens = dual_complex(d).homology_with_generators(1)
+    gens = map(_sign_normalized, gens)
+    reps = [H2DualRep(d, (v[:g], v[g : 2 * g], v[2 * g :])) for v in gens]
+    basis = h2_basis_cocycles(d)
+    rows = [[evaluate_on_surface_class(d, b, rep) for rep in reps] for b in basis]
+    rhs = [intersection_pairing(d, b, x) for b in basis]
+    coeffs = integer_solve(intmat(rows, cols=len(reps)), rhs)
+    return sum((rep.scale(c) for rep, c in zip(reps, coeffs)), H2DualRep.zero(d))
 
 
 def random_matched_lifts(

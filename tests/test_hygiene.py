@@ -1,12 +1,19 @@
-"""Source hygiene: no module imports a name it never uses, no private name is dead."""
+"""Source hygiene: no module imports a name it never uses, no private name is
+dead, and every public name is exported, used by the package or the bench, or
+kept on purpose."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+import trihodge
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC_MODULES = sorted((ROOT / "src" / "trihodge").glob("*.py"))
+BENCH_MODULES = sorted(
+    p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")
+)
 MODULES = sorted(
     p
     for directory in (ROOT / "src" / "trihodge", ROOT / "tests")
@@ -58,27 +65,35 @@ def private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
     return out
 
 
-def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
-    """Private definitions that no module references outside their own definition."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
-    refs = [
+def references(trees: dict[str, ast.Module]) -> list[tuple[str, int, str]]:
+    """(module, line, name) for every AST name and attribute in the trees."""
+    return [
         (module, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
         for module, tree in trees.items()
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     ]
-    unreferenced = []
-    for module, tree in trees.items():
-        for qualname, node in private_definitions(tree):
-            name = qualname.rpartition(".")[2]
-            outside = (
-                m != module or not node.lineno <= line <= node.end_lineno
-                for m, line, n in refs
-                if n == name
-            )
-            if not any(outside):
-                unreferenced.append(f"{module}:{qualname}")
-    return unreferenced
+
+
+def referenced_outside(name: str, module: str, node: ast.AST, refs) -> bool:
+    """Whether a reference to name lies outside node, the definition in module."""
+    return any(
+        m != module or not node.lineno <= line <= node.end_lineno
+        for m, line, n in refs
+        if n == name
+    )
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Private definitions that no module references outside their own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    refs = references(trees)
+    return [
+        f"{module}:{qualname}"
+        for module, tree in trees.items()
+        for qualname, node in private_definitions(tree)
+        if not referenced_outside(qualname.rpartition(".")[2], module, node, refs)
+    ]
 
 
 def test_private_name_detector():
@@ -100,6 +115,63 @@ def test_private_name_detector():
 def test_every_private_name_is_referenced():
     sources = {p.stem: p.read_text() for p in SRC_MODULES}
     assert unreferenced_private_names(sources) == []
+
+
+def unexplained_public_names(
+    sources: dict[str, str], readers: dict[str, str], explained: set[str]
+) -> list[str]:
+    """Public top-level functions and classes of ``sources`` that are not in
+    ``explained`` and that no definition in ``sources`` or ``readers`` uses."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    refs = references({**trees, **{m: ast.parse(source) for m, source in readers.items()}})
+    return [
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in explained
+        and not referenced_outside(node.name, module, node, refs)
+    ]
+
+
+def test_public_name_detector():
+    sources = {
+        "a": (
+            "def exported(): pass\n"
+            "def called(): pass\n"
+            "def benched(): pass\n"
+            "def kept(): pass\n"
+            "def recursive(): return recursive()\n"
+            "class Idle:\n"
+            "    def method(self): pass\n"
+            "def _private(): pass\n"
+        ),
+        "b": "from a import called\ncalled()\n",
+    }
+    readers = {"bench": "import a\na.benched()\n"}
+    found = unexplained_public_names(sources, readers, {"exported", "kept"})
+    assert found == ["a:recursive", "a:Idle"]
+
+
+# Public lower-level API that nothing in the package calls, kept on purpose
+# (the public-surface item of ROADMAP.md records each decision). ``intmat``
+# and ``identity`` build the matrices the lattice functions take.
+LOWER_LEVEL_API = (
+    "integer_solve",
+    "invariant_factors",
+    "h1_basis",
+    "h3_representatives",
+    "intmat",
+    "identity",
+)
+
+
+def test_every_public_name_is_exported_used_or_kept():
+    sources = {p.stem: p.read_text() for p in SRC_MODULES}
+    readers = {f"perfbench.{p.stem}": p.read_text() for p in BENCH_MODULES}
+    explained = {*trihodge.__all__, *LOWER_LEVEL_API}
+    assert unexplained_public_names(sources, readers, explained) == []
 
 
 def binds_smith(source: str) -> bool:

@@ -33,6 +33,7 @@ from trihodge.spinc import (
 )
 
 from helpers import plain_form, random_cycle_rep, random_matched_lifts
+from test_pairings import DUALITY_SUITE
 
 CP2 = builtin("CP2")
 S1XS3 = builtin("S1xS3")
@@ -126,6 +127,12 @@ class TestC1:
             for A in dual_rep_basis(d):
                 expected = cocycle_from_dual_rep(d, A).scale(2)
                 assert c1_difference(act(s, A), s) == expected
+
+    def test_difference_after_a_basis_dual_is_twice_the_basis_cocycle(self):
+        for d in DUALITY_SUITE:
+            s = base_ledger(d)
+            for A, x in zip(dual_rep_basis(d), h2_basis_cocycles(d), strict=True):
+                assert c1_difference(act(s, A), s) == x.scale(2), d.label
 
     def test_difference_is_additive(self):
         d = builtin("S2xS2")
