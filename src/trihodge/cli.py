@@ -5,8 +5,12 @@ name, or the seeded random generator. Output is byte-deterministic: fixed
 line order, plain decimal integers, torsion rendered as Z/d tokens. The
 --json flag switches to a machine format with the same values. The rep
 coordinates and Euler entries printed by spinc are handlebody coordinates:
-the class of a_lam is given by its pairings <e_i, a_lam> with the canonical
-columns e_i of L_lam.
+the class of a_lam is given by its pairings <c_i, a_lam> with the curves c_i
+of cut system lam, in the order the diagram lists them. An --act file still
+gives ambient vectors a_1, a_2, a_3, so its meaning does not depend on the
+curves. The basis cocycles and Gram matrix printed by form are built in the
+curve bases too: they may change under a handleslide, while rank,
+signature, parity and unimodularity do not.
 
 Exit codes: 0 success (and diagram valid), 1 invalid diagram or rep, or a
 refused computation (a spin listing over spin.MAX_LISTED structures),

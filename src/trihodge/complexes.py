@@ -2,14 +2,17 @@
 
 Two complexes of free groups carry the computation:
 
-* a five-term complex built from the Lagrangians, whose homology in degrees
-  0..4 is the integral homology of the 4-manifold;
+* a five-term complex built from the Lagrangians, written in the bases the
+  cut-system curves give them, whose homology in degrees 0..4 is the
+  integral homology of the 4-manifold;
 * a dual complex, Hom of that complex's middle, whose middle homology
   agrees with H2 by universal coefficients plus Poincare duality. It checks
   the code but is no independent route; the duality laws are that check.
 
-Each homology group is one Smith form, computed once per complex position
-and shared by every query that needs the group or its generators. A complex
+Each homology group is one Smith form, computed once per complex position.
+Free generators are built in the same step, but only at the positions a
+caller reads them from (degree two of the five-term complex); elsewhere the
+quotient is dropped as soon as the group is known. A complex
 keeps its differentials as the columns the kernels read; ``diffs`` builds
 matrices from them only when asked.
 
@@ -32,6 +35,7 @@ from typing import TYPE_CHECKING
 
 from .diagram import TrisectionDiagram, ensure_valid, memoized
 from .lattice import (
+    Subgroup,
     _cokernel,
     _column_matrix,
     _combination,
@@ -87,12 +91,16 @@ class FreeChainComplex:
     the semantic degree label of each position (descending for the homology
     complex, ascending Cech degrees for the cochain complexes). Columns that
     already are tuples of Python ints are kept as the same objects.
+    ``generator_positions`` lists the positions whose free generators some
+    caller reads; there ``homology_at`` builds them together with the group,
+    and everywhere else it builds none.
     """
 
     term_names: tuple[str, ...]
     ranks: tuple[int, ...]
     degrees: tuple[int, ...]
     columns: tuple[tuple[tuple[int, ...], ...], ...]
+    generator_positions: tuple[int, ...] = ()
 
     def __post_init__(self):
         n = len(self.ranks)
@@ -123,8 +131,12 @@ class FreeChainComplex:
                 f"degree {degree} not in this complex (degrees: {self.degrees})"
             ) from None
 
+    @memoized
     def homology_at(self, pos: int) -> HomologyGroup:
-        return self.homology_with_generators(pos)[0]
+        """Homology at a position; free generators are built only where they are kept."""
+        if pos in self.generator_positions:
+            return self.homology_with_generators(pos)[0]
+        return self._homology(pos, generators=False)[0]
 
     @memoized
     def homology_with_generators(
@@ -134,8 +146,19 @@ class FreeChainComplex:
 
         The generators are cycle vectors in the coordinates of term ``pos``
         whose classes form a basis of the free part of the homology group.
-        The result is stored on the complex, so every query shares it.
+        The pair is stored on the complex, and the group is the one
+        ``homology_at`` returns. At a position outside ``generator_positions``
+        the generators cost a second Smith form, which only the tests pay.
         """
+        group, gens = self._homology(pos, generators=True)
+        if pos not in self.generator_positions:
+            group = self.homology_at(pos)
+        return group, gens
+
+    def _homology(
+        self, pos: int, generators: bool
+    ) -> tuple[HomologyGroup, tuple[tuple[int, ...], ...]]:
+        """One Smith form of the boundaries in the cycles; the quotient is dropped after."""
         if not (0 <= pos < len(self.ranks)):
             raise ValueError("position out of range")
         outgoing = self.columns[pos] if pos < len(self.columns) else ((),) * self.ranks[pos]
@@ -146,9 +169,11 @@ class FreeChainComplex:
         # boundary columns land in the cycle subgroup (d o d = 0, saturated basis)
         coords = [cycles.coordinates_of(col) for col in (self.columns[pos - 1] if pos else ())]
         q = _cokernel(_transpose(coords, cycles.rank), len(coords))
+        group = HomologyGroup(q.free_rank, q.torsion)
+        if not generators:
+            return group, ()
         cols = cycles.columns()
-        gens = tuple(_combination(cols, lift, self.ranks[pos]) for lift in q._free_lifts)
-        return HomologyGroup(q.free_rank, q.torsion), gens
+        return group, tuple(_combination(cols, lift, self.ranks[pos]) for lift in q._free_lifts)
 
 
 def homology(complex_: FreeChainComplex, degree: int) -> HomologyGroup:
@@ -157,26 +182,47 @@ def homology(complex_: FreeChainComplex, degree: int) -> HomologyGroup:
 
 
 def _lagrangian_block_matrix(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
-    """Columns: canonical bases of L1, L2, L3 side by side (the total-sum map)."""
-    return tuple(col for lam in (1, 2, 3) for col in d.lagrangian_subgroup(lam).columns())
+    """Columns: the 3g curves, alpha then beta then gamma, each in file order.
+
+    This is the total-sum map from L1 + L2 + L3 to the surface lattice. For a
+    valid diagram the g curves of each system are a basis of its Lagrangian,
+    so the complex uses them as its Lagrangian bases; they are far smaller
+    than the canonical echelon columns, and so is everything computed on them.
+    """
+    return tuple(c for cs in d.systems for c in cs.curves)
+
+
+@memoized
+def _pair_kernels(d: TrisectionDiagram) -> tuple[Subgroup, Subgroup, Subgroup]:
+    """Canonical kernels of [C_lam | -C_{lam+1}], lam cyclic, C_lam the curves of system lam.
+
+    A kernel column (x, y) has C_lam x = C_{lam+1} y, one vector of
+    L_lam n L_{lam+1} in the curve coordinates of both systems; the columns
+    form a basis of that intersection, since each system's curves are
+    independent.
+    """
+    curves = [cs.curves for cs in d.systems]
+    return tuple(
+        _kernel(curves[i] + tuple(tuple(-e for e in c) for c in curves[(i + 1) % 3]), 2 * d.genus)
+        for i in range(3)
+    )
 
 
 def _pair_difference_matrix(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
     """Columns of the map from pairwise-intersection into Lagrangian coordinates.
 
-    Input blocks run over the cyclic pair subgroups P_lam = L_lam n L_{lam+1};
-    a generator w of block lam contributes -w to the L_lam block and +w to the
-    L_{lam+1} block, which is the (c-a, a-b, b-c) pattern componentwise.
+    Input block lam runs over the columns (x, y) of the lam-th pair kernel;
+    each contributes -x to the L_lam block and +y to the L_{lam+1} block,
+    which is the (c-a, a-b, b-c) pattern componentwise.
     """
     g = d.genus
-    lag = [d.lagrangian_subgroup(lam) for lam in (1, 2, 3)]
     out = []
-    for p_idx in range(3):
+    for p_idx, kernel in enumerate(_pair_kernels(d)):
         nxt = (p_idx + 1) % 3
-        for w in d.pair_intersection(p_idx + 1).columns():
+        for xy in kernel.columns():
             col = [0] * (3 * g)
-            col[p_idx * g : (p_idx + 1) * g] = [-x for x in lag[p_idx].coordinates_of(w)]
-            col[nxt * g : (nxt + 1) * g] = lag[nxt].coordinates_of(w)
+            col[p_idx * g : (p_idx + 1) * g] = [-e for e in xy[:g]]
+            col[nxt * g : (nxt + 1) * g] = xy[g:]
             out.append(tuple(col))
     return tuple(out)
 
@@ -187,13 +233,16 @@ def homology_complex(d: TrisectionDiagram) -> FreeChainComplex:
 
     Terms, left to right: Z, the sum of cyclic pairwise intersections, the sum
     of the three Lagrangians, the surface lattice, Z. Degrees run 4 down to 0.
+    The Lagrangians are written in their curve bases, and the free generators
+    of degree two, which ``pairings.h2_basis_cocycles`` reads, are built with
+    the group.
     """
     ensure_valid(d)
     g = d.genus
-    k_total = sum(d.pair_intersection(lam).rank for lam in (1, 2, 3))
+    pair_columns = _pair_difference_matrix(d)
     columns = (
-        ((0,) * k_total,),
-        _pair_difference_matrix(d),
+        ((0,) * len(pair_columns),),
+        pair_columns,
         _lagrangian_block_matrix(d),
         ((0,),) * (2 * g),
     )
@@ -205,9 +254,10 @@ def homology_complex(d: TrisectionDiagram) -> FreeChainComplex:
             "surface lattice",
             "Z",
         ),
-        ranks=(1, k_total, 3 * g, 2 * g, 1),
+        ranks=(1, len(pair_columns), 3 * g, 2 * g, 1),
         degrees=(4, 3, 2, 1, 0),
         columns=columns,
+        generator_positions=(2,),
     )
 
 
@@ -225,8 +275,8 @@ def dual_complex(d: TrisectionDiagram) -> FreeChainComplex:
     Surface lattice -> sum of Hom(L_lam, Z) -> sum of Hom(L_lam n L_{lam+1}, Z),
     by the pairing isomorphisms Z^2g / L_lam = Hom(L_lam, Z) and Z^2g /
     (L_lam + L_{lam+1}) = Hom(L_lam n L_{lam+1}, Z). The first map is
-    x -> (<e, x>) over the Lagrangian columns e, the second the negated
-    transpose of the pair-difference columns.
+    x -> (<c, x>) over the 3g curves c, the second the negated transpose of
+    the pair-difference columns.
     """
     c = homology_complex(d)
     g = d.genus

@@ -18,6 +18,8 @@ from . import lattice as _lattice
 from .lattice import (
     QuotientPresentation,
     Subgroup,
+    _identity_rows,
+    _row_echelon_lattice,
     _span,
     as_int_vector,
     quotient,
@@ -40,16 +42,17 @@ class CutSystem:
 
     curves: tuple[tuple[int, ...], ...]
 
-    def __init__(self, curves: Sequence[Sequence[int]]):
+    def __init__(self, curves: Sequence[Sequence[int]], name: str | None = None):
+        """``name`` (alpha, beta or gamma) only labels the system in error messages."""
         normalized = tuple(as_int_vector(c) for c in curves)
         if normalized:
+            system = f"{name or f'genus-{len(normalized)}'} system"
             width = len(normalized[0])
             if any(len(c) != width for c in normalized):
-                raise ValueError("curves of mixed lengths in one cut system")
+                raise ValueError(f"{system} has curves of mixed lengths")
             if width != 2 * len(normalized):
                 raise ValueError(
-                    f"genus-{len(normalized)} system needs curves of length "
-                    f"{2 * len(normalized)}, got {width}"
+                    f"{system} needs curves of length {2 * len(normalized)}, got {width}"
                 )
         object.__setattr__(self, "curves", normalized)
 
@@ -124,6 +127,27 @@ class TrisectionDiagram:
     def triple_quotient(self) -> QuotientPresentation:
         """The surface lattice modulo L1 + L2 + L3 (degree-one homology of X)."""
         return quotient(self.lattice.rank, self.triple_sum)
+
+    @cached_property
+    def _curve_transforms(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per system, the g x g unimodular T writing canonical column j as sum_i T[j][i] c_i.
+
+        The c_i are the system's curves in file order. T is the right part of
+        the canonical row echelon of [C^T | I_g]; the left part is then the
+        canonical basis of L_lam. Only a valid diagram's T is read: there the
+        curves are a basis of their Lagrangian, so every pivot lies left.
+        """
+        g = self.genus
+        units = _identity_rows(g)
+        return tuple(
+            tuple(
+                tuple(row[2 * g :])
+                for row in _row_echelon_lattice(
+                    [list(c) + unit for c, unit in zip(cs.curves, units)], 3 * g
+                )
+            )
+            for cs in self.systems
+        )
 
     @cached_property
     def _pairing_forms(self) -> tuple[_lattice._Smith, ...]:
@@ -240,7 +264,8 @@ def diagram_from_curves(
 ) -> TrisectionDiagram:
     # Counts first, so a short system is named before its curve widths are read.
     _check_curve_counts(genus, (len(alpha), len(beta), len(gamma)))
-    return TrisectionDiagram(genus, CutSystem(alpha), CutSystem(beta), CutSystem(gamma), label)
+    systems = (CutSystem(cs, name) for name, cs in zip(SYSTEM_NAMES, (alpha, beta, gamma)))
+    return TrisectionDiagram(genus, *systems, label)
 
 
 _BASE_BUILTINS: dict[str, tuple[int, list, list, list]] = {

@@ -473,7 +473,10 @@ def _forward_echelon(work: list[list[int]], stop: int, width: int) -> list[int]:
     Returns the pivot column of each leading row; every later row is zero in
     columns 0..stop-1. Nothing above a pivot is reduced, and no pivot is made
     positive. Every row below the current pivot row is already zero left of
-    the current column, so each update starts at that column.
+    the current column, so each update starts at that column. Quotients are
+    rounded to the nearest integer, so each remainder is at most half the
+    pivot and the rows grow less than with floor quotients; callers
+    canonicalize afterwards, so the choice does not show in their results.
     """
     n = len(work)
     pivots: list[int] = []
@@ -488,11 +491,12 @@ def _forward_echelon(work: list[list[int]], stop: int, width: int) -> list[int]:
             i_min = min(live, key=lambda i: abs(work[i][col]))
             work[pivot_row], work[i_min] = work[i_min], work[pivot_row]
             p = work[pivot_row]
+            pc, two_pc = p[col], 2 * p[col]
             finished = True
             for i in range(pivot_row + 1, n):
                 w = work[i]
                 if w[col] != 0:
-                    q = w[col] // p[col]
+                    q = (2 * w[col] + pc) // two_pc  # floor(w/p + 1/2), for either sign of p
                     for k in range(col, width):
                         w[k] -= q * p[k]
                     finished = finished and w[col] == 0

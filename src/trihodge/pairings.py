@@ -4,8 +4,9 @@ Degree-two classes are carried as triples (b1, b2, b3) with b_lam in the
 lam-th Lagrangian and b1 + b2 + b3 = 0; the cup product of two such classes
 evaluates on the fundamental class as a single intersection number on the
 central surface. Degree-two homology classes are carried dually, as cycles
-of the dual complex: matched triples of handlebody H1 classes in pairing
-coordinates. The two sides meet in an integer evaluation pairing. Poincare
+of the dual complex: matched triples of handlebody H1 classes, each given by
+its pairings with the curves of its cut system in file order. The two sides
+meet in an integer evaluation pairing. Poincare
 duality has a closed form at chain level: the triple (b2, 0, 0) is matched
 and evaluates like cup product with (b1, b2, b3), so no solve is needed in
 that direction.
@@ -26,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 
-from .complexes import InvalidStateError, homology_complex
+from .complexes import InvalidStateError, _pair_kernels, homology_complex
 from .diagram import TrisectionDiagram, ensure_valid, memoized
 from .lattice import (
     Subgroup,
@@ -46,12 +47,13 @@ class CycleConditionError(ValueError):
 def _matching_failure(d: TrisectionDiagram, coords) -> str | None:
     """The first cyclic matching condition handlebody coordinates fail, or None.
 
-    Condition lam: the pair-difference columns of block lam annihilate them.
+    Condition lam: the pair-difference columns of block lam annihilate them;
+    block lam has one column per column of the lam-th pair kernel.
     """
     flat = [c for block in coords for c in block]
     columns = iter(homology_complex(d).columns[1])
-    for lam, nxt in ((1, 2), (2, 3), (3, 1)):
-        if any(_dot(col, flat) for col in islice(columns, d.pair_intersection(lam).rank)):
+    for (lam, nxt), kernel in zip(((1, 2), (2, 3), (3, 1)), _pair_kernels(d)):
+        if any(_dot(col, flat) for col in islice(columns, kernel.rank)):
             return f"a{lam} - a{nxt} is nonzero in the sector boundary quotient {lam}"
     return None
 
@@ -88,12 +90,16 @@ class OneOneCocycle:
     def from_lagrangian_coordinates(
         cls, d: TrisectionDiagram, coords: "tuple[int, ...]"
     ) -> "OneOneCocycle":
-        """Build from a length-3g vector of coordinates in the Lagrangian bases."""
+        """Build from a length-3g vector of coordinates in the curve bases.
+
+        Block lam combines the curves of system lam in file order, the basis
+        of L_lam that the homology complex uses.
+        """
         g = d.genus
         coords = as_int_vector(coords, 3 * g)
         blocks = [
-            d.lagrangian_subgroup(lam).member_from_coordinates(coords[(lam - 1) * g : lam * g])
-            for lam in (1, 2, 3)
+            _combination(cs.curves, coords[i * g : (i + 1) * g], 2 * g)
+            for i, cs in enumerate(d.systems)
         ]
         return cls(d, *blocks)
 
@@ -128,9 +134,11 @@ def _cocycle_combination(d: TrisectionDiagram, xs, coeffs) -> OneOneCocycle:
 class H2DualRep:
     """Degree-two homology class as a matched triple of handlebody H1 classes.
 
-    ``coords[lam - 1][i]`` is <e_i, a_lam> over the canonical columns e_i of
-    L_lam, which fixes the class of a_lam in H1(surface)/L_lam. Construction
-    checks that the concatenated coordinates are a cycle of the dual complex.
+    ``coords[lam - 1][i]`` is <c_i, a_lam> over the curves c_i of system lam
+    in file order, which fixes the class of a_lam in H1(surface)/L_lam: the
+    curves are a basis of L_lam, so by the unimodular form these pairings
+    determine a_lam modulo L_lam. Construction checks that the concatenated
+    coordinates are a cycle of the dual complex.
     """
 
     diagram: TrisectionDiagram
@@ -150,24 +158,36 @@ class H2DualRep:
     def from_lifts(
         cls, d: TrisectionDiagram, lifts: "tuple[tuple[int, ...], ...]"
     ) -> "H2DualRep":
-        """The rep of ambient vectors a_1, a_2, a_3, each paired with its L_lam."""
+        """The rep of ambient vectors a_1, a_2, a_3, each paired with its system's curves."""
         vectors = (as_int_vector(v, 2 * d.genus) for v in lifts)
-        pairs = zip((d.lagrangian_subgroup(lam) for lam in (1, 2, 3)), vectors, strict=True)
-        return cls(d, tuple(tuple(_form(e, a) for e in L.columns()) for L, a in pairs))
+        pairs = zip(d.systems, vectors, strict=True)
+        return cls(d, tuple(tuple(_form(c, a) for c in cs.curves) for cs, a in pairs))
+
+    @cached_property
+    def _canonical_coords(self) -> tuple[tuple[int, ...], ...]:
+        """The pairings <e_j, a_lam> with the canonical columns e_j of L_lam.
+
+        T (``TrisectionDiagram._curve_transforms``) writes e_j as
+        sum_i T[j][i] c_i, so these are T times the curve pairings.
+        """
+        return tuple(
+            tuple(_dot(row, c) for row in T)
+            for T, c in zip(self.diagram._curve_transforms, self.coords)
+        )
 
     @cached_property
     def lifts(self) -> tuple[tuple[int, ...], ...]:
         """Ambient vectors with these coordinates, each reduced modulo its L_lam.
 
-        With U N V = [I | 0] the Smith form of L_lam's pairing map, the dual
-        basis V[:, :g] U times the coordinates is reduced along the canonical
-        columns of L_lam, to the one vector of its class whose pivot-row entries
-        lie in [0, pivot).
+        With U N V = [I | 0] the Smith form of the pairing map on the
+        canonical columns of L_lam, the dual basis V[:, :g] U times the
+        canonical pairings is reduced along those columns, to the one vector
+        of its class whose pivot-row entries lie in [0, pivot).
         """
         d = self.diagram
         g = d.genus
         out = []
-        for lam, smith, c in zip((1, 2, 3), d._pairing_forms, self.coords):
+        for lam, smith, c in zip((1, 2, 3), d._pairing_forms, self._canonical_coords):
             u = [_dot(row, c) for row in smith.U]
             lift = [_dot(row[:g], u) for row in smith.V]
             d.lagrangian_subgroup(lam)._substitute(lift)
@@ -212,17 +232,27 @@ def _sign_normalized(vec: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @memoized
+def _h2_basis_coordinates(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
+    """Curve coordinates of the basis cocycles, in ``h2_basis_cocycles`` order."""
+    c = homology_complex(d)
+    _, gens = c.homology_with_generators(c.position_of_degree(2))
+    return tuple(map(_sign_normalized, gens))
+
+
+@memoized
 def h2_basis_cocycles(d: TrisectionDiagram) -> tuple[OneOneCocycle, ...]:
     """Cocycle representatives for a basis of the free part of H^2.
 
     Computed as free generators of the middle homology of the five-term
-    complex, read off in the canonical Lagrangian bases; each generator is
-    normalized so its first nonzero coordinate is positive.
+    complex, which builds them at that position only, and read off in the
+    curve bases: block lam of a generator combines the curves of system lam.
+    Each generator is normalized so its first nonzero coordinate is
+    positive. The basis, and so the printed Gram matrix, depends on the
+    curves, not only on the Lagrangians they span; a handleslide may change
+    it, but not the isometry class of the form.
     """
-    c = homology_complex(d)
-    _, gens = c.homology_with_generators(c.position_of_degree(2))
     return tuple(
-        OneOneCocycle.from_lagrangian_coordinates(d, _sign_normalized(gen)) for gen in gens
+        OneOneCocycle.from_lagrangian_coordinates(d, x) for x in _h2_basis_coordinates(d)
     )
 
 
@@ -363,16 +393,18 @@ def h3_representatives(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
 def evaluate_on_surface_class(d: TrisectionDiagram, x: OneOneCocycle, rep: H2DualRep) -> int:
     """Evaluate a degree-two cocycle on a degree-two homology class.
 
-    The sum over lam of <b_lam, a_lam>, which is coords_lam dotted with the
-    coordinates of b_lam in the canonical columns of L_lam. Coboundary changes
-    to the cocycle do not move it (the matching conditions kill those).
+    The sum over lam of <b_lam, a_lam>: the coordinates of b_lam in the
+    canonical columns e_j of L_lam, dotted with the rep's pairings
+    <e_j, a_lam>, which are T times its curve pairings (T from
+    ``TrisectionDiagram._curve_transforms``). Coboundary changes to the
+    cocycle do not move it (the matching conditions kill those).
     """
     _check_cocycle(d, x, "cocycle")
     if rep.diagram != d:
         raise ValueError("dual rep belongs to a different diagram")
     return sum(
         _dot(d.lagrangian_subgroup(lam).coordinates_of(b), c)
-        for lam, b, c in zip((1, 2, 3), x.blocks, rep.coords)
+        for lam, b, c in zip((1, 2, 3), x.blocks, rep._canonical_coords)
     )
 
 
@@ -414,11 +446,15 @@ def cocycle_from_dual_rep(d: TrisectionDiagram, rep: H2DualRep) -> OneOneCocycle
     Returns a cocycle c with intersection_pairing(d, b, c) equal to
     evaluate_on_surface_class(d, b, rep) for every basis cocycle b: the
     combination of the cocycle basis with coefficients G^-1 times those
-    evaluations, constructed once (the zero cocycle when b2 = 0).
+    evaluations, constructed once (the zero cocycle when b2 = 0). Block lam
+    of b combines the curves of system lam with coefficients x, so
+    <b_lam, a_lam> is x dotted with the rep's curve pairings, and the
+    evaluations need no change of basis.
     """
     if rep.diagram != d:
         raise ValueError("dual rep belongs to a different diagram")
+    flat = [c for block in rep.coords for c in block]
+    rhs = [_dot(x, flat) for x in _h2_basis_coordinates(d)]
     basis = h2_basis_cocycles(d)
-    rhs = [evaluate_on_surface_class(d, b, rep) for b in basis]
     return _cocycle_combination(d, basis, [_dot(row, rhs) for row in _inverse_gram(d)])
 

@@ -2,7 +2,8 @@
 
 A ledger records, per handlebody, the relative Euler class of a plane field
 in handlebody coordinates: a class a in H1 of handlebody lam is recorded as
-its pairings <e_i, a> with the canonical columns e_i of L_lam. Lutz twists
+its pairings <c_i, a> with the curves c_i of cut system lam, in the order the
+diagram lists them (the coordinates ``pairings.H2DualRep`` uses). Lutz twists
 shift one entry by -2 times a curve class; the degree-two homology action
 applies three matched twists at once, as one update of all three entries.
 Admissibility is the cyclic matching check of ``pairings`` run on the Euler
@@ -60,9 +61,9 @@ def base_ledger(
 def lutz_shift(ledger: SpinCLedger, lam: int, gamma_coords) -> SpinCLedger:
     """Twist along a curve class in handlebody lam: its Euler entry drops by 2*gamma.
 
-    ``gamma_coords`` are the pairings <e_i, gamma> with L_lam's canonical
-    columns e_i. A lone shift may leave the admissible locus; matched triples
-    (see ``act``) never do.
+    ``gamma_coords`` are the pairings <c_i, gamma> with the curves c_i of
+    cut system lam, in file order. A lone shift may leave the admissible
+    locus; matched triples (see ``act``) never do.
     """
     if lam not in (1, 2, 3):
         raise ValueError("handlebody index must be 1, 2 or 3")

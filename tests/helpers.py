@@ -1,5 +1,5 @@
-"""Test-only constructions: random (co)cycles, the Lagrangian coordinates of
-a cocycle, duality maps, column spans, transvections, the degree-three
+"""Test-only constructions: random (co)cycles, the curve coordinates of
+a cocycle, the ladder recipe, duality maps, column spans, transvections, the degree-three
 against degree-one Gram matrix, and seven oracles: the numpy Smith form, the
 Bareiss determinant, the full-width congruence diagonalization, the
 Smith-form kernel, the Cech complexes behind the diamond, the solved
@@ -22,6 +22,8 @@ from trihodge.diagram import (
     SYSTEM_NAMES,
     CutSystem,
     TrisectionDiagram,
+    builtin,
+    builtin_genus,
     diagram_from_curves,
     ensure_valid,
 )
@@ -343,11 +345,14 @@ def h3_h1_gram(d: TrisectionDiagram) -> np.ndarray:
 
 
 def lagrangian_coordinates(x: OneOneCocycle) -> tuple[int, ...]:
-    """The length-3g vector of x's blocks in the Lagrangian bases; inverse of
-    ``OneOneCocycle.from_lagrangian_coordinates``."""
+    """The length-3g vector of x's blocks in the curve bases, each solved for
+    through a Smith form; inverse of ``OneOneCocycle.from_lagrangian_coordinates``."""
     d = x.diagram
-    blocks = enumerate(x.blocks, start=1)
-    return tuple(c for lam, b in blocks for c in d.lagrangian_subgroup(lam).coordinates_of(b))
+    out: list[int] = []
+    for cs, b in zip(d.systems, x.blocks):
+        curves = intmat([list(row) for row in zip(*cs.curves)], cols=d.genus)
+        out += integer_solve(curves, b)
+    return tuple(out)
 
 
 def _random_combination(basis: np.ndarray, rng: random.Random, span: int) -> tuple[int, ...]:
@@ -437,6 +442,41 @@ def scrambled(d: TrisectionDiagram, seed: int) -> TrisectionDiagram:
         T = transvection_matrix(d.lattice, v)
         systems = [[tuple(int(e) for e in (T @ column_vector(c))[:, 0]) for c in cs] for cs in systems]
     return diagram_from_curves(d.genus, *systems, label=d.label)
+
+
+LADDER_BASES = ("CP2", "CP2bar", "S1xS3", "S2xS2", "QS4_Z2", "QS4_Z3")
+
+
+def ladder_diagram(genus: int) -> TrisectionDiagram:
+    """The ladder recipe: a random block sum of genus g, then 2g transvections.
+
+    With ``random.Random(genus)``, summands are drawn from ``LADDER_BASES``
+    until their genera add up to g; then every curve is moved by one word of
+    2g transvections x -> x + <x, v> v, each v with three entries of +-1.
+    The curve entries stay near 8 bits, while the canonical echelon bases of
+    the Lagrangians they span grow with g.
+    """
+    rng = random.Random(genus)
+    summands: list[str] = []
+    left = genus
+    while left:
+        name = rng.choice([n for n in LADDER_BASES if builtin_genus(n) <= left])
+        summands.append(name)
+        left -= builtin_genus(name)
+    d = builtin("#".join(summands)) if summands else builtin("S4")
+    systems = [[list(c) for c in cs.curves] for cs in d.systems]
+    for _ in range(2 * genus):
+        v = [0] * (2 * genus)
+        # support drawn from [3, 3], so the stream matches perfbench's ``scramble``
+        for idx in rng.sample(range(2 * genus), min(rng.randint(3, 3), 2 * genus)):
+            v[idx] = rng.choice((-1, 1))
+        for curves in systems:
+            for c in curves:
+                t = plain_form(c, v)
+                if t:
+                    for i, vi in enumerate(v):
+                        c[i] += t * vi
+    return diagram_from_curves(genus, *systems, label=f"ladder(g={genus})")
 
 
 def all_enhancements(genus: int) -> tuple[QuadraticEnhancement, ...]:

@@ -131,6 +131,16 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         assert "alpha system has 1 curves, expected 2" in err
 
+    def test_narrow_system_named_with_declared_genus(self, tmp_path):
+        path = tmp_path / "narrow.json"
+        pair = [[0, 1, 0, 0], [0, 0, 0, 1]]
+        path.write_text(
+            json.dumps({"genus": 2, "alpha": [[1, 0], [0, 1]], "beta": pair, "gamma": pair})
+        )
+        code, _, err = run_cli(["validate", str(path)])
+        assert code == EXIT_PARSE
+        assert "alpha system needs curves of length 4, got 2" in err
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -21,8 +21,10 @@ from trihodge.diagram import (
     standard_triple,
     validate,
 )
-from trihodge.lattice import Subgroup
+from trihodge.complexes import _pair_kernels
+from trihodge.lattice import Subgroup, _combination, intmat
 
+from helpers import det
 from test_acceptance import RANDOM_SUITE
 
 
@@ -38,6 +40,13 @@ class TestConstruction:
     def test_mixed_lengths_rejected(self):
         with pytest.raises(ValueError):
             CutSystem([(1, 0, 0, 0), (1, 0)])
+
+    def test_width_errors_name_the_system(self):
+        with pytest.raises(ValueError, match="^beta system needs curves of length 2, got 3$"):
+            CutSystem([(1, 0, 0)], "beta")
+        with pytest.raises(ValueError, match="^gamma system has curves of mixed lengths$"):
+            pair = [(0, 1, 0, 0), (0, 0, 0, 1)]
+            diagram_from_curves(2, pair, pair, [(1, 1, 0, 0), (0, 1)])
 
     def test_label_does_not_affect_equality(self):
         d1 = builtin("CP2")
@@ -173,6 +182,29 @@ class TestKValuesFromPairQuotients:
     def test_invalid_diagrams_report_no_k_values(self):
         for d in INVALID:
             assert validate(d).k_values is None
+
+
+class TestCurveBases:
+    def test_transforms_write_the_canonical_columns_in_the_curves(self):
+        for d in RANDOM_SUITE + tuple(torsion_sums_and_their_slides()):
+            assert d.validation.is_valid
+            assert "_curve_transforms" not in d.__dict__
+            for lam, cs, T in zip((1, 2, 3), d.systems, d._curve_transforms):
+                rebuilt = tuple(_combination(cs.curves, row, 2 * d.genus) for row in T)
+                assert rebuilt == d.lagrangian_subgroup(lam).columns(), d.describe()
+                if d.genus:
+                    assert abs(det(intmat(T))) == 1, d.describe()
+
+    def test_pair_kernels_pair_the_curves_of_consecutive_systems(self):
+        for d in RANDOM_SUITE + tuple(torsion_sums_and_their_slides()):
+            g = d.genus
+            kernels = _pair_kernels(d)
+            assert tuple(K.rank for K in kernels) == k_values(d), d.describe()
+            for lam, K in enumerate(kernels):
+                left, right = d.systems[lam].curves, d.systems[(lam + 1) % 3].curves
+                for col in K.columns():
+                    w = _combination(left, col[:g], 2 * g)
+                    assert any(w) and w == _combination(right, col[g:], 2 * g), d.describe()
 
 
 class TestHandleslide:

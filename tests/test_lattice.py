@@ -242,6 +242,50 @@ class TestKernel:
         assert quotient(m.shape[1], ker).torsion == ()
 
 
+word_entries = st.integers(min_value=-(2**64), max_value=2**64)
+
+
+@st.composite
+def word_matrices(draw):
+    """Shapes 0..5 with entries up to 2^64, near-integer quotients' widest case."""
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    row = st.lists(word_entries, min_size=ncols, max_size=ncols)
+    return intmat(draw(st.lists(row, min_size=nrows, max_size=nrows)), cols=ncols)
+
+
+def is_canonical(sub: Subgroup) -> bool:
+    """Pivot rows strictly increase, pivots are positive, and every entry of a
+    pivot row left of its pivot lies in [0, pivot)."""
+    cols = sub.columns()
+    pivots = [next(i for i, x in enumerate(col) if x) for col in cols]
+    return (
+        pivots == sorted(set(pivots))
+        and all(col[p] > 0 for col, p in zip(cols, pivots))
+        and all(
+            0 <= cols[k][p] < col[p]
+            for j, (col, p) in enumerate(zip(cols, pivots))
+            for k in range(j)
+        )
+    )
+
+
+class TestEliminationWithWordSizedEntries:
+    @settings(max_examples=100, deadline=None)
+    @given(word_matrices())
+    def test_kernel_and_span_match_their_oracles(self, m):
+        ker = kernel_basis(m)
+        assert ker == smith_kernel_basis(m)
+        if ker.rank:
+            assert not np.any(m @ ker.basis)
+        assert ker.rank == m.shape[1] - sympy_of(m).rank()
+        cols = matrix_columns(m)
+        span = Subgroup.from_columns(m.shape[0], cols)
+        assert is_canonical(span)
+        assert all(span.contains(col) for col in cols)
+        for col in span.columns():
+            integer_solve(m, col)  # raises unless the column lies in the span of m
+
+
 DENSE_DIAGRAMS = tuple(random_diagram(g, seed) for g in range(8, 13) for seed in (0, 1))
 
 

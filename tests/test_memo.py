@@ -137,6 +137,21 @@ def test_smith_forms_build_only_the_transforms_read(name, smith_forms):
     assert all("U" not in built(form) for form in cokernels)
 
 
+@pytest.mark.parametrize("name", ["CP2#CP2bar", "S2xS2#QS4_Z3"])
+def test_only_the_degree_two_position_builds_generators(name, smith_forms):
+    d = builtin(name)
+    ensure_valid(d)
+    before = len(smith_forms)
+    homology_groups(d)
+    dual_middle_homology(d)
+    cokernels = smith_forms[before:]
+    assert len(cokernels) >= 2
+    assert sum("Uinv" in built(form) for form in cokernels) == 1
+    before = len(smith_forms)
+    h2_basis_cocycles(d)
+    assert len(smith_forms) == before
+
+
 @pytest.mark.parametrize("name", SUMS)
 def test_validation_and_spin_build_no_transform(name, smith_forms):
     d = builtin(name)

@@ -7,7 +7,14 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trihodge.diagram import builtin, builtin_names, random_diagram
+from trihodge.diagram import (
+    SYSTEM_NAMES,
+    builtin,
+    builtin_names,
+    handleslide_diagram,
+    random_diagram,
+)
+from trihodge.lattice import intmat
 from trihodge.pairings import (
     CycleConditionError,
     H2DualRep,
@@ -30,6 +37,7 @@ from helpers import (
     det,
     full_width_signature,
     h3_h1_gram,
+    ladder_diagram,
     lagrangian_coordinates,
     plain_form,
     random_coboundary,
@@ -78,6 +86,13 @@ class TestOneOneCocycle:
         x = h2_basis_cocycles(CP2)[0]
         back = OneOneCocycle.from_lagrangian_coordinates(CP2, lagrangian_coordinates(x))
         assert back == x
+
+    def test_coordinates_combine_the_curves(self):
+        rng = random.Random(17)
+        for d in SCRAMBLED:
+            for x in h2_basis_cocycles(d) + (random_cocycle(d, rng),):
+                coords = lagrangian_coordinates(x)
+                assert OneOneCocycle.from_lagrangian_coordinates(d, coords) == x, d.label
 
     def test_algebra(self):
         x = h2_basis_cocycles(CP2)[0]
@@ -267,14 +282,13 @@ class TestDualReps:
         rep = H2DualRep.from_lifts(CP2, ((0, 1), (0, 0), (0, 0)))
         assert evaluate_on_surface_class(CP2, x, rep) == 1
 
-    def test_from_lifts_coords_are_pairings_with_canonical_columns(self):
+    def test_from_lifts_coords_are_pairings_with_the_curves(self):
         rng = random.Random(29)
-        for d in REP_DIAGRAMS:
+        for d in REP_DIAGRAMS + SCRAMBLED:
             for _ in range(4):
                 lifts = random_matched_lifts(d, rng)
-                columns = [d.lagrangian_subgroup(lam).columns() for lam in (1, 2, 3)]
                 expected = tuple(
-                    tuple(plain_form(e, a) for e in cols) for cols, a in zip(columns, lifts)
+                    tuple(plain_form(c, a) for c in cs.curves) for cs, a in zip(d.systems, lifts)
                 )
                 assert H2DualRep.from_lifts(d, lifts).coords == expected, d.label
 
@@ -374,6 +388,46 @@ class TestPoincareDuality:
         c = cocycle_from_dual_rep(d, rep)
         for x in basis:
             assert intersection_pairing(d, x, c) == evaluate_on_surface_class(d, x, rep)
+
+
+def bit_length(values) -> int:
+    return max((abs(v).bit_length() for v in values), default=0)
+
+
+class TestCurveBases:
+    def test_ladder_form_and_basis_stay_narrow(self):
+        d = ladder_diagram(24)
+        form, basis = intersection_form(d), h2_basis_cocycles(d)
+        assert form.rank == len(basis) > 0
+        assert bit_length(e for row in form.gram for e in row) <= 8
+        assert bit_length(e for x in basis for b in x.blocks for e in b) <= 8
+
+    def test_handleslides_keep_the_form_up_to_isometry(self):
+        rng = random.Random(41)
+        diagrams = [d for d in NAMED + SCRAMBLED if d.genus >= 2]
+        diagrams += [random_diagram(g, seed) for g in (2, 3, 4) for seed in range(3)]
+        changed = 0
+        for d in diagrams:
+            form, basis = intersection_form(d), h2_basis_cocycles(d)
+            for _ in range(3):
+                i, j = rng.sample(range(d.genus), 2)
+                slid = handleslide_diagram(d, rng.choice(SYSTEM_NAMES), i, j, rng.choice((1, -1)))
+                other, slid_basis = intersection_form(slid), h2_basis_cocycles(slid)
+                assert (other.rank, other.signature, other.parity, other.unimodular) == (
+                    form.rank,
+                    form.signature,
+                    form.parity,
+                    form.unimodular,
+                ), d.label
+                # same Lagrangians, so the slid basis is a cocycle basis of d too:
+                # its pairings with d's basis form a unimodular matrix
+                moved = [OneOneCocycle(d, *y.blocks) for y in slid_basis]
+                if basis:
+                    cross = [[intersection_pairing(d, x, y) for y in moved] for x in basis]
+                    assert abs(det(intmat(cross))) == 1, d.label
+                changed += [y.blocks for y in slid_basis] != [x.blocks for x in basis]
+        # the printed basis depends on the curves, not only on their span
+        assert changed
 
 
 class TestH3H1Pairing:
