@@ -19,13 +19,17 @@ with an integer longer than Python's integer-string digit limit or nested
 too deep to parse, and a --genus, a JSON genus or a --builtin connected sum
 of genus above MAX_GENUS = 100, refused before any diagram is built),
 3 internal error (a bug, such as a broken internal invariant; reported as
-one ``error: internal:`` line on stderr, never as a traceback).
+one ``error: internal:`` line on stderr, never as a traceback),
+141 stdout closed before the output was written, as when piped into
+``head`` (128 + SIGPIPE, the status a shell gives a process that SIGPIPE
+ended; nothing goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,6 +61,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 141
 
 MAX_GENUS = 100
 
@@ -396,7 +401,16 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"error: internal: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
-    print(report.render_json() if args.json else report.render_text())
+    try:
+        print(report.render_json() if args.json else report.render_text())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is left in the buffer to devnull, so
+        # the flush at interpreter exit finds no broken pipe to report
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     return report.exit_code
 
 

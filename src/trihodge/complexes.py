@@ -9,12 +9,15 @@ Two complexes of free groups carry the computation:
   agrees with H2 by universal coefficients plus Poincare duality. It checks
   the code but is no independent route; the duality laws are that check.
 
-Each homology group is one Smith form, computed once per complex position.
-Free generators are built in the same step, but only at the positions a
-caller reads them from (degree two of the five-term complex); elsewhere the
-quotient is dropped as soon as the group is known. A complex
-keeps its differentials as the columns the kernels read; ``diffs`` builds
-matrices from them only when asked.
+Each differential is eliminated once, and its rank and invariant factors
+are kept on the complex. A homology group is read off those of the two
+differentials at its position, which holds in any complex of free groups.
+Free generators are built only at the positions a caller reads them from
+(degree two of the five-term complex): there the elimination of the
+outgoing differential also yields the cycles, and one Smith form of the
+boundaries in the cycles gives the group with its generators. A complex
+keeps its differentials as the columns the eliminations read; ``diffs``
+builds matrices from them only when asked.
 
 The 3x3 Hodge-style diamond is ``homology_groups`` arranged with two constant
 outer columns; its antidiagonals assemble the cohomology. The Cech complexes
@@ -39,6 +42,8 @@ from .lattice import (
     _cokernel,
     _column_matrix,
     _combination,
+    _eliminate,
+    _invariant_factors,
     _kernel,
     _transpose,
     as_int_vector,
@@ -93,7 +98,8 @@ class FreeChainComplex:
     already are tuples of Python ints are kept as the same objects.
     ``generator_positions`` lists the positions whose free generators some
     caller reads; there ``homology_at`` builds them together with the group,
-    and everywhere else it builds none.
+    and everywhere else it builds none. The rank and invariant factors of
+    each differential are memoized on the complex and freed with it.
     """
 
     term_names: tuple[str, ...]
@@ -131,12 +137,46 @@ class FreeChainComplex:
                 f"degree {degree} not in this complex (degrees: {self.degrees})"
             ) from None
 
+    def _check_position(self, pos: int) -> None:
+        if not (0 <= pos < len(self.ranks)):
+            raise ValueError("position out of range")
+
+    @memoized
+    def _elimination(self, i: int) -> tuple[list[list[int]], Subgroup | None]:
+        """Image echelon of differential i, with its kernel when position i keeps generators.
+
+        The one elimination of each differential: it gives the rank of the
+        differential and the rows its invariant factors are read from, and
+        out of a generator position also the cycles the generators lie in.
+        """
+        return _eliminate(self.columns[i], self.ranks[i + 1], i in self.generator_positions)
+
+    def _rank(self, i: int) -> int:
+        """Rank of differential i; zero out of the last position."""
+        return len(self._elimination(i)[0]) if i < len(self.columns) else 0
+
+    @memoized
+    def _factors(self, i: int) -> tuple[int, ...]:
+        """Nonzero invariant factors of differential i."""
+        return _invariant_factors(self._elimination(i)[0], self.ranks[i + 1])
+
     @memoized
     def homology_at(self, pos: int) -> HomologyGroup:
-        """Homology at a position; free generators are built only where they are kept."""
+        """Homology at a position, from the ranks and invariant factors of the differentials.
+
+        ker d_pos is saturated, so the boundaries of d_{pos-1} lie in it
+        with the invariant factors of d_{pos-1}: the group is
+        Z^(n_pos - rank d_pos - rank d_{pos-1}) plus the factors >= 2 of
+        d_{pos-1}. This holds for any complex of free groups. At a position
+        in ``generator_positions`` the group is built with its free
+        generators instead, by ``homology_with_generators``.
+        """
         if pos in self.generator_positions:
             return self.homology_with_generators(pos)[0]
-        return self._homology(pos, generators=False)[0]
+        self._check_position(pos)
+        incoming = self._factors(pos - 1) if pos else ()
+        free = self.ranks[pos] - self._rank(pos) - len(incoming)
+        return HomologyGroup(free, tuple(f for f in incoming if f >= 2))
 
     @memoized
     def homology_with_generators(
@@ -146,34 +186,32 @@ class FreeChainComplex:
 
         The generators are cycle vectors in the coordinates of term ``pos``
         whose classes form a basis of the free part of the homology group.
-        The pair is stored on the complex, and the group is the one
-        ``homology_at`` returns. At a position outside ``generator_positions``
-        the generators cost a second Smith form, which only the tests pay.
+        They come from one Smith form of the boundaries written in a basis of
+        the cycles. At a position in ``generator_positions`` the cycles come
+        from the memoized elimination of the outgoing differential, and this
+        is the group ``homology_at`` returns. Elsewhere the kernel is
+        computed afresh and the group taken from ``homology_at``; only the
+        tests pay for that.
         """
-        group, gens = self._homology(pos, generators=True)
+        self._check_position(pos)
+        if pos >= len(self.columns):
+            cycles = Subgroup.full(self.ranks[pos])
+        elif pos in self.generator_positions:
+            cycles = self._elimination(pos)[1]
+        else:
+            cycles = _kernel(self.columns[pos], self.ranks[pos + 1])
+        if cycles.rank == 0:
+            group, gens = HomologyGroup(0), ()
+        else:
+            # boundary columns land in the cycle subgroup (d o d = 0, saturated basis)
+            coords = [cycles.coordinates_of(col) for col in (self.columns[pos - 1] if pos else ())]
+            q = _cokernel(_transpose(coords, cycles.rank), len(coords))
+            cols = cycles.columns()
+            group = HomologyGroup(q.free_rank, q.torsion)
+            gens = tuple(_combination(cols, lift, self.ranks[pos]) for lift in q._free_lifts)
         if pos not in self.generator_positions:
             group = self.homology_at(pos)
         return group, gens
-
-    def _homology(
-        self, pos: int, generators: bool
-    ) -> tuple[HomologyGroup, tuple[tuple[int, ...], ...]]:
-        """One Smith form of the boundaries in the cycles; the quotient is dropped after."""
-        if not (0 <= pos < len(self.ranks)):
-            raise ValueError("position out of range")
-        outgoing = self.columns[pos] if pos < len(self.columns) else ((),) * self.ranks[pos]
-        out_rank = self.ranks[pos + 1] if pos < len(self.columns) else 0
-        cycles = _kernel(outgoing, out_rank)
-        if cycles.rank == 0:
-            return HomologyGroup(0), ()
-        # boundary columns land in the cycle subgroup (d o d = 0, saturated basis)
-        coords = [cycles.coordinates_of(col) for col in (self.columns[pos - 1] if pos else ())]
-        q = _cokernel(_transpose(coords, cycles.rank), len(coords))
-        group = HomologyGroup(q.free_rank, q.torsion)
-        if not generators:
-            return group, ()
-        cols = cycles.columns()
-        return group, tuple(_combination(cols, lift, self.ranks[pos]) for lift in q._free_lifts)
 
 
 def homology(complex_: FreeChainComplex, degree: int) -> HomologyGroup:

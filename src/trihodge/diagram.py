@@ -5,6 +5,12 @@ Lagrangian of the surface lattice. Validity is a property of the *homology*
 data: each system must be isotropic and primitive, and each cyclic pair of
 Lagrangians must sum to a saturated subgroup (torsion-free quotient). All
 downstream invariants require a valid diagram.
+
+Each cyclic pair of systems is a Heegaard diagram of a connected sum of
+copies of S1 x S2, whose H1 is the cokernel of the g x g intersection matrix
+of the two systems' curves. Validation reads each pair check off that
+matrix, and builds the pair sums and their quotients only when a check
+cannot (the next system is no primitive Lagrangian) or a caller reads them.
 """
 
 from __future__ import annotations
@@ -18,7 +24,9 @@ from . import lattice as _lattice
 from .lattice import (
     QuotientPresentation,
     Subgroup,
+    _dot,
     _identity_rows,
+    _invariant_factors,
     _row_echelon_lattice,
     _span,
     as_int_vector,
@@ -121,7 +129,8 @@ class TrisectionDiagram:
 
     @cached_property
     def triple_sum(self) -> Subgroup:
-        return subgroup_sum(self._pair_sums[0], self._lagrangians[2])
+        """L1 + L2 + L3, spanned by the canonical columns of all three at once."""
+        return _span(self.lattice.rank, [c for L in self._lagrangians for c in L.columns()])
 
     @cached_property
     def triple_quotient(self) -> QuotientPresentation:
@@ -220,20 +229,43 @@ def validate(d: TrisectionDiagram) -> ValidationReport:
     """Run every validity check; never raises, failures land in the report."""
     lat = d.lattice
     checks: list[tuple[str, bool]] = []
+    lagrangian: list[bool] = []
     # the form is unimodular: L is primitive when pairing with it maps onto Z^g
     for name, L, smith in zip(SYSTEM_NAMES, d._lagrangians, d._pairing_forms):
-        checks.append((f"{name} isotropic", lat.is_isotropic(L)))
-        ones = snf_diagonal(smith.D) == (1,) * d.genus
-        checks.append((f"{name} primitive", L.rank == d.genus and ones))
+        isotropic = lat.is_isotropic(L)
+        primitive = L.rank == d.genus and snf_diagonal(smith.D) == (1,) * d.genus
+        checks += [(f"{name} isotropic", isotropic), (f"{name} primitive", primitive)]
+        lagrangian.append(isotropic and primitive)
     pair_names = ("alpha+beta", "beta+gamma", "gamma+alpha")
-    for name, q in zip(pair_names, d._pair_quotients):
-        checks.append((f"{name} torsion-free", q.torsion == ()))
+    k = []
+    for lam, name in enumerate(pair_names):
+        if lagrangian[(lam + 1) % 3]:
+            factors = _intersection_factors(d, lam)
+            torsion_free, free_rank = all(f == 1 for f in factors), d.genus - len(factors)
+        else:
+            q = d.pair_quotient(lam + 1)
+            torsion_free, free_rank = q.torsion == (), q.free_rank
+        checks.append((f"{name} torsion-free", torsion_free))
+        k.append(free_rank)
     report_checks = tuple(checks)
-    k = None
-    if all(ok for _, ok in report_checks):
-        # rank(L + L') + rank(L n L') = 2g, so each k is a pair quotient's free rank
-        k = tuple(q.free_rank for q in d._pair_quotients)
-    return ValidationReport(checks=report_checks, k_values=k)
+    # rank(L + L') + rank(L n L') = 2g, so each k is the free rank of
+    # Z^2g / (L + L'), the corank of an intersection matrix on a valid diagram
+    valid = all(ok for _, ok in report_checks)
+    return ValidationReport(checks=report_checks, k_values=tuple(k) if valid else None)
+
+
+def _intersection_factors(d: TrisectionDiagram, lam: int) -> tuple[int, ...]:
+    """Nonzero invariant factors of Q = (<c_i, c'_j>), c the curves of system
+    lam (0-based) and c' those of the next system.
+
+    When the next system's curves are a basis of a primitive Lagrangian L',
+    v -> (<c'_j, v>) maps Z^2g onto Z^g with kernel L', so it identifies
+    Z^2g / (L + L') with the cokernel of Q: the pair sum is saturated when
+    every factor is 1, and its quotient has free rank g - rank Q.
+    """
+    rows = _pairing_rows(d.systems[lam].curves)
+    nxt = d.systems[(lam + 1) % 3].curves
+    return _invariant_factors([[_dot(r, c) for c in nxt] for r in rows], d.genus)
 
 
 def ensure_valid(d: TrisectionDiagram) -> None:

@@ -7,8 +7,10 @@ explicit project/lift maps.
 
 Kernels and intersections come from the echelon routine that canonicalizes
 every subgroup; a kernel eliminates only downward in the matrix part of
-[m^T | I] and canonicalizes just the kernel rows. Smith forms serve only what
-needs invariant factors or transforms. Each computes D and records its row
+[m^T | I] and canonicalizes just the kernel rows, and the same elimination
+without the identity block gives an echelon of the image. Smith forms serve
+only what needs invariant factors or transforms; the invariant factors of a
+map are read off its image echelon. Each computes D and records its row
 and column operations; the transforms U, U^{-1} and V are replayed from the
 record on first read, so a caller that reads only invariant factors or
 ranks builds none of them.
@@ -310,7 +312,13 @@ def snf_diagonal(D: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 def invariant_factors(m: np.ndarray) -> tuple[int, ...]:
     """Nonzero invariant factors of the subgroup spanned by the columns of m."""
-    return snf_diagonal(_Smith(*_checked_rows(m)).D)
+    return _invariant_factors(*_checked_rows(m))
+
+
+def _invariant_factors(rows: list[list[int]], ncols: int) -> tuple[int, ...]:
+    """Nonzero invariant factors of trusted rows: the diagonal of a Smith form
+    that builds no transform. Their count is the rank."""
+    return snf_diagonal(_Smith(rows, ncols).D) if rows else ()
 
 
 def integer_solve(m: np.ndarray, rhs: Sequence[int]) -> tuple[int, ...]:
@@ -514,17 +522,34 @@ def kernel_basis(m: np.ndarray) -> Subgroup:
 
 
 def _kernel(columns: Sequence[Sequence[int]], nrows: int) -> Subgroup:
-    """Kernel of the matrix with the given trusted columns, each of length nrows.
+    """Kernel of the matrix with the given trusted columns, each of length nrows."""
+    return _eliminate(columns, nrows, kernel=True)[1]
 
-    Eliminates downward in the m^T part of the rows of [m^T | I]. The row
-    operations are unimodular, so the identity parts of the rows whose m^T
-    part vanishes span the kernel exactly (no finite-index sublattice); only
-    those parts are then put in canonical echelon form.
+
+def _eliminate(
+    columns: Sequence[Sequence[int]], nrows: int, kernel: bool
+) -> tuple[list[list[int]], Subgroup | None]:
+    """Echelon rows spanning the image of the matrix with the given trusted
+    columns, each of length nrows, and its kernel when asked for.
+
+    The rows of m^T are eliminated downward; as many stay nonzero as the
+    rank of m, and the invariant factors of m are those of the echelon rows,
+    since row operations on m^T are column operations on m. For the kernel the rows are
+    those of [m^T | I]. The row operations are unimodular, so the identity
+    parts of the rows whose m^T part vanishes span the kernel exactly (no
+    finite-index sublattice); only those parts are then put in canonical
+    echelon form. Without the kernel there is no identity block to update.
     """
     ncols = len(columns)
-    work = [list(col) + unit for col, unit in zip(columns, _identity_rows(ncols))]
-    rank = len(_forward_echelon(work, nrows, nrows + ncols))
-    return _span(ncols, [r[nrows:] for r in work[rank:]])
+    if kernel:
+        work = [list(col) + unit for col, unit in zip(columns, _identity_rows(ncols))]
+    else:
+        work = [list(col) for col in columns if any(col)]
+    rank = len(_forward_echelon(work, nrows, nrows + ncols if kernel else nrows))
+    if not kernel:
+        return work[:rank], None
+    image = [r[:nrows] for r in work[:rank]]
+    return image, _span(ncols, [r[nrows:] for r in work[rank:]])
 
 
 @dataclass(frozen=True, eq=False)

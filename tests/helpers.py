@@ -1,9 +1,10 @@
 """Test-only constructions: random (co)cycles, the curve coordinates of
 a cocycle, the ladder recipe, duality maps, column spans, transvections, the degree-three
-against degree-one Gram matrix, and seven oracles: the numpy Smith form, the
+against degree-one Gram matrix, and nine oracles: the numpy Smith form, the
 Bareiss determinant, the full-width congruence diagonalization, the
-Smith-form kernel, the Cech complexes behind the diamond, the solved
-Poincare dual and the brute-force spin filter.
+Smith-form kernel, validation by pair sums, homology by kernels, the Cech
+complexes behind the diamond, the solved Poincare dual and the brute-force
+spin filter.
 
 The suites use these to generate inputs and to state laws; the package
 itself never needs them.
@@ -17,11 +18,17 @@ from typing import Sequence
 
 import numpy as np
 
-from trihodge.complexes import FreeChainComplex, dual_complex, homology_complex
+from trihodge.complexes import (
+    FreeChainComplex,
+    HomologyGroup,
+    dual_complex,
+    homology_complex,
+)
 from trihodge.diagram import (
     SYSTEM_NAMES,
     CutSystem,
     TrisectionDiagram,
+    ValidationReport,
     builtin,
     builtin_genus,
     diagram_from_curves,
@@ -34,6 +41,7 @@ from trihodge.lattice import (
     integer_solve,
     intmat,
     kernel_basis,
+    quotient,
     smith_normal_form,
     snf_diagonal,
     zeros,
@@ -254,6 +262,45 @@ def smith_kernel_basis(m: np.ndarray) -> Subgroup:
     """
     _, D, V = smith_normal_form(m)
     return Subgroup.from_columns(m.shape[1], matrix_columns(V[:, len(snf_diagonal(D)) :]))
+
+
+def validate_by_pair_sums(d: TrisectionDiagram) -> ValidationReport:
+    """Every validity check, each pair check read off the quotient of the
+    surface lattice by the canonical pair sum L_lam + L_{lam+1}.
+
+    The oracle for ``diagram.validate``, which reads each pair check off the
+    intersection matrix of the two systems' curves instead.
+    """
+    lat = d.lattice
+    checks = []
+    for name, L, smith in zip(SYSTEM_NAMES, d._lagrangians, d._pairing_forms):
+        checks.append((f"{name} isotropic", lat.is_isotropic(L)))
+        ones = snf_diagonal(smith.D) == (1,) * d.genus
+        checks.append((f"{name} primitive", L.rank == d.genus and ones))
+    quotients = [d.pair_quotient(lam) for lam in (1, 2, 3)]
+    for name, q in zip(("alpha+beta", "beta+gamma", "gamma+alpha"), quotients):
+        checks.append((f"{name} torsion-free", q.torsion == ()))
+    valid = all(ok for _, ok in checks)
+    return ValidationReport(tuple(checks), tuple(q.free_rank for q in quotients) if valid else None)
+
+
+def homology_by_kernels(c: FreeChainComplex, pos: int) -> HomologyGroup:
+    """Homology at a position as the cycles modulo the boundaries written in
+    a basis of the cycles: ``kernel_basis``, ``coordinates_of`` and ``quotient``.
+
+    The oracle for ``FreeChainComplex.homology_at``, which reads the ranks
+    and invariant factors of the differentials instead.
+    """
+    if not 0 <= pos < len(c.ranks):
+        raise ValueError("position out of range")
+    if pos < len(c.diffs):
+        cycles = kernel_basis(c.diffs[pos])
+    else:
+        cycles = Subgroup.full(c.ranks[pos])
+    boundaries = matrix_columns(c.diffs[pos - 1]) if pos else []
+    relations = Subgroup.from_columns(cycles.rank, [cycles.coordinates_of(b) for b in boundaries])
+    q = quotient(cycles.rank, relations)
+    return HomologyGroup(q.free_rank, q.torsion)
 
 
 def image_subgroup(m: np.ndarray) -> Subgroup:

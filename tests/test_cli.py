@@ -97,6 +97,26 @@ def test_cli_never_loads_numpy(argv):
     assert json.loads(done.stdout) == [EXIT_OK, False]
 
 
+PIPE_SUM = "#".join(["S1xS3"] * 12)  # 4096 listed structures, past any pipe buffer
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_closed_stdout_exits_141_without_traceback(flags):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "trihodge.cli", "spin", "--builtin", PIPE_SUM, *flags],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
 class TestExitCodes:
     def test_valid_diagram_file(self, tmp_path):
         path = tmp_path / "cp2.json"

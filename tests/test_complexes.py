@@ -22,8 +22,9 @@ from trihodge.complexes import (
 from trihodge.diagram import builtin, euler_characteristic, random_diagram
 from trihodge.lattice import kernel_basis
 
-from helpers import cech_complex, plain_form
+from helpers import cech_complex, homology_by_kernels, ladder_diagram, plain_form
 from test_acceptance import RANDOM_SUITE
+from test_pairings import DUALITY_SUITE
 
 Z = HomologyGroup(1)
 ZERO = HomologyGroup(0)
@@ -316,3 +317,53 @@ def test_empty_genus_complexes():
     assert homology_complex(d).ranks == (1, 0, 0, 0, 1)
     assert dual_complex(d).ranks == (0, 0, 0)
     assert cohomology_groups(d) == (Z, ZERO, ZERO, ZERO, Z)
+
+
+def every_complex(d):
+    return (homology_complex(d), dual_complex(d), *(cech_complex(d, j) for j in range(3)))
+
+
+def test_homology_from_invariant_factors_matches_the_kernel_route():
+    for d in DUALITY_SUITE + tuple(ladder_diagram(g) for g in range(8, 25)):
+        for c in every_complex(d):
+            for pos in range(len(c.ranks)):
+                assert c.homology_at(pos) == homology_by_kernels(c, pos), (d.describe(), pos)
+
+
+HAND_BUILT = (
+    # Z --(2, 0)--> Z^2 --0--> Z: torsion and free rank at the middle position
+    (FreeChainComplex(("a", "b", "c"), (1, 2, 1), (0, 1, 2), (((2, 0),), ((0,), (0,)))),
+     (ZERO, HomologyGroup(1, (2,)), Z)),
+    # Z^2 --[[2, 0], [0, 6], [0, 0]]--> Z^3 --(0, 0, 1)--> Z
+    (FreeChainComplex(("a", "b", "c"), (2, 3, 1), (0, 1, 2),
+                      (((2, 0, 0), (0, 6, 0)), ((0,), (0,), (1,)))),
+     (ZERO, HomologyGroup(0, (2, 6)), ZERO)),
+    # zero-rank terms on both sides of a free one
+    (FreeChainComplex(("a", "b", "c"), (0, 2, 0), (0, 1, 2), ((), ((), ()))),
+     (ZERO, HomologyGroup(2), ZERO)),
+    (FreeChainComplex(("a",), (0,), (0,), ()), (ZERO,)),
+)
+
+
+@pytest.mark.parametrize("c,groups", HAND_BUILT)
+def test_hand_built_complexes(c, groups):
+    assert tuple(c.homology_at(pos) for pos in range(len(c.ranks))) == groups
+    assert tuple(homology_by_kernels(c, pos) for pos in range(len(c.ranks))) == groups
+
+
+def test_genus_zero_complexes_match_the_kernel_route():
+    for c in every_complex(builtin("S4")):
+        assert all(
+            c.homology_at(pos) == homology_by_kernels(c, pos) for pos in range(len(c.ranks))
+        )
+
+
+@pytest.mark.parametrize("c", [homology_complex(builtin("CP2")), HAND_BUILT[0][0]])
+def test_positions_out_of_range_are_refused(c):
+    for pos in (-1, len(c.ranks)):
+        with pytest.raises(ValueError):
+            c.homology_at(pos)
+        with pytest.raises(ValueError):
+            homology_by_kernels(c, pos)
+        with pytest.raises(ValueError):
+            c.homology_with_generators(pos)

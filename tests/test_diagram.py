@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from trihodge.diagram import (
@@ -22,10 +24,11 @@ from trihodge.diagram import (
     validate,
 )
 from trihodge.complexes import _pair_kernels
-from trihodge.lattice import Subgroup, _combination, intmat
+from trihodge.lattice import Subgroup, _combination, intmat, subgroup_sum
 
-from helpers import det
+from helpers import det, ladder_diagram, validate_by_pair_sums
 from test_acceptance import RANDOM_SUITE
+from test_pairings import DUALITY_SUITE
 
 
 class TestConstruction:
@@ -182,6 +185,53 @@ class TestKValuesFromPairQuotients:
     def test_invalid_diagrams_report_no_k_values(self):
         for d in INVALID:
             assert validate(d).k_values is None
+
+
+# Invalid inputs whose pair checks read an intersection matrix: every system
+# is a primitive Lagrangian, and the beta+gamma sum has index 2.
+PAIR_FAILURES = (diagram_from_curves(1, [(1, 0)], [(0, 1)], [(2, 1)]),)
+# Invalid inputs where some system is no primitive Lagrangian, so the pair
+# check into it falls back to the pair quotient.
+FALLBACKS = (
+    diagram_from_curves(1, [(0, 0)], [(0, 0)], [(0, 0)]),
+    diagram_from_curves(
+        2,
+        [(1, 0, 0, 0), (2, 0, 0, 0)],
+        [(0, 1, 0, 0), (0, 0, 0, 1)],
+        [(1, 1, 0, 0), (0, 0, 1, 1)],
+    ),
+    *INVALID[1:],
+)
+
+
+class TestPairChecksFromIntersectionMatrices:
+    def test_checks_and_k_values_match_the_pair_sum_route(self):
+        suite = DUALITY_SUITE + tuple(ladder_diagram(g) for g in range(8, 25))
+        for d in suite + PAIR_FAILURES + FALLBACKS:
+            d = replace(d)
+            assert validate(d) == validate_by_pair_sums(d), d.describe()
+
+    def test_invalid_inputs_cover_both_branches(self):
+        for d in PAIR_FAILURES:
+            d = replace(d)
+            assert validate(d).failures == ("beta+gamma torsion-free",)
+            assert "_pair_quotients" not in vars(d)
+        for d in FALLBACKS:
+            d = replace(d)
+            assert not validate(d).is_valid
+            assert "_pair_quotients" in vars(d), d.alpha
+
+    def test_validation_builds_no_pair_sum(self):
+        for d in DUALITY_SUITE[::7]:
+            d = replace(d)
+            assert validate(d).is_valid
+            assert "_pair_sums" not in vars(d) and "_pair_quotients" not in vars(d)
+
+    def test_triple_sum_is_the_sum_of_the_pair_sum_and_the_third_lagrangian(self):
+        suite = DUALITY_SUITE + tuple(ladder_diagram(g) for g in (8, 12, 16, 24))
+        for d in suite + PAIR_FAILURES + FALLBACKS:
+            L = d._lagrangians
+            assert d.triple_sum == subgroup_sum(subgroup_sum(L[0], L[1]), L[2]), d.describe()
 
 
 class TestCurveBases:

@@ -162,6 +162,59 @@ def test_validation_and_spin_build_no_transform(name, smith_forms):
     assert all(not built(form) for form in smith_forms)
 
 
+@pytest.mark.parametrize("name", SUMS)
+def test_validation_builds_no_pair_sum_but_reads_it_on_demand(name):
+    d = builtin(name)
+    ensure_valid(d)
+    assert "_pair_sums" not in vars(d) and "_pair_quotients" not in vars(d)
+    homology_groups(d)
+    dual_middle_homology(d)
+    d.triple_quotient
+    assert "_pair_sums" not in vars(d) and "_pair_quotients" not in vars(d)
+    L = [d.lagrangian_subgroup(lam) for lam in (1, 2, 3)]
+    for lam, k in zip((1, 2, 3), d.validation.k_values):
+        pair = lattice.subgroup_sum(L[lam - 1], L[lam % 3])
+        assert d.pair_sum(lam) == pair
+        q = d.pair_quotient(lam)
+        assert (q.free_rank, q.torsion) == (k, ())
+        assert all(q.is_zero(col) for col in pair.columns())
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The matrix behind every echelon and every Smith form computed since the
+    fixture started, as the tuple of its columns.
+
+    An echelon eliminates the rows of m^T (the leading ``stop`` entries of
+    each row it is handed), so those rows are the columns of m."""
+    matrices = []
+    forward, smith = lattice._forward_echelon, lattice._Smith
+
+    def recorded(work, stop, width):
+        matrices.append(tuple(tuple(row[:stop]) for row in work))
+        return forward(work, stop, width)
+
+    class Recorded(smith):
+        def __init__(self, rows, ncols):
+            matrices.append(tuple(zip(*rows)) if rows else ((),) * ncols)
+            super().__init__(rows, ncols)
+
+    monkeypatch.setattr(lattice, "_forward_echelon", recorded)
+    monkeypatch.setattr(lattice, "_Smith", Recorded)
+    return matrices
+
+
+@pytest.mark.parametrize("name", SUMS)
+def test_degree_two_differential_is_eliminated_once(name, eliminations):
+    d = builtin(name)
+    ensure_valid(d)
+    curves = homology_complex(d).columns[2]
+    assert curves == tuple(c for cs in d.systems for c in cs.curves)
+    homology_groups(d)
+    h2_basis_cocycles(d)
+    assert eliminations.count(curves) == 1
+
+
 def test_pair_quotients_build_no_inverse_unless_lifted():
     diagrams = [builtin(name) for name in SUMS] + [replace(d) for d in RANDOM_SUITE]
     for d in diagrams:
