@@ -6,10 +6,12 @@ data: each system must be isotropic and primitive, and each cyclic pair of
 Lagrangians must sum to a saturated subgroup (torsion-free quotient). All
 downstream invariants require a valid diagram.
 
-Each cyclic pair of systems is a Heegaard diagram of a connected sum of
-copies of S1 x S2, whose H1 is the cokernel of the g x g intersection matrix
-of the two systems' curves. Validation reads each pair check off that
-matrix, and builds the pair sums and their quotients only when a check
+The system checks read only the curves: their pairwise intersection
+numbers and the invariant factors of pairing with them. Each cyclic pair of
+systems is a Heegaard diagram of a connected sum of copies of S1 x S2,
+whose H1 is the cokernel of the g x g intersection matrix of the two
+systems' curves. Validation reads each pair check off that matrix, and
+builds the canonical Lagrangians, pair sums and quotients only when a check
 cannot (the next system is no primitive Lagrangian) or a caller reads them.
 """
 
@@ -25,9 +27,7 @@ from .lattice import (
     QuotientPresentation,
     Subgroup,
     _dot,
-    _identity_rows,
     _invariant_factors,
-    _row_echelon_lattice,
     _span,
     as_int_vector,
     quotient,
@@ -35,7 +35,7 @@ from .lattice import (
     subgroup_intersection,
     subgroup_sum,
 )
-from .surface import SymplecticLattice, _pairing_rows
+from .surface import SymplecticLattice, _isotropic, _pairing_rows
 
 SYSTEM_NAMES = ("alpha", "beta", "gamma")
 
@@ -138,31 +138,16 @@ class TrisectionDiagram:
         return quotient(self.lattice.rank, self.triple_sum)
 
     @cached_property
-    def _curve_transforms(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Per system, the g x g unimodular T writing canonical column j as sum_i T[j][i] c_i.
-
-        The c_i are the system's curves in file order. T is the right part of
-        the canonical row echelon of [C^T | I_g]; the left part is then the
-        canonical basis of L_lam. Only a valid diagram's T is read: there the
-        curves are a basis of their Lagrangian, so every pivot lies left.
-        """
-        g = self.genus
-        units = _identity_rows(g)
-        return tuple(
-            tuple(
-                tuple(row[2 * g :])
-                for row in _row_echelon_lattice(
-                    [list(c) + unit for c, unit in zip(cs.curves, units)], 3 * g
-                )
-            )
-            for cs in self.systems
-        )
-
-    @cached_property
     def _pairing_forms(self) -> tuple[_lattice._Smith, ...]:
-        """Smith forms of the pairing maps x -> (<e, x>) over each L_lam's columns e."""
+        """Smith forms of the pairing maps x -> (<c, x>) over each system's curves c.
+
+        The form is unimodular, so the curves of a system span a primitive
+        subgroup of rank g exactly when all g invariant factors are 1; the
+        transforms of a valid diagram's forms then solve for vectors with
+        given pairings.
+        """
         rank = self.lattice.rank
-        return tuple(_lattice._Smith(_pairing_rows(L.columns()), rank) for L in self._lagrangians)
+        return tuple(_lattice._Smith(_pairing_rows(cs.curves), rank) for cs in self.systems)
 
     def pair_quotient(self, lam: int) -> QuotientPresentation:
         """H1 of the boundary 3-manifold of sector lam: lattice mod (L_lam + L_{lam+1})."""
@@ -227,13 +212,13 @@ def _system_index(lam: int) -> int:
 
 def validate(d: TrisectionDiagram) -> ValidationReport:
     """Run every validity check; never raises, failures land in the report."""
-    lat = d.lattice
     checks: list[tuple[str, bool]] = []
     lagrangian: list[bool] = []
-    # the form is unimodular: L is primitive when pairing with it maps onto Z^g
-    for name, L, smith in zip(SYSTEM_NAMES, d._lagrangians, d._pairing_forms):
-        isotropic = lat.is_isotropic(L)
-        primitive = L.rank == d.genus and snf_diagonal(smith.D) == (1,) * d.genus
+    # the form vanishes on a span when it vanishes on the generators, and the
+    # span is primitive of rank g when pairing with the curves maps onto Z^g
+    for name, cs, smith in zip(SYSTEM_NAMES, d.systems, d._pairing_forms):
+        isotropic = _isotropic(cs.curves)
+        primitive = snf_diagonal(smith.D) == (1,) * d.genus
         checks += [(f"{name} isotropic", isotropic), (f"{name} primitive", primitive)]
         lagrangian.append(isotropic and primitive)
     pair_names = ("alpha+beta", "beta+gamma", "gamma+alpha")

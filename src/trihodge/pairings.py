@@ -137,8 +137,10 @@ class H2DualRep:
     ``coords[lam - 1][i]`` is <c_i, a_lam> over the curves c_i of system lam
     in file order, which fixes the class of a_lam in H1(surface)/L_lam: the
     curves are a basis of L_lam, so by the unimodular form these pairings
-    determine a_lam modulo L_lam. Construction checks that the concatenated
-    coordinates are a cycle of the dual complex.
+    determine a_lam modulo L_lam. These pairings are the rep's only
+    coordinates; ``lifts`` and the evaluation on cocycles are read from
+    them. Construction checks that the concatenated coordinates are a cycle
+    of the dual complex.
     """
 
     diagram: TrisectionDiagram
@@ -164,30 +166,19 @@ class H2DualRep:
         return cls(d, tuple(tuple(_form(c, a) for c in cs.curves) for cs, a in pairs))
 
     @cached_property
-    def _canonical_coords(self) -> tuple[tuple[int, ...], ...]:
-        """The pairings <e_j, a_lam> with the canonical columns e_j of L_lam.
-
-        T (``TrisectionDiagram._curve_transforms``) writes e_j as
-        sum_i T[j][i] c_i, so these are T times the curve pairings.
-        """
-        return tuple(
-            tuple(_dot(row, c) for row in T)
-            for T, c in zip(self.diagram._curve_transforms, self.coords)
-        )
-
-    @cached_property
     def lifts(self) -> tuple[tuple[int, ...], ...]:
         """Ambient vectors with these coordinates, each reduced modulo its L_lam.
 
-        With U N V = [I | 0] the Smith form of the pairing map on the
-        canonical columns of L_lam, the dual basis V[:, :g] U times the
-        canonical pairings is reduced along those columns, to the one vector
-        of its class whose pivot-row entries lie in [0, pivot).
+        With U N V = [I | 0] the Smith form of the pairing map N on the
+        curves of system lam (``TrisectionDiagram._pairing_forms``), the
+        dual basis V[:, :g] U times the curve pairings is reduced along the
+        canonical columns of L_lam, to the one vector of its class whose
+        pivot-row entries lie in [0, pivot).
         """
         d = self.diagram
         g = d.genus
         out = []
-        for lam, smith, c in zip((1, 2, 3), d._pairing_forms, self._canonical_coords):
+        for lam, smith, c in zip((1, 2, 3), d._pairing_forms, self.coords):
             u = [_dot(row, c) for row in smith.U]
             lift = [_dot(row[:g], u) for row in smith.V]
             d.lagrangian_subgroup(lam)._substitute(lift)
@@ -393,19 +384,15 @@ def h3_representatives(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
 def evaluate_on_surface_class(d: TrisectionDiagram, x: OneOneCocycle, rep: H2DualRep) -> int:
     """Evaluate a degree-two cocycle on a degree-two homology class.
 
-    The sum over lam of <b_lam, a_lam>: the coordinates of b_lam in the
-    canonical columns e_j of L_lam, dotted with the rep's pairings
-    <e_j, a_lam>, which are T times its curve pairings (T from
-    ``TrisectionDiagram._curve_transforms``). Coboundary changes to the
+    The sum over lam of <b_lam, a_lam>, with a_lam the rep's lifts. Each
+    lift is fixed only modulo L_lam, and b_lam lies in the isotropic L_lam,
+    so the value does not depend on the lift. Coboundary changes to the
     cocycle do not move it (the matching conditions kill those).
     """
     _check_cocycle(d, x, "cocycle")
     if rep.diagram != d:
         raise ValueError("dual rep belongs to a different diagram")
-    return sum(
-        _dot(d.lagrangian_subgroup(lam).coordinates_of(b), c)
-        for lam, b, c in zip((1, 2, 3), x.blocks, rep._canonical_coords)
-    )
+    return sum(map(_form, x.blocks, rep.lifts))
 
 
 def poincare_dual_rep(d: TrisectionDiagram, x: OneOneCocycle) -> H2DualRep:

@@ -36,8 +36,12 @@ class SymplecticLattice:
         """Whether the form vanishes identically on the subgroup."""
         if sub.ambient_rank != self.rank:
             raise ValueError("subgroup lives in a different ambient rank")
-        cols = sub.columns()
-        return not any(_form(x, y) for i, x in enumerate(cols) for y in cols[i + 1 :])
+        return _isotropic(sub.columns())
+
+
+def _isotropic(vectors: Sequence[Sequence[int]]) -> bool:
+    """Whether the form vanishes on the span of trusted vectors: on each pair of them."""
+    return not any(_form(x, y) for i, x in enumerate(vectors) for y in vectors[i + 1 :])
 
 
 def _form(x: Sequence[int], y: Sequence[int]) -> int:

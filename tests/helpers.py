@@ -40,6 +40,7 @@ from trihodge.lattice import (
     identity,
     integer_solve,
     intmat,
+    invariant_factors,
     kernel_basis,
     quotient,
     smith_normal_form,
@@ -269,13 +270,16 @@ def validate_by_pair_sums(d: TrisectionDiagram) -> ValidationReport:
     surface lattice by the canonical pair sum L_lam + L_{lam+1}.
 
     The oracle for ``diagram.validate``, which reads each pair check off the
-    intersection matrix of the two systems' curves instead.
+    intersection matrix of the two systems' curves instead, and the system
+    checks off the curves rather than the canonical columns.
     """
     lat = d.lattice
+    units = [standard_basis_vector(lat, i) for i in range(lat.rank)]
     checks = []
-    for name, L, smith in zip(SYSTEM_NAMES, d._lagrangians, d._pairing_forms):
+    for name, L in zip(SYSTEM_NAMES, d._lagrangians):
         checks.append((f"{name} isotropic", lat.is_isotropic(L)))
-        ones = snf_diagonal(smith.D) == (1,) * d.genus
+        rows = [[plain_form(e, u) for u in units] for e in L.columns()]
+        ones = invariant_factors(intmat(rows, cols=lat.rank)) == (1,) * d.genus
         checks.append((f"{name} primitive", L.rank == d.genus and ones))
     quotients = [d.pair_quotient(lam) for lam in (1, 2, 3)]
     for name, q in zip(("alpha+beta", "beta+gamma", "gamma+alpha"), quotients):

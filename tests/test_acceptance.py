@@ -19,6 +19,7 @@ from trihodge.cli import EXIT_INVALID, EXIT_OK, EXIT_PARSE, main
 from trihodge.complexes import (
     HomologyGroup,
     betti_numbers,
+    dual_complex,
     dual_middle_homology,
     hodge_diamond,
     homology,
@@ -59,6 +60,7 @@ from helpers import (
     cech_complex,
     det,
     h3_h1_gram,
+    ladder_diagram,
     random_coboundary,
     random_cocycle,
     random_cycle_rep,
@@ -142,9 +144,12 @@ def test_criterion_03_rank_symmetry():
 @criterion(4, "H2 agrees with its dual complex and the independent duality laws")
 def test_criterion_04_three_way_h2():
     saw_torsion = False
-    for d in SUITE:
-        fm = homology(homology_complex(d), 2)
-        assert fm == dual_middle_homology(d), d.label
+    for d in SUITE + tuple(ladder_diagram(g) for g in range(8, 25)):
+        fm, dual = homology(homology_complex(d), 2), dual_middle_homology(d)
+        # the closed form against the dual complex it reads without building
+        assert dual == dual_complex(d).homology_at(1), d.label
+        # the torsion compared is that of d_1 (H2) against that of d_2 (H1)
+        assert fm == dual, d.label
         assert fm == cech_complex(d, 1).homology_at(1), d.label
         # third route, free of the complex's middle: tors H2 = tors H1 and
         # rank H2 = chi - 2 + 2 b1, with H1 the lattice mod L1 + L2 + L3

@@ -239,6 +239,11 @@ def test_dual_complex_connected_sum():
 TORSION_SUMS = ("QS4_Z2", "QS4_Z3", "QS4_Z2#QS4_Z3", "S1xS3#QS4_Z2", "CP2#QS4_Z3")
 
 
+def test_dual_middle_homology_is_the_dual_complex_middle():
+    for d in DUALITY_SUITE + tuple(ladder_diagram(g) for g in range(8, 25)):
+        assert dual_middle_homology(d) == dual_complex(d).homology_at(1), d.describe()
+
+
 def test_dual_complex_is_the_transposed_middle_of_the_homology_complex():
     for d in RANDOM_SUITE + tuple(builtin(name) for name in TORSION_SUMS):
         fm, dual = homology_complex(d), dual_complex(d)

@@ -75,7 +75,6 @@ def test_results_are_freed_with_their_diagram():
 def test_groups_and_generators_share_one_result_per_position():
     d = builtin("S2xS2#QS4_Z3")
     assert homology_groups(d)[2] is homology_complex(d).homology_with_generators(2)[0]
-    assert dual_middle_homology(d) is dual_complex(d).homology_with_generators(1)[0]
 
 
 SUMS = ["CP2#CP2bar", "S2xS2#QS4_Z3", "S1xS3#QS4_Z2"]
@@ -213,6 +212,19 @@ def test_degree_two_differential_is_eliminated_once(name, eliminations):
     homology_groups(d)
     h2_basis_cocycles(d)
     assert eliminations.count(curves) == 1
+
+
+@pytest.mark.parametrize("name", SUMS)
+def test_dual_middle_homology_adds_no_elimination(name, eliminations):
+    d = builtin(name)
+    homology_groups(d)
+    before = len(eliminations)
+    dual_middle_homology(d)
+    assert len(eliminations) == before
+    key = f"{dual_complex.__module__}.{dual_complex.__qualname__}"
+    assert key not in vars(d)
+    assert dual_middle_homology(d) == dual_complex(d).homology_at(1)
+    assert key in vars(d)
 
 
 def test_pair_quotients_build_no_inverse_unless_lifted():
