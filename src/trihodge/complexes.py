@@ -1,20 +1,23 @@
 """Chain complexes attached to a diagram and their integral (co)homology.
 
-A five-term complex of free groups carries the computation. It is built
-from the Lagrangians, written in the bases the cut-system curves give them,
-and its homology in degrees 0..4 is the integral homology of the 4-manifold.
-The dual complex, Hom of its middle, has middle homology isomorphic to H2
-by universal coefficients plus Poincare duality. ``dual_middle_homology``
-reads that group in closed form off the eliminations of the five-term
-complex, so only the tests (as the oracle of the closed form) and the
-bench build the dual complex. It is no independent route to H2; the
-duality laws are that check.
+A five-term complex of free groups carries the computation. Following
+Feller, Klug, Schirmer and Zemke, it is read from the three g x g
+intersection matrices of the curves of consecutive systems: it is the
+complex of the three Lagrangians, L_alpha + L_beta + L_gamma -> Z^2g,
+quotiented by its acyclic subcomplex L_gamma -> L_gamma, so its homology in
+degrees 0..4 is the integral homology of the 4-manifold. The complex of the
+three Lagrangians is kept in the tests as its oracle. The dual complex, Hom
+of its middle, has middle homology isomorphic to H2 by universal
+coefficients plus Poincare duality. ``dual_middle_homology`` reads that
+group in closed form off the eliminations of the homology complex, so only
+the tests (as the oracle of the closed form) and the bench build the dual
+complex. It is no independent route to H2; the duality laws are that check.
 
 Each differential is eliminated once, and its rank and invariant factors
 are kept on the complex. A homology group is read off those of the two
 differentials at its position, which holds in any complex of free groups.
 Free generators are built only at the positions a caller reads them from
-(degree two of the five-term complex): there the elimination of the
+(degree two of the homology complex): there the elimination of the
 outgoing differential also yields the cycles, and one Smith form of the
 boundaries in the cycles gives the group with its generators. A complex
 keeps its differentials as the columns the eliminations read; ``diffs``
@@ -25,8 +28,9 @@ outer columns; its antidiagonals assemble the cohomology. The Cech complexes
 of three coefficient presheaves over the three-sector cover, from which the
 notes build the diamond, are kept in the tests as its oracle: the outer ones
 do not depend on the diagram, and the middle one is the middle of the
-five-term complex. The tests compare the diamond with them, and H2 with
-the duality laws, which need only H1 and the Euler characteristic.
+complex of the three Lagrangians. The tests compare the diamond with them,
+and H2 with the duality laws, which need only H1 and the Euler
+characteristic.
 """
 
 from __future__ import annotations
@@ -45,10 +49,11 @@ from .lattice import (
     _eliminate,
     _invariant_factors,
     _kernel,
+    _span,
+    _SpanCoordinates,
     _transpose,
     as_int_vector,
 )
-from .surface import _pairing_rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -218,84 +223,106 @@ def homology(complex_: FreeChainComplex, degree: int) -> HomologyGroup:
     return complex_.homology_at(complex_.position_of_degree(degree))
 
 
-def _lagrangian_block_matrix(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
-    """Columns: the 3g curves, alpha then beta then gamma, each in file order.
+@memoized
+def _curve_coordinates(d: TrisectionDiagram, lam: int) -> _SpanCoordinates:
+    """Coordinates in the curves of system lam (0-based) of vectors of its Lagrangian."""
+    return _SpanCoordinates(d.systems[lam].curves, 2 * d.genus)
 
-    This is the total-sum map from L1 + L2 + L3 to the surface lattice. For a
-    valid diagram the g curves of each system are a basis of its Lagrangian,
-    so the complex uses them as its Lagrangian bases; they are far smaller
-    than the canonical echelon columns, and so is everything computed on them.
-    """
-    return tuple(c for cs in d.systems for c in cs.curves)
+
+def _negated(v: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-e for e in v)
 
 
 @memoized
-def _pair_kernels(d: TrisectionDiagram) -> tuple[Subgroup, Subgroup, Subgroup]:
-    """Canonical kernels of [C_lam | -C_{lam+1}], lam cyclic, C_lam the curves of system lam.
+def _pair_difference_columns(d: TrisectionDiagram) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per cyclic pair lam, lam+1, the pair-difference columns in the three curve bases.
 
-    A kernel column (x, y) has C_lam x = C_{lam+1} y, one vector of
-    L_lam n L_{lam+1} in the curve coordinates of both systems; the columns
-    form a basis of that intersection, since each system's curves are
-    independent.
+    One length-3g column per column (x, y) of the canonical kernel of
+    [C_lam | -C_{lam+1}], C_lam the curves of system lam: -x in block lam
+    and +y in block lam+1, the (c-a, a-b, b-c) pattern componentwise. Each
+    (x, y) is one vector of L_lam n L_{lam+1} in the curve coordinates of
+    both systems, and the columns of a block span that intersection.
+
+    Each kernel projects isomorphically onto its x half, so its canonical
+    echelon pivots there: x runs over the canonical kernel of the g x g
+    matrix Q_{lam+1,lam}, since a vector of Z^2g lies in a primitive
+    Lagrangian exactly when it pairs to zero with that Lagrangian's curves,
+    and y is solved for. The gamma-alpha kernel, whose x half is in gamma
+    coordinates, is the span of the solved (x, y) over y in ker Q_gamma_alpha.
     """
-    curves = [cs.curves for cs in d.systems]
-    return tuple(
-        _kernel(curves[i] + tuple(tuple(-e for e in c) for c in curves[(i + 1) % 3]), 2 * d.genus)
-        for i in range(3)
-    )
-
-
-def _pair_difference_matrix(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
-    """Columns of the map from pairwise-intersection into Lagrangian coordinates.
-
-    Input block lam runs over the columns (x, y) of the lam-th pair kernel;
-    each contributes -x to the L_lam block and +y to the L_{lam+1} block,
-    which is the (c-a, a-b, b-c) pattern componentwise.
-    """
+    ensure_valid(d)
     g = d.genus
-    out = []
-    for p_idx, kernel in enumerate(_pair_kernels(d)):
-        nxt = (p_idx + 1) % 3
-        for xy in kernel.columns():
-            col = [0] * (3 * g)
-            col[p_idx * g : (p_idx + 1) * g] = [-e for e in xy[:g]]
-            col[nxt * g : (nxt + 1) * g] = xy[g:]
-            out.append(tuple(col))
-    return tuple(out)
+    ab, bg, ga = d._intersection_matrices
+    beta, gamma = _curve_coordinates(d, 1), _curve_coordinates(d, 2)
+    alpha, zero = d.alpha.curves, (0,) * g
+
+    def image(curves, x):
+        return _combination(curves, x, 2 * g)
+
+    # Q_beta_alpha and Q_gamma_beta have the negated rows of Q_alpha_beta and
+    # Q_beta_gamma as columns, and kernels do not see the sign
+    alpha_beta = [(x, beta(image(alpha, x))) for x in _kernel(ab, g).columns()]
+    beta_gamma = [(x, gamma(image(d.beta.curves, x))) for x in _kernel(bg, g).columns()]
+    solved = [gamma(image(alpha, y)) + y for y in _kernel(_transpose(ga, g), g).columns()]
+    gamma_alpha = [(xy[:g], xy[g:]) for xy in _span(2 * g, solved).columns()]
+    return (
+        tuple(_negated(x) + y + zero for x, y in alpha_beta),
+        tuple(zero + _negated(x) + y for x, y in beta_gamma),
+        tuple(y + zero + _negated(x) for x, y in gamma_alpha),
+    )
 
 
 @memoized
 def homology_complex(d: TrisectionDiagram) -> FreeChainComplex:
-    """The five-term complex whose homology is H_*(X; Z).
+    """A five-term complex whose homology is H_*(X; Z), read from the intersection matrices.
 
-    Terms, left to right: Z, the sum of cyclic pairwise intersections, the sum
-    of the three Lagrangians, the surface lattice, Z. Degrees run 4 down to 0.
-    The Lagrangians are written in their curve bases, and the free generators
-    of degree two, which ``pairings.h2_basis_cocycles`` reads, are built with
-    the group.
+    Terms, left to right: Z, the sum of cyclic pairwise intersections, the
+    alpha and beta Lagrangians, the surface lattice modulo the gamma
+    Lagrangian, Z. Degrees run 4 down to 0. The Lagrangians are written in
+    their curve bases, and Z^2g / L_gamma is identified with Z^g by pairing
+    with the gamma curves, so the degree-two differential is
+    [Q_gamma_alpha | Q_gamma_beta]. The degree-three one keeps the alpha
+    and beta blocks of the pair-difference columns. The free generators of
+    degree two, which ``pairings.h2_basis_cocycles`` reads, are built with
+    the group. Its cycles and boundaries are the projections of those of
+    the complex of the three Lagrangians, which lose nothing: the gamma
+    block of a cycle there is fixed by its alpha and beta blocks.
     """
     ensure_valid(d)
     g = d.genus
-    pair_columns = _pair_difference_matrix(d)
+    pair_columns = tuple(col[: 2 * g] for block in _pair_difference_columns(d) for col in block)
+    _, bg, ga = d._intersection_matrices
     columns = (
         ((0,) * len(pair_columns),),
         pair_columns,
-        _lagrangian_block_matrix(d),
-        ((0,),) * (2 * g),
+        tuple(map(tuple, _transpose(ga, g))) + tuple(map(_negated, bg)),
+        ((0,),) * g,
     )
     return FreeChainComplex(
         term_names=(
             "Z",
             "pairwise intersections",
-            "lagrangian sum",
-            "surface lattice",
+            "alpha and beta lagrangians",
+            "surface lattice mod gamma",
             "Z",
         ),
-        ranks=(1, len(pair_columns), 3 * g, 2 * g, 1),
+        ranks=(1, len(pair_columns), 2 * g, g, 1),
         degrees=(4, 3, 2, 1, 0),
         columns=columns,
         generator_positions=(2,),
     )
+
+
+def _curve_coordinates_of_cycle(d: TrisectionDiagram, xy: tuple[int, ...]) -> tuple[int, ...]:
+    """The 3g curve coordinates (x, y, z) of a degree-two cycle (x, y) of the homology complex.
+
+    (x, y) is a cycle when C_alpha x + C_beta y pairs to zero with the gamma
+    curves, that is lies in L_gamma; z solves C_gamma z = -(C_alpha x + C_beta y),
+    so that the three blocks sum to zero.
+    """
+    g = d.genus
+    total = _combination(d.alpha.curves + d.beta.curves, xy, 2 * g)
+    return xy + _curve_coordinates(d, 2)(_negated(total))
 
 
 @memoized
@@ -309,11 +336,9 @@ def homology_groups(d: TrisectionDiagram) -> tuple[HomologyGroup, ...]:
 def dual_complex(d: TrisectionDiagram) -> FreeChainComplex:
     """Hom of the middle of the homology complex; its middle homology is H_2(X; Z).
 
-    Surface lattice -> sum of Hom(L_lam, Z) -> sum of Hom(L_lam n L_{lam+1}, Z),
-    by the pairing isomorphisms Z^2g / L_lam = Hom(L_lam, Z) and Z^2g /
-    (L_lam + L_{lam+1}) = Hom(L_lam n L_{lam+1}, Z). The first map is
-    x -> (<c, x>) over the 3g curves c, the second the negated transpose of
-    the pair-difference columns. No package path builds it: its middle
+    Hom(Z^2g / L_gamma, Z) -> Hom(L_alpha + L_beta, Z) -> Hom of the pairwise
+    intersections, by the transposes of the degree-two differential and of
+    the negated degree-three one. No package path builds it: its middle
     homology is ``dual_middle_homology``, read without it. The tests keep it
     as the oracle of that closed form, and the bench's lattice replay reads
     its differentials.
@@ -322,12 +347,12 @@ def dual_complex(d: TrisectionDiagram) -> FreeChainComplex:
     g = d.genus
     pair_columns = c.columns[1]
     return FreeChainComplex(
-        term_names=("surface classes", "handlebody quotients", "sector boundary quotients"),
-        ranks=(2 * g, 3 * g, len(pair_columns)),
+        term_names=("gamma quotient classes", "handlebody quotients", "sector boundary quotients"),
+        ranks=(g, 2 * g, len(pair_columns)),
         degrees=(0, 1, 2),
         columns=(
-            _transpose(_pairing_rows(c.columns[2]), 2 * g),
-            _transpose([[-x for x in col] for col in pair_columns], 3 * g),
+            _transpose(c.columns[2], g),
+            _transpose([[-x for x in col] for col in pair_columns], 2 * g),
         ),
     )
 
@@ -336,14 +361,14 @@ def dual_complex(d: TrisectionDiagram) -> FreeChainComplex:
 def dual_middle_homology(d: TrisectionDiagram) -> HomologyGroup:
     """Middle homology of ``dual_complex(d)``, read off the homology complex.
 
-    The dual complex's maps are d_2^T J, the pairing rows of the curves, and
-    -d_1^T, with d_1 and d_2 the differentials into and out of the
-    Lagrangian sum and J the unimodular form. So its cycles are the
-    saturated ker d_1^T and its boundaries im d_2^T, which has the invariant
-    factors of d_2: the group is Z^(3g - rank d_1 - rank d_2) plus the
-    factors >= 2 of d_2. ``homology_groups`` has already eliminated both
-    differentials, so this computes nothing new. The torsion it reports is
-    that of H1, which equals the torsion of H2.
+    The dual complex's maps are d_2^T and -d_1^T, with d_1 and d_2 the
+    differentials into and out of the alpha and beta Lagrangians. So its
+    cycles are the saturated ker d_1^T and its boundaries im d_2^T, which
+    has the invariant factors of d_2: the group is
+    Z^(2g - rank d_1 - rank d_2) plus the factors >= 2 of d_2.
+    ``homology_groups`` has already eliminated both differentials, so this
+    computes nothing new. The torsion it reports is that of H1, which
+    equals the torsion of H2.
     """
     c = homology_complex(d)
     free = c.ranks[2] - c._rank(1) - c._rank(2)
@@ -380,7 +405,7 @@ def hodge_diamond(d: TrisectionDiagram) -> HodgeDiamond:
 
     Column 0 (constant coefficients) is Z, 0, 0 and column 2 (top
     coefficients) is 0, 0, Z on every diagram. Column 1 is the middle of the
-    five-term complex read as a cochain complex, so Cech degrees 0, 1, 2
+    homology complex read as a cochain complex, so Cech degrees 0, 1, 2
     hold H3, H2, H1.
     """
     h = homology_groups(d)

@@ -138,6 +138,25 @@ class TrisectionDiagram:
         return quotient(self.lattice.rank, self.triple_sum)
 
     @cached_property
+    def _curve_pairings(self) -> tuple[list[list[int]], ...]:
+        """Rows of the pairing maps x -> (<c, x>) over each system's curves c, in file order."""
+        return tuple(_pairing_rows(cs.curves) for cs in self.systems)
+
+    @cached_property
+    def _intersection_matrices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Q_lam = (<c_i, c'_j>), c the curves of system lam and c' those of the next.
+
+        The g x g matrices Q_alpha_beta, Q_beta_gamma and Q_gamma_alpha, lam
+        cyclic. Validation reads their invariant factors and the homology
+        complex their kernels; Q_mu_lam is -Q_lam_mu^T.
+        """
+        nxt = self.systems[1:] + self.systems[:1]
+        return tuple(
+            tuple(tuple(_dot(r, c) for c in cs.curves) for r in rows)
+            for rows, cs in zip(self._curve_pairings, nxt)
+        )
+
+    @cached_property
     def _pairing_forms(self) -> tuple[_lattice._Smith, ...]:
         """Smith forms of the pairing maps x -> (<c, x>) over each system's curves c.
 
@@ -147,7 +166,7 @@ class TrisectionDiagram:
         given pairings.
         """
         rank = self.lattice.rank
-        return tuple(_lattice._Smith(_pairing_rows(cs.curves), rank) for cs in self.systems)
+        return tuple(_lattice._Smith(rows, rank) for rows in self._curve_pairings)
 
     def pair_quotient(self, lam: int) -> QuotientPresentation:
         """H1 of the boundary 3-manifold of sector lam: lattice mod (L_lam + L_{lam+1})."""
@@ -248,9 +267,7 @@ def _intersection_factors(d: TrisectionDiagram, lam: int) -> tuple[int, ...]:
     Z^2g / (L + L') with the cokernel of Q: the pair sum is saturated when
     every factor is 1, and its quotient has free rank g - rank Q.
     """
-    rows = _pairing_rows(d.systems[lam].curves)
-    nxt = d.systems[(lam + 1) % 3].curves
-    return _invariant_factors([[_dot(r, c) for c in nxt] for r in rows], d.genus)
+    return _invariant_factors(d._intersection_matrices[lam], d.genus)
 
 
 def ensure_valid(d: TrisectionDiagram) -> None:

@@ -8,7 +8,9 @@ explicit project/lift maps.
 Kernels and intersections come from the echelon routine that canonicalizes
 every subgroup; a kernel eliminates only downward in the matrix part of
 [m^T | I] and canonicalizes just the kernel rows, and the same elimination
-without the identity block gives an echelon of the image. Smith forms serve
+without the identity block gives an echelon of the image. Run on
+independent vectors beside an identity block, it also gives coordinates in
+those vectors (``_SpanCoordinates``). Smith forms serve
 only what needs invariant factors or transforms; the invariant factors of a
 map are read off its image echelon. Each computes D and records its row
 and column operations; the transforms U, U^{-1} and V are replayed from the
@@ -550,6 +552,42 @@ def _eliminate(
         return work[:rank], None
     image = [r[:nrows] for r in work[:rank]]
     return image, _span(ncols, [r[nrows:] for r in work[rank:]])
+
+
+class _SpanCoordinates:
+    """Coordinates of members of the span of independent trusted vectors c_1..c_n.
+
+    One downward echelon of the rows [c_i | e_i] gives echelon rows E = T C,
+    with T unimodular: the identity block tracks the row operations. A member
+    v = a E is read off the pivots of E by forward substitution, and its
+    coordinates in the c_i are a T.
+    """
+
+    def __init__(self, vectors: Sequence[Sequence[int]], width: int):
+        n = len(vectors)
+        work = [list(v) + unit for v, unit in zip(vectors, _identity_rows(n))]
+        pivots = _forward_echelon(work, width, width + n)
+        if len(pivots) != n:
+            raise ValueError("vectors are dependent")
+        self._rows = [(col, row[:width]) for col, row in zip(pivots, work)]
+        self._tracker = [row[width:] for row in work]
+
+    def __call__(self, v: Sequence[int]) -> tuple[int, ...]:
+        """Coordinates of trusted v; ValueError unless v lies in the span."""
+        rem = list(v)
+        coeffs = []
+        for col, row in self._rows:
+            q, r = divmod(rem[col], row[col])
+            if r:
+                break
+            coeffs.append(q)
+            if q:
+                # an echelon row is zero left of its pivot
+                for i in range(col, len(rem)):
+                    rem[i] -= q * row[i]
+        if any(rem):
+            raise ValueError("vector is not in the span")
+        return _combination(self._tracker, coeffs, len(self._tracker))
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,9 +3,11 @@
 Degree-two classes are carried as triples (b1, b2, b3) with b_lam in the
 lam-th Lagrangian and b1 + b2 + b3 = 0; the cup product of two such classes
 evaluates on the fundamental class as a single intersection number on the
-central surface. Degree-two homology classes are carried dually, as cycles
-of the dual complex: matched triples of handlebody H1 classes, each given by
-its pairings with the curves of its cut system in file order. The two sides
+central surface, which in the curve coordinates of the classes is read off
+the intersection matrix Q_alpha_beta. Degree-two homology classes are carried dually, as matched triples of
+handlebody H1 classes, each given by its pairings with the curves of its cut
+system in file order; the matching conditions are the pair-difference
+columns of the homology complex, kept with their gamma blocks. The two sides
 meet in an integer evaluation pairing. Poincare
 duality has a closed form at chain level: the triple (b2, 0, 0) is matched
 and evaluates like cup product with (b1, b2, b3), so no solve is needed in
@@ -25,9 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
 
-from .complexes import InvalidStateError, _pair_kernels, homology_complex
+from .complexes import (
+    InvalidStateError,
+    _curve_coordinates_of_cycle,
+    _pair_difference_columns,
+    homology_complex,
+)
 from .diagram import TrisectionDiagram, ensure_valid, memoized
 from .lattice import (
     Subgroup,
@@ -47,20 +53,23 @@ class CycleConditionError(ValueError):
 def _matching_failure(d: TrisectionDiagram, coords) -> str | None:
     """The first cyclic matching condition handlebody coordinates fail, or None.
 
-    Condition lam: the pair-difference columns of block lam annihilate them;
-    block lam has one column per column of the lam-th pair kernel.
+    Condition lam: the pair-difference columns of block lam, one per basis
+    vector of L_lam n L_{lam+1} in the curve bases, annihilate them.
     """
     flat = [c for block in coords for c in block]
-    columns = iter(homology_complex(d).columns[1])
-    for (lam, nxt), kernel in zip(((1, 2), (2, 3), (3, 1)), _pair_kernels(d)):
-        if any(_dot(col, flat) for col in islice(columns, kernel.rank)):
+    for (lam, nxt), columns in zip(((1, 2), (2, 3), (3, 1)), _pair_difference_columns(d)):
+        if any(_dot(col, flat) for col in columns):
             return f"a{lam} - a{nxt} is nonzero in the sector boundary quotient {lam}"
     return None
 
 
 @dataclass(frozen=True)
 class OneOneCocycle:
-    """Degree-two cohomology class as a sum-zero triple of Lagrangian vectors."""
+    """Degree-two cohomology class as a sum-zero triple of Lagrangian vectors.
+
+    A primitive Lagrangian is its own annihilator under the unimodular form,
+    so b_lam lies in L_lam exactly when it pairs to zero with its curves.
+    """
 
     diagram: TrisectionDiagram
     b1: tuple[int, ...]
@@ -68,12 +77,13 @@ class OneOneCocycle:
     b3: tuple[int, ...]
 
     def __post_init__(self):
+        ensure_valid(self.diagram)
         width = 2 * self.diagram.genus
         object.__setattr__(self, "b1", as_int_vector(self.b1, width))
         object.__setattr__(self, "b2", as_int_vector(self.b2, width))
         object.__setattr__(self, "b3", as_int_vector(self.b3, width))
-        for lam, b in enumerate(self.blocks, start=1):
-            if not self.diagram.lagrangian_subgroup(lam).contains(b):
+        for lam, (rows, b) in enumerate(zip(self.diagram._curve_pairings, self.blocks), start=1):
+            if any(_dot(row, b) for row in rows):
                 raise ValueError(f"component {lam} does not lie in Lagrangian {lam}")
         if any(map(sum, zip(*self.blocks))):
             raise ValueError("components do not sum to zero")
@@ -139,8 +149,8 @@ class H2DualRep:
     curves are a basis of L_lam, so by the unimodular form these pairings
     determine a_lam modulo L_lam. These pairings are the rep's only
     coordinates; ``lifts`` and the evaluation on cocycles are read from
-    them. Construction checks that the concatenated coordinates are a cycle
-    of the dual complex.
+    them. Construction checks the cyclic matching conditions: the
+    concatenated coordinates are annihilated by the pair-difference columns.
     """
 
     diagram: TrisectionDiagram
@@ -224,17 +234,21 @@ def _sign_normalized(vec: tuple[int, ...]) -> tuple[int, ...]:
 
 @memoized
 def _h2_basis_coordinates(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
-    """Curve coordinates of the basis cocycles, in ``h2_basis_cocycles`` order."""
+    """Curve coordinates of the basis cocycles, in ``h2_basis_cocycles`` order.
+
+    The alpha and beta blocks are the homology complex's free generators;
+    the gamma block of each follows from them.
+    """
     c = homology_complex(d)
     _, gens = c.homology_with_generators(c.position_of_degree(2))
-    return tuple(map(_sign_normalized, gens))
+    return tuple(_sign_normalized(_curve_coordinates_of_cycle(d, v)) for v in gens)
 
 
 @memoized
 def h2_basis_cocycles(d: TrisectionDiagram) -> tuple[OneOneCocycle, ...]:
     """Cocycle representatives for a basis of the free part of H^2.
 
-    Computed as free generators of the middle homology of the five-term
+    Computed as free generators of the middle homology of the homology
     complex, which builds them at that position only, and read off in the
     curve bases: block lam of a generator combines the curves of system lam.
     Each generator is normalized so its first nonzero coordinate is
@@ -332,16 +346,18 @@ def _signature_of_symmetric(
 def intersection_form(d: TrisectionDiagram) -> IntersectionForm:
     """Gram matrix, signature, parity and unimodularity of the form on H^2.
 
-    Parity: the form is even exactly when the zero vector is characteristic,
-    which for a symmetric integer matrix means every diagonal entry is even;
-    diagonal parity is invariant under unimodular change of basis.
+    The Gram entry of basis cocycles x and y is <x.b1, y.b2>, which is
+    X_alpha^T Q_alpha_beta Y_beta in their curve coordinates. Parity: the
+    form is even exactly when the zero vector is characteristic, which for
+    a symmetric integer matrix means every diagonal entry is even; diagonal
+    parity is invariant under unimodular change of basis.
     """
-    basis = h2_basis_cocycles(d)
-    n = len(basis)
-    gram = tuple(
-        tuple(intersection_pairing(d, basis[i], basis[j]) for j in range(n))
-        for i in range(n)
-    )
+    g = d.genus
+    coords = _h2_basis_coordinates(d)
+    n = len(coords)
+    q = d._intersection_matrices[0]
+    paired = [[_dot(row, y[g : 2 * g]) for row in q] for y in coords]
+    gram = tuple(tuple(_dot(x[:g], qy) for qy in paired) for x in coords)
     signature, det = _signature_of_symmetric(gram)
     parity = "even" if all(gram[i][i] % 2 == 0 for i in range(n)) else "odd"
     return IntersectionForm(gram, signature, parity, abs(det) == 1)

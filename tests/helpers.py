@@ -1,8 +1,9 @@
 """Test-only constructions: random (co)cycles, the curve coordinates of
 a cocycle, the ladder recipe, duality maps, column spans, transvections, the degree-three
-against degree-one Gram matrix, and nine oracles: the numpy Smith form, the
+against degree-one Gram matrix, and ten oracles: the numpy Smith form, the
 Bareiss determinant, the full-width congruence diagonalization, the
-Smith-form kernel, validation by pair sums, homology by kernels, the Cech
+Smith-form kernel, validation by pair sums, homology by kernels, the
+five-term complex of the three Lagrangians with its dual, the Cech
 complexes behind the diamond, the solved Poincare dual and the brute-force
 spin filter.
 
@@ -18,12 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from trihodge.complexes import (
-    FreeChainComplex,
-    HomologyGroup,
-    dual_complex,
-    homology_complex,
-)
+from trihodge.complexes import FreeChainComplex, HomologyGroup
 from trihodge.diagram import (
     SYSTEM_NAMES,
     CutSystem,
@@ -33,6 +29,7 @@ from trihodge.diagram import (
     builtin_genus,
     diagram_from_curves,
     ensure_valid,
+    memoized,
 )
 from trihodge.lattice import (
     Subgroup,
@@ -307,6 +304,67 @@ def homology_by_kernels(c: FreeChainComplex, pos: int) -> HomologyGroup:
     return HomologyGroup(q.free_rank, q.torsion)
 
 
+@memoized
+def five_term_complex(d: TrisectionDiagram) -> FreeChainComplex:
+    """Z -> pairwise intersections -> L1 + L2 + L3 -> surface lattice -> Z, degrees 4 to 0.
+
+    The oracle for ``homology_complex``, which is this complex quotiented by
+    its acyclic subcomplex L_gamma -> L_gamma. The Lagrangians are written
+    in their curve bases, so the degree-two differential's columns are the
+    3g curves. The pairwise intersections are the canonical kernels of the
+    2g-wide [C_lam | -C_{lam+1}], C_lam the curves of system lam: a kernel
+    column (x, y) has C_lam x = C_{lam+1} y, and contributes -x to the L_lam
+    block and +y to the L_{lam+1} block.
+    """
+    ensure_valid(d)
+    g = d.genus
+    pair_columns = []
+    for lam in range(3):
+        nxt = (lam + 1) % 3
+        left, right = d.systems[lam].curves, d.systems[nxt].curves
+        paired = left + tuple(tuple(-e for e in c) for c in right)
+        for xy in kernel_basis(intmat(list(zip(*paired)), cols=2 * g)).columns():
+            col = [0] * (3 * g)
+            col[lam * g : (lam + 1) * g] = [-e for e in xy[:g]]
+            col[nxt * g : (nxt + 1) * g] = xy[g:]
+            pair_columns.append(tuple(col))
+    return FreeChainComplex(
+        term_names=("Z", "pairwise intersections", "lagrangian sum", "surface lattice", "Z"),
+        ranks=(1, len(pair_columns), 3 * g, 2 * g, 1),
+        degrees=(4, 3, 2, 1, 0),
+        columns=(
+            ((0,) * len(pair_columns),),
+            tuple(pair_columns),
+            tuple(c for cs in d.systems for c in cs.curves),
+            ((0,),) * (2 * g),
+        ),
+        generator_positions=(2,),
+    )
+
+
+@memoized
+def five_term_dual_complex(d: TrisectionDiagram) -> FreeChainComplex:
+    """Hom of the middle of ``five_term_complex``: surface lattice -> sum of
+    Hom(L_lam, Z) -> sum of Hom(L_lam n L_{lam+1}, Z).
+
+    The first map is x -> (<c, x>) over the 3g curves c, the second the
+    negated transpose of the pair-difference columns. Its middle cycles are
+    the coordinates of ``H2DualRep``s.
+    """
+    c = five_term_complex(d)
+    g = d.genus
+    units = [tuple(int(i == j) for j in range(2 * g)) for i in range(2 * g)]
+    return FreeChainComplex(
+        term_names=("surface classes", "handlebody quotients", "sector boundary quotients"),
+        ranks=(2 * g, 3 * g, c.ranks[1]),
+        degrees=(0, 1, 2),
+        columns=(
+            tuple(tuple(plain_form(e, u) for e in c.columns[2]) for u in units),
+            tuple(tuple(-col[j] for col in c.columns[1]) for j in range(3 * g)),
+        ),
+    )
+
+
 def image_subgroup(m: np.ndarray) -> Subgroup:
     """Column span of m as a canonical Subgroup of Z^rows."""
     return Subgroup.from_columns(m.shape[0], matrix_columns(m))
@@ -355,9 +413,10 @@ def cech_complex(d: TrisectionDiagram, sheaf_degree: int) -> FreeChainComplex:
 
     sheaf_degree 0: constant coefficients, cohomology (Z, 0, 0).
     sheaf_degree 1: degree-one coefficients, realized on the Lagrangian data.
-    This is the middle of the homology complex read as a cochain complex: its
-    terms and differentials are taken from ``homology_complex(d)`` as they
-    are, so its middle cohomology is H2 of that complex, not a new route.
+    This is the middle of the five-term complex read as a cochain complex: its
+    terms and differentials are taken from ``five_term_complex(d)`` as they
+    are, so its middle cohomology is H2 of that oracle, a route to the
+    diamond that does not pass through the intersection matrices.
     sheaf_degree 2: top coefficients vanish except over the central surface.
     """
     ensure_valid(d)
@@ -369,7 +428,7 @@ def cech_complex(d: TrisectionDiagram, sheaf_degree: int) -> FreeChainComplex:
             columns=(((1, 0, -1), (-1, 1, 0), (0, -1, 1)), ((1,), (1,), (1,))),
         )
     if sheaf_degree == 1:
-        c = homology_complex(d)
+        c = five_term_complex(d)
         return FreeChainComplex(
             term_names=("sector classes", "handlebody classes", "surface classes"),
             ranks=c.ranks[1:4],
@@ -413,7 +472,7 @@ def _random_combination(basis: np.ndarray, rng: random.Random, span: int) -> tup
 
 def random_cocycle(d: TrisectionDiagram, rng: random.Random, span: int = 4) -> OneOneCocycle:
     """Random element of the cocycle group (kernel of the total-sum map)."""
-    cycles = kernel_basis(homology_complex(d).diffs[2])
+    cycles = kernel_basis(five_term_complex(d).diffs[2])
     if cycles.rank == 0:
         return OneOneCocycle.zero(d)
     coords = _random_combination(cycles.basis, rng, span)
@@ -422,7 +481,7 @@ def random_cocycle(d: TrisectionDiagram, rng: random.Random, span: int = 4) -> O
 
 def random_coboundary(d: TrisectionDiagram, rng: random.Random, span: int = 4) -> OneOneCocycle:
     """Random image of the pairwise-intersection difference map."""
-    zeta = homology_complex(d).diffs[1]
+    zeta = five_term_complex(d).diffs[1]
     if zeta.shape[1] == 0:
         return OneOneCocycle.zero(d)
     coords = _random_combination(zeta, rng, span)
@@ -432,7 +491,7 @@ def random_coboundary(d: TrisectionDiagram, rng: random.Random, span: int = 4) -
 def random_cycle_rep(d: TrisectionDiagram, rng: random.Random, span: int = 4) -> H2DualRep:
     """Random triple of handlebody classes satisfying the matching conditions."""
     g = d.genus
-    cycles = kernel_basis(dual_complex(d).diffs[1])
+    cycles = kernel_basis(five_term_dual_complex(d).diffs[1])
     if cycles.rank == 0:
         return H2DualRep.zero(d)
     vec = _random_combination(cycles.basis, rng, span)
@@ -443,13 +502,13 @@ def solved_dual_rep(d: TrisectionDiagram, x: OneOneCocycle) -> H2DualRep:
     """A rep of x's Poincare dual by exact solve against the dual complex.
 
     The oracle for ``pairings.poincare_dual_rep``'s closed form: the
-    combination K of the sign-normalized free generators of the dual
-    complex's middle homology with evaluate_on_surface_class(d, b, K) equal
+    combination K of the sign-normalized free generators of the five-term
+    dual complex's middle homology with evaluate_on_surface_class(d, b, K) equal
     to intersection_pairing(d, b, x) for every basis cocycle b. The form is
     unimodular, so the system has one integral solution.
     """
     g = d.genus
-    _, gens = dual_complex(d).homology_with_generators(1)
+    _, gens = five_term_dual_complex(d).homology_with_generators(1)
     gens = map(_sign_normalized, gens)
     reps = [H2DualRep(d, (v[:g], v[g : 2 * g], v[2 * g :])) for v in gens]
     basis = h2_basis_cocycles(d)

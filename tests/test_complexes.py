@@ -9,6 +9,7 @@ from trihodge.complexes import (
     FreeChainComplex,
     HodgeDiamond,
     HomologyGroup,
+    _pair_difference_columns,
     betti_numbers,
     cohomology_groups,
     dual_complex,
@@ -20,10 +21,19 @@ from trihodge.complexes import (
     serre_duality_holds,
 )
 from trihodge.diagram import builtin, euler_characteristic, random_diagram
-from trihodge.lattice import kernel_basis
+from trihodge.lattice import _combination, kernel_basis
+from trihodge.pairings import _h2_basis_coordinates, _sign_normalized, intersection_form
 
-from helpers import cech_complex, homology_by_kernels, ladder_diagram, plain_form
+from helpers import (
+    cech_complex,
+    five_term_complex,
+    five_term_dual_complex,
+    homology_by_kernels,
+    ladder_diagram,
+    plain_form,
+)
 from test_acceptance import RANDOM_SUITE
+from test_diagram import torsion_sums_and_their_slides
 from test_pairings import DUALITY_SUITE
 
 Z = HomologyGroup(1)
@@ -75,14 +85,18 @@ def test_complex_rejects_shape_mismatch():
 
 
 def test_five_term_ranks_projective_plane():
-    c = homology_complex(builtin("CP2"))
-    assert c.ranks == (1, 0, 3, 2, 1)
-    assert c.degrees == (4, 3, 2, 1, 0)
+    d = builtin("CP2")
+    assert five_term_complex(d).ranks == (1, 0, 3, 2, 1)
+    # the quotient by L_gamma -> L_gamma drops g from the two middle terms
+    c = homology_complex(d)
+    assert c.ranks == (1, 0, 2, 1, 1)
+    assert c.degrees == five_term_complex(d).degrees == (4, 3, 2, 1, 0)
 
 
 def test_five_term_ranks_s1_x_s3():
-    c = homology_complex(builtin("S1xS3"))
-    assert c.ranks == (1, 3, 3, 2, 1)
+    d = builtin("S1xS3")
+    assert five_term_complex(d).ranks == (1, 3, 3, 2, 1)
+    assert homology_complex(d).ranks == (1, 3, 2, 1, 1)
 
 
 def test_homology_projective_plane():
@@ -134,7 +148,7 @@ def test_three_routes_agree_on_torsion():
 
 def test_cech_middle_column_reuses_the_homology_complex():
     d = builtin("S2xS2#QS4_Z3")
-    c, fm = cech_complex(d, 1), homology_complex(d)
+    c, fm = cech_complex(d, 1), five_term_complex(d)
     assert c.ranks == fm.ranks[1:4]
     assert all(a is b for a, b in zip(c.columns, fm.columns[1:3]))
 
@@ -221,15 +235,17 @@ def test_serre_duality_detects_asymmetry():
 
 
 def test_dual_complex_ranks_projective_plane():
-    c = dual_complex(builtin("CP2"))
-    assert c.ranks == (2, 3, 0)
-    assert dual_middle_homology(builtin("CP2")) == Z
+    d = builtin("CP2")
+    assert dual_complex(d).ranks == (1, 2, 0)
+    assert five_term_dual_complex(d).ranks == (2, 3, 0)
+    assert dual_middle_homology(d) == Z == five_term_dual_complex(d).homology_at(1)
 
 
 def test_dual_complex_s1_x_s3():
-    c = dual_complex(builtin("S1xS3"))
-    assert c.ranks == (2, 3, 3)
-    assert dual_middle_homology(builtin("S1xS3")) == ZERO
+    d = builtin("S1xS3")
+    assert dual_complex(d).ranks == (1, 2, 3)
+    assert five_term_dual_complex(d).ranks == (2, 3, 3)
+    assert dual_middle_homology(d) == ZERO == five_term_dual_complex(d).homology_at(1)
 
 
 def test_dual_complex_connected_sum():
@@ -246,15 +262,57 @@ def test_dual_middle_homology_is_the_dual_complex_middle():
 
 def test_dual_complex_is_the_transposed_middle_of_the_homology_complex():
     for d in RANDOM_SUITE + tuple(builtin(name) for name in TORSION_SUMS):
+        g = d.genus
         fm, dual = homology_complex(d), dual_complex(d)
         lagrangian_columns, pair_columns = fm.columns[2], fm.columns[1]
-        units = [tuple(int(i == j) for j in range(2 * d.genus)) for i in range(2 * d.genus)]
         assert dual.columns[0] == tuple(
-            tuple(plain_form(e, u) for e in lagrangian_columns) for u in units
+            tuple(col[i] for col in lagrangian_columns) for i in range(g)
         ), d.label
         assert dual.columns[1] == tuple(
-            tuple(-col[j] for col in pair_columns) for j in range(3 * d.genus)
+            tuple(-col[j] for col in pair_columns) for j in range(2 * g)
         ), d.label
+
+
+# Diagrams whose intersection matrices vary: random_diagram carries the
+# matrices of standard_triple, so these add builtin sums, their scrambled
+# copies and handleslides of single systems, and the ladder.
+Q_SUITE = (
+    DUALITY_SUITE
+    + tuple(ladder_diagram(g) for g in range(8, 25))
+    + tuple(torsion_sums_and_their_slides())
+)
+
+
+def test_groups_match_the_five_term_oracle():
+    for d in Q_SUITE:
+        oracle = five_term_complex(d)
+        assert homology_groups(d) == tuple(homology(oracle, k) for k in range(5)), d.describe()
+
+
+def test_degree_two_generators_match_the_five_term_oracle():
+    for d in Q_SUITE:
+        _, gens = five_term_complex(d).homology_with_generators(2)
+        assert _h2_basis_coordinates(d) == tuple(map(_sign_normalized, gens)), d.describe()
+
+
+def test_gram_matrix_matches_the_five_term_oracle():
+    for d in Q_SUITE:
+        g = d.genus
+        _, gens = five_term_complex(d).homology_with_generators(2)
+        gens = [_sign_normalized(v) for v in gens]
+        b1 = [_combination(d.alpha.curves, v[:g], 2 * g) for v in gens]
+        b2 = [_combination(d.beta.curves, v[g : 2 * g], 2 * g) for v in gens]
+        gram = tuple(tuple(plain_form(x, y) for y in b2) for x in b1)
+        assert intersection_form(d).gram == gram, d.describe()
+
+
+def test_pair_difference_columns_match_the_five_term_oracle():
+    for d in Q_SUITE:
+        blocks = _pair_difference_columns(d)
+        oracle = five_term_complex(d).columns[1]
+        assert tuple(c for block in blocks for c in block) == oracle, d.describe()
+        g = d.genus
+        assert homology_complex(d).columns[1] == tuple(c[: 2 * g] for c in oracle), d.describe()
 
 
 @settings(max_examples=60, deadline=None)
@@ -325,7 +383,13 @@ def test_empty_genus_complexes():
 
 
 def every_complex(d):
-    return (homology_complex(d), dual_complex(d), *(cech_complex(d, j) for j in range(3)))
+    return (
+        homology_complex(d),
+        dual_complex(d),
+        five_term_complex(d),
+        five_term_dual_complex(d),
+        *(cech_complex(d, j) for j in range(3)),
+    )
 
 
 def test_homology_from_invariant_factors_matches_the_kernel_route():

@@ -24,7 +24,7 @@ from trihodge.diagram import (
     standard_triple,
     validate,
 )
-from trihodge.complexes import _pair_kernels
+from trihodge.complexes import _pair_difference_columns
 from trihodge.lattice import Subgroup, _combination, subgroup_sum
 
 from helpers import ladder_diagram, validate_by_pair_sums
@@ -246,13 +246,17 @@ class TestCurveBases:
     def test_pair_kernels_pair_the_curves_of_consecutive_systems(self):
         for d in RANDOM_SUITE + tuple(torsion_sums_and_their_slides()):
             g = d.genus
-            kernels = _pair_kernels(d)
-            assert tuple(K.rank for K in kernels) == k_values(d), d.describe()
-            for lam, K in enumerate(kernels):
-                left, right = d.systems[lam].curves, d.systems[(lam + 1) % 3].curves
-                for col in K.columns():
-                    w = _combination(left, col[:g], 2 * g)
-                    assert any(w) and w == _combination(right, col[g:], 2 * g), d.describe()
+            blocks = _pair_difference_columns(d)
+            assert tuple(map(len, blocks)) == k_values(d), d.describe()
+            for lam, block in enumerate(blocks):
+                nxt, rest = (lam + 1) % 3, (lam + 2) % 3
+                left, right = d.systems[lam].curves, d.systems[nxt].curves
+                for col in block:
+                    x = [-e for e in col[lam * g : (lam + 1) * g]]
+                    y = col[nxt * g : (nxt + 1) * g]
+                    assert not any(col[rest * g : (rest + 1) * g]), d.describe()
+                    w = _combination(left, x, 2 * g)
+                    assert any(w) and w == _combination(right, y, 2 * g), d.describe()
 
 
 class TestHandleslide:

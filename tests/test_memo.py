@@ -27,7 +27,7 @@ from trihodge.pairings import (
 from trihodge.spin import enumerate_spin, spin_count
 from trihodge.spinc import act, base_ledger, c1_difference
 
-from helpers import cech_complex
+from helpers import cech_complex, ladder_diagram, plain_form
 from test_acceptance import RANDOM_SUITE
 
 MEMOIZED = (
@@ -207,11 +207,13 @@ def eliminations(monkeypatch):
 def test_degree_two_differential_is_eliminated_once(name, eliminations):
     d = builtin(name)
     ensure_valid(d)
-    curves = homology_complex(d).columns[2]
-    assert curves == tuple(c for cs in d.systems for c in cs.curves)
+    d2 = homology_complex(d).columns[2]
+    gamma = d.gamma.curves
+    curves = d.alpha.curves + d.beta.curves
+    assert d2 == tuple(tuple(plain_form(c, e) for c in gamma) for e in curves)
     homology_groups(d)
     h2_basis_cocycles(d)
-    assert eliminations.count(curves) == 1
+    assert eliminations.count(d2) == 1
 
 
 @pytest.mark.parametrize("name", SUMS)
@@ -225,6 +227,28 @@ def test_dual_middle_homology_adds_no_elimination(name, eliminations):
     assert key not in vars(d)
     assert dual_middle_homology(d) == dual_complex(d).homology_at(1)
     assert key in vars(d)
+
+
+def test_dense_queries_build_no_lagrangian_echelon_and_nothing_wider_than_3g(monkeypatch):
+    d = ladder_diagram(12)
+    widths = []
+    forward = lattice._forward_echelon
+
+    def recorded(work, stop, width):
+        widths.append(width)
+        return forward(work, stop, width)
+
+    monkeypatch.setattr(lattice, "_forward_echelon", recorded)
+    ensure_valid(d)
+    homology_groups(d)
+    dual_middle_homology(d)
+    intersection_form(d)
+    reps = dual_rep_basis(d)
+    assert reps
+    s = base_ledger(d)
+    c1_difference(act(s, reps[0]), s)
+    assert widths and max(widths) <= 3 * d.genus
+    assert "_lagrangians" not in vars(d) and "_pair_sums" not in vars(d)
 
 
 def test_pair_quotients_build_no_inverse_unless_lifted():
