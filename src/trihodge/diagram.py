@@ -6,13 +6,14 @@ data: each system must be isotropic and primitive, and each cyclic pair of
 Lagrangians must sum to a saturated subgroup (torsion-free quotient). All
 downstream invariants require a valid diagram.
 
-The system checks read only the curves: their pairwise intersection
-numbers and the invariant factors of pairing with them. Each cyclic pair of
-systems is a Heegaard diagram of a connected sum of copies of S1 x S2,
-whose H1 is the cokernel of the g x g intersection matrix of the two
-systems' curves. Validation reads each pair check off that matrix, and
-builds the canonical Lagrangians, pair sums and quotients only when a check
-cannot (the next system is no primitive Lagrangian) or a caller reads them.
+The system checks read only the curves and their memoized pairing rows:
+the pairwise intersection numbers, and the invariant factors of the rows,
+which build no Smith transform. Each cyclic pair of systems is a Heegaard
+diagram of a connected sum of copies of S1 x S2, whose H1 is the cokernel
+of the g x g intersection matrix of the two systems' curves. Validation
+reads each pair check off that matrix, and builds the canonical
+Lagrangians, pair sums and quotients only when a check cannot (the next
+system is no primitive Lagrangian) or a caller reads them.
 """
 
 from __future__ import annotations
@@ -31,11 +32,10 @@ from .lattice import (
     _span,
     as_int_vector,
     quotient,
-    snf_diagonal,
     subgroup_intersection,
     subgroup_sum,
 )
-from .surface import SymplecticLattice, _isotropic, _pairing_rows
+from .surface import SymplecticLattice, _pairing_rows
 
 SYSTEM_NAMES = ("alpha", "beta", "gamma")
 
@@ -160,10 +160,9 @@ class TrisectionDiagram:
     def _pairing_forms(self) -> tuple[_lattice._Smith, ...]:
         """Smith forms of the pairing maps x -> (<c, x>) over each system's curves c.
 
-        The form is unimodular, so the curves of a system span a primitive
-        subgroup of rank g exactly when all g invariant factors are 1; the
-        transforms of a valid diagram's forms then solve for vectors with
-        given pairings.
+        Built only for ``H2DualRep.lifts``: on a valid diagram each map is
+        onto Z^g, and the transforms of its form solve for vectors with given
+        pairings. Validation reads the maps' invariant factors without them.
         """
         rank = self.lattice.rank
         return tuple(_lattice._Smith(rows, rank) for rows in self._curve_pairings)
@@ -233,11 +232,13 @@ def validate(d: TrisectionDiagram) -> ValidationReport:
     """Run every validity check; never raises, failures land in the report."""
     checks: list[tuple[str, bool]] = []
     lagrangian: list[bool] = []
-    # the form vanishes on a span when it vanishes on the generators, and the
-    # span is primitive of rank g when pairing with the curves maps onto Z^g
-    for name, cs, smith in zip(SYSTEM_NAMES, d.systems, d._pairing_forms):
-        isotropic = _isotropic(cs.curves)
-        primitive = snf_diagonal(smith.D) == (1,) * d.genus
+    # the form vanishes on a span when it vanishes on the generators, each
+    # <c_i, c_j> read as pairing row i dotted with c_j, and the span is
+    # primitive of rank g when pairing with the curves maps onto Z^g
+    for name, cs, rows in zip(SYSTEM_NAMES, d.systems, d._curve_pairings):
+        curves = cs.curves
+        isotropic = not any(_dot(r, c) for i, r in enumerate(rows) for c in curves[i + 1 :])
+        primitive = _invariant_factors(rows, 2 * d.genus) == (1,) * d.genus
         checks += [(f"{name} isotropic", isotropic), (f"{name} primitive", primitive)]
         lagrangian.append(isotropic and primitive)
     pair_names = ("alpha+beta", "beta+gamma", "gamma+alpha")

@@ -10,12 +10,12 @@ every subgroup; a kernel eliminates only downward in the matrix part of
 [m^T | I] and canonicalizes just the kernel rows, and the same elimination
 without the identity block gives an echelon of the image. Run on
 independent vectors beside an identity block, it also gives coordinates in
-those vectors (``_SpanCoordinates``). Smith forms serve
-only what needs invariant factors or transforms; the invariant factors of a
-map are read off its image echelon. Each computes D and records its row
-and column operations; the transforms U, U^{-1} and V are replayed from the
-record on first read, so a caller that reads only invariant factors or
-ranks builds none of them.
+those vectors (``_SpanCoordinates``). Invariant factors split a factor 1
+off at each entry of +-1 and hand only the block left without one to a
+Smith form. Smith forms serve that block and what needs transforms. Each
+computes D and records its row and column operations; the transforms U,
+U^{-1} and V are replayed from the record on first read, so a caller that
+reads only invariant factors or ranks builds none of them.
 
 Inside the package a matrix is a list of rows of Python ints, and a subgroup
 or a chain complex keeps its columns as tuples, so all arithmetic is exact at
@@ -317,10 +317,44 @@ def invariant_factors(m: np.ndarray) -> tuple[int, ...]:
     return _invariant_factors(*_checked_rows(m))
 
 
-def _invariant_factors(rows: list[list[int]], ncols: int) -> tuple[int, ...]:
-    """Nonzero invariant factors of trusted rows: the diagonal of a Smith form
-    that builds no transform. Their count is the rank."""
-    return snf_diagonal(_Smith(rows, ncols).D) if rows else ()
+def _invariant_factors(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, ...]:
+    """Nonzero invariant factors of trusted rows; their count is the rank.
+
+    Each entry of +-1 splits off a factor 1: clearing its column by row
+    operations and then its row by column operations leaves 1 beside the
+    Schur complement, so SNF(M) = 1 (+) SNF(rest). The pivot row is dropped
+    and its column is left zero in the other rows. Once no unit is left, a
+    Smith form of the remaining block gives the other factors and builds no
+    transform. The rows handed in are not changed.
+    """
+    work = [list(r) for r in rows if any(r)]
+    ones = 0
+    while pivot := _unit_entry(work):
+        i, j = pivot
+        p = work.pop(i)
+        support = [(k, x * p[j]) for k, x in enumerate(p) if x]
+        rest = []
+        for w in work:
+            q = w[j]
+            if q:
+                for k, x in support:
+                    w[k] -= q * x
+                if not any(w):
+                    continue
+            rest.append(w)
+        work = rest
+        ones += 1
+    return (1,) * ones + (snf_diagonal(_Smith(work, ncols).D) if work else ())
+
+
+def _unit_entry(rows: list[list[int]]) -> tuple[int, int] | None:
+    """(row, column) of an entry +-1 in the first row holding one, or None."""
+    for i, row in enumerate(rows):
+        if 1 in row:
+            return i, row.index(1)
+        if -1 in row:
+            return i, row.index(-1)
+    return None
 
 
 def integer_solve(m: np.ndarray, rhs: Sequence[int]) -> tuple[int, ...]:

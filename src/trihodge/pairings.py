@@ -172,8 +172,8 @@ class H2DualRep:
     ) -> "H2DualRep":
         """The rep of ambient vectors a_1, a_2, a_3, each paired with its system's curves."""
         vectors = (as_int_vector(v, 2 * d.genus) for v in lifts)
-        pairs = zip(d.systems, vectors, strict=True)
-        return cls(d, tuple(tuple(_form(c, a) for c in cs.curves) for cs, a in pairs))
+        pairs = zip(d._curve_pairings, vectors, strict=True)
+        return cls(d, tuple(tuple(_dot(r, a) for r in rows) for rows, a in pairs))
 
     @cached_property
     def lifts(self) -> tuple[tuple[int, ...], ...]:

@@ -33,15 +33,11 @@ class SymplecticLattice:
         return _form(as_int_vector(x, self.rank), as_int_vector(y, self.rank))
 
     def is_isotropic(self, sub: Subgroup) -> bool:
-        """Whether the form vanishes identically on the subgroup."""
+        """Whether the form vanishes identically on the subgroup: on each pair of its columns."""
         if sub.ambient_rank != self.rank:
             raise ValueError("subgroup lives in a different ambient rank")
-        return _isotropic(sub.columns())
-
-
-def _isotropic(vectors: Sequence[Sequence[int]]) -> bool:
-    """Whether the form vanishes on the span of trusted vectors: on each pair of them."""
-    return not any(_form(x, y) for i, x in enumerate(vectors) for y in vectors[i + 1 :])
+        cols = sub.columns()
+        return not any(_form(x, y) for i, x in enumerate(cols) for y in cols[i + 1 :])
 
 
 def _form(x: Sequence[int], y: Sequence[int]) -> int:

@@ -1,11 +1,11 @@
 """Test-only constructions: random (co)cycles, the curve coordinates of
 a cocycle, the ladder recipe, duality maps, column spans, transvections, the degree-three
-against degree-one Gram matrix, and ten oracles: the numpy Smith form, the
-Bareiss determinant, the full-width congruence diagonalization, the
-Smith-form kernel, validation by pair sums, homology by kernels, the
-five-term complex of the three Lagrangians with its dual, the Cech
-complexes behind the diamond, the solved Poincare dual and the brute-force
-spin filter.
+against degree-one Gram matrix, and eleven oracles: the numpy Smith form,
+sympy's invariant factors, the Bareiss determinant, the full-width
+congruence diagonalization, the Smith-form kernel, validation by pair sums,
+homology by kernels, the five-term complex of the three Lagrangians with its
+dual, the Cech complexes behind the diamond, the solved Poincare dual and
+the brute-force spin filter.
 
 The suites use these to generate inputs and to state laws; the package
 itself never needs them.
@@ -18,6 +18,8 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+import sympy
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from trihodge.complexes import FreeChainComplex, HomologyGroup
 from trihodge.diagram import (
@@ -37,7 +39,6 @@ from trihodge.lattice import (
     identity,
     integer_solve,
     intmat,
-    invariant_factors,
     kernel_basis,
     quotient,
     smith_normal_form,
@@ -262,13 +263,24 @@ def smith_kernel_basis(m: np.ndarray) -> Subgroup:
     return Subgroup.from_columns(m.shape[1], matrix_columns(V[:, len(snf_diagonal(D)) :]))
 
 
+def sympy_invariant_factors(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, ...]:
+    """Nonzero invariant factors of rows, the diagonal of sympy's Smith normal form.
+
+    The oracle for ``lattice.invariant_factors``, which splits off a factor 1
+    at each unit entry and runs its own Smith form only on what is left.
+    """
+    D = sympy_snf(sympy.Matrix(len(rows), ncols, [x for row in rows for x in row]))
+    return tuple(sorted(abs(int(D[i, i])) for i in range(min(D.shape)) if D[i, i]))
+
+
 def validate_by_pair_sums(d: TrisectionDiagram) -> ValidationReport:
     """Every validity check, each pair check read off the quotient of the
     surface lattice by the canonical pair sum L_lam + L_{lam+1}.
 
     The oracle for ``diagram.validate``, which reads each pair check off the
     intersection matrix of the two systems' curves instead, and the system
-    checks off the curves rather than the canonical columns.
+    checks off the curves rather than the canonical columns. Primitivity is
+    read from sympy's Smith form, not from the package's invariant factors.
     """
     lat = d.lattice
     units = [standard_basis_vector(lat, i) for i in range(lat.rank)]
@@ -276,7 +288,7 @@ def validate_by_pair_sums(d: TrisectionDiagram) -> ValidationReport:
     for name, L in zip(SYSTEM_NAMES, d._lagrangians):
         checks.append((f"{name} isotropic", lat.is_isotropic(L)))
         rows = [[plain_form(e, u) for u in units] for e in L.columns()]
-        ones = invariant_factors(intmat(rows, cols=lat.rank)) == (1,) * d.genus
+        ones = sympy_invariant_factors(rows, lat.rank) == (1,) * d.genus
         checks.append((f"{name} primitive", L.rank == d.genus and ones))
     quotients = [d.pair_quotient(lam) for lam in (1, 2, 3)]
     for name, q in zip(("alpha+beta", "beta+gamma", "gamma+alpha"), quotients):

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from trihodge import lattice
 from trihodge.diagram import (
     SYSTEM_NAMES,
     CutSystem,
@@ -191,6 +192,13 @@ class TestKValuesFromPairQuotients:
 # Invalid inputs whose pair checks read an intersection matrix: every system
 # is a primitive Lagrangian, and the beta+gamma sum has index 2.
 PAIR_FAILURES = (diagram_from_curves(1, [(1, 0)], [(0, 1)], [(2, 1)]),)
+# Isotropic alpha systems that are not primitive. The pairing rows of the
+# first keep the block [[2]] once their unit entry is split off; those of
+# the second hold no unit entry at all.
+NON_PRIMITIVE = tuple(
+    diagram_from_curves(2, alpha, [(0, 1, 0, 0), (0, 0, 0, 1)], [(1, 1, 0, 0), (0, 0, 1, 1)])
+    for alpha in ([(2, 0, 0, 0), (0, 0, 1, 0)], [(2, 0, 0, 0), (0, 0, 2, 0)])
+)
 # Invalid inputs where some system is no primitive Lagrangian, so the pair
 # check into it falls back to the pair quotient.
 FALLBACKS = (
@@ -202,6 +210,7 @@ FALLBACKS = (
         [(1, 1, 0, 0), (0, 0, 1, 1)],
     ),
     *INVALID[1:],
+    *NON_PRIMITIVE,
 )
 
 
@@ -221,6 +230,24 @@ class TestPairChecksFromIntersectionMatrices:
             d = replace(d)
             assert not validate(d).is_valid
             assert "_pair_quotients" in vars(d), d.alpha
+
+    def test_non_primitive_systems_reach_both_smith_branches(self, monkeypatch):
+        residuals = []
+
+        class Recorded(lattice._Smith):
+            def __init__(self, rows, ncols):
+                residuals.append([list(r) for r in rows])
+                super().__init__(rows, ncols)
+
+        monkeypatch.setattr(lattice, "_Smith", Recorded)
+        for d, kept in zip(NON_PRIMITIVE, ([[0, 2, 0, 0]], [[0, 2, 0, 0], [0, 0, 0, 2]])):
+            d = replace(d)
+            residuals.clear()
+            report = validate(d)
+            assert residuals[0] == kept
+            assert report == validate_by_pair_sums(d)
+            assert report.failures[0] == "alpha primitive"
+            assert "alpha isotropic" not in report.failures
 
     def test_validation_builds_no_pair_sum(self):
         for d in DUALITY_SUITE[::7]:

@@ -16,11 +16,13 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from trihodge import lattice
 from trihodge.complexes import dual_complex, homology_complex
 from trihodge.diagram import diagram_from_curves, random_diagram
 from trihodge.lattice import (
     Subgroup,
     _column_matrix,
+    _invariant_factors,
     _kernel,
     _Smith,
     as_int_vector,
@@ -44,6 +46,7 @@ from helpers import (
     matrix_columns,
     numpy_snf_with_inverses,
     smith_kernel_basis,
+    sympy_invariant_factors,
 )
 from test_acceptance import RANDOM_SUITE
 
@@ -128,6 +131,105 @@ class TestSmithNormalForm:
         ours = sorted(abs(int(D[i, i])) for i in range(min(D.shape)))
         theirs = sorted(abs(int(expected[i, i])) for i in range(min(D.shape)))
         assert ours == theirs
+
+
+@st.composite
+def entry_rows(draw, entries=small_entries, min_rows=0, max_dim=6):
+    """Rows and a column count, every entry drawn from ``entries``."""
+    nrows = draw(st.integers(min_value=min_rows, max_value=max_dim))
+    ncols = draw(st.integers(min_value=1, max_value=max_dim))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols
+
+
+@st.composite
+def rows_with_units(draw):
+    """Rows holding at least one entry +-1, at positions hypothesis picks."""
+    rows, ncols = draw(entry_rows(min_rows=1))
+    cells = st.tuples(st.integers(0, len(rows) - 1), st.integers(0, ncols - 1))
+    for i, j in draw(st.lists(cells, min_size=1, max_size=4)):
+        rows[i][j] = draw(st.sampled_from((1, -1)))
+    return rows, ncols
+
+
+@st.composite
+def rank_deficient_rows(draw):
+    """Rows plus zero rows, copies of rows and sums of two rows, shuffled."""
+    rows, ncols = draw(entry_rows(min_rows=1, max_dim=5))
+    extra = [[0] * ncols for _ in range(draw(st.integers(0, 2)))]
+    pick = st.integers(0, len(rows) - 1)
+    extra += [list(rows[draw(pick)]) for _ in range(draw(st.integers(0, 2)))]
+    for _ in range(draw(st.integers(0 if extra else 1, 2))):
+        a, b = rows[draw(pick)], rows[draw(pick)]
+        extra.append([x + y for x, y in zip(a, b)])
+    return draw(st.permutations(rows + extra)), ncols
+
+
+class TestInvariantFactors:
+    """Factors split off at unit entries, then a Smith form of the rest,
+    against the diagonal of sympy's Smith normal form."""
+
+    @staticmethod
+    def assert_matches_sympy(rows, ncols):
+        before = [list(r) for r in rows]
+        expected = sympy_invariant_factors(rows, ncols)
+        assert _invariant_factors(rows, ncols) == expected
+        assert rows == before
+        assert invariant_factors(intmat(rows, cols=ncols)) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows_with_units())
+    def test_rows_with_unit_entries(self, case):
+        self.assert_matches_sympy(*case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(entry_rows(st.sampled_from((0, 2, -2, 3, -3, 4, -4, 6, -6))))
+    def test_rows_without_unit_entries(self, case):
+        self.assert_matches_sympy(*case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rank_deficient_rows())
+    def test_rank_deficient_rows(self, case):
+        rows, ncols = case
+        self.assert_matches_sympy(rows, ncols)
+        assert len(invariant_factors(intmat(rows, cols=ncols))) < len(rows)
+
+    @pytest.mark.parametrize(
+        "rows, factors",
+        [
+            ([[1, 2], [2, 6]], (1, 2)),
+            ([[1, 1], [1, -1]], (1, 2)),
+            ([[2, 3], [3, 5]], (1, 1)),
+            ([[6, 4], [4, 6]], (2, 10)),
+            ([[1, 0, 0], [0, 2, 0], [0, 0, 3]], (1, 1, 6)),
+            ([[2, 1], [4, 2], [0, 0]], (1,)),
+            ([[-1, 3, 5], [3, -9, -15]], (1,)),
+            ([[0, 0], [0, 0]], ()),
+        ],
+    )
+    def test_fixed_cases(self, rows, factors):
+        assert invariant_factors(intmat(rows)) == factors
+        assert sympy_invariant_factors(rows, len(rows[0])) == factors
+
+    def test_a_smith_form_runs_only_on_the_block_left_without_units(self, monkeypatch):
+        shapes = []
+
+        class Recorded(_Smith):
+            def __init__(self, rows, ncols):
+                shapes.append((len(rows), ncols))
+                super().__init__(rows, ncols)
+
+        monkeypatch.setattr(lattice, "_Smith", Recorded)
+        cases = {
+            ((1, 2), (2, 6)): [(1, 2)],
+            ((2, 4), (6, 8)): [(2, 2)],
+            ((1, 0, 0), (0, -1, 0), (5, 7, 1)): [],
+            ((2, 0, 0, 0), (0, 0, 0, 0)): [(1, 4)],
+        }
+        for rows, expected in cases.items():
+            shapes.clear()
+            _invariant_factors(rows, len(rows[0]))
+            assert shapes == expected, rows
 
 
 big_entries = st.integers(min_value=-(2**70), max_value=2**70)

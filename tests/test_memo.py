@@ -127,13 +127,13 @@ def test_no_smith_form_is_computed_twice(name, smith_forms):
 def test_smith_forms_build_only_the_transforms_read(name, smith_forms):
     d = builtin(name)
     ensure_valid(d)
-    quotients = list(smith_forms)
+    # every factor of validation is split off at a unit entry
+    assert not smith_forms and "_pairing_forms" not in vars(d)
     homology_groups(d)
     dual_middle_homology(d)
-    cokernels = smith_forms[len(quotients) :]
-    assert quotients and cokernels
-    assert all("V" not in built(form) for form in smith_forms)
-    assert all("U" not in built(form) for form in cokernels)
+    assert smith_forms
+    assert not any({"U", "V"} & built(form) for form in smith_forms)
+    assert "_pairing_forms" not in vars(d)
 
 
 @pytest.mark.parametrize("name", ["CP2#CP2bar", "S2xS2#QS4_Z3"])
@@ -144,8 +144,12 @@ def test_only_the_degree_two_position_builds_generators(name, smith_forms):
     homology_groups(d)
     dual_middle_homology(d)
     cokernels = smith_forms[before:]
-    assert len(cokernels) >= 2
+    assert cokernels
     assert sum("Uinv" in built(form) for form in cokernels) == 1
+    assert all(built(form) in ({"Uinv"}, set()) for form in cokernels)
+    c = homology_complex(d)
+    prefix = f"{c.homology_with_generators.__module__}.{c.homology_with_generators.__qualname__}"
+    assert [key for key in vars(c) if key.startswith(prefix)] == [f"{prefix}(2,)"]
     before = len(smith_forms)
     h2_basis_cocycles(d)
     assert len(smith_forms) == before
@@ -157,8 +161,8 @@ def test_validation_and_spin_build_no_transform(name, smith_forms):
     ensure_valid(d)
     spin_count(d)
     enumerate_spin(d)
-    assert len(smith_forms) == 6
-    assert all(not built(form) for form in smith_forms)
+    assert smith_forms == []
+    assert "_pairing_forms" not in vars(d)
 
 
 @pytest.mark.parametrize("name", SUMS)
@@ -289,15 +293,15 @@ def test_census_query_replays_no_pairing_transform_and_no_lift(smith_forms, monk
         s = base_ledger(d)
         c1_difference(act(s, basis[0] if basis else H2DualRep.zero(d)), s)
         spin_count(d)
-    # the pairing forms' U and V serve only lifts; the Gram inverse reads a V of its own
-    pairing_forms = [form for d in diagrams for form in d._pairing_forms]
+    # the pairing forms serve only lifts; the Gram inverse reads a V of its own
     assert reps and not reads
-    assert not any(built(form) for form in pairing_forms)
+    assert not any("_pairing_forms" in vars(d) for d in diagrams)
     before = len(smith_forms)
     for rep in reps:
         assert H2DualRep.from_lifts(rep.diagram, rep.lifts) == rep
     assert len(reads) == len(reps)
-    assert len(smith_forms) == before
+    pairing_forms = [form for d in diagrams for form in vars(d).get("_pairing_forms", ())]
+    assert smith_forms[before:] == pairing_forms
     assert any(built(form) == {"U", "V"} for form in pairing_forms)
 
 
