@@ -1,21 +1,25 @@
 """Cohomology pairings computed on explicit cocycle representatives.
 
-Degree-two classes are carried as triples (b1, b2, b3) with b_lam in the
-lam-th Lagrangian and b1 + b2 + b3 = 0; the cup product of two such classes
-evaluates on the fundamental class as a single intersection number on the
-central surface, which in the curve coordinates of the classes is read off
-the intersection matrix Q_alpha_beta. Degree-two homology classes are carried dually, as matched triples of
-handlebody H1 classes, each given by its pairings with the curves of its cut
-system in file order; the matching conditions are the pair-difference
-columns of the homology complex, kept with their gamma blocks. The two sides
-meet in an integer evaluation pairing. Poincare
-duality has a closed form at chain level: the triple (b2, 0, 0) is matched
-and evaluates like cup product with (b1, b2, b3), so no solve is needed in
-that direction.
+Degree-two classes are carried in the curve coordinates of the notes'
+(1,1)-cocycles (b1, b2, b3): b_lam = C_lam x_lam combines the curves of
+system lam, so it lies in the lam-th Lagrangian by construction, and the
+three blocks sum to zero. The cup product of two such classes evaluates on
+the fundamental class as a single intersection number on the central
+surface, which in curve coordinates is read off the intersection matrix
+Q_alpha_beta. Degree-two homology classes are carried dually, as matched
+triples of handlebody H1 classes, each given by its pairings with the
+curves of its cut system in file order; the matching conditions are the
+pair-difference columns of the homology complex, kept with their gamma
+blocks. The two sides meet in an integer evaluation pairing: curve
+coordinates dotted with curve pairings. Poincare duality has a closed form
+at chain level: the triple (b2, 0, 0) is matched, its pairings are
+Q_alpha_beta x_beta, and it evaluates like cup product with (b1, b2, b3),
+so no solve is needed in that direction.
 
 A class derived from others (a sum, a multiple, a solved combination of a
-basis) is built in one step: the component vectors are summed first, then
-the class is constructed once, so its checks run once on the result.
+basis) is built in one step: the coordinates are combined first, then the
+class is constructed once, so its check runs once on the result. No
+ambient vector is built unless a caller reads the blocks.
 
 Everything here is integer arithmetic; the signature and the determinant of
 the form use Fraction pivots only as bookkeeping for an exact congruence
@@ -43,7 +47,6 @@ from .lattice import (
     as_int_vector,
     subgroup_intersection,
 )
-from .surface import _form
 
 
 class CycleConditionError(ValueError):
@@ -67,55 +70,55 @@ def _matching_failure(d: TrisectionDiagram, coords) -> str | None:
 class OneOneCocycle:
     """Degree-two cohomology class as a sum-zero triple of Lagrangian vectors.
 
-    A primitive Lagrangian is its own annihilator under the unimodular form,
-    so b_lam lies in L_lam exactly when it pairs to zero with its curves.
+    Carried by its 3g curve coordinates: block lam of ``coords`` combines
+    the curves of system lam in file order, the basis of L_lam the homology
+    complex uses, so b_lam lies in L_lam by construction. The curves of a
+    valid diagram are a basis of their Lagrangian, so the coordinates fix
+    the class and equal cocycles have equal coordinates. Construction
+    checks the one cocycle condition left, sum_lam C_lam x_lam = 0. The
+    ambient blocks are computed from the curves when first read.
     """
 
     diagram: TrisectionDiagram
-    b1: tuple[int, ...]
-    b2: tuple[int, ...]
-    b3: tuple[int, ...]
+    coords: tuple[int, ...]
 
     def __post_init__(self):
-        ensure_valid(self.diagram)
-        width = 2 * self.diagram.genus
-        object.__setattr__(self, "b1", as_int_vector(self.b1, width))
-        object.__setattr__(self, "b2", as_int_vector(self.b2, width))
-        object.__setattr__(self, "b3", as_int_vector(self.b3, width))
-        for lam, (rows, b) in enumerate(zip(self.diagram._curve_pairings, self.blocks), start=1):
-            if any(_dot(row, b) for row in rows):
-                raise ValueError(f"component {lam} does not lie in Lagrangian {lam}")
-        if any(map(sum, zip(*self.blocks))):
+        d = self.diagram
+        ensure_valid(d)
+        coords = as_int_vector(self.coords, 3 * d.genus)
+        object.__setattr__(self, "coords", coords)
+        curves = d.alpha.curves + d.beta.curves + d.gamma.curves
+        if any(_combination(curves, coords, 2 * d.genus)):
             raise ValueError("components do not sum to zero")
 
-    @property
+    @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
-        return (self.b1, self.b2, self.b3)
+        """The ambient vectors (b1, b2, b3), b_lam = C_lam x_lam."""
+        g = self.diagram.genus
+        return tuple(
+            _combination(cs.curves, self.coords[i * g : (i + 1) * g], 2 * g)
+            for i, cs in enumerate(self.diagram.systems)
+        )
+
+    @property
+    def b1(self) -> tuple[int, ...]:
+        return self.blocks[0]
+
+    @property
+    def b2(self) -> tuple[int, ...]:
+        return self.blocks[1]
+
+    @property
+    def b3(self) -> tuple[int, ...]:
+        return self.blocks[2]
 
     @classmethod
     def zero(cls, d: TrisectionDiagram) -> "OneOneCocycle":
         return _cocycle_combination(d, (), ())
 
-    @classmethod
-    def from_lagrangian_coordinates(
-        cls, d: TrisectionDiagram, coords: "tuple[int, ...]"
-    ) -> "OneOneCocycle":
-        """Build from a length-3g vector of coordinates in the curve bases.
-
-        Block lam combines the curves of system lam in file order, the basis
-        of L_lam that the homology complex uses.
-        """
-        g = d.genus
-        coords = as_int_vector(coords, 3 * g)
-        blocks = [
-            _combination(cs.curves, coords[i * g : (i + 1) * g], 2 * g)
-            for i, cs in enumerate(d.systems)
-        ]
-        return cls(d, *blocks)
-
     @property
     def is_zero(self) -> bool:
-        return not any(self.b1) and not any(self.b2) and not any(self.b3)
+        return not any(self.coords)
 
     def __add__(self, other: "OneOneCocycle") -> "OneOneCocycle":
         return _cocycle_combination(self.diagram, (self, other), (1, 1))
@@ -134,10 +137,7 @@ def _cocycle_combination(d: TrisectionDiagram, xs, coeffs) -> OneOneCocycle:
     """sum_j coeffs[j] * xs[j] over d, one construction; zero when xs is empty."""
     if any(x.diagram != d for x in xs):
         raise ValueError("cocycles belong to different diagrams")
-    width = 2 * d.genus
-    return OneOneCocycle(
-        d, *(_combination([x.blocks[i] for x in xs], coeffs, width) for i in range(3))
-    )
+    return OneOneCocycle(d, _combination([x.coords for x in xs], coeffs, 3 * d.genus))
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,9 @@ class H2DualRep:
     in file order, which fixes the class of a_lam in H1(surface)/L_lam: the
     curves are a basis of L_lam, so by the unimodular form these pairings
     determine a_lam modulo L_lam. These pairings are the rep's only
-    coordinates; ``lifts`` and the evaluation on cocycles are read from
-    them. Construction checks the cyclic matching conditions: the
+    coordinates; the evaluation on cocycles is read from them, and so are
+    the ambient ``lifts``, which no computation in the package reads.
+    Construction checks the cyclic matching conditions: the
     concatenated coordinates are annihilated by the pair-difference columns.
     """
 
@@ -233,32 +234,21 @@ def _sign_normalized(vec: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @memoized
-def _h2_basis_coordinates(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
-    """Curve coordinates of the basis cocycles, in ``h2_basis_cocycles`` order.
-
-    The alpha and beta blocks are the homology complex's free generators;
-    the gamma block of each follows from them.
-    """
-    c = homology_complex(d)
-    _, gens = c.homology_with_generators(c.position_of_degree(2))
-    return tuple(_sign_normalized(_curve_coordinates_of_cycle(d, v)) for v in gens)
-
-
-@memoized
 def h2_basis_cocycles(d: TrisectionDiagram) -> tuple[OneOneCocycle, ...]:
     """Cocycle representatives for a basis of the free part of H^2.
 
     Computed as free generators of the middle homology of the homology
-    complex, which builds them at that position only, and read off in the
-    curve bases: block lam of a generator combines the curves of system lam.
+    complex, which builds them at that position only. A generator gives the
+    alpha and beta curve coordinates; the gamma block follows from them.
     Each generator is normalized so its first nonzero coordinate is
     positive. The basis, and so the printed Gram matrix, depends on the
     curves, not only on the Lagrangians they span; a handleslide may change
     it, but not the isometry class of the form.
     """
-    return tuple(
-        OneOneCocycle.from_lagrangian_coordinates(d, x) for x in _h2_basis_coordinates(d)
-    )
+    c = homology_complex(d)
+    _, gens = c.homology_with_generators(c.position_of_degree(2))
+    coords = (_sign_normalized(_curve_coordinates_of_cycle(d, v)) for v in gens)
+    return tuple(OneOneCocycle(d, x) for x in coords)
 
 
 def _check_cocycle(d: TrisectionDiagram, x: OneOneCocycle, name: str) -> None:
@@ -269,13 +259,21 @@ def _check_cocycle(d: TrisectionDiagram, x: OneOneCocycle, name: str) -> None:
 def intersection_pairing(d: TrisectionDiagram, x: OneOneCocycle, y: OneOneCocycle) -> int:
     """Cup-product pairing of two degree-two classes on the fundamental class.
 
-    Evaluated as the surface intersection number of the first component of x
-    with the second of y; the two cyclically rotated expressions give the
-    same integer because Lagrangian components annihilate each other.
+    The surface intersection number <x.b1, y.b2>, read in curve coordinates
+    as x_alpha^T Q_alpha_beta y_beta; the two cyclically rotated expressions
+    give the same integer because Lagrangian components annihilate each
+    other.
     """
     _check_cocycle(d, x, "first argument")
     _check_cocycle(d, y, "second argument")
-    return d.lattice.intersection_number(x.b1, y.b2)
+    return _dot(x.coords[: d.genus], _beta_pairings(d, y.coords))
+
+
+def _beta_pairings(d: TrisectionDiagram, coords: tuple[int, ...]) -> list[int]:
+    """Q_alpha_beta x_beta, x the curve coordinates of a cocycle: the pairings
+    <c, b2> of its second block with the alpha curves c."""
+    g = d.genus
+    return [_dot(row, coords[g : 2 * g]) for row in d._intersection_matrices[0]]
 
 
 @dataclass(frozen=True)
@@ -353,10 +351,9 @@ def intersection_form(d: TrisectionDiagram) -> IntersectionForm:
     parity is invariant under unimodular change of basis.
     """
     g = d.genus
-    coords = _h2_basis_coordinates(d)
+    coords = [x.coords for x in h2_basis_cocycles(d)]
     n = len(coords)
-    q = d._intersection_matrices[0]
-    paired = [[_dot(row, y[g : 2 * g]) for row in q] for y in coords]
+    paired = [_beta_pairings(d, y) for y in coords]
     gram = tuple(tuple(_dot(x[:g], qy) for qy in paired) for x in coords)
     signature, det = _signature_of_symmetric(gram)
     parity = "even" if all(gram[i][i] % 2 == 0 for i in range(n)) else "odd"
@@ -400,27 +397,32 @@ def h3_representatives(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
 def evaluate_on_surface_class(d: TrisectionDiagram, x: OneOneCocycle, rep: H2DualRep) -> int:
     """Evaluate a degree-two cocycle on a degree-two homology class.
 
-    The sum over lam of <b_lam, a_lam>, with a_lam the rep's lifts. Each
-    lift is fixed only modulo L_lam, and b_lam lies in the isotropic L_lam,
-    so the value does not depend on the lift. Coboundary changes to the
-    cocycle do not move it (the matching conditions kill those).
+    The sum over lam of <b_lam, a_lam>, a_lam any ambient vector of the
+    rep's class, which is fixed only modulo L_lam; b_lam lies in the
+    isotropic L_lam, so the value does not depend on that choice and no lift
+    is needed. Block lam of x combines the curves of system lam, so the sum
+    is x's curve coordinates dotted with the rep's curve pairings. Coboundary
+    changes to the cocycle do not move it (the matching conditions kill
+    those).
     """
     _check_cocycle(d, x, "cocycle")
     if rep.diagram != d:
         raise ValueError("dual rep belongs to a different diagram")
-    return sum(map(_form, x.blocks, rep.lifts))
+    return _dot(x.coords, [c for block in rep.coords for c in block])
 
 
 def poincare_dual_rep(d: TrisectionDiagram, x: OneOneCocycle) -> H2DualRep:
     """The homology class realizing cup product with x: the rep of (x.b2, 0, 0).
 
     The triple is matched: a1 - a2 = b2 lies in L2, a2 - a3 = 0, and a3 - a1
-    = b1 + b3 lies in L1 + L3. On every cocycle y it evaluates to <y.b1, x.b2>,
-    which is intersection_pairing(d, y, x). The zero class gives the zero rep.
+    = b1 + b3 lies in L1 + L3; construction checks it. Its coordinates are
+    the pairings of b2 with the alpha curves, Q_alpha_beta x_beta, and zero.
+    On every cocycle y it evaluates to <y.b1, x.b2>, which is
+    intersection_pairing(d, y, x). The zero class gives the zero rep.
     """
     _check_cocycle(d, x, "cocycle")
-    zero = (0,) * (2 * d.genus)
-    return H2DualRep.from_lifts(d, (x.b2, zero, zero))
+    zero = (0,) * d.genus
+    return H2DualRep(d, (_beta_pairings(d, x.coords), zero, zero))
 
 
 @memoized
@@ -449,15 +451,14 @@ def cocycle_from_dual_rep(d: TrisectionDiagram, rep: H2DualRep) -> OneOneCocycle
     Returns a cocycle c with intersection_pairing(d, b, c) equal to
     evaluate_on_surface_class(d, b, rep) for every basis cocycle b: the
     combination of the cocycle basis with coefficients G^-1 times those
-    evaluations, constructed once (the zero cocycle when b2 = 0). Block lam
-    of b combines the curves of system lam with coefficients x, so
-    <b_lam, a_lam> is x dotted with the rep's curve pairings, and the
-    evaluations need no change of basis.
+    evaluations, constructed once (the zero cocycle when b2 = 0). Each
+    evaluation is b's curve coordinates dotted with the rep's curve
+    pairings, so none needs a change of basis.
     """
     if rep.diagram != d:
         raise ValueError("dual rep belongs to a different diagram")
     flat = [c for block in rep.coords for c in block]
-    rhs = [_dot(x, flat) for x in _h2_basis_coordinates(d)]
     basis = h2_basis_cocycles(d)
+    rhs = [_dot(x.coords, flat) for x in basis]
     return _cocycle_combination(d, basis, [_dot(row, rhs) for row in _inverse_gram(d)])
 

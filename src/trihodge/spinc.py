@@ -98,31 +98,28 @@ def is_admissible(ledger: SpinCLedger) -> bool:
     return _matching_failure(ledger.diagram, ledger.euler) is None
 
 
-def _half_difference_rep(s1: SpinCLedger, s2: SpinCLedger) -> H2DualRep:
-    """The homology rep A with act(s2, A) matching s1's Euler entries."""
-    coords = []
-    for e1, e2 in zip(s1.euler, s2.euler):
-        diff = tuple(b - a for a, b in zip(e1, e2))
-        if any(c % 2 for c in diff):
-            raise ValueError("Euler entries do not differ by an even class")
-        coords.append(tuple(c // 2 for c in diff))
-    return H2DualRep(s1.diagram, tuple(coords))
+def _difference_rep(s1: SpinCLedger, s2: SpinCLedger) -> H2DualRep:
+    """The rep 2A, for A the homology rep with act(s2, A) matching s1's Euler entries."""
+    coords = tuple(tuple(b - a for a, b in zip(e1, e2)) for e1, e2 in zip(s1.euler, s2.euler))
+    if any(c % 2 for block in coords for c in block):
+        raise ValueError("Euler entries do not differ by an even class")
+    return H2DualRep(s1.diagram, coords)
 
 
 def c1_difference(s1: SpinCLedger, s2: SpinCLedger) -> OneOneCocycle:
     """c1(s1) - c1(s2) as a cocycle, modulo torsion.
 
     Defined only for ledgers over the same diagram and base structure; the
-    value is twice the class by which the two differ. Raises
-    CycleConditionError when the Euler difference is not a matched triple
-    (then the two ledgers do not differ by a degree-two class at all).
+    value is twice the class A by which the two differ, the dual of the
+    rep 2A, built once. Raises CycleConditionError when the Euler difference
+    is not a matched triple (then the two ledgers do not differ by a
+    degree-two class at all).
     """
     if s1.diagram != s2.diagram:
         raise ValueError("ledgers belong to different diagrams")
     if s1.base_id != s2.base_id:
         raise ValueError("ledgers track different base structures; difference undefined")
-    rep = _half_difference_rep(s1, s2)
-    return cocycle_from_dual_rep(s1.diagram, rep).scale(2)
+    return cocycle_from_dual_rep(s1.diagram, _difference_rep(s1, s2))
 
 
 def c1_offset(ledger: SpinCLedger) -> OneOneCocycle:

@@ -1,6 +1,7 @@
-"""Test-only constructions: random (co)cycles, the curve coordinates of
-a cocycle, the ladder recipe, duality maps, column spans, transvections, the degree-three
-against degree-one Gram matrix, and eleven oracles: the numpy Smith form,
+"""Test-only constructions: random (co)cycles, cocycles from ambient
+blocks and the curve coordinates of those blocks, the ladder recipe,
+duality maps, column spans, transvections, the degree-three against
+degree-one Gram matrix, and eleven oracles: the numpy Smith form,
 sympy's invariant factors, the Bareiss determinant, the full-width
 congruence diagonalization, the Smith-form kernel, validation by pair sums,
 homology by kernels, the five-term complex of the three Lagrangians with its
@@ -466,15 +467,31 @@ def h3_h1_gram(d: TrisectionDiagram) -> np.ndarray:
     return intmat(rows, cols=len(h1_basis(d)))
 
 
-def lagrangian_coordinates(x: OneOneCocycle) -> tuple[int, ...]:
-    """The length-3g vector of x's blocks in the curve bases, each solved for
-    through a Smith form; inverse of ``OneOneCocycle.from_lagrangian_coordinates``."""
-    d = x.diagram
+def lagrangian_coordinates(d: TrisectionDiagram, blocks) -> tuple[int, ...]:
+    """The length-3g vector of ambient blocks b1, b2, b3 in the curve bases,
+    each solved for through a Smith form; inverse of ``OneOneCocycle.blocks``."""
     out: list[int] = []
-    for cs, b in zip(d.systems, x.blocks):
+    for cs, b in zip(d.systems, blocks):
         curves = intmat([list(row) for row in zip(*cs.curves)], cols=d.genus)
         out += integer_solve(curves, b)
     return tuple(out)
+
+
+def cocycle_from_blocks(d: TrisectionDiagram, b1, b2, b3) -> OneOneCocycle:
+    """The cocycle with ambient blocks b1, b2, b3.
+
+    Each block must have length 2g and lie in its Lagrangian, which a
+    primitive Lagrangian checks as pairing to zero with every curve of its
+    system (read from the pairing rows), and the blocks must sum to zero.
+    """
+    ensure_valid(d)
+    blocks = [as_int_vector(b, 2 * d.genus) for b in (b1, b2, b3)]
+    for lam, (rows, b) in enumerate(zip(d._curve_pairings, blocks), start=1):
+        if any(sum(r * e for r, e in zip(row, b)) for row in rows):
+            raise ValueError(f"component {lam} does not lie in Lagrangian {lam}")
+    if any(map(sum, zip(*blocks))):
+        raise ValueError("components do not sum to zero")
+    return OneOneCocycle(d, lagrangian_coordinates(d, blocks))
 
 
 def _random_combination(basis: np.ndarray, rng: random.Random, span: int) -> tuple[int, ...]:
@@ -487,8 +504,7 @@ def random_cocycle(d: TrisectionDiagram, rng: random.Random, span: int = 4) -> O
     cycles = kernel_basis(five_term_complex(d).diffs[2])
     if cycles.rank == 0:
         return OneOneCocycle.zero(d)
-    coords = _random_combination(cycles.basis, rng, span)
-    return OneOneCocycle.from_lagrangian_coordinates(d, coords)
+    return OneOneCocycle(d, _random_combination(cycles.basis, rng, span))
 
 
 def random_coboundary(d: TrisectionDiagram, rng: random.Random, span: int = 4) -> OneOneCocycle:
@@ -496,8 +512,7 @@ def random_coboundary(d: TrisectionDiagram, rng: random.Random, span: int = 4) -
     zeta = five_term_complex(d).diffs[1]
     if zeta.shape[1] == 0:
         return OneOneCocycle.zero(d)
-    coords = _random_combination(zeta, rng, span)
-    return OneOneCocycle.from_lagrangian_coordinates(d, coords)
+    return OneOneCocycle(d, _random_combination(zeta, rng, span))
 
 
 def random_cycle_rep(d: TrisectionDiagram, rng: random.Random, span: int = 4) -> H2DualRep:

@@ -8,6 +8,7 @@ import pytest
 
 from trihodge import lattice
 from trihodge.complexes import (
+    _curve_coordinates,
     dual_complex,
     dual_middle_homology,
     hodge_diamond,
@@ -27,7 +28,7 @@ from trihodge.pairings import (
 from trihodge.spin import enumerate_spin, spin_count
 from trihodge.spinc import act, base_ledger, c1_difference
 
-from helpers import cech_complex, ladder_diagram, plain_form
+from helpers import cech_complex, cocycle_from_blocks, ladder_diagram, plain_form
 from test_acceptance import RANDOM_SUITE
 
 MEMOIZED = (
@@ -255,17 +256,37 @@ def test_dense_queries_build_no_lagrangian_echelon_and_nothing_wider_than_3g(mon
     assert "_lagrangians" not in vars(d) and "_pair_sums" not in vars(d)
 
 
+def census_query(d):
+    """The perfbench census op on d; returns its cocycles and its dual reps."""
+    ensure_valid(d)
+    homology_groups(d)
+    dual_middle_homology(d)
+    hodge_diamond(d)
+    intersection_form(d)
+    basis = h2_basis_cocycles(d)
+    reps = dual_rep_basis(d)
+    s = base_ledger(d)
+    c1 = c1_difference(act(s, reps[0] if reps else H2DualRep.zero(d)), s)
+    spin_count(d)
+    return basis + (c1,), reps
+
+
+@pytest.fixture
+def lift_reads(monkeypatch):
+    """Every dual rep whose lifts are read since the fixture started."""
+    reads = []
+    lifts = H2DualRep.lifts.func
+    monkeypatch.setattr(H2DualRep, "lifts", property(lambda rep: reads.append(rep) or lifts(rep)))
+    return reads
+
+
+CENSUS_DIAGRAMS = [builtin(name) for name in SUMS] + list(RANDOM_SUITE[::5])
+
+
 def test_pair_quotients_build_no_inverse_unless_lifted():
     diagrams = [builtin(name) for name in SUMS] + [replace(d) for d in RANDOM_SUITE]
     for d in diagrams:
-        ensure_valid(d)
-        homology_groups(d)
-        dual_middle_homology(d)
-        intersection_form(d)
-        reps = dual_rep_basis(d)
-        s = base_ledger(d)
-        c1_difference(act(s, reps[0] if reps else H2DualRep.zero(d)), s)
-        spin_count(d)
+        census_query(d)
     assert not any("Uinv" in built(q._smith) for d in diagrams for q in d._pair_quotients)
     for d in diagrams:
         for lam in (1, 2, 3):
@@ -276,33 +297,33 @@ def test_pair_quotients_build_no_inverse_unless_lifted():
             assert "Uinv" in built(q._smith)
 
 
-def test_census_query_replays_no_pairing_transform_and_no_lift(smith_forms, monkeypatch):
-    reads = []
-    lifts = H2DualRep.lifts.func
-    monkeypatch.setattr(H2DualRep, "lifts", property(lambda rep: reads.append(rep) or lifts(rep)))
-    diagrams = [builtin(name) for name in SUMS] + [replace(d) for d in RANDOM_SUITE[::5]]
-    reps = []
-    for d in diagrams:
-        ensure_valid(d)
-        homology_groups(d)
-        dual_middle_homology(d)
-        hodge_diamond(d)
-        intersection_form(d)
-        basis = dual_rep_basis(d)
-        reps += basis
-        s = base_ledger(d)
-        c1_difference(act(s, basis[0] if basis else H2DualRep.zero(d)), s)
-        spin_count(d)
+def test_census_query_replays_no_pairing_transform_and_no_lift(smith_forms, lift_reads):
+    diagrams = [replace(d) for d in CENSUS_DIAGRAMS]
+    reps = [rep for d in diagrams for rep in census_query(d)[1]]
     # the pairing forms serve only lifts; the Gram inverse reads a V of its own
-    assert reps and not reads
+    assert reps and not lift_reads
     assert not any("_pairing_forms" in vars(d) for d in diagrams)
     before = len(smith_forms)
     for rep in reps:
         assert H2DualRep.from_lifts(rep.diagram, rep.lifts) == rep
-    assert len(reads) == len(reps)
+    assert len(lift_reads) == len(reps)
     pairing_forms = [form for d in diagrams for form in vars(d).get("_pairing_forms", ())]
     assert smith_forms[before:] == pairing_forms
     assert any(built(form) == {"U", "V"} for form in pairing_forms)
+
+
+def test_census_query_keeps_cocycles_in_curve_coordinates(lift_reads):
+    diagrams = [replace(d) for d in CENSUS_DIAGRAMS]
+    cocycles = [x for d in diagrams for x in census_query(d)[0]]
+    assert len(cocycles) > len(diagrams)
+    # no ambient block is built: a cocycle holds its diagram and coordinates only
+    assert all(set(vars(x)) == {"diagram", "coords"} for x in cocycles)
+    alpha = f"{_curve_coordinates.__module__}.{_curve_coordinates.__qualname__}(0,)"
+    assert not any(alpha in vars(d) for d in diagrams)
+    assert not any("_pairing_forms" in vars(d) for d in diagrams) and not lift_reads
+    for x in cocycles:
+        assert cocycle_from_blocks(x.diagram, *x.blocks) == x
+    assert all(set(vars(x)) == {"diagram", "coords", "blocks"} for x in cocycles)
 
 
 def test_kernels_and_intersections_need_no_smith_form(smith_forms):

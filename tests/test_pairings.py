@@ -34,6 +34,7 @@ from trihodge.pairings import (
 )
 
 from helpers import (
+    cocycle_from_blocks,
     det,
     full_width_signature,
     h3_h1_gram,
@@ -72,27 +73,47 @@ def pairing_all_ways(d, x, y):
 class TestOneOneCocycle:
     def test_component_outside_lagrangian_rejected(self):
         with pytest.raises(ValueError, match="Lagrangian 1"):
-            OneOneCocycle(CP2, (0, 1), (0, -1), (0, 0))
+            cocycle_from_blocks(CP2, (0, 1), (0, -1), (0, 0))
 
     def test_nonzero_sum_rejected(self):
         with pytest.raises(ValueError, match="sum to zero"):
-            OneOneCocycle(CP2, (1, 0), (0, 1), (1, 1))
+            cocycle_from_blocks(CP2, (1, 0), (0, 1), (1, 1))
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            OneOneCocycle(CP2, (1, 0, 0), (0, 1), (-1, -1))
+            cocycle_from_blocks(CP2, (1, 0, 0), (0, 1), (-1, -1))
+
+    def test_constructor_checks_length_and_sum(self):
+        with pytest.raises(ValueError, match="length 3"):
+            OneOneCocycle(CP2, (1, 1))
+        with pytest.raises(ValueError, match="sum to zero"):
+            OneOneCocycle(CP2, (1, 0, 0))
+        with pytest.raises(ValueError, match="sum to zero"):
+            OneOneCocycle(CP2, (1, 1, 1))
 
     def test_coordinate_round_trip(self):
         x = h2_basis_cocycles(CP2)[0]
-        back = OneOneCocycle.from_lagrangian_coordinates(CP2, lagrangian_coordinates(x))
-        assert back == x
+        assert OneOneCocycle(CP2, lagrangian_coordinates(CP2, x.blocks)) == x
+        assert cocycle_from_blocks(CP2, *x.blocks) == x
 
     def test_coordinates_combine_the_curves(self):
         rng = random.Random(17)
         for d in SCRAMBLED:
             for x in h2_basis_cocycles(d) + (random_cocycle(d, rng),):
-                coords = lagrangian_coordinates(x)
-                assert OneOneCocycle.from_lagrangian_coordinates(d, coords) == x, d.label
+                assert lagrangian_coordinates(d, x.blocks) == x.coords, d.label
+                assert cocycle_from_blocks(d, *x.blocks) == x, d.label
+
+    def test_blocks_of_combinations_are_combined_blocks(self):
+        rng = random.Random(19)
+        for d in SCRAMBLED:
+            x, y = random_cocycle(d, rng), random_cocycle(d, rng)
+            for z, (p, q) in ((x + y, (1, 1)), (x - y.scale(3), (1, -3)), (-x, (-1, 0))):
+                expected = tuple(
+                    tuple(p * a + q * b for a, b in zip(bx, by))
+                    for bx, by in zip(x.blocks, y.blocks)
+                )
+                assert z.blocks == expected, d.label
+                assert z.is_zero == (not any(map(any, expected))), d.label
 
     def test_algebra(self):
         x = h2_basis_cocycles(CP2)[0]
@@ -421,7 +442,7 @@ class TestCurveBases:
                 ), d.label
                 # same Lagrangians, so the slid basis is a cocycle basis of d too:
                 # its pairings with d's basis form a unimodular matrix
-                moved = [OneOneCocycle(d, *y.blocks) for y in slid_basis]
+                moved = [cocycle_from_blocks(d, *y.blocks) for y in slid_basis]
                 if basis:
                     cross = [[intersection_pairing(d, x, y) for y in moved] for x in basis]
                     assert abs(det(intmat(cross))) == 1, d.label

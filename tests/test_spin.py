@@ -202,3 +202,74 @@ def test_handleslide_invariance_of_count(genus, seed, which, i, j, sign):
         return
     slid = handleslide_diagram(d, SYSTEM_NAMES[which], i, j, sign)
     assert spin_count(slid) == spin_count(d)
+
+
+# Sums of builtins, some with 2-torsion in H1, of every parity and spin type.
+LAW_SUMS = (
+    "CP2#CP2",
+    "CP2#CP2#CP2bar",
+    "CP2bar#CP2bar#S1xS3",
+    "S2xS2#S2xS2",
+    "S2xS2#CP2bar",
+    "S2xS2_candidate#CP2bar",
+    "S2xS2#S1xS3",
+    "S2xS2#QS4_Z3",
+    "S2xS2#QS4_Z2",
+    "QS4_Z3#CP2#CP2",
+    "QS4_Z2#CP2bar",
+)
+
+
+def law_diagrams():
+    """Each of LAW_SUMS and, per system, its slides of the first curve over
+    the last and back, which change the curves and so the Gram matrix."""
+    for name in LAW_SUMS:
+        d = builtin(name)
+        yield d
+        last = d.genus - 1
+        for system in SYSTEM_NAMES:
+            yield handleslide_diagram(d, system, 0, last, 1)
+            yield handleslide_diagram(d, system, last, 0, -1)
+
+
+def characteristic_mod_2(gram) -> list[int]:
+    """A 0/1 vector w with G w = diag(G) over F2, so w.v = v.v (mod 2) for every v."""
+    n = len(gram)
+    rows = [[gram[i][j] % 2 for j in range(n)] + [gram[i][i] % 2] for i in range(n)]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        p = next((k for k in range(r, n) if rows[k][col]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        for k in range(n):
+            if k != r and rows[k][col]:
+                rows[k] = [a ^ b for a, b in zip(rows[k], rows[r])]
+        pivots.append(col)
+    assert not any(row[n] for row in rows[len(pivots) :]), "diag(G) is not in the image of G"
+    w = [0] * n
+    for row, col in zip(rows, pivots):
+        w[col] = row[n]
+    return w
+
+
+def test_form_spin_laws_on_slid_builtin_sums():
+    seen = set()
+    for d in law_diagrams():
+        form, count = intersection_form(d), spin_count(d)
+        sigma = form.signature[0] - form.signature[1]
+        gram = form.gram
+        w = characteristic_mod_2(gram)
+        square = sum(w[i] * gram[i][j] * w[j] for i in range(len(w)) for j in range(len(w)))
+        # van der Blij
+        assert (square - sigma) % 8 == 0, d.describe()
+        assert (form.parity == "even") == (not any(w)), d.describe()
+        # Rokhlin, for sums of builtins and their handleslides
+        if count:
+            assert sigma % 16 == 0, d.describe()
+        # Wu, when H1 has no 2-torsion
+        if not any(t % 2 == 0 for t in homology_groups(d)[1].torsion):
+            assert (form.parity == "even") == (count > 0), d.describe()
+            seen.add((form.parity, count > 0))
+    assert seen == {("even", True), ("odd", False)}
