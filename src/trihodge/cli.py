@@ -16,8 +16,9 @@ Exit codes: 0 success (and diagram valid), 1 invalid diagram or rep, or a
 refused computation (a spin listing over spin.MAX_LISTED structures),
 2 unreadable or malformed input (including a file that is not UTF-8, JSON
 with an integer longer than Python's integer-string digit limit or nested
-too deep to parse, and a --genus, a JSON genus or a --builtin connected sum
-of genus above MAX_GENUS = 100, refused before any diagram is built),
+too deep to parse, a label that is not one line of printable text, and a
+--genus, a JSON genus or a --builtin connected sum of genus above
+MAX_GENUS = 100, refused before any diagram is built),
 3 internal error (a bug, such as a broken internal invariant; reported as
 one ``error: internal:`` line on stderr, never as a traceback),
 141 stdout closed before the output was written, as when piped into
@@ -31,19 +32,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .complexes import (
-    HomologyGroup,
-    betti_numbers,
-    cohomology_groups,
-    dual_middle_homology,
-    hodge_diamond,
-    homology_groups,
-    serre_duality_holds,
-)
+# Each subcommand imports the modules it reads when it runs, so a call loads
+# only those (see "CLI start-up" in README.md).
 from .diagram import (
+    CycleConditionError,
     InvalidDiagramError,
     TrisectionDiagram,
     builtin,
@@ -53,9 +48,9 @@ from .diagram import (
     euler_characteristic,
     random_diagram,
 )
-from .pairings import CycleConditionError, H2DualRep, h2_basis_cocycles, intersection_form
-from .spin import enumerate_spin
-from .spinc import act, base_ledger, c1_difference, is_admissible
+
+if TYPE_CHECKING:
+    from .pairings import H2DualRep
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -70,13 +65,31 @@ class CliInputError(Exception):
     """Unreadable or malformed input; maps to exit code 2."""
 
 
-@dataclass
 class Report:
-    command: str
-    label: str
-    payload: dict
-    lines: list[str] = field(default_factory=list)
-    exit_code: int = EXIT_OK
+    def __init__(
+        self,
+        command: str,
+        label: str,
+        payload: dict,
+        lines: list[str] | None = None,
+        exit_code: int = EXIT_OK,
+    ):
+        self.command = command
+        self.label = label
+        self.payload = payload
+        self.lines = [] if lines is None else lines
+        self.exit_code = exit_code
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.command, self.label, self.payload, self.lines, self.exit_code) == (
+            other.command,
+            other.label,
+            other.payload,
+            other.lines,
+            other.exit_code,
+        )
 
     def render_text(self) -> str:
         head = [f"command: {self.command}", f"diagram: {self.label}"]
@@ -141,6 +154,9 @@ def _diagram_from_file(path: str) -> TrisectionDiagram:
     label = data.get("label")
     if label is not None and not isinstance(label, str):
         raise CliInputError(f"{path}: field 'label' must be a string")
+    if label is not None and not label.isprintable():
+        # a newline in the label would print lines of its own into the output
+        raise CliInputError(f"{path}: field 'label' must be printable text on one line")
     try:
         return diagram_from_curves(
             data["genus"],
@@ -203,6 +219,8 @@ def cmd_validate(d: TrisectionDiagram, args) -> Report:
 
 
 def cmd_homology(d: TrisectionDiagram, args) -> Report:
+    from .complexes import HomologyGroup, betti_numbers, dual_middle_homology, homology_groups
+
     ensure_valid(d)
     groups = homology_groups(d)
     fm_middle = groups[2]
@@ -228,6 +246,8 @@ def cmd_homology(d: TrisectionDiagram, args) -> Report:
 
 
 def cmd_diamond(d: TrisectionDiagram, args) -> Report:
+    from .complexes import cohomology_groups, hodge_diamond, serre_duality_holds
+
     ensure_valid(d)
     diamond = hodge_diamond(d)
     serre = serre_duality_holds(diamond)
@@ -253,6 +273,8 @@ def cmd_diamond(d: TrisectionDiagram, args) -> Report:
 
 
 def cmd_form(d: TrisectionDiagram, args) -> Report:
+    from .pairings import h2_basis_cocycles, intersection_form
+
     ensure_valid(d)
     form = intersection_form(d)
     basis = h2_basis_cocycles(d)
@@ -280,6 +302,8 @@ def cmd_form(d: TrisectionDiagram, args) -> Report:
 
 
 def cmd_spin(d: TrisectionDiagram, args) -> Report:
+    from .spin import enumerate_spin
+
     ensure_valid(d)
     structures = enumerate_spin(d)
     payload = {
@@ -292,6 +316,8 @@ def cmd_spin(d: TrisectionDiagram, args) -> Report:
 
 
 def _rep_from_file(d: TrisectionDiagram, path: str) -> H2DualRep:
+    from .pairings import H2DualRep
+
     data = _read_json_file(path)
     if not isinstance(data, dict):
         raise CliInputError(f"{path}: expected a JSON object")
@@ -309,6 +335,8 @@ def _rep_from_file(d: TrisectionDiagram, path: str) -> H2DualRep:
 
 
 def cmd_spinc(d: TrisectionDiagram, args) -> Report:
+    from .spinc import act, base_ledger, c1_difference, is_admissible
+
     ensure_valid(d)
     ledger = base_ledger(d)
     payload = {

@@ -35,7 +35,6 @@ characteristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import is_
 from typing import TYPE_CHECKING
@@ -43,6 +42,8 @@ from typing import TYPE_CHECKING
 from .diagram import TrisectionDiagram, ensure_valid, memoized
 from .lattice import (
     Subgroup,
+    _Frozen,
+    _Value,
     _cokernel,
     _column_matrix,
     _combination,
@@ -63,16 +64,20 @@ class InvalidStateError(RuntimeError):
     """Internal invariant broke; indicates a bug rather than bad user input."""
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(_Value):
     """Finitely generated abelian group: free rank plus invariant factors."""
 
-    rank: int
-    torsion: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.rank < 0 or any(t < 2 for t in self.torsion):
+    def __init__(self, rank: int, torsion: tuple[int, ...] = ()):
+        if rank < 0 or any(t < 2 for t in torsion):
             raise ValueError("rank must be >= 0 and invariant factors >= 2")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "torsion", torsion)
+
+    def _key(self) -> tuple:
+        return (self.rank, self.torsion)
+
+    def __repr__(self) -> str:
+        return f"HomologyGroup(rank={self.rank!r}, torsion={self.torsion!r})"
 
     def direct_sum(self, other: "HomologyGroup") -> "HomologyGroup":
         merged = self.torsion + other.torsion
@@ -90,8 +95,7 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True, eq=False)
-class FreeChainComplex:
+class FreeChainComplex(_Frozen):
     """Finite complex of free abelian groups with explicit differentials.
 
     Position i maps to position i+1 by the differential whose columns are
@@ -106,27 +110,32 @@ class FreeChainComplex:
     each differential are memoized on the complex and freed with it.
     """
 
-    term_names: tuple[str, ...]
-    ranks: tuple[int, ...]
-    degrees: tuple[int, ...]
-    columns: tuple[tuple[tuple[int, ...], ...], ...]
-    generator_positions: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        n = len(self.ranks)
-        if len(self.term_names) != n or len(self.degrees) != n or len(self.columns) != n - 1:
+    def __init__(
+        self,
+        term_names: tuple[str, ...],
+        ranks: tuple[int, ...],
+        degrees: tuple[int, ...],
+        columns: tuple[tuple[tuple[int, ...], ...], ...],
+        generator_positions: tuple[int, ...] = (),
+    ):
+        n = len(ranks)
+        if len(term_names) != n or len(degrees) != n or len(columns) != n - 1:
             raise ValueError("inconsistent complex data")
-        columns = []
-        for i, (cols, nrows) in enumerate(zip(self.columns, self.ranks[1:])):
-            if len(cols) != self.ranks[i] or any(len(c) != nrows for c in cols):
-                raise ValueError(f"differential {i} does not have shape ({nrows}, {self.ranks[i]})")
+        kept = []
+        for i, (cols, nrows) in enumerate(zip(columns, ranks[1:])):
+            if len(cols) != ranks[i] or any(len(c) != nrows for c in cols):
+                raise ValueError(f"differential {i} does not have shape ({nrows}, {ranks[i]})")
             checked = tuple(map(as_int_vector, cols))
             same = type(cols) is tuple and all(map(is_, checked, cols))
-            columns.append(cols if same else checked)
+            kept.append(cols if same else checked)
         for i in range(n - 2):
-            if any(any(_combination(columns[i + 1], col, self.ranks[i + 2])) for col in columns[i]):
+            if any(any(_combination(kept[i + 1], col, ranks[i + 2])) for col in kept[i]):
                 raise ValueError(f"differentials {i} and {i + 1} do not compose to zero")
-        object.__setattr__(self, "columns", tuple(columns))
+        object.__setattr__(self, "term_names", term_names)
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "columns", tuple(kept))
+        object.__setattr__(self, "generator_positions", generator_positions)
 
     @cached_property
     def diffs(self) -> tuple[np.ndarray, ...]:
@@ -375,11 +384,17 @@ def dual_middle_homology(d: TrisectionDiagram) -> HomologyGroup:
     return HomologyGroup(free, tuple(f for f in c._factors(2) if f >= 2))
 
 
-@dataclass(frozen=True)
-class HodgeDiamond:
+class HodgeDiamond(_Value):
     """3x3 grid: rows are Cech degrees, columns are coefficient degrees."""
 
-    grid: tuple[tuple[HomologyGroup, ...], ...]
+    def __init__(self, grid: tuple[tuple[HomologyGroup, ...], ...]):
+        object.__setattr__(self, "grid", grid)
+
+    def _key(self) -> tuple:
+        return (self.grid,)
+
+    def __repr__(self) -> str:
+        return f"HodgeDiamond(grid={self.grid!r})"
 
     def entry(self, cech_degree: int, sheaf_degree: int) -> HomologyGroup:
         return self.grid[cech_degree][sheaf_degree]

@@ -19,7 +19,6 @@ system is no primitive Lagrangian) or a caller reads them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from typing import Iterable, Sequence
 
@@ -27,6 +26,7 @@ from . import lattice as _lattice
 from .lattice import (
     QuotientPresentation,
     Subgroup,
+    _Value,
     _dot,
     _invariant_factors,
     _span,
@@ -44,11 +44,12 @@ class InvalidDiagramError(ValueError):
     """Raised when an operation requires a valid diagram and gets an invalid one."""
 
 
-@dataclass(frozen=True)
-class CutSystem:
-    """g curves on a genus-g surface, each recorded as a homology class."""
+class CycleConditionError(ValueError):
+    """A handlebody-class triple fails one of the cyclic matching conditions."""
 
-    curves: tuple[tuple[int, ...], ...]
+
+class CutSystem(_Value):
+    """g curves on a genus-g surface, each recorded as a homology class."""
 
     def __init__(self, curves: Sequence[Sequence[int]], name: str | None = None):
         """``name`` (alpha, beta or gamma) only labels the system in error messages."""
@@ -63,6 +64,12 @@ class CutSystem:
                     f"{system} needs curves of length {2 * len(normalized)}, got {width}"
                 )
         object.__setattr__(self, "curves", normalized)
+
+    def _key(self) -> tuple:
+        return (self.curves,)
+
+    def __repr__(self) -> str:
+        return f"CutSystem(curves={self.curves!r})"
 
     @property
     def genus(self) -> int:
@@ -81,16 +88,27 @@ def _check_curve_counts(genus: int, counts: Iterable[int]) -> None:
             raise ValueError(f"{name} system has {count} curves, expected {genus}")
 
 
-@dataclass(frozen=True)
-class TrisectionDiagram:
-    genus: int
-    alpha: CutSystem
-    beta: CutSystem
-    gamma: CutSystem
-    label: str | None = field(default=None, compare=False)
+class TrisectionDiagram(_Value):
+    """Three cut systems of genus g; ``label`` names the diagram and takes no
+    part in equality."""
 
-    def __post_init__(self):
-        _check_curve_counts(self.genus, (cs.genus for cs in self.systems))
+    def __init__(
+        self,
+        genus: int,
+        alpha: CutSystem,
+        beta: CutSystem,
+        gamma: CutSystem,
+        label: str | None = None,
+    ):
+        _check_curve_counts(genus, (alpha.genus, beta.genus, gamma.genus))
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "label", label)
+
+    def _key(self) -> tuple:
+        return (self.genus, self.alpha, self.beta, self.gamma)
 
     @property
     def systems(self) -> tuple[CutSystem, CutSystem, CutSystem]:
@@ -187,12 +205,20 @@ class TrisectionDiagram:
         return self.label if self.label is not None else f"genus-{self.genus} diagram"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Value):
     """Outcome of every validity check, plus k-values when all of them pass."""
 
-    checks: tuple[tuple[str, bool], ...]
-    k_values: tuple[int, int, int] | None
+    def __init__(
+        self, checks: tuple[tuple[str, bool], ...], k_values: tuple[int, int, int] | None
+    ):
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "k_values", k_values)
+
+    def _key(self) -> tuple:
+        return (self.checks, self.k_values)
+
+    def __repr__(self) -> str:
+        return f"ValidationReport(checks={self.checks!r}, k_values={self.k_values!r})"
 
     @property
     def is_valid(self) -> bool:

@@ -30,7 +30,6 @@ ints, built by ``_array`` when asked for. No code path touches floating point.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import cached_property
 from operator import index, mul
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -389,8 +388,39 @@ def _unimodular_inverse(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(_dot(v_row, u_col) for u_col in u_cols) for v_row in smith.V)
 
 
-@dataclass(frozen=True, eq=False)
-class Subgroup:
+class _Frozen:
+    """Base of the package's immutable records: ``__init__`` sets each field
+    with ``object.__setattr__``, and any later assignment or deletion raises.
+
+    Memoized values (``cached_property`` and ``diagram.memoized``) are
+    written to the instance ``__dict__`` directly, so they still work.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Value(_Frozen):
+    """An immutable record that compares and hashes by ``_key()``, the tuple
+    of its defining fields; records of different classes are never equal."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class Subgroup(_Value):
     """A subgroup of Z^n held in a canonical column echelon basis.
 
     The basis has one column per generator; pivot rows strictly increase left
@@ -400,8 +430,9 @@ class Subgroup:
     ``__eq__`` is plain equality of the column tuples.
     """
 
-    ambient_rank: int
-    _columns: tuple[tuple[int, ...], ...]
+    def __init__(self, ambient_rank: int, _columns: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "ambient_rank", ambient_rank)
+        object.__setattr__(self, "_columns", _columns)
 
     @classmethod
     def from_columns(cls, ambient_rank: int, vectors: Iterable[Sequence[int]]) -> "Subgroup":
@@ -472,13 +503,8 @@ class Subgroup:
         coords = as_int_vector(coords, self.rank)
         return _combination(self._columns, coords, self.ambient_rank)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subgroup):
-            return NotImplemented
-        return self.ambient_rank == other.ambient_rank and self._columns == other._columns
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_rank, self._columns))
+    def _key(self) -> tuple:
+        return (self.ambient_rank, self._columns)
 
     def __repr__(self) -> str:
         return f"Subgroup(ambient_rank={self.ambient_rank}, columns={list(self._columns)})"
@@ -624,8 +650,7 @@ class _SpanCoordinates:
         return _combination(self._tracker, coeffs, len(self._tracker))
 
 
-@dataclass(frozen=True, eq=False)
-class QuotientPresentation:
+class QuotientPresentation(_Frozen):
     """Z^n modulo a subgroup, with explicit coordinates.
 
     Coordinates come in two blocks: one residue per invariant factor >= 2
@@ -636,12 +661,21 @@ class QuotientPresentation:
     each is replayed from the Smith form's row record on first read.
     """
 
-    ambient_rank: int
-    free_rank: int
-    torsion: tuple[int, ...]
-    _smith: _Smith
-    _torsion_indices: tuple[int, ...]
-    _free_indices: tuple[int, ...]
+    def __init__(
+        self,
+        ambient_rank: int,
+        free_rank: int,
+        torsion: tuple[int, ...],
+        _smith: _Smith,
+        _torsion_indices: tuple[int, ...],
+        _free_indices: tuple[int, ...],
+    ):
+        object.__setattr__(self, "ambient_rank", ambient_rank)
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "_smith", _smith)
+        object.__setattr__(self, "_torsion_indices", _torsion_indices)
+        object.__setattr__(self, "_free_indices", _free_indices)
 
     @property
     def coordinate_count(self) -> int:

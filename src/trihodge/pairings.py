@@ -21,15 +21,12 @@ basis) is built in one step: the coordinates are combined first, then the
 class is constructed once, so its check runs once on the result. No
 ambient vector is built unless a caller reads the blocks.
 
-Everything here is integer arithmetic; the signature and the determinant of
-the form use Fraction pivots only as bookkeeping for an exact congruence
-diagonalization.
+Everything here is integer arithmetic, the congruence diagonalization that
+gives the signature and the determinant of the form included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .complexes import (
@@ -38,19 +35,16 @@ from .complexes import (
     _pair_difference_columns,
     homology_complex,
 )
-from .diagram import TrisectionDiagram, ensure_valid, memoized
+from .diagram import CycleConditionError, TrisectionDiagram, ensure_valid, memoized
 from .lattice import (
     Subgroup,
+    _Value,
     _combination,
     _dot,
     _unimodular_inverse,
     as_int_vector,
     subgroup_intersection,
 )
-
-
-class CycleConditionError(ValueError):
-    """A handlebody-class triple fails one of the cyclic matching conditions."""
 
 
 def _matching_failure(d: TrisectionDiagram, coords) -> str | None:
@@ -66,8 +60,7 @@ def _matching_failure(d: TrisectionDiagram, coords) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class OneOneCocycle:
+class OneOneCocycle(_Value):
     """Degree-two cohomology class as a sum-zero triple of Lagrangian vectors.
 
     Carried by its 3g curve coordinates: block lam of ``coords`` combines
@@ -79,17 +72,18 @@ class OneOneCocycle:
     ambient blocks are computed from the curves when first read.
     """
 
-    diagram: TrisectionDiagram
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        d = self.diagram
-        ensure_valid(d)
-        coords = as_int_vector(self.coords, 3 * d.genus)
-        object.__setattr__(self, "coords", coords)
-        curves = d.alpha.curves + d.beta.curves + d.gamma.curves
-        if any(_combination(curves, coords, 2 * d.genus)):
+    def __init__(self, diagram: TrisectionDiagram, coords: tuple[int, ...]):
+        ensure_valid(diagram)
+        g = diagram.genus
+        coords = as_int_vector(coords, 3 * g)
+        curves = diagram.alpha.curves + diagram.beta.curves + diagram.gamma.curves
+        if any(_combination(curves, coords, 2 * g)):
             raise ValueError("components do not sum to zero")
+        object.__setattr__(self, "diagram", diagram)
+        object.__setattr__(self, "coords", coords)
+
+    def _key(self) -> tuple:
+        return (self.diagram, self.coords)
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -140,8 +134,7 @@ def _cocycle_combination(d: TrisectionDiagram, xs, coeffs) -> OneOneCocycle:
     return OneOneCocycle(d, _combination([x.coords for x in xs], coeffs, 3 * d.genus))
 
 
-@dataclass(frozen=True)
-class H2DualRep:
+class H2DualRep(_Value):
     """Degree-two homology class as a matched triple of handlebody H1 classes.
 
     ``coords[lam - 1][i]`` is <c_i, a_lam> over the curves c_i of system lam
@@ -154,18 +147,19 @@ class H2DualRep:
     concatenated coordinates are annihilated by the pair-difference columns.
     """
 
-    diagram: TrisectionDiagram
-    coords: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        g = self.diagram.genus
-        coords = tuple(as_int_vector(c, g) for c in self.coords)
+    def __init__(self, diagram: TrisectionDiagram, coords: tuple[tuple[int, ...], ...]):
+        g = diagram.genus
+        coords = tuple(as_int_vector(c, g) for c in coords)
         if len(coords) != 3:
             raise ValueError("expected one component per handlebody")
-        object.__setattr__(self, "coords", coords)
-        failure = _matching_failure(self.diagram, coords)
+        failure = _matching_failure(diagram, coords)
         if failure:
             raise CycleConditionError(failure)
+        object.__setattr__(self, "diagram", diagram)
+        object.__setattr__(self, "coords", coords)
+
+    def _key(self) -> tuple:
+        return (self.diagram, self.coords)
 
     @classmethod
     def from_lifts(
@@ -276,14 +270,29 @@ def _beta_pairings(d: TrisectionDiagram, coords: tuple[int, ...]) -> list[int]:
     return [_dot(row, coords[g : 2 * g]) for row in d._intersection_matrices[0]]
 
 
-@dataclass(frozen=True)
-class IntersectionForm:
+class IntersectionForm(_Value):
     """The integral intersection form on H^2 modulo torsion."""
 
-    gram: tuple[tuple[int, ...], ...]
-    signature: tuple[int, int]
-    parity: str
-    unimodular: bool
+    def __init__(
+        self,
+        gram: tuple[tuple[int, ...], ...],
+        signature: tuple[int, int],
+        parity: str,
+        unimodular: bool,
+    ):
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "unimodular", unimodular)
+
+    def _key(self) -> tuple:
+        return (self.gram, self.signature, self.parity, self.unimodular)
+
+    def __repr__(self) -> str:
+        return (
+            f"IntersectionForm(gram={self.gram!r}, signature={self.signature!r}, "
+            f"parity={self.parity!r}, unimodular={self.unimodular!r})"
+        )
 
     @property
     def rank(self) -> int:
@@ -295,49 +304,54 @@ def _signature_of_symmetric(
 ) -> tuple[tuple[int, int], int]:
     """Exact (positive, negative) inertia and determinant of a symmetric integer matrix.
 
-    Congruence diagonalization over the rationals: clear with a nonzero
-    diagonal pivot when one exists, otherwise make one by adding a row and
-    column (which turns an off-diagonal entry 2m into a diagonal one). Every
-    step is a congruence by a determinant-one matrix, so the determinant is
-    the product of the pivots, or 0 when rows are left over. Clearing the
-    pivot at index t leaves the Schur complement M[r][s] - M[r][t] M[t][s] /
-    M[t][t] on the rows and columns still active; nothing outside that block
-    is read again.
+    Congruence diagonalization: clear with a nonzero diagonal pivot when one
+    exists, otherwise make one by adding a row and column (which turns an
+    off-diagonal entry 2m into a diagonal one). Every step is a congruence
+    by a determinant-one matrix, so the determinant is the product of the
+    rational pivots, or 0 when rows are left over. Clearing the pivot at
+    index t leaves the Schur complement on the rows and columns still
+    active; nothing outside that block is read again.
+
+    The block is kept in integers by Bareiss's fraction-free update: with p
+    the pivot and q the one before it (1 at first), M[r][s] becomes
+    (p M[r][s] - M[r][t] M[t][s]) / q, an exact division. The block then
+    holds p times the rational Schur complement, and adding a row and column
+    commutes with that scaling, so the same pivots are found: the rational
+    pivot is p / q, positive when p and q have the same sign, and the
+    product of the rational pivots is the last p.
     """
-    n = len(gram)
-    M = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
+    M = [list(row) for row in gram]
     pos = neg = 0
-    det = Fraction(1)
-    active = list(range(n))
+    prev = 1
+    active = list(range(len(gram)))
     while active:
-        pivot_row = next((i for i in active if M[i][i]), None)
-        if pivot_row is None:
+        t = next((i for i in active if M[i][i]), None)
+        if t is None:
             off = next(
                 ((i, j) for i in active for j in active if i != j and M[i][j]),
                 None,
             )
             if off is None:
-                det = Fraction(0)
-                break
+                return (pos, neg), 0
             i, j = off
             for k in active:
                 M[i][k] += M[j][k]
             for k in active:
                 M[k][i] += M[k][j]
-            pivot_row = i
-        p = M[pivot_row][pivot_row]
-        det *= p
-        if p > 0:
+            t = i
+        p = M[t][t]
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        active.remove(pivot_row)
+        active.remove(t)
+        pivot_row = M[t]
         for r in active:
-            f = M[r][pivot_row] / p
-            if f:
-                for s in active:
-                    M[r][s] -= f * M[pivot_row][s]
-    return (pos, neg), int(det)
+            row, f = M[r], M[r][t]
+            for s in active:
+                row[s] = (p * row[s] - f * pivot_row[s]) // prev
+        prev = p
+    return (pos, neg), prev
 
 
 @memoized

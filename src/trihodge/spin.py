@@ -7,26 +7,28 @@ the solutions of one affine system over F_2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagram import SYSTEM_NAMES, TrisectionDiagram, ensure_valid, memoized
-from .lattice import as_int_vector
+from .lattice import _Value, as_int_vector
 
 MAX_LISTED = 2**16
 
 
-@dataclass(frozen=True)
-class QuadraticEnhancement:
+class QuadraticEnhancement(_Value):
     """q on the mod-2 surface lattice, stored by its values on the basis."""
 
-    genus: int
-    basis_values: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.basis_values) != 2 * self.genus:
+    def __init__(self, genus: int, basis_values: tuple[int, ...]):
+        if len(basis_values) != 2 * genus:
             raise ValueError("expected one bit per basis vector")
-        if any(b not in (0, 1) for b in self.basis_values):
+        if any(b not in (0, 1) for b in basis_values):
             raise ValueError("basis values must be bits")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "basis_values", basis_values)
+
+    def _key(self) -> tuple:
+        return (self.genus, self.basis_values)
+
+    def __repr__(self) -> str:
+        return f"QuadraticEnhancement(genus={self.genus!r}, basis_values={self.basis_values!r})"
 
     def evaluate(self, x) -> int:
         """q(x) mod 2 for an integer vector x.

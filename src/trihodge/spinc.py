@@ -18,35 +18,43 @@ form solve), which is recorded here as a limitation rather than hidden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .diagram import TrisectionDiagram, ensure_valid
-from .lattice import _combination, as_int_vector
+from .lattice import _combination, _Value, as_int_vector
 from .pairings import H2DualRep, OneOneCocycle, _matching_failure, cocycle_from_dual_rep
 
 EulerTriple = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class SpinCLedger:
+class SpinCLedger(_Value):
     """Relative Euler classes of one Spin^C candidate, plus its ancestry."""
 
-    diagram: TrisectionDiagram
-    euler: EulerTriple
-    base_euler: EulerTriple
-    base_id: str
-    base_c1: OneOneCocycle | None = None
-
-    def __post_init__(self):
-        g = self.diagram.genus
-        euler = tuple(as_int_vector(e, g) for e in self.euler)
-        base = tuple(as_int_vector(e, g) for e in self.base_euler)
-        if len(euler) != 3 or len(base) != 3:
+    def __init__(
+        self,
+        diagram: TrisectionDiagram,
+        euler: EulerTriple,
+        base_euler: EulerTriple,
+        base_id: str,
+        base_c1: OneOneCocycle | None = None,
+    ):
+        g = diagram.genus
+        euler = tuple(as_int_vector(e, g) for e in euler)
+        base_euler = tuple(as_int_vector(e, g) for e in base_euler)
+        if len(euler) != 3 or len(base_euler) != 3:
             raise ValueError("expected one Euler entry per handlebody")
-        object.__setattr__(self, "euler", euler)
-        object.__setattr__(self, "base_euler", base)
-        if self.base_c1 is not None and self.base_c1.diagram != self.diagram:
+        if base_c1 is not None and base_c1.diagram != diagram:
             raise ValueError("base c1 belongs to a different diagram")
+        object.__setattr__(self, "diagram", diagram)
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "base_euler", base_euler)
+        object.__setattr__(self, "base_id", base_id)
+        object.__setattr__(self, "base_c1", base_c1)
+
+    def _with_euler(self, euler: EulerTriple) -> "SpinCLedger":
+        """The same ledger with other Euler entries."""
+        return SpinCLedger(self.diagram, euler, self.base_euler, self.base_id, self.base_c1)
+
+    def _key(self) -> tuple:
+        return (self.diagram, self.euler, self.base_euler, self.base_id, self.base_c1)
 
 
 def base_ledger(
@@ -71,7 +79,7 @@ def lutz_shift(ledger: SpinCLedger, lam: int, gamma_coords) -> SpinCLedger:
     gamma = as_int_vector(gamma_coords, g)
     euler = list(ledger.euler)
     euler[lam - 1] = tuple(e - 2 * c for e, c in zip(euler[lam - 1], gamma))
-    return replace(ledger, euler=tuple(euler))
+    return ledger._with_euler(tuple(euler))
 
 
 def act(ledger: SpinCLedger, rep: H2DualRep) -> SpinCLedger:
@@ -84,7 +92,7 @@ def act(ledger: SpinCLedger, rep: H2DualRep) -> SpinCLedger:
         raise ValueError("rep belongs to a different diagram")
     g = ledger.diagram.genus
     euler = tuple(_combination((e, c), (1, -2), g) for e, c in zip(ledger.euler, rep.coords))
-    return replace(ledger, euler=euler)
+    return ledger._with_euler(euler)
 
 
 def is_admissible(ledger: SpinCLedger) -> bool:
@@ -124,7 +132,7 @@ def c1_difference(s1: SpinCLedger, s2: SpinCLedger) -> OneOneCocycle:
 
 def c1_offset(ledger: SpinCLedger) -> OneOneCocycle:
     """c1(ledger) - c1(base), derived from the accumulated Euler shifts."""
-    base = replace(ledger, euler=ledger.base_euler)
+    base = ledger._with_euler(ledger.base_euler)
     return c1_difference(ledger, base)
 
 

@@ -8,21 +8,24 @@ the package lives in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .lattice import Subgroup, as_int_vector
+from .lattice import Subgroup, _Value, as_int_vector
 
 
-@dataclass(frozen=True)
-class SymplecticLattice:
+class SymplecticLattice(_Value):
     """Z^2g with the standard unimodular skew form of a genus-g surface."""
 
-    genus: int
-
-    def __post_init__(self):
-        if self.genus < 0:
+    def __init__(self, genus: int):
+        if genus < 0:
             raise ValueError("genus must be nonnegative")
+        object.__setattr__(self, "genus", genus)
+
+    def _key(self) -> tuple:
+        return (self.genus,)
+
+    def __repr__(self) -> str:
+        return f"SymplecticLattice(genus={self.genus!r})"
 
     @property
     def rank(self) -> int:

@@ -1,12 +1,13 @@
 """Test-only constructions: random (co)cycles, cocycles from ambient
 blocks and the curve coordinates of those blocks, the ladder recipe,
 duality maps, column spans, transvections, the degree-three against
-degree-one Gram matrix, and eleven oracles: the numpy Smith form,
-sympy's invariant factors, the Bareiss determinant, the full-width
-congruence diagonalization, the Smith-form kernel, validation by pair sums,
-homology by kernels, the five-term complex of the three Lagrangians with its
-dual, the Cech complexes behind the diamond, the solved Poincare dual and
-the brute-force spin filter.
+degree-one Gram matrix, cold copies of diagrams (nothing memoized), and
+eleven oracles: the numpy Smith form, sympy's invariant factors, the
+Bareiss determinant, the full-width congruence diagonalization over the
+rationals, the Smith-form kernel, validation by pair sums, homology by
+kernels, the five-term complex of the three Lagrangians with its dual, the
+Cech complexes behind the diamond, the solved Poincare dual and the
+brute-force spin filter.
 
 The suites use these to generate inputs and to state laws; the package
 itself never needs them.
@@ -211,7 +212,7 @@ def full_width_signature(
     each active row and then every row of its column.
 
     The oracle for ``pairings._signature_of_symmetric``, which updates only
-    the active block and must find the same pivots.
+    the active block, in integers, and must find the same pivots.
     """
     n = len(gram)
     M = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
@@ -492,6 +493,11 @@ def cocycle_from_blocks(d: TrisectionDiagram, b1, b2, b3) -> OneOneCocycle:
     if any(map(sum, zip(*blocks))):
         raise ValueError("components do not sum to zero")
     return OneOneCocycle(d, lagrangian_coordinates(d, blocks))
+
+
+def cold_copy(d: TrisectionDiagram) -> TrisectionDiagram:
+    """An equal diagram with the same systems and label and nothing memoized."""
+    return TrisectionDiagram(d.genus, d.alpha, d.beta, d.gamma, d.label)
 
 
 def _random_combination(basis: np.ndarray, rng: random.Random, span: int) -> tuple[int, ...]:

@@ -60,15 +60,17 @@ def test_golden_output(golden_name, argv):
 
 
 # Runs main(argv) in a fresh interpreter (argv empty: import only) and
-# prints its exit code and whether numpy was ever loaded.
-NUMPY_PROBE = """
-import io, json, sys
+# prints its exit code and the modules loaded after interpreter start.
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import io, json
 from contextlib import redirect_stdout
 from trihodge.cli import main
 argv = sys.argv[1:]
 with redirect_stdout(io.StringIO()):
     code = main(argv) if argv else 0
-print(json.dumps([code, "numpy" in sys.modules]))
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
 """
 
 NUMPY_FREE_CASES = [
@@ -82,19 +84,44 @@ NUMPY_FREE_CASES = [
 ]
 
 
+# The package modules each subcommand reads, beyond the ones every call loads.
+ALWAYS_LOADED = {
+    "trihodge",
+    "trihodge.cli",
+    "trihodge.diagram",
+    "trihodge.lattice",
+    "trihodge.surface",
+}
+READS = {
+    "import": set(),
+    "validate": set(),
+    "homology": {"trihodge.complexes"},
+    "diamond": {"trihodge.complexes"},
+    "form": {"trihodge.complexes", "trihodge.pairings"},
+    "spin": {"trihodge.spin"},
+    "spinc": {"trihodge.complexes", "trihodge.pairings", "trihodge.spinc"},
+}
+
+
 @pytest.mark.parametrize("argv", NUMPY_FREE_CASES, ids=lambda a: a[0] if a else "import")
 def test_cli_never_loads_numpy(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, *argv],
+        [sys.executable, "-c", IMPORT_PROBE, *argv],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [EXIT_OK, False]
+    code, loaded = json.loads(done.stdout)
+    assert code == EXIT_OK
+    assert "numpy" not in loaded
+    # dataclasses pulls in inspect, ast, dis and tokenize; fractions decimal
+    assert not {"dataclasses", "fractions"} & set(loaded)
+    package = {m for m in loaded if m.split(".")[0] == "trihodge"}
+    assert package == ALWAYS_LOADED | READS[argv[0] if argv else "import"]
 
 
 PIPE_SUM = "#".join(["S1xS3"] * 12)  # 4096 listed structures, past any pipe buffer
@@ -167,6 +194,19 @@ class TestExitCodes:
         code, _, err = run_cli(["validate", str(path)])
         assert code == EXIT_PARSE
         assert "line 1" in err and "column" in err
+
+    @pytest.mark.parametrize(
+        "label,message",
+        [(7, "must be a string"), ("fake\nH_1: Z/7", "must be printable text on one line")],
+        ids=["number", "newline"],
+    )
+    def test_label_must_be_one_printable_line(self, tmp_path, label, message):
+        path = tmp_path / "labelled.json"
+        cp2 = {"genus": 1, "alpha": [[1, 0]], "beta": [[0, 1]], "gamma": [[1, 1]]}
+        path.write_text(json.dumps({**cp2, "label": label}))
+        code, out, err = run_cli(["homology", str(path)])
+        assert code == EXIT_PARSE and out == ""
+        assert f"field 'label' {message}" in err
 
     def test_missing_fields(self, tmp_path):
         path = tmp_path / "partial.json"

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from trihodge import lattice
@@ -25,10 +23,18 @@ from trihodge.diagram import (
     standard_triple,
     validate,
 )
-from trihodge.complexes import _pair_difference_columns
+from trihodge.complexes import (
+    _pair_difference_columns,
+    hodge_diamond,
+    homology_complex,
+    homology_groups,
+)
 from trihodge.lattice import Subgroup, _combination, subgroup_sum
+from trihodge.pairings import dual_rep_basis, h2_basis_cocycles, intersection_form
+from trihodge.spin import enumerate_spin
+from trihodge.spinc import base_ledger
 
-from helpers import ladder_diagram, validate_by_pair_sums
+from helpers import cold_copy, ladder_diagram, validate_by_pair_sums
 from test_acceptance import RANDOM_SUITE
 from test_pairings import DUALITY_SUITE
 
@@ -57,6 +63,46 @@ class TestConstruction:
         d1 = builtin("CP2")
         d2 = diagram_from_curves(1, [(1, 0)], [(0, 1)], [(1, 1)], label="other")
         assert d1 == d2
+
+
+def records(d: TrisectionDiagram) -> dict:
+    """One instance of each of the package's immutable record classes, built on d."""
+    return {
+        "cut system": d.alpha,
+        "diagram": d,
+        "validation report": d.validation,
+        "subgroup": d.lagrangian_subgroup(1),
+        "quotient": d.triple_quotient,
+        "surface lattice": d.lattice,
+        "homology group": homology_groups(d)[2],
+        "complex": homology_complex(d),
+        "diamond": hodge_diamond(d),
+        "cocycle": h2_basis_cocycles(d)[0],
+        "dual rep": dual_rep_basis(d)[0],
+        "intersection form": intersection_form(d),
+        "enhancement": enumerate_spin(d)[0],
+        "ledger": base_ledger(d),
+    }
+
+
+# records that compare by identity; the others compare by value
+BY_IDENTITY = {"quotient", "complex"}
+
+
+@pytest.mark.parametrize("kind", records(builtin("S2xS2")))
+def test_records_are_frozen_and_compare_by_value_or_identity(kind):
+    d = builtin("S2xS2")
+    record, twin = records(d)[kind], records(cold_copy(d))[kind]
+    with pytest.raises(AttributeError, match="cannot assign"):
+        record.genus = 0
+    with pytest.raises(AttributeError, match="cannot delete"):
+        del record.genus
+    assert record == record and hash(record) == hash(record)
+    if kind in BY_IDENTITY:
+        assert record != twin
+    else:
+        assert record == twin and hash(record) == hash(twin)
+        assert {record, twin} == {record}
 
 
 class TestValidation:
@@ -218,16 +264,16 @@ class TestPairChecksFromIntersectionMatrices:
     def test_checks_and_k_values_match_the_pair_sum_route(self):
         suite = DUALITY_SUITE + tuple(ladder_diagram(g) for g in range(8, 25))
         for d in suite + PAIR_FAILURES + FALLBACKS:
-            d = replace(d)
+            d = cold_copy(d)
             assert validate(d) == validate_by_pair_sums(d), d.describe()
 
     def test_invalid_inputs_cover_both_branches(self):
         for d in PAIR_FAILURES:
-            d = replace(d)
+            d = cold_copy(d)
             assert validate(d).failures == ("beta+gamma torsion-free",)
             assert "_pair_quotients" not in vars(d)
         for d in FALLBACKS:
-            d = replace(d)
+            d = cold_copy(d)
             assert not validate(d).is_valid
             assert "_pair_quotients" in vars(d), d.alpha
 
@@ -241,7 +287,7 @@ class TestPairChecksFromIntersectionMatrices:
 
         monkeypatch.setattr(lattice, "_Smith", Recorded)
         for d, kept in zip(NON_PRIMITIVE, ([[0, 2, 0, 0]], [[0, 2, 0, 0], [0, 0, 0, 2]])):
-            d = replace(d)
+            d = cold_copy(d)
             residuals.clear()
             report = validate(d)
             assert residuals[0] == kept
@@ -251,7 +297,7 @@ class TestPairChecksFromIntersectionMatrices:
 
     def test_validation_builds_no_pair_sum(self):
         for d in DUALITY_SUITE[::7]:
-            d = replace(d)
+            d = cold_copy(d)
             assert validate(d).is_valid
             assert "_pair_sums" not in vars(d) and "_pair_quotients" not in vars(d)
 
@@ -266,7 +312,7 @@ class TestCurveBases:
     def test_validation_reads_only_the_curves(self):
         suite = RANDOM_SUITE + tuple(torsion_sums_and_their_slides())
         for d in suite + tuple(ladder_diagram(g) for g in (8, 16)):
-            d = replace(d)
+            d = cold_copy(d)
             ensure_valid(d)
             assert "_lagrangians" not in vars(d), d.describe()
 

@@ -1,8 +1,9 @@
 """Source hygiene: no module imports a name it never uses, no private name is
-dead, and every public name is exported, used by the package or the bench, or
-kept on purpose."""
+dead, every public name is exported, used by the package or the bench, or
+kept on purpose, and each lazily exported name resolves to its module's."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,27 @@ def test_every_public_name_is_exported_used_or_kept():
     readers = {f"perfbench.{p.stem}": p.read_text() for p in BENCH_MODULES}
     explained = {*trihodge.__all__, *LOWER_LEVEL_API}
     assert unexplained_public_names(sources, readers, explained) == []
+
+
+def test_lazy_exports_resolve_to_their_defining_modules():
+    for name in trihodge.__all__:
+        value = getattr(trihodge, name)
+        module = importlib.import_module(value.__module__)
+        assert module.__name__ == f"trihodge.{trihodge._MODULE_OF[name]}"
+        assert getattr(module, name) is value
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace: dict = {}
+    exec("from trihodge import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == trihodge.__all__
+
+
+def test_dir_lists_the_public_names_and_unknown_names_raise():
+    assert set(trihodge.__all__) <= set(dir(trihodge))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        getattr(trihodge, "no_such_name")
 
 
 def binds_smith(source: str) -> bool:

@@ -2,7 +2,6 @@
 
 import gc
 import weakref
-from dataclasses import replace
 
 import pytest
 
@@ -28,7 +27,7 @@ from trihodge.pairings import (
 from trihodge.spin import enumerate_spin, spin_count
 from trihodge.spinc import act, base_ledger, c1_difference
 
-from helpers import cech_complex, cocycle_from_blocks, ladder_diagram, plain_form
+from helpers import cech_complex, cocycle_from_blocks, cold_copy, ladder_diagram, plain_form
 from test_acceptance import RANDOM_SUITE
 
 MEMOIZED = (
@@ -284,7 +283,7 @@ CENSUS_DIAGRAMS = [builtin(name) for name in SUMS] + list(RANDOM_SUITE[::5])
 
 
 def test_pair_quotients_build_no_inverse_unless_lifted():
-    diagrams = [builtin(name) for name in SUMS] + [replace(d) for d in RANDOM_SUITE]
+    diagrams = [builtin(name) for name in SUMS] + [cold_copy(d) for d in RANDOM_SUITE]
     for d in diagrams:
         census_query(d)
     assert not any("Uinv" in built(q._smith) for d in diagrams for q in d._pair_quotients)
@@ -298,7 +297,7 @@ def test_pair_quotients_build_no_inverse_unless_lifted():
 
 
 def test_census_query_replays_no_pairing_transform_and_no_lift(smith_forms, lift_reads):
-    diagrams = [replace(d) for d in CENSUS_DIAGRAMS]
+    diagrams = [cold_copy(d) for d in CENSUS_DIAGRAMS]
     reps = [rep for d in diagrams for rep in census_query(d)[1]]
     # the pairing forms serve only lifts; the Gram inverse reads a V of its own
     assert reps and not lift_reads
@@ -313,7 +312,7 @@ def test_census_query_replays_no_pairing_transform_and_no_lift(smith_forms, lift
 
 
 def test_census_query_keeps_cocycles_in_curve_coordinates(lift_reads):
-    diagrams = [replace(d) for d in CENSUS_DIAGRAMS]
+    diagrams = [cold_copy(d) for d in CENSUS_DIAGRAMS]
     cocycles = [x for d in diagrams for x in census_query(d)[0]]
     assert len(cocycles) > len(diagrams)
     # no ambient block is built: a cocycle holds its diagram and coordinates only

@@ -2,7 +2,6 @@
 
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -269,7 +268,7 @@ def test_admissible_exactly_when_euler_entries_form_a_rep(name, entries):
         matched = True
     except CycleConditionError:
         matched = False
-    assert is_admissible(replace(base_ledger(d), euler=euler)) == matched
+    assert is_admissible(base_ledger(d)._with_euler(euler)) == matched
 
 
 SUM3 = builtin("S2xS2#CP2#CP2bar")  # b2 = 4
@@ -298,10 +297,10 @@ def test_derived_class_is_constructed_once(monkeypatch, derive):
     constructed = Counter()
     for cls in (OneOneCocycle, H2DualRep, SpinCLedger):
 
-        def counting(self, check=cls.__post_init__):
+        def counting(self, *args, init=cls.__init__, **kwargs):
             constructed[type(self)] += 1
-            check(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__post_init__", counting)
+        monkeypatch.setattr(cls, "__init__", counting)
     result = derive()
     assert constructed == {type(result): 1}
