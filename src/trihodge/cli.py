@@ -10,7 +10,10 @@ of cut system lam, in the order the diagram lists them. An --act file still
 gives ambient vectors a_1, a_2, a_3, so its meaning does not depend on the
 curves. The basis cocycles and Gram matrix printed by form are built in the
 curve bases too: they may change under a handleslide, while rank,
-signature, parity and unimodularity do not.
+signature, parity and unimodularity do not. The three-way H2 check of
+homology compares H2 of the homology complex, its dual read in closed form,
+and the duality laws applied to H1, which is read off the invariant factors
+of all 3g curves and so is independent of the complex.
 
 Exit codes: 0 success (and diagram valid), 1 invalid diagram or rep, or a
 refused computation (a spin listing over spin.MAX_LISTED structures),
@@ -32,8 +35,7 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
-from typing import TYPE_CHECKING
+from contextlib import suppress
 
 # Each subcommand imports the modules it reads when it runs, so a call loads
 # only those (see "CLI start-up" in README.md).
@@ -41,6 +43,7 @@ from .diagram import (
     CycleConditionError,
     InvalidDiagramError,
     TrisectionDiagram,
+    _span_quotient,
     builtin,
     builtin_genus,
     diagram_from_curves,
@@ -49,6 +52,7 @@ from .diagram import (
     random_diagram,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .pairings import H2DualRep
 
@@ -110,7 +114,8 @@ def _group_doc(h) -> dict:
 
 def _read_json_file(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -225,9 +230,10 @@ def cmd_homology(d: TrisectionDiagram, args) -> Report:
     groups = homology_groups(d)
     fm_middle = groups[2]
     dual_middle = dual_middle_homology(d)
-    # Poincare duality and universal coefficients give H2 from H1 and chi alone.
-    h1 = d.triple_quotient
-    law_middle = HomologyGroup(euler_characteristic(d) - 2 + 2 * h1.free_rank, h1.torsion)
+    # Poincare duality and universal coefficients give H2 from H1 and chi
+    # alone; H1 is Z^2g modulo the span of all 3g curves, read off the curves.
+    b1, torsion = _span_quotient([c for cs in d.systems for c in cs.curves], 2 * d.genus)
+    law_middle = HomologyGroup(euler_characteristic(d) - 2 + 2 * b1, torsion)
     agreed = fm_middle == dual_middle == law_middle
     payload = {
         "groups": {f"H_{k}": _group_doc(h) for k, h in enumerate(groups)},
@@ -386,14 +392,29 @@ _DESCRIPTIONS = {
 }
 
 
+def _help_formatter(prog: str) -> argparse.HelpFormatter:
+    """argparse's formatter at the width ``shutil.get_terminal_size`` gives.
+
+    argparse builds a formatter for every argument it adds; given no width,
+    each imports shutil, a few milliseconds of every call.
+    """
+    columns = 0
+    with suppress(KeyError, ValueError):
+        columns = max(int(os.environ["COLUMNS"]), 0)
+    with suppress(AttributeError, ValueError, OSError):
+        columns = columns or os.get_terminal_size(sys.__stdout__.fileno()).columns
+    return argparse.HelpFormatter(prog, width=(columns or 80) - 2)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trihodge",
         description="Exact integer invariants of closed 4-manifolds from trisection diagrams.",
+        formatter_class=_help_formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     for name, handler in _HANDLERS.items():
-        p = sub.add_parser(name, help=_DESCRIPTIONS[name])
+        p = sub.add_parser(name, help=_DESCRIPTIONS[name], formatter_class=_help_formatter)
         p.add_argument("path", nargs="?", help="diagram JSON file")
         p.add_argument("--builtin", help="builtin diagram name, e.g. CP2 or CP2#CP2bar")
         p.add_argument("--genus", type=int, help="genus for a random diagram")

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import is_
-from typing import TYPE_CHECKING
 
 from .diagram import TrisectionDiagram, ensure_valid, memoized
 from .lattice import (
@@ -56,6 +55,7 @@ from .lattice import (
     as_int_vector,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -203,8 +203,8 @@ class FreeChainComplex(_Frozen):
         the cycles. At a position in ``generator_positions`` the cycles come
         from the memoized elimination of the outgoing differential, and this
         is the group ``homology_at`` returns. Elsewhere the kernel is
-        computed afresh and the group taken from ``homology_at``; only the
-        tests pay for that.
+        computed afresh and the group taken from ``homology_at``; only
+        ``pairings.h3_representatives`` and the tests pay for that.
         """
         self._check_position(pos)
         if pos >= len(self.columns):
@@ -235,7 +235,10 @@ def homology(complex_: FreeChainComplex, degree: int) -> HomologyGroup:
 @memoized
 def _curve_coordinates(d: TrisectionDiagram, lam: int) -> _SpanCoordinates:
     """Coordinates in the curves of system lam (0-based) of vectors of its Lagrangian."""
-    return _SpanCoordinates(d.systems[lam].curves, 2 * d.genus)
+    solve = _SpanCoordinates(d.systems[lam].curves, 2 * d.genus)
+    if solve.rank != d.genus:
+        raise ValueError("vectors are dependent")
+    return solve
 
 
 def _negated(v: tuple[int, ...]) -> tuple[int, ...]:

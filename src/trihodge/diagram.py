@@ -11,30 +11,20 @@ the pairwise intersection numbers, and the invariant factors of the rows,
 which build no Smith transform. Each cyclic pair of systems is a Heegaard
 diagram of a connected sum of copies of S1 x S2, whose H1 is the cokernel
 of the g x g intersection matrix of the two systems' curves. Validation
-reads each pair check off that matrix, and builds the canonical
-Lagrangians, pair sums and quotients only when a check cannot (the next
-system is no primitive Lagrangian) or a caller reads them.
+reads each pair check off that matrix. When it cannot, because the next
+system is no primitive Lagrangian, it reads the invariant factors of the
+2g curves of the pair, which span the pair sum. Validation builds no
+canonical Lagrangian; only ``lagrangian_subgroup`` and ``pair_sum`` do,
+for callers that read them.
 """
 
 from __future__ import annotations
 
 import random
 from functools import cached_property, wraps
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
-from . import lattice as _lattice
-from .lattice import (
-    QuotientPresentation,
-    Subgroup,
-    _Value,
-    _dot,
-    _invariant_factors,
-    _span,
-    as_int_vector,
-    quotient,
-    subgroup_intersection,
-    subgroup_sum,
-)
+from .lattice import Subgroup, _Value, _dot, _invariant_factors, _span, as_int_vector, subgroup_sum
 from .surface import SymplecticLattice, _pairing_rows
 
 SYSTEM_NAMES = ("alpha", "beta", "gamma")
@@ -127,33 +117,12 @@ class TrisectionDiagram(_Value):
         return self._lagrangians[_system_index(lam)]
 
     @cached_property
-    def _pair_intersections(self) -> tuple[Subgroup, Subgroup, Subgroup]:
-        L = self._lagrangians
-        return tuple(
-            subgroup_intersection(L[i], L[(i + 1) % 3]) for i in range(3)
-        )
-
-    def pair_intersection(self, lam: int) -> Subgroup:
-        """L_lam intersected with L_{lam+1} (indices cyclic)."""
-        return self._pair_intersections[_system_index(lam)]
-
-    @cached_property
     def _pair_sums(self) -> tuple[Subgroup, Subgroup, Subgroup]:
         L = self._lagrangians
         return tuple(subgroup_sum(L[i], L[(i + 1) % 3]) for i in range(3))
 
     def pair_sum(self, lam: int) -> Subgroup:
         return self._pair_sums[_system_index(lam)]
-
-    @cached_property
-    def triple_sum(self) -> Subgroup:
-        """L1 + L2 + L3, spanned by the canonical columns of all three at once."""
-        return _span(self.lattice.rank, [c for L in self._lagrangians for c in L.columns()])
-
-    @cached_property
-    def triple_quotient(self) -> QuotientPresentation:
-        """The surface lattice modulo L1 + L2 + L3 (degree-one homology of X)."""
-        return quotient(self.lattice.rank, self.triple_sum)
 
     @cached_property
     def _curve_pairings(self) -> tuple[list[list[int]], ...]:
@@ -175,31 +144,8 @@ class TrisectionDiagram(_Value):
         )
 
     @cached_property
-    def _pairing_forms(self) -> tuple[_lattice._Smith, ...]:
-        """Smith forms of the pairing maps x -> (<c, x>) over each system's curves c.
-
-        Built only for ``H2DualRep.lifts``: on a valid diagram each map is
-        onto Z^g, and the transforms of its form solve for vectors with given
-        pairings. Validation reads the maps' invariant factors without them.
-        """
-        rank = self.lattice.rank
-        return tuple(_lattice._Smith(rows, rank) for rows in self._curve_pairings)
-
-    def pair_quotient(self, lam: int) -> QuotientPresentation:
-        """H1 of the boundary 3-manifold of sector lam: lattice mod (L_lam + L_{lam+1})."""
-        return self._pair_quotients[_system_index(lam)]
-
-    @cached_property
-    def _pair_quotients(self) -> tuple[QuotientPresentation, ...]:
-        return tuple(quotient(self.lattice.rank, S) for S in self._pair_sums)
-
-    @cached_property
     def validation(self) -> "ValidationReport":
         return validate(self)
-
-    @property
-    def is_valid(self) -> bool:
-        return self.validation.is_valid
 
     def describe(self) -> str:
         return self.label if self.label is not None else f"genus-{self.genus} diagram"
@@ -220,7 +166,7 @@ class ValidationReport(_Value):
     def __repr__(self) -> str:
         return f"ValidationReport(checks={self.checks!r}, k_values={self.k_values!r})"
 
-    @property
+    @cached_property
     def is_valid(self) -> bool:
         return all(ok for _, ok in self.checks)
 
@@ -267,16 +213,19 @@ def validate(d: TrisectionDiagram) -> ValidationReport:
         primitive = _invariant_factors(rows, 2 * d.genus) == (1,) * d.genus
         checks += [(f"{name} isotropic", isotropic), (f"{name} primitive", primitive)]
         lagrangian.append(isotropic and primitive)
-    pair_names = ("alpha+beta", "beta+gamma", "gamma+alpha")
-    k = []
-    for lam, name in enumerate(pair_names):
-        if lagrangian[(lam + 1) % 3]:
-            factors = _intersection_factors(d, lam)
-            torsion_free, free_rank = all(f == 1 for f in factors), d.genus - len(factors)
+    g, k = d.genus, []
+    for lam, name in enumerate(("alpha+beta", "beta+gamma", "gamma+alpha")):
+        nxt = (lam + 1) % 3
+        # when system nxt spans a primitive Lagrangian L', v -> (<c'_j, v>)
+        # maps Z^2g onto Z^g with kernel L', which identifies Z^2g / (L + L')
+        # with the cokernel of Q_lam; otherwise read the span of both
+        # systems' curves, which is L + L'
+        if lagrangian[nxt]:
+            free_rank, torsion = _span_quotient(d._intersection_matrices[lam], g)
         else:
-            q = d.pair_quotient(lam + 1)
-            torsion_free, free_rank = q.torsion == (), q.free_rank
-        checks.append((f"{name} torsion-free", torsion_free))
+            curves = d.systems[lam].curves + d.systems[nxt].curves
+            free_rank, torsion = _span_quotient(curves, 2 * g)
+        checks.append((f"{name} torsion-free", not torsion))
         k.append(free_rank)
     report_checks = tuple(checks)
     # rank(L + L') + rank(L n L') = 2g, so each k is the free rank of
@@ -285,16 +234,11 @@ def validate(d: TrisectionDiagram) -> ValidationReport:
     return ValidationReport(checks=report_checks, k_values=tuple(k) if valid else None)
 
 
-def _intersection_factors(d: TrisectionDiagram, lam: int) -> tuple[int, ...]:
-    """Nonzero invariant factors of Q = (<c_i, c'_j>), c the curves of system
-    lam (0-based) and c' those of the next system.
-
-    When the next system's curves are a basis of a primitive Lagrangian L',
-    v -> (<c'_j, v>) maps Z^2g onto Z^g with kernel L', so it identifies
-    Z^2g / (L + L') with the cokernel of Q: the pair sum is saturated when
-    every factor is 1, and its quotient has free rank g - rank Q.
-    """
-    return _invariant_factors(d._intersection_matrices[lam], d.genus)
+def _span_quotient(rows: Sequence[Sequence[int]], width: int) -> tuple[int, tuple[int, ...]]:
+    """Free rank and torsion of Z^width modulo the span of trusted rows,
+    read off their invariant factors."""
+    factors = _invariant_factors(rows, width)
+    return width - len(factors), tuple(f for f in factors if f >= 2)
 
 
 def ensure_valid(d: TrisectionDiagram) -> None:

@@ -5,17 +5,18 @@ module is the computational core: canonical echelon bases for subgroups of Z^n,
 Smith normal form with unimodular transforms, and quotient presentations with
 explicit project/lift maps.
 
-Kernels and intersections come from the echelon routine that canonicalizes
-every subgroup; a kernel eliminates only downward in the matrix part of
-[m^T | I] and canonicalizes just the kernel rows, and the same elimination
-without the identity block gives an echelon of the image. Run on
-independent vectors beside an identity block, it also gives coordinates in
-those vectors (``_SpanCoordinates``). Invariant factors split a factor 1
-off at each entry of +-1 and hand only the block left without one to a
-Smith form. Smith forms serve that block and what needs transforms. Each
-computes D and records its row and column operations; the transforms U,
-U^{-1} and V are replayed from the record on first read, so a caller that
-reads only invariant factors or ranks builds none of them.
+Kernels come from the echelon routine that canonicalizes every subgroup; a
+kernel eliminates only downward in the matrix part of [m^T | I] and
+canonicalizes just the kernel rows, and the same elimination without the
+identity block gives an echelon of the image. Run on vectors beside an
+identity block, it also solves sum_i a_i c_i = v (``_SpanCoordinates``),
+the package's one integer solver. Invariant factors split a factor 1 off
+at each entry of +-1 and hand only the block left without one to a Smith
+form. Smith forms serve that block, the free generators of a cokernel
+(``_cokernel``) and the public ``smith_normal_form`` and ``quotient``.
+Each computes D and records its row and column operations; the transforms
+U, U^{-1} and V are replayed from the record on first read, so a caller
+that reads only invariant factors or ranks builds none of them.
 
 Inside the package a matrix is a list of rows of Python ints, and a subgroup
 or a chain complex keeps its columns as tuples, so all arithmetic is exact at
@@ -29,11 +30,12 @@ ints, built by ``_array`` when asked for. No code path touches floating point.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from contextlib import suppress
 from functools import cached_property
 from operator import index, mul
-from typing import TYPE_CHECKING, Iterable, Sequence
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -356,38 +358,6 @@ def _unit_entry(rows: list[list[int]]) -> tuple[int, int] | None:
     return None
 
 
-def integer_solve(m: np.ndarray, rhs: Sequence[int]) -> tuple[int, ...]:
-    """One integer solution x of ``m @ x == rhs``.
-
-    Solves through the Smith form: with U m V = D the system becomes a
-    diagonal one for V^{-1} x. Raises ValueError when no integer solution
-    exists; when the system is underdetermined an arbitrary solution is
-    returned (free coordinates set to zero).
-    """
-    rows, ncols = _checked_rows(m)
-    rhs = as_int_vector(rhs, len(rows))
-    smith = _Smith(rows, ncols)
-    diag = snf_diagonal(smith.D)
-    s = len(diag)
-    z = [0] * ncols
-    for i, row in enumerate(smith.U):
-        val = _dot(row, rhs)
-        if i < s:
-            if val % diag[i]:
-                raise ValueError("no integer solution: divisibility fails")
-            z[i] = val // diag[i]
-        elif val:
-            raise ValueError("no integer solution: inconsistent system")
-    return tuple(_dot(row, z) for row in smith.V)
-
-
-def _unimodular_inverse(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    """Inverse of a unimodular matrix: V U from its Smith form U m V = I."""
-    smith = _Smith(rows, len(rows))
-    u_cols = list(zip(*smith.U))
-    return tuple(tuple(_dot(v_row, u_col) for u_col in u_cols) for v_row in smith.V)
-
-
 class _Frozen:
     """Base of the package's immutable records: ``__init__`` sets each field
     with ``object.__setattr__``, and any later assignment or deletion raises.
@@ -615,25 +585,27 @@ def _eliminate(
 
 
 class _SpanCoordinates:
-    """Coordinates of members of the span of independent trusted vectors c_1..c_n.
+    """Integer solutions a of sum_i a_i c_i = v over trusted vectors c_1..c_n.
 
-    One downward echelon of the rows [c_i | e_i] gives echelon rows E = T C,
-    with T unimodular: the identity block tracks the row operations. A member
-    v = a E is read off the pivots of E by forward substitution, and its
-    coordinates in the c_i are a T.
+    The package's one integer solver. One downward echelon of the rows
+    [c_i | e_i] gives echelon rows E = T C, with T unimodular: the identity
+    block tracks the row operations. Its nonzero rows are the first ``rank``.
+    A member v = a E is read off their pivots by forward substitution, and
+    a T is a solution; it is the only one when the c_i are independent
+    (``rank == n``).
     """
 
     def __init__(self, vectors: Sequence[Sequence[int]], width: int):
         n = len(vectors)
         work = [list(v) + unit for v, unit in zip(vectors, _identity_rows(n))]
         pivots = _forward_echelon(work, width, width + n)
-        if len(pivots) != n:
-            raise ValueError("vectors are dependent")
+        self.rank = len(pivots)
         self._rows = [(col, row[:width]) for col, row in zip(pivots, work)]
-        self._tracker = [row[width:] for row in work]
+        self._tracker = [row[width:] for row in work[: self.rank]]
+        self._count = n
 
     def __call__(self, v: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates of trusted v; ValueError unless v lies in the span."""
+        """One solution for trusted v; ValueError unless v lies in the span."""
         rem = list(v)
         coeffs = []
         for col, row in self._rows:
@@ -647,7 +619,7 @@ class _SpanCoordinates:
                     rem[i] -= q * row[i]
         if any(rem):
             raise ValueError("vector is not in the span")
-        return _combination(self._tracker, coeffs, len(self._tracker))
+        return _combination(self._tracker, coeffs, self._count)
 
 
 class QuotientPresentation(_Frozen):
@@ -736,19 +708,6 @@ def _cokernel(rows: list[list[int]], ncols: int) -> QuotientPresentation:
         _torsion_indices=torsion_indices,
         _free_indices=tuple(range(s, ambient_rank)),
     )
-
-
-def subgroup_intersection(a: Subgroup, b: Subgroup) -> Subgroup:
-    """Intersection of two subgroups of the same Z^n."""
-    if a.ambient_rank != b.ambient_rank:
-        raise ValueError("subgroups of different ambient ranks")
-    if a.rank == 0 or b.rank == 0:
-        return Subgroup.trivial(a.ambient_rank)
-    paired = list(a.columns()) + [tuple(-x for x in col) for col in b.columns()]
-    ker = _kernel(paired, a.ambient_rank)
-    a_cols = a.columns()
-    gens = [_combination(a_cols, col[: a.rank], a.ambient_rank) for col in ker.columns()]
-    return _span(a.ambient_rank, gens)
 
 
 def subgroup_sum(a: Subgroup, b: Subgroup) -> Subgroup:

@@ -21,6 +21,11 @@ basis) is built in one step: the coordinates are combined first, then the
 class is constructed once, so its check runs once on the result. No
 ambient vector is built unless a caller reads the blocks.
 
+Degrees one and three are read from the homology complex too: the triple
+intersection from its degree-three cycles, degree-three representatives
+from its degree-one generators. Every solve goes through
+``lattice._SpanCoordinates``.
+
 Everything here is integer arithmetic, the congruence diagonalization that
 gives the signature and the determinant of the form included.
 """
@@ -41,9 +46,12 @@ from .lattice import (
     _Value,
     _combination,
     _dot,
-    _unimodular_inverse,
+    _identity_rows,
+    _kernel,
+    _span,
+    _SpanCoordinates,
+    _transpose,
     as_int_vector,
-    subgroup_intersection,
 )
 
 
@@ -174,21 +182,10 @@ class H2DualRep(_Value):
     def lifts(self) -> tuple[tuple[int, ...], ...]:
         """Ambient vectors with these coordinates, each reduced modulo its L_lam.
 
-        With U N V = [I | 0] the Smith form of the pairing map N on the
-        curves of system lam (``TrisectionDiagram._pairing_forms``), the
-        dual basis V[:, :g] U times the curve pairings is reduced along the
-        canonical columns of L_lam, to the one vector of its class whose
-        pivot-row entries lie in [0, pivot).
+        Block lam is ``_reduced_lift`` of its pairings with the curves of
+        system lam.
         """
-        d = self.diagram
-        g = d.genus
-        out = []
-        for lam, smith, c in zip((1, 2, 3), d._pairing_forms, self.coords):
-            u = [_dot(row, c) for row in smith.U]
-            lift = [_dot(row[:g], u) for row in smith.V]
-            d.lagrangian_subgroup(lam)._substitute(lift)
-            out.append(tuple(lift))
-        return tuple(out)
+        return tuple(_reduced_lift(self.diagram, lam, c) for lam, c in enumerate(self.coords))
 
     @classmethod
     def zero(cls, d: TrisectionDiagram) -> "H2DualRep":
@@ -209,6 +206,27 @@ class H2DualRep(_Value):
 
     def __sub__(self, other: "H2DualRep") -> "H2DualRep":
         return _rep_combination(self.diagram, (self, other), (1, -1))
+
+
+@memoized
+def _pairing_solver(d: TrisectionDiagram, lam: int) -> _SpanCoordinates:
+    """Solves (<c_i, a>)_i = v for a in Z^2g, c the curves of system lam (0-based).
+
+    A solution combines the 2g columns of the pairing map. On a valid
+    diagram that map is onto Z^g with kernel L_lam, so every v has
+    solutions, and they differ by vectors of L_lam.
+    """
+    return _SpanCoordinates(_transpose(d._curve_pairings[lam], 2 * d.genus), d.genus)
+
+
+def _reduced_lift(d: TrisectionDiagram, lam: int, v: tuple[int, ...]) -> tuple[int, ...]:
+    """The vector with pairings v against the curves of system lam (0-based)
+    whose pivot-row entries along the canonical columns of L_lam lie in
+    [0, pivot), the one such vector in its class. The solver's own solution
+    grows with genus on the ladder recipe; the reduction bounds it."""
+    lift = list(_pairing_solver(d, lam)(v))
+    d.lagrangian_subgroup(lam + 1)._substitute(lift)
+    return tuple(lift)
 
 
 def _rep_combination(d: TrisectionDiagram, reps, coeffs) -> H2DualRep:
@@ -376,9 +394,19 @@ def intersection_form(d: TrisectionDiagram) -> IntersectionForm:
 
 @memoized
 def triple_intersection(d: TrisectionDiagram) -> Subgroup:
-    """L1 n L2 n L3: representatives of the free degree-one cohomology."""
-    ensure_valid(d)
-    return subgroup_intersection(d.pair_intersection(1), d.lagrangian_subgroup(3))
+    """L1 n L2 n L3: representatives of the free degree-one cohomology.
+
+    Read from the cycles of the homology complex's pairwise intersections:
+    a cycle has the same vector of L1 n L2 n L3 in each pair block, and every
+    such vector is one. Its alpha-beta columns give that vector in alpha
+    curve coordinates, up to sign, in their alpha block.
+    """
+    c = homology_complex(d)
+    g = d.genus
+    ab = len(_pair_difference_columns(d)[0])
+    alpha = [_combination(d.alpha.curves, col[:g], 2 * g) for col in c.columns[1][:ab]]
+    cycles = _kernel(c.columns[1], c.ranks[2]).columns()
+    return _span(2 * g, [_combination(alpha, w[:ab], 2 * g) for w in cycles])
 
 
 def pairing_h3_h1(d: TrisectionDiagram, h3, h1) -> int:
@@ -403,9 +431,15 @@ def h1_basis(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
 
 
 def h3_representatives(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
-    """Ambient lifts of a basis of the degree-three cohomology modulo torsion."""
-    ensure_valid(d)
-    return d.triple_quotient._free_lifts
+    """Ambient lifts of a basis of the degree-three cohomology modulo torsion.
+
+    Degree one of the homology complex is Z^2g modulo the three Lagrangians,
+    written as pairings with the gamma curves; each free generator there is
+    lifted by ``_reduced_lift``.
+    """
+    c = homology_complex(d)
+    _, gens = c.homology_with_generators(c.position_of_degree(1))
+    return tuple(_reduced_lift(d, 2, v) for v in gens)
 
 
 def evaluate_on_surface_class(d: TrisectionDiagram, x: OneOneCocycle, rep: H2DualRep) -> int:
@@ -452,11 +486,12 @@ def dual_rep_basis(d: TrisectionDiagram) -> tuple[H2DualRep, ...]:
 
 @memoized
 def _inverse_gram(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
-    """Integer inverse of the Gram matrix: V U from its Smith form U G V = I."""
+    """Integer inverse of the Gram matrix G: row i solves x G = e_i."""
     form = intersection_form(d)
     if not form.unimodular:
         raise InvalidStateError("the intersection form of a valid diagram is unimodular")
-    return _unimodular_inverse([list(row) for row in form.gram])
+    solve = _SpanCoordinates(form.gram, form.rank)
+    return tuple(map(solve, _identity_rows(form.rank)))
 
 
 def cocycle_from_dual_rep(d: TrisectionDiagram, rep: H2DualRep) -> OneOneCocycle:

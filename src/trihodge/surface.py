@@ -8,7 +8,7 @@ the package lives in.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .lattice import Subgroup, _Value, as_int_vector
 

@@ -2,12 +2,13 @@
 blocks and the curve coordinates of those blocks, the ladder recipe,
 duality maps, column spans, transvections, the degree-three against
 degree-one Gram matrix, cold copies of diagrams (nothing memoized), and
-eleven oracles: the numpy Smith form, sympy's invariant factors, the
+fifteen oracles: the numpy Smith form, sympy's invariant factors, the
 Bareiss determinant, the full-width congruence diagonalization over the
-rationals, the Smith-form kernel, validation by pair sums, homology by
-kernels, the five-term complex of the three Lagrangians with its dual, the
-Cech complexes behind the diamond, the solved Poincare dual and the
-brute-force spin filter.
+rationals, the Smith-form kernel, the Smith-form integer solve, the
+intersection of canonical subgroups, the quotients by canonical pair and
+triple sums, validation by pair sums, homology by kernels, the five-term
+complex of the three Lagrangians with its dual, the Cech complexes behind
+the diamond, the solved Poincare dual and the brute-force spin filter.
 
 The suites use these to generate inputs and to state laws; the package
 itself never needs them.
@@ -36,10 +37,10 @@ from trihodge.diagram import (
     memoized,
 )
 from trihodge.lattice import (
+    QuotientPresentation,
     Subgroup,
     as_int_vector,
     identity,
-    integer_solve,
     intmat,
     kernel_basis,
     quotient,
@@ -265,6 +266,70 @@ def smith_kernel_basis(m: np.ndarray) -> Subgroup:
     return Subgroup.from_columns(m.shape[1], matrix_columns(V[:, len(snf_diagonal(D)) :]))
 
 
+def integer_solve(m: np.ndarray, rhs: Sequence[int]) -> tuple[int, ...]:
+    """One integer solution x of ``m @ x == rhs``, through the Smith form.
+
+    With U m V = D the system becomes a diagonal one for V^{-1} x; free
+    coordinates are set to zero. Raises ValueError when no integer solution
+    exists. The oracle for ``lattice._SpanCoordinates``, which solves by one
+    echelon beside an identity block instead.
+    """
+    rhs = as_int_vector(rhs, m.shape[0])
+    U, D, V = smith_normal_form(m)
+    diag = snf_diagonal(D)
+    z = [0] * m.shape[1]
+    for i, row in enumerate(U.tolist()):
+        val = sum(a * b for a, b in zip(row, rhs))
+        if i < len(diag):
+            if val % diag[i]:
+                raise ValueError("no integer solution: divisibility fails")
+            z[i] = val // diag[i]
+        elif val:
+            raise ValueError("no integer solution: inconsistent system")
+    return tuple(sum(a * b for a, b in zip(row, z)) for row in V.tolist())
+
+
+def subgroup_intersection(a: Subgroup, b: Subgroup) -> Subgroup:
+    """Intersection of two subgroups of the same Z^n, from the kernel of [A | -B].
+
+    The oracle for ``pairings.triple_intersection``, which reads L1 n L2 n L3
+    off the cycles of the homology complex instead of intersecting the
+    canonical Lagrangians.
+    """
+    if a.ambient_rank != b.ambient_rank:
+        raise ValueError("subgroups of different ambient ranks")
+    if a.rank == 0 or b.rank == 0:
+        return Subgroup.trivial(a.ambient_rank)
+    paired = a.columns() + tuple(tuple(-x for x in col) for col in b.columns())
+    ker = kernel_basis(intmat(list(zip(*paired)), cols=len(paired)))
+    members = [a.member_from_coordinates(col[: a.rank]) for col in ker.columns()]
+    return Subgroup.from_columns(a.ambient_rank, members)
+
+
+def pair_quotient(d: TrisectionDiagram, lam: int) -> QuotientPresentation:
+    """The surface lattice modulo the canonical pair sum L_lam + L_{lam+1}.
+
+    The oracle for each pair check of ``diagram.validate``, which reads the
+    invariant factors of an intersection matrix or of the pair's 2g curves.
+    """
+    return quotient(d.lattice.rank, d.pair_sum(lam))
+
+
+def triple_sum(d: TrisectionDiagram) -> Subgroup:
+    """L1 + L2 + L3, spanned by the canonical columns of all three at once."""
+    columns = [c for lam in (1, 2, 3) for c in d.lagrangian_subgroup(lam).columns()]
+    return Subgroup.from_columns(d.lattice.rank, columns)
+
+
+def triple_quotient(d: TrisectionDiagram) -> QuotientPresentation:
+    """The surface lattice modulo L1 + L2 + L3 (degree-one homology of X).
+
+    The oracle for the curve-span route of the CLI's three-way H2 check,
+    which reads the invariant factors of the 3g curves instead.
+    """
+    return quotient(d.lattice.rank, triple_sum(d))
+
+
 def sympy_invariant_factors(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, ...]:
     """Nonzero invariant factors of rows, the diagonal of sympy's Smith normal form.
 
@@ -292,7 +357,7 @@ def validate_by_pair_sums(d: TrisectionDiagram) -> ValidationReport:
         rows = [[plain_form(e, u) for u in units] for e in L.columns()]
         ones = sympy_invariant_factors(rows, lat.rank) == (1,) * d.genus
         checks.append((f"{name} primitive", L.rank == d.genus and ones))
-    quotients = [d.pair_quotient(lam) for lam in (1, 2, 3)]
+    quotients = [pair_quotient(d, lam) for lam in (1, 2, 3)]
     for name, q in zip(("alpha+beta", "beta+gamma", "gamma+alpha"), quotients):
         checks.append((f"{name} torsion-free", q.torsion == ()))
     valid = all(ok for _, ok in checks)

@@ -60,7 +60,8 @@ def test_golden_output(golden_name, argv):
 
 
 # Runs main(argv) in a fresh interpreter (argv empty: import only) and
-# prints its exit code and the modules loaded after interpreter start.
+# prints its exit code and the modules loaded after interpreter start. The
+# interpreter runs with -S, so no site hook has imported anything first.
 IMPORT_PROBE = """
 import sys
 before = set(sys.modules)
@@ -108,7 +109,7 @@ def test_cli_never_loads_numpy(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, *argv],
+        [sys.executable, "-S", "-c", IMPORT_PROBE, *argv],
         env=env,
         capture_output=True,
         text=True,
@@ -120,6 +121,8 @@ def test_cli_never_loads_numpy(argv):
     assert "numpy" not in loaded
     # dataclasses pulls in inspect, ast, dis and tokenize; fractions decimal
     assert not {"dataclasses", "fractions"} & set(loaded)
+    # start-up costs a site hook can hide: the package needs none of them
+    assert not {"pathlib", "typing", "shutil"} & set(loaded)
     package = {m for m in loaded if m.split(".")[0] == "trihodge"}
     assert package == ALWAYS_LOADED | READS[argv[0] if argv else "import"]
 

@@ -23,18 +23,28 @@ from trihodge.diagram import (
     standard_triple,
     validate,
 )
+from trihodge import diagram as diagram_module
 from trihodge.complexes import (
     _pair_difference_columns,
     hodge_diamond,
     homology_complex,
     homology_groups,
 )
+from trihodge.diagram import _span_quotient
 from trihodge.lattice import Subgroup, _combination, subgroup_sum
 from trihodge.pairings import dual_rep_basis, h2_basis_cocycles, intersection_form
 from trihodge.spin import enumerate_spin
 from trihodge.spinc import base_ledger
 
-from helpers import cold_copy, ladder_diagram, validate_by_pair_sums
+from helpers import (
+    cold_copy,
+    ladder_diagram,
+    pair_quotient,
+    subgroup_intersection,
+    triple_quotient,
+    triple_sum,
+    validate_by_pair_sums,
+)
 from test_acceptance import RANDOM_SUITE
 from test_pairings import DUALITY_SUITE
 
@@ -72,7 +82,7 @@ def records(d: TrisectionDiagram) -> dict:
         "diagram": d,
         "validation report": d.validation,
         "subgroup": d.lagrangian_subgroup(1),
-        "quotient": d.triple_quotient,
+        "quotient": triple_quotient(d),
         "surface lattice": d.lattice,
         "homology group": homology_groups(d)[2],
         "complex": homology_complex(d),
@@ -120,8 +130,8 @@ class TestValidation:
         assert k_values(builtin("QS4_Z3")) == (1, 1, 1)
 
     def test_torsion_builtins_have_unsaturated_triple_sum(self):
-        assert builtin("QS4_Z2").triple_quotient.torsion == (2,)
-        assert builtin("QS4_Z3").triple_quotient.torsion == (3,)
+        assert triple_quotient(builtin("QS4_Z2")).torsion == (2,)
+        assert triple_quotient(builtin("QS4_Z3")).torsion == (3,)
         assert euler_characteristic(builtin("QS4_Z2")) == 2
 
     def test_cp2_lagrangian_subgroups(self):
@@ -221,14 +231,18 @@ def torsion_sums_and_their_slides():
 
 class TestKValuesFromPairQuotients:
     def test_validation_builds_no_pair_intersection(self):
+        fn = _pair_difference_columns
+        pair_columns = f"{fn.__module__}.{fn.__qualname__}"
         for d in (builtin("S2xS2#QS4_Z3"), random_diagram(6, 0), builtin("S1xS3#S1xS3")):
             assert d.validation.is_valid
-            assert "_pair_intersections" not in d.__dict__
+            assert pair_columns not in vars(d) and "_lagrangians" not in vars(d)
 
     def test_k_values_are_the_pair_intersection_ranks(self):
         for d in RANDOM_SUITE + tuple(torsion_sums_and_their_slides()):
             k = d.validation.k_values
-            assert k == tuple(P.rank for P in d._pair_intersections), d.describe()
+            L = [d.lagrangian_subgroup(lam) for lam in (1, 2, 3)]
+            ranks = tuple(subgroup_intersection(L[i], L[(i + 1) % 3]).rank for i in range(3))
+            assert k == ranks, d.describe()
 
     def test_invalid_diagrams_report_no_k_values(self):
         for d in INVALID:
@@ -246,7 +260,7 @@ NON_PRIMITIVE = tuple(
     for alpha in ([(2, 0, 0, 0), (0, 0, 1, 0)], [(2, 0, 0, 0), (0, 0, 2, 0)])
 )
 # Invalid inputs where some system is no primitive Lagrangian, so the pair
-# check into it falls back to the pair quotient.
+# check into it falls back to the invariant factors of the pair's curves.
 FALLBACKS = (
     diagram_from_curves(1, [(0, 0)], [(0, 0)], [(0, 0)]),
     diagram_from_curves(
@@ -267,15 +281,35 @@ class TestPairChecksFromIntersectionMatrices:
             d = cold_copy(d)
             assert validate(d) == validate_by_pair_sums(d), d.describe()
 
-    def test_invalid_inputs_cover_both_branches(self):
+    def test_invalid_inputs_cover_both_branches(self, monkeypatch):
+        widths, quotients = [], []
+        build = lattice.QuotientPresentation.__init__
+
+        def recorded(rows, width):
+            widths.append(width)
+            return _span_quotient(rows, width)
+
+        def counted(self, *args, **kwargs):
+            quotients.append(self)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(diagram_module, "_span_quotient", recorded)
+        monkeypatch.setattr(lattice.QuotientPresentation, "__init__", counted)
+        # a pair check reads a g x g intersection matrix, a fallback the 2g
+        # curves of a pair
         for d in PAIR_FAILURES:
             d = cold_copy(d)
+            widths.clear()
             assert validate(d).failures == ("beta+gamma torsion-free",)
-            assert "_pair_quotients" not in vars(d)
+            assert widths == [d.genus] * 3
         for d in FALLBACKS:
             d = cold_copy(d)
+            widths.clear()
             assert not validate(d).is_valid
-            assert "_pair_quotients" in vars(d), d.alpha
+            assert 2 * d.genus in widths, d.alpha
+            # the fallback reads the curves: no canonical Lagrangian, no quotient
+            assert "_lagrangians" not in vars(d) and "_pair_sums" not in vars(d)
+        assert not quotients
 
     def test_non_primitive_systems_reach_both_smith_branches(self, monkeypatch):
         residuals = []
@@ -299,13 +333,20 @@ class TestPairChecksFromIntersectionMatrices:
         for d in DUALITY_SUITE[::7]:
             d = cold_copy(d)
             assert validate(d).is_valid
-            assert "_pair_sums" not in vars(d) and "_pair_quotients" not in vars(d)
+            assert "_pair_sums" not in vars(d) and "_lagrangians" not in vars(d)
 
     def test_triple_sum_is_the_sum_of_the_pair_sum_and_the_third_lagrangian(self):
         suite = DUALITY_SUITE + tuple(ladder_diagram(g) for g in (8, 12, 16, 24))
         for d in suite + PAIR_FAILURES + FALLBACKS:
             L = d._lagrangians
-            assert d.triple_sum == subgroup_sum(subgroup_sum(L[0], L[1]), L[2]), d.describe()
+            assert triple_sum(d) == subgroup_sum(d.pair_sum(1), L[2]), d.describe()
+            # the curve-span route of the fallback and of the CLI's H2 law
+            quotients = [pair_quotient(d, lam) for lam in (1, 2, 3)] + [triple_quotient(d)]
+            systems = [(0, 1), (1, 2), (2, 0), (0, 1, 2)]
+            for q, spanned in zip(quotients, systems):
+                curves = [c for lam in spanned for c in d.systems[lam].curves]
+                found = _span_quotient(curves, 2 * d.genus)
+                assert found == (q.free_rank, q.torsion), d.describe()
 
 
 class TestCurveBases:

@@ -22,18 +22,18 @@ from trihodge.diagram import diagram_from_curves, random_diagram
 from trihodge.lattice import (
     Subgroup,
     _column_matrix,
+    _combination,
     _invariant_factors,
     _kernel,
     _Smith,
+    _SpanCoordinates,
     as_int_vector,
     identity,
-    integer_solve,
     intmat,
     invariant_factors,
     kernel_basis,
     quotient,
     smith_normal_form,
-    subgroup_intersection,
     subgroup_sum,
     zeros,
 )
@@ -42,10 +42,12 @@ from trihodge.surface import SymplecticLattice
 from helpers import (
     det,
     image_subgroup,
+    integer_solve,
     is_unimodular,
     matrix_columns,
     numpy_snf_with_inverses,
     smith_kernel_basis,
+    subgroup_intersection,
     sympy_invariant_factors,
 )
 from test_acceptance import RANDOM_SUITE
@@ -608,6 +610,26 @@ class TestIntegerSolve:
         sol = integer_solve(m, rhs)
         back = m @ np.array([[v] for v in sol], dtype=object)
         assert [int(e) for e in back[:, 0]] == rhs
+
+    @settings(max_examples=120, deadline=None)
+    @given(int_matrices(max_dim=4), st.data())
+    def test_span_coordinates_solve_exactly_what_the_smith_oracle_solves(self, m, data):
+        # the columns may be dependent; any solution the solver returns must be exact
+        nrows, columns = m.shape[0], matrix_columns(m)
+        solve = _SpanCoordinates(columns, nrows)
+        assert solve.rank == sympy_of(m).rank()
+        x = data.draw(st.lists(small_entries, min_size=len(columns), max_size=len(columns)))
+        shift = data.draw(st.lists(st.integers(-1, 1), min_size=nrows, max_size=nrows))
+        for rhs in (_combination(columns, x, nrows), _combination([shift], [1], nrows)):
+            try:
+                integer_solve(m, rhs)
+            except ValueError:
+                with pytest.raises(ValueError, match="not in the span"):
+                    solve(rhs)
+            else:
+                sol = solve(rhs)
+                assert len(sol) == len(columns)
+                assert _combination(columns, sol, nrows) == rhs
 
 
 FREE_LINE = quotient(1, Subgroup.trivial(1))

@@ -1,11 +1,13 @@
 """Per-diagram memo: results live on the diagram object and die with it."""
 
 import gc
+import io
 import weakref
+from contextlib import redirect_stdout
 
 import pytest
 
-from trihodge import lattice
+from trihodge import cli, lattice
 from trihodge.complexes import (
     _curve_coordinates,
     dual_complex,
@@ -17,6 +19,7 @@ from trihodge.complexes import (
 from trihodge.diagram import InvalidDiagramError, builtin, diagram_from_curves, ensure_valid
 from trihodge.pairings import (
     H2DualRep,
+    _pairing_solver,
     dual_rep_basis,
     evaluate_on_surface_class,
     h2_basis_cocycles,
@@ -27,7 +30,15 @@ from trihodge.pairings import (
 from trihodge.spin import enumerate_spin, spin_count
 from trihodge.spinc import act, base_ledger, c1_difference
 
-from helpers import cech_complex, cocycle_from_blocks, cold_copy, ladder_diagram, plain_form
+from helpers import (
+    cech_complex,
+    cocycle_from_blocks,
+    cold_copy,
+    ladder_diagram,
+    pair_quotient,
+    plain_form,
+    subgroup_intersection,
+)
 from test_acceptance import RANDOM_SUITE
 
 MEMOIZED = (
@@ -79,6 +90,13 @@ def test_groups_and_generators_share_one_result_per_position():
 
 SUMS = ["CP2#CP2bar", "S2xS2#QS4_Z3", "S1xS3#QS4_Z2"]
 
+PAIRING_SOLVER = f"{_pairing_solver.__module__}.{_pairing_solver.__qualname__}"
+
+
+def pairing_solvers(d) -> list[str]:
+    """The memo keys of the pairing solvers built on d, which only lifts read."""
+    return [key for key in vars(d) if key.startswith(PAIRING_SOLVER)]
+
 
 TRANSFORMS = ("U", "V", "Uinv")
 
@@ -128,12 +146,12 @@ def test_smith_forms_build_only_the_transforms_read(name, smith_forms):
     d = builtin(name)
     ensure_valid(d)
     # every factor of validation is split off at a unit entry
-    assert not smith_forms and "_pairing_forms" not in vars(d)
+    assert not smith_forms and not pairing_solvers(d)
     homology_groups(d)
     dual_middle_homology(d)
     assert smith_forms
     assert not any({"U", "V"} & built(form) for form in smith_forms)
-    assert "_pairing_forms" not in vars(d)
+    assert not pairing_solvers(d)
 
 
 @pytest.mark.parametrize("name", ["CP2#CP2bar", "S2xS2#QS4_Z3"])
@@ -162,23 +180,22 @@ def test_validation_and_spin_build_no_transform(name, smith_forms):
     spin_count(d)
     enumerate_spin(d)
     assert smith_forms == []
-    assert "_pairing_forms" not in vars(d)
+    assert not pairing_solvers(d)
 
 
 @pytest.mark.parametrize("name", SUMS)
 def test_validation_builds_no_pair_sum_but_reads_it_on_demand(name):
     d = builtin(name)
     ensure_valid(d)
-    assert "_pair_sums" not in vars(d) and "_pair_quotients" not in vars(d)
+    assert "_pair_sums" not in vars(d) and "_lagrangians" not in vars(d)
     homology_groups(d)
     dual_middle_homology(d)
-    d.triple_quotient
-    assert "_pair_sums" not in vars(d) and "_pair_quotients" not in vars(d)
+    assert "_pair_sums" not in vars(d) and "_lagrangians" not in vars(d)
     L = [d.lagrangian_subgroup(lam) for lam in (1, 2, 3)]
     for lam, k in zip((1, 2, 3), d.validation.k_values):
         pair = lattice.subgroup_sum(L[lam - 1], L[lam % 3])
         assert d.pair_sum(lam) == pair
-        q = d.pair_quotient(lam)
+        q = pair_quotient(d, lam)
         assert (q.free_rank, q.torsion) == (k, ())
         assert all(q.is_zero(col) for col in pair.columns())
 
@@ -286,10 +303,13 @@ def test_pair_quotients_build_no_inverse_unless_lifted():
     diagrams = [builtin(name) for name in SUMS] + [cold_copy(d) for d in RANDOM_SUITE]
     for d in diagrams:
         census_query(d)
-    assert not any("Uinv" in built(q._smith) for d in diagrams for q in d._pair_quotients)
+    # the op builds no pair sum, so no pair quotient either
+    assert not any("_pair_sums" in vars(d) for d in diagrams)
     for d in diagrams:
         for lam in (1, 2, 3):
-            q = d.pair_quotient(lam)
+            q = pair_quotient(d, lam)
+            assert all(q.is_zero(col) for col in d.pair_sum(lam).columns())
+            assert "Uinv" not in built(q._smith)
             n = q.coordinate_count
             for c in [[0] * n, *lattice._identity_rows(n)]:
                 assert q.project(q.lift(c)) == tuple(c)
@@ -299,16 +319,17 @@ def test_pair_quotients_build_no_inverse_unless_lifted():
 def test_census_query_replays_no_pairing_transform_and_no_lift(smith_forms, lift_reads):
     diagrams = [cold_copy(d) for d in CENSUS_DIAGRAMS]
     reps = [rep for d in diagrams for rep in census_query(d)[1]]
-    # the pairing forms serve only lifts; the Gram inverse reads a V of its own
+    # the only transform the op replays is the degree-two generators' U^{-1}
     assert reps and not lift_reads
-    assert not any("_pairing_forms" in vars(d) for d in diagrams)
+    assert all(built(form) in ({"Uinv"}, set()) for form in smith_forms)
+    assert not any(pairing_solvers(d) for d in diagrams)
     before = len(smith_forms)
     for rep in reps:
         assert H2DualRep.from_lifts(rep.diagram, rep.lifts) == rep
     assert len(lift_reads) == len(reps)
-    pairing_forms = [form for d in diagrams for form in vars(d).get("_pairing_forms", ())]
-    assert smith_forms[before:] == pairing_forms
-    assert any(built(form) == {"U", "V"} for form in pairing_forms)
+    # reading lifts solves through one echelon per system and builds no Smith form
+    assert len(smith_forms) == before
+    assert all(len(pairing_solvers(rep.diagram)) == 3 for rep in reps)
 
 
 def test_census_query_keeps_cocycles_in_curve_coordinates(lift_reads):
@@ -319,7 +340,7 @@ def test_census_query_keeps_cocycles_in_curve_coordinates(lift_reads):
     assert all(set(vars(x)) == {"diagram", "coords"} for x in cocycles)
     alpha = f"{_curve_coordinates.__module__}.{_curve_coordinates.__qualname__}(0,)"
     assert not any(alpha in vars(d) for d in diagrams)
-    assert not any("_pairing_forms" in vars(d) for d in diagrams) and not lift_reads
+    assert not any(pairing_solvers(d) for d in diagrams) and not lift_reads
     for x in cocycles:
         assert cocycle_from_blocks(x.diagram, *x.blocks) == x
     assert all(set(vars(x)) == {"diagram", "coords", "blocks"} for x in cocycles)
@@ -330,7 +351,9 @@ def test_kernels_and_intersections_need_no_smith_form(smith_forms):
     assert lattice.kernel_basis(m).rank == 2
     assert lattice.kernel_basis(lattice.zeros(2, 3)).rank == 3
     d = builtin("S2xS2#QS4_Z3")
-    assert [P.rank for P in d._pair_intersections] == [1, 1, 1]
+    L = [d.lagrangian_subgroup(lam) for lam in (1, 2, 3)]
+    assert [subgroup_intersection(L[i], L[(i + 1) % 3]).rank for i in range(3)] == [1, 1, 1]
+    assert triple_intersection(d).rank == 0
     assert len(smith_forms) == 0
 
 
@@ -346,6 +369,26 @@ def test_repeated_c1_difference_needs_no_smith_form(smith_forms):
     assert len(smith_forms) == before
     for b in h2_basis_cocycles(d):
         assert intersection_pairing(d, b, diff) == 2 * evaluate_on_surface_class(d, b, rep)
+
+
+HOMOLOGY_BUILTINS = ["S4", "CP2", "S1xS3", "S2xS2", "QS4_Z3", *SUMS, "CP2#QS4_Z3#S1xS3"]
+
+
+@pytest.mark.parametrize("name", HOMOLOGY_BUILTINS)
+def test_homology_command_builds_no_lagrangian_and_only_the_degree_two_generators(
+    name, smith_forms, monkeypatch
+):
+    loaded = []
+    load = cli._load_diagram
+    monkeypatch.setattr(cli, "_load_diagram", lambda args: loaded.append(load(args)) or loaded[-1])
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["homology", "--builtin", name]) == 0
+    (d,) = loaded
+    assert "_lagrangians" not in vars(d) and "_pair_sums" not in vars(d)
+    # every Smith form reads only invariant factors, except one cokernel that
+    # replays U^{-1} for the free degree-two generators
+    generators = [form for form in smith_forms if built(form)]
+    assert [built(form) for form in generators] == [{"Uinv"}] * (homology_groups(d)[2].rank > 0)
 
 
 def test_equal_diagrams_keep_separate_results():

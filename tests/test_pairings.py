@@ -47,8 +47,9 @@ from helpers import (
     random_matched_lifts,
     scrambled,
     solved_dual_rep,
+    subgroup_intersection,
 )
-from test_acceptance import RANDOM_SUITE
+from test_acceptance import RANDOM_SUITE, SUITE
 
 CP2 = builtin("CP2")
 S1XS3 = builtin("S1xS3")
@@ -467,6 +468,15 @@ class TestH3H1Pairing:
         assert h1_basis(CP2) == ()
         assert h3_representatives(CP2) == ()
         assert pairing_h3_h1(CP2, (1, 0), (0, 0)) == 0
+
+    def test_triple_intersection_matches_the_canonical_lagrangian_oracle(self):
+        checked = 0
+        for d in SUITE + tuple(scrambled(d, 1) for d in SUITE):
+            L = [d.lagrangian_subgroup(lam) for lam in (1, 2, 3)]
+            oracle = subgroup_intersection(subgroup_intersection(L[0], L[1]), L[2])
+            assert triple_intersection(d) == oracle, d.describe()
+            checked += oracle.rank > 0
+        assert checked
 
     def test_perfect_on_s1_x_s3(self):
         gram = h3_h1_gram(S1XS3)
