@@ -32,7 +32,6 @@ ended; nothing goes to stderr).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import suppress
@@ -100,6 +99,8 @@ class Report:
         return "\n".join(head + self.lines)
 
     def render_json(self) -> str:
+        import json
+
         doc = {"command": self.command, "diagram": self.label, "result": self.payload}
         return json.dumps(doc, sort_keys=True, indent=2)
 
@@ -113,6 +114,8 @@ def _group_doc(h) -> dict:
 
 
 def _read_json_file(path: str):
+    import json
+
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
@@ -434,7 +437,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:
         d = _load_diagram(args)
-        report = args.handler(d, args)
+        report: Report = args.handler(d, args)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -50,7 +50,6 @@ from .lattice import (
     _invariant_factors,
     _kernel,
     _span,
-    _SpanCoordinates,
     _transpose,
     as_int_vector,
 )
@@ -232,15 +231,6 @@ def homology(complex_: FreeChainComplex, degree: int) -> HomologyGroup:
     return complex_.homology_at(complex_.position_of_degree(degree))
 
 
-@memoized
-def _curve_coordinates(d: TrisectionDiagram, lam: int) -> _SpanCoordinates:
-    """Coordinates in the curves of system lam (0-based) of vectors of its Lagrangian."""
-    solve = _SpanCoordinates(d.systems[lam].curves, 2 * d.genus)
-    if solve.rank != d.genus:
-        raise ValueError("vectors are dependent")
-    return solve
-
-
 def _negated(v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-e for e in v)
 
@@ -265,7 +255,7 @@ def _pair_difference_columns(d: TrisectionDiagram) -> tuple[tuple[tuple[int, ...
     ensure_valid(d)
     g = d.genus
     ab, bg, ga = d._intersection_matrices
-    beta, gamma = _curve_coordinates(d, 1), _curve_coordinates(d, 2)
+    beta, gamma = (echelon.coordinates for echelon in d._curve_echelons[1:])
     alpha, zero = d.alpha.curves, (0,) * g
 
     def image(curves, x):
@@ -334,7 +324,7 @@ def _curve_coordinates_of_cycle(d: TrisectionDiagram, xy: tuple[int, ...]) -> tu
     """
     g = d.genus
     total = _combination(d.alpha.curves + d.beta.curves, xy, 2 * g)
-    return xy + _curve_coordinates(d, 2)(_negated(total))
+    return xy + d._curve_echelons[2].coordinates(_negated(total))
 
 
 @memoized

@@ -6,16 +6,21 @@ data: each system must be isotropic and primitive, and each cyclic pair of
 Lagrangians must sum to a saturated subgroup (torsion-free quotient). All
 downstream invariants require a valid diagram.
 
-The system checks read only the curves and their memoized pairing rows:
-the pairwise intersection numbers, and the invariant factors of the rows,
-which build no Smith transform. Each cyclic pair of systems is a Heegaard
-diagram of a connected sum of copies of S1 x S2, whose H1 is the cokernel
-of the g x g intersection matrix of the two systems' curves. Validation
-reads each pair check off that matrix. When it cannot, because the next
-system is no primitive Lagrangian, it reads the invariant factors of the
-2g curves of the pair, which span the pair sum. Validation builds no
-canonical Lagrangian; only ``lagrangian_subgroup`` and ``pair_sum`` do,
-for callers that read them.
+The system checks read only the curves: isotropy from the pairwise
+intersection numbers, and primitivity from one recorded elimination of
+the curves per system (``_curve_echelons``), which finds a pivot of +-1
+in every curve exactly when the system spans a primitive subgroup of
+rank g. That elimination builds no Smith form, and on a valid diagram it
+also gives the curve coordinates of Lagrangian vectors and the lifts of
+curve pairings.
+
+Each cyclic pair of systems is a Heegaard diagram of a connected sum of
+copies of S1 x S2, whose H1 is the cokernel of the g x g intersection
+matrix of the two systems' curves. Validation reads each pair check off
+that matrix. When it cannot, because the next system is no primitive
+Lagrangian, it reads the invariant factors of the 2g curves of the pair,
+which span the pair sum. Validation builds no canonical Lagrangian; only
+``lagrangian_subgroup`` and ``pair_sum`` do, for callers that read them.
 """
 
 from __future__ import annotations
@@ -24,7 +29,16 @@ import random
 from functools import cached_property, wraps
 from collections.abc import Iterable, Sequence
 
-from .lattice import Subgroup, _Value, _dot, _invariant_factors, _span, as_int_vector, subgroup_sum
+from .lattice import (
+    Subgroup,
+    _invariant_factors,
+    _span,
+    _UnitEchelon,
+    _Value,
+    _dot,
+    as_int_vector,
+    subgroup_sum,
+)
 from .surface import SymplecticLattice, _pairing_rows
 
 SYSTEM_NAMES = ("alpha", "beta", "gamma")
@@ -130,6 +144,16 @@ class TrisectionDiagram(_Value):
         return tuple(_pairing_rows(cs.curves) for cs in self.systems)
 
     @cached_property
+    def _curve_echelons(self) -> tuple[_UnitEchelon, _UnitEchelon, _UnitEchelon]:
+        """One recorded elimination of each system's curves, in system order.
+
+        Validation reads primitivity from it, and on a valid diagram it
+        gives the curve coordinates of Lagrangian vectors and the ambient
+        lifts of curve pairings.
+        """
+        return tuple(_UnitEchelon(cs.curves, 2 * self.genus) for cs in self.systems)
+
+    @cached_property
     def _intersection_matrices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Q_lam = (<c_i, c'_j>), c the curves of system lam and c' those of the next.
 
@@ -206,11 +230,13 @@ def validate(d: TrisectionDiagram) -> ValidationReport:
     lagrangian: list[bool] = []
     # the form vanishes on a span when it vanishes on the generators, each
     # <c_i, c_j> read as pairing row i dotted with c_j, and the span is
-    # primitive of rank g when pairing with the curves maps onto Z^g
-    for name, cs, rows in zip(SYSTEM_NAMES, d.systems, d._curve_pairings):
+    # primitive of rank g when the elimination of the curves pivots on +-1
+    # in every curve
+    systems = zip(SYSTEM_NAMES, d.systems, d._curve_pairings, d._curve_echelons)
+    for name, cs, rows, echelon in systems:
         curves = cs.curves
         isotropic = not any(_dot(r, c) for i, r in enumerate(rows) for c in curves[i + 1 :])
-        primitive = _invariant_factors(rows, 2 * d.genus) == (1,) * d.genus
+        primitive = echelon.primitive
         checks += [(f"{name} isotropic", isotropic), (f"{name} primitive", primitive)]
         lagrangian.append(isotropic and primitive)
     g, k = d.genus, []

@@ -8,11 +8,13 @@ explicit project/lift maps.
 Kernels come from the echelon routine that canonicalizes every subgroup; a
 kernel eliminates only downward in the matrix part of [m^T | I] and
 canonicalizes just the kernel rows, and the same elimination without the
-identity block gives an echelon of the image. Run on vectors beside an
-identity block, it also solves sum_i a_i c_i = v (``_SpanCoordinates``),
-the package's one integer solver. Invariant factors split a factor 1 off
-at each entry of +-1 and hand only the block left without one to a Smith
-form. Smith forms serve that block, the free generators of a cokernel
+identity block gives an echelon of the image. The package's one integer
+solver is ``_UnitEchelon``: a recorded row reduction of vectors c_1..c_n
+that pivots only on entries +-1. It tells whether they are a basis of a
+primitive sublattice, and then solves sum_i a_i c_i = v and u . c_i = v_i
+by substitution alone. Invariant factors split a factor 1 off at each
+entry of +-1 and hand only the block left without one to a Smith form.
+Smith forms serve that block, the free generators of a cokernel
 (``_cokernel``) and the public ``smith_normal_form`` and ``quotient``.
 Each computes D and records its row and column operations; the transforms
 U, U^{-1} and V are replayed from the record on first read, so a caller
@@ -584,42 +586,132 @@ def _eliminate(
     return image, _span(ncols, [r[nrows:] for r in work[rank:]])
 
 
-class _SpanCoordinates:
-    """Integer solutions a of sum_i a_i c_i = v over trusted vectors c_1..c_n.
+_NOT_PRIMITIVE = "the vectors are not a basis of a primitive sublattice"
 
-    The package's one integer solver. One downward echelon of the rows
-    [c_i | e_i] gives echelon rows E = T C, with T unimodular: the identity
-    block tracks the row operations. Its nonzero rows are the first ``rank``.
-    A member v = a E is read off their pivots by forward substitution, and
-    a T is a solution; it is the only one when the c_i are independent
-    (``rank == n``).
+
+class _UnitEchelon:
+    """A recorded integer row reduction T C of the matrix C whose columns are
+    trusted vectors c_1..c_n of the given width (Cohen 1993, A Course in
+    Computational Algebraic Number Theory, 2.4).
+
+    Each step pivots on an entry +-1 (row r, column j) of the rows and
+    columns still active, clears column j in the other active rows by
+    row_i -= q * row_r, and retires row r and column j. With no unit left,
+    row-Euclid runs down the first active column until one nonzero entry
+    remains, the next pivot if it is +-1. If it is not, or the column is
+    zero, every maximal minor of the active block is a multiple of it, so
+    the c_j are not a basis of a primitive sublattice: ``primitive`` is false.
+    Otherwise each column has a pivot row of T C that is zero in the
+    columns pivoted before it, so both solves only substitute. Kept are
+    those rows and the operations, as groups ``(r, (i, q, i', q', ...))``.
     """
 
     def __init__(self, vectors: Sequence[Sequence[int]], width: int):
         n = len(vectors)
-        work = [list(v) + unit for v, unit in zip(vectors, _identity_rows(n))]
-        pivots = _forward_echelon(work, width, width + n)
-        self.rank = len(pivots)
-        self._rows = [(col, row[:width]) for col, row in zip(pivots, work)]
-        self._tracker = [row[width:] for row in work[: self.rank]]
-        self._count = n
+        rows = _transpose(vectors, width)
+        active = list(range(width))
+        ops: list[tuple[int, tuple[int, ...]]] = []
+        pivots: list[tuple[int, int, tuple[int, ...]]] = []
+        done = [False] * n
+        while len(pivots) < n:
+            for k, r in enumerate(active):
+                p = rows[r]
+                if 1 in p:
+                    j = p.index(1)
+                    break
+                if -1 in p:
+                    j = p.index(-1)
+                    break
+            else:
+                j = done.index(False)
+                r = _euclid_down(rows, active, j, ops)
+                if r is None:
+                    break
+                k, p = active.index(r), rows[r]
+            del active[k]
+            # clear column j in the other active rows (after row-Euclid it is
+            # clear already): row_i -= q * row_r, q = row_i[j] / s = row_i[j] * s
+            s = p[j]
+            support = [(col, x * s) for col, x in enumerate(p) if x]
+            record: list[int] = []
+            for i in active:
+                w = rows[i]
+                c = w[j]
+                if c:
+                    for col, x in support:
+                        w[col] -= c * x
+                    record += (i, c * s)
+            if record:
+                ops.append((r, tuple(record)))
+            pivots.append((r, j, tuple(p)))
+            done[j] = True
 
-    def __call__(self, v: Sequence[int]) -> tuple[int, ...]:
-        """One solution for trusted v; ValueError unless v lies in the span."""
-        rem = list(v)
-        coeffs = []
-        for col, row in self._rows:
-            q, r = divmod(rem[col], row[col])
-            if r:
-                break
-            coeffs.append(q)
-            if q:
-                # an echelon row is zero left of its pivot
-                for i in range(col, len(rem)):
-                    rem[i] -= q * row[i]
-        if any(rem):
+        self.primitive = len(pivots) == n
+        self._ops = ops
+        self._pivots = pivots
+        self._free_rows = active  # the rows that were never pivots
+        self._width = width
+
+    def coordinates(self, v: Sequence[int]) -> tuple[int, ...]:
+        """The x with sum_j x_j c_j = v, for trusted v; ValueError unless v
+        lies in the span, that is unless T v is zero off the pivot rows."""
+        if not self.primitive:
+            raise ValueError(_NOT_PRIMITIVE)
+        w = list(v)
+        for r, updates in self._ops:
+            c = w[r]
+            if c:
+                it = iter(updates)
+                for i, q in zip(it, it):
+                    w[i] -= q * c
+        if any(w[i] for i in self._free_rows):
             raise ValueError("vector is not in the span")
-        return _combination(self._tracker, coeffs, self._count)
+        x = [0] * len(self._pivots)
+        for r, j, row in reversed(self._pivots):
+            x[j] = (w[r] - _dot(row, x)) * row[j]
+        return tuple(x)
+
+    def transpose_solve(self, v: Sequence[int]) -> tuple[int, ...]:
+        """A u with u . c_j = v_j for every j, for trusted v of length n:
+        u = T^T w for the w zero off the pivot rows with (T C)^T w = v."""
+        if not self.primitive:
+            raise ValueError(_NOT_PRIMITIVE)
+        u = [0] * self._width
+        rem = list(v)
+        for r, j, row in self._pivots:
+            c = rem[j] * row[j]
+            if c:
+                u[r] = c
+                for k, x in enumerate(row):
+                    if x:
+                        rem[k] -= c * x
+        for r, updates in reversed(self._ops):
+            it = iter(updates)
+            u[r] -= sum(q * u[i] for i, q in zip(it, it))
+        return tuple(u)
+
+
+def _euclid_down(rows: list[list[int]], active: list[int], j: int, ops: list) -> int | None:
+    """Row-Euclid down column j of the active rows with nearest-rounded
+    quotients, recorded in ops, until at most one entry is nonzero: the row
+    holding it when it is +-1, else None."""
+    live = [i for i in active if rows[i][j]]
+    while len(live) > 1:
+        r = min(live, key=lambda i: abs(rows[i][j]))
+        p = rows[r]
+        pc = p[j]
+        support = [(k, x) for k, x in enumerate(p) if x]
+        record: list[int] = []
+        for i in live:
+            if i != r:
+                w = rows[i]
+                q = (2 * w[j] + pc) // (2 * pc)  # floor(w/p + 1/2) for either sign of p
+                for k, x in support:
+                    w[k] -= q * x
+                record += (i, q)
+        ops.append((r, tuple(record)))
+        live = [i for i in live if rows[i][j]]
+    return live[0] if live and rows[live[0]][j] in (1, -1) else None
 
 
 class QuotientPresentation(_Frozen):

@@ -23,8 +23,10 @@ ambient vector is built unless a caller reads the blocks.
 
 Degrees one and three are read from the homology complex too: the triple
 intersection from its degree-three cycles, degree-three representatives
-from its degree-one generators. Every solve goes through
-``lattice._SpanCoordinates``.
+from its degree-one generators. Every solve substitutes along a recorded
+unit-pivot elimination (``lattice._UnitEchelon``): the diagram's curve
+echelons give curve coordinates and lifts, and one of the Gram matrix
+gives its inverse.
 
 Everything here is integer arithmetic, the congruence diagonalization that
 gives the signature and the determinant of the form included.
@@ -49,8 +51,7 @@ from .lattice import (
     _identity_rows,
     _kernel,
     _span,
-    _SpanCoordinates,
-    _transpose,
+    _UnitEchelon,
     as_int_vector,
 )
 
@@ -208,23 +209,19 @@ class H2DualRep(_Value):
         return _rep_combination(self.diagram, (self, other), (1, -1))
 
 
-@memoized
-def _pairing_solver(d: TrisectionDiagram, lam: int) -> _SpanCoordinates:
-    """Solves (<c_i, a>)_i = v for a in Z^2g, c the curves of system lam (0-based).
-
-    A solution combines the 2g columns of the pairing map. On a valid
-    diagram that map is onto Z^g with kernel L_lam, so every v has
-    solutions, and they differ by vectors of L_lam.
-    """
-    return _SpanCoordinates(_transpose(d._curve_pairings[lam], 2 * d.genus), d.genus)
-
-
 def _reduced_lift(d: TrisectionDiagram, lam: int, v: tuple[int, ...]) -> tuple[int, ...]:
     """The vector with pairings v against the curves of system lam (0-based)
     whose pivot-row entries along the canonical columns of L_lam lie in
-    [0, pivot), the one such vector in its class. The solver's own solution
-    grows with genus on the ladder recipe; the reduction bounds it."""
-    lift = list(_pairing_solver(d, lam)(v))
+    [0, pivot), the one such vector in its class.
+
+    The curve echelon gives u with c_i . u = v_i, and <c, a> = c . u for
+    the a with a_{2t} = -u_{2t+1} and a_{2t+1} = u_{2t}. On a valid diagram
+    the pairing map is onto Z^g with kernel L_lam, so the vectors with
+    pairings v form one class modulo L_lam, and the reduction picks the
+    unique representative above.
+    """
+    u = d._curve_echelons[lam].transpose_solve(v)
+    lift = [a for t in range(0, len(u), 2) for a in (-u[t + 1], u[t])]
     d.lagrangian_subgroup(lam + 1)._substitute(lift)
     return tuple(lift)
 
@@ -490,7 +487,7 @@ def _inverse_gram(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
     form = intersection_form(d)
     if not form.unimodular:
         raise InvalidStateError("the intersection form of a valid diagram is unimodular")
-    solve = _SpanCoordinates(form.gram, form.rank)
+    solve = _UnitEchelon(form.gram, form.rank).coordinates
     return tuple(map(solve, _identity_rows(form.rank)))
 
 

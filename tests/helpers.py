@@ -2,13 +2,14 @@
 blocks and the curve coordinates of those blocks, the ladder recipe,
 duality maps, column spans, transvections, the degree-three against
 degree-one Gram matrix, cold copies of diagrams (nothing memoized), and
-fifteen oracles: the numpy Smith form, sympy's invariant factors, the
+sixteen oracles: the numpy Smith form, sympy's invariant factors, the
 Bareiss determinant, the full-width congruence diagonalization over the
 rationals, the Smith-form kernel, the Smith-form integer solve, the
-intersection of canonical subgroups, the quotients by canonical pair and
-triple sums, validation by pair sums, homology by kernels, the five-term
-complex of the three Lagrangians with its dual, the Cech complexes behind
-the diamond, the solved Poincare dual and the brute-force spin filter.
+tracked-echelon span solver, the intersection of canonical subgroups, the
+quotients by canonical pair and triple sums, validation by pair sums,
+homology by kernels, the five-term complex of the three Lagrangians with
+its dual, the Cech complexes behind the diamond, the solved Poincare dual
+and the brute-force spin filter.
 
 The suites use these to generate inputs and to state laws; the package
 itself never needs them.
@@ -39,6 +40,9 @@ from trihodge.diagram import (
 from trihodge.lattice import (
     QuotientPresentation,
     Subgroup,
+    _combination,
+    _forward_echelon,
+    _identity_rows,
     as_int_vector,
     identity,
     intmat,
@@ -271,8 +275,8 @@ def integer_solve(m: np.ndarray, rhs: Sequence[int]) -> tuple[int, ...]:
 
     With U m V = D the system becomes a diagonal one for V^{-1} x; free
     coordinates are set to zero. Raises ValueError when no integer solution
-    exists. The oracle for ``lattice._SpanCoordinates``, which solves by one
-    echelon beside an identity block instead.
+    exists. The oracle for ``SpanCoordinates``, which solves by one echelon
+    beside an identity block instead.
     """
     rhs = as_int_vector(rhs, m.shape[0])
     U, D, V = smith_normal_form(m)
@@ -287,6 +291,46 @@ def integer_solve(m: np.ndarray, rhs: Sequence[int]) -> tuple[int, ...]:
         elif val:
             raise ValueError("no integer solution: inconsistent system")
     return tuple(sum(a * b for a, b in zip(row, z)) for row in V.tolist())
+
+
+class SpanCoordinates:
+    """Integer solutions a of sum_i a_i c_i = v over trusted vectors c_1..c_n.
+
+    One downward echelon of the rows [c_i | e_i] gives echelon rows E = T C,
+    with T unimodular: the identity block tracks the row operations. Its
+    nonzero rows are the first ``rank``. A member v = a E is read off their
+    pivots by forward substitution, and a T is a solution; it is the only
+    one when the c_i are independent (``rank == n``).
+
+    The oracle for ``lattice._UnitEchelon``, which records its row
+    operations instead of tracking them and pivots only on entries +-1.
+    """
+
+    def __init__(self, vectors: Sequence[Sequence[int]], width: int):
+        n = len(vectors)
+        work = [list(v) + unit for v, unit in zip(vectors, _identity_rows(n))]
+        pivots = _forward_echelon(work, width, width + n)
+        self.rank = len(pivots)
+        self._rows = [(col, row[:width]) for col, row in zip(pivots, work)]
+        self._tracker = [row[width:] for row in work[: self.rank]]
+        self._count = n
+
+    def __call__(self, v: Sequence[int]) -> tuple[int, ...]:
+        """One solution for trusted v; ValueError unless v lies in the span."""
+        rem = list(v)
+        coeffs = []
+        for col, row in self._rows:
+            q, r = divmod(rem[col], row[col])
+            if r:
+                break
+            coeffs.append(q)
+            if q:
+                # an echelon row is zero left of its pivot
+                for i in range(col, len(rem)):
+                    rem[i] -= q * row[i]
+        if any(rem):
+            raise ValueError("vector is not in the span")
+        return _combination(self._tracker, coeffs, self._count)
 
 
 def subgroup_intersection(a: Subgroup, b: Subgroup) -> Subgroup:

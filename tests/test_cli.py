@@ -1,5 +1,6 @@
 """CLI behavior: golden bytes, exit codes, input handling."""
 
+import ast
 import io
 import json
 import os
@@ -61,18 +62,34 @@ def test_golden_output(golden_name, argv):
 
 # Runs main(argv) in a fresh interpreter (argv empty: import only) and
 # prints its exit code and the modules loaded after interpreter start. The
-# interpreter runs with -S, so no site hook has imported anything first.
+# interpreter runs with -S, so no site hook has imported anything first,
+# and the probe itself imports nothing the CLI might import.
 IMPORT_PROBE = """
 import sys
 before = set(sys.modules)
-import io, json
+import io
 from contextlib import redirect_stdout
 from trihodge.cli import main
 argv = sys.argv[1:]
 with redirect_stdout(io.StringIO()):
     code = main(argv) if argv else 0
-print(json.dumps([code, sorted(set(sys.modules) - before)]))
+print(repr([code, sorted(set(sys.modules) - before)]))
 """
+
+
+def loaded_modules(argv: list[str]) -> tuple[int, list[str]]:
+    """Exit code of main(argv) in a fresh interpreter, and the modules it loaded."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_PROBE, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout)
 
 NUMPY_FREE_CASES = [
     [],
@@ -106,17 +123,7 @@ READS = {
 
 @pytest.mark.parametrize("argv", NUMPY_FREE_CASES, ids=lambda a: a[0] if a else "import")
 def test_cli_never_loads_numpy(argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", IMPORT_PROBE, *argv],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    code, loaded = json.loads(done.stdout)
+    code, loaded = loaded_modules(argv)
     assert code == EXIT_OK
     assert "numpy" not in loaded
     # dataclasses pulls in inspect, ast, dis and tokenize; fractions decimal
@@ -125,6 +132,14 @@ def test_cli_never_loads_numpy(argv):
     assert not {"pathlib", "typing", "shutil"} & set(loaded)
     package = {m for m in loaded if m.split(".")[0] == "trihodge"}
     assert package == ALWAYS_LOADED | READS[argv[0] if argv else "import"]
+
+
+def test_text_output_loads_no_json():
+    # json is imported only to render --json output or to read a JSON file
+    argv = ["homology", "--builtin", "CP2"]
+    code, loaded = loaded_modules(argv)
+    assert code == EXIT_OK and "json" not in loaded
+    assert "json" in loaded_modules([*argv, "--json"])[1]
 
 
 PIPE_SUM = "#".join(["S1xS3"] * 12)  # 4096 listed structures, past any pipe buffer

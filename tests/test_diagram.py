@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trihodge import lattice
 from trihodge.diagram import (
@@ -31,7 +32,7 @@ from trihodge.complexes import (
     homology_groups,
 )
 from trihodge.diagram import _span_quotient
-from trihodge.lattice import Subgroup, _combination, subgroup_sum
+from trihodge.lattice import Subgroup, _combination, _invariant_factors, subgroup_sum
 from trihodge.pairings import dual_rep_basis, h2_basis_cocycles, intersection_form
 from trihodge.spin import enumerate_spin
 from trihodge.spinc import base_ledger
@@ -40,6 +41,7 @@ from helpers import (
     cold_copy,
     ladder_diagram,
     pair_quotient,
+    plain_form,
     subgroup_intersection,
     triple_quotient,
     triple_sum,
@@ -312,22 +314,64 @@ class TestPairChecksFromIntersectionMatrices:
         assert not quotients
 
     def test_non_primitive_systems_reach_both_smith_branches(self, monkeypatch):
-        residuals = []
+        # primitivity is read off the curve echelons, which build no Smith
+        # form; the pair check into the non-primitive alpha system still
+        # falls back to the invariant factors of the gamma and alpha curves
+        forms, widths = [], []
 
         class Recorded(lattice._Smith):
             def __init__(self, rows, ncols):
-                residuals.append([list(r) for r in rows])
+                forms.append(self)
                 super().__init__(rows, ncols)
 
+        def recorded(rows, width):
+            widths.append(width)
+            return _span_quotient(rows, width)
+
         monkeypatch.setattr(lattice, "_Smith", Recorded)
-        for d, kept in zip(NON_PRIMITIVE, ([[0, 2, 0, 0]], [[0, 2, 0, 0], [0, 0, 0, 2]])):
+        monkeypatch.setattr(diagram_module, "_span_quotient", recorded)
+        for d in NON_PRIMITIVE:
             d = cold_copy(d)
-            residuals.clear()
+            forms.clear()
+            widths.clear()
+            echelons = d._curve_echelons
+            assert not forms
+            assert [e.primitive for e in echelons] == [False, True, True]
             report = validate(d)
-            assert residuals[0] == kept
+            assert d._curve_echelons is echelons
             assert report == validate_by_pair_sums(d)
             assert report.failures[0] == "alpha primitive"
             assert "alpha isotropic" not in report.failures
+            assert widths == [d.genus, d.genus, 2 * d.genus]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_moved_fixtures_match_the_pair_sum_route(self, data):
+        # transvections of the whole surface and handleslides within one
+        # system keep every check's outcome; a connected sum adds valid ones
+        d = data.draw(st.sampled_from(PAIR_FAILURES + FALLBACKS))
+        for _ in range(data.draw(st.integers(0, 4))):
+            move = data.draw(st.sampled_from(("transvection", "handleslide", "sum")))
+            if move == "sum":
+                d = connected_sum(d, builtin(data.draw(st.sampled_from(("CP2", "S2xS2")))))
+            elif move == "handleslide" and d.genus > 1:
+                i, j = data.draw(st.permutations(range(d.genus)))[:2]
+                system = data.draw(st.sampled_from(SYSTEM_NAMES))
+                d = handleslide_diagram(d, system, i, j, data.draw(st.sampled_from((1, -1))))
+            elif move == "transvection":
+                entries = st.sampled_from((0, 0, 1, -1))
+                v = data.draw(st.lists(entries, min_size=2 * d.genus, max_size=2 * d.genus))
+                d = diagram_from_curves(
+                    d.genus,
+                    *(
+                        [tuple(x + plain_form(c, v) * y for x, y in zip(c, v)) for c in cs.curves]
+                        for cs in d.systems
+                    ),
+                )
+        assert validate(d) == validate_by_pair_sums(d)
+        for echelon, rows in zip(d._curve_echelons, d._curve_pairings):
+            ones = _invariant_factors(rows, 2 * d.genus) == (1,) * d.genus
+            assert echelon.primitive == ones
 
     def test_validation_builds_no_pair_sum(self):
         for d in DUALITY_SUITE[::7]:

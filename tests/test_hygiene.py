@@ -133,6 +133,58 @@ def public_methods(tree: ast.Module) -> list[tuple[str, ast.AST]]:
     ]
 
 
+def annotation_names(node: ast.AST) -> set[str]:
+    """Names in an annotation, string annotations included."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            names |= annotation_names(ast.parse(n.value, mode="eval"))
+    return names
+
+
+def annotations(unit: ast.AST):
+    """The annotation nodes inside a definition: returns, arguments and
+    annotated assignments."""
+    for n in ast.walk(unit):
+        if isinstance(n, FUNCTIONS) and n.returns is not None:
+            yield n.returns
+        elif isinstance(n, ast.arg) and n.annotation is not None:
+            yield n.annotation
+        elif isinstance(n, ast.AnnAssign):
+            yield n.annotation
+
+
+def class_attribute_reads(trees: dict[str, ast.Module]) -> list[tuple[str, int, str, set[str]]]:
+    """(module, line, attribute, classes) for every attribute read in the
+    trees, where classes are the names the top-level definition holding
+    the read refers to: directly, or through the return annotation of a
+    function it names. A class definition refers to its own name.
+    """
+    returns: dict[str, set[str]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, FUNCTIONS) and node.returns is not None:
+                returns.setdefault(node.name, set()).update(annotation_names(node.returns))
+    out = []
+    for module, tree in trees.items():
+        for unit in tree.body:
+            named = {name for _, _, name in references({module: unit})}
+            named = named.union(*map(annotation_names, annotations(unit)))
+            if isinstance(unit, ast.ClassDef):
+                named.add(unit.name)
+            classes = named.union(*(returns.get(name, ()) for name in named))
+            attributes = references({module: unit}, (ast.Attribute,))
+            out += [(module, line, attr, classes) for _, line, attr in attributes]
+    return out
+
+
+def reads_on(cls: str, reads) -> list[tuple[str, int, str]]:
+    """(module, line, attribute) of the reads whose definition refers to cls."""
+    return [(module, line, attr) for module, line, attr, classes in reads if cls in classes]
+
+
 def unexplained_public_names(
     sources: dict[str, str], readers: dict[str, str], explained: set[str]
 ) -> list[str]:
@@ -140,12 +192,14 @@ def unexplained_public_names(
     methods and properties of its top-level classes, that are not in
     ``explained`` and that no definition in ``sources`` or ``readers`` uses.
 
-    A method counts as used only where an attribute of its name is read, so
-    a local variable of the same name does not hide it.
+    A method counts as used only where an attribute of its name is read in
+    a top-level definition that also refers to its class (see
+    ``class_attribute_reads``). So neither a local variable of the same
+    name nor a method of the same name on another class hides it.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     everything = {**trees, **{m: ast.parse(source) for m, source in readers.items()}}
-    refs, attributes = references(everything), references(everything, (ast.Attribute,))
+    refs, reads = references(everything), class_attribute_reads(everything)
     names = [
         f"{module}:{node.name}"
         for module, tree in trees.items()
@@ -160,7 +214,7 @@ def unexplained_public_names(
         for module, tree in trees.items()
         for qualname, node in public_methods(tree)
         if qualname not in explained
-        and not referenced_outside(node.name, module, node, attributes)
+        and not referenced_outside(node.name, module, node, reads_on(qualname.split(".")[0], reads))
     ]
     return names + methods
 
@@ -180,13 +234,18 @@ def test_public_name_detector():
             "    def shadowed(self): pass\n"
             "    @property\n"
             "    def kept(self): pass\n"
+            "class Twin:\n"
+            "    def read(self): pass\n"
+            "    def made(self): pass\n"
+            "def make() -> Twin: pass\n"
             "def _private(): pass\n"
         ),
-        "b": "from a import Box, called\ncalled()\nBox().read()\nshadowed = 1\n",
+        "b": "from a import Box, called, make\ncalled()\nBox().read()\nshadowed = 1\n",
     }
-    readers = {"bench": "import a\na.benched()\n"}
+    # Twin.made is read on what make() returns; Box().read() does not use Twin.read
+    readers = {"bench": "import a\na.benched()\na.make().made()\n"}
     found = unexplained_public_names(sources, readers, {"exported", "kept", "Box.kept"})
-    assert found == ["a:recursive", "a:Idle", "a:Idle.method", "a:Box.shadowed"]
+    assert found == ["a:recursive", "a:Idle", "a:Idle.method", "a:Box.shadowed", "a:Twin.read"]
 
 
 # Public lower-level API that nothing in the package calls, kept on purpose
@@ -200,8 +259,10 @@ LOWER_LEVEL_API = (
     "identity",
 )
 
-# Public methods and properties that only the tests read, kept on purpose,
-# each with the reason it stays public.
+# Public methods and properties that no definition in the package or the
+# bench reads through a reference to their class (only the tests, or the
+# bench on an object it does not name), kept on purpose, each with the
+# reason it stays public.
 KEPT_METHODS = {
     "HodgeDiamond.entry": "reads one cell of the exported diamond by its two degrees",
     "Subgroup.trivial": "the zero subgroup, companion of Subgroup.full",
@@ -209,6 +270,10 @@ KEPT_METHODS = {
     "QuotientPresentation.lift": "inverse of project, which is_zero reads",
     "QuadraticEnhancement.evaluate": "q(x) of an exported spin structure",
     "SymplecticLattice.is_isotropic": "the form on a Subgroup, the type lattice code returns",
+    "OneOneCocycle.is_zero": "whether a class is zero, as asked of a c1_difference",
+    "H2DualRep.is_zero": "whether a class is zero, as asked of a Poincare dual",
+    "H2DualRep.lifts": "ambient vectors of a rep, the inverse of from_lifts; the bench reads them",
+    "TrisectionDiagram.pair_sum": "the canonical pair sum, which the bench's lattice replay reads",
 }
 
 

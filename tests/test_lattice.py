@@ -26,7 +26,8 @@ from trihodge.lattice import (
     _invariant_factors,
     _kernel,
     _Smith,
-    _SpanCoordinates,
+    _transpose,
+    _UnitEchelon,
     as_int_vector,
     identity,
     intmat,
@@ -46,6 +47,7 @@ from helpers import (
     is_unimodular,
     matrix_columns,
     numpy_snf_with_inverses,
+    SpanCoordinates,
     smith_kernel_basis,
     subgroup_intersection,
     sympy_invariant_factors,
@@ -616,7 +618,7 @@ class TestIntegerSolve:
     def test_span_coordinates_solve_exactly_what_the_smith_oracle_solves(self, m, data):
         # the columns may be dependent; any solution the solver returns must be exact
         nrows, columns = m.shape[0], matrix_columns(m)
-        solve = _SpanCoordinates(columns, nrows)
+        solve = SpanCoordinates(columns, nrows)
         assert solve.rank == sympy_of(m).rank()
         x = data.draw(st.lists(small_entries, min_size=len(columns), max_size=len(columns)))
         shift = data.draw(st.lists(st.integers(-1, 1), min_size=nrows, max_size=nrows))
@@ -630,6 +632,115 @@ class TestIntegerSolve:
                 sol = solve(rhs)
                 assert len(sol) == len(columns)
                 assert _combination(columns, sol, nrows) == rhs
+
+
+@st.composite
+def curve_systems(draw):
+    """n vectors of one width, n > width included: random columns, then some
+    scaled by 2-5, replaced by a combination of the others or zeroed."""
+    width, n = draw(st.integers(0, 7)), draw(st.integers(0, 5))
+    entries = st.sampled_from((0, 0, 1, -1, 1, -1, 2, -2, 3, -5))
+    columns = [draw(st.lists(entries, min_size=width, max_size=width)) for _ in range(n)]
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=2)) if n else ():
+        kind = draw(st.sampled_from(("scaled", "dependent", "zero")))
+        if kind == "scaled":
+            columns[j] = [draw(st.integers(2, 5)) * x for x in columns[j]]
+        elif kind == "dependent":
+            coeffs = [0 if k == j else draw(st.integers(-2, 2)) for k in range(n)]
+            columns[j] = list(_combination(columns, coeffs, width))
+        else:
+            columns[j] = [0] * width
+    return columns, width
+
+
+@st.composite
+def primitive_systems(draw):
+    """The first n columns of a unimodular matrix, a word of row additions
+    applied to the identity: always a basis of a primitive sublattice."""
+    width = draw(st.integers(0, 7))
+    n = draw(st.integers(0, width))
+    m = [[int(i == j) for j in range(width)] for i in range(width)]
+    if width > 1:
+        pairs = st.tuples(st.integers(0, width - 1), st.integers(0, width - 1))
+        for i, k in draw(st.lists(pairs, max_size=12)):
+            if i != k:
+                q = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+                m[i] = [a + q * b for a, b in zip(m[i], m[k])]
+    return [[row[j] for row in m] for j in range(n)], width
+
+
+class TestUnitEchelon:
+    """The one recorded elimination: primitivity against the invariant
+    factors, coordinates against the tracked-echelon oracle, and lifts by
+    their law."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(curve_systems(), primitive_systems()))
+    def test_primitive_exactly_when_every_invariant_factor_is_one(self, case):
+        columns, width = case
+        before = [list(c) for c in columns]
+        n = len(columns)
+        expected = _invariant_factors(_transpose(columns, width), n) == (1,) * n
+        assert _UnitEchelon(columns, width).primitive == expected
+        assert columns == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(curve_systems(), primitive_systems()), st.data())
+    def test_coordinates_and_lifts_on_primitive_systems(self, case, data):
+        columns, width = case
+        echelon, n = _UnitEchelon(columns, width), len(columns)
+        if not echelon.primitive:
+            with pytest.raises(ValueError, match="primitive"):
+                echelon.coordinates([0] * width)
+            with pytest.raises(ValueError, match="primitive"):
+                echelon.transpose_solve([0] * n)
+            return
+        oracle = SpanCoordinates(columns, width)
+        x = data.draw(st.lists(small_entries, min_size=n, max_size=n))
+        v = _combination(columns, x, width)
+        assert echelon.coordinates(v) == tuple(x) == oracle(v)
+        shift = data.draw(st.lists(st.integers(-1, 1), min_size=width, max_size=width))
+        moved = tuple(a + b for a, b in zip(v, shift))
+        try:
+            expected = oracle(moved)
+        except ValueError:
+            with pytest.raises(ValueError, match="not in the span"):
+                echelon.coordinates(moved)
+        else:
+            assert echelon.coordinates(moved) == expected
+        pairings = data.draw(st.lists(small_entries, min_size=n, max_size=n))
+        u = echelon.transpose_solve(pairings)
+        assert len(u) == width
+        assert [sum(a * b for a, b in zip(c, u)) for c in columns] == pairings
+
+    @pytest.mark.parametrize(
+        "columns, width, primitive",
+        [
+            ([(2, 3)], 2, True),  # no unit: row-Euclid leaves 1
+            ([(3, -5)], 2, True),  # row-Euclid leaves -1
+            ([(2, 4)], 2, False),  # row-Euclid leaves 2
+            ([(1, 0), (0, 0)], 2, False),  # a zero column
+            ([(1, 1), (1, -1)], 2, False),  # invariant factors 1, 2
+            ([(1,), (0,)], 1, False),  # more vectors than the width
+            ([], 0, True),
+        ],
+    )
+    def test_fixed_cases(self, columns, width, primitive):
+        echelon = _UnitEchelon(columns, width)
+        assert echelon.primitive == primitive
+        if primitive and columns:
+            v = [3 * x for x in columns[0]]
+            assert echelon.coordinates(v) == (3,) + (0,) * (len(columns) - 1)
+
+    def test_builds_no_smith_form_and_no_tracked_echelon(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the unit-pivot elimination needs no other kernel")
+
+        monkeypatch.setattr(lattice, "_Smith", forbidden)
+        monkeypatch.setattr(lattice, "_forward_echelon", forbidden)
+        echelon = _UnitEchelon([(2, 3, 0, 0), (0, 0, 4, 7)], 4)
+        assert echelon.primitive
+        assert echelon.coordinates((2, 3, 8, 14)) == (1, 2)
 
 
 FREE_LINE = quotient(1, Subgroup.trivial(1))

@@ -9,7 +9,6 @@ import pytest
 
 from trihodge import cli, lattice
 from trihodge.complexes import (
-    _curve_coordinates,
     dual_complex,
     dual_middle_homology,
     hodge_diamond,
@@ -19,7 +18,6 @@ from trihodge.complexes import (
 from trihodge.diagram import InvalidDiagramError, builtin, diagram_from_curves, ensure_valid
 from trihodge.pairings import (
     H2DualRep,
-    _pairing_solver,
     dual_rep_basis,
     evaluate_on_surface_class,
     h2_basis_cocycles,
@@ -90,12 +88,11 @@ def test_groups_and_generators_share_one_result_per_position():
 
 SUMS = ["CP2#CP2bar", "S2xS2#QS4_Z3", "S1xS3#QS4_Z2"]
 
-PAIRING_SOLVER = f"{_pairing_solver.__module__}.{_pairing_solver.__qualname__}"
 
-
-def pairing_solvers(d) -> list[str]:
-    """The memo keys of the pairing solvers built on d, which only lifts read."""
-    return [key for key in vars(d) if key.startswith(PAIRING_SOLVER)]
+def lifted(d) -> bool:
+    """Whether d holds its canonical Lagrangians, which of the package's
+    paths only the reduction of lifts reads."""
+    return "_lagrangians" in vars(d)
 
 
 TRANSFORMS = ("U", "V", "Uinv")
@@ -145,13 +142,14 @@ def test_no_smith_form_is_computed_twice(name, smith_forms):
 def test_smith_forms_build_only_the_transforms_read(name, smith_forms):
     d = builtin(name)
     ensure_valid(d)
-    # every factor of validation is split off at a unit entry
-    assert not smith_forms and not pairing_solvers(d)
+    # primitivity is read off the curve echelons, and every pair factor is
+    # split off at a unit entry
+    assert not smith_forms and not lifted(d)
     homology_groups(d)
     dual_middle_homology(d)
     assert smith_forms
     assert not any({"U", "V"} & built(form) for form in smith_forms)
-    assert not pairing_solvers(d)
+    assert not lifted(d)
 
 
 @pytest.mark.parametrize("name", ["CP2#CP2bar", "S2xS2#QS4_Z3"])
@@ -180,7 +178,7 @@ def test_validation_and_spin_build_no_transform(name, smith_forms):
     spin_count(d)
     enumerate_spin(d)
     assert smith_forms == []
-    assert not pairing_solvers(d)
+    assert not lifted(d)
 
 
 @pytest.mark.parametrize("name", SUMS)
@@ -322,14 +320,19 @@ def test_census_query_replays_no_pairing_transform_and_no_lift(smith_forms, lift
     # the only transform the op replays is the degree-two generators' U^{-1}
     assert reps and not lift_reads
     assert all(built(form) in ({"Uinv"}, set()) for form in smith_forms)
-    assert not any(pairing_solvers(d) for d in diagrams)
+    assert not any(lifted(d) for d in diagrams)
+    memo = {id(d): dict(vars(d)) for d in diagrams}
     before = len(smith_forms)
     for rep in reps:
         assert H2DualRep.from_lifts(rep.diagram, rep.lifts) == rep
     assert len(lift_reads) == len(reps)
-    # reading lifts solves through one echelon per system and builds no Smith form
+    # reading lifts substitutes along the curve echelons validation built and
+    # reduces along the canonical Lagrangians: it builds nothing else and no
+    # Smith form
     assert len(smith_forms) == before
-    assert all(len(pairing_solvers(rep.diagram)) == 3 for rep in reps)
+    for d in diagrams:
+        assert set(vars(d)) - set(memo[id(d)]) <= {"_lagrangians"}
+        assert d._curve_echelons is memo[id(d)]["_curve_echelons"]
 
 
 def test_census_query_keeps_cocycles_in_curve_coordinates(lift_reads):
@@ -338,9 +341,7 @@ def test_census_query_keeps_cocycles_in_curve_coordinates(lift_reads):
     assert len(cocycles) > len(diagrams)
     # no ambient block is built: a cocycle holds its diagram and coordinates only
     assert all(set(vars(x)) == {"diagram", "coords"} for x in cocycles)
-    alpha = f"{_curve_coordinates.__module__}.{_curve_coordinates.__qualname__}(0,)"
-    assert not any(alpha in vars(d) for d in diagrams)
-    assert not any(pairing_solvers(d) for d in diagrams) and not lift_reads
+    assert not any(lifted(d) for d in diagrams) and not lift_reads
     for x in cocycles:
         assert cocycle_from_blocks(x.diagram, *x.blocks) == x
     assert all(set(vars(x)) == {"diagram", "coords", "blocks"} for x in cocycles)
