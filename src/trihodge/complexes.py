@@ -13,15 +13,18 @@ group in closed form off the eliminations of the homology complex, so only
 the tests (as the oracle of the closed form) and the bench build the dual
 complex. It is no independent route to H2; the duality laws are that check.
 
-Each differential is eliminated once, and its rank and invariant factors
-are kept on the complex. A homology group is read off those of the two
-differentials at its position, which holds in any complex of free groups.
-Free generators are built only at the positions a caller reads them from
-(degree two of the homology complex): there the elimination of the
-outgoing differential also yields the cycles, and one Smith form of the
-boundaries in the cycles gives the group with its generators. A complex
-keeps its differentials as the columns the eliminations read; ``diffs``
-builds matrices from them only when asked.
+The invariant factors of each differential, and with them its rank, come
+from one unit-pivot elimination of its columns and are kept on the complex.
+A homology group is read off those of the two differentials at its
+position, which holds in any complex of free groups. Free generators are
+built only where a caller reads them: at degree two of the homology
+complex for every group query, and at degree one for
+``pairings.h3_representatives``. There the canonical kernel of the
+outgoing differential gives the cycles, kept on the complex
+(``pairings.triple_intersection`` reads those of degree three), and one
+Smith form of the boundaries in the cycles gives the group with its
+generators. A complex keeps its differentials as the columns the
+eliminations read; ``diffs`` builds matrices from them only when asked.
 
 The 3x3 Hodge-style diamond is ``homology_groups`` arranged with two constant
 outer columns; its antidiagonals assemble the cohomology. The Cech complexes
@@ -46,7 +49,6 @@ from .lattice import (
     _cokernel,
     _column_matrix,
     _combination,
-    _eliminate,
     _invariant_factors,
     _kernel,
     _span,
@@ -105,8 +107,9 @@ class FreeChainComplex(_Frozen):
     already are tuples of Python ints are kept as the same objects.
     ``generator_positions`` lists the positions whose free generators some
     caller reads; there ``homology_at`` builds them together with the group,
-    and everywhere else it builds none. The rank and invariant factors of
-    each differential are memoized on the complex and freed with it.
+    and everywhere else it builds none. The invariant factors of each
+    differential and the cycles at each position read are memoized on the
+    complex.
     """
 
     def __init__(
@@ -154,23 +157,22 @@ class FreeChainComplex(_Frozen):
             raise ValueError("position out of range")
 
     @memoized
-    def _elimination(self, i: int) -> tuple[list[list[int]], Subgroup | None]:
-        """Image echelon of differential i, with its kernel when position i keeps generators.
-
-        The one elimination of each differential: it gives the rank of the
-        differential and the rows its invariant factors are read from, and
-        out of a generator position also the cycles the generators lie in.
-        """
-        return _eliminate(self.columns[i], self.ranks[i + 1], i in self.generator_positions)
+    def _factors(self, i: int) -> tuple[int, ...]:
+        """Nonzero invariant factors of differential i, read from its columns
+        (those of its transpose); their count is its rank."""
+        return _invariant_factors(self.columns[i], self.ranks[i + 1])
 
     def _rank(self, i: int) -> int:
         """Rank of differential i; zero out of the last position."""
-        return len(self._elimination(i)[0]) if i < len(self.columns) else 0
+        return len(self._factors(i)) if i < len(self.columns) else 0
 
     @memoized
-    def _factors(self, i: int) -> tuple[int, ...]:
-        """Nonzero invariant factors of differential i."""
-        return _invariant_factors(self._elimination(i)[0], self.ranks[i + 1])
+    def _cycles(self, pos: int) -> Subgroup:
+        """The cycles at a position: the kernel of the outgoing differential,
+        everything at the last position."""
+        if pos >= len(self.columns):
+            return Subgroup.full(self.ranks[pos])
+        return _kernel(self.columns[pos], self.ranks[pos + 1])
 
     @memoized
     def homology_at(self, pos: int) -> HomologyGroup:
@@ -199,31 +201,20 @@ class FreeChainComplex(_Frozen):
         The generators are cycle vectors in the coordinates of term ``pos``
         whose classes form a basis of the free part of the homology group.
         They come from one Smith form of the boundaries written in a basis of
-        the cycles. At a position in ``generator_positions`` the cycles come
-        from the memoized elimination of the outgoing differential, and this
-        is the group ``homology_at`` returns. Elsewhere the kernel is
-        computed afresh and the group taken from ``homology_at``; only
-        ``pairings.h3_representatives`` and the tests pay for that.
+        the memoized cycles. At a position in ``generator_positions`` this
+        is the group ``homology_at`` returns; elsewhere only
+        ``pairings.h3_representatives`` and the tests read it.
         """
         self._check_position(pos)
-        if pos >= len(self.columns):
-            cycles = Subgroup.full(self.ranks[pos])
-        elif pos in self.generator_positions:
-            cycles = self._elimination(pos)[1]
-        else:
-            cycles = _kernel(self.columns[pos], self.ranks[pos + 1])
+        cycles = self._cycles(pos)
         if cycles.rank == 0:
-            group, gens = HomologyGroup(0), ()
-        else:
-            # boundary columns land in the cycle subgroup (d o d = 0, saturated basis)
-            coords = [cycles.coordinates_of(col) for col in (self.columns[pos - 1] if pos else ())]
-            q = _cokernel(_transpose(coords, cycles.rank), len(coords))
-            cols = cycles.columns()
-            group = HomologyGroup(q.free_rank, q.torsion)
-            gens = tuple(_combination(cols, lift, self.ranks[pos]) for lift in q._free_lifts)
-        if pos not in self.generator_positions:
-            group = self.homology_at(pos)
-        return group, gens
+            return HomologyGroup(0), ()
+        # boundary columns land in the cycle subgroup (d o d = 0, saturated basis)
+        coords = [cycles.coordinates_of(col) for col in (self.columns[pos - 1] if pos else ())]
+        q = _cokernel(_transpose(coords, cycles.rank), len(coords))
+        cols = cycles.columns()
+        gens = tuple(_combination(cols, lift, self.ranks[pos]) for lift in q._free_lifts)
+        return HomologyGroup(q.free_rank, q.torsion), gens
 
 
 def homology(complex_: FreeChainComplex, degree: int) -> HomologyGroup:

@@ -151,7 +151,7 @@ class TrisectionDiagram(_Value):
         gives the curve coordinates of Lagrangian vectors and the ambient
         lifts of curve pairings.
         """
-        return tuple(_UnitEchelon(cs.curves, 2 * self.genus) for cs in self.systems)
+        return tuple(_UnitEchelon(zip(*cs.curves), self.genus) for cs in self.systems)
 
     @cached_property
     def _intersection_matrices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -203,8 +203,11 @@ def memoized(fn):
     """Store ``fn(obj, *args)`` in the object's own ``__dict__``, as cached_property does.
 
     The object is a diagram, or a complex built for one. Each result is
-    computed once per object and positional arguments, and freed with the
-    object.
+    computed once per object and positional arguments and lives as long as
+    the object. Cached cocycles and dual reps point back at their diagram,
+    so a diagram holding them is part of a reference cycle: reference
+    counting never frees it, and only the cycle collector frees it with its
+    results.
     """
     name = f"{fn.__module__}.{fn.__qualname__}"
 

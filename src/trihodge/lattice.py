@@ -5,20 +5,19 @@ module is the computational core: canonical echelon bases for subgroups of Z^n,
 Smith normal form with unimodular transforms, and quotient presentations with
 explicit project/lift maps.
 
-Kernels come from the echelon routine that canonicalizes every subgroup; a
-kernel eliminates only downward in the matrix part of [m^T | I] and
-canonicalizes just the kernel rows, and the same elimination without the
-identity block gives an echelon of the image. The package's one integer
-solver is ``_UnitEchelon``: a recorded row reduction of vectors c_1..c_n
-that pivots only on entries +-1. It tells whether they are a basis of a
-primitive sublattice, and then solves sum_i a_i c_i = v and u . c_i = v_i
-by substitution alone. Invariant factors split a factor 1 off at each
-entry of +-1 and hand only the block left without one to a Smith form.
-Smith forms serve that block, the free generators of a cokernel
+Each elimination has one job. ``_UnitEchelon`` is a recorded row reduction
+that pivots only on entries +-1. It gives every rank and invariant factor,
+a factor 1 per pivot, and it is the package's one integer solver: on the
+columns c_1..c_n of a basis of a primitive sublattice it solves
+sum_i a_i c_i = v and u . c_i = v_i by substitution alone. The downward
+echelon ``_forward_echelon`` gives canonical spans and kernels; a kernel
+eliminates the matrix part of [m^T | I] and canonicalizes just the kernel
+rows. Smith forms finish what a unit pivot cannot: the residual rows of an
+invariant-factor computation, the free generators of a cokernel
 (``_cokernel``) and the public ``smith_normal_form`` and ``quotient``.
 Each computes D and records its row and column operations; the transforms
 U, U^{-1} and V are replayed from the record on first read, so a caller
-that reads only invariant factors or ranks builds none of them.
+that reads only invariant factors builds none of them.
 
 Inside the package a matrix is a list of rows of Python ints, and a subgroup
 or a chain complex keeps its columns as tuples, so all arithmetic is exact at
@@ -323,41 +322,13 @@ def invariant_factors(m: np.ndarray) -> tuple[int, ...]:
 def _invariant_factors(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, ...]:
     """Nonzero invariant factors of trusted rows; their count is the rank.
 
-    Each entry of +-1 splits off a factor 1: clearing its column by row
-    operations and then its row by column operations leaves 1 beside the
-    Schur complement, so SNF(M) = 1 (+) SNF(rest). The pivot row is dropped
-    and its column is left zero in the other rows. Once no unit is left, a
-    Smith form of the remaining block gives the other factors and builds no
-    transform. The rows handed in are not changed.
+    A factor 1 for each pivot of the unit-pivot elimination of the rows,
+    then the factors of the residual rows it leaves, from a Smith form that
+    builds no transform. The rows handed in are not changed.
     """
-    work = [list(r) for r in rows if any(r)]
-    ones = 0
-    while pivot := _unit_entry(work):
-        i, j = pivot
-        p = work.pop(i)
-        support = [(k, x * p[j]) for k, x in enumerate(p) if x]
-        rest = []
-        for w in work:
-            q = w[j]
-            if q:
-                for k, x in support:
-                    w[k] -= q * x
-                if not any(w):
-                    continue
-            rest.append(w)
-        work = rest
-        ones += 1
-    return (1,) * ones + (snf_diagonal(_Smith(work, ncols).D) if work else ())
-
-
-def _unit_entry(rows: list[list[int]]) -> tuple[int, int] | None:
-    """(row, column) of an entry +-1 in the first row holding one, or None."""
-    for i, row in enumerate(rows):
-        if 1 in row:
-            return i, row.index(1)
-        if -1 in row:
-            return i, row.index(-1)
-    return None
+    echelon = _UnitEchelon(rows, ncols)
+    rest = echelon.residual
+    return (1,) * len(echelon._pivots) + (snf_diagonal(_Smith(rest, ncols).D) if rest else ())
 
 
 class _Frozen:
@@ -556,64 +527,52 @@ def kernel_basis(m: np.ndarray) -> Subgroup:
 
 
 def _kernel(columns: Sequence[Sequence[int]], nrows: int) -> Subgroup:
-    """Kernel of the matrix with the given trusted columns, each of length nrows."""
-    return _eliminate(columns, nrows, kernel=True)[1]
+    """Kernel of the matrix m with the given trusted columns, each of length nrows.
 
-
-def _eliminate(
-    columns: Sequence[Sequence[int]], nrows: int, kernel: bool
-) -> tuple[list[list[int]], Subgroup | None]:
-    """Echelon rows spanning the image of the matrix with the given trusted
-    columns, each of length nrows, and its kernel when asked for.
-
-    The rows of m^T are eliminated downward; as many stay nonzero as the
-    rank of m, and the invariant factors of m are those of the echelon rows,
-    since row operations on m^T are column operations on m. For the kernel the rows are
-    those of [m^T | I]. The row operations are unimodular, so the identity
-    parts of the rows whose m^T part vanishes span the kernel exactly (no
-    finite-index sublattice); only those parts are then put in canonical
-    echelon form. Without the kernel there is no identity block to update.
+    The rows of [m^T | I] are eliminated downward in their m^T part. The
+    row operations are unimodular, so the identity parts of the rows whose
+    m^T part vanishes span the kernel exactly (no finite-index sublattice);
+    only those parts are then put in canonical echelon form.
     """
     ncols = len(columns)
-    if kernel:
-        work = [list(col) + unit for col, unit in zip(columns, _identity_rows(ncols))]
-    else:
-        work = [list(col) for col in columns if any(col)]
-    rank = len(_forward_echelon(work, nrows, nrows + ncols if kernel else nrows))
-    if not kernel:
-        return work[:rank], None
-    image = [r[:nrows] for r in work[:rank]]
-    return image, _span(ncols, [r[nrows:] for r in work[rank:]])
+    work = [list(col) + unit for col, unit in zip(columns, _identity_rows(ncols))]
+    rank = len(_forward_echelon(work, nrows, nrows + ncols))
+    return _span(ncols, [r[nrows:] for r in work[rank:]])
 
 
 _NOT_PRIMITIVE = "the vectors are not a basis of a primitive sublattice"
 
 
 class _UnitEchelon:
-    """A recorded integer row reduction T C of the matrix C whose columns are
-    trusted vectors c_1..c_n of the given width (Cohen 1993, A Course in
-    Computational Algebraic Number Theory, 2.4).
+    """A recorded integer row reduction T M of trusted rows of a matrix M
+    whose ncols columns are c_1..c_n (Cohen 1993, A Course in Computational
+    Algebraic Number Theory, 2.4).
 
     Each step pivots on an entry +-1 (row r, column j) of the rows and
     columns still active, clears column j in the other active rows by
     row_i -= q * row_r, and retires row r and column j. With no unit left,
     row-Euclid runs down the first active column until one nonzero entry
     remains, the next pivot if it is +-1. If it is not, or the column is
-    zero, every maximal minor of the active block is a multiple of it, so
-    the c_j are not a basis of a primitive sublattice: ``primitive`` is false.
-    Otherwise each column has a pivot row of T C that is zero in the
-    columns pivoted before it, so both solves only substitute. Kept are
-    those rows and the operations, as groups ``(r, (i, q, i', q', ...))``.
+    zero, the elimination stops there.
+
+    Each pivot row of T M is zero in the columns pivoted before it, and the
+    active rows are zero in every pivot column, so column operations split
+    off a factor 1 per pivot: the other invariant factors of M are those of
+    ``residual``, the active rows left nonzero. When every column has a
+    pivot, ``residual`` is empty and the c_j are a basis of a primitive
+    sublattice (``primitive``). Otherwise every maximal minor of the active
+    block is a multiple of the entry row-Euclid left, so they are not. On
+    a primitive system both solves only substitute along the pivot rows
+    and the operations, kept as groups ``(r, (i, q, i', q', ...))``.
     """
 
-    def __init__(self, vectors: Sequence[Sequence[int]], width: int):
-        n = len(vectors)
-        rows = _transpose(vectors, width)
-        active = list(range(width))
+    def __init__(self, rows: Iterable[Sequence[int]], ncols: int):
+        rows = [list(r) for r in rows]
+        active = list(range(len(rows)))
         ops: list[tuple[int, tuple[int, ...]]] = []
         pivots: list[tuple[int, int, tuple[int, ...]]] = []
-        done = [False] * n
-        while len(pivots) < n:
+        done = [False] * ncols
+        while len(pivots) < ncols:
             for k, r in enumerate(active):
                 p = rows[r]
                 if 1 in p:
@@ -646,11 +605,15 @@ class _UnitEchelon:
             pivots.append((r, j, tuple(p)))
             done[j] = True
 
-        self.primitive = len(pivots) == n
+        self.primitive = len(pivots) == ncols
+        # active rows are zero in every pivot column, so all zero when primitive
+        self.residual = []
+        if not self.primitive:
+            self.residual = [p for p in map(rows.__getitem__, active) if any(p)]
         self._ops = ops
         self._pivots = pivots
         self._free_rows = active  # the rows that were never pivots
-        self._width = width
+        self._width = len(rows)
 
     def coordinates(self, v: Sequence[int]) -> tuple[int, ...]:
         """The x with sum_j x_j c_j = v, for trusted v; ValueError unless v

@@ -26,7 +26,7 @@ intersection from its degree-three cycles, degree-three representatives
 from its degree-one generators. Every solve substitutes along a recorded
 unit-pivot elimination (``lattice._UnitEchelon``): the diagram's curve
 echelons give curve coordinates and lifts, and one of the Gram matrix
-gives its inverse.
+gives the cocycle of a dual rep, one solve per rep and no inverse.
 
 Everything here is integer arithmetic, the congruence diagonalization that
 gives the signature and the determinant of the form included.
@@ -48,12 +48,11 @@ from .lattice import (
     _Value,
     _combination,
     _dot,
-    _identity_rows,
-    _kernel,
     _span,
     _UnitEchelon,
     as_int_vector,
 )
+from .surface import _pairing_rows
 
 
 def _matching_failure(d: TrisectionDiagram, coords) -> str | None:
@@ -215,13 +214,12 @@ def _reduced_lift(d: TrisectionDiagram, lam: int, v: tuple[int, ...]) -> tuple[i
     [0, pivot), the one such vector in its class.
 
     The curve echelon gives u with c_i . u = v_i, and <c, a> = c . u for
-    the a with a_{2t} = -u_{2t+1} and a_{2t+1} = u_{2t}. On a valid diagram
-    the pairing map is onto Z^g with kernel L_lam, so the vectors with
-    pairings v form one class modulo L_lam, and the reduction picks the
-    unique representative above.
+    a the pairing row of u: a_{2t} = -u_{2t+1} and a_{2t+1} = u_{2t}. On a
+    valid diagram the pairing map is onto Z^g with kernel L_lam, so the
+    vectors with pairings v form one class modulo L_lam, and the reduction
+    picks the unique representative above.
     """
-    u = d._curve_echelons[lam].transpose_solve(v)
-    lift = [a for t in range(0, len(u), 2) for a in (-u[t + 1], u[t])]
+    (lift,) = _pairing_rows((d._curve_echelons[lam].transpose_solve(v),))
     d.lagrangian_subgroup(lam + 1)._substitute(lift)
     return tuple(lift)
 
@@ -393,16 +391,17 @@ def intersection_form(d: TrisectionDiagram) -> IntersectionForm:
 def triple_intersection(d: TrisectionDiagram) -> Subgroup:
     """L1 n L2 n L3: representatives of the free degree-one cohomology.
 
-    Read from the cycles of the homology complex's pairwise intersections:
-    a cycle has the same vector of L1 n L2 n L3 in each pair block, and every
-    such vector is one. Its alpha-beta columns give that vector in alpha
-    curve coordinates, up to sign, in their alpha block.
+    Read from the cycles of the homology complex's pairwise intersections,
+    which are kept on the complex: a cycle has the same vector of
+    L1 n L2 n L3 in each pair block, and every such vector is one. Its
+    alpha-beta columns give that vector in alpha curve coordinates, up to
+    sign, in their alpha block.
     """
     c = homology_complex(d)
     g = d.genus
     ab = len(_pair_difference_columns(d)[0])
     alpha = [_combination(d.alpha.curves, col[:g], 2 * g) for col in c.columns[1][:ab]]
-    cycles = _kernel(c.columns[1], c.ranks[2]).columns()
+    cycles = c._cycles(1).columns()
     return _span(2 * g, [_combination(alpha, w[:ab], 2 * g) for w in cycles])
 
 
@@ -482,13 +481,12 @@ def dual_rep_basis(d: TrisectionDiagram) -> tuple[H2DualRep, ...]:
 
 
 @memoized
-def _inverse_gram(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
-    """Integer inverse of the Gram matrix G: row i solves x G = e_i."""
+def _gram_echelon(d: TrisectionDiagram) -> _UnitEchelon:
+    """The unit-pivot elimination of the Gram matrix G, which solves G x = v."""
     form = intersection_form(d)
     if not form.unimodular:
         raise InvalidStateError("the intersection form of a valid diagram is unimodular")
-    solve = _UnitEchelon(form.gram, form.rank).coordinates
-    return tuple(map(solve, _identity_rows(form.rank)))
+    return _UnitEchelon(form.gram, form.rank)
 
 
 def cocycle_from_dual_rep(d: TrisectionDiagram, rep: H2DualRep) -> OneOneCocycle:
@@ -497,14 +495,14 @@ def cocycle_from_dual_rep(d: TrisectionDiagram, rep: H2DualRep) -> OneOneCocycle
     Returns a cocycle c with intersection_pairing(d, b, c) equal to
     evaluate_on_surface_class(d, b, rep) for every basis cocycle b: the
     combination of the cocycle basis with coefficients G^-1 times those
-    evaluations, constructed once (the zero cocycle when b2 = 0). Each
-    evaluation is b's curve coordinates dotted with the rep's curve
-    pairings, so none needs a change of basis.
+    evaluations, solved along the Gram matrix's elimination and constructed
+    once (the zero cocycle when b2 = 0). Each evaluation is b's curve
+    coordinates dotted with the rep's curve pairings, so none needs a
+    change of basis.
     """
     if rep.diagram != d:
         raise ValueError("dual rep belongs to a different diagram")
     flat = [c for block in rep.coords for c in block]
     basis = h2_basis_cocycles(d)
     rhs = [_dot(x.coords, flat) for x in basis]
-    return _cocycle_combination(d, basis, [_dot(row, rhs) for row in _inverse_gram(d)])
-
+    return _cocycle_combination(d, basis, _gram_echelon(d).coordinates(rhs))

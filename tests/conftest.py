@@ -1,11 +1,23 @@
 """Shared pytest hooks: derandomized fuzzing, acceptance-gate verdict lines."""
 
+import importlib
 import sys
+import warnings
+from contextlib import suppress
 
 from hypothesis import settings
 
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
+
+# When a property test fails, hypothesis's report imports this module, which
+# imports libcst and, through it, mypy_extensions, whose DeprecationWarning
+# the "error" warning filter turns into an INTERNALERROR: the falsifying
+# example is lost and the run stops. Imported once here, with that warning
+# ignored, it is cached before any test runs.
+with warnings.catch_warnings(), suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    importlib.import_module("hypothesis.extra._patching")
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -377,8 +377,10 @@ def triple_quotient(d: TrisectionDiagram) -> QuotientPresentation:
 def sympy_invariant_factors(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, ...]:
     """Nonzero invariant factors of rows, the diagonal of sympy's Smith normal form.
 
-    The oracle for ``lattice.invariant_factors``, which splits off a factor 1
-    at each unit entry and runs its own Smith form only on what is left.
+    The oracle for ``lattice.invariant_factors``, which counts the pivots of
+    its unit-pivot elimination as factors 1 and runs its own Smith form only
+    on the residual rows that elimination leaves; and for the primitivity
+    that elimination reads, which holds exactly when every factor is 1.
     """
     D = sympy_snf(sympy.Matrix(len(rows), ncols, [x for row in rows for x in row]))
     return tuple(sorted(abs(int(D[i, i])) for i in range(min(D.shape)) if D[i, i]))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,9 +32,10 @@ from helpers import (
     homology_by_kernels,
     ladder_diagram,
     plain_form,
+    sympy_invariant_factors,
     triple_quotient,
 )
-from test_acceptance import RANDOM_SUITE
+from test_acceptance import RANDOM_SUITE, SUITE
 from test_diagram import torsion_sums_and_their_slides
 from test_pairings import DUALITY_SUITE
 
@@ -399,6 +401,18 @@ def test_homology_from_invariant_factors_matches_the_kernel_route():
         for c in every_complex(d):
             for pos in range(len(c.ranks)):
                 assert c.homology_at(pos) == homology_by_kernels(c, pos), (d.describe(), pos)
+
+
+def test_differential_factors_and_ranks_match_sympy():
+    # SUITE holds RANDOM_SUITE and the builtins; every differential's factors
+    # come from the unit-pivot elimination of its columns
+    diagrams = [d for d in SUITE if d.validation.is_valid] + [ladder_diagram(8)]
+    for d in diagrams:
+        for c in (homology_complex(d), dual_complex(d)):
+            for i, (cols, nrows) in enumerate(zip(c.columns, c.ranks[1:])):
+                rank = sympy.Matrix(len(cols), nrows, [x for col in cols for x in col]).rank()
+                assert c._factors(i) == sympy_invariant_factors(cols, nrows), (d.describe(), i)
+                assert c._rank(i) == rank, (d.describe(), i)
 
 
 HAND_BUILT = (

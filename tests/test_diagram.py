@@ -32,7 +32,7 @@ from trihodge.complexes import (
     homology_groups,
 )
 from trihodge.diagram import _span_quotient
-from trihodge.lattice import Subgroup, _combination, _invariant_factors, subgroup_sum
+from trihodge.lattice import Subgroup, _combination, subgroup_sum
 from trihodge.pairings import dual_rep_basis, h2_basis_cocycles, intersection_form
 from trihodge.spin import enumerate_spin
 from trihodge.spinc import base_ledger
@@ -43,6 +43,7 @@ from helpers import (
     pair_quotient,
     plain_form,
     subgroup_intersection,
+    sympy_invariant_factors,
     triple_quotient,
     triple_sum,
     validate_by_pair_sums,
@@ -370,7 +371,7 @@ class TestPairChecksFromIntersectionMatrices:
                 )
         assert validate(d) == validate_by_pair_sums(d)
         for echelon, rows in zip(d._curve_echelons, d._curve_pairings):
-            ones = _invariant_factors(rows, 2 * d.genus) == (1,) * d.genus
+            ones = sympy_invariant_factors(rows, 2 * d.genus) == (1,) * d.genus
             assert echelon.primitive == ones
 
     def test_validation_builds_no_pair_sum(self):

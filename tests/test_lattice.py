@@ -170,8 +170,9 @@ def rank_deficient_rows(draw):
 
 
 class TestInvariantFactors:
-    """Factors split off at unit entries, then a Smith form of the rest,
-    against the diagonal of sympy's Smith normal form."""
+    """A factor 1 per unit pivot of the recorded elimination, then a Smith
+    form of the residual rows, against the diagonal of sympy's Smith normal
+    form."""
 
     @staticmethod
     def assert_matches_sympy(rows, ncols):
@@ -669,8 +670,13 @@ def primitive_systems(draw):
     return [[row[j] for row in m] for j in range(n)], width
 
 
+def unit_echelon(columns, width):
+    """The elimination of the width x n matrix with the given columns."""
+    return _UnitEchelon(_transpose(columns, width), len(columns))
+
+
 class TestUnitEchelon:
-    """The one recorded elimination: primitivity against the invariant
+    """The one recorded elimination: primitivity against sympy's invariant
     factors, coordinates against the tracked-echelon oracle, and lifts by
     their law."""
 
@@ -680,15 +686,15 @@ class TestUnitEchelon:
         columns, width = case
         before = [list(c) for c in columns]
         n = len(columns)
-        expected = _invariant_factors(_transpose(columns, width), n) == (1,) * n
-        assert _UnitEchelon(columns, width).primitive == expected
+        expected = sympy_invariant_factors(columns, width) == (1,) * n
+        assert unit_echelon(columns, width).primitive == expected
         assert columns == before
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(curve_systems(), primitive_systems()), st.data())
     def test_coordinates_and_lifts_on_primitive_systems(self, case, data):
         columns, width = case
-        echelon, n = _UnitEchelon(columns, width), len(columns)
+        echelon, n = unit_echelon(columns, width), len(columns)
         if not echelon.primitive:
             with pytest.raises(ValueError, match="primitive"):
                 echelon.coordinates([0] * width)
@@ -726,7 +732,7 @@ class TestUnitEchelon:
         ],
     )
     def test_fixed_cases(self, columns, width, primitive):
-        echelon = _UnitEchelon(columns, width)
+        echelon = unit_echelon(columns, width)
         assert echelon.primitive == primitive
         if primitive and columns:
             v = [3 * x for x in columns[0]]
@@ -738,7 +744,7 @@ class TestUnitEchelon:
 
         monkeypatch.setattr(lattice, "_Smith", forbidden)
         monkeypatch.setattr(lattice, "_forward_echelon", forbidden)
-        echelon = _UnitEchelon([(2, 3, 0, 0), (0, 0, 4, 7)], 4)
+        echelon = unit_echelon([(2, 3, 0, 0), (0, 0, 4, 7)], 4)
         assert echelon.primitive
         assert echelon.coordinates((2, 3, 8, 14)) == (1, 2)
 

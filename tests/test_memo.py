@@ -1,4 +1,9 @@
-"""Per-diagram memo: results live on the diagram object and die with it."""
+"""Per-diagram memo: results live on the diagram object as long as it does.
+
+Cached cocycles and dual reps point back at their diagram, so a queried
+diagram is part of a reference cycle: only the cycle collector frees it,
+together with its results.
+"""
 
 import gc
 import io
@@ -21,6 +26,7 @@ from trihodge.pairings import (
     dual_rep_basis,
     evaluate_on_surface_class,
     h2_basis_cocycles,
+    h3_representatives,
     intersection_form,
     intersection_pairing,
     triple_intersection,
@@ -143,7 +149,7 @@ def test_smith_forms_build_only_the_transforms_read(name, smith_forms):
     d = builtin(name)
     ensure_valid(d)
     # primitivity is read off the curve echelons, and every pair factor is
-    # split off at a unit entry
+    # a unit pivot of the elimination of an intersection matrix
     assert not smith_forms and not lifted(d)
     homology_groups(d)
     dual_middle_homology(d)
@@ -200,8 +206,10 @@ def test_validation_builds_no_pair_sum_but_reads_it_on_demand(name):
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """The matrix behind every echelon and every Smith form computed since the
-    fixture started, as the tuple of its columns.
+    """The matrix behind every downward echelon (canonical spans and kernels)
+    and every Smith form computed since the fixture started, as the tuple of
+    its columns. The unit-pivot eliminations that give invariant factors
+    are not recorded.
 
     An echelon eliminates the rows of m^T (the leading ``stop`` entries of
     each row it is handed), so those rows are the columns of m."""
@@ -233,6 +241,23 @@ def test_degree_two_differential_is_eliminated_once(name, eliminations):
     homology_groups(d)
     h2_basis_cocycles(d)
     assert eliminations.count(d2) == 1
+
+
+@pytest.mark.parametrize("name", ["S2xS2#QS4_Z3", "S1xS3#QS4_Z2", "S1xS3#S1xS3#CP2"])
+def test_degree_one_and_three_reads_eliminate_each_differential_at_most_once(
+    name, eliminations
+):
+    d = builtin(name)
+    c = homology_complex(d)
+    assert c.columns[1] and c.columns[3]
+    homology_groups(d)
+    for _ in range(2):
+        triple_intersection(d)
+        h3_representatives(d)
+    # triple_intersection reads the cycles of d_1 and h3_representatives
+    # those of d_3, each kept on the complex
+    assert 0 < eliminations.count(c.columns[1]) <= 1
+    assert 0 < eliminations.count(c.columns[3]) <= 1
 
 
 @pytest.mark.parametrize("name", SUMS)
