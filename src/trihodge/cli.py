@@ -12,8 +12,11 @@ curves. The basis cocycles and Gram matrix printed by form are built in the
 curve bases too: they may change under a handleslide, while rank,
 signature, parity and unimodularity do not. The three-way H2 check of
 homology compares H2 of the homology complex, its dual read in closed form,
-and the duality laws applied to H1, which is read off the invariant factors
-of all 3g curves and so is independent of the complex.
+and the duality laws applied to H1. The first two share their free rank,
+2g - rank d1 - rank d2, and take their torsion from d1 and d2, so comparing
+them compares tors H2 with tors H1, both read from the complex. H1 for the
+laws is read off the invariant factors of all 3g curves and so is
+independent of the complex.
 
 Exit codes: 0 success (and diagram valid), 1 invalid diagram or rep, or a
 refused computation (a spin listing over spin.MAX_LISTED structures),

@@ -15,16 +15,17 @@ complex. It is no independent route to H2; the duality laws are that check.
 
 The invariant factors of each differential, and with them its rank, come
 from one unit-pivot elimination of its columns and are kept on the complex.
-A homology group is read off those of the two differentials at its
-position, which holds in any complex of free groups. Free generators are
-built only where a caller reads them: at degree two of the homology
-complex for every group query, and at degree one for
+Every homology group is read off those of the two differentials at its
+position, which holds in any complex of free groups: H2 is
+Z^(2g - rank d1 - rank d2) plus the factors >= 2 of d1, like every other
+group, so a group query builds no kernel of a differential and no Smith
+transform. Free generators are built only where a caller reads them: at
+degree two for ``pairings.h2_basis_cocycles`` and at degree one for
 ``pairings.h3_representatives``. There the canonical kernel of the
-outgoing differential gives the cycles, kept on the complex
-(``pairings.triple_intersection`` reads those of degree three), and one
-Smith form of the boundaries in the cycles gives the group with its
-generators. A complex keeps its differentials as the columns the
-eliminations read; ``diffs`` builds matrices from them only when asked.
+outgoing differential gives the cycles, and one Smith form of the
+boundaries in the cycles gives the generators. A complex keeps its
+differentials as the columns the eliminations read; ``diffs`` builds
+matrices from them only when asked.
 
 The 3x3 Hodge-style diamond is ``homology_groups`` arranged with two constant
 outer columns; its antidiagonals assemble the cohomology. The Cech complexes
@@ -51,7 +52,6 @@ from .lattice import (
     _combination,
     _invariant_factors,
     _kernel,
-    _span,
     _transpose,
     as_int_vector,
 )
@@ -104,12 +104,10 @@ class FreeChainComplex(_Frozen):
     ``ranks[i + 1]``. Consecutive composites must vanish. ``degrees`` carries
     the semantic degree label of each position (descending for the homology
     complex, ascending Cech degrees for the cochain complexes). Columns that
-    already are tuples of Python ints are kept as the same objects.
-    ``generator_positions`` lists the positions whose free generators some
-    caller reads; there ``homology_at`` builds them together with the group,
-    and everywhere else it builds none. The invariant factors of each
-    differential and the cycles at each position read are memoized on the
-    complex.
+    already are tuples of Python ints are kept as the same objects. Every
+    homology group is read from the invariant factors of the differentials,
+    which are memoized on the complex; free generators are built only where
+    ``homology_with_generators`` is asked for them.
     """
 
     def __init__(
@@ -118,7 +116,6 @@ class FreeChainComplex(_Frozen):
         ranks: tuple[int, ...],
         degrees: tuple[int, ...],
         columns: tuple[tuple[tuple[int, ...], ...], ...],
-        generator_positions: tuple[int, ...] = (),
     ):
         n = len(ranks)
         if len(term_names) != n or len(degrees) != n or len(columns) != n - 1:
@@ -137,7 +134,6 @@ class FreeChainComplex(_Frozen):
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "columns", tuple(kept))
-        object.__setattr__(self, "generator_positions", generator_positions)
 
     @cached_property
     def diffs(self) -> tuple[np.ndarray, ...]:
@@ -167,26 +163,14 @@ class FreeChainComplex(_Frozen):
         return len(self._factors(i)) if i < len(self.columns) else 0
 
     @memoized
-    def _cycles(self, pos: int) -> Subgroup:
-        """The cycles at a position: the kernel of the outgoing differential,
-        everything at the last position."""
-        if pos >= len(self.columns):
-            return Subgroup.full(self.ranks[pos])
-        return _kernel(self.columns[pos], self.ranks[pos + 1])
-
-    @memoized
     def homology_at(self, pos: int) -> HomologyGroup:
         """Homology at a position, from the ranks and invariant factors of the differentials.
 
         ker d_pos is saturated, so the boundaries of d_{pos-1} lie in it
         with the invariant factors of d_{pos-1}: the group is
         Z^(n_pos - rank d_pos - rank d_{pos-1}) plus the factors >= 2 of
-        d_{pos-1}. This holds for any complex of free groups. At a position
-        in ``generator_positions`` the group is built with its free
-        generators instead, by ``homology_with_generators``.
+        d_{pos-1}. This holds for any complex of free groups.
         """
-        if pos in self.generator_positions:
-            return self.homology_with_generators(pos)[0]
         self._check_position(pos)
         incoming = self._factors(pos - 1) if pos else ()
         free = self.ranks[pos] - self._rank(pos) - len(incoming)
@@ -200,13 +184,18 @@ class FreeChainComplex(_Frozen):
 
         The generators are cycle vectors in the coordinates of term ``pos``
         whose classes form a basis of the free part of the homology group.
-        They come from one Smith form of the boundaries written in a basis of
-        the memoized cycles. At a position in ``generator_positions`` this
-        is the group ``homology_at`` returns; elsewhere only
-        ``pairings.h3_representatives`` and the tests read it.
+        The cycles are the canonical kernel of the outgoing differential
+        (everything at the last position), and one Smith form of the
+        boundaries written in their basis gives the group with its
+        generators. Callers read it for the generators only
+        (``pairings.h2_basis_cocycles`` and ``pairings.h3_representatives``);
+        its group is the kernel-route oracle of ``homology_at`` in the tests.
         """
         self._check_position(pos)
-        cycles = self._cycles(pos)
+        if pos < len(self.columns):
+            cycles = _kernel(self.columns[pos], self.ranks[pos + 1])
+        else:
+            cycles = Subgroup.full(self.ranks[pos])
         if cycles.rank == 0:
             return HomologyGroup(0), ()
         # boundary columns land in the cycle subgroup (d o d = 0, saturated basis)
@@ -230,39 +219,32 @@ def _negated(v: tuple[int, ...]) -> tuple[int, ...]:
 def _pair_difference_columns(d: TrisectionDiagram) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Per cyclic pair lam, lam+1, the pair-difference columns in the three curve bases.
 
-    One length-3g column per column (x, y) of the canonical kernel of
-    [C_lam | -C_{lam+1}], C_lam the curves of system lam: -x in block lam
-    and +y in block lam+1, the (c-a, a-b, b-c) pattern componentwise. Each
-    (x, y) is one vector of L_lam n L_{lam+1} in the curve coordinates of
-    both systems, and the columns of a block span that intersection.
+    One length-3g column per basis vector of L_lam n L_{lam+1}, written as
+    (x, y) with C_lam x = C_{lam+1} y, C_lam the curves of system lam: -x in
+    block lam and +y in block lam+1, the (c-a, a-b, b-c) pattern
+    componentwise. The columns of a block span that intersection.
 
-    Each kernel projects isomorphically onto its x half, so its canonical
-    echelon pivots there: x runs over the canonical kernel of the g x g
-    matrix Q_{lam+1,lam}, since a vector of Z^2g lies in a primitive
-    Lagrangian exactly when it pairs to zero with that Lagrangian's curves,
-    and y is solved for. The gamma-alpha kernel, whose x half is in gamma
-    coordinates, is the span of the solved (x, y) over y in ker Q_gamma_alpha.
+    A vector of Z^2g lies in a primitive Lagrangian exactly when it pairs to
+    zero with that Lagrangian's curves, so x runs over the canonical kernel
+    of x -> x^T Q_lam, and y is the coordinates of C_lam x along the curve
+    echelon of system lam+1. The intersection projects isomorphically onto
+    x, so these are the columns of the canonical kernel of
+    [C_lam | -C_{lam+1}], for all three pairs alike.
     """
     ensure_valid(d)
     g = d.genus
-    ab, bg, ga = d._intersection_matrices
-    beta, gamma = (echelon.coordinates for echelon in d._curve_echelons[1:])
-    alpha, zero = d.alpha.curves, (0,) * g
-
-    def image(curves, x):
-        return _combination(curves, x, 2 * g)
-
-    # Q_beta_alpha and Q_gamma_beta have the negated rows of Q_alpha_beta and
-    # Q_beta_gamma as columns, and kernels do not see the sign
-    alpha_beta = [(x, beta(image(alpha, x))) for x in _kernel(ab, g).columns()]
-    beta_gamma = [(x, gamma(image(d.beta.curves, x))) for x in _kernel(bg, g).columns()]
-    solved = [gamma(image(alpha, y)) + y for y in _kernel(_transpose(ga, g), g).columns()]
-    gamma_alpha = [(xy[:g], xy[g:]) for xy in _span(2 * g, solved).columns()]
-    return (
-        tuple(_negated(x) + y + zero for x, y in alpha_beta),
-        tuple(zero + _negated(x) + y for x, y in beta_gamma),
-        tuple(y + zero + _negated(x) for x, y in gamma_alpha),
-    )
+    blocks = []
+    for lam, q in enumerate(d._intersection_matrices):
+        nxt = (lam + 1) % 3
+        curves, coordinates = d.systems[lam].curves, d._curve_echelons[nxt].coordinates
+        columns = []
+        for x in _kernel(q, g).columns():
+            col = [(0,) * g] * 3
+            col[lam] = _negated(x)
+            col[nxt] = coordinates(_combination(curves, x, 2 * g))
+            columns.append(col[0] + col[1] + col[2])
+        blocks.append(tuple(columns))
+    return tuple(blocks)
 
 
 @memoized
@@ -275,11 +257,10 @@ def homology_complex(d: TrisectionDiagram) -> FreeChainComplex:
     their curve bases, and Z^2g / L_gamma is identified with Z^g by pairing
     with the gamma curves, so the degree-two differential is
     [Q_gamma_alpha | Q_gamma_beta]. The degree-three one keeps the alpha
-    and beta blocks of the pair-difference columns. The free generators of
-    degree two, which ``pairings.h2_basis_cocycles`` reads, are built with
-    the group. Its cycles and boundaries are the projections of those of
-    the complex of the three Lagrangians, which lose nothing: the gamma
-    block of a cycle there is fixed by its alpha and beta blocks.
+    and beta blocks of the pair-difference columns. Its cycles and
+    boundaries are the projections of those of the complex of the three
+    Lagrangians, which lose nothing: the gamma block of a cycle there is
+    fixed by its alpha and beta blocks.
     """
     ensure_valid(d)
     g = d.genus
@@ -302,7 +283,6 @@ def homology_complex(d: TrisectionDiagram) -> FreeChainComplex:
         ranks=(1, len(pair_columns), 2 * g, g, 1),
         degrees=(4, 3, 2, 1, 0),
         columns=columns,
-        generator_positions=(2,),
     )
 
 

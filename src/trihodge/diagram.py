@@ -222,7 +222,7 @@ def memoized(fn):
 
 
 def _system_index(lam: int) -> int:
-    if lam not in (1, 2, 3):
+    if type(lam) is not int or lam not in (1, 2, 3):
         raise ValueError(f"system index must be 1, 2 or 3, got {lam}")
     return lam - 1
 
@@ -396,6 +396,8 @@ def handleslide(cs: CutSystem, i: int, j: int, sign: int = 1) -> CutSystem:
     """Replace curve i by curve i + sign * curve j; preserves the spanned subgroup."""
     if sign not in (1, -1):
         raise ValueError("handleslide sign must be +1 or -1")
+    if type(i) is not int or type(j) is not int:
+        raise ValueError("curve indices must be integers")
     if i == j:
         raise ValueError("handleslide needs two distinct curves")
     if not (0 <= i < cs.genus and 0 <= j < cs.genus):

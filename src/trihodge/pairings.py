@@ -21,9 +21,11 @@ basis) is built in one step: the coordinates are combined first, then the
 class is constructed once, so its check runs once on the result. No
 ambient vector is built unless a caller reads the blocks.
 
-Degrees one and three are read from the homology complex too: the triple
-intersection from its degree-three cycles, degree-three representatives
-from its degree-one generators. Every solve substitutes along a recorded
+Degree one is read from the alpha curves: L1 n L2 n L3 is spanned by the
+vectors C_alpha x that pair to zero with the beta and gamma curves, since a
+primitive Lagrangian is its own annihilator. Degree-three representatives
+are the free generators of degree one of the homology complex, lifted to
+ambient vectors. Every solve substitutes along a recorded
 unit-pivot elimination (``lattice._UnitEchelon``): the diagram's curve
 echelons give curve coordinates and lifts, and one of the Gram matrix
 gives the cocycle of a dual rep, one solve per rep and no inverse.
@@ -48,6 +50,7 @@ from .lattice import (
     _Value,
     _combination,
     _dot,
+    _kernel,
     _span,
     _UnitEchelon,
     as_int_vector,
@@ -391,18 +394,17 @@ def intersection_form(d: TrisectionDiagram) -> IntersectionForm:
 def triple_intersection(d: TrisectionDiagram) -> Subgroup:
     """L1 n L2 n L3: representatives of the free degree-one cohomology.
 
-    Read from the cycles of the homology complex's pairwise intersections,
-    which are kept on the complex: a cycle has the same vector of
-    L1 n L2 n L3 in each pair block, and every such vector is one. Its
-    alpha-beta columns give that vector in alpha curve coordinates, up to
-    sign, in their alpha block.
+    A primitive Lagrangian is its own annihilator, so a vector C_alpha x of
+    L_alpha lies in L_beta and L_gamma exactly when it pairs to zero with
+    their curves: when x^T Q_alpha_beta = 0 and Q_gamma_alpha x = 0. The
+    intersection is the span of C_alpha x over the kernel of those 2g
+    conditions on the alpha curve coordinates.
     """
-    c = homology_complex(d)
+    ensure_valid(d)
     g = d.genus
-    ab = len(_pair_difference_columns(d)[0])
-    alpha = [_combination(d.alpha.curves, col[:g], 2 * g) for col in c.columns[1][:ab]]
-    cycles = c._cycles(1).columns()
-    return _span(2 * g, [_combination(alpha, w[:ab], 2 * g) for w in cycles])
+    ab, _, ga = d._intersection_matrices
+    kernel = _kernel([row + col for row, col in zip(ab, zip(*ga))], 2 * g)
+    return _span(2 * g, [_combination(d.alpha.curves, x, 2 * g) for x in kernel.columns()])
 
 
 def pairing_h3_h1(d: TrisectionDiagram, h3, h1) -> int:

@@ -73,7 +73,7 @@ def lutz_shift(ledger: SpinCLedger, lam: int, gamma_coords) -> SpinCLedger:
     cut system lam, in file order. A lone shift may leave the admissible
     locus; matched triples (see ``act``) never do.
     """
-    if lam not in (1, 2, 3):
+    if type(lam) is not int or lam not in (1, 2, 3):
         raise ValueError("handlebody index must be 1, 2 or 3")
     g = ledger.diagram.genus
     gamma = as_int_vector(gamma_coords, g)

@@ -337,8 +337,8 @@ def subgroup_intersection(a: Subgroup, b: Subgroup) -> Subgroup:
     """Intersection of two subgroups of the same Z^n, from the kernel of [A | -B].
 
     The oracle for ``pairings.triple_intersection``, which reads L1 n L2 n L3
-    off the cycles of the homology complex instead of intersecting the
-    canonical Lagrangians.
+    off the alpha curves and the intersection matrices Q_alpha_beta and
+    Q_gamma_alpha instead of intersecting the canonical Lagrangians.
     """
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("subgroups of different ambient ranks")
@@ -463,7 +463,6 @@ def five_term_complex(d: TrisectionDiagram) -> FreeChainComplex:
             tuple(c for cs in d.systems for c in cs.curves),
             ((0,),) * (2 * g),
         ),
-        generator_positions=(2,),
     )
 
 

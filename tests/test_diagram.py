@@ -35,7 +35,7 @@ from trihodge.diagram import _span_quotient
 from trihodge.lattice import Subgroup, _combination, subgroup_sum
 from trihodge.pairings import dual_rep_basis, h2_basis_cocycles, intersection_form
 from trihodge.spin import enumerate_spin
-from trihodge.spinc import base_ledger
+from trihodge.spinc import base_ledger, lutz_shift
 
 from helpers import (
     cold_copy,
@@ -448,6 +448,24 @@ class TestHandleslide:
             handleslide(cs, 0, 1, 2)
         with pytest.raises(ValueError):
             handleslide(cs, 0, 5, 1)
+
+
+@pytest.mark.parametrize("index", [1.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize(
+    "entry", ["lagrangian_subgroup", "pair_sum", "lutz_shift", "handleslide", "handleslide_diagram"]
+)
+def test_index_arguments_must_be_ints(entry, index):
+    # a float index used to raise TypeError and a bool one to pass as 0 or 1
+    d = builtin("CP2#CP2bar")
+    calls = {
+        "lagrangian_subgroup": lambda: d.lagrangian_subgroup(index),
+        "pair_sum": lambda: d.pair_sum(index),
+        "lutz_shift": lambda: lutz_shift(base_ledger(d), index, (1, 0)),
+        "handleslide": lambda: handleslide(d.alpha, index, 0),
+        "handleslide_diagram": lambda: handleslide_diagram(d, "gamma", 0, index),
+    }
+    with pytest.raises(ValueError):
+        calls[entry]()
 
 
 class TestRandomDiagram:

@@ -12,7 +12,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from trihodge import cli, lattice
+from trihodge import cli, diagram, lattice, pairings
 from trihodge.complexes import (
     dual_complex,
     dual_middle_homology,
@@ -89,7 +89,13 @@ def test_results_are_freed_with_their_diagram():
 
 def test_groups_and_generators_share_one_result_per_position():
     d = builtin("S2xS2#QS4_Z3")
-    assert homology_groups(d)[2] is homology_complex(d).homology_with_generators(2)[0]
+    c = homology_complex(d)
+    groups = homology_groups(d)
+    for k in range(5):
+        pos = c.position_of_degree(k)
+        assert groups[k] is c.homology_at(pos)
+        # the generators' own group is the kernel route, equal but not shared
+        assert c.homology_with_generators(pos)[0] == groups[k]
 
 
 SUMS = ["CP2#CP2bar", "S2xS2#QS4_Z3", "S1xS3#QS4_Z2"]
@@ -132,10 +138,15 @@ def test_no_smith_form_is_computed_twice(name, smith_forms):
     homology_groups(d)
     dual_middle_homology(d)
     before = len(smith_forms)
+    # the one cokernel that gives the free degree-two generators
     h2_basis_cocycles(d)
+    assert len(smith_forms) == before + 1
     dual_rep_basis(d)
     hodge_diamond(d)
-    assert len(smith_forms) == before
+    homology_groups(d)
+    dual_middle_homology(d)
+    h2_basis_cocycles(d)
+    assert len(smith_forms) == before + 1
 
     fresh = builtin(name)
     ensure_valid(fresh)
@@ -153,8 +164,13 @@ def test_smith_forms_build_only_the_transforms_read(name, smith_forms):
     assert not smith_forms and not lifted(d)
     homology_groups(d)
     dual_middle_homology(d)
-    assert smith_forms
-    assert not any({"U", "V"} & built(form) for form in smith_forms)
+    # the groups read only invariant factors
+    assert not any(built(form) for form in smith_forms)
+    before = len(smith_forms)
+    h2_basis_cocycles(d)
+    # one cokernel, which replays U^{-1} when there are free generators to lift
+    free = homology_groups(d)[2].rank > 0
+    assert [built(form) for form in smith_forms[before:]] == [{"Uinv"} if free else set()]
     assert not lifted(d)
 
 
@@ -162,19 +178,17 @@ def test_smith_forms_build_only_the_transforms_read(name, smith_forms):
 def test_only_the_degree_two_position_builds_generators(name, smith_forms):
     d = builtin(name)
     ensure_valid(d)
-    before = len(smith_forms)
     homology_groups(d)
     dual_middle_homology(d)
-    cokernels = smith_forms[before:]
-    assert cokernels
-    assert sum("Uinv" in built(form) for form in cokernels) == 1
-    assert all(built(form) in ({"Uinv"}, set()) for form in cokernels)
     c = homology_complex(d)
     prefix = f"{c.homology_with_generators.__module__}.{c.homology_with_generators.__qualname__}"
-    assert [key for key in vars(c) if key.startswith(prefix)] == [f"{prefix}(2,)"]
+    assert not [key for key in vars(c) if key.startswith(prefix)]
+    assert not any(built(form) for form in smith_forms)
     before = len(smith_forms)
     h2_basis_cocycles(d)
-    assert len(smith_forms) == before
+    assert [key for key in vars(c) if key.startswith(prefix)] == [f"{prefix}(2,)"]
+    free = homology_groups(d)[2].rank > 0
+    assert [built(form) for form in smith_forms[before:]] == [{"Uinv"} if free else set()]
 
 
 @pytest.mark.parametrize("name", SUMS)
@@ -206,41 +220,66 @@ def test_validation_builds_no_pair_sum_but_reads_it_on_demand(name):
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """The matrix behind every downward echelon (canonical spans and kernels)
-    and every Smith form computed since the fixture started, as the tuple of
-    its columns. The unit-pivot eliminations that give invariant factors
-    are not recorded.
+    """Every elimination run since the fixture started, as (kind, matrix).
 
-    An echelon eliminates the rows of m^T (the leading ``stop`` entries of
-    each row it is handed), so those rows are the columns of m."""
+    The kinds are "echelon" (a downward echelon: canonical spans and
+    kernels), "smith" (a Smith form) and "unit" (a unit-pivot elimination:
+    invariant factors, curve echelons and the Gram matrix's). The matrix
+    is the tuple of the rows the elimination is handed, which for an
+    echelon or a unit-pivot elimination of a differential are its columns
+    (the leading ``stop`` entries of each row, for an echelon), and the
+    tuple of the columns of the rows a Smith form is handed."""
     matrices = []
-    forward, smith = lattice._forward_echelon, lattice._Smith
+    forward, smith, unit = lattice._forward_echelon, lattice._Smith, lattice._UnitEchelon
 
     def recorded(work, stop, width):
-        matrices.append(tuple(tuple(row[:stop]) for row in work))
+        matrices.append(("echelon", tuple(tuple(row[:stop]) for row in work)))
         return forward(work, stop, width)
 
-    class Recorded(smith):
+    class RecordedSmith(smith):
         def __init__(self, rows, ncols):
-            matrices.append(tuple(zip(*rows)) if rows else ((),) * ncols)
+            matrices.append(("smith", tuple(zip(*rows)) if rows else ((),) * ncols))
+            super().__init__(rows, ncols)
+
+    class RecordedUnit(unit):
+        def __init__(self, rows, ncols):
+            rows = tuple(map(tuple, rows))
+            matrices.append(("unit", rows))
             super().__init__(rows, ncols)
 
     monkeypatch.setattr(lattice, "_forward_echelon", recorded)
-    monkeypatch.setattr(lattice, "_Smith", Recorded)
+    monkeypatch.setattr(lattice, "_Smith", RecordedSmith)
+    for module in (lattice, diagram, pairings):
+        monkeypatch.setattr(module, "_UnitEchelon", RecordedUnit)
     return matrices
+
+
+def count(eliminations, matrix, *kinds) -> int:
+    """How many recorded eliminations of the given kinds (of any kind when
+    none is named) were handed this matrix."""
+    return sum(m == matrix and (not kinds or k in kinds) for k, m in eliminations)
 
 
 @pytest.mark.parametrize("name", SUMS)
 def test_degree_two_differential_is_eliminated_once(name, eliminations):
     d = builtin(name)
     ensure_valid(d)
-    d2 = homology_complex(d).columns[2]
+    complex_ = homology_complex(d)
+    d2 = complex_.columns[2]
     gamma = d.gamma.curves
     curves = d.alpha.curves + d.beta.curves
     assert d2 == tuple(tuple(plain_form(c, e) for c in gamma) for e in curves)
     homology_groups(d)
+    # its invariant factors, and no kernel
+    assert count(eliminations, d2) == count(eliminations, d2, "unit") == 1
     h2_basis_cocycles(d)
-    assert eliminations.count(d2) == 1
+    # the kernel whose basis the free generators are read in
+    assert count(eliminations, d2, "echelon") == 1
+    assert count(eliminations, d2) == 2
+    before = len(eliminations)
+    triple_intersection(d)
+    differentials = [cols for cols in complex_.columns if cols]
+    assert not any(m in differentials for _, m in eliminations[before:])
 
 
 @pytest.mark.parametrize("name", ["S2xS2#QS4_Z3", "S1xS3#QS4_Z2", "S1xS3#S1xS3#CP2"])
@@ -251,13 +290,16 @@ def test_degree_one_and_three_reads_eliminate_each_differential_at_most_once(
     c = homology_complex(d)
     assert c.columns[1] and c.columns[3]
     homology_groups(d)
+    before = eliminations[:]
     for _ in range(2):
         triple_intersection(d)
         h3_representatives(d)
-    # triple_intersection reads the cycles of d_1 and h3_representatives
-    # those of d_3, each kept on the complex
-    assert 0 < eliminations.count(c.columns[1]) <= 1
-    assert 0 < eliminations.count(c.columns[3]) <= 1
+    added = eliminations[len(before) :]
+    # triple_intersection reads the alpha curves and no differential;
+    # h3_representatives builds the cycles of d_3 once, kept on the complex
+    assert count(before, c.columns[1]) == count(before, c.columns[1], "unit") == 1
+    assert count(added, c.columns[1]) == 0
+    assert count(added, c.columns[3]) == count(added, c.columns[3], "echelon") == 1
 
 
 @pytest.mark.parametrize("name", SUMS)
@@ -402,19 +444,26 @@ HOMOLOGY_BUILTINS = ["S4", "CP2", "S1xS3", "S2xS2", "QS4_Z3", *SUMS, "CP2#QS4_Z3
 
 @pytest.mark.parametrize("name", HOMOLOGY_BUILTINS)
 def test_homology_command_builds_no_lagrangian_and_only_the_degree_two_generators(
-    name, smith_forms, monkeypatch
+    name, smith_forms, eliminations, monkeypatch
 ):
     loaded = []
     load = cli._load_diagram
     monkeypatch.setattr(cli, "_load_diagram", lambda args: loaded.append(load(args)) or loaded[-1])
-    with redirect_stdout(io.StringIO()):
-        assert cli.main(["homology", "--builtin", name]) == 0
-    (d,) = loaded
-    assert "_lagrangians" not in vars(d) and "_pair_sums" not in vars(d)
-    # every Smith form reads only invariant factors, except one cokernel that
-    # replays U^{-1} for the free degree-two generators
-    generators = [form for form in smith_forms if built(form)]
-    assert [built(form) for form in generators] == [{"Uinv"}] * (homology_groups(d)[2].rank > 0)
+    for command in ("homology", "diamond"):
+        with redirect_stdout(io.StringIO()):
+            assert cli.main([command, "--builtin", name]) == 0
+    # every group is read off invariant factors: no Smith form replays a
+    # transform, and the only kernels are the three of the Q matrices that
+    # give the pairwise intersections (each two echelons: its rows, then the
+    # canonical kernel), so no cycles and no generators are built
+    assert not any(built(form) for form in smith_forms)
+    echelons = [m for kind, m in eliminations if kind == "echelon"]
+    assert echelons[::2] == [q for d in loaded for q in d._intersection_matrices]
+    assert len(echelons) == 6 * len(loaded)
+    for d in loaded:
+        assert "_lagrangians" not in vars(d) and "_pair_sums" not in vars(d)
+        c = homology_complex(d)
+        assert not [key for key in vars(c) if "homology_with_generators" in key]
 
 
 def test_equal_diagrams_keep_separate_results():

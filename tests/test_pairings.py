@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trihodge.complexes import betti_numbers
 from trihodge.diagram import (
     SYSTEM_NAMES,
     builtin,
@@ -452,6 +453,12 @@ class TestCurveBases:
         assert changed
 
 
+def canonical_triple_intersection(d):
+    """L1 n L2 n L3 by intersecting the canonical Lagrangians."""
+    L = [d.lagrangian_subgroup(lam) for lam in (1, 2, 3)]
+    return subgroup_intersection(subgroup_intersection(L[0], L[1]), L[2])
+
+
 class TestH3H1Pairing:
     def test_s1_x_s3_value(self):
         assert pairing_h3_h1(S1XS3, (1, 0), (0, 1)) == 1
@@ -472,11 +479,21 @@ class TestH3H1Pairing:
     def test_triple_intersection_matches_the_canonical_lagrangian_oracle(self):
         checked = 0
         for d in SUITE + tuple(scrambled(d, 1) for d in SUITE):
-            L = [d.lagrangian_subgroup(lam) for lam in (1, 2, 3)]
-            oracle = subgroup_intersection(subgroup_intersection(L[0], L[1]), L[2])
+            oracle = canonical_triple_intersection(d)
             assert triple_intersection(d) == oracle, d.describe()
             checked += oracle.rank > 0
         assert checked
+
+    def test_ladder_triple_intersection_and_pairing_match_the_oracles(self):
+        checked = 0
+        for g in range(8, 41):
+            d = ladder_diagram(g)
+            if betti_numbers(d)[1] == 0:
+                continue
+            assert triple_intersection(d) == canonical_triple_intersection(d), d.describe()
+            assert abs(det(h3_h1_gram(d))) == 1, d.describe()
+            checked += 1
+        assert checked > 20
 
     def test_perfect_on_s1_x_s3(self):
         gram = h3_h1_gram(S1XS3)
