@@ -86,17 +86,6 @@ class Report:
         self.lines = [] if lines is None else lines
         self.exit_code = exit_code
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.command, self.label, self.payload, self.lines, self.exit_code) == (
-            other.command,
-            other.label,
-            other.payload,
-            other.lines,
-            other.exit_code,
-        )
-
     def render_text(self) -> str:
         head = [f"command: {self.command}", f"diagram: {self.label}"]
         return "\n".join(head + self.lines)

@@ -19,13 +19,12 @@ Every homology group is read off those of the two differentials at its
 position, which holds in any complex of free groups: H2 is
 Z^(2g - rank d1 - rank d2) plus the factors >= 2 of d1, like every other
 group, so a group query builds no kernel of a differential and no Smith
-transform. Free generators are built only where a caller reads them: at
-degree two for ``pairings.h2_basis_cocycles`` and at degree one for
-``pairings.h3_representatives``. There the canonical kernel of the
-outgoing differential gives the cycles, and one Smith form of the
-boundaries in the cycles gives the generators. A complex keeps its
-differentials as the columns the eliminations read; ``diffs`` builds
-matrices from them only when asked.
+transform. Free generators are built only where a caller reads them,
+which is at degree two, for ``pairings.h2_basis_cocycles``. There the
+canonical kernel of the outgoing differential gives the cycles, and one
+Smith form of the boundaries in the cycles gives the generators. A
+complex keeps its differentials as the columns the eliminations read;
+``diffs`` builds matrices from them only when asked.
 
 The 3x3 Hodge-style diamond is ``homology_groups`` arranged with two constant
 outer columns; its antidiagonals assemble the cohomology. The Cech complexes
@@ -187,9 +186,10 @@ class FreeChainComplex(_Frozen):
         The cycles are the canonical kernel of the outgoing differential
         (everything at the last position), and one Smith form of the
         boundaries written in their basis gives the group with its
-        generators. Callers read it for the generators only
-        (``pairings.h2_basis_cocycles`` and ``pairings.h3_representatives``);
-        its group is the kernel-route oracle of ``homology_at`` in the tests.
+        generators. The package reads it for the degree-two generators
+        only (``pairings.h2_basis_cocycles``); its group is the kernel-route
+        oracle of ``homology_at`` in the tests, and its degree-one
+        generators those of ``pairings.h3_representatives``.
         """
         self._check_position(pos)
         if pos < len(self.columns):

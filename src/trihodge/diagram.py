@@ -39,7 +39,7 @@ from .lattice import (
     as_int_vector,
     subgroup_sum,
 )
-from .surface import SymplecticLattice, _pairing_rows
+from .surface import SymplecticLattice, _check_genus, _pairing_rows
 
 SYSTEM_NAMES = ("alpha", "beta", "gamma")
 
@@ -84,9 +84,8 @@ class CutSystem(_Value):
 
 
 def _check_curve_counts(genus: int, counts: Iterable[int]) -> None:
-    """Raise unless genus is nonnegative and each system has genus curves."""
-    if genus < 0:
-        raise ValueError("genus must be nonnegative")
+    """Raise unless genus is a nonnegative int and each system has genus curves."""
+    _check_genus(genus)
     for name, count in zip(SYSTEM_NAMES, counts):
         if count != genus:
             raise ValueError(f"{name} system has {count} curves, expected {genus}")
@@ -204,10 +203,10 @@ def memoized(fn):
 
     The object is a diagram, or a complex built for one. Each result is
     computed once per object and positional arguments and lives as long as
-    the object. Cached cocycles and dual reps point back at their diagram,
-    so a diagram holding them is part of a reference cycle: reference
-    counting never frees it, and only the cycle collector frees it with its
-    results.
+    the object. A result never refers to the object it is stored on, so
+    the object and its results are freed when its last reference goes,
+    without the cycle collector; a value that holds its diagram, such as a
+    cocycle, is built on each call from memoized plain data.
     """
     name = f"{fn.__module__}.{fn.__qualname__}"
 
@@ -394,8 +393,8 @@ def connected_sum(d1: TrisectionDiagram, d2: TrisectionDiagram) -> TrisectionDia
 
 def handleslide(cs: CutSystem, i: int, j: int, sign: int = 1) -> CutSystem:
     """Replace curve i by curve i + sign * curve j; preserves the spanned subgroup."""
-    if sign not in (1, -1):
-        raise ValueError("handleslide sign must be +1 or -1")
+    if type(sign) is not int or sign not in (1, -1):
+        raise ValueError(f"handleslide sign must be +1 or -1, got {sign!r}")
     if type(i) is not int or type(j) is not int:
         raise ValueError("curve indices must be integers")
     if i == j:
@@ -426,6 +425,7 @@ def handleslide_diagram(
 
 def standard_triple(genus: int) -> TrisectionDiagram:
     """alpha = {a_i}, beta = {b_i}, gamma = {a_i + b_i}."""
+    _check_genus(genus)
     alpha, beta, gamma = [], [], []
     for i in range(genus):
         a = [0] * (2 * genus)
@@ -445,8 +445,6 @@ def random_diagram(genus: int, seed: int) -> TrisectionDiagram:
     standard triple. Transvections preserve the form, so isotropy, primitivity
     and pair saturation survive and the result is always valid.
     """
-    if genus < 0:
-        raise ValueError("genus must be nonnegative")
     base = standard_triple(genus)
     if genus == 0:
         return diagram_from_curves(0, [], [], [], label=f"random(g=0, seed={seed})")

@@ -19,13 +19,14 @@ so no solve is needed in that direction.
 A class derived from others (a sum, a multiple, a solved combination of a
 basis) is built in one step: the coordinates are combined first, then the
 class is constructed once, so its check runs once on the result. No
-ambient vector is built unless a caller reads the blocks.
+ambient vector is built unless a caller reads the blocks. A class holds
+its diagram, so the diagram memoizes only the basis's curve coordinates.
 
 Degree one is read from the alpha curves: L1 n L2 n L3 is spanned by the
 vectors C_alpha x that pair to zero with the beta and gamma curves, since a
 primitive Lagrangian is its own annihilator. Degree-three representatives
-are the free generators of degree one of the homology complex, lifted to
-ambient vectors. Every solve substitutes along a recorded
+are the basis dual to that one under the surface pairing, read from one
+elimination of its pairing rows. Every solve substitutes along a recorded
 unit-pivot elimination (``lattice._UnitEchelon``): the diagram's curve
 echelons give curve coordinates and lifts, and one of the Gram matrix
 gives the cocycle of a dual rep, one solve per rep and no inverse.
@@ -244,6 +245,13 @@ def _sign_normalized(vec: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @memoized
+def _h2_basis_coords(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
+    """The 3g curve coordinates of ``h2_basis_cocycles``, in its order."""
+    c = homology_complex(d)
+    _, gens = c.homology_with_generators(c.position_of_degree(2))
+    return tuple(_sign_normalized(_curve_coordinates_of_cycle(d, v)) for v in gens)
+
+
 def h2_basis_cocycles(d: TrisectionDiagram) -> tuple[OneOneCocycle, ...]:
     """Cocycle representatives for a basis of the free part of H^2.
 
@@ -255,10 +263,7 @@ def h2_basis_cocycles(d: TrisectionDiagram) -> tuple[OneOneCocycle, ...]:
     curves, not only on the Lagrangians they span; a handleslide may change
     it, but not the isometry class of the form.
     """
-    c = homology_complex(d)
-    _, gens = c.homology_with_generators(c.position_of_degree(2))
-    coords = (_sign_normalized(_curve_coordinates_of_cycle(d, v)) for v in gens)
-    return tuple(OneOneCocycle(d, x) for x in coords)
+    return tuple(OneOneCocycle(d, x) for x in _h2_basis_coords(d))
 
 
 def _check_cocycle(d: TrisectionDiagram, x: OneOneCocycle, name: str) -> None:
@@ -381,7 +386,7 @@ def intersection_form(d: TrisectionDiagram) -> IntersectionForm:
     parity is invariant under unimodular change of basis.
     """
     g = d.genus
-    coords = [x.coords for x in h2_basis_cocycles(d)]
+    coords = _h2_basis_coords(d)
     n = len(coords)
     paired = [_beta_pairings(d, y) for y in coords]
     gram = tuple(tuple(_dot(x[:g], qy) for qy in paired) for x in coords)
@@ -429,15 +434,18 @@ def h1_basis(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
 
 
 def h3_representatives(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
-    """Ambient lifts of a basis of the degree-three cohomology modulo torsion.
+    """Ambient lifts of the basis of degree-three cohomology modulo torsion
+    dual to ``h1_basis``: pairing_h3_h1(d, h3_i, h1_j) = delta_ij.
 
-    Degree one of the homology complex is Z^2g modulo the three Lagrangians,
-    written as pairings with the gamma curves; each free generator there is
-    lifted by ``_reduced_lift``.
+    The free part of Z^2g / (L1 + L2 + L3) pairs perfectly with its
+    annihilator L1 n L2 n L3, which is saturated, so the unit-pivot
+    elimination of the pairing rows of ``h1_basis`` pivots in each, and its
+    transposed solve against -e_i gives h3_i.
     """
-    c = homology_complex(d)
-    _, gens = c.homology_with_generators(c.position_of_degree(1))
-    return tuple(_reduced_lift(d, 2, v) for v in gens)
+    h1 = h1_basis(d)
+    n = len(h1)
+    echelon = _UnitEchelon(zip(*_pairing_rows(h1)), n)
+    return tuple(echelon.transpose_solve([-(i == j) for j in range(n)]) for i in range(n))
 
 
 def evaluate_on_surface_class(d: TrisectionDiagram, x: OneOneCocycle, rep: H2DualRep) -> int:
@@ -471,7 +479,6 @@ def poincare_dual_rep(d: TrisectionDiagram, x: OneOneCocycle) -> H2DualRep:
     return H2DualRep(d, (_beta_pairings(d, x.coords), zero, zero))
 
 
-@memoized
 def dual_rep_basis(d: TrisectionDiagram) -> tuple[H2DualRep, ...]:
     """Dual reps generating the free part of degree-two homology.
 
@@ -505,6 +512,6 @@ def cocycle_from_dual_rep(d: TrisectionDiagram, rep: H2DualRep) -> OneOneCocycle
     if rep.diagram != d:
         raise ValueError("dual rep belongs to a different diagram")
     flat = [c for block in rep.coords for c in block]
-    basis = h2_basis_cocycles(d)
-    rhs = [_dot(x.coords, flat) for x in basis]
-    return _cocycle_combination(d, basis, _gram_echelon(d).coordinates(rhs))
+    coords = _h2_basis_coords(d)
+    solved = _gram_echelon(d).coordinates([_dot(x, flat) for x in coords])
+    return OneOneCocycle(d, _combination(coords, solved, 3 * d.genus))

@@ -17,8 +17,7 @@ class SymplecticLattice(_Value):
     """Z^2g with the standard unimodular skew form of a genus-g surface."""
 
     def __init__(self, genus: int):
-        if genus < 0:
-            raise ValueError("genus must be nonnegative")
+        _check_genus(genus)
         object.__setattr__(self, "genus", genus)
 
     def _key(self) -> tuple:
@@ -41,6 +40,11 @@ class SymplecticLattice(_Value):
             raise ValueError("subgroup lives in a different ambient rank")
         cols = sub.columns()
         return not any(_form(x, y) for i, x in enumerate(cols) for y in cols[i + 1 :])
+
+
+def _check_genus(genus: int) -> None:
+    if type(genus) is not int or genus < 0:
+        raise ValueError(f"genus must be a nonnegative int, got {genus!r}")
 
 
 def _form(x: Sequence[int], y: Sequence[int]) -> int:

@@ -1,15 +1,17 @@
 """Test-only constructions: random (co)cycles, cocycles from ambient
 blocks and the curve coordinates of those blocks, the ladder recipe,
 duality maps, column spans, transvections, the degree-three against
-degree-one Gram matrix, cold copies of diagrams (nothing memoized), and
-sixteen oracles: the numpy Smith form, sympy's invariant factors, the
+degree-one Gram matrix, cold copies of diagrams (nothing memoized), a
+stream of small block sums, every public query on one diagram, and
+seventeen oracles: the numpy Smith form, sympy's invariant factors, the
 Bareiss determinant, the full-width congruence diagonalization over the
 rationals, the Smith-form kernel, the Smith-form integer solve, the
 tracked-echelon span solver, the intersection of canonical subgroups, the
 quotients by canonical pair and triple sums, validation by pair sums,
 homology by kernels, the five-term complex of the three Lagrangians with
-its dual, the Cech complexes behind the diamond, the solved Poincare dual
-and the brute-force spin filter.
+its dual, the Cech complexes behind the diamond, the degree-three
+representatives from the homology complex, the solved Poincare dual and
+the brute-force spin filter.
 
 The suites use these to generate inputs and to state laws; the package
 itself never needs them.
@@ -25,7 +27,15 @@ import numpy as np
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from trihodge.complexes import FreeChainComplex, HomologyGroup
+from trihodge.complexes import (
+    FreeChainComplex,
+    HomologyGroup,
+    dual_complex,
+    dual_middle_homology,
+    hodge_diamond,
+    homology_complex,
+    homology_groups,
+)
 from trihodge.diagram import (
     SYSTEM_NAMES,
     CutSystem,
@@ -55,15 +65,19 @@ from trihodge.lattice import (
 from trihodge.pairings import (
     H2DualRep,
     OneOneCocycle,
+    _reduced_lift,
     _sign_normalized,
+    dual_rep_basis,
     evaluate_on_surface_class,
     h1_basis,
     h2_basis_cocycles,
     h3_representatives,
+    intersection_form,
     intersection_pairing,
     pairing_h3_h1,
 )
-from trihodge.spin import QuadraticEnhancement
+from trihodge.spin import MAX_LISTED, QuadraticEnhancement, enumerate_spin, spin_count
+from trihodge.spinc import act, base_ledger, c1_difference
 from trihodge.surface import SymplecticLattice
 
 ORACLE_MAX_GENUS = 6
@@ -569,12 +583,23 @@ def cech_complex(d: TrisectionDiagram, sheaf_degree: int) -> FreeChainComplex:
     raise ValueError("sheaf degree must be 0, 1 or 2")
 
 
-def h3_h1_gram(d: TrisectionDiagram) -> np.ndarray:
-    """Matrix of the degree-three against degree-one pairing on the bases of
-    ``h3_representatives`` and ``h1_basis``."""
-    rows = [
-        [pairing_h3_h1(d, h3, h1) for h1 in h1_basis(d)] for h3 in h3_representatives(d)
-    ]
+def h3_representatives_by_complex(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
+    """Degree-three representatives from the homology complex: the free
+    generators of its degree one, Z^2g modulo the three Lagrangians written
+    as pairings with the gamma curves, each lifted by ``_reduced_lift``.
+
+    The oracle of ``pairings.h3_representatives``, which reads the basis
+    dual to ``h1_basis`` instead and so pairs perfectly by construction.
+    """
+    c = homology_complex(d)
+    _, gens = c.homology_with_generators(c.position_of_degree(1))
+    return tuple(_reduced_lift(d, 2, v) for v in gens)
+
+
+def h3_h1_gram(d: TrisectionDiagram, h3s: Sequence[Sequence[int]]) -> np.ndarray:
+    """Matrix of the degree-three against degree-one pairing on the
+    representatives ``h3s`` and on ``h1_basis``."""
+    rows = [[pairing_h3_h1(d, h3, h1) for h1 in h1_basis(d)] for h3 in h3s]
     return intmat(rows, cols=len(h1_basis(d)))
 
 
@@ -608,6 +633,39 @@ def cocycle_from_blocks(d: TrisectionDiagram, b1, b2, b3) -> OneOneCocycle:
 def cold_copy(d: TrisectionDiagram) -> TrisectionDiagram:
     """An equal diagram with the same systems and label and nothing memoized."""
     return TrisectionDiagram(d.genus, d.alpha, d.beta, d.gamma, d.label)
+
+
+def full_query(d: TrisectionDiagram) -> None:
+    """Every public query on a valid diagram: validation, the groups, the
+    dual complex and the diamond, the canonical Lagrangians and pair sums,
+    the form with its cocycle and dual-rep bases, every rep's lifts, the
+    spin-c action of each rep with its c1, the spin count and listing, and
+    the degree-one and degree-three bases."""
+    ensure_valid(d)
+    homology_groups(d)
+    dual_middle_homology(d)
+    dual_complex(d)
+    hodge_diamond(d)
+    for lam in (1, 2, 3):
+        d.pair_sum(lam)
+    intersection_form(d)
+    h2_basis_cocycles(d)
+    s = base_ledger(d)
+    for rep in dual_rep_basis(d):
+        assert H2DualRep.from_lifts(d, rep.lifts) == rep
+        c1_difference(act(s, rep), s)
+    if spin_count(d) <= MAX_LISTED:
+        enumerate_spin(d)
+    h1_basis(d)
+    h3_representatives(d)
+
+
+def small_sums(count: int, seed: int):
+    """``count`` fresh diagrams, each the block sum of one to three of
+    ``LADDER_BASES`` drawn with ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield builtin("#".join(rng.choices(LADDER_BASES, k=rng.randint(1, 3))))
 
 
 def _random_combination(basis: np.ndarray, rng: random.Random, span: int) -> tuple[int, ...]:

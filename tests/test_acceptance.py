@@ -36,6 +36,7 @@ from trihodge.diagram import (
     k_values,
     random_diagram,
 )
+from trihodge.lattice import identity
 from trihodge.pairings import (
     CycleConditionError,
     H2DualRep,
@@ -60,6 +61,7 @@ from helpers import (
     cech_complex,
     det,
     h3_h1_gram,
+    h3_representatives_by_complex,
     ladder_diagram,
     random_coboundary,
     random_cocycle,
@@ -191,8 +193,9 @@ def test_criterion_05_intersection_form():
 @criterion(6, "degree-three against degree-one pairing")
 def test_criterion_06_h3_h1_pairing():
     d = builtin("S1xS3")
-    gram = h3_h1_gram(d)
+    gram = h3_h1_gram(d, h3_representatives_by_complex(d))
     assert gram.shape == (1, 1) and abs(int(gram[0, 0])) == 1
+    assert h3_h1_gram(d, h3_representatives(d)).tolist() == [[1]]
     h3 = h3_representatives(d)[0]
     h1 = h1_basis(d)[0]
     value = pairing_h3_h1(d, h3, h1)
@@ -203,9 +206,11 @@ def test_criterion_06_h3_h1_pairing():
     for d in SUITE:
         if betti_numbers(d)[1] == 0:
             continue
-        m = h3_h1_gram(d)
+        m = h3_h1_gram(d, h3_representatives_by_complex(d))
         assert m.shape[0] == m.shape[1], d.label
         assert abs(det(m)) == 1, d.label
+        # the package's representatives are the dual basis
+        assert h3_h1_gram(d, h3_representatives(d)).tolist() == identity(m.shape[0]).tolist()
 
 
 @criterion(7, "spin enumeration counts and laws")

@@ -36,6 +36,7 @@ from trihodge.lattice import Subgroup, _combination, subgroup_sum
 from trihodge.pairings import dual_rep_basis, h2_basis_cocycles, intersection_form
 from trihodge.spin import enumerate_spin
 from trihodge.spinc import base_ledger, lutz_shift
+from trihodge.surface import SymplecticLattice
 
 from helpers import (
     cold_copy,
@@ -452,10 +453,23 @@ class TestHandleslide:
 
 @pytest.mark.parametrize("index", [1.0, True], ids=["float", "bool"])
 @pytest.mark.parametrize(
-    "entry", ["lagrangian_subgroup", "pair_sum", "lutz_shift", "handleslide", "handleslide_diagram"]
+    "entry",
+    [
+        "lagrangian_subgroup",
+        "pair_sum",
+        "lutz_shift",
+        "handleslide",
+        "handleslide_diagram",
+        "handleslide_sign",
+        "diagram_from_curves",
+        "random_diagram",
+        "standard_triple",
+        "SymplecticLattice",
+    ],
 )
 def test_index_arguments_must_be_ints(entry, index):
-    # a float index used to raise TypeError and a bool one to pass as 0 or 1
+    # a float index, genus or sign used to raise TypeError or slip through
+    # to a later check, and a bool one to pass as 0 or 1
     d = builtin("CP2#CP2bar")
     calls = {
         "lagrangian_subgroup": lambda: d.lagrangian_subgroup(index),
@@ -463,6 +477,11 @@ def test_index_arguments_must_be_ints(entry, index):
         "lutz_shift": lambda: lutz_shift(base_ledger(d), index, (1, 0)),
         "handleslide": lambda: handleslide(d.alpha, index, 0),
         "handleslide_diagram": lambda: handleslide_diagram(d, "gamma", 0, index),
+        "handleslide_sign": lambda: handleslide(d.alpha, 0, 1, index),
+        "diagram_from_curves": lambda: diagram_from_curves(index, [(1, 0)], [(0, 1)], [(1, 1)]),
+        "random_diagram": lambda: random_diagram(index, 3),
+        "standard_triple": lambda: standard_triple(index),
+        "SymplecticLattice": lambda: SymplecticLattice(index),
     }
     with pytest.raises(ValueError):
         calls[entry]()

@@ -1,14 +1,18 @@
 """Per-diagram memo: results live on the diagram object as long as it does.
 
-Cached cocycles and dual reps point back at their diagram, so a queried
-diagram is part of a reference cycle: only the cycle collector frees it,
-together with its results.
+No memoized value refers back to the object it is stored on: the diagram
+keeps the curve coordinates of the degree-two basis, and the cocycles and
+dual reps that hold it are built from them on each call. So reference
+counting frees a queried diagram with its results, and a batch retains
+only the diagrams still in use, with the cycle collector off.
 """
 
 import gc
 import io
+import tracemalloc
 import weakref
 from contextlib import redirect_stdout
+from types import BuiltinFunctionType, FunctionType, ModuleType
 
 import pytest
 
@@ -25,6 +29,7 @@ from trihodge.pairings import (
     H2DualRep,
     dual_rep_basis,
     evaluate_on_surface_class,
+    h1_basis,
     h2_basis_cocycles,
     h3_representatives,
     intersection_form,
@@ -33,17 +38,20 @@ from trihodge.pairings import (
 )
 from trihodge.spin import enumerate_spin, spin_count
 from trihodge.spinc import act, base_ledger, c1_difference
+from trihodge.surface import _pairing_rows
 
 from helpers import (
     cech_complex,
     cocycle_from_blocks,
     cold_copy,
+    full_query,
     ladder_diagram,
     pair_quotient,
     plain_form,
+    small_sums,
     subgroup_intersection,
 )
-from test_acceptance import RANDOM_SUITE
+from test_acceptance import RANDOM_SUITE, SUITE
 
 MEMOIZED = (
     homology_complex,
@@ -51,18 +59,68 @@ MEMOIZED = (
     homology_groups,
     dual_middle_homology,
     hodge_diamond,
-    h2_basis_cocycles,
+    pairings._h2_basis_coords,
     intersection_form,
+    pairings._gram_echelon,
     triple_intersection,
-    dual_rep_basis,
     enumerate_spin,
 )
 
 
-def test_repeated_queries_return_the_cached_object():
+def test_repeated_queries_return_the_cached_object(eliminations):
     d = builtin("S2xS2#QS4_Z3")
     for fn in MEMOIZED:
         assert fn(d) is fn(d), fn.__name__
+    # cocycles and dual reps hold d, so each call builds them afresh from
+    # the memoized coordinates, without a new elimination
+    before = len(eliminations)
+    basis, reps = h2_basis_cocycles(d), dual_rep_basis(d)
+    assert len(basis) == len(reps) == 2
+    assert h2_basis_cocycles(d) == basis and dual_rep_basis(d) == reps
+    assert len(eliminations) == before
+
+
+@pytest.fixture
+def no_collector():
+    """The cycle collector off for the test: only reference counting frees."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+def reaches(roots, target) -> bool:
+    """Whether target is reachable from roots along ``gc.get_referents``
+    through data: classes, modules and functions are not entered, since
+    every object reaches the test modules' globals through them."""
+    seen, stack = set(), list(roots)
+    while stack:
+        obj = stack.pop()
+        if obj is target:
+            return True
+        if id(obj) in seen or isinstance(
+            obj, (type, ModuleType, FunctionType, BuiltinFunctionType)
+        ):
+            continue
+        seen.add(id(obj))
+        stack += gc.get_referents(obj)
+    return False
+
+
+def test_no_memoized_value_refers_back_to_its_diagram():
+    checked = 0
+    for d in map(cold_copy, SUITE):
+        if not d.validation.is_valid:
+            continue
+        full_query(d)
+        c = homology_complex(d)
+        for pos in range(len(c.ranks)):
+            c.homology_with_generators(pos)
+        # the complexes' memos are reached through the complexes in vars(d)
+        assert not reaches(vars(d).values(), d), d.describe()
+        checked += 1
+    assert checked > 100
 
 
 def test_shared_differentials_are_read_only():
@@ -72,8 +130,9 @@ def test_shared_differentials_are_read_only():
     assert cech_complex(d, 1).homology_at(1) == homology_groups(d)[2]
 
 
-def test_results_are_freed_with_their_diagram():
+def test_results_are_freed_with_their_diagram(no_collector):
     d = builtin("S2xS2#QS4_Z3")
+    full_query(d)
     for fn in MEMOIZED:
         fn(d)
     refs = [weakref.ref(d)]
@@ -81,10 +140,29 @@ def test_results_are_freed_with_their_diagram():
         refs.append(weakref.ref(c))
         refs += [weakref.ref(c.homology_with_generators(pos)[0]) for pos in range(len(c.ranks))]
     del d, c
-    # cached cocycles and dual reps point back at d, so only the cycle
-    # collector can free the diagram together with its results
-    gc.collect()
+    # nothing memoized refers back to d, so reference counting alone frees
+    # the diagram together with its results
     assert all(ref() is None for ref in refs)
+
+
+def test_retained_heap_stays_bounded_over_a_batch(no_collector):
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        for d in small_sums(200, 1):
+            full_query(d)
+        start = tracemalloc.get_traced_memory()[0]
+        for d in small_sums(1000, 2):
+            full_query(d)
+        del d
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    # about 0.5 MB, the interpreter's free lists still filling after the
+    # warm-up; 18.2 MB when memoized cocycles and dual reps held every
+    # diagram in a reference cycle
+    assert grown < 2_000_000
 
 
 def test_groups_and_generators_share_one_result_per_position():
@@ -224,7 +302,8 @@ def eliminations(monkeypatch):
 
     The kinds are "echelon" (a downward echelon: canonical spans and
     kernels), "smith" (a Smith form) and "unit" (a unit-pivot elimination:
-    invariant factors, curve echelons and the Gram matrix's). The matrix
+    invariant factors, curve echelons, the Gram matrix's and that of the
+    pairing rows of the degree-one basis). The matrix
     is the tuple of the rows the elimination is handed, which for an
     echelon or a unit-pivot elimination of a differential are its columns
     (the leading ``stop`` entries of each row, for an echelon), and the
@@ -295,11 +374,14 @@ def test_degree_one_and_three_reads_eliminate_each_differential_at_most_once(
         triple_intersection(d)
         h3_representatives(d)
     added = eliminations[len(before) :]
-    # triple_intersection reads the alpha curves and no differential;
-    # h3_representatives builds the cycles of d_3 once, kept on the complex
+    # triple_intersection reads the alpha curves, and h3_representatives one
+    # unit-pivot elimination of the pairing rows of the degree-one basis per
+    # call: neither eliminates a differential
     assert count(before, c.columns[1]) == count(before, c.columns[1], "unit") == 1
-    assert count(added, c.columns[1]) == 0
-    assert count(added, c.columns[3]) == count(added, c.columns[3], "echelon") == 1
+    differentials = [cols for cols in c.columns if cols]
+    assert not any(m in differentials for _, m in added)
+    rows = tuple(zip(*_pairing_rows(h1_basis(d))))
+    assert count(added, rows, "unit") == 2
 
 
 @pytest.mark.parametrize("name", SUMS)

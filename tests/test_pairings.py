@@ -15,7 +15,7 @@ from trihodge.diagram import (
     handleslide_diagram,
     random_diagram,
 )
-from trihodge.lattice import intmat
+from trihodge.lattice import identity, intmat
 from trihodge.pairings import (
     CycleConditionError,
     H2DualRep,
@@ -39,6 +39,7 @@ from helpers import (
     det,
     full_width_signature,
     h3_h1_gram,
+    h3_representatives_by_complex,
     ladder_diagram,
     lagrangian_coordinates,
     plain_form,
@@ -459,6 +460,12 @@ def canonical_triple_intersection(d):
     return subgroup_intersection(subgroup_intersection(L[0], L[1]), L[2])
 
 
+def is_dual_basis(d) -> bool:
+    """Whether ``h3_representatives`` pairs with ``h1_basis`` to the identity."""
+    n = len(h1_basis(d))
+    return h3_h1_gram(d, h3_representatives(d)).tolist() == identity(n).tolist()
+
+
 class TestH3H1Pairing:
     def test_s1_x_s3_value(self):
         assert pairing_h3_h1(S1XS3, (1, 0), (0, 1)) == 1
@@ -491,27 +498,31 @@ class TestH3H1Pairing:
             if betti_numbers(d)[1] == 0:
                 continue
             assert triple_intersection(d) == canonical_triple_intersection(d), d.describe()
-            assert abs(det(h3_h1_gram(d))) == 1, d.describe()
+            assert abs(det(h3_h1_gram(d, h3_representatives_by_complex(d)))) == 1, d.describe()
+            assert is_dual_basis(d), d.describe()
             checked += 1
         assert checked > 20
 
     def test_perfect_on_s1_x_s3(self):
-        gram = h3_h1_gram(S1XS3)
+        gram = h3_h1_gram(S1XS3, h3_representatives_by_complex(S1XS3))
         assert abs(det(gram)) == 1
+        assert is_dual_basis(S1XS3)
 
     def test_perfect_whenever_first_betti_positive(self):
         found = 0
         for name in ("S1xS3#CP2", "S1xS3#S1xS3#QS4_Z3", "S2xS2#S1xS3"):
             for seed in range(10):
                 d = scrambled(builtin(name), seed)
-                gram = h3_h1_gram(d)
+                gram = h3_h1_gram(d, h3_representatives_by_complex(d))
                 if gram.shape[0]:
                     found += 1
                     assert abs(det(gram)) == 1
+                    assert is_dual_basis(d)
         tripled = builtin("S1xS3#S1xS3")
-        gram = h3_h1_gram(tripled)
+        gram = h3_h1_gram(tripled, h3_representatives_by_complex(tripled))
         assert gram.shape == (2, 2)
         assert abs(det(gram)) == 1
+        assert is_dual_basis(tripled)
         assert found > 0
 
 
