@@ -29,7 +29,12 @@ are the basis dual to that one under the surface pairing, read from one
 elimination of its pairing rows. Every solve substitutes along a recorded
 unit-pivot elimination (``lattice._UnitEchelon``): the diagram's curve
 echelons give curve coordinates and lifts, and one of the Gram matrix
-gives the cocycle of a dual rep, one solve per rep and no inverse.
+gives the cocycle of a dual rep, one solve per rep and no inverse. A lift
+is then reduced modulo L_lam by Babai's nearest-plane pass against the
+curves of system lam, read in integral Gram-Schmidt coordinates (Cohen,
+Alg. 2.6.7) that each diagram memoizes per system: every coordinate along
+the Gram-Schmidt vectors ends in [-1/2, 1/2), so lifts stay about as small
+as the curves at any genus.
 
 Everything here is integer arithmetic, the congruence diagonalization that
 gives the signature and the determinant of the form included.
@@ -187,7 +192,10 @@ class H2DualRep(_Value):
         """Ambient vectors with these coordinates, each reduced modulo its L_lam.
 
         Block lam is ``_reduced_lift`` of its pairings with the curves of
-        system lam.
+        system lam: the one vector with those pairings whose Gram-Schmidt
+        coordinates along the curves, in file order, lie in [-1/2, 1/2).
+        So equal reps have equal lifts, and the entries stay about as
+        small as the curves'.
         """
         return tuple(_reduced_lift(self.diagram, lam, c) for lam, c in enumerate(self.coords))
 
@@ -214,18 +222,76 @@ class H2DualRep(_Value):
 
 def _reduced_lift(d: TrisectionDiagram, lam: int, v: tuple[int, ...]) -> tuple[int, ...]:
     """The vector with pairings v against the curves of system lam (0-based)
-    whose pivot-row entries along the canonical columns of L_lam lie in
-    [0, pivot), the one such vector in its class.
+    whose Gram-Schmidt coordinates along those curves lie in [-1/2, 1/2),
+    the one such vector in its class.
 
     The curve echelon gives u with c_i . u = v_i, and <c, a> = c . u for
     a the pairing row of u: a_{2t} = -u_{2t+1} and a_{2t+1} = u_{2t}. On a
     valid diagram the pairing map is onto Z^g with kernel L_lam, so the
-    vectors with pairings v form one class modulo L_lam, and the reduction
-    picks the unique representative above.
+    vectors with pairings v form one class modulo L_lam. Babai's
+    nearest-plane pass against the curves c_g, ..., c_1 subtracts from a
+    the nearest integer multiple of each, which moves its coordinate along
+    c*_j into [-1/2, 1/2) and leaves the later ones; the curves are a basis
+    of L_lam, so the result is unique in the class, and its pairings with
+    the curves are those of a because L_lam is isotropic. The coordinates
+    are kept as d_j times their value, integers, rounded as
+    floor((2 lambda_j + d_j) / 2 d_j).
     """
     (lift,) = _pairing_rows((d._curve_echelons[lam].transpose_solve(v),))
-    d.lagrangian_subgroup(lam + 1)._substitute(lift)
+    curves = d.systems[lam].curves
+    dets, mus = _curve_gram_schmidt(d, lam)
+    coords = _gram_schmidt_coords(lift, curves, dets, mus)
+    for j in reversed(range(len(curves))):
+        q = (2 * coords[j] + dets[j]) // (2 * dets[j])
+        if q:
+            for k, m in enumerate(mus[j]):
+                coords[k] -= q * m
+            for i, e in enumerate(curves[j]):
+                lift[i] -= q * e
     return tuple(lift)
+
+
+def _gram_schmidt_coords(t, curves, dets, mus) -> list[int]:
+    """lambda_j = d_j t . c*_j / c*_j . c*_j over the curves c_j, integers.
+
+    c*_j is the Gram-Schmidt vector of c_j in the Euclidean product, d_j the
+    Gram determinant of c_1..c_j and mus[j] the lambda of c_j over c_1..c_{j-1};
+    each lambda is read from t . c_j by the exact divisions of Cohen's
+    integral Gram-Schmidt (A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7).
+    """
+    out: list[int] = []
+    for c, row in zip(curves, mus):
+        u, prev = _dot(t, c), 1
+        for k, (dk, m) in enumerate(zip(dets, row)):
+            u = (dk * u - out[k] * m) // prev
+            prev = dk
+        out.append(u)
+    return out
+
+
+@memoized
+def _curve_gram_schmidt(
+    d: TrisectionDiagram, lam: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The integral Gram-Schmidt data of the curves of system lam (0-based):
+    the Gram determinants d_1..d_g and, per curve c_i, the lambda of c_i
+    over c_1..c_{i-1} (``_gram_schmidt_coords`` over the curves before it),
+    in file order. d_i is the same recurrence run on c_i . c_i with those
+    lambdas on both sides.
+    """
+    curves = d.systems[lam].curves
+    dets: list[int] = []
+    mus: list[tuple[int, ...]] = []
+    for c in curves:
+        row = _gram_schmidt_coords(c, curves, dets, mus)
+        u, prev = _dot(c, c), 1
+        for dk, m in zip(dets, row):
+            u = (dk * u - m * m) // prev
+            prev = dk
+        dets.append(u)
+        mus.append(tuple(row))
+    return tuple(dets), tuple(mus)
 
 
 def _rep_combination(d: TrisectionDiagram, reps, coeffs) -> H2DualRep:
@@ -475,18 +541,24 @@ def poincare_dual_rep(d: TrisectionDiagram, x: OneOneCocycle) -> H2DualRep:
     intersection_pairing(d, y, x). The zero class gives the zero rep.
     """
     _check_cocycle(d, x, "cocycle")
+    return _dual_of_coords(d, x.coords)
+
+
+def _dual_of_coords(d: TrisectionDiagram, coords: tuple[int, ...]) -> H2DualRep:
+    """The Poincare dual of the cocycle with these curve coordinates."""
     zero = (0,) * d.genus
-    return H2DualRep(d, (_beta_pairings(d, x.coords), zero, zero))
+    return H2DualRep(d, (_beta_pairings(d, coords), zero, zero))
 
 
 def dual_rep_basis(d: TrisectionDiagram) -> tuple[H2DualRep, ...]:
     """Dual reps generating the free part of degree-two homology.
 
-    The Poincare duals of the cocycle basis, in its order: duality is an
-    isomorphism, so they generate degree-two homology modulo torsion, and
-    evaluating basis cocycle i on rep j gives the Gram entry G[i][j].
+    The Poincare duals of the cocycle basis, in its order, read from its
+    curve coordinates with no cocycle built: duality is an isomorphism, so
+    they generate degree-two homology modulo torsion, and evaluating basis
+    cocycle i on rep j gives the Gram entry G[i][j].
     """
-    return tuple(poincare_dual_rep(d, x) for x in h2_basis_cocycles(d))
+    return tuple(_dual_of_coords(d, x) for x in _h2_basis_coords(d))
 
 
 @memoized

@@ -741,6 +741,35 @@ def random_matched_lifts(
     )
 
 
+def gram_schmidt(curves: Sequence[Sequence[int]]) -> list[list[Fraction]]:
+    """The Gram-Schmidt vectors c*_1..c*_n of the curves, in order, in the
+    Euclidean product and exact rationals: the oracle of the package's
+    integral Gram-Schmidt."""
+    stars: list[list[Fraction]] = []
+    for c in curves:
+        star = [Fraction(e) for e in c]
+        for s in stars:
+            mu = sum(a * b for a, b in zip(c, s)) / sum(b * b for b in s)
+            star = [a - mu * b for a, b in zip(star, s)]
+        stars.append(star)
+    return stars
+
+
+def nearest_plane_reduced(d: TrisectionDiagram, reps: Sequence[H2DualRep]) -> bool:
+    """Whether every lift of the reps lies in the nearest-plane window of its
+    system's curves: each coordinate a . c*_l / c*_l . c*_l along their
+    Gram-Schmidt vectors c*_l is in [-1/2, 1/2)."""
+    half = Fraction(1, 2)
+    for cs, lifts in zip(d.systems, zip(*(rep.lifts for rep in reps))):
+        stars = gram_schmidt(cs.curves)
+        norms = [sum(b * b for b in s) for s in stars]
+        for a in lifts:
+            coords = (sum(x * y for x, y in zip(a, s)) / n for s, n in zip(stars, norms))
+            if not all(-half <= c < half for c in coords):
+                return False
+    return True
+
+
 def scrambled(d: TrisectionDiagram, seed: int) -> TrisectionDiagram:
     """d in a new surface basis: every curve moved by one seeded word of six
     transvections x -> x + <x, v> v, each v with one to three entries of +-1."""

@@ -25,7 +25,7 @@ from helpers import ladder_diagram, scrambled
 
 TORSION_SUMS = ("QS4_Z2#QS4_Z3", "S2xS2#QS4_Z3", "S1xS3#QS4_Z2", "CP2#QS4_Z3#S1xS3")
 
-DIGEST = "367e52176b441cc36aafe345743e97df7af64535608c1976d087aa45df5662f3"
+DIGEST = "bef34b86f64a4d736b320690f84477a58f605056cea91d53176602b1f7e97810"
 
 
 def fingerprint_diagrams():

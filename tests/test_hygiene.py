@@ -274,6 +274,9 @@ KEPT_METHODS = {
     "H2DualRep.is_zero": "whether a class is zero, as asked of a Poincare dual",
     "H2DualRep.lifts": "ambient vectors of a rep, the inverse of from_lifts; the bench reads them",
     "TrisectionDiagram.pair_sum": "the canonical pair sum, which the bench's lattice replay reads",
+    "TrisectionDiagram.lagrangian_subgroup": (
+        "the canonical Lagrangian, which the bench's lattice replay reads"
+    ),
 }
 
 

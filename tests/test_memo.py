@@ -9,7 +9,7 @@ only the diagrams still in use, with the cycle collector off.
 
 import gc
 import io
-import tracemalloc
+import sys
 import weakref
 from contextlib import redirect_stdout
 from types import BuiltinFunctionType, FunctionType, ModuleType
@@ -146,23 +146,18 @@ def test_results_are_freed_with_their_diagram(no_collector):
 
 
 def test_retained_heap_stays_bounded_over_a_batch(no_collector):
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        for d in small_sums(200, 1):
-            full_query(d)
-        start = tracemalloc.get_traced_memory()[0]
-        for d in small_sums(1000, 2):
-            full_query(d)
-        del d
-        grown = tracemalloc.get_traced_memory()[0] - start
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    # about 0.5 MB, the interpreter's free lists still filling after the
-    # warm-up; 18.2 MB when memoized cocycles and dual reps held every
+    # counted in allocated blocks, which needs no tracing of each allocation
+    for d in small_sums(200, 1):
+        full_query(d)
+    start = sys.getallocatedblocks()
+    for d in small_sums(1000, 2):
+        full_query(d)
+    del d
+    grown = sys.getallocatedblocks() - start
+    # about 5,000 blocks, the interpreter's free lists still filling after
+    # the warm-up; 249,000 when memoized cocycles and dual reps held every
     # diagram in a reference cycle
-    assert grown < 2_000_000
+    assert grown < 20_000
 
 
 def test_groups_and_generators_share_one_result_per_position():
@@ -179,10 +174,14 @@ def test_groups_and_generators_share_one_result_per_position():
 SUMS = ["CP2#CP2bar", "S2xS2#QS4_Z3", "S1xS3#QS4_Z2"]
 
 
+GRAM_SCHMIDT = f"{pairings.__name__}.{pairings._curve_gram_schmidt.__qualname__}"
+
+
 def lifted(d) -> bool:
-    """Whether d holds its canonical Lagrangians, which of the package's
-    paths only the reduction of lifts reads."""
-    return "_lagrangians" in vars(d)
+    """Whether d holds its canonical Lagrangians, which no package path
+    builds, or the Gram-Schmidt data of its curves, which only the
+    reduction of lifts reads."""
+    return "_lagrangians" in vars(d) or any(key.startswith(GRAM_SCHMIDT) for key in vars(d))
 
 
 TRANSFORMS = ("U", "V", "Uinv")
@@ -476,11 +475,14 @@ def test_census_query_replays_no_pairing_transform_and_no_lift(smith_forms, lift
         assert H2DualRep.from_lifts(rep.diagram, rep.lifts) == rep
     assert len(lift_reads) == len(reps)
     # reading lifts substitutes along the curve echelons validation built and
-    # reduces along the canonical Lagrangians: it builds nothing else and no
-    # Smith form
+    # reduces against the Gram-Schmidt data of each system's curves: it
+    # builds nothing else, no canonical Lagrangian and no Smith form
     assert len(smith_forms) == before
+    read = {id(rep.diagram) for rep in reps}
+    gram_schmidt = {f"{GRAM_SCHMIDT}({lam},)" for lam in range(3)}
     for d in diagrams:
-        assert set(vars(d)) - set(memo[id(d)]) <= {"_lagrangians"}
+        assert set(vars(d)) - set(memo[id(d)]) == (gram_schmidt if id(d) in read else set())
+        assert "_lagrangians" not in vars(d)
         assert d._curve_echelons is memo[id(d)]["_curve_echelons"]
 
 

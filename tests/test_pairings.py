@@ -20,6 +20,7 @@ from trihodge.pairings import (
     CycleConditionError,
     H2DualRep,
     OneOneCocycle,
+    _curve_gram_schmidt,
     _signature_of_symmetric,
     cocycle_from_dual_rep,
     dual_rep_basis,
@@ -41,7 +42,9 @@ from helpers import (
     h3_h1_gram,
     h3_representatives_by_complex,
     ladder_diagram,
+    gram_schmidt,
     lagrangian_coordinates,
+    nearest_plane_reduced,
     plain_form,
     random_coboundary,
     random_cocycle,
@@ -62,6 +65,8 @@ DUALITY_SUITE = NAMED + SCRAMBLED + RANDOM_SUITE
 REP_DIAGRAMS = tuple(
     builtin(name) for name in ("CP2#CP2bar", "S2xS2#QS4_Z3", "S1xS3#QS4_Z2", "QS4_Z3")
 ) + tuple(random_diagram(g, s) for g in (1, 2, 3) for s in range(4))
+# the fingerprint's ladder diagrams, whose canonical Lagrangians have large entries
+LADDER_REPS = tuple(ladder_diagram(g) for g in (8, 12, 16, 24))
 
 
 def pairing_all_ways(d, x, y):
@@ -318,32 +323,61 @@ class TestDualReps:
 
     def test_basis_reps_round_trip_through_reduced_lifts(self):
         for d in REP_DIAGRAMS:
-            for rep in dual_rep_basis(d):
+            reps = dual_rep_basis(d)
+            for rep in reps:
                 assert H2DualRep.from_lifts(d, rep.lifts) == rep, d.label
-                for lam, lift in zip((1, 2, 3), rep.lifts):
-                    for col in d.lagrangian_subgroup(lam).columns():
-                        pivot = next(i for i, x in enumerate(col) if x)
-                        assert 0 <= lift[pivot] < col[pivot], d.label
+            assert nearest_plane_reduced(d, reps), d.label
+
+    def test_lifts_are_nearest_plane_reduced_against_the_curves(self):
+        rng = random.Random(37)
+        for d in REP_DIAGRAMS + SCRAMBLED + LADDER_REPS:
+            reps = dual_rep_basis(d) + tuple(random_cycle_rep(d, rng) for _ in range(3))
+            for rep in reps:
+                assert H2DualRep.from_lifts(d, rep.lifts) == rep, d.label
+            assert nearest_plane_reduced(d, reps), d.label
 
     def test_lagrangian_shifts_keep_coords_and_reduced_lifts(self):
         rng = random.Random(31)
-        for d in REP_DIAGRAMS:
+        for d in REP_DIAGRAMS + LADDER_REPS:
             rep = random_cycle_rep(d, rng)
-            shifted = tuple(
-                tuple(
-                    a + w
-                    for a, w in zip(
-                        lift,
-                        d.lagrangian_subgroup(lam).member_from_coordinates(
-                            [rng.randint(-5, 5) for _ in range(d.genus)]
-                        ),
+            for span in (5, 10**6):
+                shifted = tuple(
+                    tuple(
+                        a + w
+                        for a, w in zip(
+                            lift,
+                            d.lagrangian_subgroup(lam).member_from_coordinates(
+                                [rng.randint(-span, span) for _ in range(d.genus)]
+                            ),
+                        )
                     )
+                    for lam, lift in zip((1, 2, 3), rep.lifts)
                 )
-                for lam, lift in zip((1, 2, 3), rep.lifts)
-            )
-            other = H2DualRep.from_lifts(d, shifted)
-            assert other.coords == rep.coords, d.label
-            assert other.lifts == rep.lifts, d.label
+                other = H2DualRep.from_lifts(d, shifted)
+                assert other.coords == rep.coords, d.label
+                assert other.lifts == rep.lifts, d.label
+
+    def test_ladder_lifts_stay_small(self):
+        for g in range(8, 41):
+            d = ladder_diagram(g)
+            for rep in dual_rep_basis(d):
+                assert max(abs(e) for lift in rep.lifts for e in lift).bit_length() <= 8, g
+                assert H2DualRep.from_lifts(d, rep.lifts) == rep, g
+
+    def test_integral_gram_schmidt_matches_the_rational_oracle(self):
+        for d in REP_DIAGRAMS + SCRAMBLED + LADDER_REPS[:2]:
+            for lam, cs in enumerate(d.systems):
+                dets, mus = _curve_gram_schmidt(d, lam)
+                stars = gram_schmidt(cs.curves)
+                norms = [sum(b * b for b in s) for s in stars]
+                det = 1
+                for i, (c, n) in enumerate(zip(cs.curves, norms)):
+                    det *= n
+                    assert dets[i] == det, d.label
+                    assert mus[i] == tuple(
+                        dets[j] * sum(x * y for x, y in zip(c, stars[j])) / norms[j]
+                        for j in range(i)
+                    ), d.label
 
     def test_wrong_component_count_rejected(self):
         with pytest.raises(ValueError, match="one component per handlebody"):
@@ -386,13 +420,13 @@ class TestPoincareDuality:
         for d in DUALITY_SUITE:
             zero = (0,) * (2 * d.genus)
             L1 = d.lagrangian_subgroup(1)
+            reps = []
             for x in h2_basis_cocycles(d):
-                a1, a2, a3 = poincare_dual_rep(d, x).lifts
+                reps.append(poincare_dual_rep(d, x))
+                a1, a2, a3 = reps[-1].lifts
                 assert a2 == a3 == zero, d.label
                 assert L1.contains(tuple(p - q for p, q in zip(a1, x.b2))), d.label
-                for col in L1.columns():
-                    pivot = next(i for i, e in enumerate(col) if e)
-                    assert 0 <= a1[pivot] < col[pivot], d.label
+            assert nearest_plane_reduced(d, reps), d.label
 
     def test_closed_form_matches_the_solved_oracle(self):
         for d in DUALITY_SUITE:
