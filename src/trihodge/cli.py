@@ -247,6 +247,13 @@ def cmd_homology(d: TrisectionDiagram, args) -> Report:
 
 
 def cmd_diamond(d: TrisectionDiagram, args) -> Report:
+    """The Cech diamond, cohomology and the Serre duality line.
+
+    ``serre duality: pass`` is a rank-symmetry law on one complex, not a
+    second route to the same values: the diamond's outer columns are
+    constants, so the check compares b1 with b3, both ranks of the homology
+    complex. That is a real duality law, but no independent computation.
+    """
     from .complexes import cohomology_groups, hodge_diamond, serre_duality_holds
 
     ensure_valid(d)

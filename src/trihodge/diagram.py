@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from functools import cached_property, wraps
 from collections.abc import Iterable, Sequence
+from operator import mul
 
 from .lattice import (
     Subgroup,
@@ -35,7 +36,6 @@ from .lattice import (
     _span,
     _UnitEchelon,
     _Value,
-    _dot,
     as_int_vector,
     subgroup_sum,
 )
@@ -162,7 +162,7 @@ class TrisectionDiagram(_Value):
         """
         nxt = self.systems[1:] + self.systems[:1]
         return tuple(
-            tuple(tuple(_dot(r, c) for c in cs.curves) for r in rows)
+            tuple(tuple(sum(map(mul, r, c)) for c in cs.curves) for r in rows)
             for rows, cs in zip(self._curve_pairings, nxt)
         )
 
@@ -237,7 +237,9 @@ def validate(d: TrisectionDiagram) -> ValidationReport:
     systems = zip(SYSTEM_NAMES, d.systems, d._curve_pairings, d._curve_echelons)
     for name, cs, rows, echelon in systems:
         curves = cs.curves
-        isotropic = not any(_dot(r, c) for i, r in enumerate(rows) for c in curves[i + 1 :])
+        isotropic = not any(
+            sum(map(mul, r, c)) for i, r in enumerate(rows) for c in curves[i + 1 :]
+        )
         primitive = echelon.primitive
         checks += [(f"{name} isotropic", isotropic), (f"{name} primitive", primitive)]
         lagrangian.append(isotropic and primitive)

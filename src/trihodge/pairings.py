@@ -236,7 +236,12 @@ def _reduced_lift(d: TrisectionDiagram, lam: int, v: tuple[int, ...]) -> tuple[i
     the curves are those of a because L_lam is isotropic. The coordinates
     are kept as d_j times their value, integers, rounded as
     floor((2 lambda_j + d_j) / 2 d_j).
+
+    A zero block has class L_lam, whose reduced vector is zero: it is
+    returned at once, with no solve and no Gram-Schmidt data built.
     """
+    if not any(v):
+        return (0,) * (2 * d.genus)
     (lift,) = _pairing_rows((d._curve_echelons[lam].transpose_solve(v),))
     curves = d.systems[lam].curves
     dets, mus = _curve_gram_schmidt(d, lam)

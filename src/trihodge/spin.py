@@ -7,6 +7,8 @@ the solutions of one affine system over F_2.
 
 from __future__ import annotations
 
+from operator import and_, mul
+
 from .diagram import SYSTEM_NAMES, TrisectionDiagram, ensure_valid, memoized
 from .lattice import _Value, as_int_vector
 
@@ -49,26 +51,38 @@ def _solution_space(d: TrisectionDiagram) -> "tuple[int, tuple[int, ...]] | None
 
     q(c) = 0 reads sum c_i q_i = sum_t c_a c_b (mod 2). A mask holds q_i at bit
     2g-1-i, so mask order is lexicographic; an equation holds it one bit higher,
-    above its constant. A pivot bit is set in its own equation only.
+    above its constant. A pivot bit is set in its own equation only, so a new
+    equation is reduced by the pivots at the set bits of ``eq & held`` alone,
+    ``held`` the mask of pivot bits, and a new pivot's bit is cleared in
+    place from the equations that hold it.
     """
     ensure_valid(d)
+    n = 2 * d.genus
+    weights = [1 << (n - i) for i in range(n)]
+    ones = (1,) * n
     pivots: dict[int, int] = {}
+    held = 0
     for curve in (c for name in SYSTEM_NAMES for c in getattr(d, name).curves):
-        eq = sum(curve[2 * t] * curve[2 * t + 1] for t in range(d.genus)) % 2
-        eq |= sum(1 << (2 * d.genus - i) for i, e in enumerate(curve) if e % 2)
-        for bit, p in pivots.items():
-            if eq >> bit & 1:
-                eq ^= p
+        eq = sum(map(mul, curve[::2], curve[1::2])) & 1
+        eq |= sum(map(mul, weights, map(and_, curve, ones)))
+        hit = eq & held
+        while hit:
+            bit = hit.bit_length() - 1
+            eq ^= pivots[bit]
+            hit ^= 1 << bit
         if eq == 1:
             return None
         if eq:
             lead = eq.bit_length() - 1
-            pivots = {bit: p ^ eq if p >> lead & 1 else p for bit, p in pivots.items()}
+            for bit, p in pivots.items():
+                if p >> lead & 1:
+                    pivots[bit] = p ^ eq
             pivots[lead] = eq
+            held |= 1 << lead
     particular = sum(1 << bit for bit, p in pivots.items() if p & 1) >> 1
     return particular, tuple(
         ((1 << free) | sum(1 << bit for bit, p in pivots.items() if p >> free & 1)) >> 1
-        for free in range(1, 2 * d.genus + 1) if free not in pivots
+        for free in range(1, n + 1) if free not in pivots
     )
 
 

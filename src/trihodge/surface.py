@@ -9,6 +9,7 @@ the package lives in.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import neg
 
 from .lattice import Subgroup, _Value, as_int_vector
 
@@ -53,5 +54,15 @@ def _form(x: Sequence[int], y: Sequence[int]) -> int:
 
 
 def _pairing_rows(vectors: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Rows of the map x -> (<e, x>) over trusted vectors e: row e dotted with x is <e, x>."""
-    return [[c for i in range(0, len(e), 2) for c in (-e[i + 1], e[i])] for e in vectors]
+    """Rows of the map x -> (<e, x>) over trusted vectors e: row e dotted with x is <e, x>.
+
+    Row e holds -e_{2t+1} at 2t and e_{2t} at 2t+1, written as two slice
+    assignments per row.
+    """
+    rows = []
+    for e in vectors:
+        row = [0] * len(e)
+        row[0::2] = map(neg, e[1::2])
+        row[1::2] = e[0::2]
+        rows.append(row)
+    return rows

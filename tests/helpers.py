@@ -3,15 +3,16 @@ blocks and the curve coordinates of those blocks, the ladder recipe,
 duality maps, column spans, transvections, the degree-three against
 degree-one Gram matrix, cold copies of diagrams (nothing memoized), a
 stream of small block sums, every public query on one diagram, and
-seventeen oracles: the numpy Smith form, sympy's invariant factors, the
+nineteen oracles: the numpy Smith form, sympy's invariant factors, the
 Bareiss determinant, the full-width congruence diagonalization over the
-rationals, the Smith-form kernel, the Smith-form integer solve, the
-tracked-echelon span solver, the intersection of canonical subgroups, the
-quotients by canonical pair and triple sums, validation by pair sums,
-homology by kernels, the five-term complex of the three Lagrangians with
-its dual, the Cech complexes behind the diamond, the degree-three
-representatives from the homology complex, the solved Poincare dual and
-the brute-force spin filter.
+rationals, the comprehension pairing rows, the Smith-form kernel, the
+Smith-form integer solve, the tracked-echelon span solver, the
+intersection of canonical subgroups, the quotients by canonical pair and
+triple sums, validation by pair sums, homology by kernels, the five-term
+complex of the three Lagrangians with its dual, the Cech complexes behind
+the diamond, the degree-three representatives from the homology complex,
+the solved Poincare dual, the dict-scan spin elimination and the
+brute-force spin filter.
 
 The suites use these to generate inputs and to state laws; the package
 itself never needs them.
@@ -839,6 +840,37 @@ def vanishes_on(q: QuadraticEnhancement, cs: CutSystem) -> bool:
     the whole subgroup.
     """
     return all(q.evaluate(curve) == 0 for curve in cs.curves)
+
+
+def comprehension_pairing_rows(vectors: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Pairing rows as one nested comprehension, entry by entry: the oracle
+    for the package's slice-assigned ``_pairing_rows``."""
+    return [[c for i in range(0, len(e), 2) for c in (-e[i + 1], e[i])] for e in vectors]
+
+
+def dict_scan_solution_space(d: TrisectionDiagram) -> "tuple[int, tuple[int, ...]] | None":
+    """The spin system's particular mask and kernel basis, or None, by the
+    plain elimination: each equation built entry by entry, reduced by a scan
+    of every pivot, and the pivot dict rebuilt at each new pivot. The oracle
+    for the package's ``_solution_space``; no validity check, no memo."""
+    pivots: dict[int, int] = {}
+    for curve in (c for name in SYSTEM_NAMES for c in getattr(d, name).curves):
+        eq = sum(curve[2 * t] * curve[2 * t + 1] for t in range(d.genus)) % 2
+        eq |= sum(1 << (2 * d.genus - i) for i, e in enumerate(curve) if e % 2)
+        for bit, p in pivots.items():
+            if eq >> bit & 1:
+                eq ^= p
+        if eq == 1:
+            return None
+        if eq:
+            lead = eq.bit_length() - 1
+            pivots = {bit: p ^ eq if p >> lead & 1 else p for bit, p in pivots.items()}
+            pivots[lead] = eq
+    particular = sum(1 << bit for bit, p in pivots.items() if p & 1) >> 1
+    return particular, tuple(
+        ((1 << free) | sum(1 << bit for bit, p in pivots.items() if p >> free & 1)) >> 1
+        for free in range(1, 2 * d.genus + 1) if free not in pivots
+    )
 
 
 def brute_force_spin(d: TrisectionDiagram) -> tuple[QuadraticEnhancement, ...]:

@@ -1,6 +1,7 @@
 """CLI behavior: golden bytes, exit codes, input handling."""
 
 import ast
+import copy
 import io
 import json
 import os
@@ -10,9 +11,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trihodge import cli
 from trihodge.cli import EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_PARSE, main
+from trihodge.diagram import SYSTEM_NAMES, builtin, random_diagram
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).parent / "golden"
@@ -458,3 +462,84 @@ class TestBooleanEntries:
         code, _, err = run_cli(["spinc", "--builtin", "CP2", "--act", str(rep)])
         assert code == EXIT_PARSE
         assert "field 'a1' must be an integer vector" in err
+
+
+# ---------------------------------------------------------------- fuzzing
+
+
+def golden_docs() -> tuple[dict, ...]:
+    """The diagram behind each golden case, once each, as a diagram JSON object."""
+    docs = {}
+    for _, argv in GOLDEN_CASES:
+        if "--builtin" in argv:
+            d = builtin(argv[argv.index("--builtin") + 1])
+        else:
+            genus, seed = (int(argv[argv.index(flag) + 1]) for flag in ("--genus", "--seed"))
+            d = random_diagram(genus, seed)
+        curves = {name: [list(c) for c in getattr(d, name).curves] for name in SYSTEM_NAMES}
+        docs[d.label] = {"genus": d.genus, **curves, "label": d.label}
+    return tuple(docs.values())
+
+
+GOLDEN_DOCS = golden_docs()
+# written in place of the marker after json.dumps, which cannot write it
+OVER_DIGIT_LIMIT = "9" * 5000
+HUGE_MARK = "@over-digit-limit@"
+HUGE = (2**64, -(2**200), 10**4000, HUGE_MARK)
+BAD_LABELS = ("tab\there", "fake\nH_1: Z/7", "nul\x00", "escape\x1b[2J", "separator\u2028")
+FIELDS = ("genus", "alpha", "beta", "gamma", "label")
+MUTATIONS = ("drop", "bool", "width", "huge", "label")
+
+
+@st.composite
+def mutated_golden_docs(draw) -> str:
+    """The JSON text of a golden-case diagram after one to three mutations:
+    a dropped field, a bool entry, a curve one entry too wide or too narrow,
+    a huge integer, or a label that is not one printable line."""
+    doc = copy.deepcopy(draw(st.sampled_from(GOLDEN_DOCS)))
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)):
+        systems = [doc[name] for name in SYSTEM_NAMES if isinstance(doc.get(name), list)]
+        curves = [c for cs in systems for c in cs]
+        if kind == "drop":
+            doc.pop(draw(st.sampled_from(FIELDS)), None)
+        elif kind == "label":
+            doc["label"] = draw(st.sampled_from(BAD_LABELS))
+        elif kind == "width" and curves:
+            curve = draw(st.sampled_from(curves))
+            if draw(st.booleans()) and curve:
+                curve.pop()
+            else:
+                curve.append(0)
+        elif kind in ("bool", "huge"):
+            value = draw(st.booleans() if kind == "bool" else st.sampled_from(HUGE))
+            curve = draw(st.sampled_from(curves)) if curves else []
+            if curve and draw(st.booleans()):
+                curve[draw(st.integers(0, len(curve) - 1))] = value
+            else:
+                doc["genus"] = value
+    return json.dumps(doc).replace(json.dumps(HUGE_MARK), OVER_DIGIT_LIMIT)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    text=mutated_golden_docs(),
+    command=st.sampled_from(tuple(cli._HANDLERS)),
+    as_json=st.booleans(),
+)
+def test_mutated_golden_diagrams_exit_cleanly(tmp_path_factory, text, command, as_json):
+    """A standing guard, not a known bug: no mutation of a good file raises
+    or exits 3, and every refusal is one ``error:`` line on stderr with
+    nothing on stdout. Only ``validate`` reports an invalid diagram on
+    stdout, as its verdict."""
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli([command, str(path)] + ["--json"] * as_json)
+    assert code in (EXIT_OK, EXIT_INVALID, EXIT_PARSE)
+    if out:
+        # a report: success, or validate's verdict on an invalid diagram,
+        # whose label, when given, is one printable line
+        assert err == "" and (code == EXIT_OK or command == "validate"), (code, err)
+        assert json.loads(text).get("label", "").isprintable()
+    else:
+        lines = err.splitlines()
+        assert code != EXIT_OK and len(lines) == 1 and lines[0].startswith("error: "), err

@@ -357,6 +357,19 @@ class TestDualReps:
                 assert other.coords == rep.coords, d.label
                 assert other.lifts == rep.lifts, d.label
 
+    @pytest.mark.parametrize("make", [lambda: builtin("CP2#CP2bar"), lambda: ladder_diagram(16)])
+    def test_zero_blocks_lift_to_zero_with_no_gram_schmidt_data(self, make):
+        d = make()
+        zero = (0,) * (2 * d.genus)
+        reps = dual_rep_basis(d)
+        assert reps
+        for rep in reps:
+            assert rep.lifts[1] == rep.lifts[2] == zero, d.label
+            assert H2DualRep.from_lifts(d, rep.lifts) == rep, d.label
+        memo = f"{_curve_gram_schmidt.__module__}.{_curve_gram_schmidt.__qualname__}"
+        assert f"{memo}{(0,)}" in vars(d)
+        assert f"{memo}{(1,)}" not in vars(d) and f"{memo}{(2,)}" not in vars(d)
+
     def test_ladder_lifts_stay_small(self):
         for g in range(8, 41):
             d = ladder_diagram(g)

@@ -16,10 +16,23 @@ from trihodge.diagram import (
     random_diagram,
 )
 from trihodge.pairings import intersection_form
-from trihodge.spin import MAX_LISTED, QuadraticEnhancement, enumerate_spin, spin_count
+from trihodge.spin import (
+    MAX_LISTED,
+    QuadraticEnhancement,
+    _solution_space,
+    enumerate_spin,
+    spin_count,
+)
 from trihodge.surface import SymplecticLattice
 
-from helpers import all_enhancements, brute_force_spin, scrambled
+from helpers import (
+    LADDER_BASES,
+    all_enhancements,
+    brute_force_spin,
+    dict_scan_solution_space,
+    ladder_diagram,
+    scrambled,
+)
 
 
 class TestEvaluate:
@@ -134,6 +147,37 @@ def moved(d):
 def test_enumeration_matches_brute_force(name):
     for d in moved(builtin(name)):
         assert enumerate_spin(d) == brute_force_spin(d), d.describe()
+
+
+SPIN_SUMS = ("S2xS2", "QS4_Z3", "S2xS2#S1xS3", "S1xS3#QS4_Z3#S2xS2", "S1xS3#S1xS3#S2xS2#QS4_Z3")
+
+
+def test_solution_space_matches_the_dict_scan_oracle_on_ladders_and_spin_sums():
+    # the particular mask and the kernel tuple, not only the count; the
+    # ladders are count-0 diagrams above genus 0, which leave at eq == 1
+    diagrams = [ladder_diagram(g) for g in range(25)]
+    diagrams += [scrambled(builtin(name), seed) for name in SPIN_SUMS for seed in range(3)]
+    spaces = [_solution_space(d) for d in diagrams]
+    assert spaces == [dict_scan_solution_space(d) for d in diagrams]
+    assert None in spaces
+    assert any(space and space[0] and space[1] for space in spaces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    names=st.lists(st.sampled_from(LADDER_BASES), min_size=1, max_size=4),
+    seed=st.integers(0, 10**6),
+)
+def test_solution_space_matches_the_dict_scan_oracle_on_scrambled_sums(names, seed):
+    d = scrambled(builtin("#".join(names)), seed)
+    assert _solution_space(d) == dict_scan_solution_space(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(genus=st.integers(min_value=0, max_value=6), seed=st.integers(0, 10**6))
+def test_solution_space_matches_the_dict_scan_oracle_on_random_diagrams(genus, seed):
+    d = random_diagram(genus, seed)
+    assert _solution_space(d) == dict_scan_solution_space(d)
 
 
 def expected_spin_count_when_nonempty(d):

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trihodge.lattice import Subgroup
-from trihodge.surface import SymplecticLattice
+from trihodge.surface import SymplecticLattice, _pairing_rows
 
 from helpers import (
+    comprehension_pairing_rows,
     det,
     form_matrix,
     m_subgroup,
@@ -119,3 +120,29 @@ class TestTransvection:
         out = tuple(int(e) for e in (T @ x)[:, 0])
         # x + <x, v> v with v = a1: <(3,4),(1,0)> = -4
         assert out == (3 - 4, 4)
+
+
+class TestPairingRows:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=6).flatmap(
+            lambda g: st.lists(
+                st.lists(st.integers(-(2**70), 2**70), min_size=2 * g, max_size=2 * g).map(tuple),
+                max_size=2 * g + 1,
+            )
+        )
+    )
+    def test_slice_rows_match_the_comprehension_oracle(self, vectors):
+        assert _pairing_rows(vectors) == comprehension_pairing_rows(vectors)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=6).flatmap(
+            lambda g: st.tuples(vectors(2 * g), vectors(2 * g))
+        )
+    )
+    def test_row_dotted_with_x_is_the_form(self, xy):
+        x, y = xy
+        (row,) = _pairing_rows((x,))
+        lat = SymplecticLattice(len(x) // 2)
+        assert sum(r * e for r, e in zip(row, y)) == lat.intersection_number(x, y)
