@@ -25,7 +25,6 @@ which span the pair sum. Validation builds no canonical Lagrangian; only
 
 from __future__ import annotations
 
-import random
 from functools import cached_property, wraps
 from collections.abc import Iterable, Sequence
 from operator import mul
@@ -447,6 +446,8 @@ def random_diagram(genus: int, seed: int) -> TrisectionDiagram:
     standard triple. Transvections preserve the form, so isotropy, primitivity
     and pair saturation survive and the result is always valid.
     """
+    import random  # not at module level: every CLI call loads this module
+
     base = standard_triple(genus)
     if genus == 0:
         return diagram_from_curves(0, [], [], [], label=f"random(g=0, seed={seed})")

@@ -798,13 +798,26 @@ def ladder_diagram(genus: int) -> TrisectionDiagram:
     the Lagrangians they span grow with g.
     """
     rng = random.Random(genus)
+    summands = _random_summands(genus, LADDER_BASES, rng)
+    d = builtin("#".join(summands)) if summands else builtin("S4")
+    return _transvected(d, rng, label=f"ladder(g={genus})")
+
+
+def _random_summands(genus: int, bases: Sequence[str], rng: random.Random) -> list[str]:
+    """Builtin names drawn from ``bases`` until their genera add up to g."""
     summands: list[str] = []
     left = genus
     while left:
-        name = rng.choice([n for n in LADDER_BASES if builtin_genus(n) <= left])
+        name = rng.choice([n for n in bases if builtin_genus(n) <= left])
         summands.append(name)
         left -= builtin_genus(name)
-    d = builtin("#".join(summands)) if summands else builtin("S4")
+    return summands
+
+
+def _transvected(d: TrisectionDiagram, rng: random.Random, label: str) -> TrisectionDiagram:
+    """d with every curve moved by one word of 2g transvections
+    x -> x + <x, v> v, each v with three entries of +-1."""
+    genus = d.genus
     systems = [[list(c) for c in cs.curves] for cs in d.systems]
     for _ in range(2 * genus):
         v = [0] * (2 * genus)
@@ -817,7 +830,24 @@ def ladder_diagram(genus: int) -> TrisectionDiagram:
                 if t:
                     for i, vi in enumerate(v):
                         c[i] += t * vi
-    return diagram_from_curves(genus, *systems, label=f"ladder(g={genus})")
+    return diagram_from_curves(genus, *systems, label=label)
+
+
+def spin_sum_diagram(genus: int, seed: int) -> tuple[TrisectionDiagram, int]:
+    """A block sum of S1xS3 and S2xS2 of genus g under the ladder's word of
+    transvections, and its spin count.
+
+    With ``random.Random(seed)``, summands are drawn as for the ladder, then
+    every curve is moved by 2g transvections. S1xS3 has two spin structures
+    and S2xS2 one, and counts multiply under connected sum, so the count is
+    2^(number of S1xS3 summands). The ladder's CP2 summands make almost
+    every ladder count 0; these sums give dense high-genus spin systems with
+    a nonempty kernel.
+    """
+    rng = random.Random(seed)
+    summands = _random_summands(genus, ("S1xS3", "S2xS2"), rng)
+    d = _transvected(builtin("#".join(summands)), rng, label=f"spin sum(g={genus}, seed={seed})")
+    return d, 2 ** summands.count("S1xS3")
 
 
 def all_enhancements(genus: int) -> tuple[QuadraticEnhancement, ...]:

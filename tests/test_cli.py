@@ -64,6 +64,37 @@ def test_golden_output(golden_name, argv):
     assert code2 == code and out2 == out
 
 
+def test_homology_goldens_read_no_dual_complex(monkeypatch):
+    from trihodge import complexes
+
+    def unread(d):
+        raise AssertionError("the three-way H2 check read the dual complex")
+
+    monkeypatch.setattr(complexes, "dual_middle_homology", unread)
+    for golden_name, argv in GOLDEN_CASES:
+        if argv[0] == "homology":
+            code, out, _ = run_cli(argv)
+            assert code == EXIT_OK, argv
+            assert out == (GOLDEN / golden_name).read_text(encoding="utf-8")
+
+
+def test_three_way_check_compares_the_complex_h1_torsion_with_the_curves(monkeypatch):
+    from trihodge import complexes
+    from trihodge.complexes import HomologyGroup
+
+    read = complexes.homology_groups
+
+    def wrong_h1_torsion(d):
+        groups = list(read(d))
+        groups[1] = HomologyGroup(groups[1].rank, (5,))
+        return tuple(groups)
+
+    monkeypatch.setattr(complexes, "homology_groups", wrong_h1_torsion)
+    code, out, _ = run_cli(["homology", "--builtin", "CP2"])
+    assert code == EXIT_INVALID
+    assert "H_1: Z/5" in out and "three-way H2 check: fail" in out
+
+
 # Runs main(argv) in a fresh interpreter (argv empty: import only) and
 # prints its exit code and the modules loaded after interpreter start. The
 # interpreter runs with -S, so no site hook has imported anything first,
@@ -134,6 +165,10 @@ def test_cli_never_loads_numpy(argv):
     assert not {"dataclasses", "fractions"} & set(loaded)
     # start-up costs a site hook can hide: the package needs none of them
     assert not {"pathlib", "typing", "shutil"} & set(loaded)
+    # a well-formed argv is read without argparse, which loads gettext and
+    # locale; only a random diagram needs random
+    assert not {"argparse", "gettext", "locale"} & set(loaded)
+    assert ("random" in loaded) == ("--genus" in argv)
     package = {m for m in loaded if m.split(".")[0] == "trihodge"}
     assert package == ALWAYS_LOADED | READS[argv[0] if argv else "import"]
 
@@ -144,6 +179,81 @@ def test_text_output_loads_no_json():
     code, loaded = loaded_modules(argv)
     assert code == EXIT_OK and "json" not in loaded
     assert "json" in loaded_modules([*argv, "--json"])[1]
+
+
+def test_every_golden_argv_is_read_without_argparse():
+    parser = cli.build_parser()
+    for _, argv in GOLDEN_CASES:
+        read = cli._read_argv(argv)
+        assert read is not None, argv
+        assert vars(read) == vars(parser.parse_args(argv)), argv
+
+
+OPTIONS = ("--builtin", "--genus", "--seed", "--act", "--json")
+INT_TEXTS = ("0", "3", "100", " 7", "+2", "1_0", "007", "\u0663")
+JUNK = ("CP2", "S2xS2#S1xS3", "diagram.json", "", "x y", "1e3", "a=b", "\u2014json")
+ODD_TOKENS = (
+    "-", "--", "-h", "--help", "-1", "-20", "--gen", "--b", "--se", "--js", "--ac",
+    "--builtin=CP2", "--genus=3", "--json=1", "--no-such-flag", "-x", "frobnicate",
+)
+
+
+@st.composite
+def well_formed_argvs(draw) -> list[str]:
+    """A subcommand, then some of its options and a path, each at most once
+    and in any order, with values that do not start with "-"."""
+    command = draw(st.sampled_from(tuple(cli._HANDLERS)))
+    ints = st.integers(0, 10**30).map(str) | st.sampled_from(INT_TEXTS)
+    texts = st.sampled_from(JUNK + INT_TEXTS)
+    parts = []
+    for option in (*OPTIONS, "path"):
+        if (option == "--act" and command != "spinc") or not draw(st.booleans()):
+            continue
+        if option == "--json":
+            parts.append([option])
+        elif option == "path":
+            parts.append([draw(texts)])
+        else:
+            parts.append([option, draw(ints if option in ("--genus", "--seed") else texts)])
+    return [command, *(token for part in draw(st.permutations(parts)) for token in part)]
+
+
+TOKENS = st.sampled_from(ODD_TOKENS) | st.sampled_from(
+    tuple(cli._HANDLERS) + OPTIONS + INT_TEXTS + JUNK
+)
+
+
+@st.composite
+def any_argvs(draw) -> list[str]:
+    """Subcommands, full, abbreviated and "=" options, ints, negative ints,
+    "-", "--", "-h" and junk, in any order."""
+    head = draw(st.sampled_from(tuple(cli._HANDLERS)) | TOKENS)
+    return [head, *draw(st.lists(TOKENS, max_size=7))]
+
+
+@st.composite
+def near_miss_argvs(draw) -> list[str]:
+    """A well-formed argv with one token after the subcommand inserted or replaced."""
+    argv = draw(well_formed_argvs())
+    at = draw(st.integers(1, len(argv)))
+    argv[at : at + draw(st.integers(0, 1))] = [draw(TOKENS)]
+    return argv
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    case=st.tuples(well_formed_argvs(), st.just(True))
+    | st.tuples(near_miss_argvs() | any_argvs(), st.just(False))
+)
+def test_direct_reader_agrees_with_argparse(case):
+    """The reader takes every well-formed argv, and argparse parses each argv
+    the reader takes to the same attributes. The reader leaves the rest to
+    argparse."""
+    argv, well_formed = case
+    read = cli._read_argv(argv)
+    assert read is not None or not well_formed, argv
+    if read is not None:
+        assert vars(read) == vars(cli.build_parser().parse_args(argv)), argv
 
 
 PIPE_SUM = "#".join(["S1xS3"] * 12)  # 4096 listed structures, past any pipe buffer

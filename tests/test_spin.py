@@ -32,6 +32,7 @@ from helpers import (
     dict_scan_solution_space,
     ladder_diagram,
     scrambled,
+    spin_sum_diagram,
 )
 
 
@@ -178,6 +179,17 @@ def test_solution_space_matches_the_dict_scan_oracle_on_scrambled_sums(names, se
 def test_solution_space_matches_the_dict_scan_oracle_on_random_diagrams(genus, seed):
     d = random_diagram(genus, seed)
     assert _solution_space(d) == dict_scan_solution_space(d)
+
+
+@settings(max_examples=20, deadline=None)
+@given(genus=st.integers(min_value=16, max_value=40), seed=st.integers(0, 10**6))
+def test_solution_space_matches_the_dict_scan_oracle_on_dense_spin_sums(genus, seed):
+    # the ladder's spin systems stop at eq == 1 above genus 0; these reach
+    # the kernel-building half at high genus, with dense curves
+    d, count = spin_sum_diagram(genus, seed)
+    space = _solution_space(d)
+    assert space == dict_scan_solution_space(d)
+    assert spin_count(d) == count == 2 ** len(space[1])
 
 
 def expected_spin_count_when_nonempty(d):
