@@ -38,8 +38,9 @@ characteristic.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import cached_property
-from operator import is_
+from operator import is_, mod
 
 from .diagram import TrisectionDiagram, ensure_valid, memoized
 from .lattice import (
@@ -65,11 +66,18 @@ class InvalidStateError(RuntimeError):
 
 
 class HomologyGroup(_Value):
-    """Finitely generated abelian group: free rank plus invariant factors."""
+    """Finitely generated abelian group: free rank plus invariant factors.
 
-    def __init__(self, rank: int, torsion: tuple[int, ...] = ()):
-        if rank < 0 or any(t < 2 for t in torsion):
-            raise ValueError("rank must be >= 0 and invariant factors >= 2")
+    The factors are a divisibility chain, so each group has one record and
+    equal groups compare equal.
+    """
+
+    def __init__(self, rank: int, torsion: Iterable[int] = ()):
+        torsion = tuple(torsion)
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (rank, *torsion)):
+            raise ValueError("rank and invariant factors must be integers")
+        if rank < 0 or any(t < 2 for t in torsion) or any(map(mod, torsion[1:], torsion)):
+            raise ValueError("rank must be >= 0, invariant factors >= 2, each dividing the next")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "torsion", torsion)
 
@@ -189,7 +197,8 @@ class FreeChainComplex(_Frozen):
         generators. The package reads it for the degree-two generators
         only (``pairings.h2_basis_cocycles``); its group is the kernel-route
         oracle of ``homology_at`` in the tests, and its degree-one
-        generators those of ``pairings.h3_representatives``.
+        generators those of the oracle
+        ``tests/helpers.py::h3_representatives_by_complex``.
         """
         self._check_position(pos)
         if pos < len(self.columns):

@@ -9,10 +9,12 @@ Each elimination has one job. ``_UnitEchelon`` is a recorded row reduction
 that pivots only on entries +-1. It gives every rank and invariant factor,
 a factor 1 per pivot, and it is the package's one integer solver: on the
 columns c_1..c_n of a basis of a primitive sublattice it solves
-sum_i a_i c_i = v and u . c_i = v_i by substitution alone. The downward
-echelon ``_forward_echelon`` gives canonical spans and kernels; a kernel
-eliminates the matrix part of [m^T | I] and canonicalizes just the kernel
-rows. Smith forms finish what a unit pivot cannot: the residual rows of an
+sum_i a_i c_i = v and u . c_i = v_i by substitution alone. One row-Euclid
+step, ``_euclid_down``, serves the unit-pivot elimination (when no entry
++-1 is left), the canonical spans and the kernels: the column loop
+``_forward_echelon`` runs it for the last two, and a kernel eliminates the
+matrix part of [m^T | I] and canonicalizes just the kernel rows. Smith
+forms finish what a unit pivot cannot: the residual rows of an
 invariant-factor computation, the free generators of a cokernel
 (``_cokernel``) and the public ``smith_normal_form`` and ``quotient``.
 Each computes D and records its row and column operations; the transforms
@@ -466,58 +468,37 @@ def _row_echelon_lattice(rows: Sequence[Sequence[int]], width: int) -> list[list
     rows are dropped.
     """
     work = [list(r) for r in rows if any(r)]
-    pivots = _forward_echelon(work, width, width)
-    for r, col in enumerate(pivots):
-        if work[r][col] < 0:
-            work[r] = [-x for x in work[r]]
-        p = work[r]
+    pivots, _ = _forward_echelon(work, width)
+    out: list[list[int]] = []
+    for r, col in pivots:
+        p = work[r] if work[r][col] > 0 else [-x for x in work[r]]
         pval = p[col]
-        for w in work[:r]:
+        for w in out:
             q = w[col] // pval
             if q:
                 for k in range(col, width):
                     w[k] -= q * p[k]
-    return work[: len(pivots)]
+        out.append(p)
+    return out
 
 
-def _forward_echelon(work: list[list[int]], stop: int, width: int) -> list[int]:
-    """Eliminate downward in columns 0..stop-1 of rows of the given width, in place.
+def _forward_echelon(work: list[list[int]], stop: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """Row-Euclid (``_euclid_down``) down columns 0..stop-1 of the rows, in place.
 
-    Returns the pivot column of each leading row; every later row is zero in
-    columns 0..stop-1. Nothing above a pivot is reduced, and no pivot is made
-    positive. Every row below the current pivot row is already zero left of
-    the current column, so each update starts at that column. Quotients are
-    rounded to the nearest integer, so each remainder is at most half the
-    pivot and the rows grow less than with floor quotients; callers
-    canonicalize afterwards, so the choice does not show in their results.
+    Returns the (row, column) of each pivot in column order and the indices
+    of the rows left, which are zero in columns 0..stop-1. A pivot row is
+    zero left of its column. Nothing above a pivot is reduced, and no pivot
+    is made positive: callers canonicalize afterwards, so the rounding of
+    the quotients does not show in their results.
     """
-    n = len(work)
-    pivots: list[int] = []
+    active = list(range(len(work)))
+    pivots: list[tuple[int, int]] = []
     for col in range(stop):
-        pivot_row = len(pivots)
-        if pivot_row >= n:
-            break
-        while True:
-            live = [i for i in range(pivot_row, n) if work[i][col] != 0]
-            if not live:
-                break
-            i_min = min(live, key=lambda i: abs(work[i][col]))
-            work[pivot_row], work[i_min] = work[i_min], work[pivot_row]
-            p = work[pivot_row]
-            pc, two_pc = p[col], 2 * p[col]
-            finished = True
-            for i in range(pivot_row + 1, n):
-                w = work[i]
-                if w[col] != 0:
-                    q = (2 * w[col] + pc) // two_pc  # floor(w/p + 1/2), for either sign of p
-                    for k in range(col, width):
-                        w[k] -= q * p[k]
-                    finished = finished and w[col] == 0
-            if finished:
-                break
-        if work[pivot_row][col] != 0:
-            pivots.append(col)
-    return pivots
+        r = _euclid_down(work, active, col, [])
+        if r is not None:
+            active.remove(r)
+            pivots.append((r, col))
+    return pivots, active
 
 
 def kernel_basis(m: np.ndarray) -> Subgroup:
@@ -536,8 +517,8 @@ def _kernel(columns: Sequence[Sequence[int]], nrows: int) -> Subgroup:
     """
     ncols = len(columns)
     work = [list(col) + unit for col, unit in zip(columns, _identity_rows(ncols))]
-    rank = len(_forward_echelon(work, nrows, nrows + ncols))
-    return _span(ncols, [r[nrows:] for r in work[rank:]])
+    _, rest = _forward_echelon(work, nrows)
+    return _span(ncols, [work[i][nrows:] for i in rest])
 
 
 _NOT_PRIMITIVE = "the vectors are not a basis of a primitive sublattice"
@@ -584,7 +565,7 @@ class _UnitEchelon:
             else:
                 j = done.index(False)
                 r = _euclid_down(rows, active, j, ops)
-                if r is None:
+                if r is None or rows[r][j] not in (1, -1):
                     break
                 k, p = active.index(r), rows[r]
             del active[k]
@@ -657,7 +638,7 @@ class _UnitEchelon:
 def _euclid_down(rows: list[list[int]], active: list[int], j: int, ops: list) -> int | None:
     """Row-Euclid down column j of the active rows with nearest-rounded
     quotients, recorded in ops, until at most one entry is nonzero: the row
-    holding it when it is +-1, else None."""
+    holding it, or None when the column is zero."""
     live = [i for i in active if rows[i][j]]
     while len(live) > 1:
         r = min(live, key=lambda i: abs(rows[i][j]))
@@ -674,7 +655,7 @@ def _euclid_down(rows: list[list[int]], active: list[int], j: int, ops: list) ->
                 record += (i, q)
         ops.append((r, tuple(record)))
         live = [i for i in live if rows[i][j]]
-    return live[0] if live and rows[live[0]][j] in (1, -1) else None
+    return live[0] if live else None
 
 
 class QuotientPresentation(_Frozen):

@@ -6,13 +6,13 @@ stream of small block sums, every public query on one diagram, and
 nineteen oracles: the numpy Smith form, sympy's invariant factors, the
 Bareiss determinant, the full-width congruence diagonalization over the
 rationals, the comprehension pairing rows, the Smith-form kernel, the
-Smith-form integer solve, the tracked-echelon span solver, the
-intersection of canonical subgroups, the quotients by canonical pair and
-triple sums, validation by pair sums, homology by kernels, the five-term
-complex of the three Lagrangians with its dual, the Cech complexes behind
-the diamond, the degree-three representatives from the homology complex,
-the solved Poincare dual, the dict-scan spin elimination and the
-brute-force spin filter.
+Smith-form integer solve, the tracked-echelon span solver (on its own
+downward echelon), the intersection of canonical subgroups, the quotients
+by canonical pair and triple sums, validation by pair sums, homology by
+kernels, the five-term complex of the three Lagrangians with its dual,
+the Cech complexes behind the diamond, the degree-three representatives
+from the homology complex, the solved Poincare dual, the dict-scan spin
+elimination and the brute-force spin filter.
 
 The suites use these to generate inputs and to state laws; the package
 itself never needs them.
@@ -52,7 +52,6 @@ from trihodge.lattice import (
     QuotientPresentation,
     Subgroup,
     _combination,
-    _forward_echelon,
     _identity_rows,
     as_int_vector,
     identity,
@@ -308,6 +307,46 @@ def integer_solve(m: np.ndarray, rhs: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(a * b for a, b in zip(row, z)) for row in V.tolist())
 
 
+def downward_echelon(work: list[list[int]], stop: int, width: int) -> list[int]:
+    """Eliminate downward in columns 0..stop-1 of rows of the given width, in place.
+
+    Returns the pivot column of each leading row; every later row is zero in
+    columns 0..stop-1. Nothing above a pivot is reduced, and no pivot is made
+    positive. Every row below the current pivot row is already zero left of
+    the current column, so each update starts at that column. Quotients are
+    rounded to the nearest integer, so each remainder is at most half the
+    pivot and the rows grow less than with floor quotients; callers
+    canonicalize afterwards, so the choice does not show in their results.
+    """
+    n = len(work)
+    pivots: list[int] = []
+    for col in range(stop):
+        pivot_row = len(pivots)
+        if pivot_row >= n:
+            break
+        while True:
+            live = [i for i in range(pivot_row, n) if work[i][col] != 0]
+            if not live:
+                break
+            i_min = min(live, key=lambda i: abs(work[i][col]))
+            work[pivot_row], work[i_min] = work[i_min], work[pivot_row]
+            p = work[pivot_row]
+            pc, two_pc = p[col], 2 * p[col]
+            finished = True
+            for i in range(pivot_row + 1, n):
+                w = work[i]
+                if w[col] != 0:
+                    q = (2 * w[col] + pc) // two_pc  # floor(w/p + 1/2), for either sign of p
+                    for k in range(col, width):
+                        w[k] -= q * p[k]
+                    finished = finished and w[col] == 0
+            if finished:
+                break
+        if work[pivot_row][col] != 0:
+            pivots.append(col)
+    return pivots
+
+
 class SpanCoordinates:
     """Integer solutions a of sum_i a_i c_i = v over trusted vectors c_1..c_n.
 
@@ -319,12 +358,15 @@ class SpanCoordinates:
 
     The oracle for ``lattice._UnitEchelon``, which records its row
     operations instead of tracking them and pivots only on entries +-1.
+    The echelon is ``downward_echelon``, a copy of the package's former
+    column loop that swaps each pivot row up and updates dense rows, so
+    this route shares no Euclid step with ``lattice._euclid_down``.
     """
 
     def __init__(self, vectors: Sequence[Sequence[int]], width: int):
         n = len(vectors)
         work = [list(v) + unit for v, unit in zip(vectors, _identity_rows(n))]
-        pivots = _forward_echelon(work, width, width + n)
+        pivots = downward_echelon(work, width, width + n)
         self.rank = len(pivots)
         self._rows = [(col, row[:width]) for col, row in zip(pivots, work)]
         self._tracker = [row[width:] for row in work[: self.rank]]

@@ -65,6 +65,17 @@ def test_homology_group_rejects_bad_data():
         HomologyGroup(-1)
     with pytest.raises(ValueError):
         HomologyGroup(0, (1,))
+    # a rank or factor that is no int, and factors that are no divisibility
+    # chain (Z/2 + Z/3 is Z/6, whose one record is (6,))
+    for rank, torsion in [(1.5, ()), (True, ()), ("1", ()), (0, (2.0,)), (0, (2, 3)), (0, (4, 2))]:
+        with pytest.raises(ValueError):
+            HomologyGroup(rank, torsion)
+
+
+def test_homology_group_stores_torsion_as_a_hashable_tuple():
+    z2_z6 = HomologyGroup(0, [2, 6])
+    assert z2_z6.torsion == (2, 6)
+    assert hash(z2_z6) == hash(HomologyGroup(0, (2, 6))) and z2_z6 == HomologyGroup(0, (2, 6))
 
 
 def test_complex_rejects_non_composing_differentials():
