@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import os
 import sys
-from contextlib import suppress
 from types import SimpleNamespace
 
 # Each subcommand imports the modules it reads when it runs, so a call loads
@@ -448,34 +447,16 @@ def _read_argv(argv) -> SimpleNamespace | None:
     return SimpleNamespace(**args)
 
 
-def _help_formatter(prog: str) -> argparse.HelpFormatter:
-    """argparse's formatter at the width ``shutil.get_terminal_size`` gives.
-
-    argparse builds a formatter for every argument it adds; given no width,
-    each imports shutil, about 4 ms of every call that builds the parser:
-    help, and an argv that ``_read_argv`` leaves to argparse.
-    """
-    import argparse
-
-    columns = 0
-    with suppress(KeyError, ValueError):
-        columns = max(int(os.environ["COLUMNS"]), 0)
-    with suppress(AttributeError, ValueError, OSError):
-        columns = columns or os.get_terminal_size(sys.__stdout__.fileno()).columns
-    return argparse.HelpFormatter(prog, width=(columns or 80) - 2)
-
-
 def build_parser() -> argparse.ArgumentParser:
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="trihodge",
         description="Exact integer invariants of closed 4-manifolds from trisection diagrams.",
-        formatter_class=_help_formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     for name, handler in _HANDLERS.items():
-        p = sub.add_parser(name, help=_DESCRIPTIONS[name], formatter_class=_help_formatter)
+        p = sub.add_parser(name, help=_DESCRIPTIONS[name])
         p.add_argument("path", nargs="?", help="diagram JSON file")
         p.add_argument("--builtin", help="builtin diagram name, e.g. CP2 or CP2#CP2bar")
         p.add_argument("--genus", type=int, help="genus for a random diagram")

@@ -38,7 +38,7 @@ characteristic.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from operator import is_, mod
 
@@ -72,6 +72,8 @@ class HomologyGroup(_Value):
     equal groups compare equal.
     """
 
+    _fields = ("rank", "torsion")
+
     def __init__(self, rank: int, torsion: Iterable[int] = ()):
         torsion = tuple(torsion)
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in (rank, *torsion)):
@@ -80,12 +82,6 @@ class HomologyGroup(_Value):
             raise ValueError("rank must be >= 0, invariant factors >= 2, each dividing the next")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "torsion", torsion)
-
-    def _key(self) -> tuple:
-        return (self.rank, self.torsion)
-
-    def __repr__(self) -> str:
-        return f"HomologyGroup(rank={self.rank!r}, torsion={self.torsion!r})"
 
     def direct_sum(self, other: "HomologyGroup") -> "HomologyGroup":
         merged = self.torsion + other.torsion
@@ -360,14 +356,13 @@ def dual_middle_homology(d: TrisectionDiagram) -> HomologyGroup:
 class HodgeDiamond(_Value):
     """3x3 grid: rows are Cech degrees, columns are coefficient degrees."""
 
-    def __init__(self, grid: tuple[tuple[HomologyGroup, ...], ...]):
+    _fields = ("grid",)
+
+    def __init__(self, grid: Sequence[Sequence[HomologyGroup]]):
+        grid = tuple(map(tuple, grid))
+        if len(grid) != 3 or any(len(row) != 3 for row in grid):
+            raise ValueError("expected a 3x3 grid")
         object.__setattr__(self, "grid", grid)
-
-    def _key(self) -> tuple:
-        return (self.grid,)
-
-    def __repr__(self) -> str:
-        return f"HodgeDiamond(grid={self.grid!r})"
 
     def entry(self, cech_degree: int, sheaf_degree: int) -> HomologyGroup:
         return self.grid[cech_degree][sheaf_degree]

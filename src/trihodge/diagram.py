@@ -54,6 +54,8 @@ class CycleConditionError(ValueError):
 class CutSystem(_Value):
     """g curves on a genus-g surface, each recorded as a homology class."""
 
+    _fields = ("curves",)
+
     def __init__(self, curves: Sequence[Sequence[int]], name: str | None = None):
         """``name`` (alpha, beta or gamma) only labels the system in error messages."""
         normalized = tuple(as_int_vector(c) for c in curves)
@@ -67,12 +69,6 @@ class CutSystem(_Value):
                     f"{system} needs curves of length {2 * len(normalized)}, got {width}"
                 )
         object.__setattr__(self, "curves", normalized)
-
-    def _key(self) -> tuple:
-        return (self.curves,)
-
-    def __repr__(self) -> str:
-        return f"CutSystem(curves={self.curves!r})"
 
     @property
     def genus(self) -> int:
@@ -94,6 +90,8 @@ class TrisectionDiagram(_Value):
     """Three cut systems of genus g; ``label`` names the diagram and takes no
     part in equality."""
 
+    _fields = ("genus", "alpha", "beta", "gamma")
+
     def __init__(
         self,
         genus: int,
@@ -108,9 +106,6 @@ class TrisectionDiagram(_Value):
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "label", label)
-
-    def _key(self) -> tuple:
-        return (self.genus, self.alpha, self.beta, self.gamma)
 
     @property
     def systems(self) -> tuple[CutSystem, CutSystem, CutSystem]:
@@ -176,17 +171,13 @@ class TrisectionDiagram(_Value):
 class ValidationReport(_Value):
     """Outcome of every validity check, plus k-values when all of them pass."""
 
+    _fields = ("checks", "k_values")
+
     def __init__(
         self, checks: tuple[tuple[str, bool], ...], k_values: tuple[int, int, int] | None
     ):
         object.__setattr__(self, "checks", checks)
         object.__setattr__(self, "k_values", k_values)
-
-    def _key(self) -> tuple:
-        return (self.checks, self.k_values)
-
-    def __repr__(self) -> str:
-        return f"ValidationReport(checks={self.checks!r}, k_values={self.k_values!r})"
 
     @cached_property
     def is_valid(self) -> bool:

@@ -338,7 +338,9 @@ class _Frozen:
     with ``object.__setattr__``, and any later assignment or deletion raises.
 
     Memoized values (``cached_property`` and ``diagram.memoized``) are
-    written to the instance ``__dict__`` directly, so they still work.
+    written to the instance ``__dict__`` directly, so they still work. A
+    plain ``_Frozen`` record compares by identity; a ``_Value`` declares in
+    ``_fields`` which fields are its value.
     """
 
     __slots__ = ()
@@ -351,18 +353,33 @@ class _Frozen:
 
 
 class _Value(_Frozen):
-    """An immutable record that compares and hashes by ``_key()``, the tuple
-    of its defining fields; records of different classes are never equal."""
+    """An immutable record whose value is ``_fields``, the ordered names of
+    its defining fields, each hashable.
+
+    Records compare and hash by the tuple of those fields, ``_key()``, and
+    print them as ``Class(name=value, ...)``; records of different classes
+    are never equal.
+    """
 
     __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key() == other._key()
 
     def __hash__(self) -> int:
         return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({fields})"
 
 
 class Subgroup(_Value):
@@ -374,6 +391,8 @@ class Subgroup(_Value):
     sets of vectors exactly when their stored columns are identical, so
     ``__eq__`` is plain equality of the column tuples.
     """
+
+    _fields = ("ambient_rank", "_columns")
 
     def __init__(self, ambient_rank: int, _columns: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "ambient_rank", ambient_rank)
@@ -447,12 +466,6 @@ class Subgroup(_Value):
     def member_from_coordinates(self, coords: Sequence[int]) -> tuple[int, ...]:
         coords = as_int_vector(coords, self.rank)
         return _combination(self._columns, coords, self.ambient_rank)
-
-    def _key(self) -> tuple:
-        return (self.ambient_rank, self._columns)
-
-    def __repr__(self) -> str:
-        return f"Subgroup(ambient_rank={self.ambient_rank}, columns={list(self._columns)})"
 
 
 def _span(ambient_rank: int, vectors: Sequence[Sequence[int]]) -> Subgroup:

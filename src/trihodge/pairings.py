@@ -89,6 +89,8 @@ class OneOneCocycle(_Value):
     ambient blocks are computed from the curves when first read.
     """
 
+    _fields = ("diagram", "coords")
+
     def __init__(self, diagram: TrisectionDiagram, coords: tuple[int, ...]):
         ensure_valid(diagram)
         g = diagram.genus
@@ -98,9 +100,6 @@ class OneOneCocycle(_Value):
             raise ValueError("components do not sum to zero")
         object.__setattr__(self, "diagram", diagram)
         object.__setattr__(self, "coords", coords)
-
-    def _key(self) -> tuple:
-        return (self.diagram, self.coords)
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -164,6 +163,8 @@ class H2DualRep(_Value):
     concatenated coordinates are annihilated by the pair-difference columns.
     """
 
+    _fields = ("diagram", "coords")
+
     def __init__(self, diagram: TrisectionDiagram, coords: tuple[tuple[int, ...], ...]):
         g = diagram.genus
         coords = tuple(as_int_vector(c, g) for c in coords)
@@ -174,9 +175,6 @@ class H2DualRep(_Value):
             raise CycleConditionError(failure)
         object.__setattr__(self, "diagram", diagram)
         object.__setattr__(self, "coords", coords)
-
-    def _key(self) -> tuple:
-        return (self.diagram, self.coords)
 
     @classmethod
     def from_lifts(
@@ -365,6 +363,8 @@ def _beta_pairings(d: TrisectionDiagram, coords: tuple[int, ...]) -> list[int]:
 class IntersectionForm(_Value):
     """The integral intersection form on H^2 modulo torsion."""
 
+    _fields = ("gram", "signature", "parity", "unimodular")
+
     def __init__(
         self,
         gram: tuple[tuple[int, ...], ...],
@@ -376,15 +376,6 @@ class IntersectionForm(_Value):
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "parity", parity)
         object.__setattr__(self, "unimodular", unimodular)
-
-    def _key(self) -> tuple:
-        return (self.gram, self.signature, self.parity, self.unimodular)
-
-    def __repr__(self) -> str:
-        return (
-            f"IntersectionForm(gram={self.gram!r}, signature={self.signature!r}, "
-            f"parity={self.parity!r}, unimodular={self.unimodular!r})"
-        )
 
     @property
     def rank(self) -> int:

@@ -7,10 +7,12 @@ the solutions of one affine system over F_2.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from operator import and_, mul
 
 from .diagram import SYSTEM_NAMES, TrisectionDiagram, ensure_valid, memoized
 from .lattice import _Value, as_int_vector
+from .surface import _check_genus
 
 MAX_LISTED = 2**16
 
@@ -18,19 +20,15 @@ MAX_LISTED = 2**16
 class QuadraticEnhancement(_Value):
     """q on the mod-2 surface lattice, stored by its values on the basis."""
 
-    def __init__(self, genus: int, basis_values: tuple[int, ...]):
-        if len(basis_values) != 2 * genus:
-            raise ValueError("expected one bit per basis vector")
+    _fields = ("genus", "basis_values")
+
+    def __init__(self, genus: int, basis_values: Sequence[int]):
+        _check_genus(genus)
+        basis_values = as_int_vector(basis_values, 2 * genus)
         if any(b not in (0, 1) for b in basis_values):
             raise ValueError("basis values must be bits")
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "basis_values", basis_values)
-
-    def _key(self) -> tuple:
-        return (self.genus, self.basis_values)
-
-    def __repr__(self) -> str:
-        return f"QuadraticEnhancement(genus={self.genus!r}, basis_values={self.basis_values!r})"
 
     def evaluate(self, x) -> int:
         """q(x) mod 2 for an integer vector x.

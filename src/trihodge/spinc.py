@@ -28,6 +28,8 @@ EulerTriple = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 class SpinCLedger(_Value):
     """Relative Euler classes of one Spin^C candidate, plus its ancestry."""
 
+    _fields = ("diagram", "euler", "base_euler", "base_id", "base_c1")
+
     def __init__(
         self,
         diagram: TrisectionDiagram,
@@ -52,9 +54,6 @@ class SpinCLedger(_Value):
     def _with_euler(self, euler: EulerTriple) -> "SpinCLedger":
         """The same ledger with other Euler entries."""
         return SpinCLedger(self.diagram, euler, self.base_euler, self.base_id, self.base_c1)
-
-    def _key(self) -> tuple:
-        return (self.diagram, self.euler, self.base_euler, self.base_id, self.base_c1)
 
 
 def base_ledger(

@@ -17,15 +17,11 @@ from .lattice import Subgroup, _Value, as_int_vector
 class SymplecticLattice(_Value):
     """Z^2g with the standard unimodular skew form of a genus-g surface."""
 
+    _fields = ("genus",)
+
     def __init__(self, genus: int):
         _check_genus(genus)
         object.__setattr__(self, "genus", genus)
-
-    def _key(self) -> tuple:
-        return (self.genus,)
-
-    def __repr__(self) -> str:
-        return f"SymplecticLattice(genus={self.genus!r})"
 
     @property
     def rank(self) -> int:

@@ -78,6 +78,15 @@ def test_homology_group_stores_torsion_as_a_hashable_tuple():
     assert hash(z2_z6) == hash(HomologyGroup(0, (2, 6))) and z2_z6 == HomologyGroup(0, (2, 6))
 
 
+def test_hodge_diamond_stores_its_grid_as_a_hashable_tuple():
+    rows = [[Z, ZERO, ZERO], [ZERO, ZERO, ZERO], [ZERO, ZERO, Z]]
+    diamond, twin = HodgeDiamond(grid=rows), HodgeDiamond(grid=tuple(map(tuple, rows)))
+    assert diamond.grid == twin.grid
+    assert diamond == twin and hash(diamond) == hash(twin)
+    with pytest.raises(ValueError):
+        HodgeDiamond(grid=rows[:2])
+
+
 def test_complex_rejects_non_composing_differentials():
     with pytest.raises(ValueError, match="compose"):
         FreeChainComplex(

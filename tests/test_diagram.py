@@ -32,7 +32,7 @@ from trihodge.complexes import (
     homology_groups,
 )
 from trihodge.diagram import _span_quotient
-from trihodge.lattice import Subgroup, _combination, subgroup_sum
+from trihodge.lattice import Subgroup, _combination, _Value, subgroup_sum
 from trihodge.pairings import dual_rep_basis, h2_basis_cocycles, intersection_form
 from trihodge.spin import enumerate_spin
 from trihodge.spinc import base_ledger, lutz_shift
@@ -101,6 +101,27 @@ def records(d: TrisectionDiagram) -> dict:
 
 # records that compare by identity; the others compare by value
 BY_IDENTITY = {"quotient", "complex"}
+
+
+def test_record_fields_are_what_the_constructor_sets():
+    """``_fields`` names exactly the attributes a value record's ``__init__`` sets.
+
+    Each record is rebuilt from its fields, passed by name, and its
+    attributes are read before any memoized value is; a diagram's label is
+    the one attribute outside its value. Every field is hashable and the
+    repr shows each one.
+    """
+    values = [r for k, r in records(builtin("S2xS2#QS4_Z3")).items() if k not in BY_IDENTITY]
+    assert {type(r) for r in values} == set(_Value.__subclasses__())
+    for record in values:
+        cls = type(record)
+        fresh = cls(**{name: getattr(record, name) for name in cls._fields})
+        extra = {"label"} if cls is TrisectionDiagram else set()
+        assert set(vars(fresh)) == set(cls._fields) | extra, cls.__name__
+        assert fresh == record and hash(fresh) == hash(record)
+        text = repr(record)
+        assert text.startswith(f"{cls.__name__}(")
+        assert all(f"{name}={getattr(record, name)!r}" in text for name in cls._fields)
 
 
 @pytest.mark.parametrize("kind", records(builtin("S2xS2")))

@@ -58,10 +58,17 @@ class TestEvaluate:
             q.evaluate((1, 0, 0))
 
     def test_bad_construction(self):
-        with pytest.raises(ValueError):
-            QuadraticEnhancement(1, (0, 2))
-        with pytest.raises(ValueError):
-            QuadraticEnhancement(2, (0, 0))
+        bad_bits = [(1, (0, 2)), (2, (0, 0)), (1, (True, False)), (1, (1.0, 0))]
+        bad_genera = [(True, (0, 1)), (1.0, (0, 1))]
+        for genus, bits in bad_bits + bad_genera:
+            with pytest.raises(ValueError):
+                QuadraticEnhancement(genus, bits)
+
+    def test_stores_bits_as_a_hashable_tuple(self):
+        q, twin = QuadraticEnhancement(1, [0, 1]), QuadraticEnhancement(1, (0, 1))
+        assert q.basis_values == (0, 1)
+        assert q == twin and hash(q) == hash(twin)
+        assert type(q.evaluate((0, 1))) is int
 
 
 @pytest.mark.parametrize("genus", [1, 2])
