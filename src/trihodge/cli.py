@@ -16,6 +16,11 @@ all 3g curves, independently of the homology complex: H2 of the complex
 against H2 that Poincare duality and universal coefficients give from that
 H1 and chi, and tors H1 of the complex against the torsion of that H1.
 
+Each ``cmd_*`` handler returns its payload, its text lines and its verdict.
+``main`` owns the frame (``command:`` and ``diagram:`` lines, or the JSON
+document ``{"command", "diagram", "result"}``), the validity rule (every
+subcommand but ``validate`` refuses an invalid diagram) and the exit codes.
+
 A well-formed argv, such as every golden case, is read by ``_read_argv``;
 any other argv, help and every usage error included, goes to the argparse
 parser of ``build_parser``, which is imported only then.
@@ -44,7 +49,6 @@ from types import SimpleNamespace
 # only those (see "CLI start-up" in README.md).
 from .diagram import (
     CycleConditionError,
-    InvalidDiagramError,
     TrisectionDiagram,
     _span_quotient,
     builtin,
@@ -74,32 +78,6 @@ class CliInputError(Exception):
     """Unreadable or malformed input; maps to exit code 2."""
 
 
-class Report:
-    def __init__(
-        self,
-        command: str,
-        label: str,
-        payload: dict,
-        lines: list[str] | None = None,
-        exit_code: int = EXIT_OK,
-    ):
-        self.command = command
-        self.label = label
-        self.payload = payload
-        self.lines = [] if lines is None else lines
-        self.exit_code = exit_code
-
-    def render_text(self) -> str:
-        head = [f"command: {self.command}", f"diagram: {self.label}"]
-        return "\n".join(head + self.lines)
-
-    def render_json(self) -> str:
-        import json
-
-        doc = {"command": self.command, "diagram": self.label, "result": self.payload}
-        return json.dumps(doc, sort_keys=True, indent=2)
-
-
 def _fmt_vec(v) -> str:
     return "[" + ", ".join(str(int(x)) for x in v) + "]"
 
@@ -108,7 +86,7 @@ def _group_doc(h) -> dict:
     return {"rank": h.rank, "torsion": list(h.torsion), "text": str(h)}
 
 
-def _read_json_file(path: str):
+def _read_json_object(path: str) -> dict:
     import json
 
     try:
@@ -119,7 +97,7 @@ def _read_json_file(path: str):
     except UnicodeDecodeError as exc:
         raise CliInputError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliInputError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -128,6 +106,9 @@ def _read_json_file(path: str):
         raise CliInputError(f"{path}: invalid JSON: integer has too many digits") from exc
     except RecursionError as exc:
         raise CliInputError(f"{path}: invalid JSON: nested too deep") from exc
+    if not isinstance(data, dict):
+        raise CliInputError(f"{path}: expected a JSON object")
+    return data
 
 
 def _is_int(x) -> bool:
@@ -144,9 +125,7 @@ def _curve_list(data, key: str, source: str):
 
 
 def _diagram_from_file(path: str) -> TrisectionDiagram:
-    data = _read_json_file(path)
-    if not isinstance(data, dict):
-        raise CliInputError(f"{path}: expected a JSON object")
+    data = _read_json_object(path)
     missing = [k for k in ("genus", "alpha", "beta", "gamma") if k not in data]
     if missing:
         raise CliInputError(f"{path}: missing fields {', '.join(missing)}")
@@ -197,7 +176,7 @@ def _load_diagram(args) -> TrisectionDiagram:
     return random_diagram(args.genus, args.seed)
 
 
-def cmd_validate(d: TrisectionDiagram, args) -> Report:
+def cmd_validate(d: TrisectionDiagram, args) -> tuple[dict, list[str], bool]:
     report = d.validation
     payload = {
         "genus": d.genus,
@@ -212,16 +191,10 @@ def cmd_validate(d: TrisectionDiagram, args) -> Report:
         lines.append(f"k-values: {_fmt_vec(report.k_values)}")
         lines.append(f"euler characteristic: {euler_characteristic(d)}")
     lines.append(f"verdict: {'valid' if report.is_valid else 'invalid'}")
-    return Report(
-        command="validate",
-        label=d.describe(),
-        payload=payload,
-        lines=lines,
-        exit_code=EXIT_OK if report.is_valid else EXIT_INVALID,
-    )
+    return payload, lines, report.is_valid
 
 
-def cmd_homology(d: TrisectionDiagram, args) -> Report:
+def cmd_homology(d: TrisectionDiagram, args) -> tuple[dict, list[str], bool]:
     """Homology groups and the three-way H2 check.
 
     H1 is also read off the curves alone, as Z^2g modulo the span of all 3g
@@ -232,7 +205,6 @@ def cmd_homology(d: TrisectionDiagram, args) -> Report:
     """
     from .complexes import HomologyGroup, betti_numbers, homology_groups
 
-    ensure_valid(d)
     groups = homology_groups(d)
     b1, torsion = _span_quotient([c for cs in d.systems for c in cs.curves], 2 * d.genus)
     law_middle = HomologyGroup(euler_characteristic(d) - 2 + 2 * b1, torsion)
@@ -244,16 +216,10 @@ def cmd_homology(d: TrisectionDiagram, args) -> Report:
     }
     lines = [f"H_{k}: {h}" for k, h in enumerate(groups)]
     lines.append(f"three-way H2 check: {'pass' if agreed else 'fail'}")
-    return Report(
-        command="homology",
-        label=d.describe(),
-        payload=payload,
-        lines=lines,
-        exit_code=EXIT_OK if agreed else EXIT_INVALID,
-    )
+    return payload, lines, agreed
 
 
-def cmd_diamond(d: TrisectionDiagram, args) -> Report:
+def cmd_diamond(d: TrisectionDiagram, args) -> tuple[dict, list[str], bool]:
     """The Cech diamond, cohomology and the Serre duality line.
 
     ``serre duality: pass`` is a rank-symmetry law on one complex, not a
@@ -263,7 +229,6 @@ def cmd_diamond(d: TrisectionDiagram, args) -> Report:
     """
     from .complexes import cohomology_groups, hodge_diamond, serre_duality_holds
 
-    ensure_valid(d)
     diamond = hodge_diamond(d)
     serre = serre_duality_holds(diamond)
     cohomology = cohomology_groups(d)
@@ -278,19 +243,12 @@ def cmd_diamond(d: TrisectionDiagram, args) -> Report:
         lines.append(f"cech degree {i}: {cells}")
     lines += [f"H^{k}: {h}" for k, h in enumerate(cohomology)]
     lines.append(f"serre duality: {'pass' if serre else 'fail'}")
-    return Report(
-        command="diamond",
-        label=d.describe(),
-        payload=payload,
-        lines=lines,
-        exit_code=EXIT_OK if serre else EXIT_INVALID,
-    )
+    return payload, lines, serre
 
 
-def cmd_form(d: TrisectionDiagram, args) -> Report:
+def cmd_form(d: TrisectionDiagram, args) -> tuple[dict, list[str], bool]:
     from .pairings import h2_basis_cocycles, intersection_form
 
-    ensure_valid(d)
     form = intersection_form(d)
     basis = h2_basis_cocycles(d)
     payload = {
@@ -313,13 +271,12 @@ def cmd_form(d: TrisectionDiagram, args) -> Report:
         lines.append(
             f"basis cocycle: b1={_fmt_vec(c.b1)} b2={_fmt_vec(c.b2)} b3={_fmt_vec(c.b3)}"
         )
-    return Report(command="form", label=d.describe(), payload=payload, lines=lines)
+    return payload, lines, True
 
 
-def cmd_spin(d: TrisectionDiagram, args) -> Report:
+def cmd_spin(d: TrisectionDiagram, args) -> tuple[dict, list[str], bool]:
     from .spin import enumerate_spin
 
-    ensure_valid(d)
     structures = enumerate_spin(d)
     payload = {
         "count": len(structures),
@@ -327,15 +284,13 @@ def cmd_spin(d: TrisectionDiagram, args) -> Report:
     }
     lines = [f"spin structures: {len(structures)}"]
     lines += [f"q-values: {_fmt_vec(q.basis_values)}" for q in structures]
-    return Report(command="spin", label=d.describe(), payload=payload, lines=lines)
+    return payload, lines, True
 
 
 def _rep_from_file(d: TrisectionDiagram, path: str) -> H2DualRep:
     from .pairings import H2DualRep
 
-    data = _read_json_file(path)
-    if not isinstance(data, dict):
-        raise CliInputError(f"{path}: expected a JSON object")
+    data = _read_json_object(path)
     lifts = []
     for key in ("a1", "a2", "a3"):
         vec = data.get(key)
@@ -349,10 +304,9 @@ def _rep_from_file(d: TrisectionDiagram, path: str) -> H2DualRep:
     return H2DualRep.from_lifts(d, tuple(lifts))
 
 
-def cmd_spinc(d: TrisectionDiagram, args) -> Report:
+def cmd_spinc(d: TrisectionDiagram, args) -> tuple[dict, list[str], bool]:
     from .spinc import act, base_ledger, c1_difference, is_admissible
 
-    ensure_valid(d)
     ledger = base_ledger(d)
     payload = {
         "base_euler": [list(e) for e in ledger.euler],
@@ -379,7 +333,7 @@ def cmd_spinc(d: TrisectionDiagram, args) -> Report:
         )
     else:
         lines.append(f"admissible: {'yes' if is_admissible(ledger) else 'no'}")
-    return Report(command="spinc", label=d.describe(), payload=payload, lines=lines)
+    return payload, lines, True
 
 
 _HANDLERS = {
@@ -477,13 +431,19 @@ def main(argv=None) -> int:
             return EXIT_PARSE if exc.code else EXIT_OK
     try:
         d = _load_diagram(args)
-        report: Report = args.handler(d, args)
+        if args.command != "validate":
+            ensure_valid(d)
+        payload, lines, ok = args.handler(d, args)
+        if args.json:
+            import json
+
+            doc = {"command": args.command, "diagram": d.describe(), "result": payload}
+            output = json.dumps(doc, sort_keys=True, indent=2)
+        else:
+            output = "\n".join([f"command: {args.command}", f"diagram: {d.describe()}", *lines])
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except InvalidDiagramError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except CycleConditionError as exc:
         print(f"error: rep rejected: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -494,7 +454,7 @@ def main(argv=None) -> int:
         print(f"error: internal: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
     try:
-        print(report.render_json() if args.json else report.render_text())
+        print(output)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone: send what is left in the buffer to devnull, so
@@ -503,7 +463,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
-    return report.exit_code
+    return EXIT_OK if ok else EXIT_INVALID
 
 
 if __name__ == "__main__":

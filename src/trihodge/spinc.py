@@ -18,7 +18,7 @@ form solve), which is recorded here as a limitation rather than hidden.
 
 from __future__ import annotations
 
-from .diagram import TrisectionDiagram, ensure_valid
+from .diagram import TrisectionDiagram, _system_index, ensure_valid
 from .lattice import _combination, _Value, as_int_vector
 from .pairings import H2DualRep, OneOneCocycle, _matching_failure, cocycle_from_dual_rep
 
@@ -43,6 +43,8 @@ class SpinCLedger(_Value):
         base_euler = tuple(as_int_vector(e, g) for e in base_euler)
         if len(euler) != 3 or len(base_euler) != 3:
             raise ValueError("expected one Euler entry per handlebody")
+        if type(base_id) is not str:
+            raise ValueError(f"base id must be a string, got {base_id!r}")
         if base_c1 is not None and base_c1.diagram != diagram:
             raise ValueError("base c1 belongs to a different diagram")
         object.__setattr__(self, "diagram", diagram)
@@ -72,12 +74,10 @@ def lutz_shift(ledger: SpinCLedger, lam: int, gamma_coords) -> SpinCLedger:
     cut system lam, in file order. A lone shift may leave the admissible
     locus; matched triples (see ``act``) never do.
     """
-    if type(lam) is not int or lam not in (1, 2, 3):
-        raise ValueError("handlebody index must be 1, 2 or 3")
-    g = ledger.diagram.genus
-    gamma = as_int_vector(gamma_coords, g)
+    i = _system_index(lam)
+    gamma = as_int_vector(gamma_coords, ledger.diagram.genus)
     euler = list(ledger.euler)
-    euler[lam - 1] = tuple(e - 2 * c for e, c in zip(euler[lam - 1], gamma))
+    euler[i] = tuple(e - 2 * c for e, c in zip(euler[i], gamma))
     return ledger._with_euler(tuple(euler))
 
 

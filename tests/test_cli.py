@@ -52,6 +52,12 @@ GOLDEN_CASES = [
     ("spinc_cp2_act.txt", ["spinc", "--builtin", "CP2", "--act", REP_FILE]),
     ("homology_cp2_json.txt", ["homology", "--builtin", "CP2", "--json"]),
     ("homology_random_g2_s5.txt", ["homology", "--genus", "2", "--seed", "5"]),
+    # the JSON frame of every other subcommand
+    ("validate_cp2_json.txt", ["validate", "--builtin", "CP2", "--json"]),
+    ("diamond_s1xs3_json.txt", ["diamond", "--builtin", "S1xS3", "--json"]),
+    ("form_cp2_cp2bar_json.txt", ["form", "--builtin", "CP2#CP2bar", "--json"]),
+    ("spin_s2xs2_json.txt", ["spin", "--builtin", "S2xS2", "--json"]),
+    ("spinc_cp2_act_json.txt", ["spinc", "--builtin", "CP2", "--act", REP_FILE, "--json"]),
 ]
 
 
@@ -384,8 +390,19 @@ class TestExitCodes:
                 {"genus": 1, "alpha": [[1, 0]], "beta": [[0, 1]], "gamma": [[2, 1]]}
             )
         )
-        code, _, err = run_cli(["homology", str(path)])
-        assert code == EXIT_INVALID
+        computations = [[command, str(path)] for command in cli._HANDLERS if command != "validate"]
+        # the diagram is refused before the --act file is read
+        computations.append(["spinc", str(path), "--act", str(tmp_path / "absent.json")])
+        for argv in computations:
+            for flags in ([], ["--json"]):
+                code, out, err = run_cli(argv + flags)
+                assert code == EXIT_INVALID, argv + flags
+                assert out == ""
+                assert err == "error: invalid diagram, failing checks: beta+gamma torsion-free\n"
+        code, out, err = run_cli(["validate", str(path), "--json"])
+        assert code == EXIT_INVALID and err == ""
+        result = json.loads(out)["result"]
+        assert result["valid"] is False and result["k_values"] is None
 
     def test_spin_listing_bound_refusal(self):
         code, _, err = run_cli(["spin", "--builtin", "#".join(["S1xS3"] * 17)])

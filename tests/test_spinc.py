@@ -52,6 +52,13 @@ class TestBaseLedger:
         with pytest.raises(ValueError):
             SpinCLedger(CP2, ((0, 0),) * 3, ((0,),) * 3, "base")
 
+    @pytest.mark.parametrize("base_id", [["x"], 3, None], ids=["list", "int", "none"])
+    def test_base_id_must_be_a_string(self, base_id):
+        with pytest.raises(ValueError, match="base id must be a string"):
+            base_ledger(CP2, base_id=base_id)
+        with pytest.raises(ValueError, match="base id must be a string"):
+            SpinCLedger(CP2, ((0,),) * 3, ((0,),) * 3, base_id)
+
 
 class TestLutzShift:
     def test_drop_by_twice_the_class(self):
