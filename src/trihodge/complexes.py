@@ -106,22 +106,21 @@ class FreeChainComplex(_Frozen):
     ``columns[i]``: one tuple per basis vector of position i, each of length
     ``ranks[i + 1]``. Consecutive composites must vanish. ``degrees`` carries
     the semantic degree label of each position (descending for the homology
-    complex, ascending Cech degrees for the cochain complexes). Columns that
-    already are tuples of Python ints are kept as the same objects. Every
-    homology group is read from the invariant factors of the differentials,
-    which are memoized on the complex; free generators are built only where
+    complex, ascending for its dual). Columns that already are tuples of
+    Python ints are kept as the same objects. Every homology group is read
+    from the invariant factors of the differentials, which are memoized on
+    the complex; free generators are built only where
     ``homology_with_generators`` is asked for them.
     """
 
     def __init__(
         self,
-        term_names: tuple[str, ...],
         ranks: tuple[int, ...],
         degrees: tuple[int, ...],
         columns: tuple[tuple[tuple[int, ...], ...], ...],
     ):
         n = len(ranks)
-        if len(term_names) != n or len(degrees) != n or len(columns) != n - 1:
+        if len(degrees) != n or len(columns) != n - 1:
             raise ValueError("inconsistent complex data")
         kept = []
         for i, (cols, nrows) in enumerate(zip(columns, ranks[1:])):
@@ -133,7 +132,6 @@ class FreeChainComplex(_Frozen):
         for i in range(n - 2):
             if any(any(_combination(kept[i + 1], col, ranks[i + 2])) for col in kept[i]):
                 raise ValueError(f"differentials {i} and {i + 1} do not compose to zero")
-        object.__setattr__(self, "term_names", term_names)
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "columns", tuple(kept))
@@ -278,13 +276,6 @@ def homology_complex(d: TrisectionDiagram) -> FreeChainComplex:
         ((0,),) * g,
     )
     return FreeChainComplex(
-        term_names=(
-            "Z",
-            "pairwise intersections",
-            "alpha and beta lagrangians",
-            "surface lattice mod gamma",
-            "Z",
-        ),
         ranks=(1, len(pair_columns), 2 * g, g, 1),
         degrees=(4, 3, 2, 1, 0),
         columns=columns,
@@ -325,7 +316,6 @@ def dual_complex(d: TrisectionDiagram) -> FreeChainComplex:
     g = d.genus
     pair_columns = c.columns[1]
     return FreeChainComplex(
-        term_names=("gamma quotient classes", "handlebody quotients", "sector boundary quotients"),
         ranks=(g, 2 * g, len(pair_columns)),
         degrees=(0, 1, 2),
         columns=(
@@ -363,9 +353,6 @@ class HodgeDiamond(_Value):
         if len(grid) != 3 or any(len(row) != 3 for row in grid):
             raise ValueError("expected a 3x3 grid")
         object.__setattr__(self, "grid", grid)
-
-    def entry(self, cech_degree: int, sheaf_degree: int) -> HomologyGroup:
-        return self.grid[cech_degree][sheaf_degree]
 
     def ranks(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(h.rank for h in row) for row in self.grid)

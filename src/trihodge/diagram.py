@@ -31,6 +31,7 @@ from operator import mul
 
 from .lattice import (
     Subgroup,
+    _check_count,
     _invariant_factors,
     _span,
     _UnitEchelon,
@@ -38,7 +39,7 @@ from .lattice import (
     as_int_vector,
     subgroup_sum,
 )
-from .surface import SymplecticLattice, _check_genus, _pairing_rows
+from .surface import SymplecticLattice, _pairing_rows
 
 SYSTEM_NAMES = ("alpha", "beta", "gamma")
 
@@ -80,7 +81,7 @@ class CutSystem(_Value):
 
 def _check_curve_counts(genus: int, counts: Iterable[int]) -> None:
     """Raise unless genus is a nonnegative int and each system has genus curves."""
-    _check_genus(genus)
+    _check_count(genus, "genus")
     for name, count in zip(SYSTEM_NAMES, counts):
         if count != genus:
             raise ValueError(f"{name} system has {count} curves, expected {genus}")
@@ -417,7 +418,7 @@ def handleslide_diagram(
 
 def standard_triple(genus: int) -> TrisectionDiagram:
     """alpha = {a_i}, beta = {b_i}, gamma = {a_i + b_i}."""
-    _check_genus(genus)
+    _check_count(genus, "genus")
     alpha, beta, gamma = [], [], []
     for i in range(genus):
         a = [0] * (2 * genus)

@@ -3,7 +3,7 @@
 Everything in this package reduces to finitely generated abelian groups, so this
 module is the computational core: canonical echelon bases for subgroups of Z^n,
 Smith normal form with unimodular transforms, and quotient presentations with
-explicit project/lift maps.
+an explicit projection.
 
 Each elimination has one job. ``_UnitEchelon`` is a recorded row reduction
 that pivots only on entries +-1. It gives every rank and invariant factor,
@@ -24,11 +24,11 @@ that reads only invariant factors builds none of them.
 Inside the package a matrix is a list of rows of Python ints, and a subgroup
 or a chain complex keeps its columns as tuples, so all arithmetic is exact at
 any magnitude. Entries are checked once, where they enter from outside
-(``intmat``, ``as_int_vector`` and the public functions taking a matrix); the
-kernels trust rows the package built itself. numpy is a boundary format only:
-matrices handed back to callers (a subgroup's ``basis``, a complex's
-``diffs``, the result of ``smith_normal_form``) are object arrays of Python
-ints, built by ``_array`` when asked for. No code path touches floating point.
+(``as_int_vector``, and ``smith_normal_form`` and ``kernel_basis``, which
+take a matrix); the kernels trust rows the package built itself. numpy is a
+boundary format only: matrices handed back to callers (a subgroup's
+``basis``, a complex's ``diffs``, the result of ``smith_normal_form``) are
+object arrays of Python ints, built by ``_array`` when asked for. No code path touches floating point.
 """
 
 from __future__ import annotations
@@ -43,31 +43,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def intmat(rows: Sequence[Sequence[int]], *, cols: int | None = None) -> np.ndarray:
-    """Build an exact integer matrix from rows.
-
-    ``cols`` is only needed to disambiguate the width of a matrix with zero
-    rows. Raises ValueError on ragged input or non-integer entries.
-    """
-    rows = [list(r) for r in rows]
-    if not rows:
-        if cols is None:
-            raise ValueError("matrix with zero rows needs an explicit column count")
-        return zeros(0, cols)
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("ragged rows in matrix input")
-    if cols is not None and cols != width:
-        raise ValueError(f"expected {cols} columns, got {width}")
-    return _array([[_as_int(x) for x in r] for r in rows], width)
-
-
-def zeros(nrows: int, ncols: int) -> np.ndarray:
-    return _array([[0] * ncols for _ in range(nrows)], ncols)
-
-
-def identity(n: int) -> np.ndarray:
-    return _array(_identity_rows(n), n)
+def _check_count(n: int, what: str) -> None:
+    """Raise unless n, a rank or a genus, is a nonnegative int (not a bool)."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"{what} must be a nonnegative int, got {n!r}")
 
 
 def _as_int(x) -> int:
@@ -110,6 +89,8 @@ def _column_matrix(columns: Sequence[Sequence[int]], nrows: int) -> np.ndarray:
 
 def _checked_rows(m: np.ndarray) -> tuple[list[list[int]], int]:
     """Rows and width of a matrix from outside the package, every entry checked."""
+    if m.ndim != 2:
+        raise ValueError(f"matrix with two axes expected, got {m.ndim}")
     return [[_as_int(x) for x in row] for row in m.tolist()], m.shape[1]
 
 
@@ -316,11 +297,6 @@ def snf_diagonal(D: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(int(row[i]) for i, row in enumerate(D) if i < len(row) and row[i] != 0)
 
 
-def invariant_factors(m: np.ndarray) -> tuple[int, ...]:
-    """Nonzero invariant factors of the subgroup spanned by the columns of m."""
-    return _invariant_factors(*_checked_rows(m))
-
-
 def _invariant_factors(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, ...]:
     """Nonzero invariant factors of trusted rows; their count is the rank.
 
@@ -400,14 +376,12 @@ class Subgroup(_Value):
 
     @classmethod
     def from_columns(cls, ambient_rank: int, vectors: Iterable[Sequence[int]]) -> "Subgroup":
+        _check_count(ambient_rank, "ambient rank")
         return _span(ambient_rank, [as_int_vector(v, ambient_rank) for v in vectors])
 
     @classmethod
-    def trivial(cls, ambient_rank: int) -> "Subgroup":
-        return cls(ambient_rank, ())
-
-    @classmethod
     def full(cls, ambient_rank: int) -> "Subgroup":
+        _check_count(ambient_rank, "ambient rank")
         return cls(ambient_rank, tuple(map(tuple, _identity_rows(ambient_rank))))
 
     @property
@@ -462,10 +436,6 @@ class Subgroup(_Value):
         except ValueError:
             return False
         return True
-
-    def member_from_coordinates(self, coords: Sequence[int]) -> tuple[int, ...]:
-        coords = as_int_vector(coords, self.rank)
-        return _combination(self._columns, coords, self.ambient_rank)
 
 
 def _span(ambient_rank: int, vectors: Sequence[Sequence[int]]) -> Subgroup:
@@ -676,10 +646,10 @@ class QuotientPresentation(_Frozen):
 
     Coordinates come in two blocks: one residue per invariant factor >= 2
     (torsion block, in divisibility order) followed by ``free_rank`` integer
-    coordinates. ``project`` and ``lift`` translate between ambient vectors and
-    these coordinates; ``project(lift(c)) == c`` always holds. ``project``
-    reads the rows of the Smith transform U and ``lift`` those of its inverse;
-    each is replayed from the Smith form's row record on first read.
+    coordinates. ``project`` maps an ambient vector to its coordinates by the
+    rows of the Smith transform U; ``_free_lifts`` reads the columns of its
+    inverse that lift the free coordinates. Each is replayed from the Smith
+    form's row record on first read.
     """
 
     def __init__(
@@ -698,20 +668,11 @@ class QuotientPresentation(_Frozen):
         object.__setattr__(self, "_torsion_indices", _torsion_indices)
         object.__setattr__(self, "_free_indices", _free_indices)
 
-    @property
-    def coordinate_count(self) -> int:
-        return len(self.torsion) + self.free_rank
-
     def project(self, v: Sequence[int]) -> tuple[int, ...]:
         vec = as_int_vector(v, self.ambient_rank)
         U = self._smith.U
         tor = [_dot(U[i], vec) % d for i, d in zip(self._torsion_indices, self.torsion)]
         return tuple(tor + [_dot(U[i], vec) for i in self._free_indices])
-
-    def lift(self, coords: Sequence[int]) -> tuple[int, ...]:
-        coords = as_int_vector(coords, self.coordinate_count)
-        pairs = [(i, c) for i, c in zip(self._torsion_indices + self._free_indices, coords) if c]
-        return tuple(sum(row[i] * c for i, c in pairs) for row in self._smith.Uinv)
 
     def is_zero(self, v: Sequence[int]) -> bool:
         return not any(self.project(v))
@@ -739,9 +700,9 @@ def _cokernel(rows: list[list[int]], ncols: int) -> QuotientPresentation:
     """Present Z^rows modulo the column span of trusted rows, through one Smith form.
 
     Only the ranks and the torsion are read at once; U (for ``project``) and
-    U^{-1} (for ``lift`` and ``_free_lifts``) are replayed from the Smith
-    form's row record on first read. A quotient never reads D again nor V,
-    so both go now.
+    U^{-1} (for ``_free_lifts``) are replayed from the Smith form's row
+    record on first read. A quotient never reads D again nor V, so both go
+    now.
     """
     ambient_rank = len(rows)
     smith = _Smith(rows, ncols)

@@ -128,6 +128,8 @@ class OneOneCocycle(_Value):
 
     @property
     def is_zero(self) -> bool:
+        """Whether the curve coordinates are zero: a question about the
+        cochain, not its class (a coboundary is nonzero here; ROADMAP item 7)."""
         return not any(self.coords)
 
     def __add__(self, other: "OneOneCocycle") -> "OneOneCocycle":

@@ -11,8 +11,7 @@ from collections.abc import Sequence
 from operator import and_, mul
 
 from .diagram import SYSTEM_NAMES, TrisectionDiagram, ensure_valid, memoized
-from .lattice import _Value, as_int_vector
-from .surface import _check_genus
+from .lattice import _check_count, _Value, as_int_vector
 
 MAX_LISTED = 2**16
 
@@ -23,7 +22,7 @@ class QuadraticEnhancement(_Value):
     _fields = ("genus", "basis_values")
 
     def __init__(self, genus: int, basis_values: Sequence[int]):
-        _check_genus(genus)
+        _check_count(genus, "genus")
         basis_values = as_int_vector(basis_values, 2 * genus)
         if any(b not in (0, 1) for b in basis_values):
             raise ValueError("basis values must be bits")

@@ -28,20 +28,18 @@ EulerTriple = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 class SpinCLedger(_Value):
     """Relative Euler classes of one Spin^C candidate, plus its ancestry."""
 
-    _fields = ("diagram", "euler", "base_euler", "base_id", "base_c1")
+    _fields = ("diagram", "euler", "base_id", "base_c1")
 
     def __init__(
         self,
         diagram: TrisectionDiagram,
         euler: EulerTriple,
-        base_euler: EulerTriple,
         base_id: str,
         base_c1: OneOneCocycle | None = None,
     ):
         g = diagram.genus
         euler = tuple(as_int_vector(e, g) for e in euler)
-        base_euler = tuple(as_int_vector(e, g) for e in base_euler)
-        if len(euler) != 3 or len(base_euler) != 3:
+        if len(euler) != 3:
             raise ValueError("expected one Euler entry per handlebody")
         if type(base_id) is not str:
             raise ValueError(f"base id must be a string, got {base_id!r}")
@@ -49,13 +47,12 @@ class SpinCLedger(_Value):
             raise ValueError("base c1 belongs to a different diagram")
         object.__setattr__(self, "diagram", diagram)
         object.__setattr__(self, "euler", euler)
-        object.__setattr__(self, "base_euler", base_euler)
         object.__setattr__(self, "base_id", base_id)
         object.__setattr__(self, "base_c1", base_c1)
 
     def _with_euler(self, euler: EulerTriple) -> "SpinCLedger":
         """The same ledger with other Euler entries."""
-        return SpinCLedger(self.diagram, euler, self.base_euler, self.base_id, self.base_c1)
+        return SpinCLedger(self.diagram, euler, self.base_id, self.base_c1)
 
 
 def base_ledger(
@@ -64,7 +61,7 @@ def base_ledger(
     """Ledger of the reference structure: all relative Euler classes zero."""
     ensure_valid(d)
     zero = ((0,) * d.genus,) * 3
-    return SpinCLedger(diagram=d, euler=zero, base_euler=zero, base_id=base_id, base_c1=base_c1)
+    return SpinCLedger(diagram=d, euler=zero, base_id=base_id, base_c1=base_c1)
 
 
 def lutz_shift(ledger: SpinCLedger, lam: int, gamma_coords) -> SpinCLedger:
@@ -130,8 +127,8 @@ def c1_difference(s1: SpinCLedger, s2: SpinCLedger) -> OneOneCocycle:
 
 
 def c1_offset(ledger: SpinCLedger) -> OneOneCocycle:
-    """c1(ledger) - c1(base), derived from the accumulated Euler shifts."""
-    base = ledger._with_euler(ledger.base_euler)
+    """c1(ledger) - c1(base), from the Euler shifts; the base's entries are zero."""
+    base = ledger._with_euler(((0,) * ledger.diagram.genus,) * 3)
     return c1_difference(ledger, base)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from operator import neg
 
-from .lattice import Subgroup, _Value, as_int_vector
+from .lattice import _check_count, _Value, as_int_vector
 
 
 class SymplecticLattice(_Value):
@@ -20,7 +20,7 @@ class SymplecticLattice(_Value):
     _fields = ("genus",)
 
     def __init__(self, genus: int):
-        _check_genus(genus)
+        _check_count(genus, "genus")
         object.__setattr__(self, "genus", genus)
 
     @property
@@ -30,18 +30,6 @@ class SymplecticLattice(_Value):
     def intersection_number(self, x: Sequence[int], y: Sequence[int]) -> int:
         """Algebraic intersection <x, y>; skew-symmetric and unimodular."""
         return _form(as_int_vector(x, self.rank), as_int_vector(y, self.rank))
-
-    def is_isotropic(self, sub: Subgroup) -> bool:
-        """Whether the form vanishes identically on the subgroup: on each pair of its columns."""
-        if sub.ambient_rank != self.rank:
-            raise ValueError("subgroup lives in a different ambient rank")
-        cols = sub.columns()
-        return not any(_form(x, y) for i, x in enumerate(cols) for y in cols[i + 1 :])
-
-
-def _check_genus(genus: int) -> None:
-    if type(genus) is not int or genus < 0:
-        raise ValueError(f"genus must be a nonnegative int, got {genus!r}")
 
 
 def _form(x: Sequence[int], y: Sequence[int]) -> int:

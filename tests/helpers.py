@@ -2,8 +2,9 @@
 blocks and the curve coordinates of those blocks, the ladder recipe,
 duality maps, column spans, transvections, the degree-three against
 degree-one Gram matrix, cold copies of diagrams (nothing memoized), a
-stream of small block sums, every public query on one diagram, and
-nineteen oracles: the numpy Smith form, sympy's invariant factors, the
+stream of small block sums, every public query on one diagram, a matrix
+builder, and twenty oracles: the numpy Smith form, the lift of a quotient
+presentation's coordinates, sympy's invariant factors, the
 Bareiss determinant, the full-width congruence diagonalization over the
 rationals, the comprehension pairing rows, the Smith-form kernel, the
 Smith-form integer solve, the tracked-echelon span solver (on its own
@@ -54,13 +55,10 @@ from trihodge.lattice import (
     _combination,
     _identity_rows,
     as_int_vector,
-    identity,
-    intmat,
     kernel_basis,
     quotient,
     smith_normal_form,
     snf_diagonal,
-    zeros,
 )
 from trihodge.pairings import (
     H2DualRep,
@@ -83,8 +81,14 @@ from trihodge.surface import SymplecticLattice
 ORACLE_MAX_GENUS = 6
 
 
+def mat(rows: Sequence[Sequence[int]], ncols: int | None = None) -> np.ndarray:
+    """Object array of trusted ints; ``ncols`` fixes the width of a matrix with no rows."""
+    rows = [list(r) for r in rows]
+    return np.array(rows, dtype=object).reshape(len(rows), len(rows[0]) if ncols is None else ncols)
+
+
 def column_vector(v: Sequence[int]) -> np.ndarray:
-    return intmat([[x] for x in v], cols=1)
+    return mat([[x] for x in v], 1)
 
 
 def matrix_columns(m: np.ndarray) -> list[tuple[int, ...]]:
@@ -93,7 +97,7 @@ def matrix_columns(m: np.ndarray) -> list[tuple[int, ...]]:
 
 def form_matrix(lat: SymplecticLattice) -> np.ndarray:
     """Matrix J of the intersection form: <x, y> = x^T J y."""
-    J = zeros(lat.rank, lat.rank)
+    J = mat([[0] * lat.rank for _ in range(lat.rank)], lat.rank)
     for i in range(lat.genus):
         J[2 * i, 2 * i + 1] = 1
         J[2 * i + 1, 2 * i] = -1
@@ -113,10 +117,10 @@ def numpy_snf_with_inverses(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     operations on rows of Python ints, replays them for each transform it is
     asked for, and must return the identical transforms.
     """
-    D = intmat(m.tolist(), cols=m.shape[1])
+    D = mat(m.tolist(), m.shape[1])
     nrows, ncols = D.shape
-    U, Uinv = identity(nrows), identity(nrows)
-    V = identity(ncols)
+    U, Uinv = mat(_identity_rows(nrows), nrows), mat(_identity_rows(nrows), nrows)
+    V = mat(_identity_rows(ncols), ncols)
 
     def row_add(i, j, q):
         # row_i += q * row_j
@@ -207,7 +211,7 @@ def det(m: np.ndarray) -> int:
     n = nrows
     if n == 0:
         return 1
-    M = intmat(m.tolist())
+    M = mat(m.tolist(), n)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -400,10 +404,10 @@ def subgroup_intersection(a: Subgroup, b: Subgroup) -> Subgroup:
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("subgroups of different ambient ranks")
     if a.rank == 0 or b.rank == 0:
-        return Subgroup.trivial(a.ambient_rank)
+        return Subgroup.from_columns(a.ambient_rank, ())
     paired = a.columns() + tuple(tuple(-x for x in col) for col in b.columns())
-    ker = kernel_basis(intmat(list(zip(*paired)), cols=len(paired)))
-    members = [a.member_from_coordinates(col[: a.rank]) for col in ker.columns()]
+    ker = kernel_basis(mat(list(zip(*paired)), len(paired)))
+    members = [_combination(a.columns(), col[: a.rank], a.ambient_rank) for col in ker.columns()]
     return Subgroup.from_columns(a.ambient_rank, members)
 
 
@@ -414,6 +418,13 @@ def pair_quotient(d: TrisectionDiagram, lam: int) -> QuotientPresentation:
     invariant factors of an intersection matrix or of the pair's 2g curves.
     """
     return quotient(d.lattice.rank, d.pair_sum(lam))
+
+
+def quotient_lift(q: QuotientPresentation, coords: Sequence[int]) -> tuple[int, ...]:
+    """An ambient vector v with ``q.project(v) == coords``, read off the
+    columns of the Smith transform U^{-1}, the matrix ``_free_lifts`` reads."""
+    indices = q._torsion_indices + q._free_indices
+    return tuple(sum(row[i] * c for i, c in zip(indices, coords)) for row in q._smith.Uinv)
 
 
 def triple_sum(d: TrisectionDiagram) -> Subgroup:
@@ -434,7 +445,7 @@ def triple_quotient(d: TrisectionDiagram) -> QuotientPresentation:
 def sympy_invariant_factors(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, ...]:
     """Nonzero invariant factors of rows, the diagonal of sympy's Smith normal form.
 
-    The oracle for ``lattice.invariant_factors``, which counts the pivots of
+    The oracle for ``lattice._invariant_factors``, which counts the pivots of
     its unit-pivot elimination as factors 1 and runs its own Smith form only
     on the residual rows that elimination leaves; and for the primitivity
     that elimination reads, which holds exactly when every factor is 1.
@@ -456,7 +467,7 @@ def validate_by_pair_sums(d: TrisectionDiagram) -> ValidationReport:
     units = [standard_basis_vector(lat, i) for i in range(lat.rank)]
     checks = []
     for name, L in zip(SYSTEM_NAMES, d._lagrangians):
-        checks.append((f"{name} isotropic", lat.is_isotropic(L)))
+        checks.append((f"{name} isotropic", is_isotropic(L)))
         rows = [[plain_form(e, u) for u in units] for e in L.columns()]
         ones = sympy_invariant_factors(rows, lat.rank) == (1,) * d.genus
         checks.append((f"{name} primitive", L.rank == d.genus and ones))
@@ -505,13 +516,12 @@ def five_term_complex(d: TrisectionDiagram) -> FreeChainComplex:
         nxt = (lam + 1) % 3
         left, right = d.systems[lam].curves, d.systems[nxt].curves
         paired = left + tuple(tuple(-e for e in c) for c in right)
-        for xy in kernel_basis(intmat(list(zip(*paired)), cols=2 * g)).columns():
+        for xy in kernel_basis(mat(list(zip(*paired)), 2 * g)).columns():
             col = [0] * (3 * g)
             col[lam * g : (lam + 1) * g] = [-e for e in xy[:g]]
             col[nxt * g : (nxt + 1) * g] = xy[g:]
             pair_columns.append(tuple(col))
     return FreeChainComplex(
-        term_names=("Z", "pairwise intersections", "lagrangian sum", "surface lattice", "Z"),
         ranks=(1, len(pair_columns), 3 * g, 2 * g, 1),
         degrees=(4, 3, 2, 1, 0),
         columns=(
@@ -536,7 +546,6 @@ def five_term_dual_complex(d: TrisectionDiagram) -> FreeChainComplex:
     g = d.genus
     units = [tuple(int(i == j) for j in range(2 * g)) for i in range(2 * g)]
     return FreeChainComplex(
-        term_names=("surface classes", "handlebody quotients", "sector boundary quotients"),
         ranks=(2 * g, 3 * g, c.ranks[1]),
         degrees=(0, 1, 2),
         columns=(
@@ -570,11 +579,16 @@ def pi_dual(lat: SymplecticLattice, x: Sequence[int]) -> tuple[int, ...]:
 def transvection_matrix(lat: SymplecticLattice, v: Sequence[int]) -> np.ndarray:
     """Matrix of x -> x + <x, v> v, an integral symplectomorphism."""
     v = column_vector(as_int_vector(v, lat.rank))
-    return identity(lat.rank) + v @ (form_matrix(lat) @ v).T
+    return mat(_identity_rows(lat.rank), lat.rank) + v @ (form_matrix(lat) @ v).T
+
+
+def is_isotropic(sub: Subgroup) -> bool:
+    """Whether the intersection form vanishes on every pair of the subgroup's columns."""
+    return not any(plain_form(x, y) for x in sub.columns() for y in sub.columns())
 
 
 def is_lagrangian(lat: SymplecticLattice, sub: Subgroup) -> bool:
-    return sub.rank == lat.genus and lat.is_isotropic(sub)
+    return sub.rank == lat.genus and is_isotropic(sub)
 
 
 def m_subgroup(lat: SymplecticLattice, lagrangian: Subgroup) -> Subgroup:
@@ -603,7 +617,6 @@ def cech_complex(d: TrisectionDiagram, sheaf_degree: int) -> FreeChainComplex:
     ensure_valid(d)
     if sheaf_degree == 0:
         return FreeChainComplex(
-            term_names=("sector constants", "pair constants", "central constant"),
             ranks=(3, 3, 1),
             degrees=(0, 1, 2),
             columns=(((1, 0, -1), (-1, 1, 0), (0, -1, 1)), ((1,), (1,), (1,))),
@@ -611,14 +624,12 @@ def cech_complex(d: TrisectionDiagram, sheaf_degree: int) -> FreeChainComplex:
     if sheaf_degree == 1:
         c = five_term_complex(d)
         return FreeChainComplex(
-            term_names=("sector classes", "handlebody classes", "surface classes"),
             ranks=c.ranks[1:4],
             degrees=(0, 1, 2),
             columns=c.columns[1:3],
         )
     if sheaf_degree == 2:
         return FreeChainComplex(
-            term_names=("zero", "zero", "central constant"),
             ranks=(0, 0, 1),
             degrees=(0, 1, 2),
             columns=((), ()),
@@ -643,7 +654,7 @@ def h3_h1_gram(d: TrisectionDiagram, h3s: Sequence[Sequence[int]]) -> np.ndarray
     """Matrix of the degree-three against degree-one pairing on the
     representatives ``h3s`` and on ``h1_basis``."""
     rows = [[pairing_h3_h1(d, h3, h1) for h1 in h1_basis(d)] for h3 in h3s]
-    return intmat(rows, cols=len(h1_basis(d)))
+    return mat(rows, len(h1_basis(d)))
 
 
 def lagrangian_coordinates(d: TrisectionDiagram, blocks) -> tuple[int, ...]:
@@ -651,7 +662,7 @@ def lagrangian_coordinates(d: TrisectionDiagram, blocks) -> tuple[int, ...]:
     each solved for through a Smith form; inverse of ``OneOneCocycle.blocks``."""
     out: list[int] = []
     for cs, b in zip(d.systems, blocks):
-        curves = intmat([list(row) for row in zip(*cs.curves)], cols=d.genus)
+        curves = mat(zip(*cs.curves), d.genus)
         out += integer_solve(curves, b)
     return tuple(out)
 
@@ -758,7 +769,7 @@ def solved_dual_rep(d: TrisectionDiagram, x: OneOneCocycle) -> H2DualRep:
     basis = h2_basis_cocycles(d)
     rows = [[evaluate_on_surface_class(d, b, rep) for rep in reps] for b in basis]
     rhs = [intersection_pairing(d, b, x) for b in basis]
-    coeffs = integer_solve(intmat(rows, cols=len(reps)), rhs)
+    coeffs = integer_solve(mat(rows, len(reps)), rhs)
     return sum((rep.scale(c) for rep, c in zip(reps, coeffs)), H2DualRep.zero(d))
 
 
@@ -775,8 +786,10 @@ def random_matched_lifts(
             for a, c, w in zip(
                 lift,
                 common,
-                d.lagrangian_subgroup(lam).member_from_coordinates(
-                    [rng.randint(-span, span) for _ in range(g)]
+                _combination(
+                    d.lagrangian_subgroup(lam).columns(),
+                    [rng.randint(-span, span) for _ in range(g)],
+                    2 * g,
                 ),
             )
         )

@@ -90,7 +90,6 @@ def test_hodge_diamond_stores_its_grid_as_a_hashable_tuple():
 def test_complex_rejects_non_composing_differentials():
     with pytest.raises(ValueError, match="compose"):
         FreeChainComplex(
-            term_names=("a", "b", "c"),
             ranks=(1, 1, 1),
             degrees=(0, 1, 2),
             columns=(((1,),), ((1,),)),
@@ -100,7 +99,6 @@ def test_complex_rejects_non_composing_differentials():
 def test_complex_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
         FreeChainComplex(
-            term_names=("a", "b"),
             ranks=(2, 1),
             degrees=(0, 1),
             columns=(((1, 0), (0, 1)),),
@@ -437,16 +435,15 @@ def test_differential_factors_and_ranks_match_sympy():
 
 HAND_BUILT = (
     # Z --(2, 0)--> Z^2 --0--> Z: torsion and free rank at the middle position
-    (FreeChainComplex(("a", "b", "c"), (1, 2, 1), (0, 1, 2), (((2, 0),), ((0,), (0,)))),
+    (FreeChainComplex((1, 2, 1), (0, 1, 2), (((2, 0),), ((0,), (0,)))),
      (ZERO, HomologyGroup(1, (2,)), Z)),
     # Z^2 --[[2, 0], [0, 6], [0, 0]]--> Z^3 --(0, 0, 1)--> Z
-    (FreeChainComplex(("a", "b", "c"), (2, 3, 1), (0, 1, 2),
-                      (((2, 0, 0), (0, 6, 0)), ((0,), (0,), (1,)))),
+    (FreeChainComplex((2, 3, 1), (0, 1, 2), (((2, 0, 0), (0, 6, 0)), ((0,), (0,), (1,)))),
      (ZERO, HomologyGroup(0, (2, 6)), ZERO)),
     # zero-rank terms on both sides of a free one
-    (FreeChainComplex(("a", "b", "c"), (0, 2, 0), (0, 1, 2), ((), ((), ()))),
+    (FreeChainComplex((0, 2, 0), (0, 1, 2), ((), ((), ()))),
      (ZERO, HomologyGroup(2), ZERO)),
-    (FreeChainComplex(("a",), (0,), (0,), ()), (ZERO,)),
+    (FreeChainComplex((0,), (0,), ()), (ZERO,)),
 )
 
 

@@ -13,9 +13,12 @@ import trihodge
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC_MODULES = sorted((ROOT / "src" / "trihodge").glob("*.py"))
-BENCH_MODULES = sorted(
-    p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")
-)
+SOURCES = {p.stem: p.read_text() for p in SRC_MODULES}
+BENCH_READERS = {
+    f"perfbench.{p.stem}": p.read_text()
+    for p in sorted((ROOT / "perfbench").glob("*.py"))
+    if not p.name.startswith("test_")
+}
 MODULES = sorted(
     p
     for directory in (ROOT / "src" / "trihodge", ROOT / "tests")
@@ -118,8 +121,7 @@ def test_private_name_detector():
 
 
 def test_every_private_name_is_referenced():
-    sources = {p.stem: p.read_text() for p in SRC_MODULES}
-    assert unreferenced_private_names(sources) == []
+    assert unreferenced_private_names(SOURCES) == []
 
 
 def public_methods(tree: ast.Module) -> list[tuple[str, ast.AST]]:
@@ -249,28 +251,19 @@ def test_public_name_detector():
 
 
 # Public lower-level API that nothing in the package calls, kept on purpose
-# (the public-surface item of ROADMAP.md records each decision). ``intmat``
-# and ``identity`` build the matrices the lattice functions take.
-LOWER_LEVEL_API = (
-    "invariant_factors",
-    "h1_basis",
-    "h3_representatives",
-    "intmat",
-    "identity",
-)
+# (the public-surface item of ROADMAP.md records each decision).
+LOWER_LEVEL_API = ("h3_representatives",)
 
 # Public methods and properties that no definition in the package or the
 # bench reads through a reference to their class (only the tests, or the
 # bench on an object it does not name), kept on purpose, each with the
 # reason it stays public.
 KEPT_METHODS = {
-    "HodgeDiamond.entry": "reads one cell of the exported diamond by its two degrees",
-    "Subgroup.trivial": "the zero subgroup, companion of Subgroup.full",
-    "Subgroup.member_from_coordinates": "inverse of coordinates_of, which the bench reads",
-    "QuotientPresentation.lift": "inverse of project, which is_zero reads",
     "QuadraticEnhancement.evaluate": "q(x) of an exported spin structure",
-    "SymplecticLattice.is_isotropic": "the form on a Subgroup, the type lattice code returns",
-    "OneOneCocycle.is_zero": "whether a class is zero, as asked of a c1_difference",
+    "OneOneCocycle.is_zero": (
+        "whether the curve coordinates of a c1_difference are zero; a coboundary is "
+        "a zero class yet reads nonzero (ROADMAP item 7)"
+    ),
     "H2DualRep.is_zero": "whether a class is zero, as asked of a Poincare dual",
     "H2DualRep.lifts": "ambient vectors of a rep, the inverse of from_lifts; the bench reads them",
     "TrisectionDiagram.pair_sum": "the canonical pair sum, which the bench's lattice replay reads",
@@ -280,11 +273,24 @@ KEPT_METHODS = {
 }
 
 
+EXPLAINED = {*trihodge.__all__, *LOWER_LEVEL_API, *KEPT_METHODS}
+
+
 def test_every_public_name_is_exported_used_or_kept():
-    sources = {p.stem: p.read_text() for p in SRC_MODULES}
-    readers = {f"perfbench.{p.stem}": p.read_text() for p in BENCH_MODULES}
-    explained = {*trihodge.__all__, *LOWER_LEVEL_API, *KEPT_METHODS}
-    assert unexplained_public_names(sources, readers, explained) == []
+    assert unexplained_public_names(SOURCES, BENCH_READERS, EXPLAINED) == []
+
+
+def test_every_keep_list_entry_is_needed():
+    """Each kept entry names a definition the check reports once the entry is left out."""
+    stale = [
+        entry
+        for entry in (*LOWER_LEVEL_API, *KEPT_METHODS)
+        if not any(
+            found.partition(":")[2] == entry
+            for found in unexplained_public_names(SOURCES, BENCH_READERS, EXPLAINED - {entry})
+        )
+    ]
+    assert stale == []
 
 
 def test_lazy_exports_resolve_to_their_defining_modules():

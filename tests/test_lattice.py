@@ -23,20 +23,18 @@ from trihodge.lattice import (
     Subgroup,
     _column_matrix,
     _combination,
+    _identity_rows,
     _invariant_factors,
     _kernel,
     _Smith,
     _transpose,
     _UnitEchelon,
     as_int_vector,
-    identity,
-    intmat,
-    invariant_factors,
     kernel_basis,
     quotient,
     smith_normal_form,
+    snf_diagonal,
     subgroup_sum,
-    zeros,
 )
 from trihodge.surface import SymplecticLattice
 
@@ -45,8 +43,10 @@ from helpers import (
     image_subgroup,
     integer_solve,
     is_unimodular,
+    mat,
     matrix_columns,
     numpy_snf_with_inverses,
+    quotient_lift,
     SpanCoordinates,
     smith_kernel_basis,
     subgroup_intersection,
@@ -73,38 +73,42 @@ def int_matrices(draw, max_dim=5, min_dim=1):
             max_size=nrows,
         )
     )
-    return intmat(rows, cols=ncols)
+    return mat(rows, ncols)
 
 
-zero_matrices = st.builds(zeros, st.integers(0, 5), st.integers(0, 5))
+def zero_matrix(nrows, ncols):
+    return mat([[0] * ncols] * nrows, ncols)
+
+
+zero_matrices = st.builds(zero_matrix, st.integers(0, 5), st.integers(0, 5))
 
 
 class TestSmithNormalForm:
     def test_diag_2_3_normalizes_to_1_6(self):
-        U, D, V = smith_normal_form(intmat([[2, 0], [0, 3]]))
+        U, D, V = smith_normal_form(mat([[2, 0], [0, 3]]))
         assert [[int(x) for x in row] for row in D] == [[1, 0], [0, 6]]
-        assert np.array_equal(U @ intmat([[2, 0], [0, 3]]) @ V, D)
+        assert np.array_equal(U @ mat([[2, 0], [0, 3]]) @ V, D)
 
     def test_identity_is_fixed(self):
-        U, D, V = smith_normal_form(identity(3))
-        assert np.array_equal(D, identity(3))
+        U, D, V = smith_normal_form(mat(_identity_rows(3)))
+        assert D.tolist() == _identity_rows(3)
 
     def test_zero_matrix(self):
-        U, D, V = smith_normal_form(zeros(2, 3))
-        assert np.array_equal(D, zeros(2, 3))
+        U, D, V = smith_normal_form(zero_matrix(2, 3))
+        assert np.array_equal(D, zero_matrix(2, 3))
         assert is_unimodular(U) and is_unimodular(V)
 
     def test_empty_shapes(self):
         for shape in [(0, 3), (3, 0), (0, 0)]:
-            U, D, V = smith_normal_form(zeros(*shape))
+            U, D, V = smith_normal_form(zero_matrix(*shape))
             assert D.shape == shape
             assert U.shape == (shape[0], shape[0])
             assert V.shape == (shape[1], shape[1])
 
     def test_big_integers_stay_exact(self):
         n = 10**40
-        U, D, V = smith_normal_form(intmat([[n, n + 1], [1, 1]]))
-        m = intmat([[n, n + 1], [1, 1]])
+        m = mat([[n, n + 1], [1, 1]])
+        U, D, V = smith_normal_form(m)
         assert np.array_equal(U @ m @ V, D)
         assert int(D[0, 0]) * int(D[1, 1]) == abs(det(m))
 
@@ -180,7 +184,7 @@ class TestInvariantFactors:
         expected = sympy_invariant_factors(rows, ncols)
         assert _invariant_factors(rows, ncols) == expected
         assert rows == before
-        assert invariant_factors(intmat(rows, cols=ncols)) == expected
+        assert snf_diagonal(smith_normal_form(mat(rows, ncols))[1]) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(rows_with_units())
@@ -197,7 +201,7 @@ class TestInvariantFactors:
     def test_rank_deficient_rows(self, case):
         rows, ncols = case
         self.assert_matches_sympy(rows, ncols)
-        assert len(invariant_factors(intmat(rows, cols=ncols))) < len(rows)
+        assert len(_invariant_factors(rows, ncols)) < len(rows)
 
     @pytest.mark.parametrize(
         "rows, factors",
@@ -213,7 +217,7 @@ class TestInvariantFactors:
         ],
     )
     def test_fixed_cases(self, rows, factors):
-        assert invariant_factors(intmat(rows)) == factors
+        assert _invariant_factors(rows, len(rows[0])) == factors
         assert sympy_invariant_factors(rows, len(rows[0])) == factors
 
     def test_a_smith_form_runs_only_on_the_block_left_without_units(self, monkeypatch):
@@ -246,7 +250,7 @@ def snf_inputs(draw):
     nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     entries = draw(st.sampled_from([small_entries, big_entries]))
     row = st.lists(entries, min_size=ncols, max_size=ncols)
-    return intmat(draw(st.lists(row, min_size=nrows, max_size=nrows)), cols=ncols)
+    return mat(draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols)
 
 
 def assert_numpy_transforms(m):
@@ -306,14 +310,14 @@ class TestTransformReplayOrder:
 
 class TestDeterminant:
     def test_known_values(self):
-        assert det(intmat([[2, 3], [5, 7]])) == -1
-        assert det(identity(4)) == 1
-        assert det(zeros(3, 3)) == 0
-        assert det(zeros(0, 0)) == 1
+        assert det(mat([[2, 3], [5, 7]])) == -1
+        assert det(mat(_identity_rows(4))) == 1
+        assert det(zero_matrix(3, 3)) == 0
+        assert det(zero_matrix(0, 0)) == 1
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            det(zeros(2, 3))
+            det(zero_matrix(2, 3))
 
     @settings(max_examples=100, deadline=None)
     @given(int_matrices(max_dim=4))
@@ -325,18 +329,18 @@ class TestDeterminant:
 
 class TestKernel:
     def test_row_of_ones(self):
-        ker = kernel_basis(intmat([[1, 1]]))
+        ker = kernel_basis(mat([[1, 1]]))
         assert ker.columns() == ((1, -1),)
 
     def test_identity_has_trivial_kernel(self):
-        assert kernel_basis(identity(3)).rank == 0
+        assert kernel_basis(mat(_identity_rows(3))).rank == 0
 
     def test_zero_map_has_full_kernel(self):
-        ker = kernel_basis(zeros(2, 3))
+        ker = kernel_basis(zero_matrix(2, 3))
         assert ker == Subgroup.full(3)
 
     def test_zero_rows(self):
-        assert kernel_basis(zeros(0, 2)) == Subgroup.full(2)
+        assert kernel_basis(zero_matrix(0, 2)) == Subgroup.full(2)
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(int_matrices(min_dim=0), zero_matrices))
@@ -357,7 +361,7 @@ def word_matrices(draw):
     """Shapes 0..5 with entries up to 2^64, near-integer quotients' widest case."""
     nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     row = st.lists(word_entries, min_size=ncols, max_size=ncols)
-    return intmat(draw(st.lists(row, min_size=nrows, max_size=nrows)), cols=ncols)
+    return mat(draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols)
 
 
 def is_canonical(sub: Subgroup) -> bool:
@@ -437,19 +441,26 @@ class TestSubgroup:
     def test_membership_and_coordinates(self):
         s = Subgroup.from_columns(3, [(1, 2, 0), (0, 0, 5)])
         coords = s.coordinates_of((3, 6, -10))
-        assert s.member_from_coordinates(coords) == (3, 6, -10)
+        assert _combination(s.columns(), coords, 3) == (3, 6, -10)
         assert not s.contains((0, 1, 0))
         with pytest.raises(ValueError):
             s.coordinates_of((0, 0, 1))
 
     def test_trivial_and_full(self):
-        assert Subgroup.trivial(3).rank == 0
+        assert Subgroup.from_columns(3, ()).rank == 0
         assert Subgroup.full(3).rank == 3
         assert Subgroup.full(3).contains((7, -2, 9))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             Subgroup.from_columns(2, [(1, 2, 3)])
+
+    @pytest.mark.parametrize("n", [-1, True, 2.5], ids=["negative", "bool", "float"])
+    def test_ambient_rank_must_be_a_nonnegative_int(self, n):
+        with pytest.raises(ValueError, match="ambient rank"):
+            Subgroup.from_columns(n, [])
+        with pytest.raises(ValueError, match="ambient rank"):
+            Subgroup.full(n)
 
     @settings(max_examples=100, deadline=None)
     @given(int_matrices(max_dim=4))
@@ -464,15 +475,14 @@ class TestSubgroup:
 
     @settings(max_examples=150, deadline=None)
     @given(members())
-    def test_coordinates_invert_member_from_coordinates(self, case):
+    def test_coordinates_of_inverts_the_combination(self, case):
         sub, coords = case
-        v = sub.member_from_coordinates(coords)
+        v = _combination(sub.columns(), coords, sub.ambient_rank)
         assert sub.coordinates_of(v) == coords
         # a nonzero class of the quotient, lifted, is not a member
         q = quotient(sub.ambient_rank, sub)
-        for k in range(q.coordinate_count):
-            unit = tuple(int(i == k) for i in range(q.coordinate_count))
-            perturbed = tuple(a + b for a, b in zip(v, q.lift(unit)))
+        for unit in _identity_rows(len(q.torsion) + q.free_rank):
+            perturbed = tuple(a + b for a, b in zip(v, quotient_lift(q, unit)))
             with pytest.raises(ValueError, match="not in the subgroup"):
                 sub.coordinates_of(perturbed)
 
@@ -504,7 +514,7 @@ class TestQuotient:
         q = quotient(3, Subgroup.from_columns(3, [(2, 0, 0), (0, 1, 1)]))
         for v in [(1, 0, 0), (0, 1, 0), (5, -3, 2)]:
             coords = q.project(v)
-            assert q.project(q.lift(coords)) == coords
+            assert q.project(quotient_lift(q, coords)) == coords
 
     def test_projection_kills_exactly_the_relations(self):
         rel = Subgroup.from_columns(3, [(2, 4, 0), (0, 6, 0)])
@@ -532,7 +542,7 @@ class TestQuotient:
         rel = image_subgroup(m)
         q = quotient(m.shape[0], rel)
         v = tuple(range(m.shape[0]))
-        lifted = q.lift(q.project(v))
+        lifted = quotient_lift(q, q.project(v))
         diff = tuple(a - b for a, b in zip(lifted, v))
         # lift(project(v)) may differ from v only by a relation plus torsion multiples
         scaled = q.project(diff)
@@ -554,7 +564,7 @@ class TestIntersectionAndSum:
 
     def test_trivial_cases(self):
         full = Subgroup.full(3)
-        triv = Subgroup.trivial(3)
+        triv = Subgroup.from_columns(3, ())
         assert subgroup_intersection(full, triv) == triv
         assert subgroup_sum(full, triv) == full
 
@@ -569,7 +579,7 @@ class TestIntersectionAndSum:
     def test_lattice_laws(self, m1, m2):
         n = m1.shape[0]
         a = Subgroup.from_columns(n, matrix_columns(m1))
-        b = Subgroup.from_columns(n, matrix_columns(m2[:n, :] if m2.shape[0] >= n else np.vstack([m2, zeros(n - m2.shape[0], m2.shape[1])])))
+        b = Subgroup.from_columns(n, matrix_columns(m2[:n, :] if m2.shape[0] >= n else np.vstack([m2, zero_matrix(n - m2.shape[0], m2.shape[1])])))
         inter = subgroup_intersection(a, b)
         total = subgroup_sum(a, b)
         assert inter == subgroup_intersection(b, a)
@@ -586,23 +596,23 @@ class TestIntersectionAndSum:
 
 class TestIntegerSolve:
     def test_diagonal_system(self):
-        assert integer_solve(intmat([[2, 0], [0, 3]]), [4, -9]) == (2, -3)
+        assert integer_solve(mat([[2, 0], [0, 3]]), [4, -9]) == (2, -3)
 
     def test_unsolvable_divisibility(self):
         with pytest.raises(ValueError, match="no integer solution"):
-            integer_solve(intmat([[2]]), [3])
+            integer_solve(mat([[2]]), [3])
 
     def test_inconsistent_system(self):
         with pytest.raises(ValueError, match="no integer solution"):
-            integer_solve(intmat([[1], [1]]), [1, 2])
+            integer_solve(mat([[1], [1]]), [1, 2])
 
     def test_underdetermined_picks_some_solution(self):
-        m = intmat([[1, 1]])
+        m = mat([[1, 1]])
         x = integer_solve(m, [5])
         assert x[0] + x[1] == 5
 
     def test_empty_system(self):
-        assert integer_solve(zeros(0, 0), []) == ()
+        assert integer_solve(zero_matrix(0, 0), []) == ()
 
     @settings(max_examples=80, deadline=None)
     @given(int_matrices(max_dim=4), st.data())
@@ -749,14 +759,19 @@ class TestUnitEchelon:
         assert echelon.coordinates((2, 3, 8, 14)) == (1, 2)
 
 
-FREE_LINE = quotient(1, Subgroup.trivial(1))
+FREE_LINE = quotient(1, Subgroup.from_columns(1, ()))
+NOT_A_MATRIX = np.array([1, 2], dtype=object)
 
 # Each public entry point: a call placing one entry x in otherwise valid input
 # and returning what x became, plus calls with malformed shapes or lengths.
 ENTRY_POINTS = {
-    "intmat": (
-        lambda x: intmat([[x]])[0, 0],
-        [lambda: intmat([[1, 2], [3]]), lambda: intmat([], cols=None)],
+    "smith_normal_form": (
+        lambda x: smith_normal_form(mat([[x]]))[1][0, 0],
+        [lambda: smith_normal_form(NOT_A_MATRIX)],
+    ),
+    "kernel_basis": (
+        lambda x: kernel_basis(mat([[x, -1]])).columns()[0][1],
+        [lambda: kernel_basis(NOT_A_MATRIX)],
     ),
     "as_int_vector": (
         lambda x: as_int_vector([1, x, 3], 3)[1],
@@ -774,13 +789,9 @@ ENTRY_POINTS = {
         lambda x: FREE_LINE.project((x,))[0],
         [lambda: FREE_LINE.project((1, 2))],
     ),
-    "QuotientPresentation.lift": (
-        lambda x: FREE_LINE.lift((x,))[0],
-        [lambda: FREE_LINE.lift((1, 2))],
-    ),
     "integer_solve rhs": (
-        lambda x: integer_solve(identity(1), [x])[0],
-        [lambda: integer_solve(identity(1), [1, 2])],
+        lambda x: integer_solve(mat([[1]]), [x])[0],
+        [lambda: integer_solve(mat([[1]]), [1, 2])],
     ),
     "diagram_from_curves": (
         lambda x: diagram_from_curves(1, [(x, 1)], [(0, 1)], [(1, 1)]).alpha.curves[0][0],
@@ -806,8 +817,3 @@ class TestHelpers:
         for call in malformed:
             with pytest.raises(ValueError):
                 call()
-
-    def test_invariant_factors(self):
-        assert invariant_factors(intmat([[2, 0], [0, 3]])) == (1, 6)
-        assert invariant_factors(identity(2)) == (1, 1)
-        assert invariant_factors(zeros(2, 2)) == ()

@@ -15,7 +15,7 @@ from trihodge.diagram import (
     handleslide_diagram,
     random_diagram,
 )
-from trihodge.lattice import identity, intmat
+from trihodge.lattice import _combination, _identity_rows
 from trihodge.pairings import (
     CycleConditionError,
     H2DualRep,
@@ -44,6 +44,7 @@ from helpers import (
     ladder_diagram,
     gram_schmidt,
     lagrangian_coordinates,
+    mat,
     nearest_plane_reduced,
     plain_form,
     random_coboundary,
@@ -274,8 +275,10 @@ def test_evaluation_invariances_fuzz(genus, seed, draw_seed):
             v + w
             for v, w in zip(
                 rep.lifts[lam - 1],
-                d.lagrangian_subgroup(lam).member_from_coordinates(
-                    [rng.randint(-3, 3) for _ in range(genus)]
+                _combination(
+                    d.lagrangian_subgroup(lam).columns(),
+                    [rng.randint(-3, 3) for _ in range(genus)],
+                    2 * genus,
                 ),
             )
         )
@@ -346,8 +349,10 @@ class TestDualReps:
                         a + w
                         for a, w in zip(
                             lift,
-                            d.lagrangian_subgroup(lam).member_from_coordinates(
-                                [rng.randint(-span, span) for _ in range(d.genus)]
+                            _combination(
+                                d.lagrangian_subgroup(lam).columns(),
+                                [rng.randint(-span, span) for _ in range(d.genus)],
+                                2 * d.genus,
                             ),
                         )
                     )
@@ -495,7 +500,7 @@ class TestCurveBases:
                 moved = [cocycle_from_blocks(d, *y.blocks) for y in slid_basis]
                 if basis:
                     cross = [[intersection_pairing(d, x, y) for y in moved] for x in basis]
-                    assert abs(det(intmat(cross))) == 1, d.label
+                    assert abs(det(mat(cross))) == 1, d.label
                 changed += [y.blocks for y in slid_basis] != [x.blocks for x in basis]
         # the printed basis depends on the curves, not only on their span
         assert changed
@@ -510,7 +515,7 @@ def canonical_triple_intersection(d):
 def is_dual_basis(d) -> bool:
     """Whether ``h3_representatives`` pairs with ``h1_basis`` to the identity."""
     n = len(h1_basis(d))
-    return h3_h1_gram(d, h3_representatives(d)).tolist() == identity(n).tolist()
+    return h3_h1_gram(d, h3_representatives(d)).tolist() == _identity_rows(n)
 
 
 class TestH3H1Pairing:
