@@ -47,6 +47,7 @@ from .lattice import (
     Subgroup,
     _Frozen,
     _Value,
+    _check_count,
     _cokernel,
     _column_matrix,
     _combination,
@@ -106,11 +107,11 @@ class FreeChainComplex(_Frozen):
     ``columns[i]``: one tuple per basis vector of position i, each of length
     ``ranks[i + 1]``. Consecutive composites must vanish. ``degrees`` carries
     the semantic degree label of each position (descending for the homology
-    complex, ascending for its dual). Columns that already are tuples of
-    Python ints are kept as the same objects. Every homology group is read
-    from the invariant factors of the differentials, which are memoized on
-    the complex; free generators are built only where
-    ``homology_with_generators`` is asked for them.
+    complex, ascending for its dual), each label once. Columns that already
+    are tuples of Python ints are kept as the same objects. Every homology
+    group is read from the invariant factors of the differentials, which
+    are memoized on the complex; free generators are built only where
+    ``homology_with_generators`` is asked for them, on each call.
     """
 
     def __init__(
@@ -119,6 +120,11 @@ class FreeChainComplex(_Frozen):
         degrees: tuple[int, ...],
         columns: tuple[tuple[tuple[int, ...], ...], ...],
     ):
+        ranks, degrees = tuple(ranks), tuple(degrees)
+        for r in ranks:
+            _check_count(r, "rank")
+        if len(set(degrees)) != len(degrees):
+            raise ValueError(f"degree labels repeat: {degrees}")
         n = len(ranks)
         if len(degrees) != n or len(columns) != n - 1:
             raise ValueError("inconsistent complex data")
@@ -163,7 +169,6 @@ class FreeChainComplex(_Frozen):
         """Rank of differential i; zero out of the last position."""
         return len(self._factors(i)) if i < len(self.columns) else 0
 
-    @memoized
     def homology_at(self, pos: int) -> HomologyGroup:
         """Homology at a position, from the ranks and invariant factors of the differentials.
 
@@ -177,7 +182,6 @@ class FreeChainComplex(_Frozen):
         free = self.ranks[pos] - self._rank(pos) - len(incoming)
         return HomologyGroup(free, tuple(f for f in incoming if f >= 2))
 
-    @memoized
     def homology_with_generators(
         self, pos: int
     ) -> tuple[HomologyGroup, tuple[tuple[int, ...], ...]]:
@@ -301,7 +305,6 @@ def homology_groups(d: TrisectionDiagram) -> tuple[HomologyGroup, ...]:
     return tuple(homology(c, k) for k in range(5))
 
 
-@memoized
 def dual_complex(d: TrisectionDiagram) -> FreeChainComplex:
     """Hom of the middle of the homology complex; its middle homology is H_2(X; Z).
 
@@ -310,7 +313,7 @@ def dual_complex(d: TrisectionDiagram) -> FreeChainComplex:
     the negated degree-three one. No package path builds it: its middle
     homology is ``dual_middle_homology``, read without it. The tests keep it
     as the oracle of that closed form, and the bench's lattice replay reads
-    its differentials.
+    its differentials; each builds it once, so it is rebuilt on each call.
     """
     c = homology_complex(d)
     g = d.genus

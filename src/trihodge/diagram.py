@@ -432,13 +432,17 @@ def standard_triple(genus: int) -> TrisectionDiagram:
 
 
 def random_diagram(genus: int, seed: int) -> TrisectionDiagram:
-    """Deterministic pseudo-random valid diagram.
+    """Deterministic pseudo-random valid diagram; the seed must be an int.
 
     Applies a seed-determined word of integral symplectic transvections to the
     standard triple. Transvections preserve the form, so isotropy, primitivity
     and pair saturation survive and the result is always valid.
+    ``random.Random`` seeds from |seed|, so seeds -5 and 5 give equal diagrams.
     """
     import random  # not at module level: every CLI call loads this module
+
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
 
     base = standard_triple(genus)
     if genus == 0:

@@ -25,10 +25,11 @@ Inside the package a matrix is a list of rows of Python ints, and a subgroup
 or a chain complex keeps its columns as tuples, so all arithmetic is exact at
 any magnitude. Entries are checked once, where they enter from outside
 (``as_int_vector``, and ``smith_normal_form`` and ``kernel_basis``, which
-take a matrix); the kernels trust rows the package built itself. numpy is a
-boundary format only: matrices handed back to callers (a subgroup's
-``basis``, a complex's ``diffs``, the result of ``smith_normal_form``) are
-object arrays of Python ints, built by ``_array`` when asked for. No code path touches floating point.
+take a matrix: an array or a rectangular nested sequence); the kernels
+trust rows the package built itself. numpy is a boundary format only:
+matrices handed back to callers (a subgroup's ``basis``, a complex's
+``diffs``, the result of ``smith_normal_form``) are object arrays of Python
+ints, built by ``_array`` when asked for. No code path touches floating point.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ def as_int_vector(v: Iterable[int], length: int | None = None) -> tuple[int, ...
 def _array(rows: Sequence[Sequence[int]], ncols: int) -> np.ndarray:
     """Object array of trusted rows; the column count fixes the shape of an empty one.
 
-    The package's one numpy import, made only when a caller reads a matrix.
+    numpy is imported only here, when a caller reads a matrix, and where
+    ``_checked_rows`` reads one handed in.
     """
     import numpy as np
 
@@ -87,11 +89,17 @@ def _column_matrix(columns: Sequence[Sequence[int]], nrows: int) -> np.ndarray:
     return out
 
 
-def _checked_rows(m: np.ndarray) -> tuple[list[list[int]], int]:
-    """Rows and width of a matrix from outside the package, every entry checked."""
-    if m.ndim != 2:
-        raise ValueError(f"matrix with two axes expected, got {m.ndim}")
-    return [[_as_int(x) for x in row] for row in m.tolist()], m.shape[1]
+def _checked_rows(m: np.ndarray | Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Rows and width of a matrix from outside the package, every entry checked.
+
+    An array or any rectangular nested sequence; a ragged one has one axis.
+    """
+    import numpy as np
+
+    a = np.asarray(m, dtype=object)
+    if a.ndim != 2:
+        raise ValueError(f"matrix with two axes expected, got {a.ndim}")
+    return [[_as_int(x) for x in row] for row in a.tolist()], a.shape[1]
 
 
 def _identity_rows(n: int) -> list[list[int]]:
@@ -122,7 +130,9 @@ def _combination(
     return tuple(out)
 
 
-def smith_normal_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def smith_normal_form(
+    m: np.ndarray | Sequence[Sequence[int]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Smith normal form of an integer matrix.
 
     Returns unimodular U, V and diagonal D with ``U @ m @ V == D``, entries
@@ -148,8 +158,8 @@ class _Smith:
     and U, U^{-1} and V are replayed from the record on identity rows the
     first time each is read. Replay makes the same operations in the same
     order as the elimination, so each transform is the one building it
-    alongside D would give. The row record is dropped once U and U^{-1} both
-    exist, the column record once V does.
+    alongside D would give. Every form the package builds is a temporary,
+    so the records live as long as the form does.
 
     At step t every entry of D outside the block of rows and columns >= t is
     already zero, so the updates of D stay inside that block. V and U^{-1}
@@ -216,30 +226,20 @@ class _Smith:
             t += 1
 
         self.nrows, self.ncols = nrows, ncols
-        self.D: list[list[int]] | None = D
-        self._row_ops: list[tuple[int, int, int, int]] | None = row_ops
-        self._col_ops: list[tuple[int, int, int, int]] | None = col_ops
+        self.D, self._row_ops, self._col_ops = D, row_ops, col_ops
 
     @cached_property
     def U(self) -> list[list[int]]:
-        U = _replay(self._row_ops, self.nrows)
-        if "Uinv" in self.__dict__:
-            self._row_ops = None
-        return U
+        return _replay(self._row_ops, self.nrows)
 
     @cached_property
     def Uinv(self) -> list[list[int]]:
-        UinvT = _replay(self._row_ops, self.nrows, inverse_transpose=True)
-        if "U" in self.__dict__:
-            self._row_ops = None
-        return _transpose(UinvT, self.nrows)
+        return _transpose(_replay(self._row_ops, self.nrows, inverse_transpose=True), self.nrows)
 
     @cached_property
     def V(self) -> list[list[int]]:
         # a column operation on D is the same row operation on V^T
-        VT = _replay(self._col_ops, self.ncols)
-        self._col_ops = None
-        return _transpose(VT, self.ncols)
+        return _transpose(_replay(self._col_ops, self.ncols), self.ncols)
 
 
 def _replay(
@@ -484,7 +484,7 @@ def _forward_echelon(work: list[list[int]], stop: int) -> tuple[list[tuple[int, 
     return pivots, active
 
 
-def kernel_basis(m: np.ndarray) -> Subgroup:
+def kernel_basis(m: np.ndarray | Sequence[Sequence[int]]) -> Subgroup:
     """Canonical basis of the integer kernel of m."""
     rows, ncols = _checked_rows(m)
     return _kernel(_transpose(rows, ncols), len(rows))
@@ -534,7 +534,7 @@ class _UnitEchelon:
         rows = [list(r) for r in rows]
         active = list(range(len(rows)))
         ops: list[tuple[int, tuple[int, ...]]] = []
-        pivots: list[tuple[int, int, tuple[int, ...]]] = []
+        pivots: list[tuple[int, int, list[int]]] = []
         done = [False] * ncols
         while len(pivots) < ncols:
             for k, r in enumerate(active):
@@ -566,7 +566,8 @@ class _UnitEchelon:
                     record += (i, c * s)
             if record:
                 ops.append((r, tuple(record)))
-            pivots.append((r, j, tuple(p)))
+            # a retired row is never written again: both loops run over active
+            pivots.append((r, j, p))
             done[j] = True
 
         self.primitive = len(pivots) == ncols
@@ -646,41 +647,35 @@ class QuotientPresentation(_Frozen):
 
     Coordinates come in two blocks: one residue per invariant factor >= 2
     (torsion block, in divisibility order) followed by ``free_rank`` integer
-    coordinates. ``project`` maps an ambient vector to its coordinates by the
-    rows of the Smith transform U; ``_free_lifts`` reads the columns of its
-    inverse that lift the free coordinates. Each is replayed from the Smith
-    form's row record on first read.
+    coordinates. The Smith diagonal is a divisibility chain, factors 1 first,
+    so ``project`` reads them off the last ``len(torsion) + free_rank`` rows
+    of the Smith transform U, and ``_free_lifts`` reads the last
+    ``free_rank`` columns of U^{-1}. Each transform is replayed on first read.
     """
 
     def __init__(
-        self,
-        ambient_rank: int,
-        free_rank: int,
-        torsion: tuple[int, ...],
-        _smith: _Smith,
-        _torsion_indices: tuple[int, ...],
-        _free_indices: tuple[int, ...],
+        self, ambient_rank: int, free_rank: int, torsion: tuple[int, ...], _smith: _Smith
     ):
         object.__setattr__(self, "ambient_rank", ambient_rank)
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", torsion)
         object.__setattr__(self, "_smith", _smith)
-        object.__setattr__(self, "_torsion_indices", _torsion_indices)
-        object.__setattr__(self, "_free_indices", _free_indices)
 
     def project(self, v: Sequence[int]) -> tuple[int, ...]:
         vec = as_int_vector(v, self.ambient_rank)
-        U = self._smith.U
-        tor = [_dot(U[i], vec) % d for i, d in zip(self._torsion_indices, self.torsion)]
-        return tuple(tor + [_dot(U[i], vec) for i in self._free_indices])
+        k = len(self.torsion)
+        rows = self._smith.U[self.ambient_rank - self.free_rank - k :]
+        values = [_dot(row, vec) for row in rows]
+        return tuple(x % d for x, d in zip(values, self.torsion)) + tuple(values[k:])
 
     def is_zero(self, v: Sequence[int]) -> bool:
         return not any(self.project(v))
 
-    @cached_property
+    @property
     def _free_lifts(self) -> tuple[tuple[int, ...], ...]:
-        """The ambient vector lifting each free coordinate."""
-        return tuple(tuple(row[i] for row in self._smith.Uinv) for i in self._free_indices)
+        """The ambient vector lifting each free coordinate; no U^{-1} when free_rank is 0."""
+        free = range(self.ambient_rank - self.free_rank, self.ambient_rank)
+        return tuple(tuple(row[i] for row in self._smith.Uinv) for i in free)
 
     def __repr__(self) -> str:
         return (
@@ -700,23 +695,15 @@ def _cokernel(rows: list[list[int]], ncols: int) -> QuotientPresentation:
     """Present Z^rows modulo the column span of trusted rows, through one Smith form.
 
     Only the ranks and the torsion are read at once; U (for ``project``) and
-    U^{-1} (for ``_free_lifts``) are replayed from the Smith form's row
-    record on first read. A quotient never reads D again nor V, so both go
-    now.
+    U^{-1} (for ``_free_lifts``) are replayed from its row record on first read.
     """
-    ambient_rank = len(rows)
     smith = _Smith(rows, ncols)
     diag = snf_diagonal(smith.D)
-    smith.D = smith._col_ops = None
-    s = len(diag)
-    torsion_indices = tuple(i for i in range(s) if diag[i] >= 2)
     return QuotientPresentation(
-        ambient_rank=ambient_rank,
-        free_rank=ambient_rank - s,
-        torsion=tuple(diag[i] for i in torsion_indices),
+        ambient_rank=len(rows),
+        free_rank=len(rows) - len(diag),
+        torsion=tuple(f for f in diag if f >= 2),
         _smith=smith,
-        _torsion_indices=torsion_indices,
-        _free_indices=tuple(range(s, ambient_rank)),
     )
 
 

@@ -53,6 +53,7 @@ from .complexes import (
 from .diagram import CycleConditionError, TrisectionDiagram, ensure_valid, memoized
 from .lattice import (
     Subgroup,
+    _as_int,
     _Value,
     _combination,
     _dot,
@@ -136,13 +137,21 @@ class OneOneCocycle(_Value):
         return _cocycle_combination(self.diagram, (self, other), (1, 1))
 
     def scale(self, n: int) -> "OneOneCocycle":
-        return _cocycle_combination(self.diagram, (self,), (n,))
+        return _cocycle_combination(self.diagram, (self,), (_scale_factor(n),))
 
     def __neg__(self) -> "OneOneCocycle":
         return self.scale(-1)
 
     def __sub__(self, other: "OneOneCocycle") -> "OneOneCocycle":
         return _cocycle_combination(self.diagram, (self, other), (1, -1))
+
+
+def _scale_factor(n) -> int:
+    """n as an int; ValueError naming it unless it is an integer (a bool is not)."""
+    try:
+        return _as_int(n)
+    except ValueError:
+        raise ValueError(f"scale factor must be an integer, got {n!r}") from None
 
 
 def _cocycle_combination(d: TrisectionDiagram, xs, coeffs) -> OneOneCocycle:
@@ -211,7 +220,7 @@ class H2DualRep(_Value):
         return _rep_combination(self.diagram, (self, other), (1, 1))
 
     def scale(self, n: int) -> "H2DualRep":
-        return _rep_combination(self.diagram, (self,), (n,))
+        return _rep_combination(self.diagram, (self,), (_scale_factor(n),))
 
     def __neg__(self) -> "H2DualRep":
         return self.scale(-1)

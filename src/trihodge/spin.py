@@ -88,19 +88,19 @@ def spin_count(d: TrisectionDiagram) -> int:
     return 0 if space is None else 2 ** len(space[1])
 
 
-@memoized
 def enumerate_spin(d: TrisectionDiagram) -> "tuple[QuadraticEnhancement, ...]":
     """Enhancements vanishing on all three cut systems, lexicographically.
 
     Raises ValueError beyond MAX_LISTED structures; spin_count has no bound.
     """
-    count = spin_count(d)
+    space = _solution_space(d)
+    if space is None:
+        return ()
+    count = 2 ** len(space[1])
     if count > MAX_LISTED:
         raise ValueError(f"{count} spin structures exceed the listing bound {MAX_LISTED}")
-    if not count:
-        return ()
-    masks = [_solution_space(d)[0]]
-    for k in _solution_space(d)[1]:
+    masks = [space[0]]
+    for k in space[1]:
         masks += [m ^ k for m in masks]
     bits = range(2 * d.genus - 1, -1, -1)
     return tuple(

@@ -421,9 +421,10 @@ def pair_quotient(d: TrisectionDiagram, lam: int) -> QuotientPresentation:
 
 
 def quotient_lift(q: QuotientPresentation, coords: Sequence[int]) -> tuple[int, ...]:
-    """An ambient vector v with ``q.project(v) == coords``, read off the
-    columns of the Smith transform U^{-1}, the matrix ``_free_lifts`` reads."""
-    indices = q._torsion_indices + q._free_indices
+    """An ambient vector v with ``q.project(v) == coords``, read off the last
+    ``len(q.torsion) + q.free_rank`` columns of the Smith transform U^{-1},
+    whose last ``q.free_rank`` are the ones ``_free_lifts`` reads."""
+    indices = range(q.ambient_rank - len(q.torsion) - q.free_rank, q.ambient_rank)
     return tuple(sum(row[i] * c for i, c in zip(indices, coords)) for row in q._smith.Uinv)
 
 

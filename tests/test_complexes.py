@@ -105,6 +105,21 @@ def test_complex_rejects_shape_mismatch():
         )
 
 
+def test_complex_rejects_malformed_ranks_and_repeated_degrees():
+    for ranks in ((True, 2), (-1, 2), (1.0, 2)):
+        with pytest.raises(ValueError, match="rank must be a nonnegative int"):
+            FreeChainComplex(ranks, (0, 1), (((0, 0),),))
+    with pytest.raises(ValueError, match="degree labels repeat"):
+        FreeChainComplex((1, 2), (0, 0), (((0, 0),),))
+
+
+def test_complex_stores_ranks_and_degrees_as_tuples():
+    c = FreeChainComplex([1, 2], [0, 1], (((0, 0),),))
+    assert c.ranks == (1, 2) and c.degrees == (0, 1)
+    assert hash(c.ranks) == hash((1, 2)) and hash(c.degrees) == hash((0, 1))
+    assert c.position_of_degree(1) == 1
+
+
 def test_five_term_ranks_projective_plane():
     d = builtin("CP2")
     assert five_term_complex(d).ranks == (1, 0, 3, 2, 1)

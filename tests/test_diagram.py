@@ -513,6 +513,13 @@ class TestRandomDiagram:
         assert random_diagram(3, 17) == random_diagram(3, 17)
         assert random_diagram(3, 17) != random_diagram(3, 18)
 
+    def test_seed_must_be_an_int(self):
+        for bad in (None, "x", 1.5, True):
+            with pytest.raises(ValueError, match="seed must be an int"):
+                random_diagram(4, bad)
+        # random.Random seeds from |seed|
+        assert random_diagram(4, -5) == random_diagram(4, 5)
+
     def test_always_valid(self):
         for seed in range(30):
             d = random_diagram(1 + seed % 4, seed)

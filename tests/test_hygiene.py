@@ -341,3 +341,71 @@ def test_smith_binding_detector():
 )
 def test_smith_forms_are_built_through_the_lattice_module(path):
     assert not binds_smith(path.read_text())
+
+
+def memoized_definitions(sources: dict[str, str]) -> list[str]:
+    """``module:qualname`` of each top-level function and method of a
+    top-level class decorated with ``memoized``."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            items = [(node.name, node)] if isinstance(node, FUNCTIONS) else []
+            if isinstance(node, ast.ClassDef):
+                items = [
+                    (f"{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, FUNCTIONS)
+                ]
+            found += [
+                f"{module}:{qualname}"
+                for qualname, item in items
+                if any(isinstance(d, ast.Name) and d.id == "memoized" for d in item.decorator_list)
+            ]
+    return found
+
+
+def test_memoized_definition_detector():
+    sources = {
+        "a": (
+            "@memoized\ndef kept(d): pass\n"
+            "@wraps\ndef wrapped(d): pass\n"
+            "class Box:\n"
+            "    @memoized\n"
+            "    def held(self, i): pass\n"
+            "    def plain(self): pass\n"
+        ),
+    }
+    assert memoized_definitions(sources) == ["a:kept", "a:Box.held"]
+
+
+# Each memoized definition, with the caller or workload that reads its value
+# a second time on one object: a value read once is recomputed, not kept.
+MEMO_READERS = {
+    "complexes:FreeChainComplex._factors": (
+        "homology_at reads each differential's factors from both of its ends, and "
+        "dual_middle_homology reads those of d1 and d2 again"
+    ),
+    "complexes:_pair_difference_columns": (
+        "homology_complex, and the matching check of every H2DualRep built"
+    ),
+    "complexes:homology_complex": (
+        "homology_groups, dual_middle_homology and the degree-two basis coordinates"
+    ),
+    "complexes:homology_groups": "hodge_diamond, betti_numbers and the CLI commands",
+    "complexes:dual_middle_homology": "the bench's requery of each queried diagram",
+    "complexes:hodge_diamond": "cohomology_groups beside it in the CLI, and the bench's requery",
+    "pairings:_curve_gram_schmidt": "the reduction of every lift along system lam",
+    "pairings:_h2_basis_coords": (
+        "intersection_form, h2_basis_cocycles, dual_rep_basis and cocycle_from_dual_rep"
+    ),
+    "pairings:intersection_form": "_gram_echelon, and the bench's requery",
+    "pairings:triple_intersection": "every pairing_h3_h1 call, and h1_basis",
+    "pairings:_gram_echelon": "every c1_difference call after the first, as in the bench's requery",
+    "spin:_solution_space": "spin_count beside enumerate_spin, and the bench's requery",
+}
+
+
+def test_every_memoized_definition_has_a_second_reader():
+    found = memoized_definitions(SOURCES)
+    assert sorted(set(found) - set(MEMO_READERS)) == []
+    assert sorted(set(MEMO_READERS) - set(found)) == []

@@ -773,6 +773,14 @@ ENTRY_POINTS = {
         lambda x: kernel_basis(mat([[x, -1]])).columns()[0][1],
         [lambda: kernel_basis(NOT_A_MATRIX)],
     ),
+    "smith_normal_form nested list": (
+        lambda x: smith_normal_form([[x]])[1][0, 0],
+        [lambda: smith_normal_form([[1, 2], [3]]), lambda: smith_normal_form([1, 2])],
+    ),
+    "kernel_basis nested list": (
+        lambda x: kernel_basis([[x, -1]]).columns()[0][1],
+        [lambda: kernel_basis([[1, 2], [3]]), lambda: kernel_basis([1, 2])],
+    ),
     "as_int_vector": (
         lambda x: as_int_vector([1, x, 3], 3)[1],
         [lambda: as_int_vector([1, 2], 3)],
@@ -805,6 +813,13 @@ ENTRY_POINTS = {
 
 
 class TestHelpers:
+    def test_nested_lists_read_as_their_arrays(self):
+        rows = [[2, 4, -6], [0, 3, 9]]
+        for got, want in zip(smith_normal_form(rows), smith_normal_form(mat(rows))):
+            assert got.tolist() == want.tolist()
+        assert kernel_basis(rows) == kernel_basis(mat(rows))
+        assert kernel_basis((range(3), range(3))) == kernel_basis(mat([[0, 1, 2]] * 2))
+
     @pytest.mark.parametrize("name", ENTRY_POINTS)
     def test_entry_point_checks_integers(self, name):
         enter, malformed = ENTRY_POINTS[name]

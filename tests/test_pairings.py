@@ -136,6 +136,17 @@ class TestOneOneCocycle:
             x + OneOneCocycle.zero(builtin("CP2bar"))
 
 
+@pytest.mark.parametrize("kind", ["cocycle", "rep"])
+def test_scale_checks_its_factor(kind):
+    zero = OneOneCocycle.zero(CP2) if kind == "cocycle" else H2DualRep.zero(CP2)
+    x = h2_basis_cocycles(CP2)[0] if kind == "cocycle" else dual_rep_basis(CP2)[0]
+    for y in (zero, x):
+        for bad in ("2", True, 1.5):
+            with pytest.raises(ValueError, match=f"scale factor must be an integer, got {bad!r}"):
+                y.scale(bad)
+    assert x.scale(2) == x + x and zero.scale(3) == zero
+
+
 class TestBasisCocycles:
     def test_projective_plane_generator(self):
         basis = h2_basis_cocycles(CP2)
