@@ -14,8 +14,8 @@ modules: a name is imported from its module on first access (PEP 562) and
 then bound here, so ``from trihodge import homology_groups`` loads only the
 modules that function needs, and a CLI subcommand only the ones it reads.
 
-Lower-level integer linear algebra lives in :mod:`trihodge.lattice` and
-:mod:`trihodge.surface` and is imported directly by callers that need it.
+Lower-level integer linear algebra lives in :mod:`trihodge.lattice` and is
+imported directly by callers that need it.
 """
 
 from importlib import import_module

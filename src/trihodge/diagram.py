@@ -1,5 +1,11 @@
 """Trisection diagrams as triples of cut systems on a surface lattice.
 
+The surface lattice is H1 of the genus-g surface, Z^2g in the basis a1, b1,
+a2, b2, ..., a_g, b_g, with the algebraic intersection form given blockwise
+by [[0, 1], [-1, 0]] for each (a_i, b_i) pair. Every cut system and every
+chain complex in the package lives in it, and every surface pairing is read
+as a dot with a pairing row (``_pairing_rows``).
+
 A genus-g diagram is three systems of g curves each, every system spanning a
 Lagrangian of the surface lattice. Validity is a property of the *homology*
 data: each system must be isotropic and primitive, and each cyclic pair of
@@ -20,14 +26,15 @@ matrix of the two systems' curves. Validation reads each pair check off
 that matrix. When it cannot, because the next system is no primitive
 Lagrangian, it reads the invariant factors of the 2g curves of the pair,
 which span the pair sum. Validation builds no canonical Lagrangian; only
-``lagrangian_subgroup`` and ``pair_sum`` do, for callers that read them.
+``lagrangian_subgroup`` and ``pair_sum`` do, one on each call, for
+callers that read them.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, wraps
 from collections.abc import Iterable, Sequence
-from operator import mul
+from operator import mul, neg
 
 from .lattice import (
     Subgroup,
@@ -37,11 +44,24 @@ from .lattice import (
     _UnitEchelon,
     _Value,
     as_int_vector,
-    subgroup_sum,
 )
-from .surface import SymplecticLattice, _pairing_rows
 
 SYSTEM_NAMES = ("alpha", "beta", "gamma")
+
+
+def _pairing_rows(vectors: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Rows of the map x -> (<e, x>) over trusted vectors e: row e dotted with x is <e, x>.
+
+    Row e holds -e_{2t+1} at 2t and e_{2t} at 2t+1, written as two slice
+    assignments per row.
+    """
+    rows = []
+    for e in vectors:
+        row = [0] * len(e)
+        row[0::2] = map(neg, e[1::2])
+        row[1::2] = e[0::2]
+        rows.append(row)
+    return rows
 
 
 class InvalidDiagramError(ValueError):
@@ -102,6 +122,8 @@ class TrisectionDiagram(_Value):
         label: str | None = None,
     ):
         _check_curve_counts(genus, (alpha.genus, beta.genus, gamma.genus))
+        if label is not None and type(label) is not str:
+            raise ValueError(f"diagram label must be a string or None, got {label!r}")
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
@@ -112,25 +134,15 @@ class TrisectionDiagram(_Value):
     def systems(self) -> tuple[CutSystem, CutSystem, CutSystem]:
         return (self.alpha, self.beta, self.gamma)
 
-    @cached_property
-    def lattice(self) -> SymplecticLattice:
-        return SymplecticLattice(self.genus)
-
-    @cached_property
-    def _lagrangians(self) -> tuple[Subgroup, Subgroup, Subgroup]:
-        return tuple(cs.subgroup() for cs in self.systems)
-
     def lagrangian_subgroup(self, lam: int) -> Subgroup:
         """Canonical subgroup spanned by cut system lam (1=alpha, 2=beta, 3=gamma)."""
-        return self._lagrangians[_system_index(lam)]
-
-    @cached_property
-    def _pair_sums(self) -> tuple[Subgroup, Subgroup, Subgroup]:
-        L = self._lagrangians
-        return tuple(subgroup_sum(L[i], L[(i + 1) % 3]) for i in range(3))
+        return self.systems[_system_index(lam)].subgroup()
 
     def pair_sum(self, lam: int) -> Subgroup:
-        return self._pair_sums[_system_index(lam)]
+        """Canonical subgroup L_lam + L_{lam+1}, spanned by both systems' curves."""
+        i = _system_index(lam)
+        curves = self.systems[i].curves + self.systems[(i + 1) % 3].curves
+        return _span(2 * self.genus, curves)
 
     @cached_property
     def _curve_pairings(self) -> tuple[list[list[int]], ...]:
@@ -448,22 +460,26 @@ def random_diagram(genus: int, seed: int) -> TrisectionDiagram:
     if genus == 0:
         return diagram_from_curves(0, [], [], [], label=f"random(g=0, seed={seed})")
     rng = random.Random(seed)
-    lat = base.lattice
-    rank = lat.rank
+    rank = 2 * genus
 
     systems = [list(cs.curves) for cs in base.systems]
     moves = rng.randint(genus + 1, 3 * genus + 4)
     for _ in range(moves):
-        v = [0] * rank
         support = rng.sample(range(rank), rng.randint(1, min(2, rank)))
-        for idx in support:
-            v[idx] = rng.choice((-1, 1))
-        # the transvection x -> x + <x, v> v, applied curve by curve
+        signs = [rng.choice((-1, 1)) for _ in support]
+        # the transvection x -> x + <x, v> v, applied curve by curve; v is
+        # nonzero only on its support, so <x, v> reads x only at the partner
+        # of each support index (a_t <-> b_t, +v_s at s = b_t and -v_s at
+        # s = a_t), and the move changes x only on that support
+        partners = [(s ^ 1, e if s & 1 else -e) for s, e in zip(support, signs)]
         for curves in systems:
             for c_idx, curve in enumerate(curves):
-                t = lat.intersection_number(curve, v)
+                t = sum(curve[p] * w for p, w in partners)
                 if t:
-                    curves[c_idx] = tuple(x + t * y for x, y in zip(curve, v))
+                    moved = list(curve)
+                    for s, e in zip(support, signs):
+                        moved[s] += t * e
+                    curves[c_idx] = tuple(moved)
 
     return diagram_from_curves(
         genus, systems[0], systems[1], systems[2], label=f"random(g={genus}, seed={seed})"

@@ -50,7 +50,13 @@ from .complexes import (
     _pair_difference_columns,
     homology_complex,
 )
-from .diagram import CycleConditionError, TrisectionDiagram, ensure_valid, memoized
+from .diagram import (
+    CycleConditionError,
+    TrisectionDiagram,
+    _pairing_rows,
+    ensure_valid,
+    memoized,
+)
 from .lattice import (
     Subgroup,
     _as_int,
@@ -62,7 +68,6 @@ from .lattice import (
     _UnitEchelon,
     as_int_vector,
 )
-from .surface import _pairing_rows
 
 
 def _matching_failure(d: TrisectionDiagram, coords) -> str | None:
@@ -498,7 +503,8 @@ def pairing_h3_h1(d: TrisectionDiagram, h3, h1) -> int:
     h1 = as_int_vector(h1, 2 * d.genus)
     if not triple_intersection(d).contains(h1):
         raise ValueError("h1 does not lie in all three Lagrangians")
-    return d.lattice.intersection_number(h3, h1)
+    (row,) = _pairing_rows((h3,))
+    return _dot(row, h1)
 
 
 def h1_basis(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:

@@ -1,10 +1,12 @@
-"""Shared pytest hooks: derandomized fuzzing, acceptance-gate verdict lines."""
+"""Shared pytest hooks: derandomized fuzzing, acceptance-gate verdict lines,
+and the ``canonical_spans`` fixture."""
 
 import importlib
 import sys
 import warnings
 from contextlib import suppress
 
+import pytest
 from hypothesis import settings
 
 settings.register_profile("derandomized", derandomize=True)
@@ -28,3 +30,22 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_line("acceptance gate")
     for number in sorted(gate.VERDICTS):
         terminalreporter.write_line(gate.VERDICTS[number])
+
+
+@pytest.fixture
+def canonical_spans(monkeypatch):
+    """The vectors of every canonical span the diagram module builds since the
+    fixture started: those of ``lagrangian_subgroup`` and ``pair_sum``, which
+    only their callers read and no query path builds."""
+    # imported here, so the hooks above load without the package
+    from trihodge import diagram
+
+    spans = []
+    span = diagram._span
+
+    def recorded(ambient_rank, vectors):
+        spans.append(tuple(vectors))
+        return span(ambient_rank, vectors)
+
+    monkeypatch.setattr(diagram, "_span", recorded)
+    return spans

@@ -76,7 +76,6 @@ from trihodge.pairings import (
 )
 from trihodge.spin import MAX_LISTED, QuadraticEnhancement, enumerate_spin, spin_count
 from trihodge.spinc import act, base_ledger, c1_difference
-from trihodge.surface import SymplecticLattice
 
 ORACLE_MAX_GENUS = 6
 
@@ -95,10 +94,10 @@ def matrix_columns(m: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(m[:, j]) for j in range(m.shape[1])]
 
 
-def form_matrix(lat: SymplecticLattice) -> np.ndarray:
-    """Matrix J of the intersection form: <x, y> = x^T J y."""
-    J = mat([[0] * lat.rank for _ in range(lat.rank)], lat.rank)
-    for i in range(lat.genus):
+def form_matrix(genus: int) -> np.ndarray:
+    """Matrix J of the genus-g intersection form: <x, y> = x^T J y."""
+    J = mat([[0] * (2 * genus) for _ in range(2 * genus)], 2 * genus)
+    for i in range(genus):
         J[2 * i, 2 * i + 1] = 1
         J[2 * i + 1, 2 * i] = -1
     return J
@@ -417,7 +416,7 @@ def pair_quotient(d: TrisectionDiagram, lam: int) -> QuotientPresentation:
     The oracle for each pair check of ``diagram.validate``, which reads the
     invariant factors of an intersection matrix or of the pair's 2g curves.
     """
-    return quotient(d.lattice.rank, d.pair_sum(lam))
+    return quotient(2 * d.genus, d.pair_sum(lam))
 
 
 def quotient_lift(q: QuotientPresentation, coords: Sequence[int]) -> tuple[int, ...]:
@@ -431,7 +430,7 @@ def quotient_lift(q: QuotientPresentation, coords: Sequence[int]) -> tuple[int, 
 def triple_sum(d: TrisectionDiagram) -> Subgroup:
     """L1 + L2 + L3, spanned by the canonical columns of all three at once."""
     columns = [c for lam in (1, 2, 3) for c in d.lagrangian_subgroup(lam).columns()]
-    return Subgroup.from_columns(d.lattice.rank, columns)
+    return Subgroup.from_columns(2 * d.genus, columns)
 
 
 def triple_quotient(d: TrisectionDiagram) -> QuotientPresentation:
@@ -440,7 +439,7 @@ def triple_quotient(d: TrisectionDiagram) -> QuotientPresentation:
     The oracle for the curve-span route of the CLI's three-way H2 check,
     which reads the invariant factors of the 3g curves instead.
     """
-    return quotient(d.lattice.rank, triple_sum(d))
+    return quotient(2 * d.genus, triple_sum(d))
 
 
 def sympy_invariant_factors(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, ...]:
@@ -464,13 +463,14 @@ def validate_by_pair_sums(d: TrisectionDiagram) -> ValidationReport:
     checks off the curves rather than the canonical columns. Primitivity is
     read from sympy's Smith form, not from the package's invariant factors.
     """
-    lat = d.lattice
-    units = [standard_basis_vector(lat, i) for i in range(lat.rank)]
+    rank = 2 * d.genus
+    units = [standard_basis_vector(d.genus, i) for i in range(rank)]
     checks = []
-    for name, L in zip(SYSTEM_NAMES, d._lagrangians):
+    for name, lam in zip(SYSTEM_NAMES, (1, 2, 3)):
+        L = d.lagrangian_subgroup(lam)
         checks.append((f"{name} isotropic", is_isotropic(L)))
         rows = [[plain_form(e, u) for u in units] for e in L.columns()]
-        ones = sympy_invariant_factors(rows, lat.rank) == (1,) * d.genus
+        ones = sympy_invariant_factors(rows, rank) == (1,) * d.genus
         checks.append((f"{name} primitive", L.rank == d.genus and ones))
     quotients = [pair_quotient(d, lam) for lam in (1, 2, 3)]
     for name, q in zip(("alpha+beta", "beta+gamma", "gamma+alpha"), quotients):
@@ -561,26 +561,26 @@ def image_subgroup(m: np.ndarray) -> Subgroup:
     return Subgroup.from_columns(m.shape[0], matrix_columns(m))
 
 
-def standard_basis_vector(lat: SymplecticLattice, index: int) -> tuple[int, ...]:
-    vec = [0] * lat.rank
+def standard_basis_vector(genus: int, index: int) -> tuple[int, ...]:
+    vec = [0] * (2 * genus)
     vec[index] = 1
     return tuple(vec)
 
 
-def pi_dual(lat: SymplecticLattice, x: Sequence[int]) -> tuple[int, ...]:
+def pi_dual(genus: int, x: Sequence[int]) -> tuple[int, ...]:
     """Coordinates of the functional <., x> in the dual basis.
 
     The assignment x -> <., x> identifies the lattice with its dual because
     the form is unimodular; concretely the coordinate vector is J @ x.
     """
-    out = form_matrix(lat) @ column_vector(as_int_vector(x, lat.rank))
+    out = form_matrix(genus) @ column_vector(as_int_vector(x, 2 * genus))
     return tuple(int(e) for e in out[:, 0])
 
 
-def transvection_matrix(lat: SymplecticLattice, v: Sequence[int]) -> np.ndarray:
+def transvection_matrix(genus: int, v: Sequence[int]) -> np.ndarray:
     """Matrix of x -> x + <x, v> v, an integral symplectomorphism."""
-    v = column_vector(as_int_vector(v, lat.rank))
-    return mat(_identity_rows(lat.rank), lat.rank) + v @ (form_matrix(lat) @ v).T
+    v = column_vector(as_int_vector(v, 2 * genus))
+    return mat(_identity_rows(2 * genus), 2 * genus) + v @ (form_matrix(genus) @ v).T
 
 
 def is_isotropic(sub: Subgroup) -> bool:
@@ -588,16 +588,16 @@ def is_isotropic(sub: Subgroup) -> bool:
     return not any(plain_form(x, y) for x in sub.columns() for y in sub.columns())
 
 
-def is_lagrangian(lat: SymplecticLattice, sub: Subgroup) -> bool:
-    return sub.rank == lat.genus and is_isotropic(sub)
+def is_lagrangian(genus: int, sub: Subgroup) -> bool:
+    return sub.rank == genus and is_isotropic(sub)
 
 
-def m_subgroup(lat: SymplecticLattice, lagrangian: Subgroup) -> Subgroup:
+def m_subgroup(genus: int, lagrangian: Subgroup) -> Subgroup:
     """Image of a Lagrangian under the duality map x -> <., x>."""
-    if not is_lagrangian(lat, lagrangian):
+    if not is_lagrangian(genus, lagrangian):
         raise ValueError("m_subgroup needs a Lagrangian subgroup")
     return Subgroup.from_columns(
-        lat.rank, [pi_dual(lat, col) for col in lagrangian.columns()]
+        2 * genus, [pi_dual(genus, col) for col in lagrangian.columns()]
     )
 
 
@@ -836,9 +836,28 @@ def scrambled(d: TrisectionDiagram, seed: int) -> TrisectionDiagram:
         v = [0] * (2 * d.genus)
         for idx in rng.sample(range(2 * d.genus), min(rng.randint(1, 3), 2 * d.genus)):
             v[idx] = rng.choice((-1, 1))
-        T = transvection_matrix(d.lattice, v)
+        T = transvection_matrix(d.genus, v)
         systems = [[tuple(int(e) for e in (T @ column_vector(c))[:, 0]) for c in cs] for cs in systems]
     return diagram_from_curves(d.genus, *systems, label=d.label)
+
+
+def diagram_from_form(Q: Sequence[Sequence[int]]) -> TrisectionDiagram:
+    """The triple alpha = <a_i>, beta = <b_i>, gamma = <a_i + sum_j Q_ij b_j>.
+
+    Gamma is isotropic when Q is symmetric, and the triple is valid exactly
+    when Q has a torsion-free cokernel. For a unimodular Q the k-values are
+    (0, 0, 0) and the intersection form is Q, so any form can be prescribed:
+    even, definite, or with large entries.
+    """
+    g = len(Q)
+    units = _identity_rows(2 * g)
+    gamma = []
+    for i, row in enumerate(Q):
+        curve = [0] * (2 * g)
+        curve[2 * i] = 1
+        curve[1::2] = row
+        gamma.append(curve)
+    return diagram_from_curves(g, units[0::2], units[1::2], gamma)
 
 
 LADDER_BASES = ("CP2", "CP2bar", "S1xS3", "S2xS2", "QS4_Z2", "QS4_Z3")

@@ -149,7 +149,6 @@ ALWAYS_LOADED = {
     "trihodge.cli",
     "trihodge.diagram",
     "trihodge.lattice",
-    "trihodge.surface",
 }
 READS = {
     "import": set(),

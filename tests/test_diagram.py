@@ -34,9 +34,8 @@ from trihodge.complexes import (
 from trihodge.diagram import _span_quotient
 from trihodge.lattice import Subgroup, _combination, _Value, subgroup_sum
 from trihodge.pairings import dual_rep_basis, h2_basis_cocycles, intersection_form
-from trihodge.spin import enumerate_spin
+from trihodge.spin import enumerate_spin, spin_count
 from trihodge.spinc import base_ledger, lutz_shift
-from trihodge.surface import SymplecticLattice
 
 from helpers import (
     cold_copy,
@@ -78,6 +77,11 @@ class TestConstruction:
         d2 = diagram_from_curves(1, [(1, 0)], [(0, 1)], [(1, 1)], label="other")
         assert d1 == d2
 
+    @pytest.mark.parametrize("label", [5, ["x"], b"x", 1.5])
+    def test_label_must_be_a_string_or_none(self, label):
+        with pytest.raises(ValueError, match="^diagram label must be a string or None, got "):
+            diagram_from_curves(1, [[1, 0]], [[0, 1]], [[1, 1]], label=label)
+
 
 def records(d: TrisectionDiagram) -> dict:
     """One instance of each of the package's immutable record classes, built on d."""
@@ -87,7 +91,6 @@ def records(d: TrisectionDiagram) -> dict:
         "validation report": d.validation,
         "subgroup": d.lagrangian_subgroup(1),
         "quotient": triple_quotient(d),
-        "surface lattice": d.lattice,
         "homology group": homology_groups(d)[2],
         "complex": homology_complex(d),
         "diamond": hodge_diamond(d),
@@ -207,6 +210,13 @@ class TestEulerCharacteristic:
         assert euler_characteristic(builtin("S2xS2_candidate")) == 4
 
 
+# the genus-1 trisections of S4, one for each position of the k-value 1
+STABILIZATIONS = tuple(
+    diagram_from_curves(1, *([curve] for curve in curves))
+    for curves in (((1, 0), (1, 0), (0, 1)), ((0, 1), (1, 0), (1, 0)), ((1, 0), (0, 1), (1, 0)))
+)
+
+
 class TestConnectedSum:
     def test_genus_and_k_add(self):
         d = builtin("CP2#CP2bar")
@@ -224,6 +234,21 @@ class TestConnectedSum:
         d = connected_sum(builtin("CP2"), builtin("S1xS3"))
         assert d.alpha.curves == ((1, 0, 0, 0), (0, 0, 0, 1))
         assert d.gamma.curves == ((1, 1, 0, 0), (0, 0, 0, 1))
+
+    @pytest.mark.parametrize("name", ["S2xS2#QS4_Z3", "S1xS3#QS4_Z2", "CP2", "ladder(g=8)"])
+    def test_stabilization_keeps_every_invariant(self, name):
+        d = ladder_diagram(8) if name.startswith("ladder") else builtin(name)
+
+        def invariants(d):
+            form = intersection_form(d)
+            return homology_groups(d), form.signature, form.parity, spin_count(d)
+
+        before = invariants(d)
+        for piece, k in zip(STABILIZATIONS, ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+            assert piece.validation.k_values == k
+            for stabilized in (connected_sum(d, piece), connected_sum(piece, d)):
+                assert stabilized.validation.is_valid
+                assert invariants(stabilized) == before
 
     def test_unknown_builtin(self):
         with pytest.raises(KeyError):
@@ -255,12 +280,12 @@ def torsion_sums_and_their_slides():
 
 
 class TestKValuesFromPairQuotients:
-    def test_validation_builds_no_pair_intersection(self):
+    def test_validation_builds_no_pair_intersection(self, canonical_spans):
         fn = _pair_difference_columns
         pair_columns = f"{fn.__module__}.{fn.__qualname__}"
         for d in (builtin("S2xS2#QS4_Z3"), random_diagram(6, 0), builtin("S1xS3#S1xS3")):
             assert d.validation.is_valid
-            assert pair_columns not in vars(d) and "_lagrangians" not in vars(d)
+            assert pair_columns not in vars(d) and not canonical_spans
 
     def test_k_values_are_the_pair_intersection_ranks(self):
         for d in RANDOM_SUITE + tuple(torsion_sums_and_their_slides()):
@@ -306,7 +331,7 @@ class TestPairChecksFromIntersectionMatrices:
             d = cold_copy(d)
             assert validate(d) == validate_by_pair_sums(d), d.describe()
 
-    def test_invalid_inputs_cover_both_branches(self, monkeypatch):
+    def test_invalid_inputs_cover_both_branches(self, monkeypatch, canonical_spans):
         widths, quotients = [], []
         build = lattice.QuotientPresentation.__init__
 
@@ -333,7 +358,7 @@ class TestPairChecksFromIntersectionMatrices:
             assert not validate(d).is_valid
             assert 2 * d.genus in widths, d.alpha
             # the fallback reads the curves: no canonical Lagrangian, no quotient
-            assert "_lagrangians" not in vars(d) and "_pair_sums" not in vars(d)
+            assert not canonical_spans
         assert not quotients
 
     def test_non_primitive_systems_reach_both_smith_branches(self, monkeypatch):
@@ -396,17 +421,17 @@ class TestPairChecksFromIntersectionMatrices:
             ones = sympy_invariant_factors(rows, 2 * d.genus) == (1,) * d.genus
             assert echelon.primitive == ones
 
-    def test_validation_builds_no_pair_sum(self):
+    def test_validation_builds_no_pair_sum(self, canonical_spans):
         for d in DUALITY_SUITE[::7]:
             d = cold_copy(d)
             assert validate(d).is_valid
-            assert "_pair_sums" not in vars(d) and "_lagrangians" not in vars(d)
+            assert not canonical_spans
 
     def test_triple_sum_is_the_sum_of_the_pair_sum_and_the_third_lagrangian(self):
         suite = DUALITY_SUITE + tuple(ladder_diagram(g) for g in (8, 12, 16, 24))
         for d in suite + PAIR_FAILURES + FALLBACKS:
-            L = d._lagrangians
-            assert triple_sum(d) == subgroup_sum(d.pair_sum(1), L[2]), d.describe()
+            third = d.lagrangian_subgroup(3)
+            assert triple_sum(d) == subgroup_sum(d.pair_sum(1), third), d.describe()
             # the curve-span route of the fallback and of the CLI's H2 law
             quotients = [pair_quotient(d, lam) for lam in (1, 2, 3)] + [triple_quotient(d)]
             systems = [(0, 1), (1, 2), (2, 0), (0, 1, 2)]
@@ -417,12 +442,12 @@ class TestPairChecksFromIntersectionMatrices:
 
 
 class TestCurveBases:
-    def test_validation_reads_only_the_curves(self):
+    def test_validation_reads_only_the_curves(self, canonical_spans):
         suite = RANDOM_SUITE + tuple(torsion_sums_and_their_slides())
         for d in suite + tuple(ladder_diagram(g) for g in (8, 16)):
             d = cold_copy(d)
             ensure_valid(d)
-            assert "_lagrangians" not in vars(d), d.describe()
+            assert not canonical_spans, d.describe()
 
     def test_pair_kernels_pair_the_curves_of_consecutive_systems(self):
         for d in RANDOM_SUITE + tuple(torsion_sums_and_their_slides()):
@@ -485,7 +510,7 @@ class TestHandleslide:
         "diagram_from_curves",
         "random_diagram",
         "standard_triple",
-        "SymplecticLattice",
+        "TrisectionDiagram",
     ],
 )
 def test_index_arguments_must_be_ints(entry, index):
@@ -502,7 +527,7 @@ def test_index_arguments_must_be_ints(entry, index):
         "diagram_from_curves": lambda: diagram_from_curves(index, [(1, 0)], [(0, 1)], [(1, 1)]),
         "random_diagram": lambda: random_diagram(index, 3),
         "standard_triple": lambda: standard_triple(index),
-        "SymplecticLattice": lambda: SymplecticLattice(index),
+        "TrisectionDiagram": lambda: TrisectionDiagram(index, *builtin("CP2").systems),
     }
     with pytest.raises(ValueError):
         calls[entry]()

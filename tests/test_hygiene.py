@@ -252,7 +252,7 @@ def test_public_name_detector():
 
 # Public lower-level API that nothing in the package calls, kept on purpose
 # (the public-surface item of ROADMAP.md records each decision).
-LOWER_LEVEL_API = ("h3_representatives",)
+LOWER_LEVEL_API = ("h3_representatives", "subgroup_sum")
 
 # Public methods and properties that no definition in the package or the
 # bench reads through a reference to their class (only the tests, or the
@@ -343,9 +343,13 @@ def test_smith_forms_are_built_through_the_lattice_module(path):
     assert not binds_smith(path.read_text())
 
 
-def memoized_definitions(sources: dict[str, str]) -> list[str]:
+def decorated_definitions(sources: dict[str, str], decorator: str) -> list[str]:
     """``module:qualname`` of each top-level function and method of a
-    top-level class decorated with ``memoized``."""
+    top-level class decorated with ``decorator``, by name or attribute."""
+
+    def names(d: ast.AST) -> bool:
+        return (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None)) == decorator
+
     found = []
     for module, source in sources.items():
         for node in ast.parse(source).body:
@@ -359,7 +363,7 @@ def memoized_definitions(sources: dict[str, str]) -> list[str]:
             found += [
                 f"{module}:{qualname}"
                 for qualname, item in items
-                if any(isinstance(d, ast.Name) and d.id == "memoized" for d in item.decorator_list)
+                if any(map(names, item.decorator_list))
             ]
     return found
 
@@ -375,7 +379,7 @@ def test_memoized_definition_detector():
             "    def plain(self): pass\n"
         ),
     }
-    assert memoized_definitions(sources) == ["a:kept", "a:Box.held"]
+    assert decorated_definitions(sources, "memoized") == ["a:kept", "a:Box.held"]
 
 
 # Each memoized definition, with the caller or workload that reads its value
@@ -406,6 +410,79 @@ MEMO_READERS = {
 
 
 def test_every_memoized_definition_has_a_second_reader():
-    found = memoized_definitions(SOURCES)
+    found = decorated_definitions(SOURCES, "memoized")
     assert sorted(set(found) - set(MEMO_READERS)) == []
     assert sorted(set(MEMO_READERS) - set(found)) == []
+
+
+def test_cached_property_detector():
+    sources = {
+        "a": (
+            "import functools\n"
+            "class Box:\n"
+            "    @cached_property\n"
+            "    def held(self): pass\n"
+            "    @functools.cached_property\n"
+            "    def dotted(self): pass\n"
+            "    @property\n"
+            "    def plain(self): pass\n"
+            "    class Inner:\n"
+            "        @cached_property\n"
+            "        def nested(self): pass\n"
+        ),
+        "b": "class Other:\n    @cached_property\n    def _private(self): pass\n",
+    }
+    found = decorated_definitions(sources, "cached_property")
+    assert found == ["a:Box.held", "a:Box.dotted", "b:Other._private"]
+
+
+# Each cached_property, with the caller or workload that reads its value a
+# second time on one object, or the reason it is cached though read once.
+CACHED_READERS = {
+    "complexes:FreeChainComplex.diffs": (
+        "a public view built only on first read: the bench's lattice replay and the "
+        "test oracles read the matrices, no package path does"
+    ),
+    "diagram:TrisectionDiagram._curve_pairings": (
+        "_intersection_matrices, validate's isotropy checks, and every H2DualRep.from_lifts"
+    ),
+    "diagram:TrisectionDiagram._curve_echelons": (
+        "validate's primitivity checks, the pair difference columns, cocycle "
+        "coordinates and every _reduced_lift"
+    ),
+    "diagram:TrisectionDiagram._intersection_matrices": (
+        "validate's pair checks, the pair difference columns, homology_complex, "
+        "_beta_pairings and triple_intersection"
+    ),
+    "diagram:TrisectionDiagram.validation": "ensure_valid before every query, and k_values",
+    "diagram:ValidationReport.is_valid": "ensure_valid on every query, and the CLI's validate frame",
+    "lattice:_Smith.U": (
+        "built only when read: every QuotientPresentation.project call; "
+        "test_smith_forms_build_only_the_transforms_read probes which transforms are built"
+    ),
+    "lattice:_Smith.Uinv": (
+        "built only when read: _free_lifts of each cokernel with free generators; "
+        "test_smith_forms_build_only_the_transforms_read probes it"
+    ),
+    "lattice:_Smith.V": (
+        "built only when read, by smith_normal_form; "
+        "test_smith_forms_build_only_the_transforms_read shows no query builds it"
+    ),
+    "lattice:Subgroup.basis": (
+        "a public read-only matrix built only on first read: the bench's lattice "
+        "replay reads it for every canonical span, no package path does"
+    ),
+    "lattice:Subgroup._entries": "every coordinates_of and contains call on the subgroup",
+    "pairings:OneOneCocycle.blocks": (
+        "b1, b2 and b3, read in turn by the CLI's cocycle frames and the bench's census check"
+    ),
+    "pairings:H2DualRep.lifts": (
+        "the bench's census check, which reads reps[0].lifts once per basis cocycle"
+    ),
+}
+
+
+def test_every_cached_property_has_a_second_reader():
+    found = decorated_definitions(SOURCES, "cached_property")
+    assert sorted(set(found) - set(CACHED_READERS)) == []
+    assert sorted(set(CACHED_READERS) - set(found)) == []

@@ -18,7 +18,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from trihodge import lattice
 from trihodge.complexes import dual_complex, homology_complex
-from trihodge.diagram import diagram_from_curves, random_diagram
+from trihodge.diagram import builtin, diagram_from_curves, random_diagram
 from trihodge.lattice import (
     Subgroup,
     _column_matrix,
@@ -36,7 +36,7 @@ from trihodge.lattice import (
     snf_diagonal,
     subgroup_sum,
 )
-from trihodge.surface import SymplecticLattice
+from trihodge.pairings import pairing_h3_h1
 
 from helpers import (
     det,
@@ -760,6 +760,7 @@ class TestUnitEchelon:
 
 
 FREE_LINE = quotient(1, Subgroup.from_columns(1, ()))
+S1XS3 = builtin("S1xS3")
 NOT_A_MATRIX = np.array([1, 2], dtype=object)
 
 # Each public entry point: a call placing one entry x in otherwise valid input
@@ -805,9 +806,9 @@ ENTRY_POINTS = {
         lambda x: diagram_from_curves(1, [(x, 1)], [(0, 1)], [(1, 1)]).alpha.curves[0][0],
         [lambda: diagram_from_curves(1, [(1, 0, 0)], [(0, 1)], [(1, 1)])],
     ),
-    "intersection_number": (
-        lambda x: SymplecticLattice(1).intersection_number((x, 0), (0, 1)),
-        [lambda: SymplecticLattice(1).intersection_number((1, 0, 0), (0, 1))],
+    "pairing_h3_h1": (
+        lambda x: pairing_h3_h1(S1XS3, (x, 0), (0, 1)),
+        [lambda: pairing_h3_h1(S1XS3, (1, 0, 0), (0, 1))],
     ),
 }
 

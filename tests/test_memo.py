@@ -25,7 +25,13 @@ from trihodge.complexes import (
     homology_complex,
     homology_groups,
 )
-from trihodge.diagram import InvalidDiagramError, builtin, diagram_from_curves, ensure_valid
+from trihodge.diagram import (
+    InvalidDiagramError,
+    _pairing_rows,
+    builtin,
+    diagram_from_curves,
+    ensure_valid,
+)
 from trihodge.pairings import (
     H2DualRep,
     dual_rep_basis,
@@ -39,7 +45,6 @@ from trihodge.pairings import (
 )
 from trihodge.spin import enumerate_spin, spin_count
 from trihodge.spinc import act, base_ledger, c1_difference
-from trihodge.surface import _pairing_rows
 
 from helpers import (
     cech_complex,
@@ -177,11 +182,11 @@ SUMS = ["CP2#CP2bar", "S2xS2#QS4_Z3", "S1xS3#QS4_Z2"]
 GRAM_SCHMIDT = f"{pairings.__name__}.{pairings._curve_gram_schmidt.__qualname__}"
 
 
-def lifted(d) -> bool:
-    """Whether d holds its canonical Lagrangians, which no package path
-    builds, or the Gram-Schmidt data of its curves, which only the
-    reduction of lifts reads."""
-    return "_lagrangians" in vars(d) or any(key.startswith(GRAM_SCHMIDT) for key in vars(d))
+def lifted(d, canonical_spans) -> bool:
+    """Whether a canonical Lagrangian or pair sum was built, which no package
+    path does, or d holds the Gram-Schmidt data of its curves, which only
+    the reduction of lifts reads."""
+    return bool(canonical_spans) or any(key.startswith(GRAM_SCHMIDT) for key in vars(d))
 
 
 TRANSFORMS = ("U", "V", "Uinv")
@@ -233,12 +238,12 @@ def test_no_smith_form_is_computed_twice(name, smith_forms):
 
 
 @pytest.mark.parametrize("name", SUMS)
-def test_smith_forms_build_only_the_transforms_read(name, smith_forms):
+def test_smith_forms_build_only_the_transforms_read(name, smith_forms, canonical_spans):
     d = builtin(name)
     ensure_valid(d)
     # primitivity is read off the curve echelons, and every pair factor is
     # a unit pivot of the elimination of an intersection matrix
-    assert not smith_forms and not lifted(d)
+    assert not smith_forms and not lifted(d, canonical_spans)
     homology_groups(d)
     dual_middle_homology(d)
     # the groups read only invariant factors
@@ -248,7 +253,7 @@ def test_smith_forms_build_only_the_transforms_read(name, smith_forms):
     # one cokernel, which replays U^{-1} when there are free generators to lift
     free = homology_groups(d)[2].rank > 0
     assert [built(form) for form in smith_forms[before:]] == [{"Uinv"} if free else set()]
-    assert not lifted(d)
+    assert not lifted(d, canonical_spans)
 
 
 @pytest.mark.parametrize("name", ["CP2#CP2bar", "S2xS2#QS4_Z3"])
@@ -271,24 +276,25 @@ def test_only_the_degree_two_position_builds_generators(name, smith_forms, elimi
 
 
 @pytest.mark.parametrize("name", SUMS)
-def test_validation_and_spin_build_no_transform(name, smith_forms):
+def test_validation_and_spin_build_no_transform(name, smith_forms, canonical_spans):
     d = builtin(name)
     ensure_valid(d)
     spin_count(d)
     enumerate_spin(d)
     assert smith_forms == []
-    assert not lifted(d)
+    assert not lifted(d, canonical_spans)
 
 
 @pytest.mark.parametrize("name", SUMS)
-def test_validation_builds_no_pair_sum_but_reads_it_on_demand(name):
+def test_validation_builds_no_pair_sum_but_reads_it_on_demand(name, canonical_spans):
     d = builtin(name)
     ensure_valid(d)
-    assert "_pair_sums" not in vars(d) and "_lagrangians" not in vars(d)
+    assert not canonical_spans
     homology_groups(d)
     dual_middle_homology(d)
-    assert "_pair_sums" not in vars(d) and "_lagrangians" not in vars(d)
+    assert not canonical_spans
     L = [d.lagrangian_subgroup(lam) for lam in (1, 2, 3)]
+    assert canonical_spans == [cs.curves for cs in d.systems]
     for lam, k in zip((1, 2, 3), d.validation.k_values):
         pair = lattice.subgroup_sum(L[lam - 1], L[lam % 3])
         assert d.pair_sum(lam) == pair
@@ -400,7 +406,9 @@ def test_dual_middle_homology_adds_no_elimination(name, eliminations):
     assert [count(added, cols, "unit") for cols in dual.columns] == [1, 1]
 
 
-def test_dense_queries_build_no_lagrangian_echelon_and_nothing_wider_than_3g(monkeypatch):
+def test_dense_queries_build_no_lagrangian_echelon_and_nothing_wider_than_3g(
+    monkeypatch, canonical_spans
+):
     d = ladder_diagram(12)
     widths = []
     forward = lattice._forward_echelon
@@ -419,7 +427,7 @@ def test_dense_queries_build_no_lagrangian_echelon_and_nothing_wider_than_3g(mon
     s = base_ledger(d)
     c1_difference(act(s, reps[0]), s)
     assert widths and max(widths) <= 3 * d.genus
-    assert "_lagrangians" not in vars(d) and "_pair_sums" not in vars(d)
+    assert not canonical_spans
 
 
 def census_query(d):
@@ -464,12 +472,12 @@ def lift_reads(monkeypatch):
 CENSUS_DIAGRAMS = [builtin(name) for name in SUMS] + list(RANDOM_SUITE[::5])
 
 
-def test_pair_quotients_build_no_inverse_unless_lifted():
+def test_pair_quotients_build_no_inverse_unless_lifted(canonical_spans):
     diagrams = [builtin(name) for name in SUMS] + [cold_copy(d) for d in RANDOM_SUITE]
     for d in diagrams:
         census_query(d)
     # the op builds no pair sum, so no pair quotient either
-    assert not any("_pair_sums" in vars(d) for d in diagrams)
+    assert not canonical_spans
     for d in diagrams:
         for lam in (1, 2, 3):
             q = pair_quotient(d, lam)
@@ -481,18 +489,20 @@ def test_pair_quotients_build_no_inverse_unless_lifted():
             assert "Uinv" in built(q._smith)
 
 
-def test_census_query_replays_no_pairing_transform_and_no_lift(smith_forms, lift_reads):
+def test_census_query_replays_no_pairing_transform_and_no_lift(
+    smith_forms, lift_reads, canonical_spans
+):
     diagrams = [cold_copy(d) for d in CENSUS_DIAGRAMS]
     reps = [rep for d in diagrams for rep in census_query(d)[1]]
     # the only transform the op replays is the degree-two generators' U^{-1}
     assert reps and not lift_reads
     assert all(built(form) in ({"Uinv"}, set()) for form in smith_forms)
-    assert not any(lifted(d) for d in diagrams)
+    assert not any(lifted(d, canonical_spans) for d in diagrams)
     memo = {id(d): dict(vars(d)) for d in diagrams}
     before = len(smith_forms)
     for rep in reps:
         assert H2DualRep.from_lifts(rep.diagram, rep.lifts) == rep
-    assert len(lift_reads) == len(reps)
+    assert len(lift_reads) == len(reps) and not canonical_spans
     # reading lifts substitutes along the curve echelons validation built and
     # reduces against the Gram-Schmidt data of the curves of each system
     # whose block is nonzero in some rep (a zero block lifts to zero): it
@@ -506,17 +516,16 @@ def test_census_query_replays_no_pairing_transform_and_no_lift(smith_forms, lift
     assert any(gram_schmidt.values())
     for d in diagrams:
         assert set(vars(d)) - set(memo[id(d)]) == gram_schmidt[id(d)]
-        assert "_lagrangians" not in vars(d)
         assert d._curve_echelons is memo[id(d)]["_curve_echelons"]
 
 
-def test_census_query_keeps_cocycles_in_curve_coordinates(lift_reads):
+def test_census_query_keeps_cocycles_in_curve_coordinates(lift_reads, canonical_spans):
     diagrams = [cold_copy(d) for d in CENSUS_DIAGRAMS]
     cocycles = [x for d in diagrams for x in census_query(d)[0]]
     assert len(cocycles) > len(diagrams)
     # no ambient block is built: a cocycle holds its diagram and coordinates only
     assert all(set(vars(x)) == {"diagram", "coords"} for x in cocycles)
-    assert not any(lifted(d) for d in diagrams) and not lift_reads
+    assert not any(lifted(d, canonical_spans) for d in diagrams) and not lift_reads
     for x in cocycles:
         assert cocycle_from_blocks(x.diagram, *x.blocks) == x
     assert all(set(vars(x)) == {"diagram", "coords", "blocks"} for x in cocycles)
@@ -552,7 +561,7 @@ HOMOLOGY_BUILTINS = ["S4", "CP2", "S1xS3", "S2xS2", "QS4_Z3", *SUMS, "CP2#QS4_Z3
 
 @pytest.mark.parametrize("name", HOMOLOGY_BUILTINS)
 def test_homology_command_builds_no_lagrangian_and_only_the_degree_two_generators(
-    name, smith_forms, eliminations, monkeypatch
+    name, smith_forms, eliminations, monkeypatch, canonical_spans
 ):
     loaded = []
     load = cli._load_diagram
@@ -567,9 +576,7 @@ def test_homology_command_builds_no_lagrangian_and_only_the_degree_two_generator
     assert not any(built(form) for form in smith_forms)
     echelons = [m for kind, m in eliminations if kind == "echelon"]
     assert echelons[::2] == [q for d in loaded for q in d._intersection_matrices]
-    assert len(echelons) == 6 * len(loaded)
-    for d in loaded:
-        assert "_lagrangians" not in vars(d) and "_pair_sums" not in vars(d)
+    assert len(echelons) == 6 * len(loaded) and not canonical_spans
 
 
 def test_equal_diagrams_keep_separate_results():

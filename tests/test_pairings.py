@@ -38,6 +38,7 @@ from trihodge.pairings import (
 from helpers import (
     cocycle_from_blocks,
     det,
+    diagram_from_form,
     full_width_signature,
     h3_h1_gram,
     h3_representatives_by_complex,
@@ -71,12 +72,7 @@ LADDER_REPS = tuple(ladder_diagram(g) for g in (8, 12, 16, 24))
 
 
 def pairing_all_ways(d, x, y):
-    lat = d.lattice
-    return (
-        lat.intersection_number(x.b1, y.b2),
-        lat.intersection_number(x.b2, y.b3),
-        lat.intersection_number(x.b3, y.b1),
-    )
+    return (plain_form(x.b1, y.b2), plain_form(x.b2, y.b3), plain_form(x.b3, y.b1))
 
 
 class TestOneOneCocycle:
@@ -216,6 +212,58 @@ class TestIntersectionForm:
     def test_three_expressions_on_generator(self):
         x = h2_basis_cocycles(CP2)[0]
         assert pairing_all_ways(CP2, x, x) == (1, 1, 1)
+
+
+def block_sum(*forms):
+    n = sum(map(len, forms))
+    rows, start = [], 0
+    for Q in forms:
+        rows += [[0] * start + list(row) + [0] * (n - start - len(Q)) for row in Q]
+        start += len(Q)
+    return rows
+
+
+E8 = (
+    (2, -1, 0, 0, 0, 0, 0, 0),
+    (-1, 2, -1, 0, 0, 0, 0, 0),
+    (0, -1, 2, -1, 0, 0, 0, -1),
+    (0, 0, -1, 2, -1, 0, 0, 0),
+    (0, 0, 0, -1, 2, -1, 0, 0),
+    (0, 0, 0, 0, -1, 2, -1, 0),
+    (0, 0, 0, 0, 0, -1, 2, 0),
+    (0, 0, -1, 0, 0, 0, 0, 2),
+)
+HYPERBOLIC = ((0, 1), (1, 0))
+# unimodular forms with their signature and parity: definite and non-diagonal,
+# even, and with a Gram entry of 3
+PRESCRIBED = {
+    "E8": (E8, (8, 0), "even"),
+    "-E8": ([[-q for q in row] for row in E8], (0, 8), "even"),
+    "H": (HYPERBOLIC, (1, 1), "even"),
+    "E8+H": (block_sum(E8, HYPERBOLIC), (9, 1), "even"),
+    "[[3,1],[1,0]]": (((3, 1), (1, 0)), (1, 1), "odd"),
+    "<1>": (((1,),), (1, 0), "odd"),
+    "<1>+<-1>": (((1, 0), (0, -1)), (1, 1), "odd"),
+}
+
+
+class TestPrescribedForms:
+    @pytest.mark.parametrize("name", PRESCRIBED)
+    def test_the_form_is_the_prescribed_one(self, name):
+        Q, signature, parity = PRESCRIBED[name]
+        d = diagram_from_form(Q)
+        assert d.validation.is_valid and d.validation.k_values == (0, 0, 0)
+        form = intersection_form(d)
+        assert form.gram == tuple(map(tuple, Q))
+        assert (form.signature, form.parity, form.unimodular) == (signature, parity, True)
+        assert betti_numbers(d) == (1, 0, len(Q), 0, 1)
+        for seed in (1, 2):
+            moved = intersection_form(scrambled(d, seed))
+            assert (moved.signature, moved.parity, moved.unimodular) == (signature, parity, True)
+
+    def test_a_form_of_determinant_two_fails_only_the_last_pair(self):
+        report = diagram_from_form(((2,),)).validation
+        assert [name for name, ok in report.checks if not ok] == ["gamma+alpha torsion-free"]
 
 
 @st.composite

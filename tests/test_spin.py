@@ -23,7 +23,6 @@ from trihodge.spin import (
     enumerate_spin,
     spin_count,
 )
-from trihodge.surface import SymplecticLattice
 
 from helpers import (
     LADDER_BASES,
@@ -31,6 +30,7 @@ from helpers import (
     brute_force_spin,
     dict_scan_solution_space,
     ladder_diagram,
+    plain_form,
     scrambled,
     spin_sum_diagram,
 )
@@ -73,13 +73,12 @@ class TestEvaluate:
 
 @pytest.mark.parametrize("genus", [1, 2])
 def test_defining_relation_exhaustively(genus):
-    lattice = SymplecticLattice(genus)
     vectors = list(itertools.product((0, 1), repeat=2 * genus))
     for q in all_enhancements(genus):
         for x in vectors:
             for y in vectors:
                 s = tuple(a + b for a, b in zip(x, y))
-                expected = (q.evaluate(x) + q.evaluate(y) + lattice.intersection_number(x, y)) % 2
+                expected = (q.evaluate(x) + q.evaluate(y) + plain_form(x, y)) % 2
                 assert q.evaluate(s) == expected
 
 

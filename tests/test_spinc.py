@@ -63,9 +63,7 @@ class TestBaseLedger:
 class TestLutzShift:
     def test_drop_by_twice_the_class(self):
         s = base_ledger(CP2)
-        gamma = tuple(
-            CP2.lattice.intersection_number(e, (0, 1)) for e in CP2.lagrangian_subgroup(1).columns()
-        )
+        gamma = tuple(plain_form(e, (0, 1)) for e in CP2.lagrangian_subgroup(1).columns())
         assert gamma == (1,)
         shifted = lutz_shift(s, 1, gamma)
         assert shifted.euler == ((-2,), (0,), (0,))
