@@ -33,7 +33,6 @@ _EXPORTS = {
         "dual_complex",
         "dual_middle_homology",
         "hodge_diamond",
-        "homology",
         "homology_complex",
         "homology_groups",
         "serre_duality_holds",

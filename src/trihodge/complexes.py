@@ -105,9 +105,7 @@ class FreeChainComplex(_Frozen):
 
     Position i maps to position i+1 by the differential whose columns are
     ``columns[i]``: one tuple per basis vector of position i, each of length
-    ``ranks[i + 1]``. Consecutive composites must vanish. ``degrees`` carries
-    the semantic degree label of each position (descending for the homology
-    complex, ascending for its dual), each label once. Columns that already
+    ``ranks[i + 1]``. Consecutive composites must vanish. Columns that already
     are tuples of Python ints are kept as the same objects. Every homology
     group is read from the invariant factors of the differentials, which
     are memoized on the complex; free generators are built only where
@@ -117,16 +115,13 @@ class FreeChainComplex(_Frozen):
     def __init__(
         self,
         ranks: tuple[int, ...],
-        degrees: tuple[int, ...],
         columns: tuple[tuple[tuple[int, ...], ...], ...],
     ):
-        ranks, degrees = tuple(ranks), tuple(degrees)
+        ranks = tuple(ranks)
         for r in ranks:
             _check_count(r, "rank")
-        if len(set(degrees)) != len(degrees):
-            raise ValueError(f"degree labels repeat: {degrees}")
         n = len(ranks)
-        if len(degrees) != n or len(columns) != n - 1:
+        if len(columns) != n - 1:
             raise ValueError("inconsistent complex data")
         kept = []
         for i, (cols, nrows) in enumerate(zip(columns, ranks[1:])):
@@ -139,7 +134,6 @@ class FreeChainComplex(_Frozen):
             if any(any(_combination(kept[i + 1], col, ranks[i + 2])) for col in kept[i]):
                 raise ValueError(f"differentials {i} and {i + 1} do not compose to zero")
         object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "columns", tuple(kept))
 
     @cached_property
@@ -147,17 +141,9 @@ class FreeChainComplex(_Frozen):
         """Read-only matrices of the differentials, built on first read."""
         return tuple(_column_matrix(cols, r) for cols, r in zip(self.columns, self.ranks[1:]))
 
-    def position_of_degree(self, degree: int) -> int:
-        try:
-            return self.degrees.index(degree)
-        except ValueError:
-            raise ValueError(
-                f"degree {degree} not in this complex (degrees: {self.degrees})"
-            ) from None
-
     def _check_position(self, pos: int) -> None:
-        if not (0 <= pos < len(self.ranks)):
-            raise ValueError("position out of range")
+        if type(pos) is not int or not 0 <= pos < len(self.ranks):
+            raise ValueError(f"position must be an int in 0..{len(self.ranks) - 1}, got {pos!r}")
 
     @memoized
     def _factors(self, i: int) -> tuple[int, ...]:
@@ -213,11 +199,6 @@ class FreeChainComplex(_Frozen):
         return HomologyGroup(q.free_rank, q.torsion), gens
 
 
-def homology(complex_: FreeChainComplex, degree: int) -> HomologyGroup:
-    """Homology of the complex at a semantic degree label."""
-    return complex_.homology_at(complex_.position_of_degree(degree))
-
-
 def _negated(v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-e for e in v)
 
@@ -260,9 +241,9 @@ def homology_complex(d: TrisectionDiagram) -> FreeChainComplex:
 
     Terms, left to right: Z, the sum of cyclic pairwise intersections, the
     alpha and beta Lagrangians, the surface lattice modulo the gamma
-    Lagrangian, Z. Degrees run 4 down to 0. The Lagrangians are written in
-    their curve bases, and Z^2g / L_gamma is identified with Z^g by pairing
-    with the gamma curves, so the degree-two differential is
+    Lagrangian, Z: position p holds degree 4 - p. The Lagrangians are
+    written in their curve bases, and Z^2g / L_gamma is identified with Z^g
+    by pairing with the gamma curves, so the degree-two differential is
     [Q_gamma_alpha | Q_gamma_beta]. The degree-three one keeps the alpha
     and beta blocks of the pair-difference columns. Its cycles and
     boundaries are the projections of those of the complex of the three
@@ -279,11 +260,7 @@ def homology_complex(d: TrisectionDiagram) -> FreeChainComplex:
         tuple(map(tuple, _transpose(ga, g))) + tuple(map(_negated, bg)),
         ((0,),) * g,
     )
-    return FreeChainComplex(
-        ranks=(1, len(pair_columns), 2 * g, g, 1),
-        degrees=(4, 3, 2, 1, 0),
-        columns=columns,
-    )
+    return FreeChainComplex(ranks=(1, len(pair_columns), 2 * g, g, 1), columns=columns)
 
 
 def _curve_coordinates_of_cycle(d: TrisectionDiagram, xy: tuple[int, ...]) -> tuple[int, ...]:
@@ -302,7 +279,7 @@ def _curve_coordinates_of_cycle(d: TrisectionDiagram, xy: tuple[int, ...]) -> tu
 def homology_groups(d: TrisectionDiagram) -> tuple[HomologyGroup, ...]:
     """H_0 .. H_4 of the 4-manifold."""
     c = homology_complex(d)
-    return tuple(homology(c, k) for k in range(5))
+    return tuple(c.homology_at(4 - k) for k in range(5))
 
 
 def dual_complex(d: TrisectionDiagram) -> FreeChainComplex:
@@ -320,7 +297,6 @@ def dual_complex(d: TrisectionDiagram) -> FreeChainComplex:
     pair_columns = c.columns[1]
     return FreeChainComplex(
         ranks=(g, 2 * g, len(pair_columns)),
-        degrees=(0, 1, 2),
         columns=(
             _transpose(c.columns[2], g),
             _transpose([[-x for x in col] for col in pair_columns], 2 * g),
@@ -362,8 +338,8 @@ class HodgeDiamond(_Value):
 
     def cohomology(self, k: int) -> HomologyGroup:
         """H^k of the manifold: direct sum along the antidiagonal i + j = k."""
-        if not 0 <= k <= 4:
-            raise ValueError("cohomological degree must be between 0 and 4")
+        if type(k) is not int or not 0 <= k <= 4:
+            raise ValueError(f"cohomological degree must be an int between 0 and 4, got {k!r}")
         total = HomologyGroup(0)
         for i in range(3):
             j = k - i

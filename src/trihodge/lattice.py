@@ -7,9 +7,12 @@ an explicit projection.
 
 Each elimination has one job. ``_UnitEchelon`` is a recorded row reduction
 that pivots only on entries +-1. It gives every rank and invariant factor,
-a factor 1 per pivot, and it is the package's one integer solver: on the
-columns c_1..c_n of a basis of a primitive sublattice it solves
-sum_i a_i c_i = v and u . c_i = v_i by substitution alone. One row-Euclid
+a factor 1 per pivot, and on the columns c_1..c_n of a basis of a
+primitive sublattice it solves sum_i a_i c_i = v and u . c_i = v_i by
+substitution alone. The one other solver is ``Subgroup.coordinates_of``,
+which substitutes down a subgroup's canonical echelon columns: it gives the
+boundary coordinates in ``FreeChainComplex.homology_with_generators`` and
+the membership test of ``pairings.pairing_h3_h1``. One row-Euclid
 step, ``_euclid_down``, serves the unit-pivot elimination (when no entry
 +-1 is left), the canonical spans and the kernels: the column loop
 ``_forward_echelon`` runs it for the last two, and a kernel eliminates the

@@ -197,8 +197,10 @@ class H2DualRep(_Value):
         cls, d: TrisectionDiagram, lifts: "tuple[tuple[int, ...], ...]"
     ) -> "H2DualRep":
         """The rep of ambient vectors a_1, a_2, a_3, each paired with its system's curves."""
-        vectors = (as_int_vector(v, 2 * d.genus) for v in lifts)
-        pairs = zip(d._curve_pairings, vectors, strict=True)
+        vectors = tuple(as_int_vector(v, 2 * d.genus) for v in lifts)
+        if len(vectors) != 3:
+            raise ValueError("expected one lift per handlebody")
+        pairs = zip(d._curve_pairings, vectors)
         return cls(d, tuple(tuple(_dot(r, a) for r in rows) for rows, a in pairs))
 
     @cached_property
@@ -219,6 +221,9 @@ class H2DualRep(_Value):
 
     @property
     def is_zero(self) -> bool:
+        """Whether the pairing coordinates are zero: a question about the
+        coordinates, not the class (where H2 = 0 a nonzero rep can be a zero
+        class; ROADMAP item 7)."""
         return not any(any(c) for c in self.coords)
 
     def __add__(self, other: "H2DualRep") -> "H2DualRep":
@@ -333,7 +338,7 @@ def _sign_normalized(vec: tuple[int, ...]) -> tuple[int, ...]:
 def _h2_basis_coords(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
     """The 3g curve coordinates of ``h2_basis_cocycles``, in its order."""
     c = homology_complex(d)
-    _, gens = c.homology_with_generators(c.position_of_degree(2))
+    _, gens = c.homology_with_generators(2)
     return tuple(_sign_normalized(_curve_coordinates_of_cycle(d, v)) for v in gens)
 
 

@@ -2,7 +2,8 @@
 blocks and the curve coordinates of those blocks, the ladder recipe,
 duality maps, column spans, transvections, the degree-three against
 degree-one Gram matrix, cold copies of diagrams (nothing memoized), a
-stream of small block sums, every public query on one diagram, a matrix
+stream of small block sums, the seeded pool of prescribed forms summed with
+torsion, S1xS3 and S4 pieces, every public query on one diagram, a matrix
 builder, and twenty oracles: the numpy Smith form, the lift of a quotient
 presentation's coordinates, sympy's invariant factors, the
 Bareiss determinant, the full-width congruence diagonalization over the
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import sympy
@@ -45,8 +46,10 @@ from trihodge.diagram import (
     ValidationReport,
     builtin,
     builtin_genus,
+    connected_sum,
     diagram_from_curves,
     ensure_valid,
+    handleslide_diagram,
     memoized,
 )
 from trihodge.lattice import (
@@ -524,7 +527,6 @@ def five_term_complex(d: TrisectionDiagram) -> FreeChainComplex:
             pair_columns.append(tuple(col))
     return FreeChainComplex(
         ranks=(1, len(pair_columns), 3 * g, 2 * g, 1),
-        degrees=(4, 3, 2, 1, 0),
         columns=(
             ((0,) * len(pair_columns),),
             tuple(pair_columns),
@@ -548,7 +550,6 @@ def five_term_dual_complex(d: TrisectionDiagram) -> FreeChainComplex:
     units = [tuple(int(i == j) for j in range(2 * g)) for i in range(2 * g)]
     return FreeChainComplex(
         ranks=(2 * g, 3 * g, c.ranks[1]),
-        degrees=(0, 1, 2),
         columns=(
             tuple(tuple(plain_form(e, u) for e in c.columns[2]) for u in units),
             tuple(tuple(-col[j] for col in c.columns[1]) for j in range(3 * g)),
@@ -619,22 +620,13 @@ def cech_complex(d: TrisectionDiagram, sheaf_degree: int) -> FreeChainComplex:
     if sheaf_degree == 0:
         return FreeChainComplex(
             ranks=(3, 3, 1),
-            degrees=(0, 1, 2),
             columns=(((1, 0, -1), (-1, 1, 0), (0, -1, 1)), ((1,), (1,), (1,))),
         )
     if sheaf_degree == 1:
         c = five_term_complex(d)
-        return FreeChainComplex(
-            ranks=c.ranks[1:4],
-            degrees=(0, 1, 2),
-            columns=c.columns[1:3],
-        )
+        return FreeChainComplex(ranks=c.ranks[1:4], columns=c.columns[1:3])
     if sheaf_degree == 2:
-        return FreeChainComplex(
-            ranks=(0, 0, 1),
-            degrees=(0, 1, 2),
-            columns=((), ()),
-        )
+        return FreeChainComplex(ranks=(0, 0, 1), columns=((), ()))
     raise ValueError("sheaf degree must be 0, 1 or 2")
 
 
@@ -647,7 +639,7 @@ def h3_representatives_by_complex(d: TrisectionDiagram) -> tuple[tuple[int, ...]
     dual to ``h1_basis`` instead and so pairs perfectly by construction.
     """
     c = homology_complex(d)
-    _, gens = c.homology_with_generators(c.position_of_degree(1))
+    _, gens = c.homology_with_generators(3)
     return tuple(_reduced_lift(d, 2, v) for v in gens)
 
 
@@ -841,7 +833,9 @@ def scrambled(d: TrisectionDiagram, seed: int) -> TrisectionDiagram:
     return diagram_from_curves(d.genus, *systems, label=d.label)
 
 
-def diagram_from_form(Q: Sequence[Sequence[int]]) -> TrisectionDiagram:
+def diagram_from_form(
+    Q: Sequence[Sequence[int]], label: str | None = None
+) -> TrisectionDiagram:
     """The triple alpha = <a_i>, beta = <b_i>, gamma = <a_i + sum_j Q_ij b_j>.
 
     Gamma is isotropic when Q is symmetric, and the triple is valid exactly
@@ -857,7 +851,92 @@ def diagram_from_form(Q: Sequence[Sequence[int]]) -> TrisectionDiagram:
         curve[2 * i] = 1
         curve[1::2] = row
         gamma.append(curve)
-    return diagram_from_curves(g, units[0::2], units[1::2], gamma)
+    return diagram_from_curves(g, units[0::2], units[1::2], gamma, label=label)
+
+
+def block_sum(*forms: Sequence[Sequence[int]]) -> list[list[int]]:
+    n = sum(map(len, forms))
+    rows, start = [], 0
+    for Q in forms:
+        rows += [[0] * start + list(row) + [0] * (n - start - len(Q)) for row in Q]
+        start += len(Q)
+    return rows
+
+
+E8 = (
+    (2, -1, 0, 0, 0, 0, 0, 0),
+    (-1, 2, -1, 0, 0, 0, 0, 0),
+    (0, -1, 2, -1, 0, 0, 0, -1),
+    (0, 0, -1, 2, -1, 0, 0, 0),
+    (0, 0, 0, -1, 2, -1, 0, 0),
+    (0, 0, 0, 0, -1, 2, -1, 0),
+    (0, 0, 0, 0, 0, -1, 2, 0),
+    (0, 0, -1, 0, 0, 0, 0, 2),
+)
+HYPERBOLIC = ((0, 1), (1, 0))
+# unimodular forms with their signature and parity: definite and non-diagonal,
+# even, and with Gram entries of 3 and 5
+FORM_POOL = {
+    "E8": (E8, (8, 0), "even"),
+    "-E8": (tuple(tuple(-q for q in row) for row in E8), (0, 8), "even"),
+    "H": (HYPERBOLIC, (1, 1), "even"),
+    "<1>": (((1,),), (1, 0), "odd"),
+    "<-1>": (((-1,),), (0, 1), "odd"),
+    "[[3,1],[1,0]]": (((3, 1), (1, 0)), (1, 1), "odd"),
+    "[[5,1],[1,0]]": (((5, 1), (1, 0)), (1, 1), "odd"),
+}
+
+# the genus-1 trisections of S4, one for each position of the k-value 1
+S4_PIECES = tuple(
+    diagram_from_curves(1, *([curve] for curve in curves), label=label)
+    for label, curves in (
+        ("S4(a,a,b)", ((1, 0), (1, 0), (0, 1))),
+        ("S4(b,a,a)", ((0, 1), (1, 0), (1, 0))),
+        ("S4(a,b,a)", ((1, 0), (0, 1), (1, 0))),
+    )
+)
+
+
+class PoolInvariants(NamedTuple):
+    """What ``pool_diagram`` prescribes: the form's rank, signature and parity, and H1."""
+
+    rank: int
+    signature: tuple[int, int]
+    parity: str
+    h1: HomologyGroup
+
+
+def pool_diagram(seed: int) -> tuple[TrisectionDiagram, PoolInvariants]:
+    """A diagram of known invariants, drawn with ``random.Random(seed)``.
+
+    ``diagram_from_form`` of the block sum Q of one to three ``FORM_POOL``
+    forms, summed on a random side with zero to two of S1xS3, QS4_Z2 and
+    QS4_Z3 and with zero to two ``S4_PIECES``, then ``scrambled`` and moved
+    by one to three handleslides. None of these changes the form's rank,
+    signature or parity, those of Q; H1 is Z^(number of S1xS3) plus Z/2
+    and Z/3 per QS4_Z2 and QS4_Z3.
+    """
+    rng = random.Random(seed)
+    names = rng.choices(sorted(FORM_POOL), k=rng.randint(1, 3))
+    d = diagram_from_form(block_sum(*(FORM_POOL[n][0] for n in names)), label="+".join(names))
+    sums = rng.choices(("S1xS3", "QS4_Z2", "QS4_Z3"), k=rng.randint(0, 2))
+    pieces = rng.choices(S4_PIECES, k=rng.randint(0, 2))
+    for summand in [builtin(n) for n in sums] + pieces:
+        d = connected_sum(d, summand) if rng.random() < 0.5 else connected_sum(summand, d)
+    d = scrambled(d, rng.randrange(2**32))
+    for _ in range(rng.randint(1, 3)):
+        if d.genus > 1:
+            i, j = rng.sample(range(d.genus), 2)
+            d = handleslide_diagram(d, rng.choice(SYSTEM_NAMES), i, j, rng.choice((1, -1)))
+    twos, threes = sums.count("QS4_Z2"), sums.count("QS4_Z3")
+    torsion = sorted(
+        (2 if k < twos else 1) * (3 if k < threes else 1) for k in range(max(twos, threes))
+    )
+    positive = sum(FORM_POOL[n][1][0] for n in names)
+    negative = sum(FORM_POOL[n][1][1] for n in names)
+    parity = "even" if all(FORM_POOL[n][2] == "even" for n in names) else "odd"
+    h1 = HomologyGroup(sums.count("S1xS3"), torsion)
+    return d, PoolInvariants(positive + negative, (positive, negative), parity, h1)
 
 
 LADDER_BASES = ("CP2", "CP2bar", "S1xS3", "S2xS2", "QS4_Z2", "QS4_Z3")

@@ -16,7 +16,6 @@ from trihodge.complexes import (
     dual_complex,
     dual_middle_homology,
     hodge_diamond,
-    homology,
     homology_complex,
     homology_groups,
     serre_duality_holds,
@@ -89,35 +88,24 @@ def test_hodge_diamond_stores_its_grid_as_a_hashable_tuple():
 
 def test_complex_rejects_non_composing_differentials():
     with pytest.raises(ValueError, match="compose"):
-        FreeChainComplex(
-            ranks=(1, 1, 1),
-            degrees=(0, 1, 2),
-            columns=(((1,),), ((1,),)),
-        )
+        FreeChainComplex(ranks=(1, 1, 1), columns=(((1,),), ((1,),)))
 
 
 def test_complex_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
-        FreeChainComplex(
-            ranks=(2, 1),
-            degrees=(0, 1),
-            columns=(((1, 0), (0, 1)),),
-        )
+        FreeChainComplex(ranks=(2, 1), columns=(((1, 0), (0, 1)),))
 
 
-def test_complex_rejects_malformed_ranks_and_repeated_degrees():
+def test_complex_rejects_malformed_ranks():
     for ranks in ((True, 2), (-1, 2), (1.0, 2)):
         with pytest.raises(ValueError, match="rank must be a nonnegative int"):
-            FreeChainComplex(ranks, (0, 1), (((0, 0),),))
-    with pytest.raises(ValueError, match="degree labels repeat"):
-        FreeChainComplex((1, 2), (0, 0), (((0, 0),),))
+            FreeChainComplex(ranks, (((0, 0),),))
 
 
-def test_complex_stores_ranks_and_degrees_as_tuples():
-    c = FreeChainComplex([1, 2], [0, 1], (((0, 0),),))
-    assert c.ranks == (1, 2) and c.degrees == (0, 1)
-    assert hash(c.ranks) == hash((1, 2)) and hash(c.degrees) == hash((0, 1))
-    assert c.position_of_degree(1) == 1
+def test_complex_stores_ranks_as_a_tuple():
+    c = FreeChainComplex([1, 2], (((0, 0),),))
+    assert c.ranks == (1, 2)
+    assert hash(c.ranks) == hash((1, 2))
 
 
 def test_five_term_ranks_projective_plane():
@@ -126,7 +114,6 @@ def test_five_term_ranks_projective_plane():
     # the quotient by L_gamma -> L_gamma drops g from the two middle terms
     c = homology_complex(d)
     assert c.ranks == (1, 0, 2, 1, 1)
-    assert c.degrees == five_term_complex(d).degrees == (4, 3, 2, 1, 0)
 
 
 def test_five_term_ranks_s1_x_s3():
@@ -172,7 +159,7 @@ def test_homology_torsion_builtins():
 def test_three_routes_agree_on_torsion():
     for name in ("QS4_Z2", "QS4_Z3", "QS4_Z2#QS4_Z3", "S1xS3#QS4_Z2", "CP2#QS4_Z3"):
         d = builtin(name)
-        fm = homology(homology_complex(d), 2)
+        fm = homology_complex(d).homology_at(2)
         assert fm.torsion != ()
         assert fm == dual_middle_homology(d)
         assert fm == cech_complex(d, 1).homology_at(1)
@@ -197,15 +184,30 @@ def test_universal_coefficients_with_torsion():
     assert coh[1] == ZERO
 
 
-def test_homology_unknown_degree():
+def test_homology_position_out_of_range():
     c = homology_complex(builtin("CP2"))
-    with pytest.raises(ValueError, match="degree 7"):
-        homology(c, 7)
+    for pos in (-1, 5, 7):
+        with pytest.raises(ValueError, match="position must be an int in 0..4"):
+            c.homology_at(pos)
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0])
+def test_complex_positions_must_be_ints(index):
+    c = homology_complex(builtin("CP2"))
+    for read in (c.homology_at, c.homology_with_generators):
+        with pytest.raises(ValueError, match="position must be an int"):
+            read(index)
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0])
+def test_diamond_degrees_must_be_ints(index):
+    with pytest.raises(ValueError, match="cohomological degree must be an int"):
+        hodge_diamond(builtin("CP2")).cohomology(index)
 
 
 def test_middle_generators_projective_plane():
     c = homology_complex(builtin("CP2"))
-    group, gens = c.homology_with_generators(c.position_of_degree(2))
+    group, gens = c.homology_with_generators(2)
     assert group == Z
     assert len(gens) == 1
     total = kernel_basis(c.diffs[2])
@@ -322,7 +324,8 @@ Q_SUITE = (
 def test_groups_match_the_five_term_oracle():
     for d in Q_SUITE:
         oracle = five_term_complex(d)
-        assert homology_groups(d) == tuple(homology(oracle, k) for k in range(5)), d.describe()
+        expected = tuple(oracle.homology_at(4 - k) for k in range(5))
+        assert homology_groups(d) == expected, d.describe()
 
 
 def test_degree_two_generators_match_the_five_term_oracle():
@@ -356,7 +359,7 @@ def test_pair_difference_columns_match_the_five_term_oracle():
 @given(genus=st.integers(min_value=0, max_value=3), seed=st.integers(0, 10**6))
 def test_three_routes_to_middle_homology_agree(genus, seed):
     d = random_diagram(genus, seed)
-    fm = homology(homology_complex(d), 2)
+    fm = homology_complex(d).homology_at(2)
     dual = dual_middle_homology(d)
     h2 = hodge_diamond(d).cohomology(2)
     assert fm == dual
@@ -450,15 +453,15 @@ def test_differential_factors_and_ranks_match_sympy():
 
 HAND_BUILT = (
     # Z --(2, 0)--> Z^2 --0--> Z: torsion and free rank at the middle position
-    (FreeChainComplex((1, 2, 1), (0, 1, 2), (((2, 0),), ((0,), (0,)))),
+    (FreeChainComplex((1, 2, 1), (((2, 0),), ((0,), (0,)))),
      (ZERO, HomologyGroup(1, (2,)), Z)),
     # Z^2 --[[2, 0], [0, 6], [0, 0]]--> Z^3 --(0, 0, 1)--> Z
-    (FreeChainComplex((2, 3, 1), (0, 1, 2), (((2, 0, 0), (0, 6, 0)), ((0,), (0,), (1,)))),
+    (FreeChainComplex((2, 3, 1), (((2, 0, 0), (0, 6, 0)), ((0,), (0,), (1,)))),
      (ZERO, HomologyGroup(0, (2, 6)), ZERO)),
     # zero-rank terms on both sides of a free one
-    (FreeChainComplex((0, 2, 0), (0, 1, 2), ((), ((), ()))),
+    (FreeChainComplex((0, 2, 0), ((), ((), ()))),
      (ZERO, HomologyGroup(2), ZERO)),
-    (FreeChainComplex((0,), (0,), ()), (ZERO,)),
+    (FreeChainComplex((0,), ()), (ZERO,)),
 )
 
 

@@ -38,6 +38,7 @@ from trihodge.spin import enumerate_spin, spin_count
 from trihodge.spinc import base_ledger, lutz_shift
 
 from helpers import (
+    S4_PIECES,
     cold_copy,
     ladder_diagram,
     pair_quotient,
@@ -210,13 +211,6 @@ class TestEulerCharacteristic:
         assert euler_characteristic(builtin("S2xS2_candidate")) == 4
 
 
-# the genus-1 trisections of S4, one for each position of the k-value 1
-STABILIZATIONS = tuple(
-    diagram_from_curves(1, *([curve] for curve in curves))
-    for curves in (((1, 0), (1, 0), (0, 1)), ((0, 1), (1, 0), (1, 0)), ((1, 0), (0, 1), (1, 0)))
-)
-
-
 class TestConnectedSum:
     def test_genus_and_k_add(self):
         d = builtin("CP2#CP2bar")
@@ -244,7 +238,7 @@ class TestConnectedSum:
             return homology_groups(d), form.signature, form.parity, spin_count(d)
 
         before = invariants(d)
-        for piece, k in zip(STABILIZATIONS, ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+        for piece, k in zip(S4_PIECES, ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
             assert piece.validation.k_values == k
             for stabilized in (connected_sum(d, piece), connected_sum(piece, d)):
                 assert stabilized.validation.is_valid

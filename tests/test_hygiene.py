@@ -264,7 +264,10 @@ KEPT_METHODS = {
         "whether the curve coordinates of a c1_difference are zero; a coboundary is "
         "a zero class yet reads nonzero (ROADMAP item 7)"
     ),
-    "H2DualRep.is_zero": "whether a class is zero, as asked of a Poincare dual",
+    "H2DualRep.is_zero": (
+        "whether the pairing coordinates of a rep are zero; on S1xS3 a nonzero rep is "
+        "a zero class (ROADMAP item 7)"
+    ),
     "H2DualRep.lifts": "ambient vectors of a rep, the inverse of from_lifts; the bench reads them",
     "TrisectionDiagram.pair_sum": "the canonical pair sum, which the bench's lattice replay reads",
     "TrisectionDiagram.lagrangian_subgroup": (

@@ -170,7 +170,7 @@ def test_groups_and_generators_share_one_result_per_position():
     # the groups are kept once, by homology_groups; each position reads an equal group
     assert homology_groups(d) is groups
     for k in range(5):
-        pos = c.position_of_degree(k)
+        pos = 4 - k
         assert groups[k] == c.homology_at(pos)
         # the generators' own group is the kernel route, equal but not shared
         assert c.homology_with_generators(pos)[0] == groups[k]
@@ -452,7 +452,7 @@ def test_a_query_keeps_only_values_read_again():
     factors = f"{FreeChainComplex.__module__}.{FreeChainComplex._factors.__qualname__}"
     # the fields and the factors of each differential; the groups are kept by
     # homology_groups, so the complex keeps no group of its own
-    assert set(vars(c)) == {"ranks", "degrees", "columns", *(f"{factors}({i},)" for i in range(4))}
+    assert set(vars(c)) == {"ranks", "columns", *(f"{factors}({i},)" for i in range(4))}
     # the spin listing and the dual complex are rebuilt on each call from kept values
     keys = set(vars(d))
     assert enumerate_spin(d) == enumerate_spin(d) and len(enumerate_spin(d)) == spin_count(d)

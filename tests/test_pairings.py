@@ -36,6 +36,10 @@ from trihodge.pairings import (
 )
 
 from helpers import (
+    E8,
+    FORM_POOL,
+    HYPERBOLIC,
+    block_sum,
     cocycle_from_blocks,
     det,
     diagram_from_form,
@@ -214,35 +218,10 @@ class TestIntersectionForm:
         assert pairing_all_ways(CP2, x, x) == (1, 1, 1)
 
 
-def block_sum(*forms):
-    n = sum(map(len, forms))
-    rows, start = [], 0
-    for Q in forms:
-        rows += [[0] * start + list(row) + [0] * (n - start - len(Q)) for row in Q]
-        start += len(Q)
-    return rows
-
-
-E8 = (
-    (2, -1, 0, 0, 0, 0, 0, 0),
-    (-1, 2, -1, 0, 0, 0, 0, 0),
-    (0, -1, 2, -1, 0, 0, 0, -1),
-    (0, 0, -1, 2, -1, 0, 0, 0),
-    (0, 0, 0, -1, 2, -1, 0, 0),
-    (0, 0, 0, 0, -1, 2, -1, 0),
-    (0, 0, 0, 0, 0, -1, 2, 0),
-    (0, 0, -1, 0, 0, 0, 0, 2),
-)
-HYPERBOLIC = ((0, 1), (1, 0))
-# unimodular forms with their signature and parity: definite and non-diagonal,
-# even, and with a Gram entry of 3
+# the pool's forms and two block sums of them
 PRESCRIBED = {
-    "E8": (E8, (8, 0), "even"),
-    "-E8": ([[-q for q in row] for row in E8], (0, 8), "even"),
-    "H": (HYPERBOLIC, (1, 1), "even"),
+    **FORM_POOL,
     "E8+H": (block_sum(E8, HYPERBOLIC), (9, 1), "even"),
-    "[[3,1],[1,0]]": (((3, 1), (1, 0)), (1, 1), "odd"),
-    "<1>": (((1,),), (1, 0), "odd"),
     "<1>+<-1>": (((1, 0), (0, -1)), (1, 1), "odd"),
 }
 
@@ -363,6 +342,18 @@ class TestDualReps:
         again = H2DualRep(CP2, rep.coords)
         assert again.coords == rep.coords
         assert H2DualRep.from_lifts(CP2, again.lifts) == rep
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_from_lifts_needs_one_lift_per_handlebody(self, count):
+        with pytest.raises(ValueError, match="expected one lift per handlebody"):
+            H2DualRep.from_lifts(CP2, ((0, 1),) * count)
+
+    def test_is_zero_reads_the_coordinates_not_the_class(self):
+        # H2(S1xS3) = 0, so this valid rep is a zero class with nonzero coordinates
+        rep = H2DualRep(S1XS3, ((1,), (1,), (1,)))
+        assert not rep.is_zero
+        assert cocycle_from_dual_rep(S1XS3, rep).is_zero
+        assert H2DualRep.zero(S1XS3).is_zero
 
     def test_cycle_condition_violation_named(self):
         with pytest.raises(CycleConditionError, match="a1 - a2"):

@@ -1,0 +1,62 @@
+"""Laws on ``helpers.pool_diagram``: prescribed forms summed with torsion,
+S1xS3 and stabilization pieces, scrambled and handleslid.
+
+Rokhlin and Donaldson are not asserted: the E8 triple is a valid algebraic
+triple of signature 8 with a spin structure, so it need not come from a
+smooth manifold.
+"""
+
+import pytest
+
+from trihodge.complexes import homology_groups
+from trihodge.pairings import h3_representatives, intersection_form
+from trihodge.spin import spin_count
+
+from helpers import h3_h1_gram, pool_diagram
+
+
+def characteristic_vector(gram) -> list[int]:
+    """w with G w = diag G (mod 2), by elimination over F2; G is unimodular,
+    so it is invertible mod 2."""
+    n = len(gram)
+    rows = [[gram[i][j] % 2 for j in range(n)] + [gram[i][i] % 2] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                rows[r] = [a ^ b for a, b in zip(rows[r], rows[col])]
+    return [row[n] for row in rows]
+
+
+def test_characteristic_vector_of_a_small_odd_form():
+    # <1> + <-1>: w = (1, 1), and w.G.w = 0 = signature
+    assert characteristic_vector(((1, 0), (0, -1))) == [1, 1]
+    # [[3, 1], [1, 0]]: G w = (1, 0) mod 2 gives w = (0, 1), w.G.w = 0
+    assert characteristic_vector(((3, 1), (1, 0))) == [0, 1]
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_pool_diagram_laws(seed):
+    d, expected = pool_diagram(seed)
+    groups = homology_groups(d)
+    form = intersection_form(d)
+    assert form.rank == expected.rank, d.describe()
+    assert (form.signature, form.parity) == (expected.signature, expected.parity), d.describe()
+    assert form.unimodular
+    # van der Blij: the signature is w.G.w mod 8 for a characteristic w
+    w = characteristic_vector(form.gram)
+    square = sum(w[i] * form.gram[i][j] * w[j] for i in range(len(w)) for j in range(len(w)))
+    positive, negative = form.signature
+    assert (positive - negative - square) % 8 == 0
+    assert groups[1] == expected.h1
+    even_factors = sum(t % 2 == 0 for t in expected.h1.torsion)
+    count = spin_count(d)
+    assert count in (0, 2 ** (expected.h1.rank + even_factors))
+    # a spin structure makes every square even
+    assert count == 0 or form.parity == "even"
+    assert groups[2].torsion == groups[1].torsion
+    b1 = expected.h1.rank
+    gram = h3_h1_gram(d, h3_representatives(d))
+    assert gram.shape == (b1, b1)
+    assert gram.tolist() == [[int(i == j) for j in range(b1)] for i in range(b1)]
