@@ -48,6 +48,7 @@ from types import SimpleNamespace
 # Each subcommand imports the modules it reads when it runs, so a call loads
 # only those (see "CLI start-up" in README.md).
 from .diagram import (
+    SYSTEM_NAMES,
     CycleConditionError,
     TrisectionDiagram,
     _span_quotient,
@@ -63,7 +64,7 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
 
-    from .pairings import H2DualRep
+    from .pairings import H2DualRep, OneOneCocycle
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -84,6 +85,15 @@ def _fmt_vec(v) -> str:
 
 def _group_doc(h) -> dict:
     return {"rank": h.rank, "torsion": list(h.torsion), "text": str(h)}
+
+
+def _cocycle_doc(c: OneOneCocycle) -> dict:
+    """The ambient blocks of a cocycle, as form and spinc print them."""
+    return {"b1": list(c.b1), "b2": list(c.b2), "b3": list(c.b3)}
+
+
+def _cocycle_line(c: OneOneCocycle) -> str:
+    return " ".join(f"{name}={_fmt_vec(block)}" for name, block in _cocycle_doc(c).items())
 
 
 def _read_json_object(path: str) -> dict:
@@ -126,7 +136,7 @@ def _curve_list(data, key: str, source: str):
 
 def _diagram_from_file(path: str) -> TrisectionDiagram:
     data = _read_json_object(path)
-    missing = [k for k in ("genus", "alpha", "beta", "gamma") if k not in data]
+    missing = [k for k in ("genus", *SYSTEM_NAMES) if k not in data]
     if missing:
         raise CliInputError(f"{path}: missing fields {', '.join(missing)}")
     if not _is_int(data["genus"]):
@@ -140,13 +150,8 @@ def _diagram_from_file(path: str) -> TrisectionDiagram:
         # a newline in the label would print lines of its own into the output
         raise CliInputError(f"{path}: field 'label' must be printable text on one line")
     try:
-        return diagram_from_curves(
-            data["genus"],
-            _curve_list(data, "alpha", path),
-            _curve_list(data, "beta", path),
-            _curve_list(data, "gamma", path),
-            label=label,
-        )
+        systems = [_curve_list(data, name, path) for name in SYSTEM_NAMES]
+        return diagram_from_curves(data["genus"], *systems, label=label)
     except ValueError as exc:
         raise CliInputError(f"{path}: {exc}") from exc
 
@@ -257,9 +262,7 @@ def cmd_form(d: TrisectionDiagram, args) -> tuple[dict, list[str], bool]:
         "signature": list(form.signature),
         "parity": form.parity,
         "unimodular": form.unimodular,
-        "basis": [
-            {"b1": list(c.b1), "b2": list(c.b2), "b3": list(c.b3)} for c in basis
-        ],
+        "basis": [_cocycle_doc(c) for c in basis],
     }
     lines = [f"rank: {form.rank}"]
     for row in form.gram:
@@ -267,10 +270,7 @@ def cmd_form(d: TrisectionDiagram, args) -> tuple[dict, list[str], bool]:
     lines.append(f"signature: ({form.signature[0]}, {form.signature[1]})")
     lines.append(f"parity: {form.parity}")
     lines.append(f"unimodular: {'yes' if form.unimodular else 'no'}")
-    for c in basis:
-        lines.append(
-            f"basis cocycle: b1={_fmt_vec(c.b1)} b2={_fmt_vec(c.b2)} b3={_fmt_vec(c.b3)}"
-        )
+    lines += [f"basis cocycle: {_cocycle_line(c)}" for c in basis]
     return payload, lines, True
 
 
@@ -322,15 +322,12 @@ def cmd_spinc(d: TrisectionDiagram, args) -> tuple[dict, list[str], bool]:
             "rep_coords": [list(c) for c in rep.coords],
             "euler": [list(e) for e in moved.euler],
             "admissible": is_admissible(moved),
-            "c1_difference": {"b1": list(diff.b1), "b2": list(diff.b2), "b3": list(diff.b3)},
+            "c1_difference": _cocycle_doc(diff),
         }
         lines.append("rep coords: " + " ".join(_fmt_vec(c) for c in rep.coords))
         lines.append("euler after action: " + " ".join(_fmt_vec(e) for e in moved.euler))
         lines.append(f"admissible after action: {'yes' if is_admissible(moved) else 'no'}")
-        lines.append(
-            "c1 difference: "
-            f"b1={_fmt_vec(diff.b1)} b2={_fmt_vec(diff.b2)} b3={_fmt_vec(diff.b3)}"
-        )
+        lines.append(f"c1 difference: {_cocycle_line(diff)}")
     else:
         lines.append(f"admissible: {'yes' if is_admissible(ledger) else 'no'}")
     return payload, lines, True
@@ -355,48 +352,58 @@ _DESCRIPTIONS = {
 }
 
 
+# The one table of options, in help order after the diagram path: flag,
+# type (bool for a flag without a value), help and the subcommands that take
+# it. The attribute is the flag without its dashes, as argparse names it.
+_ALL = tuple(_HANDLERS)
+_OPTIONS = (
+    ("--builtin", str, "builtin diagram name, e.g. CP2 or CP2#CP2bar", _ALL),
+    ("--genus", int, "genus for a random diagram", _ALL),
+    ("--seed", int, "seed for a random diagram", _ALL),
+    ("--json", bool, "machine-readable output", _ALL),
+    ("--act", str, "JSON file with ambient lifts a1, a2, a3", ("spinc",)),
+)
+
+
 def _read_argv(argv) -> SimpleNamespace | None:
     """The attributes ``build_parser().parse_args(argv)`` gives, or None.
 
-    Reads only a well-formed argv: a subcommand, then in any order --json,
-    --builtin V, --genus N, --seed N, --act V (spinc only) and at most one
-    path, where no value starts with "-", each N passes int() and no option
-    repeats. Every other argv, from help to an abbreviation, "--opt=value"
-    or "--", gets None and is left to argparse, the one grammar and the only
-    source of help and error text. Every golden argv has this shape, and
-    importing argparse and building its parser took about 3 ms of a 43 ms
-    call (Python 3.11).
+    Reads only a well-formed argv: a subcommand, then in any order the
+    ``_OPTIONS`` it takes and at most one path, where no value starts with
+    "-", each int value passes int() and no option repeats. Every other
+    argv, from help to an abbreviation, "--opt=value" or "--", gets None
+    and is left to argparse, the one grammar and the only source of help
+    and error text. Every golden argv has this shape, and importing
+    argparse and building its parser took about 3 ms of a 43 ms call
+    (Python 3.11).
     """
     if not argv or argv[0] not in _HANDLERS:
         return None
     command, *rest = argv
-    valued = {"--builtin": "builtin", "--genus": "genus", "--seed": "seed"}
-    if command == "spinc":
-        valued["--act"] = "act"
-    args = dict.fromkeys(("path", *valued.values()))
-    args.update(command=command, handler=_HANDLERS[command], json=False)
+    types = {flag: kind for flag, kind, _, commands in _OPTIONS if command in commands}
+    args = {flag[2:]: False if kind is bool else None for flag, kind in types.items()}
+    args.update(command=command, handler=_HANDLERS[command], path=None)
     seen = set()
     tokens = iter(rest)
-    for token in tokens:
-        if token == "--json":
-            name, value = "json", True
-        elif token in valued:
-            name, value = valued[token], next(tokens, "-")
-            if value.startswith("-"):
-                return None
-        elif token.startswith("-"):
-            return None
-        else:
-            name, value = "path", token
-        if name in seen:
-            return None
-        seen.add(name)
-        args[name] = value
     try:
-        for name in ("genus", "seed"):
-            if args[name] is not None:
-                args[name] = int(args[name])
-    except ValueError:
+        for token in tokens:
+            kind = types.get(token)
+            if kind is bool:
+                name, value = token[2:], True
+            elif kind is not None:
+                name, value = token[2:], next(tokens, "-")
+                if value.startswith("-"):
+                    return None
+                value = kind(value)
+            elif token.startswith("-"):
+                return None
+            else:
+                name, value = "path", token
+            if name in seen:
+                return None
+            seen.add(name)
+            args[name] = value
+    except ValueError:  # an int value that int() refuses
         return None
     return SimpleNamespace(**args)
 
@@ -412,12 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, handler in _HANDLERS.items():
         p = sub.add_parser(name, help=_DESCRIPTIONS[name])
         p.add_argument("path", nargs="?", help="diagram JSON file")
-        p.add_argument("--builtin", help="builtin diagram name, e.g. CP2 or CP2#CP2bar")
-        p.add_argument("--genus", type=int, help="genus for a random diagram")
-        p.add_argument("--seed", type=int, help="seed for a random diagram")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        if name == "spinc":
-            p.add_argument("--act", help="JSON file with ambient lifts a1, a2, a3")
+        for flag, kind, text, commands in _OPTIONS:
+            if name in commands:
+                how = {"action": "store_true"} if kind is bool else {"type": kind}
+                p.add_argument(flag, help=text, **how)
         p.set_defaults(handler=handler)
     return parser
 

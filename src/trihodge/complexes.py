@@ -77,12 +77,12 @@ class HomologyGroup(_Value):
 
     def __init__(self, rank: int, torsion: Iterable[int] = ()):
         torsion = tuple(torsion)
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (rank, *torsion)):
-            raise ValueError("rank and invariant factors must be integers")
-        if rank < 0 or any(t < 2 for t in torsion) or any(map(mod, torsion[1:], torsion)):
+        for x in (rank, *torsion):
+            if type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)):
+                raise ValueError("rank and invariant factors must be integers")
+        if rank < 0 or torsion and (min(torsion) < 2 or any(map(mod, torsion[1:], torsion))):
             raise ValueError("rank must be >= 0, invariant factors >= 2, each dividing the next")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "torsion", torsion)
+        _Frozen.__init__(self, rank, torsion)
 
     def direct_sum(self, other: "HomologyGroup") -> "HomologyGroup":
         merged = self.torsion + other.torsion
@@ -112,6 +112,8 @@ class FreeChainComplex(_Frozen):
     ``homology_with_generators`` is asked for them, on each call.
     """
 
+    _fields = ("ranks", "columns")
+
     def __init__(
         self,
         ranks: tuple[int, ...],
@@ -133,8 +135,7 @@ class FreeChainComplex(_Frozen):
         for i in range(n - 2):
             if any(any(_combination(kept[i + 1], col, ranks[i + 2])) for col in kept[i]):
                 raise ValueError(f"differentials {i} and {i + 1} do not compose to zero")
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "columns", tuple(kept))
+        _Frozen.__init__(self, ranks, tuple(kept))
 
     @cached_property
     def diffs(self) -> tuple[np.ndarray, ...]:
@@ -331,7 +332,7 @@ class HodgeDiamond(_Value):
         grid = tuple(map(tuple, grid))
         if len(grid) != 3 or any(len(row) != 3 for row in grid):
             raise ValueError("expected a 3x3 grid")
-        object.__setattr__(self, "grid", grid)
+        _Frozen.__init__(self, grid)
 
     def ranks(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(h.rank for h in row) for row in self.grid)

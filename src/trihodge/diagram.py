@@ -39,6 +39,7 @@ from operator import mul, neg
 from .lattice import (
     Subgroup,
     _check_count,
+    _Frozen,
     _invariant_factors,
     _span,
     _UnitEchelon,
@@ -89,7 +90,7 @@ class CutSystem(_Value):
                 raise ValueError(
                     f"{system} needs curves of length {2 * len(normalized)}, got {width}"
                 )
-        object.__setattr__(self, "curves", normalized)
+        _Frozen.__init__(self, normalized)
 
     @property
     def genus(self) -> int:
@@ -124,11 +125,8 @@ class TrisectionDiagram(_Value):
         _check_curve_counts(genus, (alpha.genus, beta.genus, gamma.genus))
         if label is not None and type(label) is not str:
             raise ValueError(f"diagram label must be a string or None, got {label!r}")
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "label", label)
+        _Frozen.__init__(self, genus, alpha, beta, gamma)
+        self.__dict__["label"] = label
 
     @property
     def systems(self) -> tuple[CutSystem, CutSystem, CutSystem]:
@@ -189,8 +187,7 @@ class ValidationReport(_Value):
     def __init__(
         self, checks: tuple[tuple[str, bool], ...], k_values: tuple[int, int, int] | None
     ):
-        object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "k_values", k_values)
+        _Frozen.__init__(self, checks, k_values)
 
     @cached_property
     def is_valid(self) -> bool:
@@ -387,13 +384,8 @@ def connected_sum(d1: TrisectionDiagram, d2: TrisectionDiagram) -> TrisectionDia
     label = None
     if d1.label is not None and d2.label is not None:
         label = f"{d1.label}#{d2.label}"
-    return diagram_from_curves(
-        genus,
-        paste(d1.alpha, d2.alpha),
-        paste(d1.beta, d2.beta),
-        paste(d1.gamma, d2.gamma),
-        label=label,
-    )
+    systems = (paste(cs1, cs2) for cs1, cs2 in zip(d1.systems, d2.systems))
+    return diagram_from_curves(genus, *systems, label=label)
 
 
 def handleslide(cs: CutSystem, i: int, j: int, sign: int = 1) -> CutSystem:
@@ -417,15 +409,11 @@ def handleslide_diagram(
     """New diagram with one handleslide applied to the named cut system."""
     if system not in SYSTEM_NAMES:
         raise ValueError(f"unknown cut system {system!r}; expected one of {SYSTEM_NAMES}")
-    replaced = {name: getattr(d, name) for name in SYSTEM_NAMES}
-    replaced[system] = handleslide(replaced[system], i, j, sign)
-    return TrisectionDiagram(
-        genus=d.genus,
-        alpha=replaced["alpha"],
-        beta=replaced["beta"],
-        gamma=replaced["gamma"],
-        label=d.label,
+    systems = (
+        handleslide(cs, i, j, sign) if name == system else cs
+        for name, cs in zip(SYSTEM_NAMES, d.systems)
     )
+    return TrisectionDiagram(d.genus, *systems, d.label)
 
 
 def standard_triple(genus: int) -> TrisectionDiagram:
@@ -481,6 +469,4 @@ def random_diagram(genus: int, seed: int) -> TrisectionDiagram:
                         moved[s] += t * e
                     curves[c_idx] = tuple(moved)
 
-    return diagram_from_curves(
-        genus, systems[0], systems[1], systems[2], label=f"random(g={genus}, seed={seed})"
-    )
+    return diagram_from_curves(genus, *systems, label=f"random(g={genus}, seed={seed})")

@@ -313,16 +313,22 @@ def _invariant_factors(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, 
 
 
 class _Frozen:
-    """Base of the package's immutable records: ``__init__`` sets each field
-    with ``object.__setattr__``, and any later assignment or deletion raises.
+    """Base of the package's immutable records. ``_fields`` names a record's
+    fields in order, and this ``__init__`` assigns them the values given,
+    in that order: a record's own ``__init__`` normalizes and checks its
+    input, then calls this one. Any later assignment or deletion raises.
 
     Memoized values (``cached_property`` and ``diagram.memoized``) are
     written to the instance ``__dict__`` directly, so they still work. A
-    plain ``_Frozen`` record compares by identity; a ``_Value`` declares in
-    ``_fields`` which fields are its value.
+    plain ``_Frozen`` record compares by identity; a ``_Value`` by its
+    fields.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init__(self, *values) -> None:
+        self.__dict__.update(zip(self._fields, values))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -332,8 +338,7 @@ class _Frozen:
 
 
 class _Value(_Frozen):
-    """An immutable record whose value is ``_fields``, the ordered names of
-    its defining fields, each hashable.
+    """An immutable record whose value is its ``_fields``, each hashable.
 
     Records compare and hash by the tuple of those fields, ``_key()``, and
     print them as ``Class(name=value, ...)``; records of different classes
@@ -341,7 +346,6 @@ class _Value(_Frozen):
     """
 
     __slots__ = ()
-    _fields: tuple[str, ...]
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -374,8 +378,7 @@ class Subgroup(_Value):
     _fields = ("ambient_rank", "_columns")
 
     def __init__(self, ambient_rank: int, _columns: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "_columns", _columns)
+        _Frozen.__init__(self, ambient_rank, _columns)
 
     @classmethod
     def from_columns(cls, ambient_rank: int, vectors: Iterable[Sequence[int]]) -> "Subgroup":
@@ -656,13 +659,8 @@ class QuotientPresentation(_Frozen):
     ``free_rank`` columns of U^{-1}. Each transform is replayed on first read.
     """
 
-    def __init__(
-        self, ambient_rank: int, free_rank: int, torsion: tuple[int, ...], _smith: _Smith
-    ):
-        object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
-        object.__setattr__(self, "_smith", _smith)
+    _fields = ("ambient_rank", "free_rank", "torsion", "_smith")
+    _smith: _Smith
 
     def project(self, v: Sequence[int]) -> tuple[int, ...]:
         vec = as_int_vector(v, self.ambient_rank)
@@ -681,10 +679,9 @@ class QuotientPresentation(_Frozen):
         return tuple(tuple(row[i] for row in self._smith.Uinv) for i in free)
 
     def __repr__(self) -> str:
-        return (
-            f"QuotientPresentation(ambient_rank={self.ambient_rank}, "
-            f"free_rank={self.free_rank}, torsion={self.torsion})"
-        )
+        public = (name for name in self._fields if not name.startswith("_"))
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in public)
+        return f"QuotientPresentation({shown})"
 
 
 def quotient(ambient_rank: int, relations: Subgroup) -> QuotientPresentation:
@@ -702,12 +699,8 @@ def _cokernel(rows: list[list[int]], ncols: int) -> QuotientPresentation:
     """
     smith = _Smith(rows, ncols)
     diag = snf_diagonal(smith.D)
-    return QuotientPresentation(
-        ambient_rank=len(rows),
-        free_rank=len(rows) - len(diag),
-        torsion=tuple(f for f in diag if f >= 2),
-        _smith=smith,
-    )
+    torsion = tuple(f for f in diag if f >= 2)
+    return QuotientPresentation(len(rows), len(rows) - len(diag), torsion, smith)
 
 
 def subgroup_sum(a: Subgroup, b: Subgroup) -> Subgroup:

@@ -60,6 +60,7 @@ from .diagram import (
 from .lattice import (
     Subgroup,
     _as_int,
+    _Frozen,
     _Value,
     _combination,
     _dot,
@@ -83,7 +84,51 @@ def _matching_failure(d: TrisectionDiagram, coords) -> str | None:
     return None
 
 
-class OneOneCocycle(_Value):
+def _check_diagram(d: TrisectionDiagram, *records) -> None:
+    """Raise unless each record (a cocycle, a dual rep or a ledger) is over diagram d."""
+    for x in records:
+        if x.diagram != d:
+            raise ValueError("arguments belong to different diagrams")
+
+
+class _DegreeTwo:
+    """What the two degree-two class types share: a class is its diagram and
+    its coordinates, and a class derived from others (the zero, a sum, a
+    difference, a multiple) is built in one step, from coordinates combined
+    by the subclass's ``_combine``, so its construction check runs once.
+    """
+
+    __slots__ = ()
+    _fields = ("diagram", "coords")
+
+    @classmethod
+    def _combined(cls, d: TrisectionDiagram, xs, coeffs):
+        """sum_j coeffs[j] * xs[j] over d, one construction; zero when xs is empty."""
+        _check_diagram(d, *xs)
+        return cls(d, cls._combine(d, [x.coords for x in xs], coeffs))
+
+    @classmethod
+    def zero(cls, d: TrisectionDiagram):
+        return cls._combined(d, (), ())
+
+    def __add__(self, other):
+        return self._combined(self.diagram, (self, other), (1, 1))
+
+    def __sub__(self, other):
+        return self._combined(self.diagram, (self, other), (1, -1))
+
+    def scale(self, n: int):
+        try:
+            n = _as_int(n)
+        except ValueError:
+            raise ValueError(f"scale factor must be an integer, got {n!r}") from None
+        return self._combined(self.diagram, (self,), (n,))
+
+    def __neg__(self):
+        return self.scale(-1)
+
+
+class OneOneCocycle(_DegreeTwo, _Value):
     """Degree-two cohomology class as a sum-zero triple of Lagrangian vectors.
 
     Carried by its 3g curve coordinates: block lam of ``coords`` combines
@@ -95,8 +140,6 @@ class OneOneCocycle(_Value):
     ambient blocks are computed from the curves when first read.
     """
 
-    _fields = ("diagram", "coords")
-
     def __init__(self, diagram: TrisectionDiagram, coords: tuple[int, ...]):
         ensure_valid(diagram)
         g = diagram.genus
@@ -104,8 +147,11 @@ class OneOneCocycle(_Value):
         curves = diagram.alpha.curves + diagram.beta.curves + diagram.gamma.curves
         if any(_combination(curves, coords, 2 * g)):
             raise ValueError("components do not sum to zero")
-        object.__setattr__(self, "diagram", diagram)
-        object.__setattr__(self, "coords", coords)
+        _Frozen.__init__(self, diagram, coords)
+
+    @staticmethod
+    def _combine(d: TrisectionDiagram, coords, coeffs) -> tuple[int, ...]:
+        return _combination(coords, coeffs, 3 * d.genus)
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -128,45 +174,14 @@ class OneOneCocycle(_Value):
     def b3(self) -> tuple[int, ...]:
         return self.blocks[2]
 
-    @classmethod
-    def zero(cls, d: TrisectionDiagram) -> "OneOneCocycle":
-        return _cocycle_combination(d, (), ())
-
     @property
     def is_zero(self) -> bool:
         """Whether the curve coordinates are zero: a question about the
         cochain, not its class (a coboundary is nonzero here; ROADMAP item 7)."""
         return not any(self.coords)
 
-    def __add__(self, other: "OneOneCocycle") -> "OneOneCocycle":
-        return _cocycle_combination(self.diagram, (self, other), (1, 1))
 
-    def scale(self, n: int) -> "OneOneCocycle":
-        return _cocycle_combination(self.diagram, (self,), (_scale_factor(n),))
-
-    def __neg__(self) -> "OneOneCocycle":
-        return self.scale(-1)
-
-    def __sub__(self, other: "OneOneCocycle") -> "OneOneCocycle":
-        return _cocycle_combination(self.diagram, (self, other), (1, -1))
-
-
-def _scale_factor(n) -> int:
-    """n as an int; ValueError naming it unless it is an integer (a bool is not)."""
-    try:
-        return _as_int(n)
-    except ValueError:
-        raise ValueError(f"scale factor must be an integer, got {n!r}") from None
-
-
-def _cocycle_combination(d: TrisectionDiagram, xs, coeffs) -> OneOneCocycle:
-    """sum_j coeffs[j] * xs[j] over d, one construction; zero when xs is empty."""
-    if any(x.diagram != d for x in xs):
-        raise ValueError("cocycles belong to different diagrams")
-    return OneOneCocycle(d, _combination([x.coords for x in xs], coeffs, 3 * d.genus))
-
-
-class H2DualRep(_Value):
+class H2DualRep(_DegreeTwo, _Value):
     """Degree-two homology class as a matched triple of handlebody H1 classes.
 
     ``coords[lam - 1][i]`` is <c_i, a_lam> over the curves c_i of system lam
@@ -179,8 +194,6 @@ class H2DualRep(_Value):
     concatenated coordinates are annihilated by the pair-difference columns.
     """
 
-    _fields = ("diagram", "coords")
-
     def __init__(self, diagram: TrisectionDiagram, coords: tuple[tuple[int, ...], ...]):
         g = diagram.genus
         coords = tuple(as_int_vector(c, g) for c in coords)
@@ -189,8 +202,11 @@ class H2DualRep(_Value):
         failure = _matching_failure(diagram, coords)
         if failure:
             raise CycleConditionError(failure)
-        object.__setattr__(self, "diagram", diagram)
-        object.__setattr__(self, "coords", coords)
+        _Frozen.__init__(self, diagram, coords)
+
+    @staticmethod
+    def _combine(d: TrisectionDiagram, coords, coeffs) -> tuple[tuple[int, ...], ...]:
+        return tuple(_combination([c[i] for c in coords], coeffs, d.genus) for i in range(3))
 
     @classmethod
     def from_lifts(
@@ -215,28 +231,12 @@ class H2DualRep(_Value):
         """
         return tuple(_reduced_lift(self.diagram, lam, c) for lam, c in enumerate(self.coords))
 
-    @classmethod
-    def zero(cls, d: TrisectionDiagram) -> "H2DualRep":
-        return _rep_combination(d, (), ())
-
     @property
     def is_zero(self) -> bool:
         """Whether the pairing coordinates are zero: a question about the
         coordinates, not the class (where H2 = 0 a nonzero rep can be a zero
         class; ROADMAP item 7)."""
         return not any(any(c) for c in self.coords)
-
-    def __add__(self, other: "H2DualRep") -> "H2DualRep":
-        return _rep_combination(self.diagram, (self, other), (1, 1))
-
-    def scale(self, n: int) -> "H2DualRep":
-        return _rep_combination(self.diagram, (self,), (_scale_factor(n),))
-
-    def __neg__(self) -> "H2DualRep":
-        return self.scale(-1)
-
-    def __sub__(self, other: "H2DualRep") -> "H2DualRep":
-        return _rep_combination(self.diagram, (self, other), (1, -1))
 
 
 def _reduced_lift(d: TrisectionDiagram, lam: int, v: tuple[int, ...]) -> tuple[int, ...]:
@@ -318,16 +318,6 @@ def _curve_gram_schmidt(
     return tuple(dets), tuple(mus)
 
 
-def _rep_combination(d: TrisectionDiagram, reps, coeffs) -> H2DualRep:
-    """sum_j coeffs[j] * reps[j] over d, one construction; zero when reps is empty."""
-    if any(r.diagram != d for r in reps):
-        raise ValueError("dual reps belong to different diagrams")
-    g = d.genus
-    return H2DualRep(
-        d, tuple(_combination([r.coords[i] for r in reps], coeffs, g) for i in range(3))
-    )
-
-
 def _sign_normalized(vec: tuple[int, ...]) -> tuple[int, ...]:
     """vec or -vec, whichever has a positive first nonzero entry."""
     sign = next((1 if e > 0 else -1 for e in vec if e), 1)
@@ -356,11 +346,6 @@ def h2_basis_cocycles(d: TrisectionDiagram) -> tuple[OneOneCocycle, ...]:
     return tuple(OneOneCocycle(d, x) for x in _h2_basis_coords(d))
 
 
-def _check_cocycle(d: TrisectionDiagram, x: OneOneCocycle, name: str) -> None:
-    if x.diagram != d:
-        raise ValueError(f"{name} belongs to a different diagram")
-
-
 def intersection_pairing(d: TrisectionDiagram, x: OneOneCocycle, y: OneOneCocycle) -> int:
     """Cup-product pairing of two degree-two classes on the fundamental class.
 
@@ -369,8 +354,7 @@ def intersection_pairing(d: TrisectionDiagram, x: OneOneCocycle, y: OneOneCocycl
     give the same integer because Lagrangian components annihilate each
     other.
     """
-    _check_cocycle(d, x, "first argument")
-    _check_cocycle(d, y, "second argument")
+    _check_diagram(d, x, y)
     return _dot(x.coords[: d.genus], _beta_pairings(d, y.coords))
 
 
@@ -393,10 +377,7 @@ class IntersectionForm(_Value):
         parity: str,
         unimodular: bool,
     ):
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "unimodular", unimodular)
+        _Frozen.__init__(self, gram, signature, parity, unimodular)
 
     @property
     def rank(self) -> int:
@@ -543,9 +524,7 @@ def evaluate_on_surface_class(d: TrisectionDiagram, x: OneOneCocycle, rep: H2Dua
     changes to the cocycle do not move it (the matching conditions kill
     those).
     """
-    _check_cocycle(d, x, "cocycle")
-    if rep.diagram != d:
-        raise ValueError("dual rep belongs to a different diagram")
+    _check_diagram(d, x, rep)
     return _dot(x.coords, [c for block in rep.coords for c in block])
 
 
@@ -558,7 +537,7 @@ def poincare_dual_rep(d: TrisectionDiagram, x: OneOneCocycle) -> H2DualRep:
     On every cocycle y it evaluates to <y.b1, x.b2>, which is
     intersection_pairing(d, y, x). The zero class gives the zero rep.
     """
-    _check_cocycle(d, x, "cocycle")
+    _check_diagram(d, x)
     return _dual_of_coords(d, x.coords)
 
 
@@ -599,8 +578,7 @@ def cocycle_from_dual_rep(d: TrisectionDiagram, rep: H2DualRep) -> OneOneCocycle
     coordinates dotted with the rep's curve pairings, so none needs a
     change of basis.
     """
-    if rep.diagram != d:
-        raise ValueError("dual rep belongs to a different diagram")
+    _check_diagram(d, rep)
     flat = [c for block in rep.coords for c in block]
     coords = _h2_basis_coords(d)
     solved = _gram_echelon(d).coordinates([_dot(x, flat) for x in coords])

@@ -11,7 +11,7 @@ from collections.abc import Sequence
 from operator import and_, mul
 
 from .diagram import SYSTEM_NAMES, TrisectionDiagram, ensure_valid, memoized
-from .lattice import _check_count, _Value, as_int_vector
+from .lattice import _check_count, _Frozen, _Value, as_int_vector
 
 MAX_LISTED = 2**16
 
@@ -26,8 +26,7 @@ class QuadraticEnhancement(_Value):
         basis_values = as_int_vector(basis_values, 2 * genus)
         if any(b not in (0, 1) for b in basis_values):
             raise ValueError("basis values must be bits")
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "basis_values", basis_values)
+        _Frozen.__init__(self, genus, basis_values)
 
     def evaluate(self, x) -> int:
         """q(x) mod 2 for an integer vector x.

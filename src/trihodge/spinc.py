@@ -19,8 +19,14 @@ form solve), which is recorded here as a limitation rather than hidden.
 from __future__ import annotations
 
 from .diagram import TrisectionDiagram, _system_index, ensure_valid
-from .lattice import _combination, _Value, as_int_vector
-from .pairings import H2DualRep, OneOneCocycle, _matching_failure, cocycle_from_dual_rep
+from .lattice import _Frozen, _Value, as_int_vector
+from .pairings import (
+    H2DualRep,
+    OneOneCocycle,
+    _check_diagram,
+    _matching_failure,
+    cocycle_from_dual_rep,
+)
 
 EulerTriple = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
@@ -43,12 +49,9 @@ class SpinCLedger(_Value):
             raise ValueError("expected one Euler entry per handlebody")
         if type(base_id) is not str:
             raise ValueError(f"base id must be a string, got {base_id!r}")
-        if base_c1 is not None and base_c1.diagram != diagram:
-            raise ValueError("base c1 belongs to a different diagram")
-        object.__setattr__(self, "diagram", diagram)
-        object.__setattr__(self, "euler", euler)
-        object.__setattr__(self, "base_id", base_id)
-        object.__setattr__(self, "base_c1", base_c1)
+        if base_c1 is not None:
+            _check_diagram(diagram, base_c1)
+        _Frozen.__init__(self, diagram, euler, base_id, base_c1)
 
     def _with_euler(self, euler: EulerTriple) -> "SpinCLedger":
         """The same ledger with other Euler entries."""
@@ -84,10 +87,8 @@ def act(ledger: SpinCLedger, rep: H2DualRep) -> SpinCLedger:
     Every Euler entry drops by twice the matching rep coordinates, and the
     shifted ledger is built once.
     """
-    if rep.diagram != ledger.diagram:
-        raise ValueError("rep belongs to a different diagram")
-    g = ledger.diagram.genus
-    euler = tuple(_combination((e, c), (1, -2), g) for e, c in zip(ledger.euler, rep.coords))
+    _check_diagram(ledger.diagram, rep)
+    euler = H2DualRep._combine(rep.diagram, (ledger.euler, rep.coords), (1, -2))
     return ledger._with_euler(euler)
 
 
@@ -104,7 +105,7 @@ def is_admissible(ledger: SpinCLedger) -> bool:
 
 def _difference_rep(s1: SpinCLedger, s2: SpinCLedger) -> H2DualRep:
     """The rep 2A, for A the homology rep with act(s2, A) matching s1's Euler entries."""
-    coords = tuple(tuple(b - a for a, b in zip(e1, e2)) for e1, e2 in zip(s1.euler, s2.euler))
+    coords = H2DualRep._combine(s1.diagram, (s2.euler, s1.euler), (1, -1))
     if any(c % 2 for block in coords for c in block):
         raise ValueError("Euler entries do not differ by an even class")
     return H2DualRep(s1.diagram, coords)
@@ -119,8 +120,7 @@ def c1_difference(s1: SpinCLedger, s2: SpinCLedger) -> OneOneCocycle:
     is not a matched triple (then the two ledgers do not differ by a
     degree-two class at all).
     """
-    if s1.diagram != s2.diagram:
-        raise ValueError("ledgers belong to different diagrams")
+    _check_diagram(s1.diagram, s2)
     if s1.base_id != s2.base_id:
         raise ValueError("ledgers track different base structures; difference undefined")
     return cocycle_from_dual_rep(s1.diagram, _difference_rep(s1, s2))

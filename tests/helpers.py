@@ -4,7 +4,7 @@ duality maps, column spans, transvections, the degree-three against
 degree-one Gram matrix, cold copies of diagrams (nothing memoized), a
 stream of small block sums, the seeded pool of prescribed forms summed with
 torsion, S1xS3 and S4 pieces, every public query on one diagram, a matrix
-builder, and twenty oracles: the numpy Smith form, the lift of a quotient
+builder, and twenty-two oracles: the numpy Smith form, the lift of a quotient
 presentation's coordinates, sympy's invariant factors, the
 Bareiss determinant, the full-width congruence diagonalization over the
 rationals, the comprehension pairing rows, the Smith-form kernel, the
@@ -14,7 +14,9 @@ by canonical pair and triple sums, validation by pair sums, homology by
 kernels, the five-term complex of the three Lagrangians with its dual,
 the Cech complexes behind the diamond, the degree-three representatives
 from the homology complex, the solved Poincare dual, the dict-scan spin
-elimination and the brute-force spin filter.
+elimination, the brute-force spin filter, Kashiwara's index of the three
+Lagrangians (a second route to the signature) and the spin count of Wu's
+formula.
 
 The suites use these to generate inputs and to state laws; the package
 itself never needs them.
@@ -275,6 +277,41 @@ def full_width_signature(
                 for k in range(n):
                     M[k][r] -= f * M[k][pivot_row]
     return (pos, neg), int(det)
+
+
+def kashiwara_signature(d: TrisectionDiagram) -> int:
+    """Kashiwara's Maslov index of the three Lagrangians, the signature of
+    the symmetric 3g x 3g matrix with zero diagonal blocks and the
+    intersection matrices Q_alpha_beta, Q_beta_gamma and Q_gamma_alpha in
+    blocks (0, 1), (1, 2) and (2, 0), their transposes across the diagonal.
+
+    A second route to the signature of the form (Wall 1969; Feller, Klug,
+    Schirmer and Zemke 2018): it reads no kernel, no homology complex and
+    no H2 basis, and takes its inertia from ``full_width_signature``, so it
+    shares no code with ``pairings._signature_of_symmetric``.
+    """
+    g = d.genus
+    omega = [[0] * (3 * g) for _ in range(3 * g)]
+    for lam, q in enumerate(d._intersection_matrices):
+        r, c = lam * g, (lam + 1) % 3 * g
+        for i, row in enumerate(q):
+            for j, x in enumerate(row):
+                omega[r + i][c + j] = omega[c + j][r + i] = x
+    (positive, negative), _ = full_width_signature(omega)
+    return positive - negative
+
+
+def wu_spin_count(d: TrisectionDiagram) -> int | None:
+    """The spin count Wu's formula gives, or None where H1 has 2-torsion.
+
+    Without 2-torsion in H1, w2 is the reduction of the characteristic
+    covectors of the form, so it vanishes exactly when the form is even;
+    the spin structures are then a torsor over H^1(X; Z/2) = (Z/2)^b1.
+    """
+    h1 = homology_groups(d)[1]
+    if any(t % 2 == 0 for t in h1.torsion):
+        return None
+    return 2**h1.rank if intersection_form(d).parity == "even" else 0
 
 
 def is_unimodular(m: np.ndarray) -> bool:

@@ -18,6 +18,8 @@ from trihodge import cli
 from trihodge.cli import EXIT_INTERNAL, EXIT_INVALID, EXIT_OK, EXIT_PARSE, main
 from trihodge.diagram import SYSTEM_NAMES, builtin, random_diagram
 
+from helpers import diagram_from_form
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).parent / "golden"
 REP_FILE = str(GOLDEN / "rep_cp2.json")
@@ -593,6 +595,12 @@ class TestBooleanEntries:
 # ---------------------------------------------------------------- fuzzing
 
 
+def diagram_doc(d) -> dict:
+    """A labelled diagram as a diagram JSON object."""
+    curves = {name: [list(c) for c in getattr(d, name).curves] for name in SYSTEM_NAMES}
+    return {"genus": d.genus, **curves, "label": d.label}
+
+
 def golden_docs() -> tuple[dict, ...]:
     """The diagram behind each golden case, once each, as a diagram JSON object."""
     docs = {}
@@ -602,12 +610,43 @@ def golden_docs() -> tuple[dict, ...]:
         else:
             genus, seed = (int(argv[argv.index(flag) + 1]) for flag in ("--genus", "--seed"))
             d = random_diagram(genus, seed)
-        curves = {name: [list(c) for c in getattr(d, name).curves] for name in SYSTEM_NAMES}
-        docs[d.label] = {"genus": d.genus, **curves, "label": d.label}
+        docs[d.label] = diagram_doc(d)
     return tuple(docs.values())
 
 
 GOLDEN_DOCS = golden_docs()
+# diagram_from_form of forms whose determinant is not +-1: every check but
+# the gamma+alpha pair's passes, whose quotient is the cokernel of the form
+NON_UNIMODULAR = {
+    "<2>": ((2,),),
+    "<3>": ((3,),),
+    "[[2,1],[1,2]]": ((2, 1), (1, 2)),
+    "[[0,2],[2,0]]": ((0, 2), (2, 0)),
+}
+FORM_DOCS = {name: diagram_doc(diagram_from_form(q, name)) for name, q in NON_UNIMODULAR.items()}
+
+
+@pytest.mark.parametrize("name", NON_UNIMODULAR)
+def test_non_unimodular_form_fails_only_the_gamma_alpha_check(tmp_path, name):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(FORM_DOCS[name]))
+    code, out, err = run_cli(["validate", str(path)])
+    assert (code, err) == (EXIT_INVALID, "")
+    failed = [line for line in out.splitlines() if line.endswith("FAIL")]
+    assert failed == ["check gamma+alpha torsion-free: FAIL"]
+    assert out.endswith("verdict: invalid\n")
+
+
+@pytest.mark.parametrize("name", NON_UNIMODULAR)
+def test_non_unimodular_form_is_refused_by_every_other_subcommand(tmp_path, name):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(FORM_DOCS[name]))
+    for command in [c for c in cli._HANDLERS if c != "validate"]:
+        for flags in ([], ["--json"]):
+            code, out, err = run_cli([command, str(path), *flags])
+            assert (code, out) == (EXIT_INVALID, ""), command
+            assert err == "error: invalid diagram, failing checks: gamma+alpha torsion-free\n"
+
 # written in place of the marker after json.dumps, which cannot write it
 OVER_DIGIT_LIMIT = "9" * 5000
 HUGE_MARK = "@over-digit-limit@"
@@ -619,10 +658,11 @@ MUTATIONS = ("drop", "bool", "width", "huge", "label")
 
 @st.composite
 def mutated_golden_docs(draw) -> str:
-    """The JSON text of a golden-case diagram after one to three mutations:
-    a dropped field, a bool entry, a curve one entry too wide or too narrow,
-    a huge integer, or a label that is not one printable line."""
-    doc = copy.deepcopy(draw(st.sampled_from(GOLDEN_DOCS)))
+    """The JSON text of a golden-case or non-unimodular-form diagram after
+    one to three mutations: a dropped field, a bool entry, a curve one entry
+    too wide or too narrow, a huge integer, or a label that is not one
+    printable line."""
+    doc = copy.deepcopy(draw(st.sampled_from(GOLDEN_DOCS + tuple(FORM_DOCS.values()))))
     for kind in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)):
         systems = [doc[name] for name in SYSTEM_NAMES if isinstance(doc.get(name), list)]
         curves = [c for cs in systems for c in cs]

@@ -37,6 +37,7 @@ from helpers import (
 from test_acceptance import RANDOM_SUITE, SUITE
 from test_diagram import torsion_sums_and_their_slides
 from test_pairings import DUALITY_SUITE
+from test_pool import POOL_SUITE
 
 Z = HomologyGroup(1)
 ZERO = HomologyGroup(0)
@@ -299,7 +300,7 @@ def test_dual_middle_homology_is_the_dual_complex_middle():
 
 
 def test_dual_complex_is_the_transposed_middle_of_the_homology_complex():
-    for d in RANDOM_SUITE + tuple(builtin(name) for name in TORSION_SUMS):
+    for d in RANDOM_SUITE + POOL_SUITE + tuple(builtin(name) for name in TORSION_SUMS):
         g = d.genus
         fm, dual = homology_complex(d), dual_complex(d)
         lagrangian_columns, pair_columns = fm.columns[2], fm.columns[1]

@@ -51,6 +51,7 @@ from helpers import (
 )
 from test_acceptance import RANDOM_SUITE
 from test_pairings import DUALITY_SUITE
+from test_pool import POOL_SUITE
 
 
 class TestConstruction:
@@ -282,7 +283,7 @@ class TestKValuesFromPairQuotients:
             assert pair_columns not in vars(d) and not canonical_spans
 
     def test_k_values_are_the_pair_intersection_ranks(self):
-        for d in RANDOM_SUITE + tuple(torsion_sums_and_their_slides()):
+        for d in RANDOM_SUITE + POOL_SUITE + tuple(torsion_sums_and_their_slides()):
             k = d.validation.k_values
             L = [d.lagrangian_subgroup(lam) for lam in (1, 2, 3)]
             ranks = tuple(subgroup_intersection(L[i], L[(i + 1) % 3]).rank for i in range(3))
@@ -437,14 +438,14 @@ class TestPairChecksFromIntersectionMatrices:
 
 class TestCurveBases:
     def test_validation_reads_only_the_curves(self, canonical_spans):
-        suite = RANDOM_SUITE + tuple(torsion_sums_and_their_slides())
+        suite = RANDOM_SUITE + POOL_SUITE + tuple(torsion_sums_and_their_slides())
         for d in suite + tuple(ladder_diagram(g) for g in (8, 16)):
             d = cold_copy(d)
             ensure_valid(d)
             assert not canonical_spans, d.describe()
 
     def test_pair_kernels_pair_the_curves_of_consecutive_systems(self):
-        for d in RANDOM_SUITE + tuple(torsion_sums_and_their_slides()):
+        for d in RANDOM_SUITE + POOL_SUITE + tuple(torsion_sums_and_their_slides()):
             g = d.genus
             blocks = _pair_difference_columns(d)
             assert tuple(map(len, blocks)) == k_values(d), d.describe()

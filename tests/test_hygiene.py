@@ -268,6 +268,10 @@ KEPT_METHODS = {
         "whether the pairing coordinates of a rep are zero; on S1xS3 a nonzero rep is "
         "a zero class (ROADMAP item 7)"
     ),
+    "_DegreeTwo.zero": (
+        "the zero class of either degree-two type, which the bench reads as H2DualRep.zero; "
+        "the check does not follow inheritance"
+    ),
     "H2DualRep.lifts": "ambient vectors of a rep, the inverse of from_lifts; the bench reads them",
     "TrisectionDiagram.pair_sum": "the canonical pair sum, which the bench's lattice replay reads",
     "TrisectionDiagram.lagrangian_subgroup": (

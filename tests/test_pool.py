@@ -1,5 +1,7 @@
 """Laws on ``helpers.pool_diagram``: prescribed forms summed with torsion,
-S1xS3 and stabilization pieces, scrambled and handleslid.
+S1xS3 and stabilization pieces, scrambled and handleslid. Two of them, the
+signature as minus Kashiwara's index and Wu's spin count, are also checked
+on the builtins, random diagrams, the ladder and spin sums.
 
 Rokhlin and Donaldson are not asserted: the E8 triple is a valid algebraic
 triple of signature 8 with a spin structure, so it need not come from a
@@ -9,10 +11,31 @@ smooth manifold.
 import pytest
 
 from trihodge.complexes import homology_groups
+from trihodge.diagram import builtin, builtin_names, random_diagram
 from trihodge.pairings import h3_representatives, intersection_form
 from trihodge.spin import spin_count
 
-from helpers import h3_h1_gram, pool_diagram
+from helpers import (
+    h3_h1_gram,
+    kashiwara_signature,
+    ladder_diagram,
+    pool_diagram,
+    spin_sum_diagram,
+    wu_spin_count,
+)
+
+POOL_SEEDS = range(25)
+POOL_SUITE = tuple(pool_diagram(seed)[0] for seed in POOL_SEEDS)
+# the other families the two second-route laws run on; every one but
+# QS4_Z2 has no 2-torsion in H1, so Wu's formula fixes its spin count
+LAW_SUITE = (
+    *(builtin(name) for name in builtin_names()),
+    random_diagram(4, 1),
+    random_diagram(8, 2),
+    ladder_diagram(8),
+    ladder_diagram(16),
+    *(spin_sum_diagram(12, seed)[0] for seed in range(3)),
+)
 
 
 def characteristic_vector(gram) -> list[int]:
@@ -36,7 +59,7 @@ def test_characteristic_vector_of_a_small_odd_form():
     assert characteristic_vector(((3, 1), (1, 0))) == [0, 1]
 
 
-@pytest.mark.parametrize("seed", range(25))
+@pytest.mark.parametrize("seed", POOL_SEEDS)
 def test_pool_diagram_laws(seed):
     d, expected = pool_diagram(seed)
     groups = homology_groups(d)
@@ -49,14 +72,33 @@ def test_pool_diagram_laws(seed):
     square = sum(w[i] * form.gram[i][j] * w[j] for i in range(len(w)) for j in range(len(w)))
     positive, negative = form.signature
     assert (positive - negative - square) % 8 == 0
+    assert positive - negative == -kashiwara_signature(d)
     assert groups[1] == expected.h1
     even_factors = sum(t % 2 == 0 for t in expected.h1.torsion)
     count = spin_count(d)
     assert count in (0, 2 ** (expected.h1.rank + even_factors))
     # a spin structure makes every square even
     assert count == 0 or form.parity == "even"
+    if not even_factors:
+        # Wu: without 2-torsion in H1 the form alone fixes the count
+        assert count == (2**expected.h1.rank if form.parity == "even" else 0)
+        assert count == wu_spin_count(d)
     assert groups[2].torsion == groups[1].torsion
     b1 = expected.h1.rank
     gram = h3_h1_gram(d, h3_representatives(d))
     assert gram.shape == (b1, b1)
     assert gram.tolist() == [[int(i == j) for j in range(b1)] for i in range(b1)]
+
+
+@pytest.mark.parametrize("d", LAW_SUITE, ids=lambda d: d.describe())
+def test_signature_is_minus_the_kashiwara_index(d):
+    positive, negative = intersection_form(d).signature
+    assert positive - negative == -kashiwara_signature(d)
+
+
+@pytest.mark.parametrize(
+    "d", [d for d in LAW_SUITE if d.label != "QS4_Z2"], ids=lambda d: d.describe()
+)
+def test_wu_law(d):
+    expected = wu_spin_count(d)
+    assert expected is not None and spin_count(d) == expected
