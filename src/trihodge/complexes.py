@@ -18,8 +18,8 @@ from one unit-pivot elimination of its columns and are kept on the complex.
 Every homology group is read off those of the two differentials at its
 position, which holds in any complex of free groups: H2 is
 Z^(2g - rank d1 - rank d2) plus the factors >= 2 of d1, like every other
-group, so a group query builds no kernel of a differential and no Smith
-transform. Free generators are built only where a caller reads them,
+group, so a group query builds no kernel of a differential and presents
+no cokernel. Free generators are built only where a caller reads them,
 which is at degree two, for ``pairings.h2_basis_cocycles``. There the
 canonical kernel of the outgoing differential gives the cycles, and one
 Smith form of the boundaries in the cycles gives the generators. A

@@ -20,9 +20,8 @@ matrix part of [m^T | I] and canonicalizes just the kernel rows. Smith
 forms finish what a unit pivot cannot: the residual rows of an
 invariant-factor computation, the free generators of a cokernel
 (``_cokernel``) and the public ``smith_normal_form`` and ``quotient``.
-Each computes D and records its row and column operations; the transforms
-U, U^{-1} and V are replayed from the record on first read, so a caller
-that reads only invariant factors builds none of them.
+Each builds D and the transforms U, U^{-1} and V together, one operation
+at a time.
 
 Inside the package a matrix is a list of rows of Python ints, and a subgroup
 or a chain complex keeps its columns as tuples, so all arithmetic is exact at
@@ -146,48 +145,40 @@ def smith_normal_form(
     return _array(smith.U, len(rows)), _array(smith.D, ncols), _array(smith.V, ncols)
 
 
-_ADD, _SWAP, _NEGATE = range(3)
-
-
 class _Smith:
-    """Smith normal form U m V = D of trusted rows of Python ints.
+    """Smith normal form U m V = D of trusted rows of Python ints, with U^{-1}.
 
     Standard gcd-pivot reduction: pick the smallest nonzero entry of the
     remaining block, clear its row and column by Euclidean steps, then force the
     divisibility chain by folding any non-divisible entry into the pivot row.
 
-    Only D is computed at once. The row operations (add, swap, negate) and the
-    column operations (add, swap) are recorded in order as ``(kind, i, j, q)``,
-    and U, U^{-1} and V are replayed from the record on identity rows the
-    first time each is read. Replay makes the same operations in the same
-    order as the elimination, so each transform is the one building it
-    alongside D would give. Every form the package builds is a temporary,
-    so the records live as long as the form does.
-
-    At step t every entry of D outside the block of rows and columns >= t is
-    already zero, so the updates of D stay inside that block. V and U^{-1}
-    change by columns; they are replayed transposed, so each update is one row.
+    Each operation updates D and the transforms together. At step t every
+    entry of D outside the block of rows and columns >= t is already zero, so
+    the updates of D stay inside that block. V and U^{-1} change by columns;
+    they are built transposed, so each update is one row: a row operation
+    row_i += q * row_j of D and U is row_j -= q * row_i of (U^{-1})^T, and a
+    column operation is the same row operation on V^T.
     """
 
     def __init__(self, rows: list[list[int]], ncols: int):
         D = [list(r) for r in rows]
         nrows = len(D)
-        row_ops: list[tuple[int, int, int, int]] = []
-        col_ops: list[tuple[int, int, int, int]] = []
+        U, UinvT, VT = _identity_rows(nrows), _identity_rows(nrows), _identity_rows(ncols)
 
         def row_add(i, j, q, t):
             # row_i += q * row_j
             Di, Dj = D[i], D[j]
             for k in range(t, ncols):
                 Di[k] += q * Dj[k]
-            row_ops.append((_ADD, i, j, q))
+            U[i] = [a + q * b for a, b in zip(U[i], U[j])]
+            UinvT[j] = [a - q * b for a, b in zip(UinvT[j], UinvT[i])]
 
         def col_add(j, k, q, t):
             # col_j += q * col_k
             for r in range(t, nrows):
                 Dr = D[r]
                 Dr[j] += q * Dr[k]
-            col_ops.append((_ADD, j, k, q))
+            VT[j] = [a + q * b for a, b in zip(VT[j], VT[k])]
 
         t = 0
         while t < min(nrows, ncols):
@@ -196,13 +187,13 @@ class _Smith:
                 break
             i, j = pos
             if i != t:
-                D[i], D[t] = D[t], D[i]
-                row_ops.append((_SWAP, i, t, 0))
+                for M in (D, U, UinvT):
+                    M[i], M[t] = M[t], M[i]
             if j != t:
                 for r in range(t, nrows):
                     Dr = D[r]
                     Dr[j], Dr[t] = Dr[t], Dr[j]
-                col_ops.append((_SWAP, j, t, 0))
+                VT[j], VT[t] = VT[t], VT[j]
 
             pivot = D[t][t]
             dirty = False
@@ -224,47 +215,12 @@ class _Smith:
                 continue
 
             if pivot < 0:
-                D[t] = [-x for x in D[t]]
-                row_ops.append((_NEGATE, t, t, 0))
+                for M in (D, U, UinvT):
+                    M[t] = [-x for x in M[t]]
             t += 1
 
-        self.nrows, self.ncols = nrows, ncols
-        self.D, self._row_ops, self._col_ops = D, row_ops, col_ops
-
-    @cached_property
-    def U(self) -> list[list[int]]:
-        return _replay(self._row_ops, self.nrows)
-
-    @cached_property
-    def Uinv(self) -> list[list[int]]:
-        return _transpose(_replay(self._row_ops, self.nrows, inverse_transpose=True), self.nrows)
-
-    @cached_property
-    def V(self) -> list[list[int]]:
-        # a column operation on D is the same row operation on V^T
-        return _transpose(_replay(self._col_ops, self.ncols), self.ncols)
-
-
-def _replay(
-    ops: Sequence[tuple[int, int, int, int]], n: int, inverse_transpose: bool = False
-) -> list[list[int]]:
-    """Rows of the product of recorded row operations, applied in order to I_n.
-
-    With ``inverse_transpose`` each operation E is applied as (E^{-1})^T, which
-    gives the transpose of the inverse product: row_i += q * row_j becomes
-    row_j -= q * row_i, and swaps and negations stay as they are.
-    """
-    M = _identity_rows(n)
-    for kind, i, j, q in ops:
-        if kind == _ADD:
-            if inverse_transpose:
-                i, j, q = j, i, -q
-            M[i] = [a + q * b for a, b in zip(M[i], M[j])]
-        elif kind == _SWAP:
-            M[i], M[j] = M[j], M[i]
-        else:
-            M[i] = [-x for x in M[i]]
-    return M
+        self.D, self.U = D, U
+        self.Uinv, self.V = _transpose(UinvT, nrows), _transpose(VT, ncols)
 
 
 def _smallest_nonzero(D, t, ncols):
@@ -304,8 +260,8 @@ def _invariant_factors(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, 
     """Nonzero invariant factors of trusted rows; their count is the rank.
 
     A factor 1 for each pivot of the unit-pivot elimination of the rows,
-    then the factors of the residual rows it leaves, from a Smith form that
-    builds no transform. The rows handed in are not changed.
+    then the factors of the residual rows it leaves, from a Smith form of
+    those rows alone. The rows handed in are not changed.
     """
     echelon = _UnitEchelon(rows, ncols)
     rest = echelon.residual
@@ -656,7 +612,7 @@ class QuotientPresentation(_Frozen):
     coordinates. The Smith diagonal is a divisibility chain, factors 1 first,
     so ``project`` reads them off the last ``len(torsion) + free_rank`` rows
     of the Smith transform U, and ``_free_lifts`` reads the last
-    ``free_rank`` columns of U^{-1}. Each transform is replayed on first read.
+    ``free_rank`` columns of U^{-1}.
     """
 
     _fields = ("ambient_rank", "free_rank", "torsion", "_smith")
@@ -674,7 +630,7 @@ class QuotientPresentation(_Frozen):
 
     @property
     def _free_lifts(self) -> tuple[tuple[int, ...], ...]:
-        """The ambient vector lifting each free coordinate; no U^{-1} when free_rank is 0."""
+        """The ambient vector lifting each free coordinate: a column of U^{-1}."""
         free = range(self.ambient_rank - self.free_rank, self.ambient_rank)
         return tuple(tuple(row[i] for row in self._smith.Uinv) for i in free)
 
@@ -694,8 +650,8 @@ def quotient(ambient_rank: int, relations: Subgroup) -> QuotientPresentation:
 def _cokernel(rows: list[list[int]], ncols: int) -> QuotientPresentation:
     """Present Z^rows modulo the column span of trusted rows, through one Smith form.
 
-    Only the ranks and the torsion are read at once; U (for ``project``) and
-    U^{-1} (for ``_free_lifts``) are replayed from its row record on first read.
+    The presentation reads the ranks and the torsion off D, and keeps the
+    form for U (``project``) and U^{-1} (``_free_lifts``).
     """
     smith = _Smith(rows, ncols)
     diag = snf_diagonal(smith.D)

@@ -4,7 +4,7 @@ duality maps, column spans, transvections, the degree-three against
 degree-one Gram matrix, cold copies of diagrams (nothing memoized), a
 stream of small block sums, the seeded pool of prescribed forms summed with
 torsion, S1xS3 and S4 pieces, every public query on one diagram, a matrix
-builder, and twenty-two oracles: the numpy Smith form, the lift of a quotient
+builder, and twenty-three oracles: the numpy Smith form, the lift of a quotient
 presentation's coordinates, sympy's invariant factors, the
 Bareiss determinant, the full-width congruence diagonalization over the
 rationals, the comprehension pairing rows, the Smith-form kernel, the
@@ -15,8 +15,8 @@ kernels, the five-term complex of the three Lagrangians with its dual,
 the Cech complexes behind the diamond, the degree-three representatives
 from the homology complex, the solved Poincare dual, the dict-scan spin
 elimination, the brute-force spin filter, Kashiwara's index of the three
-Lagrangians (a second route to the signature) and the spin count of Wu's
-formula.
+Lagrangians (a second route to the signature), Wall's form (a second route
+to the form) and the spin count of Wu's formula.
 
 The suites use these to generate inputs and to state laws; the package
 itself never needs them.
@@ -46,6 +46,7 @@ from trihodge.diagram import (
     CutSystem,
     TrisectionDiagram,
     ValidationReport,
+    _pairing_rows,
     builtin,
     builtin_genus,
     connected_sum,
@@ -58,6 +59,7 @@ from trihodge.lattice import (
     QuotientPresentation,
     Subgroup,
     _combination,
+    _dot,
     _identity_rows,
     as_int_vector,
     kernel_basis,
@@ -118,8 +120,8 @@ def numpy_snf_with_inverses(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     updates of numpy object arrays.
 
     The oracle for ``lattice._Smith``, which makes the same pivot choices and
-    operations on rows of Python ints, replays them for each transform it is
-    asked for, and must return the identical transforms.
+    operations on rows of Python ints, updates the rows of U, (U^{-1})^T and
+    V^T with each, and must return the identical transforms.
     """
     D = mat(m.tolist(), m.shape[1])
     nrows, ncols = D.shape
@@ -299,6 +301,28 @@ def kashiwara_signature(d: TrisectionDiagram) -> int:
                 omega[r + i][c + j] = omega[c + j][r + i] = x
     (positive, negative), _ = full_width_signature(omega)
     return positive - negative
+
+
+def wall_gram(d: TrisectionDiagram) -> tuple[tuple[int, ...], ...]:
+    """Gram matrix of Wall's form (Wall 1969, *Non-additivity of the signature*).
+
+    Its lattice W is the integer kernel of [C_alpha | -C_beta | -C_gamma],
+    where C_lam has the curves of system lam as columns: the triples
+    (x, y, z) with C_alpha x = C_beta y + C_gamma z, taken with
+    ``smith_kernel_basis``. The form is (x, x') -> <C_alpha x, C_beta y'>.
+    Past its radical it is unimodular of rank b2, with the parity of the
+    intersection form and signature -sigma: a second route to the form up
+    to isometry. It shares the pairing formula with
+    ``pairings.intersection_pairing``, but not the boundary columns, the
+    Smith cokernel or the basis choice.
+    """
+    g, n = d.genus, 2 * d.genus
+    alpha, beta, gamma = (cs.curves for cs in d.systems)
+    columns = [*alpha, *([-x for x in c] for c in beta + gamma)]
+    kernel = smith_kernel_basis(mat([[c[i] for c in columns] for i in range(n)], 3 * g))
+    ax = [_combination(alpha, w[:g], n) for w in kernel.columns()]
+    by = [_combination(beta, w[g : 2 * g], n) for w in kernel.columns()]
+    return tuple(tuple(_dot(row, v) for v in by) for row in _pairing_rows(ax))
 
 
 def wu_spin_count(d: TrisectionDiagram) -> int | None:

@@ -182,9 +182,10 @@ def class_attribute_reads(trees: dict[str, ast.Module]) -> list[tuple[str, int, 
     return out
 
 
-def reads_on(cls: str, reads) -> list[tuple[str, int, str]]:
-    """(module, line, attribute) of the reads whose definition refers to cls."""
-    return [(module, line, attr) for module, line, attr, classes in reads if cls in classes]
+def reads_on(family: set[str], reads) -> list[tuple[str, int, str]]:
+    """(module, line, attribute) of the reads whose definition refers to a
+    class of the family."""
+    return [(module, line, attr) for module, line, attr, classes in reads if family & classes]
 
 
 def unexplained_public_names(
@@ -195,13 +196,25 @@ def unexplained_public_names(
     ``explained`` and that no definition in ``sources`` or ``readers`` uses.
 
     A method counts as used only where an attribute of its name is read in
-    a top-level definition that also refers to its class (see
-    ``class_attribute_reads``). So neither a local variable of the same
-    name nor a method of the same name on another class hides it.
+    a top-level definition that also refers to its class or to a class of
+    ``sources`` derived from it (see ``class_attribute_reads``). So neither
+    a local variable of the same name nor a method of the same name on
+    another class hides it.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     everything = {**trees, **{m: ast.parse(source) for m, source in readers.items()}}
     refs, reads = references(everything), class_attribute_reads(everything)
+    bases = {
+        node.name: {base.id for base in node.bases if isinstance(base, ast.Name)}
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def family(cls: str) -> set[str]:
+        """cls and every class of ``sources`` derived from it."""
+        return {cls}.union(*(family(sub) for sub, names in bases.items() if cls in names))
+
     names = [
         f"{module}:{node.name}"
         for module, tree in trees.items()
@@ -216,7 +229,9 @@ def unexplained_public_names(
         for module, tree in trees.items()
         for qualname, node in public_methods(tree)
         if qualname not in explained
-        and not referenced_outside(node.name, module, node, reads_on(qualname.split(".")[0], reads))
+        and not referenced_outside(
+            node.name, module, node, reads_on(family(qualname.split(".")[0]), reads)
+        )
     ]
     return names + methods
 
@@ -240,14 +255,26 @@ def test_public_name_detector():
             "    def read(self): pass\n"
             "    def made(self): pass\n"
             "def make() -> Twin: pass\n"
+            "class _Base:\n"
+            "    def inherited(self): pass\n"
+            "    def unread(self): pass\n"
+            "class Leaf(_Base): pass\n"
             "def _private(): pass\n"
         ),
         "b": "from a import Box, called, make\ncalled()\nBox().read()\nshadowed = 1\n",
     }
-    # Twin.made is read on what make() returns; Box().read() does not use Twin.read
-    readers = {"bench": "import a\na.benched()\na.make().made()\n"}
+    # Twin.made is read on what make() returns; Box().read() does not use
+    # Twin.read; _Base.inherited is read through its subclass Leaf
+    readers = {"bench": "import a\na.benched()\na.make().made()\na.Leaf.inherited()\n"}
     found = unexplained_public_names(sources, readers, {"exported", "kept", "Box.kept"})
-    assert found == ["a:recursive", "a:Idle", "a:Idle.method", "a:Box.shadowed", "a:Twin.read"]
+    assert found == [
+        "a:recursive",
+        "a:Idle",
+        "a:Idle.method",
+        "a:Box.shadowed",
+        "a:Twin.read",
+        "a:_Base.unread",
+    ]
 
 
 # Public lower-level API that nothing in the package calls, kept on purpose
@@ -267,10 +294,6 @@ KEPT_METHODS = {
     "H2DualRep.is_zero": (
         "whether the pairing coordinates of a rep are zero; on S1xS3 a nonzero rep is "
         "a zero class (ROADMAP item 7)"
-    ),
-    "_DegreeTwo.zero": (
-        "the zero class of either degree-two type, which the bench reads as H2DualRep.zero; "
-        "the check does not follow inheritance"
     ),
     "H2DualRep.lifts": "ambient vectors of a rep, the inverse of from_lifts; the bench reads them",
     "TrisectionDiagram.pair_sum": "the canonical pair sum, which the bench's lattice replay reads",
@@ -463,18 +486,6 @@ CACHED_READERS = {
     ),
     "diagram:TrisectionDiagram.validation": "ensure_valid before every query, and k_values",
     "diagram:ValidationReport.is_valid": "ensure_valid on every query, and the CLI's validate frame",
-    "lattice:_Smith.U": (
-        "built only when read: every QuotientPresentation.project call; "
-        "test_smith_forms_build_only_the_transforms_read probes which transforms are built"
-    ),
-    "lattice:_Smith.Uinv": (
-        "built only when read: _free_lifts of each cokernel with free generators; "
-        "test_smith_forms_build_only_the_transforms_read probes it"
-    ),
-    "lattice:_Smith.V": (
-        "built only when read, by smith_normal_form; "
-        "test_smith_forms_build_only_the_transforms_read shows no query builds it"
-    ),
     "lattice:Subgroup.basis": (
         "a public read-only matrix built only on first read: the bench's lattice "
         "replay reads it for every canonical span, no package path does"

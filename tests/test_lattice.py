@@ -8,8 +8,6 @@ for entry against the numpy implementation they replaced.
 
 from __future__ import annotations
 
-from itertools import permutations
-
 import numpy as np
 import pytest
 import sympy
@@ -53,6 +51,8 @@ from helpers import (
     sympy_invariant_factors,
 )
 from test_acceptance import RANDOM_SUITE
+from test_fingerprint import TORSION_SUMS
+from test_pool import POOL_SUITE
 
 
 def sympy_of(m):
@@ -270,42 +270,11 @@ class TestTransformsMatchNumpyOracle:
         assert_numpy_transforms(m)
 
     def test_differentials_of_the_random_suite(self):
-        for d in RANDOM_SUITE:
+        torsion_sums = tuple(builtin(name) for name in TORSION_SUMS)
+        for d in RANDOM_SUITE + POOL_SUITE + torsion_sums:
             for c in (homology_complex(d), dual_complex(d)):
                 for m in c.diffs:
                     assert_numpy_transforms(m)
-
-
-TRANSFORMS = ("U", "V", "Uinv")
-READ_ORDERS = [order for r in range(4) for order in permutations(TRANSFORMS, r)]
-
-
-def assert_every_read_order_matches_oracle(m):
-    """Whichever transforms are read, in whichever order, on a fresh Smith form,
-    D and each transform are the numpy oracle's."""
-    rows, ncols = m.tolist(), m.shape[1]
-    U, D, V, Uinv = numpy_snf_with_inverses(m)
-    expected = {"U": U.tolist(), "V": V.tolist(), "Uinv": Uinv.tolist()}
-    for order in READ_ORDERS:
-        smith = _Smith(rows, ncols)
-        for name in order:
-            assert getattr(smith, name) == expected[name], (order, name)
-        assert smith.D == D.tolist(), order
-        for name in order:
-            assert getattr(smith, name) == expected[name], (order, name)
-
-
-class TestTransformReplayOrder:
-    @settings(max_examples=150, deadline=None)
-    @given(snf_inputs())
-    def test_random_matrices(self, m):
-        assert_every_read_order_matches_oracle(m)
-
-    def test_differentials_of_the_random_suite(self):
-        for d in RANDOM_SUITE:
-            for c in (homology_complex(d), dual_complex(d)):
-                for m in c.diffs:
-                    assert_every_read_order_matches_oracle(m)
 
 
 class TestDeterminant:

@@ -16,9 +16,10 @@ from types import BuiltinFunctionType, FunctionType, ModuleType
 
 import pytest
 
-from trihodge import cli, diagram, lattice, pairings
+from trihodge import cli, complexes, diagram, lattice, pairings
 from trihodge.complexes import (
     FreeChainComplex,
+    HomologyGroup,
     dual_complex,
     dual_middle_homology,
     hodge_diamond,
@@ -60,6 +61,7 @@ from helpers import (
     subgroup_intersection,
 )
 from test_acceptance import RANDOM_SUITE, SUITE
+from test_pool import POOL_SUITE
 
 MEMOIZED = (
     homology_complex,
@@ -189,20 +191,9 @@ def lifted(d, canonical_spans) -> bool:
     return bool(canonical_spans) or any(key.startswith(GRAM_SCHMIDT) for key in vars(d))
 
 
-TRANSFORMS = ("U", "V", "Uinv")
-
-
-def built(form) -> set[str]:
-    """The transforms a Smith form has materialized so far."""
-    return {name for name in TRANSFORMS if name in vars(form)}
-
-
 @pytest.fixture
 def smith_forms(monkeypatch):
-    """Every Smith normal form computed since the fixture started, in order.
-
-    The forms themselves are kept, so ``built(form)`` tells which transforms
-    each has materialized by the time the test reads it."""
+    """Every Smith normal form computed since the fixture started, in order."""
     forms = []
 
     class Recorded(lattice._Smith):
@@ -212,6 +203,26 @@ def smith_forms(monkeypatch):
 
     monkeypatch.setattr(lattice, "_Smith", Recorded)
     return forms
+
+
+@pytest.fixture
+def cokernels(monkeypatch):
+    """The group of every cokernel presented through ``complexes._cokernel``
+    since the fixture started, in order.
+
+    That is the name ``homology_with_generators`` calls, and the one Smith
+    form whose transforms a query reads: U^{-1} lifts the free generators.
+    """
+    groups = []
+    cokernel = complexes._cokernel
+
+    def recorded(rows, ncols):
+        q = cokernel(rows, ncols)
+        groups.append(HomologyGroup(q.free_rank, q.torsion))
+        return q
+
+    monkeypatch.setattr(complexes, "_cokernel", recorded)
+    return groups
 
 
 @pytest.mark.parametrize("name", SUMS)
@@ -238,7 +249,9 @@ def test_no_smith_form_is_computed_twice(name, smith_forms):
 
 
 @pytest.mark.parametrize("name", SUMS)
-def test_smith_forms_build_only_the_transforms_read(name, smith_forms, canonical_spans):
+def test_smith_forms_build_only_the_transforms_read(
+    name, smith_forms, cokernels, canonical_spans
+):
     d = builtin(name)
     ensure_valid(d)
     # primitivity is read off the curve echelons, and every pair factor is
@@ -246,18 +259,18 @@ def test_smith_forms_build_only_the_transforms_read(name, smith_forms, canonical
     assert not smith_forms and not lifted(d, canonical_spans)
     homology_groups(d)
     dual_middle_homology(d)
-    # the groups read only invariant factors
-    assert not any(built(form) for form in smith_forms)
+    # the groups read only invariant factors: no cokernel is presented
+    assert not cokernels
     before = len(smith_forms)
     h2_basis_cocycles(d)
-    # one cokernel, which replays U^{-1} when there are free generators to lift
-    free = homology_groups(d)[2].rank > 0
-    assert [built(form) for form in smith_forms[before:]] == [{"Uinv"} if free else set()]
+    # one Smith form, the degree-two cokernel whose U^{-1} lifts the generators
+    assert len(smith_forms) == before + 1
+    assert cokernels == [homology_groups(d)[2]]
     assert not lifted(d, canonical_spans)
 
 
 @pytest.mark.parametrize("name", ["CP2#CP2bar", "S2xS2#QS4_Z3"])
-def test_only_the_degree_two_position_builds_generators(name, smith_forms, eliminations):
+def test_only_the_degree_two_position_builds_generators(name, cokernels, eliminations):
     d = builtin(name)
     c = homology_complex(d)
     start = len(eliminations)
@@ -265,14 +278,13 @@ def test_only_the_degree_two_position_builds_generators(name, smith_forms, elimi
     dual_middle_homology(d)
     # generators need a kernel for their cycles; the groups read factors only
     assert not any(kind == "echelon" for kind, _ in eliminations[start:])
-    assert not any(built(form) for form in smith_forms)
-    before, forms = len(eliminations), len(smith_forms)
+    assert not cokernels
+    before = len(eliminations)
     h2_basis_cocycles(d)
     added = eliminations[before:]
     # the cycles of degree two, and one cokernel for its generators
     assert [count(added, cols, "echelon") for cols in c.columns] == [0, 0, 1, 0]
-    free = homology_groups(d)[2].rank > 0
-    assert [built(form) for form in smith_forms[forms:]] == [{"Uinv"} if free else set()]
+    assert cokernels == [homology_groups(d)[2]]
 
 
 @pytest.mark.parametrize("name", SUMS)
@@ -469,7 +481,7 @@ def lift_reads(monkeypatch):
     return reads
 
 
-CENSUS_DIAGRAMS = [builtin(name) for name in SUMS] + list(RANDOM_SUITE[::5])
+CENSUS_DIAGRAMS = [builtin(name) for name in SUMS] + list(RANDOM_SUITE[::5] + POOL_SUITE)
 
 
 def test_pair_quotients_build_no_inverse_unless_lifted(canonical_spans):
@@ -482,21 +494,20 @@ def test_pair_quotients_build_no_inverse_unless_lifted(canonical_spans):
         for lam in (1, 2, 3):
             q = pair_quotient(d, lam)
             assert all(q.is_zero(col) for col in d.pair_sum(lam).columns())
-            assert "Uinv" not in built(q._smith)
             n = len(q.torsion) + q.free_rank
             for c in [[0] * n, *lattice._identity_rows(n)]:
                 assert q.project(quotient_lift(q, c)) == tuple(c)
-            assert "Uinv" in built(q._smith)
 
 
 def test_census_query_replays_no_pairing_transform_and_no_lift(
-    smith_forms, lift_reads, canonical_spans
+    smith_forms, cokernels, lift_reads, canonical_spans
 ):
     diagrams = [cold_copy(d) for d in CENSUS_DIAGRAMS]
     reps = [rep for d in diagrams for rep in census_query(d)[1]]
-    # the only transform the op replays is the degree-two generators' U^{-1}
+    # the only transforms the op reads are those of one degree-two cokernel
+    # per diagram of positive genus, which has degree-two cycles
     assert reps and not lift_reads
-    assert all(built(form) in ({"Uinv"}, set()) for form in smith_forms)
+    assert cokernels == [homology_groups(d)[2] for d in diagrams if d.genus]
     assert not any(lifted(d, canonical_spans) for d in diagrams)
     memo = {id(d): dict(vars(d)) for d in diagrams}
     before = len(smith_forms)
@@ -561,7 +572,7 @@ HOMOLOGY_BUILTINS = ["S4", "CP2", "S1xS3", "S2xS2", "QS4_Z3", *SUMS, "CP2#QS4_Z3
 
 @pytest.mark.parametrize("name", HOMOLOGY_BUILTINS)
 def test_homology_command_builds_no_lagrangian_and_only_the_degree_two_generators(
-    name, smith_forms, eliminations, monkeypatch, canonical_spans
+    name, cokernels, eliminations, monkeypatch, canonical_spans
 ):
     loaded = []
     load = cli._load_diagram
@@ -569,11 +580,11 @@ def test_homology_command_builds_no_lagrangian_and_only_the_degree_two_generator
     for command in ("homology", "diamond"):
         with redirect_stdout(io.StringIO()):
             assert cli.main([command, "--builtin", name]) == 0
-    # every group is read off invariant factors: no Smith form replays a
-    # transform, and the only kernels are the three of the Q matrices that
-    # give the pairwise intersections (each two echelons: its rows, then the
+    # every group is read off invariant factors: no cokernel is presented,
+    # and the only kernels are the three of the Q matrices that give the
+    # pairwise intersections (each two echelons: its rows, then the
     # canonical kernel), so no cycles and no generators are built
-    assert not any(built(form) for form in smith_forms)
+    assert not cokernels
     echelons = [m for kind, m in eliminations if kind == "echelon"]
     assert echelons[::2] == [q for d in loaded for q in d._intersection_matrices]
     assert len(echelons) == 6 * len(loaded) and not canonical_spans

@@ -61,13 +61,14 @@ from helpers import (
     subgroup_intersection,
 )
 from test_acceptance import RANDOM_SUITE, SUITE
+from test_pool import POOL_SUITE
 
 CP2 = builtin("CP2")
 S1XS3 = builtin("S1xS3")
-# Builtins, two torsion sums, three scrambled copies of each, and the random suite.
+# Builtins, two torsion sums, three scrambled copies of each, the random suite and the pool.
 NAMED = tuple(builtin(name) for name in builtin_names() + ("QS4_Z3#CP2", "QS4_Z2#S2xS2#S1xS3"))
 SCRAMBLED = tuple(scrambled(d, seed) for d in NAMED for seed in (1, 2, 3))
-DUALITY_SUITE = NAMED + SCRAMBLED + RANDOM_SUITE
+DUALITY_SUITE = NAMED + SCRAMBLED + RANDOM_SUITE + POOL_SUITE
 REP_DIAGRAMS = tuple(
     builtin(name) for name in ("CP2#CP2bar", "S2xS2#QS4_Z3", "S1xS3#QS4_Z2", "QS4_Z3")
 ) + tuple(random_diagram(g, s) for g in (1, 2, 3) for s in range(4))

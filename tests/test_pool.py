@@ -1,7 +1,9 @@
 """Laws on ``helpers.pool_diagram``: prescribed forms summed with torsion,
-S1xS3 and stabilization pieces, scrambled and handleslid. Two of them, the
-signature as minus Kashiwara's index and Wu's spin count, are also checked
-on the builtins, random diagrams, the ladder and spin sums.
+S1xS3 and stabilization pieces, scrambled and handleslid. Three of them, the
+signature as minus Kashiwara's index, Wall's form as the intersection form
+up to isometry and Wu's spin count, are also checked on the builtins,
+random diagrams, the ladder and spin sums; Wall's form also on the pool
+and the torsion sums.
 
 Rokhlin and Donaldson are not asserted: the E8 triple is a valid algebraic
 triple of signature 8 with a spin structure, so it need not come from a
@@ -16,17 +18,21 @@ from trihodge.pairings import h3_representatives, intersection_form
 from trihodge.spin import spin_count
 
 from helpers import (
+    full_width_signature,
     h3_h1_gram,
     kashiwara_signature,
     ladder_diagram,
     pool_diagram,
     spin_sum_diagram,
+    sympy_invariant_factors,
+    wall_gram,
     wu_spin_count,
 )
+from test_fingerprint import TORSION_SUMS
 
 POOL_SEEDS = range(25)
 POOL_SUITE = tuple(pool_diagram(seed)[0] for seed in POOL_SEEDS)
-# the other families the two second-route laws run on; every one but
+# the other families the second-route laws run on; every one but
 # QS4_Z2 has no 2-torsion in H1, so Wu's formula fixes its spin count
 LAW_SUITE = (
     *(builtin(name) for name in builtin_names()),
@@ -102,3 +108,20 @@ def test_signature_is_minus_the_kashiwara_index(d):
 def test_wu_law(d):
     expected = wu_spin_count(d)
     assert expected is not None and spin_count(d) == expected
+
+
+@pytest.mark.parametrize(
+    "d",
+    LAW_SUITE + POOL_SUITE + tuple(builtin(name) for name in TORSION_SUMS),
+    ids=lambda d: d.describe(),
+)
+def test_wall_form_is_the_intersection_form_up_to_isometry(d):
+    gram = wall_gram(d)
+    form = intersection_form(d)
+    assert gram == tuple(zip(*gram))
+    factors = sympy_invariant_factors(gram, len(gram)) if gram else ()
+    assert factors == (1,) * homology_groups(d)[2].rank
+    even = all(gram[i][i] % 2 == 0 for i in range(len(gram)))
+    assert ("even" if even else "odd") == form.parity
+    (positive, negative), _ = full_width_signature(gram)
+    assert positive - negative == -(form.signature[0] - form.signature[1])
