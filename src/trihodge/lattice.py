@@ -20,8 +20,8 @@ matrix part of [m^T | I] and canonicalizes just the kernel rows. Smith
 forms finish what a unit pivot cannot: the residual rows of an
 invariant-factor computation, the free generators of a cokernel
 (``_cokernel``) and the public ``smith_normal_form`` and ``quotient``.
-Each builds D and the transforms U, U^{-1} and V together, one operation
-at a time.
+A Smith form tracks no transform: callers append identity blocks for U
+and V, as a kernel does, and U^{-1} is solved where it is read.
 
 Inside the package a matrix is a list of rows of Python ints, and a subgroup
 or a chain complex keeps its columns as tuples, so all arithmetic is exact at
@@ -137,97 +137,93 @@ def smith_normal_form(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Smith normal form of an integer matrix.
 
-    Returns unimodular U, V and diagonal D with ``U @ m @ V == D``, entries
-    nonnegative and each dividing the next.
+    Returns ``(U, D, V)``: unimodular U and V and diagonal D with
+    ``U @ m @ V == D``, entries nonnegative and each dividing the next.
     """
     rows, ncols = _checked_rows(m)
-    smith = _Smith(rows, ncols)
+    smith = _Smith(_beside_identity(rows) + _identity_rows(ncols), len(rows), ncols)
     return _array(smith.U, len(rows)), _array(smith.D, ncols), _array(smith.V, ncols)
 
 
+def _beside_identity(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """[M | I]: each row with the matching row of an identity matrix appended."""
+    return [list(row) + unit for row, unit in zip(rows, _identity_rows(len(rows)))]
+
+
 class _Smith:
-    """Smith normal form U m V = D of trusted rows of Python ints, with U^{-1}.
+    """Smith normal form U M V = D of the nrows x ncols block M at the top
+    left of trusted rows of Python ints, eliminated in place.
 
     Standard gcd-pivot reduction: pick the smallest nonzero entry of the
     remaining block, clear its row and column by Euclidean steps, then force the
     divisibility chain by folding any non-divisible entry into the pivot row.
 
-    Each operation updates D and the transforms together. At step t every
-    entry of D outside the block of rows and columns >= t is already zero, so
-    the updates of D stay inside that block. V and U^{-1} change by columns;
-    they are built transposed, so each update is one row: a row operation
-    row_i += q * row_j of D and U is row_j -= q * row_i of (U^{-1})^T, and a
-    column operation is the same row operation on V^T.
+    No transform is tracked: row operations act on whole rows and column
+    operations on whole columns, so identity columns appended to the block's
+    rows end as ``U`` and identity rows appended below it as ``V`` (each
+    empty when nothing is appended). Entries of the block outside rows and
+    columns >= t are zero at step t, so operations start at row or column t.
     """
 
-    def __init__(self, rows: list[list[int]], ncols: int):
-        D = [list(r) for r in rows]
-        nrows = len(D)
-        U, UinvT, VT = _identity_rows(nrows), _identity_rows(nrows), _identity_rows(ncols)
-
+    def __init__(self, rows: list[list[int]], nrows: int, ncols: int):
         def row_add(i, j, q, t):
             # row_i += q * row_j
-            Di, Dj = D[i], D[j]
-            for k in range(t, ncols):
-                Di[k] += q * Dj[k]
-            U[i] = [a + q * b for a, b in zip(U[i], U[j])]
-            UinvT[j] = [a - q * b for a, b in zip(UinvT[j], UinvT[i])]
+            Ri, Rj = rows[i], rows[j]
+            for k in range(t, len(Ri)):
+                Ri[k] += q * Rj[k]
 
         def col_add(j, k, q, t):
             # col_j += q * col_k
-            for r in range(t, nrows):
-                Dr = D[r]
-                Dr[j] += q * Dr[k]
-            VT[j] = [a + q * b for a, b in zip(VT[j], VT[k])]
+            for r in range(t, len(rows)):
+                R = rows[r]
+                R[j] += q * R[k]
 
         t = 0
         while t < min(nrows, ncols):
-            pos = _smallest_nonzero(D, t, ncols)
+            pos = _smallest_nonzero(rows, t, nrows, ncols)
             if pos is None:
                 break
             i, j = pos
             if i != t:
-                for M in (D, U, UinvT):
-                    M[i], M[t] = M[t], M[i]
+                rows[i], rows[t] = rows[t], rows[i]
             if j != t:
-                for r in range(t, nrows):
-                    Dr = D[r]
-                    Dr[j], Dr[t] = Dr[t], Dr[j]
-                VT[j], VT[t] = VT[t], VT[j]
+                for r in range(t, len(rows)):
+                    R = rows[r]
+                    R[j], R[t] = R[t], R[j]
 
-            pivot = D[t][t]
+            pivot = rows[t][t]
             dirty = False
             for i in range(t + 1, nrows):
-                if D[i][t] != 0:
-                    row_add(i, t, -(D[i][t] // pivot), t)
-                    dirty = dirty or D[i][t] != 0
-            Dt = D[t]
+                if rows[i][t] != 0:
+                    row_add(i, t, -(rows[i][t] // pivot), t)
+                    dirty = dirty or rows[i][t] != 0
+            Rt = rows[t]
             for j in range(t + 1, ncols):
-                if Dt[j] != 0:
-                    col_add(j, t, -(Dt[j] // pivot), t)
-                    dirty = dirty or Dt[j] != 0
+                if Rt[j] != 0:
+                    col_add(j, t, -(Rt[j] // pivot), t)
+                    dirty = dirty or Rt[j] != 0
             if dirty:
                 continue
 
-            bad = _non_divisible(D, t, ncols)
+            bad = _non_divisible(rows, t, nrows, ncols)
             if bad is not None:
                 row_add(t, bad, 1, t)
                 continue
 
             if pivot < 0:
-                for M in (D, U, UinvT):
-                    M[t] = [-x for x in M[t]]
+                rows[t] = [-x for x in rows[t]]
             t += 1
 
-        self.D, self.U = D, U
-        self.Uinv, self.V = _transpose(UinvT, nrows), _transpose(VT, ncols)
+        self.D = [row[:ncols] for row in rows[:nrows]]
+        self.U = [row[ncols:] for row in rows[:nrows]]
+        self.V = rows[nrows:]
 
 
-def _smallest_nonzero(D, t, ncols):
+def _smallest_nonzero(D, t, nrows, ncols):
     """First entry of least absolute value in the block from (t, t), row by row."""
     best = None
     best_abs = None
-    for i in range(t, len(D)):
+    for i in range(t, nrows):
         row = D[i]
         for j in range(t, ncols):
             x = row[j]
@@ -238,12 +234,12 @@ def _smallest_nonzero(D, t, ncols):
     return best
 
 
-def _non_divisible(D, t, ncols):
+def _non_divisible(D, t, nrows, ncols):
     """Row index holding an entry the pivot D[t][t] does not divide, or None."""
     d = D[t][t]
     if d == 1 or d == -1:
         return None
-    for i in range(t + 1, len(D)):
+    for i in range(t + 1, nrows):
         row = D[i]
         for j in range(t + 1, ncols):
             if row[j] % d != 0:
@@ -261,11 +257,12 @@ def _invariant_factors(rows: Sequence[Sequence[int]], ncols: int) -> tuple[int, 
 
     A factor 1 for each pivot of the unit-pivot elimination of the rows,
     then the factors of the residual rows it leaves, from a Smith form of
-    those rows alone. The rows handed in are not changed.
+    those rows alone, with no transform. The rows handed in are not changed.
     """
     echelon = _UnitEchelon(rows, ncols)
     rest = echelon.residual
-    return (1,) * len(echelon._pivots) + (snf_diagonal(_Smith(rest, ncols).D) if rest else ())
+    factors = snf_diagonal(_Smith(rest, len(rest), ncols).D) if rest else ()
+    return (1,) * len(echelon._pivots) + factors
 
 
 class _Frozen:
@@ -460,10 +457,9 @@ def _kernel(columns: Sequence[Sequence[int]], nrows: int) -> Subgroup:
     m^T part vanishes span the kernel exactly (no finite-index sublattice);
     only those parts are then put in canonical echelon form.
     """
-    ncols = len(columns)
-    work = [list(col) + unit for col, unit in zip(columns, _identity_rows(ncols))]
+    work = _beside_identity(columns)
     _, rest = _forward_echelon(work, nrows)
-    return _span(ncols, [work[i][nrows:] for i in rest])
+    return _span(len(columns), [work[i][nrows:] for i in rest])
 
 
 _NOT_PRIMITIVE = "the vectors are not a basis of a primitive sublattice"
@@ -611,17 +607,16 @@ class QuotientPresentation(_Frozen):
     (torsion block, in divisibility order) followed by ``free_rank`` integer
     coordinates. The Smith diagonal is a divisibility chain, factors 1 first,
     so ``project`` reads them off the last ``len(torsion) + free_rank`` rows
-    of the Smith transform U, and ``_free_lifts`` reads the last
-    ``free_rank`` columns of U^{-1}.
+    of the Smith transform U, kept as ``_U``, and ``_free_lifts`` solves for
+    the last ``free_rank`` columns of U^{-1}.
     """
 
-    _fields = ("ambient_rank", "free_rank", "torsion", "_smith")
-    _smith: _Smith
+    _fields = ("ambient_rank", "free_rank", "torsion", "_U")
 
     def project(self, v: Sequence[int]) -> tuple[int, ...]:
         vec = as_int_vector(v, self.ambient_rank)
         k = len(self.torsion)
-        rows = self._smith.U[self.ambient_rank - self.free_rank - k :]
+        rows = self._U[self.ambient_rank - self.free_rank - k :]
         values = [_dot(row, vec) for row in rows]
         return tuple(x % d for x, d in zip(values, self.torsion)) + tuple(values[k:])
 
@@ -630,9 +625,12 @@ class QuotientPresentation(_Frozen):
 
     @property
     def _free_lifts(self) -> tuple[tuple[int, ...], ...]:
-        """The ambient vector lifting each free coordinate: a column of U^{-1}."""
-        free = range(self.ambient_rank - self.free_rank, self.ambient_rank)
-        return tuple(tuple(row[i] for row in self._smith.Uinv) for i in free)
+        """The ambient vector lifting each free coordinate: a column of U^{-1},
+        solved from U x = e_i along a unit-pivot elimination of U, which is
+        unimodular and so has a pivot +-1 in every column."""
+        n = self.ambient_rank
+        echelon = _UnitEchelon(self._U, n)
+        return tuple(map(echelon.coordinates, _identity_rows(n)[n - self.free_rank :]))
 
     def __repr__(self) -> str:
         public = (name for name in self._fields if not name.startswith("_"))
@@ -650,13 +648,14 @@ def quotient(ambient_rank: int, relations: Subgroup) -> QuotientPresentation:
 def _cokernel(rows: list[list[int]], ncols: int) -> QuotientPresentation:
     """Present Z^rows modulo the column span of trusted rows, through one Smith form.
 
-    The presentation reads the ranks and the torsion off D, and keeps the
-    form for U (``project``) and U^{-1} (``_free_lifts``).
+    The form is handed [rows | I], whose identity columns end as U. The
+    presentation reads the ranks and the torsion off D and keeps U.
     """
-    smith = _Smith(rows, ncols)
+    n = len(rows)
+    smith = _Smith(_beside_identity(rows), n, ncols)
     diag = snf_diagonal(smith.D)
     torsion = tuple(f for f in diag if f >= 2)
-    return QuotientPresentation(len(rows), len(rows) - len(diag), torsion, smith)
+    return QuotientPresentation(n, n - len(diag), torsion, smith.U)
 
 
 def subgroup_sum(a: Subgroup, b: Subgroup) -> Subgroup:

@@ -1,5 +1,5 @@
 """Shared pytest hooks: derandomized fuzzing, acceptance-gate verdict lines,
-and the ``canonical_spans`` fixture."""
+and the ``canonical_spans`` and ``smith_forms`` fixtures."""
 
 import importlib
 import sys
@@ -49,3 +49,19 @@ def canonical_spans(monkeypatch):
 
     monkeypatch.setattr(diagram, "_span", recorded)
     return spans
+
+
+@pytest.fixture
+def smith_forms(monkeypatch):
+    """Every Smith normal form computed since the fixture started, in order."""
+    from trihodge import lattice
+
+    forms = []
+
+    class Recorded(lattice._Smith):
+        def __init__(self, *args):
+            super().__init__(*args)
+            forms.append(self)
+
+    monkeypatch.setattr(lattice, "_Smith", Recorded)
+    return forms

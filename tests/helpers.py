@@ -61,6 +61,7 @@ from trihodge.lattice import (
     _combination,
     _dot,
     _identity_rows,
+    _UnitEchelon,
     as_int_vector,
     kernel_basis,
     quotient,
@@ -120,8 +121,10 @@ def numpy_snf_with_inverses(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     updates of numpy object arrays.
 
     The oracle for ``lattice._Smith``, which makes the same pivot choices and
-    operations on rows of Python ints, updates the rows of U, (U^{-1})^T and
-    V^T with each, and must return the identical transforms.
+    operations on whole rows of Python ints, with U and V as identity blocks
+    appended beside and below the matrix, and must give the identical U, D
+    and V. U^{-1}, which no Smith form builds, is the oracle of the columns
+    ``QuotientPresentation._free_lifts`` solves for.
     """
     D = mat(m.tolist(), m.shape[1])
     nrows, ncols = D.shape
@@ -484,11 +487,12 @@ def pair_quotient(d: TrisectionDiagram, lam: int) -> QuotientPresentation:
 
 
 def quotient_lift(q: QuotientPresentation, coords: Sequence[int]) -> tuple[int, ...]:
-    """An ambient vector v with ``q.project(v) == coords``, read off the last
-    ``len(q.torsion) + q.free_rank`` columns of the Smith transform U^{-1},
-    whose last ``q.free_rank`` are the ones ``_free_lifts`` reads."""
-    indices = range(q.ambient_rank - len(q.torsion) - q.free_rank, q.ambient_rank)
-    return tuple(sum(row[i] * c for i, c in zip(indices, coords)) for row in q._smith.Uinv)
+    """An ambient vector v with ``q.project(v) == coords``: U^{-1} applied to
+    the coordinates placed in the last ``len(q.torsion) + q.free_rank``
+    entries, solved along a unit-pivot elimination of U as ``_free_lifts``
+    solves for the last ``q.free_rank`` columns of U^{-1}."""
+    lead = q.ambient_rank - len(q.torsion) - q.free_rank
+    return _UnitEchelon(q._U, q.ambient_rank).coordinates((0,) * lead + tuple(coords))
 
 
 def triple_sum(d: TrisectionDiagram) -> Subgroup:
@@ -851,28 +855,34 @@ def random_matched_lifts(
     )
 
 
-def gram_schmidt(curves: Sequence[Sequence[int]]) -> list[list[Fraction]]:
+def gram_schmidt(
+    curves: Sequence[Sequence[int]],
+) -> tuple[list[list[Fraction]], list[Fraction]]:
     """The Gram-Schmidt vectors c*_1..c*_n of the curves, in order, in the
-    Euclidean product and exact rationals: the oracle of the package's
-    integral Gram-Schmidt."""
+    Euclidean product and exact rationals, and their norms c*_l . c*_l: the
+    oracle of the package's integral Gram-Schmidt."""
     stars: list[list[Fraction]] = []
+    norms: list[Fraction] = []
     for c in curves:
         star = [Fraction(e) for e in c]
-        for s in stars:
-            mu = sum(a * b for a, b in zip(c, s)) / sum(b * b for b in s)
+        for s, n in zip(stars, norms):
+            mu = sum(a * b for a, b in zip(c, s)) / n
             star = [a - mu * b for a, b in zip(star, s)]
         stars.append(star)
-    return stars
+        norms.append(sum(b * b for b in star))
+    return stars, norms
 
 
 def nearest_plane_reduced(d: TrisectionDiagram, reps: Sequence[H2DualRep]) -> bool:
     """Whether every lift of the reps lies in the nearest-plane window of its
     system's curves: each coordinate a . c*_l / c*_l . c*_l along their
-    Gram-Schmidt vectors c*_l is in [-1/2, 1/2)."""
+    Gram-Schmidt vectors c*_l is in [-1/2, 1/2). A zero lift has every
+    coordinate 0, so a system whose lifts are all zero is skipped."""
     half = Fraction(1, 2)
     for cs, lifts in zip(d.systems, zip(*(rep.lifts for rep in reps))):
-        stars = gram_schmidt(cs.curves)
-        norms = [sum(b * b for b in s) for s in stars]
+        if not any(map(any, lifts)):
+            continue
+        stars, norms = gram_schmidt(cs.curves)
         for a in lifts:
             coords = (sum(x * y for x, y in zip(a, s)) / n for s, n in zip(stars, norms))
             if not all(-half <= c < half for c in coords):

@@ -15,7 +15,11 @@ The kernels of the differentials and of the intersection matrices, which
 run the row-Euclid step shared with the unit-pivot elimination at a size no
 tier-1 input reaches, equal the Smith-form kernels. The ladder's signature
 is minus Kashiwara's index of its Lagrangians, and the spin sum's count is
-the one Wu's formula gives. Any failed law raises AssertionError.
+the one Wu's formula gives. The degree-two cokernel that
+``homology_with_generators(2)`` presents is rebuilt from the kernel of d2
+and the boundary coordinates: U times each free lift, solved along a
+unit-pivot elimination of its genus-64 Smith transform U, is exactly the
+matching unit vector. Any failed law raises AssertionError.
 """
 
 import sympy
@@ -23,8 +27,8 @@ import sympy
 from helpers import comprehension_pairing_rows, dict_scan_solution_space
 from helpers import h3_h1_gram, h3_representatives_by_complex, ladder_diagram
 from helpers import kashiwara_signature, smith_kernel_basis, spin_sum_diagram, wu_spin_count
-from trihodge.complexes import betti_numbers, homology_complex
-from trihodge.lattice import _column_matrix, _kernel
+from trihodge.complexes import HomologyGroup, betti_numbers, homology_complex
+from trihodge.lattice import _cokernel, _column_matrix, _dot, _kernel, _transpose
 from trihodge.pairings import H2DualRep, dual_rep_basis, h1_basis, h3_representatives
 from trihodge.pairings import intersection_form
 from trihodge.spin import _solution_space
@@ -35,6 +39,14 @@ for cols, nrows in zip(c.columns, c.ranks[1:]):
     assert _kernel(cols, nrows) == smith_kernel_basis(_column_matrix(cols, nrows))
 for q in d._intersection_matrices:
     assert _kernel(q, d.genus) == smith_kernel_basis(_column_matrix(q, d.genus))
+cycles = _kernel(c.columns[2], c.ranks[3])
+coords = [cycles.coordinates_of(col) for col in c.columns[1]]
+q = _cokernel(_transpose(coords, cycles.rank), len(coords))
+assert HomologyGroup(q.free_rank, q.torsion) == c.homology_with_generators(2)[0]
+n = q.ambient_rank
+assert q.free_rank > 0
+for i, lift in zip(range(n - q.free_rank, n), q._free_lifts):
+    assert [_dot(row, lift) for row in q._U] == [int(k == i) for k in range(n)]
 assert d._curve_pairings == tuple(comprehension_pairing_rows(cs.curves) for cs in d.systems)
 spin_sum, count = spin_sum_diagram(64, 1)
 space = _solution_space(spin_sum)

@@ -363,9 +363,9 @@ class TestPairChecksFromIntersectionMatrices:
         forms, widths = [], []
 
         class Recorded(lattice._Smith):
-            def __init__(self, rows, ncols):
+            def __init__(self, *args):
                 forms.append(self)
-                super().__init__(rows, ncols)
+                super().__init__(*args)
 
         def recorded(rows, width):
             widths.append(width)

@@ -363,7 +363,7 @@ def test_smith_binding_detector():
     assert binds_smith("from .lattice import _Smith, _dot\n")
     assert binds_smith("from .lattice import _dot as _Smith\n")
     assert binds_smith("from . import lattice\n_Smith = lattice._Smith\n")
-    assert not binds_smith("from . import lattice\nform = lattice._Smith([], 0)\n")
+    assert not binds_smith("from . import lattice\nform = lattice._Smith([], 0, 0)\n")
 
 
 @pytest.mark.parametrize(

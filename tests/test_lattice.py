@@ -24,7 +24,6 @@ from trihodge.lattice import (
     _identity_rows,
     _invariant_factors,
     _kernel,
-    _Smith,
     _transpose,
     _UnitEchelon,
     as_int_vector,
@@ -173,6 +172,18 @@ def rank_deficient_rows(draw):
     return draw(st.permutations(rows + extra)), ncols
 
 
+FIXED_FACTORS = [
+    ([[1, 2], [2, 6]], (1, 2)),
+    ([[1, 1], [1, -1]], (1, 2)),
+    ([[2, 3], [3, 5]], (1, 1)),
+    ([[6, 4], [4, 6]], (2, 10)),
+    ([[1, 0, 0], [0, 2, 0], [0, 0, 3]], (1, 1, 6)),
+    ([[2, 1], [4, 2], [0, 0]], (1,)),
+    ([[-1, 3, 5], [3, -9, -15]], (1,)),
+    ([[0, 0], [0, 0]], ()),
+]
+
+
 class TestInvariantFactors:
     """A factor 1 per unit pivot of the recorded elimination, then a Smith
     form of the residual rows, against the diagonal of sympy's Smith normal
@@ -203,32 +214,12 @@ class TestInvariantFactors:
         self.assert_matches_sympy(rows, ncols)
         assert len(_invariant_factors(rows, ncols)) < len(rows)
 
-    @pytest.mark.parametrize(
-        "rows, factors",
-        [
-            ([[1, 2], [2, 6]], (1, 2)),
-            ([[1, 1], [1, -1]], (1, 2)),
-            ([[2, 3], [3, 5]], (1, 1)),
-            ([[6, 4], [4, 6]], (2, 10)),
-            ([[1, 0, 0], [0, 2, 0], [0, 0, 3]], (1, 1, 6)),
-            ([[2, 1], [4, 2], [0, 0]], (1,)),
-            ([[-1, 3, 5], [3, -9, -15]], (1,)),
-            ([[0, 0], [0, 0]], ()),
-        ],
-    )
+    @pytest.mark.parametrize("rows, factors", FIXED_FACTORS)
     def test_fixed_cases(self, rows, factors):
         assert _invariant_factors(rows, len(rows[0])) == factors
         assert sympy_invariant_factors(rows, len(rows[0])) == factors
 
-    def test_a_smith_form_runs_only_on_the_block_left_without_units(self, monkeypatch):
-        shapes = []
-
-        class Recorded(_Smith):
-            def __init__(self, rows, ncols):
-                shapes.append((len(rows), ncols))
-                super().__init__(rows, ncols)
-
-        monkeypatch.setattr(lattice, "_Smith", Recorded)
+    def test_a_smith_form_runs_only_on_the_block_left_without_units(self, smith_forms):
         cases = {
             ((1, 2), (2, 6)): [(1, 2)],
             ((2, 4), (6, 8)): [(2, 2)],
@@ -236,9 +227,21 @@ class TestInvariantFactors:
             ((2, 0, 0, 0), (0, 0, 0, 0)): [(1, 4)],
         }
         for rows, expected in cases.items():
-            shapes.clear()
+            smith_forms.clear()
             _invariant_factors(rows, len(rows[0]))
-            assert shapes == expected, rows
+            assert [(len(form.D), len(form.D[0])) for form in smith_forms] == expected, rows
+
+    def test_residual_forms_build_no_transform(self, smith_forms):
+        # no entry is a unit, and row-Euclid leaves 2 atop the first column,
+        # so both rows are left to one 2 x 24 Smith form, which reads only D
+        residual = [[2 * k + 2 for k in range(24)], [6] + [4 * k * k + 2 for k in range(1, 24)]]
+        assert _invariant_factors(residual, 24) == sympy_invariant_factors(residual, 24)
+        assert [(len(form.D), len(form.D[0])) for form in smith_forms] == [(2, 24)]
+        for rows, _ in FIXED_FACTORS:
+            _invariant_factors(rows, len(rows[0]))
+        assert len(smith_forms) > 1
+        for form in smith_forms:
+            assert form.U == [[]] * len(form.D) and form.V == []
 
 
 big_entries = st.integers(min_value=-(2**70), max_value=2**70)
@@ -254,13 +257,15 @@ def snf_inputs(draw):
 
 
 def assert_numpy_transforms(m):
-    """The Smith form on rows makes the numpy oracle's every pivot and step."""
-    full = _Smith(m.tolist(), m.shape[1])
-    U, D, V, Uinv = numpy_snf_with_inverses(m)
-    assert full.U == U.tolist()
-    assert full.D == D.tolist()
-    assert full.V == V.tolist()
-    assert full.Uinv == Uinv.tolist()
+    """The Smith form on rows makes the numpy oracle's every pivot and step,
+    and a quotient's free lifts are the last columns of the oracle's U^{-1}."""
+    U, D, V, _ = numpy_snf_with_inverses(m)
+    assert [a.tolist() for a in smith_normal_form(m)] == [U.tolist(), D.tolist(), V.tolist()]
+    relations = image_subgroup(m)
+    q = quotient(m.shape[0], relations)
+    Uinv = numpy_snf_with_inverses(relations.basis)[3]
+    free = range(m.shape[0] - q.free_rank, m.shape[0])
+    assert q._free_lifts == tuple(tuple(Uinv[:, i]) for i in free)
 
 
 class TestTransformsMatchNumpyOracle:

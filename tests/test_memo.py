@@ -192,26 +192,13 @@ def lifted(d, canonical_spans) -> bool:
 
 
 @pytest.fixture
-def smith_forms(monkeypatch):
-    """Every Smith normal form computed since the fixture started, in order."""
-    forms = []
-
-    class Recorded(lattice._Smith):
-        def __init__(self, *args):
-            super().__init__(*args)
-            forms.append(self)
-
-    monkeypatch.setattr(lattice, "_Smith", Recorded)
-    return forms
-
-
-@pytest.fixture
 def cokernels(monkeypatch):
     """The group of every cokernel presented through ``complexes._cokernel``
     since the fixture started, in order.
 
     That is the name ``homology_with_generators`` calls, and the one Smith
-    form whose transforms a query reads: U^{-1} lifts the free generators.
+    form whose transform a query reads: the free generators are solved
+    from its U.
     """
     groups = []
     cokernel = complexes._cokernel
@@ -263,9 +250,15 @@ def test_smith_forms_build_only_the_transforms_read(
     assert not cokernels
     before = len(smith_forms)
     h2_basis_cocycles(d)
-    # one Smith form, the degree-two cokernel whose U^{-1} lifts the generators
+    # one Smith form, the degree-two cokernel whose U the generators are
+    # solved from; no form builds V, and no residual form of an invariant
+    # factor computation builds U
     assert len(smith_forms) == before + 1
     assert cokernels == [homology_groups(d)[2]]
+    *residual, cokernel = smith_forms
+    assert all(form.V == [] for form in smith_forms)
+    assert all(form.U == [[]] * len(form.D) for form in residual)
+    assert [len(row) for row in cokernel.U] == [len(cokernel.U)] * len(cokernel.D)
     assert not lifted(d, canonical_spans)
 
 
@@ -282,9 +275,13 @@ def test_only_the_degree_two_position_builds_generators(name, cokernels, elimina
     before = len(eliminations)
     h2_basis_cocycles(d)
     added = eliminations[before:]
-    # the cycles of degree two, and one cokernel for its generators
+    # the cycles of degree two, and one cokernel for its generators: a Smith
+    # form, then one unit-pivot elimination of its U to solve them from
     assert [count(added, cols, "echelon") for cols in c.columns] == [0, 0, 1, 0]
     assert cokernels == [homology_groups(d)[2]]
+    assert [kind for kind, _ in added if kind != "echelon"] == ["smith", "unit"]
+    (U,) = (m for kind, m in added if kind == "unit")
+    assert lattice._invariant_factors(U, len(U)) == (1,) * len(U)
 
 
 @pytest.mark.parametrize("name", SUMS)
@@ -321,12 +318,14 @@ def eliminations(monkeypatch):
 
     The kinds are "echelon" (a downward echelon: canonical spans and
     kernels), "smith" (a Smith form) and "unit" (a unit-pivot elimination:
-    invariant factors, curve echelons, the Gram matrix's and that of the
-    pairing rows of the degree-one basis). The matrix
+    invariant factors, curve echelons, the Gram matrix's, that of the
+    pairing rows of the degree-one basis and that of the U of a cokernel
+    whose free lifts are read). The matrix
     is the tuple of the rows the elimination is handed, which for an
     echelon or a unit-pivot elimination of a differential are its columns
     (the leading ``stop`` entries of each row, for an echelon), and the
-    tuple of the columns of the rows a Smith form is handed."""
+    tuple of the columns of the block a Smith form eliminates: the rows it
+    is handed, less the identity blocks appended for its transforms."""
     matrices = []
     forward, smith, unit = lattice._forward_echelon, lattice._Smith, lattice._UnitEchelon
 
@@ -335,9 +334,11 @@ def eliminations(monkeypatch):
         return forward(work, stop)
 
     class RecordedSmith(smith):
-        def __init__(self, rows, ncols):
-            matrices.append(("smith", tuple(zip(*rows)) if rows else ((),) * ncols))
-            super().__init__(rows, ncols)
+        def __init__(self, *args):
+            handed = [tuple(row) for row in args[0]]  # the form eliminates in place
+            super().__init__(*args)
+            block = (row[: len(row) - len(u)] for row, u in zip(handed, self.U))
+            matrices.append(("smith", tuple(zip(*block))))
 
     class RecordedUnit(unit):
         def __init__(self, rows, ncols):
@@ -484,7 +485,7 @@ def lift_reads(monkeypatch):
 CENSUS_DIAGRAMS = [builtin(name) for name in SUMS] + list(RANDOM_SUITE[::5] + POOL_SUITE)
 
 
-def test_pair_quotients_build_no_inverse_unless_lifted(canonical_spans):
+def test_pair_quotients_build_no_inverse_unless_lifted(canonical_spans, eliminations):
     diagrams = [builtin(name) for name in SUMS] + [cold_copy(d) for d in RANDOM_SUITE]
     for d in diagrams:
         census_query(d)
@@ -492,9 +493,16 @@ def test_pair_quotients_build_no_inverse_unless_lifted(canonical_spans):
     assert not canonical_spans
     for d in diagrams:
         for lam in (1, 2, 3):
-            q = pair_quotient(d, lam)
-            assert all(q.is_zero(col) for col in d.pair_sum(lam).columns())
+            q, relations = pair_quotient(d, lam), d.pair_sum(lam).columns()
+            before = len(eliminations)
+            assert all(q.is_zero(col) for col in relations)
+            # projecting reads the rows of U: nothing is solved along it
+            assert len(eliminations) == before
+            lifts = q._free_lifts
+            # the free lifts are solved along one unit-pivot elimination of U
+            assert eliminations[before:] == [("unit", tuple(map(tuple, q._U)))]
             n = len(q.torsion) + q.free_rank
+            assert [q.project(v) for v in lifts] == [tuple(e) for e in lattice._identity_rows(n)]
             for c in [[0] * n, *lattice._identity_rows(n)]:
                 assert q.project(quotient_lift(q, c)) == tuple(c)
 

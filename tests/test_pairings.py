@@ -437,8 +437,7 @@ class TestDualReps:
         for d in REP_DIAGRAMS + SCRAMBLED + LADDER_REPS[:2]:
             for lam, cs in enumerate(d.systems):
                 dets, mus = _curve_gram_schmidt(d, lam)
-                stars = gram_schmidt(cs.curves)
-                norms = [sum(b * b for b in s) for s in stars]
+                stars, norms = gram_schmidt(cs.curves)
                 det = 1
                 for i, (c, n) in enumerate(zip(cs.curves, norms)):
                     det *= n
