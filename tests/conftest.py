@@ -1,10 +1,16 @@
 """Shared pytest hooks: derandomized fuzzing, acceptance-gate verdict lines,
-and the ``canonical_spans`` and ``smith_forms`` fixtures."""
+and the ``eliminations`` fixture, the one recorder of the integer
+eliminations the package runs: Smith forms, unit-pivot and downward
+echelons, and the cokernels and canonical spans built from them."""
 
 import importlib
+import inspect
+import pkgutil
 import sys
 import warnings
 from contextlib import suppress
+from functools import partial
+from typing import NamedTuple
 
 import pytest
 from hypothesis import settings
@@ -32,36 +38,83 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(gate.VERDICTS[number])
 
 
+# each kind of elimination recorded: the lattice name it is bound to, and the
+# argument holding the rows it is handed
+RECORDED = {
+    "smith": ("_Smith", "rows"),
+    "unit": ("_UnitEchelon", "rows"),
+    "echelon": ("_forward_echelon", "work"),
+    "cokernel": ("_cokernel", "rows"),
+    "span": ("_span", "vectors"),
+}
+
+
+class Elimination(NamedTuple):
+    """One recorded call: its kind, the name of the module whose binding was
+    called, the rows handed in (as tuples, read before the call, which may
+    eliminate them in place), the matrix it eliminates and its result.
+
+    A Smith form eliminates the columns of its nrows x ncols block, the rows
+    less the identity blocks appended for its transforms; a downward echelon
+    the leading ``stop`` entries of each row, for a kernel the columns of
+    the matrix; every other kind the rows handed in."""
+
+    kind: str
+    module: str
+    rows: tuple
+    matrix: tuple
+    result: object
+
+
+class Eliminations(list):
+    def of(self, *kinds, module=None) -> list:
+        """The records of the given kinds, in order; only those called
+        through ``module``'s bindings when a module is named."""
+        name = module and module.__name__
+        return [e for e in self if e.kind in kinds and name in (None, e.module)]
+
+
 @pytest.fixture
-def canonical_spans(monkeypatch):
-    """The vectors of every canonical span the diagram module builds since the
-    fixture started: those of ``lagrangian_subgroup`` and ``pair_sum``, which
-    only their callers read and no query path builds."""
+def eliminations(monkeypatch):
+    """Every elimination the package runs since the fixture started, as
+    ``Elimination`` records in the order the calls return (so a Smith form
+    comes before the cokernel that builds it, an echelon before its span).
+
+    Every ``trihodge`` module is imported first, so none binds a wrapper
+    that outlives the test. Then every binding of a ``RECORDED`` name in a
+    ``trihodge`` module, found by identity with the original whatever its
+    name, is wrapped for the test.
+    """
     # imported here, so the hooks above load without the package
-    from trihodge import diagram
-
-    spans = []
-    span = diagram._span
-
-    def recorded(ambient_rank, vectors):
-        spans.append(tuple(vectors))
-        return span(ambient_rank, vectors)
-
-    monkeypatch.setattr(diagram, "_span", recorded)
-    return spans
-
-
-@pytest.fixture
-def smith_forms(monkeypatch):
-    """Every Smith normal form computed since the fixture started, in order."""
+    import trihodge
     from trihodge import lattice
 
-    forms = []
+    for info in pkgutil.iter_modules(trihodge.__path__, "trihodge."):
+        importlib.import_module(info.name)
+    records = Eliminations()
 
-    class Recorded(lattice._Smith):
-        def __init__(self, *args):
-            super().__init__(*args)
-            forms.append(self)
+    def record(kind, original, signature, module, *args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        at = bound.arguments
+        handed = at[RECORDED[kind][1]]
+        rows = tuple(map(tuple, handed))
+        if iter(handed) is handed:  # an iterator, which the copy has spent
+            at[RECORDED[kind][1]] = rows
+        result = original(*bound.args, **bound.kwargs)
+        matrix = rows
+        if kind == "smith":
+            matrix = tuple(zip(*(row[: at["ncols"]] for row in rows[: at["nrows"]])))
+        elif kind == "echelon":
+            matrix = tuple(row[: at["stop"]] for row in rows)
+        records.append(Elimination(kind, module, rows, matrix, result))
+        return result
 
-    monkeypatch.setattr(lattice, "_Smith", Recorded)
-    return forms
+    originals = {kind: getattr(lattice, name) for kind, (name, _) in RECORDED.items()}
+    for module in [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "trihodge"]:
+        for binding, value in list(vars(module).items()):
+            for kind, original in originals.items():
+                if value is original:
+                    signature = inspect.signature(value)
+                    wrapped = partial(record, kind, value, signature, module.__name__)
+                    monkeypatch.setattr(module, binding, wrapped)
+    return records

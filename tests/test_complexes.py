@@ -58,6 +58,8 @@ def test_homology_group_direct_sum_merges_invariant_factors():
     c = HomologyGroup(0, (2,))
     d = HomologyGroup(0, (4,))
     assert c.direct_sum(d) == HomologyGroup(0, (2, 4))
+    # two primes: Z/2 + Z/4 + Z/6 = Z/2 + Z/2 + Z/3 + Z/4
+    assert c.direct_sum(d).direct_sum(HomologyGroup(0, (6,))) == HomologyGroup(0, (2, 2, 12))
 
 
 def test_homology_group_rejects_bad_data():

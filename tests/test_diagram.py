@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trihodge import lattice
 from trihodge.diagram import (
     SYSTEM_NAMES,
     CutSystem,
@@ -275,12 +274,13 @@ def torsion_sums_and_their_slides():
 
 
 class TestKValuesFromPairQuotients:
-    def test_validation_builds_no_pair_intersection(self, canonical_spans):
+    def test_validation_builds_no_pair_intersection(self, eliminations):
         fn = _pair_difference_columns
         pair_columns = f"{fn.__module__}.{fn.__qualname__}"
         for d in (builtin("S2xS2#QS4_Z3"), random_diagram(6, 0), builtin("S1xS3#S1xS3")):
             assert d.validation.is_valid
-            assert pair_columns not in vars(d) and not canonical_spans
+            assert pair_columns not in vars(d)
+            assert not eliminations.of("span", module=diagram_module)
 
     def test_k_values_are_the_pair_intersection_ranks(self):
         for d in RANDOM_SUITE + POOL_SUITE + tuple(torsion_sums_and_their_slides()):
@@ -326,20 +326,14 @@ class TestPairChecksFromIntersectionMatrices:
             d = cold_copy(d)
             assert validate(d) == validate_by_pair_sums(d), d.describe()
 
-    def test_invalid_inputs_cover_both_branches(self, monkeypatch, canonical_spans):
-        widths, quotients = [], []
-        build = lattice.QuotientPresentation.__init__
+    def test_invalid_inputs_cover_both_branches(self, monkeypatch, eliminations):
+        widths = []
 
         def recorded(rows, width):
             widths.append(width)
             return _span_quotient(rows, width)
 
-        def counted(self, *args, **kwargs):
-            quotients.append(self)
-            build(self, *args, **kwargs)
-
         monkeypatch.setattr(diagram_module, "_span_quotient", recorded)
-        monkeypatch.setattr(lattice.QuotientPresentation, "__init__", counted)
         # a pair check reads a g x g intersection matrix, a fallback the 2g
         # curves of a pair
         for d in PAIR_FAILURES:
@@ -353,32 +347,27 @@ class TestPairChecksFromIntersectionMatrices:
             assert not validate(d).is_valid
             assert 2 * d.genus in widths, d.alpha
             # the fallback reads the curves: no canonical Lagrangian, no quotient
-            assert not canonical_spans
-        assert not quotients
+            assert not eliminations.of("span", module=diagram_module)
+        # a quotient presentation is built only by a cokernel
+        assert not eliminations.of("cokernel")
 
-    def test_non_primitive_systems_reach_both_smith_branches(self, monkeypatch):
+    def test_non_primitive_systems_reach_both_smith_branches(self, monkeypatch, eliminations):
         # primitivity is read off the curve echelons, which build no Smith
         # form; the pair check into the non-primitive alpha system still
         # falls back to the invariant factors of the gamma and alpha curves
-        forms, widths = [], []
-
-        class Recorded(lattice._Smith):
-            def __init__(self, *args):
-                forms.append(self)
-                super().__init__(*args)
+        widths = []
 
         def recorded(rows, width):
             widths.append(width)
             return _span_quotient(rows, width)
 
-        monkeypatch.setattr(lattice, "_Smith", Recorded)
         monkeypatch.setattr(diagram_module, "_span_quotient", recorded)
         for d in NON_PRIMITIVE:
             d = cold_copy(d)
-            forms.clear()
+            eliminations.clear()
             widths.clear()
             echelons = d._curve_echelons
-            assert not forms
+            assert not eliminations.of("smith")
             assert [e.primitive for e in echelons] == [False, True, True]
             report = validate(d)
             assert d._curve_echelons is echelons
@@ -416,11 +405,11 @@ class TestPairChecksFromIntersectionMatrices:
             ones = sympy_invariant_factors(rows, 2 * d.genus) == (1,) * d.genus
             assert echelon.primitive == ones
 
-    def test_validation_builds_no_pair_sum(self, canonical_spans):
+    def test_validation_builds_no_pair_sum(self, eliminations):
         for d in DUALITY_SUITE[::7]:
             d = cold_copy(d)
             assert validate(d).is_valid
-            assert not canonical_spans
+            assert not eliminations.of("span", module=diagram_module)
 
     def test_triple_sum_is_the_sum_of_the_pair_sum_and_the_third_lagrangian(self):
         suite = DUALITY_SUITE + tuple(ladder_diagram(g) for g in (8, 12, 16, 24))
@@ -437,12 +426,12 @@ class TestPairChecksFromIntersectionMatrices:
 
 
 class TestCurveBases:
-    def test_validation_reads_only_the_curves(self, canonical_spans):
+    def test_validation_reads_only_the_curves(self, eliminations):
         suite = RANDOM_SUITE + POOL_SUITE + tuple(torsion_sums_and_their_slides())
         for d in suite + tuple(ladder_diagram(g) for g in (8, 16)):
             d = cold_copy(d)
             ensure_valid(d)
-            assert not canonical_spans, d.describe()
+            assert not eliminations.of("span", module=diagram_module), d.describe()
 
     def test_pair_kernels_pair_the_curves_of_consecutive_systems(self):
         for d in RANDOM_SUITE + POOL_SUITE + tuple(torsion_sums_and_their_slides()):

@@ -5,7 +5,10 @@ and each lazily exported name resolves to its module's."""
 
 import ast
 import importlib
+import re
+import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -344,33 +347,43 @@ def test_dir_lists_the_public_names_and_unknown_names_raise():
         getattr(trihodge, "no_such_name")
 
 
-def binds_smith(source: str) -> bool:
-    """Whether a module imports ``_Smith`` or names it directly.
-
-    ``tests/test_memo.py`` counts Smith forms by patching ``lattice._Smith``; a
-    module holding its own reference would build forms that go uncounted.
-    """
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            if any("_Smith" in (alias.name, alias.asname) for alias in node.names):
-                return True
-        elif isinstance(node, ast.Name) and node.id == "_Smith":
-            return True
-    return False
+# the names the ``eliminations`` fixture of conftest.py records
+RECORDED_NAMES = ("_Smith", "_UnitEchelon", "_forward_echelon", "_cokernel", "_span")
 
 
-def test_smith_binding_detector():
-    assert binds_smith("from .lattice import _Smith, _dot\n")
-    assert binds_smith("from .lattice import _dot as _Smith\n")
-    assert binds_smith("from . import lattice\n_Smith = lattice._Smith\n")
-    assert not binds_smith("from . import lattice\nform = lattice._Smith([], 0, 0)\n")
+def test_a_renamed_binding_is_recorded(monkeypatch, request):
+    renamed = ModuleType("trihodge._renamed")
+    exec("from trihodge.lattice import _Smith as Form, _UnitEchelon as Echelon", vars(renamed))
+    monkeypatch.setitem(sys.modules, renamed.__name__, renamed)
+    # the recorder finds each binding by identity, whatever its name
+    eliminations = request.getfixturevalue("eliminations")
+    form, echelon = renamed.Form([[2, 4], [6, 8]], 2, 2), renamed.Echelon(iter([(2, 4), (6, 8)]), 2)
+    assert [tuple(e) for e in eliminations] == [
+        ("smith", renamed.__name__, ((2, 4), (6, 8)), ((2, 6), (4, 8)), form),
+        ("unit", renamed.__name__, ((2, 4), (6, 8)), ((2, 4), (6, 8)), echelon),
+    ]
+    assert form.D == [[2, 0], [0, 4]] and not echelon.primitive
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in SRC_MODULES if p.name != "lattice.py"], ids=lambda p: p.name
-)
-def test_smith_forms_are_built_through_the_lattice_module(path):
-    assert not binds_smith(path.read_text())
+def patched(source: str) -> set[str]:
+    """The recorded names a ``monkeypatch.setattr`` call in the source names
+    in its target: a module or class and an attribute, or a dotted path."""
+    targets = [
+        ast.unparse(arg)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "monkeypatch.setattr"
+        for arg in node.args[:2]
+    ]
+    return {name for name in RECORDED_NAMES if re.search(rf"\b{name}\b", " ".join(targets))}
+
+
+def test_only_the_recorder_patches_an_elimination():
+    assert patched('monkeypatch.setattr(lattice, "_Smith", f)') == {"_Smith"}
+    assert patched('monkeypatch.setattr("trihodge.lattice._span", f)') == {"_span"}
+    assert patched('monkeypatch.setattr(lattice._UnitEchelon, "x", f)') == {"_UnitEchelon"}
+    assert patched('monkeypatch.setattr(diagram, "_span_quotient", f)') == set()
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        assert path.name == "conftest.py" or not patched(path.read_text()), path.name
 
 
 def decorated_definitions(sources: dict[str, str], decorator: str) -> list[str]:

@@ -14,7 +14,6 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from trihodge import lattice
 from trihodge.complexes import dual_complex, homology_complex
 from trihodge.diagram import builtin, diagram_from_curves, random_diagram
 from trihodge.lattice import (
@@ -219,7 +218,7 @@ class TestInvariantFactors:
         assert _invariant_factors(rows, len(rows[0])) == factors
         assert sympy_invariant_factors(rows, len(rows[0])) == factors
 
-    def test_a_smith_form_runs_only_on_the_block_left_without_units(self, smith_forms):
+    def test_a_smith_form_runs_only_on_the_block_left_without_units(self, eliminations):
         cases = {
             ((1, 2), (2, 6)): [(1, 2)],
             ((2, 4), (6, 8)): [(2, 2)],
@@ -227,20 +226,22 @@ class TestInvariantFactors:
             ((2, 0, 0, 0), (0, 0, 0, 0)): [(1, 4)],
         }
         for rows, expected in cases.items():
-            smith_forms.clear()
+            eliminations.clear()
             _invariant_factors(rows, len(rows[0]))
-            assert [(len(form.D), len(form.D[0])) for form in smith_forms] == expected, rows
+            forms = [e.result.D for e in eliminations.of("smith")]
+            assert [(len(D), len(D[0])) for D in forms] == expected, rows
 
-    def test_residual_forms_build_no_transform(self, smith_forms):
+    def test_residual_forms_build_no_transform(self, eliminations):
         # no entry is a unit, and row-Euclid leaves 2 atop the first column,
         # so both rows are left to one 2 x 24 Smith form, which reads only D
         residual = [[2 * k + 2 for k in range(24)], [6] + [4 * k * k + 2 for k in range(1, 24)]]
         assert _invariant_factors(residual, 24) == sympy_invariant_factors(residual, 24)
-        assert [(len(form.D), len(form.D[0])) for form in smith_forms] == [(2, 24)]
+        (form,) = (e.result for e in eliminations.of("smith"))
+        assert (len(form.D), len(form.D[0])) == (2, 24)
         for rows, _ in FIXED_FACTORS:
             _invariant_factors(rows, len(rows[0]))
-        assert len(smith_forms) > 1
-        for form in smith_forms:
+        assert len(eliminations.of("smith")) > 1
+        for form in (e.result for e in eliminations.of("smith")):
             assert form.U == [[]] * len(form.D) and form.V == []
 
 
@@ -722,15 +723,12 @@ class TestUnitEchelon:
             v = [3 * x for x in columns[0]]
             assert echelon.coordinates(v) == (3,) + (0,) * (len(columns) - 1)
 
-    def test_builds_no_smith_form_and_no_tracked_echelon(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("the unit-pivot elimination needs no other kernel")
-
-        monkeypatch.setattr(lattice, "_Smith", forbidden)
-        monkeypatch.setattr(lattice, "_forward_echelon", forbidden)
+    def test_builds_no_smith_form_and_no_tracked_echelon(self, eliminations):
         echelon = unit_echelon([(2, 3, 0, 0), (0, 0, 4, 7)], 4)
         assert echelon.primitive
         assert echelon.coordinates((2, 3, 8, 14)) == (1, 2)
+        # the unit-pivot elimination needs no other kernel
+        assert not eliminations.of("smith", "echelon")
 
 
 FREE_LINE = quotient(1, Subgroup.from_columns(1, ()))

@@ -184,126 +184,120 @@ SUMS = ["CP2#CP2bar", "S2xS2#QS4_Z3", "S1xS3#QS4_Z2"]
 GRAM_SCHMIDT = f"{pairings.__name__}.{pairings._curve_gram_schmidt.__qualname__}"
 
 
-def lifted(d, canonical_spans) -> bool:
+def canonical_spans(eliminations) -> list:
+    """The vectors of every canonical span the diagram module built: those of
+    ``lagrangian_subgroup`` and ``pair_sum``, which only their callers read
+    and no query path builds."""
+    return [e.matrix for e in eliminations.of("span", module=diagram)]
+
+
+def lifted(d, eliminations) -> bool:
     """Whether a canonical Lagrangian or pair sum was built, which no package
     path does, or d holds the Gram-Schmidt data of its curves, which only
     the reduction of lifts reads."""
-    return bool(canonical_spans) or any(key.startswith(GRAM_SCHMIDT) for key in vars(d))
+    spans = canonical_spans(eliminations)
+    return bool(spans) or any(key.startswith(GRAM_SCHMIDT) for key in vars(d))
 
 
-@pytest.fixture
-def cokernels(monkeypatch):
-    """The group of every cokernel presented through ``complexes._cokernel``
-    since the fixture started, in order.
-
-    That is the name ``homology_with_generators`` calls, and the one Smith
-    form whose transform a query reads: the free generators are solved
-    from its U.
-    """
-    groups = []
-    cokernel = complexes._cokernel
-
-    def recorded(rows, ncols):
-        q = cokernel(rows, ncols)
-        groups.append(HomologyGroup(q.free_rank, q.torsion))
-        return q
-
-    monkeypatch.setattr(complexes, "_cokernel", recorded)
-    return groups
+def cokernels(eliminations) -> list[HomologyGroup]:
+    """The group of every cokernel ``complexes`` presented, in order: that of
+    ``homology_with_generators``, the one Smith form whose transform a query
+    reads (the free generators are solved from its U)."""
+    groups = (e.result for e in eliminations.of("cokernel", module=complexes))
+    return [HomologyGroup(q.free_rank, q.torsion) for q in groups]
 
 
 @pytest.mark.parametrize("name", SUMS)
-def test_no_smith_form_is_computed_twice(name, smith_forms):
+def test_no_smith_form_is_computed_twice(name, eliminations):
     d = builtin(name)
     homology_groups(d)
     dual_middle_homology(d)
-    before = len(smith_forms)
+    before = len(eliminations.of("smith"))
     # the one cokernel that gives the free degree-two generators
     h2_basis_cocycles(d)
-    assert len(smith_forms) == before + 1
+    assert len(eliminations.of("smith")) == before + 1
     dual_rep_basis(d)
     hodge_diamond(d)
     homology_groups(d)
     dual_middle_homology(d)
     h2_basis_cocycles(d)
-    assert len(smith_forms) == before + 1
+    assert len(eliminations.of("smith")) == before + 1
 
     fresh = builtin(name)
     ensure_valid(fresh)
-    before = len(smith_forms)
+    before = len(eliminations.of("smith"))
     dual_complex(fresh)
-    assert len(smith_forms) == before
+    assert len(eliminations.of("smith")) == before
 
 
 @pytest.mark.parametrize("name", SUMS)
-def test_smith_forms_build_only_the_transforms_read(
-    name, smith_forms, cokernels, canonical_spans
-):
+def test_smith_forms_build_only_the_transforms_read(name, eliminations):
     d = builtin(name)
     ensure_valid(d)
     # primitivity is read off the curve echelons, and every pair factor is
     # a unit pivot of the elimination of an intersection matrix
-    assert not smith_forms and not lifted(d, canonical_spans)
+    assert not eliminations.of("smith") and not lifted(d, eliminations)
     homology_groups(d)
     dual_middle_homology(d)
     # the groups read only invariant factors: no cokernel is presented
-    assert not cokernels
-    before = len(smith_forms)
+    assert not cokernels(eliminations)
+    before = len(eliminations.of("smith"))
     h2_basis_cocycles(d)
     # one Smith form, the degree-two cokernel whose U the generators are
     # solved from; no form builds V, and no residual form of an invariant
     # factor computation builds U
-    assert len(smith_forms) == before + 1
-    assert cokernels == [homology_groups(d)[2]]
-    *residual, cokernel = smith_forms
-    assert all(form.V == [] for form in smith_forms)
+    forms = [e.result for e in eliminations.of("smith")]
+    assert len(forms) == before + 1
+    assert cokernels(eliminations) == [homology_groups(d)[2]]
+    *residual, cokernel = forms
+    assert all(form.V == [] for form in forms)
     assert all(form.U == [[]] * len(form.D) for form in residual)
     assert [len(row) for row in cokernel.U] == [len(cokernel.U)] * len(cokernel.D)
-    assert not lifted(d, canonical_spans)
+    assert not lifted(d, eliminations)
 
 
 @pytest.mark.parametrize("name", ["CP2#CP2bar", "S2xS2#QS4_Z3"])
-def test_only_the_degree_two_position_builds_generators(name, cokernels, eliminations):
+def test_only_the_degree_two_position_builds_generators(name, eliminations):
     d = builtin(name)
     c = homology_complex(d)
     start = len(eliminations)
     homology_groups(d)
     dual_middle_homology(d)
     # generators need a kernel for their cycles; the groups read factors only
-    assert not any(kind == "echelon" for kind, _ in eliminations[start:])
-    assert not cokernels
+    assert not any(e.kind == "echelon" for e in eliminations[start:])
+    assert not cokernels(eliminations)
     before = len(eliminations)
     h2_basis_cocycles(d)
     added = eliminations[before:]
     # the cycles of degree two, and one cokernel for its generators: a Smith
     # form, then one unit-pivot elimination of its U to solve them from
     assert [count(added, cols, "echelon") for cols in c.columns] == [0, 0, 1, 0]
-    assert cokernels == [homology_groups(d)[2]]
-    assert [kind for kind, _ in added if kind != "echelon"] == ["smith", "unit"]
-    (U,) = (m for kind, m in added if kind == "unit")
+    assert cokernels(eliminations) == [homology_groups(d)[2]]
+    assert [e.kind for e in added if e.kind in ("smith", "unit")] == ["smith", "unit"]
+    (U,) = (e.matrix for e in added if e.kind == "unit")
     assert lattice._invariant_factors(U, len(U)) == (1,) * len(U)
 
 
 @pytest.mark.parametrize("name", SUMS)
-def test_validation_and_spin_build_no_transform(name, smith_forms, canonical_spans):
+def test_validation_and_spin_build_no_transform(name, eliminations):
     d = builtin(name)
     ensure_valid(d)
     spin_count(d)
     enumerate_spin(d)
-    assert smith_forms == []
-    assert not lifted(d, canonical_spans)
+    assert eliminations.of("smith") == []
+    assert not lifted(d, eliminations)
 
 
 @pytest.mark.parametrize("name", SUMS)
-def test_validation_builds_no_pair_sum_but_reads_it_on_demand(name, canonical_spans):
+def test_validation_builds_no_pair_sum_but_reads_it_on_demand(name, eliminations):
     d = builtin(name)
     ensure_valid(d)
-    assert not canonical_spans
+    assert not canonical_spans(eliminations)
     homology_groups(d)
     dual_middle_homology(d)
-    assert not canonical_spans
+    assert not canonical_spans(eliminations)
     L = [d.lagrangian_subgroup(lam) for lam in (1, 2, 3)]
-    assert canonical_spans == [cs.curves for cs in d.systems]
+    assert canonical_spans(eliminations) == [cs.curves for cs in d.systems]
     for lam, k in zip((1, 2, 3), d.validation.k_values):
         pair = lattice.subgroup_sum(L[lam - 1], L[lam % 3])
         assert d.pair_sum(lam) == pair
@@ -312,51 +306,10 @@ def test_validation_builds_no_pair_sum_but_reads_it_on_demand(name, canonical_sp
         assert all(q.is_zero(col) for col in pair.columns())
 
 
-@pytest.fixture
-def eliminations(monkeypatch):
-    """Every elimination run since the fixture started, as (kind, matrix).
-
-    The kinds are "echelon" (a downward echelon: canonical spans and
-    kernels), "smith" (a Smith form) and "unit" (a unit-pivot elimination:
-    invariant factors, curve echelons, the Gram matrix's, that of the
-    pairing rows of the degree-one basis and that of the U of a cokernel
-    whose free lifts are read). The matrix
-    is the tuple of the rows the elimination is handed, which for an
-    echelon or a unit-pivot elimination of a differential are its columns
-    (the leading ``stop`` entries of each row, for an echelon), and the
-    tuple of the columns of the block a Smith form eliminates: the rows it
-    is handed, less the identity blocks appended for its transforms."""
-    matrices = []
-    forward, smith, unit = lattice._forward_echelon, lattice._Smith, lattice._UnitEchelon
-
-    def recorded(work, stop):
-        matrices.append(("echelon", tuple(tuple(row[:stop]) for row in work)))
-        return forward(work, stop)
-
-    class RecordedSmith(smith):
-        def __init__(self, *args):
-            handed = [tuple(row) for row in args[0]]  # the form eliminates in place
-            super().__init__(*args)
-            block = (row[: len(row) - len(u)] for row, u in zip(handed, self.U))
-            matrices.append(("smith", tuple(zip(*block))))
-
-    class RecordedUnit(unit):
-        def __init__(self, rows, ncols):
-            rows = tuple(map(tuple, rows))
-            matrices.append(("unit", rows))
-            super().__init__(rows, ncols)
-
-    monkeypatch.setattr(lattice, "_forward_echelon", recorded)
-    monkeypatch.setattr(lattice, "_Smith", RecordedSmith)
-    for module in (lattice, diagram, pairings):
-        monkeypatch.setattr(module, "_UnitEchelon", RecordedUnit)
-    return matrices
-
-
 def count(eliminations, matrix, *kinds) -> int:
     """How many recorded eliminations of the given kinds (of any kind when
     none is named) were handed this matrix."""
-    return sum(m == matrix and (not kinds or k in kinds) for k, m in eliminations)
+    return sum(e.matrix == matrix and (not kinds or e.kind in kinds) for e in eliminations)
 
 
 @pytest.mark.parametrize("name", SUMS)
@@ -378,7 +331,7 @@ def test_degree_two_differential_is_eliminated_once(name, eliminations):
     before = len(eliminations)
     triple_intersection(d)
     differentials = [cols for cols in complex_.columns if cols]
-    assert not any(m in differentials for _, m in eliminations[before:])
+    assert not any(e.matrix in differentials for e in eliminations[before:])
 
 
 @pytest.mark.parametrize("name", ["S2xS2#QS4_Z3", "S1xS3#QS4_Z2", "S1xS3#S1xS3#CP2"])
@@ -399,7 +352,7 @@ def test_degree_one_and_three_reads_eliminate_each_differential_at_most_once(
     # call: neither eliminates a differential
     assert count(before, c.columns[1]) == count(before, c.columns[1], "unit") == 1
     differentials = [cols for cols in c.columns if cols]
-    assert not any(m in differentials for _, m in added)
+    assert not any(e.matrix in differentials for e in added)
     rows = tuple(zip(*_pairing_rows(h1_basis(d))))
     assert count(added, rows, "unit") == 2
 
@@ -419,18 +372,8 @@ def test_dual_middle_homology_adds_no_elimination(name, eliminations):
     assert [count(added, cols, "unit") for cols in dual.columns] == [1, 1]
 
 
-def test_dense_queries_build_no_lagrangian_echelon_and_nothing_wider_than_3g(
-    monkeypatch, canonical_spans
-):
+def test_dense_queries_build_no_lagrangian_echelon_and_nothing_wider_than_3g(eliminations):
     d = ladder_diagram(12)
-    widths = []
-    forward = lattice._forward_echelon
-
-    def recorded(work, stop):
-        widths.extend(map(len, work))
-        return forward(work, stop)
-
-    monkeypatch.setattr(lattice, "_forward_echelon", recorded)
     ensure_valid(d)
     homology_groups(d)
     dual_middle_homology(d)
@@ -439,8 +382,9 @@ def test_dense_queries_build_no_lagrangian_echelon_and_nothing_wider_than_3g(
     assert reps
     s = base_ledger(d)
     c1_difference(act(s, reps[0]), s)
+    widths = [len(row) for e in eliminations.of("echelon") for row in e.rows]
     assert widths and max(widths) <= 3 * d.genus
-    assert not canonical_spans
+    assert not canonical_spans(eliminations)
 
 
 def census_query(d):
@@ -485,12 +429,12 @@ def lift_reads(monkeypatch):
 CENSUS_DIAGRAMS = [builtin(name) for name in SUMS] + list(RANDOM_SUITE[::5] + POOL_SUITE)
 
 
-def test_pair_quotients_build_no_inverse_unless_lifted(canonical_spans, eliminations):
+def test_pair_quotients_build_no_inverse_unless_lifted(eliminations):
     diagrams = [builtin(name) for name in SUMS] + [cold_copy(d) for d in RANDOM_SUITE]
     for d in diagrams:
         census_query(d)
     # the op builds no pair sum, so no pair quotient either
-    assert not canonical_spans
+    assert not canonical_spans(eliminations)
     for d in diagrams:
         for lam in (1, 2, 3):
             q, relations = pair_quotient(d, lam), d.pair_sum(lam).columns()
@@ -500,33 +444,32 @@ def test_pair_quotients_build_no_inverse_unless_lifted(canonical_spans, eliminat
             assert len(eliminations) == before
             lifts = q._free_lifts
             # the free lifts are solved along one unit-pivot elimination of U
-            assert eliminations[before:] == [("unit", tuple(map(tuple, q._U)))]
+            added = eliminations[before:]
+            assert [(e.kind, e.matrix) for e in added] == [("unit", tuple(map(tuple, q._U)))]
             n = len(q.torsion) + q.free_rank
             assert [q.project(v) for v in lifts] == [tuple(e) for e in lattice._identity_rows(n)]
             for c in [[0] * n, *lattice._identity_rows(n)]:
                 assert q.project(quotient_lift(q, c)) == tuple(c)
 
 
-def test_census_query_replays_no_pairing_transform_and_no_lift(
-    smith_forms, cokernels, lift_reads, canonical_spans
-):
+def test_census_query_replays_no_pairing_transform_and_no_lift(eliminations, lift_reads):
     diagrams = [cold_copy(d) for d in CENSUS_DIAGRAMS]
     reps = [rep for d in diagrams for rep in census_query(d)[1]]
     # the only transforms the op reads are those of one degree-two cokernel
     # per diagram of positive genus, which has degree-two cycles
     assert reps and not lift_reads
-    assert cokernels == [homology_groups(d)[2] for d in diagrams if d.genus]
-    assert not any(lifted(d, canonical_spans) for d in diagrams)
+    assert cokernels(eliminations) == [homology_groups(d)[2] for d in diagrams if d.genus]
+    assert not any(lifted(d, eliminations) for d in diagrams)
     memo = {id(d): dict(vars(d)) for d in diagrams}
-    before = len(smith_forms)
+    before = len(eliminations.of("smith"))
     for rep in reps:
         assert H2DualRep.from_lifts(rep.diagram, rep.lifts) == rep
-    assert len(lift_reads) == len(reps) and not canonical_spans
+    assert len(lift_reads) == len(reps) and not canonical_spans(eliminations)
     # reading lifts substitutes along the curve echelons validation built and
     # reduces against the Gram-Schmidt data of the curves of each system
     # whose block is nonzero in some rep (a zero block lifts to zero): it
     # builds nothing else, no canonical Lagrangian and no Smith form
-    assert len(smith_forms) == before
+    assert len(eliminations.of("smith")) == before
     gram_schmidt = {id(d): set() for d in diagrams}
     for rep in reps:
         gram_schmidt[id(rep.diagram)] |= {
@@ -538,19 +481,19 @@ def test_census_query_replays_no_pairing_transform_and_no_lift(
         assert d._curve_echelons is memo[id(d)]["_curve_echelons"]
 
 
-def test_census_query_keeps_cocycles_in_curve_coordinates(lift_reads, canonical_spans):
+def test_census_query_keeps_cocycles_in_curve_coordinates(lift_reads, eliminations):
     diagrams = [cold_copy(d) for d in CENSUS_DIAGRAMS]
     cocycles = [x for d in diagrams for x in census_query(d)[0]]
     assert len(cocycles) > len(diagrams)
     # no ambient block is built: a cocycle holds its diagram and coordinates only
     assert all(set(vars(x)) == {"diagram", "coords"} for x in cocycles)
-    assert not any(lifted(d, canonical_spans) for d in diagrams) and not lift_reads
+    assert not any(lifted(d, eliminations) for d in diagrams) and not lift_reads
     for x in cocycles:
         assert cocycle_from_blocks(x.diagram, *x.blocks) == x
     assert all(set(vars(x)) == {"diagram", "coords", "blocks"} for x in cocycles)
 
 
-def test_kernels_and_intersections_need_no_smith_form(smith_forms):
+def test_kernels_and_intersections_need_no_smith_form(eliminations):
     m = mat([[2, 4, -6, 1], [0, 3, 9, 0], [2, 7, 3, 1]])
     assert lattice.kernel_basis(m).rank == 2
     assert lattice.kernel_basis(mat([[0, 0, 0]] * 2)).rank == 3
@@ -558,19 +501,19 @@ def test_kernels_and_intersections_need_no_smith_form(smith_forms):
     L = [d.lagrangian_subgroup(lam) for lam in (1, 2, 3)]
     assert [subgroup_intersection(L[i], L[(i + 1) % 3]).rank for i in range(3)] == [1, 1, 1]
     assert triple_intersection(d).rank == 0
-    assert len(smith_forms) == 0
+    assert len(eliminations.of("smith")) == 0
 
 
-def test_repeated_c1_difference_needs_no_smith_form(smith_forms):
+def test_repeated_c1_difference_needs_no_smith_form(eliminations):
     d = builtin("CP2#CP2bar")
     s = base_ledger(d)
     A, B = dual_rep_basis(d)
     rep = A.scale(2) - B
     first, second = act(s, A), act(s, rep)
     c1_difference(first, s)
-    before = len(smith_forms)
+    before = len(eliminations.of("smith"))
     diff = c1_difference(second, s)
-    assert len(smith_forms) == before
+    assert len(eliminations.of("smith")) == before
     for b in h2_basis_cocycles(d):
         assert intersection_pairing(d, b, diff) == 2 * evaluate_on_surface_class(d, b, rep)
 
@@ -580,7 +523,7 @@ HOMOLOGY_BUILTINS = ["S4", "CP2", "S1xS3", "S2xS2", "QS4_Z3", *SUMS, "CP2#QS4_Z3
 
 @pytest.mark.parametrize("name", HOMOLOGY_BUILTINS)
 def test_homology_command_builds_no_lagrangian_and_only_the_degree_two_generators(
-    name, cokernels, eliminations, monkeypatch, canonical_spans
+    name, eliminations, monkeypatch
 ):
     loaded = []
     load = cli._load_diagram
@@ -592,10 +535,10 @@ def test_homology_command_builds_no_lagrangian_and_only_the_degree_two_generator
     # and the only kernels are the three of the Q matrices that give the
     # pairwise intersections (each two echelons: its rows, then the
     # canonical kernel), so no cycles and no generators are built
-    assert not cokernels
-    echelons = [m for kind, m in eliminations if kind == "echelon"]
+    assert not cokernels(eliminations)
+    echelons = [e.matrix for e in eliminations.of("echelon")]
     assert echelons[::2] == [q for d in loaded for q in d._intersection_matrices]
-    assert len(echelons) == 6 * len(loaded) and not canonical_spans
+    assert len(echelons) == 6 * len(loaded) and not canonical_spans(eliminations)
 
 
 def test_equal_diagrams_keep_separate_results():
